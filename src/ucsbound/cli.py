@@ -26,13 +26,14 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 from . import __version__
 from .errors import BracketFailure, RankDeficient, UcsBoundError, VerificationFailed
 from .maxcorr import JointDist, binary_coupling, correlation_spectrum, maximal_correlation, pearson
 from .optimizer import (
+    VERIFY_CONFIG,
     SearchConfig,
     find_tmax,
     gamma_hat,
@@ -136,7 +137,8 @@ def _emit(
     _atomic_write_text(args.out + ".manifest.json", _dump_json(manifest.to_json_dict()))
 
 
-def _search_config(args: argparse.Namespace) -> SearchConfig:
+def _search_config(args: argparse.Namespace, base: SearchConfig = SearchConfig()) -> SearchConfig:
+    """``base`` with the search knobs given on the command line applied."""
     kwargs = {}
     if getattr(args, "grid", None) is not None:
         kwargs["grid_points_per_axis"] = args.grid
@@ -146,7 +148,7 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
         kwargs["multistart_count"] = args.multistart
     if getattr(args, "pin_b2", False):
         kwargs["b2_pinned_to_one"] = True
-    return SearchConfig(**kwargs)
+    return replace(base, **kwargs)
 
 
 def _parse_alpha(raw: str):
@@ -195,9 +197,7 @@ def cmd_tmax(args: argparse.Namespace) -> int:
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     started = None if args.no_timestamps else _utcnow()
-    config = None
-    if args.grid is not None or args.refine_rounds is not None or args.multistart is not None:
-        config = _search_config(args)
+    config = _search_config(args, VERIFY_CONFIG)
     cert = verify_reference_point(config=config, strict=args.strict)
     fam = cert.argmin
     print(f"reference evaluation reproduced (strict={args.strict}):")
@@ -345,10 +345,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_search_knobs(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--grid", type=int, help="grid points per axis (default 64)")
-    sub.add_argument("--refine-rounds", type=int, help="refinement rounds (default 6)")
-    sub.add_argument("--multistart", type=int, help="grid points to refine (default 16)")
+def _add_search_knobs(sub: argparse.ArgumentParser, base: SearchConfig = SearchConfig()) -> None:
+    sub.add_argument(
+        "--grid", type=int, help=f"grid points per axis (default {base.grid_points_per_axis})"
+    )
+    sub.add_argument(
+        "--refine-rounds", type=int, help=f"refinement rounds (default {base.refine_rounds})"
+    )
+    sub.add_argument(
+        "--multistart", type=int, help=f"grid points to refine (default {base.multistart_count})"
+    )
     sub.add_argument(
         "--pin-b2",
         action="store_true",
@@ -399,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run the published reference evaluation and compare against it",
     )
     p.add_argument("--strict", action="store_true", help="tighten the ratio tolerance to 1e-6")
-    _add_search_knobs(p)
+    _add_search_knobs(p, VERIFY_CONFIG)
     _add_common(p)
     p.set_defaults(func=cmd_verify_paper)
 

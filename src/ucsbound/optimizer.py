@@ -13,12 +13,15 @@ The candidate space is four numbers (a1, a2, b1, b2), so the search is
 deliberately elementary and fully deterministic:
 
 1. a uniform grid per axis, evaluated vectorised with the symmetry
-   a1 <= a2, b1 <= b2 folded out.  The expensive per-pair and
-   cross-block entropy sums do not depend on alpha, so the workspace
-   caches them and re-scans for a new alpha at the cost of one saxpy;
+   a1 <= a2, b1 <= b2 folded out.  Every OR-entropy term is read from
+   one g x g table of h(x + y - xy) over the axis.  The per-pair and
+   cross-block sums do not depend on alpha, so the workspace caches
+   them and re-scans for a new alpha at the cost of one saxpy;
 2. the best ``multistart_count`` grid points are each polished by
-   cyclic per-coordinate golden-section refinement with a shrinking
-   trust window, clipped to the feasible box at every step;
+   cyclic per-coordinate Brent line search with a shrinking trust
+   window, clipped to the feasible box at every step.  Along one
+   coordinate only 6 of the objective's 16 entropy terms move (4 of 8
+   without a high block); the rest are computed once per line;
 3. the reported minimum is re-evaluated through the reference
    implementation in :mod:`ucsbound.distributions`, so the fast path
    cannot silently drift from the definition it is searching over.
@@ -42,6 +45,7 @@ from .scalars import binary_entropy, max_entropy_or_prob_fullcorr, require_prob
 
 __all__ = [
     "SearchConfig",
+    "VERIFY_CONFIG",
     "InnerSearchReport",
     "BoundCertificate",
     "ThresholdCertificate",
@@ -73,7 +77,8 @@ REFERENCE_BETA = 0.1560676
 BASELINE_THRESHOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 _INF = math.inf
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(math.ulp(1.0))
 _DENOM_FLOOR = 1e-14
 _ALPHA_REFINE_TOL = 1e-4
 _BRANCH_ZERO = "beta_zero"
@@ -84,8 +89,12 @@ _BRANCH_POSITIVE = "beta_positive"
 class SearchConfig:
     """Knobs of the grid-plus-refinement search.
 
-    The defaults reproduce the reference evaluation to ~1e-9 in a few
-    hundred milliseconds; they are not tuned per call site.
+    The defaults reproduce the reference evaluation to ~1e-9; on a
+    2-vCPU virtual machine a ``gamma_hat`` sweep over nine weights takes
+    under a second.  :data:`VERIFY_CONFIG` is the finer setting of the
+    published check.  ``param_tol`` is the absolute term of each Brent
+    line search's stopping rule, which accepts a point once the bracket
+    around it is within 2 * (sqrt(eps) * |x| + param_tol / 3).
     """
 
     grid_points_per_axis: int = 64
@@ -109,6 +118,10 @@ class SearchConfig:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+# Search used by :func:`verify_reference_point` and ``verify-paper``.
+VERIFY_CONFIG = SearchConfig(grid_points_per_axis=96, refine_rounds=8)
 
 
 @dataclass(frozen=True)
@@ -206,89 +219,78 @@ def _fullcorr_arr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(0.5, np.maximum(x, y)), np.minimum(x + y, 1.0))
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi] to bracket width tol."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
+def _brent_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Minimum of f on [lo, hi] by Brent's method (Brent 1973, ch. 5).
 
-
-def _ratio_fast(
-    a1: float,
-    a2: float,
-    b1: float | None,
-    b2: float | None,
-    t: float,
-    alpha: float,
-    eps: float,
-) -> float:
-    """Scalar search objective; +inf outside the feasible box.
-
-    Mirrors :func:`ucsbound.distributions.entropy_ratio` on plain floats
-    with no allocation, since this runs inside golden-section loops.
-    The final reported minimum always goes back through the reference
-    implementation, so any drift between the two would be caught there.
+    Parabolic steps with a golden-section fallback; the point x is
+    accepted once the bracket lies within 2 * tol1 of it, tol1 =
+    sqrt(eps) * |x| + tol / 3, the rule of scipy's ``fminbound``.  f
+    may return +inf: a parabola through such a value has no finite
+    vertex, so the step falls back to golden section.
     """
-    if a1 < 0.0 or a1 > 1.0 or a2 < 0.0 or a2 > 1.0:
-        return _INF
-    amean = 0.5 * (a1 + a2)
-    if amean > t + 1e-15:
-        return _INF
-    h = binary_entropy
-    if b1 is None:
-        denom = 0.5 * (h(a1) + h(a2))
-        if denom <= _DENOM_FLOOR:
-            return _INF
-        ind = 0.25 * (
-            h(a1 + a1 - a1 * a1)
-            + 2.0 * h(a1 + a2 - a1 * a2)
-            + h(a2 + a2 - a2 * a2)
-        )
-        cor = h(max_entropy_or_prob_fullcorr(a1, a2))
-        return ((1.0 - alpha) * ind + alpha * cor) / denom
-    if b1 < 0.0 or b1 > 1.0 or b2 < 0.0 or b2 > 1.0:
-        return _INF
-    bmean = 0.5 * (b1 + b2)
-    if bmean < t + 0.5 * eps:
-        return _INF
-    beta = (t - amean) / (bmean - amean)
-    if beta < 0.0:
-        beta = 0.0
-    elif beta > 1.0:
-        beta = 1.0
-    wa = 0.5 * (1.0 - beta)
-    wb = 0.5 * beta
-    denom = wa * (h(a1) + h(a2)) + wb * (h(b1) + h(b2))
-    if denom <= _DENOM_FLOOR:
-        return _INF
-    ind = (
-        wa * wa * (h(a1 + a1 - a1 * a1) + 2.0 * h(a1 + a2 - a1 * a2) + h(a2 + a2 - a2 * a2))
-        + wb * wb * (h(b1 + b1 - b1 * b1) + 2.0 * h(b1 + b2 - b1 * b2) + h(b2 + b2 - b2 * b2))
-        + 2.0
-        * wa
-        * wb
-        * (
-            h(a1 + b1 - a1 * b1)
-            + h(a1 + b2 - a1 * b2)
-            + h(a2 + b1 - a2 * b1)
-            + h(a2 + b2 - a2 * b2)
-        )
-    )
-    cor = (1.0 - beta) * h(max_entropy_or_prob_fullcorr(a1, a2)) + beta * h(
-        max_entropy_or_prob_fullcorr(b1, b2)
-    )
-    return ((1.0 - alpha) * ind + alpha * cor) / denom
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            # Take the vertex if it falls inside the bracket and the step
+            # is under half the one before last.
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                if x + d - a < tol2 or b - x - d < tol2:
+                    d = tol1 if x < xm else -tol1
+                golden = False
+        if golden:
+            e = (b if x < xm else a) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else (tol1 if d >= 0.0 else -tol1))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _mix(beta, h1, h2, s1, s2, s12, p1, p2):
+    """Denominator, independent and correlated terms of a two-block family.
+
+    Block 1 has weight 1 - beta, block 2 weight beta.  Per block, h sums
+    its two marginal entropies, s its within-block OR entropies (the
+    off-diagonal term twice) and p is its correlated OR entropy; s12
+    sums the four cross-block OR entropies.  Floats or broadcasting
+    arrays; beta = 0 is the family without a high block.
+    """
+    w1, w2 = 0.5 * (1.0 - beta), 0.5 * beta
+    denom = w1 * h1 + w2 * h2
+    ind = w1 * w1 * s1 + w2 * w2 * s2 + 2.0 * w1 * w2 * s12
+    return denom, ind, (1.0 - beta) * p1 + beta * p2
+
+
+def _over_denom(denom, ind, cor):
+    """Grid mask of degenerate denominators, and ind/denom, cor/denom elsewhere 0."""
+    bad = denom <= _DENOM_FLOOR
+    safe = np.where(bad, 1.0, denom)
+    return bad, np.where(bad, 0.0, ind / safe), np.where(bad, 0.0, cor / safe)
 
 
 class _PairGrid:
@@ -311,68 +313,44 @@ class _PairGrid:
         g = config.grid_points_per_axis
         axis = np.linspace(0.0, 1.0, g)
         ii, jj = np.triu_indices(g)
-        lo, hi = axis[ii], axis[jj]
+        pair_sum = axis[ii] + axis[jj]
 
-        keep_a = lo + hi <= 2.0 * t + 1e-12
-        a1, a2 = lo[keep_a], hi[keep_a]
+        keep_a = pair_sum <= 2.0 * t + 1e-12
+        ia1, ia2 = ii[keep_a], jj[keep_a]
         if config.b2_pinned_to_one:
-            keep_b = axis + 1.0 >= 2.0 * (t + eps)
-            b1 = axis[keep_b]
-            b2 = np.ones_like(b1)
+            ib1 = np.flatnonzero(axis + 1.0 >= 2.0 * (t + eps))
+            ib2 = np.full_like(ib1, g - 1)
         else:
-            keep_b = lo + hi >= 2.0 * (t + eps)
-            b1, b2 = lo[keep_b], hi[keep_b]
-        if a1.size == 0 or b1.size == 0:
+            keep_b = pair_sum >= 2.0 * (t + eps)
+            ib1, ib2 = ii[keep_b], jj[keep_b]
+        if ia1.size == 0 or ib1.size == 0:
             raise EmptyFeasible(
                 f"grid of {g} points per axis yields no feasible pairs at t={t}"
             )
-        self._a = (a1, a2)
-        self._b = (b1, b2)
+        a1, a2, b1, b2 = axis[ia1], axis[ia2], axis[ib1], axis[ib2]
+        self._a, self._b = (a1, a2), (b1, b2)
 
-        h = _entropy_arr
-        ha = h(a1) + h(a2)
-        hb = h(b1) + h(b2)
-        pa = h(_fullcorr_arr(a1, a2))
-        pb = h(_fullcorr_arr(b1, b2))
-        saa = h(2.0 * a1 - a1 * a1) + 2.0 * h(a1 + a2 - a1 * a2) + h(2.0 * a2 - a2 * a2)
-        sbb = h(2.0 * b1 - b1 * b1) + 2.0 * h(b1 + b2 - b1 * b2) + h(2.0 * b2 - b2 * b2)
+        # Every OR entropy h(x + y - xy) is an entry of one table over the
+        # axis; the cross-block sums take two column gathers, then two rows.
+        ent = _entropy_arr(axis)
+        table = _entropy_arr(np.add.outer(axis, axis) - np.multiply.outer(axis, axis))
+        ha, hb = ent[ia1] + ent[ia2], ent[ib1] + ent[ib2]
+        pa = _entropy_arr(_fullcorr_arr(a1, a2))
+        pb = _entropy_arr(_fullcorr_arr(b1, b2))
+        saa = table[ia1, ia1] + 2.0 * table[ia1, ia2] + table[ia2, ia2]
+        sbb = table[ib1, ib1] + 2.0 * table[ib1, ib2] + table[ib2, ib2]
+        cols = table[:, ib1] + table[:, ib2]
+        sab = cols[ia1]
+        sab += cols[ia2]
 
-        # Cross-block sums, chunked along the b axis to bound peak memory.
-        sab = np.empty((a1.size, b1.size))
-        a1c, a2c = a1[:, None], a2[:, None]
-        chunk = max(1, int(1e6) // max(1, a1.size))
-        for s in range(0, b1.size, chunk):
-            b1c = b1[None, s : s + chunk]
-            b2c = b2[None, s : s + chunk]
-            sab[:, s : s + chunk] = (
-                h(a1c + b1c - a1c * b1c)
-                + h(a1c + b2c - a1c * b2c)
-                + h(a2c + b1c - a2c * b1c)
-                + h(a2c + b2c - a2c * b2c)
-            )
-
-        amean = 0.5 * (a1 + a2)
-        bmean = 0.5 * (b1 + b2)
-        beta = np.clip(
-            (t - amean[:, None]) / (bmean[None, :] - amean[:, None]), 0.0, 1.0
+        amean = 0.5 * (a1 + a2)[:, None]
+        beta = np.clip((t - amean) / (0.5 * (b1 + b2) - amean), 0.0, 1.0)
+        self._bad, self._ind_over_denom, self._cor_over_denom = _over_denom(
+            *_mix(beta, ha[:, None], hb, saa[:, None], sbb, sab, pa[:, None], pb)
         )
-        wa = 0.5 * (1.0 - beta)
-        wb = 0.5 * beta
-        denom = wa * ha[:, None] + wb * hb[None, :]
-        ind = wa * wa * saa[:, None] + wb * wb * sbb[None, :] + 2.0 * wa * wb * sab
-        cor = (1.0 - beta) * pa[:, None] + beta * pb[None, :]
-        bad = denom <= _DENOM_FLOOR
-        safe = np.where(bad, 1.0, denom)
-        self._bad = bad
-        self._ind_over_denom = np.where(bad, 0.0, ind / safe)
-        self._cor_over_denom = np.where(bad, 0.0, cor / safe)
-
-        denom0 = 0.5 * ha
-        bad0 = denom0 <= _DENOM_FLOOR
-        safe0 = np.where(bad0, 1.0, denom0)
-        self._bad0 = bad0
-        self._ind0_over_denom0 = np.where(bad0, 0.0, (0.25 * saa) / safe0)
-        self._cor0_over_denom0 = np.where(bad0, 0.0, pa / safe0)
+        self._bad0, self._ind0_over_denom0, self._cor0_over_denom0 = _over_denom(
+            *_mix(0.0, ha, 0.0, saa, 0.0, 0.0, pa, 0.0)
+        )
 
     # -- grid scan ---------------------------------------------------------
 
@@ -391,13 +369,8 @@ class _PairGrid:
         out = []
         for f in idx:
             i, j = divmod(int(f), b1.size)
-            out.append(
-                (
-                    float(flat[f]),
-                    _BRANCH_POSITIVE,
-                    [float(a1[i]), float(a2[i]), float(b1[j]), float(b2[j])],
-                )
-            )
+            params = [float(a1[i]), float(a2[i]), float(b1[j]), float(b2[j])]
+            out.append((float(flat[f]), _BRANCH_POSITIVE, params))
 
         r0 = (1.0 - alpha) * self._ind0_over_denom0 + alpha * self._cor0_over_denom0
         r0[self._bad0] = _INF
@@ -405,28 +378,66 @@ class _PairGrid:
         take0 = min(k, r0.size)
         idx0 = np.argpartition(r0, take0 - 1)[:take0]
         for f in idx0:
-            out.append(
-                (float(r0[f]), _BRANCH_ZERO, [float(a1[f]), float(a2[f]), None, None])
-            )
+            out.append((float(r0[f]), _BRANCH_ZERO, [float(a1[f]), float(a2[f]), None, None]))
 
         out.sort(key=_candidate_key)
         return out[:k]
 
     # -- refinement --------------------------------------------------------
 
-    def _refine(self, alpha: float, branch: str, params: list) -> tuple[float, list]:
-        cfg = self.config
-        t = self.t
-        eps = cfg.epsilon_boundary
+    def _line(self, x: list, ci: int, alpha: float):
+        """The search objective along coordinate ``ci`` of ``x``; +inf off the box.
 
-        def objective(vec: list) -> float:
+        Of the ratio's 16 entropy terms, the 10 that do not involve x[ci]
+        are computed here, once; a call computes the other 6 (4 of 8
+        without a high block).  Calls go through this module's
+        ``binary_entropy``, so a counting wrapper installed there sees all.
+        """
+        t, eps = self.t, self.config.epsilon_boundary
+        h, fc = binary_entropy, max_entropy_or_prob_fullcorr
+        w = x[ci ^ 1]  # the other coordinate of the moving block
+        hw, sw = h(w), h(w + w - w * w)
+        # Block means allowed: low at most t, high clear of t by eps / 2.
+        low, high = (-_INF, t + 1e-15), (t + 0.5 * eps, _INF)
+        (mean_lo, mean_hi), (fixed_lo, fixed_hi) = (low, high) if ci < 2 else (high, low)
+        fixed_ok = all(0.0 <= v <= 1.0 for k, v in enumerate(x) if k != ci and v is not None)
+        o1 = None
+        if x[2] is not None:
+            o1, o2 = x[2:] if ci < 2 else x[:2]
+            omean = 0.5 * (o1 + o2)
+            fixed_ok = fixed_ok and fixed_lo <= omean <= fixed_hi
+            ho = h(o1) + h(o2)
+            so = h(o1 + o1 - o1 * o1) + 2.0 * h(o1 + o2 - o1 * o2) + h(o2 + o2 - o2 * o2)
+            po = h(fc(o1, o2))
+            cw = h(w + o1 - w * o1) + h(w + o2 - w * o2)
+
+        def objective(u: float) -> float:
             self.evaluations += 1
-            return _ratio_fast(vec[0], vec[1], vec[2], vec[3], t, alpha, eps)
+            mean = 0.5 * (u + w)
+            if not (fixed_ok and 0.0 <= u <= 1.0 and mean_lo <= mean <= mean_hi):
+                return _INF
+            hu = h(u) + hw
+            su = h(u + u - u * u) + 2.0 * h(u + w - u * w) + sw
+            pu = h(fc(u, w))
+            if o1 is None:
+                denom, ind, cor = _mix(0.0, hu, 0.0, su, 0.0, 0.0, pu, 0.0)
+            else:
+                # Weight of the fixed block: beta if it is the high block,
+                # 1 - beta if it is the low one; the formula is the same.
+                gamma = (t - mean) / (omean - mean)
+                gamma = 0.0 if gamma < 0.0 else (1.0 if gamma > 1.0 else gamma)
+                cross = h(u + o1 - u * o1) + h(u + o2 - u * o2) + cw
+                denom, ind, cor = _mix(gamma, hu, ho, su, so, cross, pu, po)
+            if denom <= _DENOM_FLOOR:
+                return _INF
+            return ((1.0 - alpha) * ind + alpha * cor) / denom
 
+        return objective
+
+    def _refine(self, alpha: float, branch: str, params: list) -> tuple[float, list]:
+        cfg, t = self.config, self.t
         x = list(params)
-        best = objective(x)
-        if cfg.refine_rounds == 0:
-            return best, x
+        best = self._line(x, 0, alpha)(x[0])
         coords = [0, 1]
         if branch == _BRANCH_POSITIVE:
             coords += [2] if cfg.b2_pinned_to_one else [2, 3]
@@ -435,24 +446,13 @@ class _PairGrid:
             for ci in coords:
                 lo = max(0.0, x[ci] - window)
                 hi = min(1.0, x[ci] + window)
-                if ci == 0:
-                    hi = min(hi, 2.0 * t - x[1])
-                elif ci == 1:
-                    hi = min(hi, 2.0 * t - x[0])
-                elif ci == 2:
-                    floor = 2.0 * (t + eps) - x[3]
-                    lo = max(lo, floor)
-                elif ci == 3:
-                    lo = max(lo, 2.0 * (t + eps) - x[2])
+                if ci < 2:
+                    hi = min(hi, 2.0 * t - x[1 - ci])
+                else:
+                    lo = max(lo, 2.0 * (t + cfg.epsilon_boundary) - x[5 - ci])
                 if hi - lo <= cfg.param_tol:
                     continue
-
-                def along(v: float, ci=ci) -> float:
-                    y = list(x)
-                    y[ci] = v
-                    return objective(y)
-
-                v, fv = _golden_min(along, lo, hi, cfg.param_tol)
+                v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, cfg.param_tol)
                 if fv < best:
                     x[ci] = v
                     best = fv
@@ -533,8 +533,8 @@ def gamma_hat(
 
     ``alphas`` may be the string ``"auto"`` (the default grid on
     [0, 0.1]), a single weight, or an iterable of weights.  When more
-    than one weight is swept, the best one is polished by golden-section
-    on the spanned neighbourhood; the inner minimum is concave in alpha,
+    than one weight is swept, the best one is polished by a Brent line
+    search on the spanned neighbourhood; the inner minimum is concave in alpha,
     so a local polish is the right tool.  A single explicit weight is
     taken as pinned and not moved.
     """
@@ -561,10 +561,7 @@ def gamma_hat(
             reports[a] = grid.inner_min(a)
         return reports[a]
 
-    best_alpha = alpha_list[0]
-    for a in alpha_list[1:]:
-        if measure(a).min_ratio > measure(best_alpha).min_ratio:
-            best_alpha = a
+    best_alpha = max(alpha_list, key=lambda a: measure(a).min_ratio)
 
     if len(alpha_list) > 1:
         pos = alpha_list.index(best_alpha)
@@ -575,7 +572,7 @@ def gamma_hat(
             else min(1.0, 2 * best_alpha - alpha_list[pos - 1])
         )
         if right - left > _ALPHA_REFINE_TOL:
-            refined_alpha, neg_value = _golden_min(
+            refined_alpha, neg_value = _brent_min(
                 lambda a: -measure(a).min_ratio, left, right, _ALPHA_REFINE_TOL
             )
             if -neg_value > measure(best_alpha).min_ratio:
@@ -610,8 +607,11 @@ def find_tmax(
     message.  The returned ``t_certified`` carries an actual certificate
     (its bound exceeded 1 + margin); ``t_ceiling`` is the smallest
     tested t that failed, so the true threshold lies between the two.
+    ``margin`` must be finite and >= 0.
     """
     cfg = config or SearchConfig()
+    if not (math.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi < 0.5:
         raise ValueError(f"bracket must satisfy 0 < lo < hi < 1/2, got {bracket!r}")
@@ -663,14 +663,14 @@ def verify_reference_point(
 ) -> BoundCertificate:
     """Reproduce the published reference evaluation and check it.
 
-    Runs the inner search at t = 0.38234, alpha = 0.035 (by default on
-    a finer grid than usual) and compares the minimum and its argmin
-    against the published values.  Tolerances: 2e-5 on the ratio
+    Runs the inner search at t = 0.38234, alpha = 0.035 (by default
+    with :data:`VERIFY_CONFIG`, a finer grid than usual) and compares
+    the minimum and its argmin against the published values.  Tolerances: 2e-5 on the ratio
     (1e-6 when ``strict``) and 1e-3 on each argmin coordinate and on
     beta.  On any mismatch raises :class:`VerificationFailed` carrying
     the measured and expected values.
     """
-    cfg = config or SearchConfig(grid_points_per_axis=96, refine_rounds=8)
+    cfg = config or VERIFY_CONFIG
     started = time.perf_counter()
     grid = _PairGrid(REFERENCE_T, cfg)
     report = grid.inner_min(REFERENCE_ALPHA)

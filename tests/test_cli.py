@@ -67,6 +67,12 @@ class TestTmax:
         assert rc == 1
         assert "low endpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("margin", ["nan", "-2e-3"])
+    def test_bad_margin_exits_2(self, margin, capsys):
+        rc = main(["tmax", f"--margin={margin}", "--t-tol", "1e-4", *FAST_KNOBS])
+        assert rc == 2
+        assert "margin" in capsys.readouterr().err
+
     def test_malformed_bracket_exits_2(self, capsys):
         rc = main(["tmax", "--bracket", "0.45", "0.40", *FAST_KNOBS])
         assert rc == 2
@@ -81,6 +87,29 @@ class TestVerifyPaper:
         assert "reference evaluation reproduced" in capsys.readouterr().out
         payload = read_json(out)
         assert payload["gamma_hat_lower"] == pytest.approx(1.00000889, abs=2e-5)
+
+    @pytest.mark.parametrize(
+        "flags, expect",
+        [
+            ([], {}),
+            (["--pin-b2"], {"b2_pinned_to_one": True}),
+            (["--multistart", "16"], {}),
+            (["--refine-rounds", "7"], {"refine_rounds": 7}),
+        ],
+    )
+    def test_overrides_apply_to_verify_defaults(self, flags, expect, tmp_path):
+        # verify-paper searches a 96-point grid with 8 rounds unless told
+        # otherwise; a flag changes only its own knob.
+        out = tmp_path / "verify.json"
+        assert main(["verify-paper", *flags, "--out", str(out)]) == 0
+        config = read_json(out)["config"]
+        defaults = {
+            "grid_points_per_axis": 96,
+            "refine_rounds": 8,
+            "multistart_count": 16,
+            "b2_pinned_to_one": False,
+        }
+        assert {k: config[k] for k in defaults} == {**defaults, **expect}
 
     def test_degraded_search_exits_1(self, capsys):
         rc = main(["verify-paper", "--grid", "8", "--refine-rounds", "0"])

@@ -14,6 +14,8 @@ from ucsbound.errors import BracketFailure, EmptyFeasible, VerificationFailed
 from ucsbound.optimizer import (
     BASELINE_THRESHOLD,
     SearchConfig,
+    _brent_min,
+    _PairGrid,
     default_alpha_grid,
     find_tmax,
     gamma_hat,
@@ -85,6 +87,108 @@ def oracle_best_over_samples(t, alpha, rng, count=4000):
         if value < best:
             best = value
     return best
+
+
+def random_family(t, rng, branch):
+    """A feasible (a1, a2, b1, b2), unordered within blocks; b is None on the zero branch."""
+    a1 = rng.uniform(0.0, t)
+    a2 = rng.uniform(0.0, min(1.0, 2 * t - a1))
+    if branch == "beta_zero":
+        return [a1, a2, None, None]
+    b2 = rng.uniform(t + 1e-3, 1.0)
+    b1 = rng.uniform(max(0.0, 2 * (t + 1e-6) - b2), 1.0)
+    return [a1, a2, b1, b2] if rng.uniform() < 0.5 else [a1, a2, b2, b1]
+
+
+def line_range(x, ci, t, eps):
+    """Feasible values of coordinate ci with the others held."""
+    if ci < 2:
+        return 0.0, min(1.0, 2 * t - x[1 - ci])
+    return max(0.0, 2 * (t + eps) - x[5 - ci]), 1.0
+
+
+class TestLineObjective:
+    @pytest.mark.parametrize("branch", ["beta_zero", "beta_positive"])
+    def test_matches_oracle_along_every_coordinate(self, branch):
+        rng = np.random.default_rng(SEED)
+        coords = (0, 1) if branch == "beta_zero" else (0, 1, 2, 3)
+        for _ in range(40):
+            t = rng.uniform(0.2, 0.45)
+            alpha = rng.uniform(0.0, 0.3)
+            grid = _PairGrid(t, FAST)
+            x = random_family(t, rng, branch)
+            for ci in coords:
+                line = grid._line(x, ci, alpha)
+                lo, hi = line_range(x, ci, t, FAST.epsilon_boundary)
+                for u in (x[ci], *rng.uniform(lo, hi, size=3)):
+                    y = list(x)
+                    y[ci] = u
+                    expect = oracle_ratio(*y, t, alpha)
+                    assert line(u) == pytest.approx(expect, abs=1e-12)
+
+    def test_infinite_off_the_feasible_box(self):
+        t, alpha = 0.38, 0.035
+        grid = _PairGrid(t, FAST)
+        x = [0.3, 0.33, 0.4, 0.5]
+        # Out of [0, 1], or a block mean on the wrong side of t.
+        for ci, u in ((0, -0.1), (0, 0.5), (1, 1.2), (2, 0.2), (2, 1.5), (3, -0.2), (3, 0.3)):
+            assert grid._line(x, ci, alpha)(u) == math.inf
+        assert grid._line([0.3, 0.33, None, None], 0, alpha)(0.5) == math.inf
+        # A fixed block off the box makes the whole line infeasible.
+        assert grid._line([0.3, 0.5, 0.4, 0.5], 2, alpha)(0.45) == math.inf
+        assert grid._line([0.3, 0.33, 0.4, 0.2], 0, alpha)(0.3) == math.inf
+
+    def test_counts_evaluations(self):
+        grid = _PairGrid(0.38, FAST)
+        line = grid._line([0.3, 0.33, 0.4, 1.0], 2, 0.035)
+        before = grid.evaluations
+        line(0.5)
+        line(2.0)
+        assert grid.evaluations == before + 2
+
+
+class TestBrentMin:
+    @staticmethod
+    def run(f, lo, hi, tol=1e-10):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        x, fx = _brent_min(counted, lo, hi, tol)
+        assert all(lo <= c <= hi for c in calls)
+        assert fx == f(x)
+        return x, len(calls)
+
+    def test_interior_quadratic_in_few_steps(self):
+        x, calls = self.run(lambda v: (v - 0.3) ** 2 + 1.0, 0.0, 1.0)
+        assert x == pytest.approx(0.3, abs=1e-8)
+        # Golden section takes 50 evaluations for this bracket and tolerance.
+        assert calls <= 30
+
+    @pytest.mark.parametrize("sign, edge", [(1.0, 0.2), (-1.0, 0.7)])
+    def test_monotone_ends_at_the_edge(self, sign, edge):
+        x, _ = self.run(lambda v: sign * v, 0.2, 0.7)
+        assert x == pytest.approx(edge, abs=1e-7)
+
+    def test_kink(self):
+        c = 0.123456
+        x, _ = self.run(lambda v: abs(v - c), 0.0, 1.0)
+        assert x == pytest.approx(c, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "f, expect",
+        [
+            (lambda v: math.inf if v > 0.4 else (v - 0.35) ** 2, 0.35),
+            (lambda v: math.inf if v < 0.6 else (v - 0.62) ** 2, 0.62),
+            (lambda v: math.inf if v > 0.4 else -v, 0.4),
+        ],
+    )
+    def test_window_with_infinite_values(self, f, expect):
+        x, _ = self.run(f, 0.0, 1.0)
+        assert x == pytest.approx(expect, abs=1e-7)
+        assert math.isfinite(f(x))
 
 
 class TestInnerSearch:
@@ -217,6 +321,13 @@ class TestGammaHat:
         for alpha in default_alpha_grid():
             assert cert.gamma_hat_lower >= inner_inf(alpha, 0.38234, cfg).min_ratio - 1e-12
 
+    def test_repeat_call_is_identical(self):
+        first = gamma_hat(0.38234, config=FAST).to_json_dict()
+        second = gamma_hat(0.38234, config=FAST).to_json_dict()
+        first.pop("wall_time_ms")
+        second.pop("wall_time_ms")
+        assert first == second
+
     def test_rejects_bad_alpha_argument(self):
         with pytest.raises(ValueError):
             gamma_hat(0.38, alphas="garbage")
@@ -248,6 +359,11 @@ class TestFindTmax:
             find_tmax(FAST, bracket=(0.45, 0.49))
         with pytest.raises(BracketFailure, match="high endpoint"):
             find_tmax(FAST, bracket=(0.30, 0.32), t_tol=1e-3)
+
+    @pytest.mark.parametrize("margin", [-2e-3, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_margin(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            find_tmax(FAST, margin=margin, t_tol=1e-4)
 
     def test_rejects_malformed_bracket(self):
         with pytest.raises(ValueError):
