@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .distributions import (
     AtomDist,
-    CorrelationMix,
     ExtremeFamily,
     SymmetricPairDist,
     entropy_ratio,
@@ -67,6 +66,7 @@ from .ucslab import (
     EntropyCheckReport,
     FamilySet,
     check_entropy_inequality,
+    check_families,
     element_frequencies,
     enumerate_or_closed,
     is_or_closed,
@@ -83,7 +83,6 @@ __all__ = [
     "AtomDist",
     "SymmetricPairDist",
     "ExtremeFamily",
-    "CorrelationMix",
     "mixed_or_entropy",
     "entropy_ratio",
     # errors
@@ -136,5 +135,6 @@ __all__ = [
     "min_peak_frequency",
     "sample_or_closed",
     "max_symmetric_coupling_entropy",
+    "check_families",
     "check_entropy_inequality",
 ]

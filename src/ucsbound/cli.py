@@ -39,14 +39,9 @@ from .optimizer import (
     gamma_hat,
     verify_reference_point,
 )
-from .ucslab import (
-    coupling_entropies,
-    element_frequencies,
-    enumerate_or_closed,
-    sample_or_closed,
-)
+from .ucslab import check_families, element_frequencies, enumerate_or_closed, sample_or_closed
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 __all__ = ["main", "build_parser", "RunManifest", "SCHEMA_VERSION"]
 
@@ -208,16 +203,13 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     return 0
 
 
-def _family_rows(families, check_entropy: bool, size_cap: int, iterations: int):
-    """CSV rows plus the per-family entropy results (None when skipped)."""
-    eligible = [f for f in families if check_entropy and 2 <= f.size <= size_cap]
-    stars = dict(zip((f.mask for f in eligible), coupling_entropies(eligible, iterations)))
+def _family_rows(families, h_star: dict):
+    """CSV rows; H_star and ratio are None for families not checked."""
     rows = []
     for fam in families:
         freqs = element_frequencies(fam)
         h_x = math.log2(fam.size)
-        h_star = stars.get(fam.mask)
-        ratio = (h_star / h_x) if (h_star is not None and h_x > 0) else None
+        star = h_star.get(fam.mask)
         rows.append(
             {
                 "n": fam.n,
@@ -226,11 +218,11 @@ def _family_rows(families, check_entropy: bool, size_cap: int, iterations: int):
                 "p_A": float(freqs.max()),
                 "freqs": ";".join(repr(float(v)) for v in freqs),
                 "H_X": h_x,
-                "H_star": h_star,
-                "ratio": ratio,
+                "H_star": star,
+                "ratio": None if star is None else star / h_x,
             }
         )
-    return rows, stars
+    return rows
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -242,7 +234,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         families = list(enumerate_or_closed(args.n))
         sampled = False
 
-    rows, stars = _family_rows(families, args.check_entropy, args.size_cap, args.iterations)
+    check = None
+    if args.check_entropy:
+        check = check_families(args.n, families, args.tol, args.size_cap)
+    rows = _family_rows(families, {} if check is None else check.h_star)
 
     if args.csv is not None:
         fieldnames = ["n", "size", "mask", "p_A", "freqs", "H_X", "H_star", "ratio"]
@@ -261,14 +256,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         min_pa, witness = None, None
 
-    violations = []
-    for row, fam in zip(rows, families):
-        h_star = stars.get(fam.mask)
-        if h_star is not None and h_star > row["H_X"] + args.tol:
-            violations.append(
-                f"{fam.hex_mask}: H_star={h_star!r} exceeds log2|A|={row['H_X']!r}"
-            )
-
+    violations = [] if check is None else list(check.violations)
     payload: dict = {
         "n": args.n,
         "family_count": len(families),
@@ -277,16 +265,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "witness_mask": witness,
         "violations": violations,
     }
-    if args.check_entropy:
-        checked = [r["ratio"] for r in rows if r["ratio"] is not None]
-        payload["entropy_check"] = {
-            "tol": args.tol,
-            "size_cap": args.size_cap,
-            "checked": len(checked),
-            "skipped": len(families) - len(checked),
-            "ratio_min": min(checked) if checked else None,
-            "ratio_max": max(checked) if checked else None,
-        }
+    if check is not None:
+        summary = check.to_json_dict()
+        keys = ("tol", "size_cap", "checked", "skipped", "ratio_min", "ratio_max")
+        payload["entropy_check"] = {k: summary[k] for k in keys}
 
     source = "sampled" if sampled else "enumerated"
     print(
@@ -418,11 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check-entropy",
         action="store_true",
-        help="also maximise symmetric-coupling OR entropy per family",
+        help="also check the coupling-entropy ceiling H(X or Y) <= log2 |A| per family",
     )
     p.add_argument("--tol", type=float, default=1e-6, help="entropy ceiling tolerance")
     p.add_argument("--size-cap", type=int, default=16, help="largest |A| to check")
-    p.add_argument("--iterations", type=int, default=200, help="ascent iteration cap")
     p.add_argument(
         "--sample",
         type=int,

@@ -33,7 +33,6 @@ __all__ = [
     "AtomDist",
     "SymmetricPairDist",
     "ExtremeFamily",
-    "CorrelationMix",
     "mixed_or_entropy",
     "entropy_ratio",
 ]
@@ -295,30 +294,7 @@ class ExtremeFamily:
         }
 
 
-@dataclass(frozen=True)
-class CorrelationMix:
-    """Two-point mixture over coupling strength.
-
-    Weight ``alpha`` rides on the fully correlated coupling and the
-    remaining 1 - alpha on independence.  Exists mostly so reports can
-    carry the blend as a named object rather than a bare float.
-    """
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        require_prob(self.alpha, "alpha")
-
-    @property
-    def independent_weight(self) -> float:
-        return 1.0 - self.alpha
-
-    @property
-    def correlated_weight(self) -> float:
-        return self.alpha
-
-
-def mixed_or_entropy(dist: SymmetricPairDist, alpha: float | CorrelationMix) -> float:
+def mixed_or_entropy(dist: SymmetricPairDist, alpha: float) -> float:
     """Expected OR entropy under an alpha-blend of couplings, in bits.
 
     With (P, Q) drawn from ``dist``:
@@ -333,10 +309,7 @@ def mixed_or_entropy(dist: SymmetricPairDist, alpha: float | CorrelationMix) -> 
     The blend is (1-alpha) * independent + alpha * correlated, linear in
     alpha by construction.
     """
-    if isinstance(alpha, CorrelationMix):
-        alpha = alpha.alpha
-    else:
-        alpha = require_prob(alpha, "alpha")
+    alpha = require_prob(alpha, "alpha")
     marg = dist.marginal()
     independent = 0.0
     for vi, mi in zip(marg.values, marg.masses):
@@ -348,7 +321,7 @@ def mixed_or_entropy(dist: SymmetricPairDist, alpha: float | CorrelationMix) -> 
     return (1.0 - alpha) * independent + alpha * correlated
 
 
-def entropy_ratio(family: ExtremeFamily, alpha: float | CorrelationMix) -> float:
+def entropy_ratio(family: ExtremeFamily, alpha: float) -> float:
     """Blended OR entropy of a family divided by its marginal mean entropy.
 
     This is the quantity the certificate search minimises over families.

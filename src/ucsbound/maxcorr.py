@@ -86,11 +86,19 @@ class JointDist:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "JointDist":
-        return cls(
-            tuple(payload["x_labels"]),
-            tuple(payload["y_labels"]),
-            np.asarray(payload["matrix"], dtype=float),
-        )
+        """Inverse of :meth:`to_json_dict`; ``ValueError`` on a malformed payload."""
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"joint must be a JSON object, got {type(payload).__name__}")
+        missing = [k for k in ("x_labels", "y_labels", "matrix") if k not in payload]
+        if missing:
+            raise ValueError(f"joint is missing {', '.join(missing)}")
+        try:
+            x_labels = tuple(payload["x_labels"])
+            y_labels = tuple(payload["y_labels"])
+            matrix = np.asarray(payload["matrix"], dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"malformed joint: {exc}") from None
+        return cls(x_labels, y_labels, matrix)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

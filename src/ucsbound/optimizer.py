@@ -101,7 +101,6 @@ class SearchConfig:
     refine_rounds: int = 6
     multistart_count: int = 16
     param_tol: float = 1e-10
-    objective_tol: float = 1e-12
     epsilon_boundary: float = 1e-9
     b2_pinned_to_one: bool = False
 
@@ -112,7 +111,7 @@ class SearchConfig:
             raise ValueError("refine_rounds must be >= 0")
         if self.multistart_count < 1:
             raise ValueError("multistart_count must be >= 1")
-        for name in ("param_tol", "objective_tol", "epsilon_boundary"):
+        for name in ("param_tol", "epsilon_boundary"):
             if not 0.0 < getattr(self, name) < 0.1:
                 raise ValueError(f"{name} must lie in (0, 0.1)")
 
@@ -224,9 +223,10 @@ def _brent_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
     Parabolic steps with a golden-section fallback; the point x is
     accepted once the bracket lies within 2 * tol1 of it, tol1 =
-    sqrt(eps) * |x| + tol / 3, the rule of scipy's ``fminbound``.  f
-    may return +inf: a parabola through such a value has no finite
-    vertex, so the step falls back to golden section.
+    sqrt(eps) * |x| + tol / 3, the rule of the bounded ``fminbound``
+    form of the method.  f may return +inf: a parabola through such a
+    value has no finite vertex, so the step falls back to golden
+    section.
     """
     a, b = lo, hi
     x = w = v = a + _GOLDEN * (b - a)

@@ -6,24 +6,21 @@ such sets is in turn encoded as a bitmask over the 2^n possible
 members, so exhaustive enumeration for n <= 4 is a loop over at most
 2^16 - 1 family masks.
 
-Besides enumeration and frequency bookkeeping, the module maximises the
-entropy of Z = X OR Y over symmetric couplings of two uniform copies of
-a family, by conditional-gradient ascent over the scaled Birkhoff
-polytope.  The identity coupling already achieves entropy log2 |A|, so
-the maximiser doubles as a numerical check that the ascent machinery
-and the entropy ceiling agree.
+Besides enumeration and frequency bookkeeping, the module checks the
+coupling-entropy ceiling H(X OR Y) <= log2 |A| over symmetric couplings
+of two uniform copies of a family.  Its maximum is known exactly (the
+identity coupling attains it), so the check evaluates that coupling
+through :meth:`CouplingMatrix.or_entropy` and tests the OR-output and
+entropy code against the closed form.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionTooLarge, NotClosed
 from .scalars import entropy_bits
@@ -41,16 +38,13 @@ __all__ = [
     "min_peak_frequency",
     "sample_or_closed",
     "max_symmetric_coupling_entropy",
-    "coupling_entropies",
+    "check_families",
     "check_entropy_inequality",
-    "worker_count",
 ]
 
 # Exhaustive enumeration walks 2^(2^n) - 1 family masks; n = 4 is the
 # last size where that is a desk-scale number.
 MAX_ENUM_N = 4
-
-_LOG2_FLOOR = 1e-300  # replaces exact zeros before taking logs
 
 
 @dataclass(frozen=True)
@@ -95,15 +89,25 @@ class FamilySet:
         return f"0x{self.mask:x}"
 
 
+def _closed(mask: int, size: int) -> bool:
+    """True iff the family mask over ``size`` candidate sets is OR-closed.
+
+    Each member is paired with the smaller ones as the scan meets it, so
+    an open family is rejected without listing all its members first.
+    """
+    seen: list[int] = []
+    for k in range(size):
+        if (mask >> k) & 1:
+            for a in seen:
+                if not (mask >> (a | k)) & 1:
+                    return False
+            seen.append(k)
+    return True
+
+
 def is_or_closed(family: FamilySet) -> bool:
     """True iff the union of every member pair is again a member."""
-    members = family.members
-    mask = family.mask
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if not (mask >> (a | b)) & 1:
-                return False
-    return True
+    return _closed(family.mask, 1 << family.n)
 
 
 def or_closure(n: int, generators: Iterable[int]) -> FamilySet:
@@ -157,16 +161,7 @@ def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
         raise ValueError(f"ground-set size must be >= 1, got {n!r}")
     size = 1 << n
     for mask in range(1, 1 << size):
-        members = [k for k in range(size) if (mask >> k) & 1]
-        closed = True
-        for i, a in enumerate(members):
-            if not closed:
-                break
-            for b in members[i + 1 :]:
-                if not (mask >> (a | b)) & 1:
-                    closed = False
-                    break
-        if closed:
+        if _closed(mask, size):
             yield FamilySet(n, mask)
 
 
@@ -257,76 +252,32 @@ class CouplingMatrix:
         return entropy_bits(self.or_output_dist())
 
 
-def max_symmetric_coupling_entropy(
-    family: FamilySet,
-    iterations: int = 200,
-    gap_tol: float = 1e-10,
-) -> tuple[float, CouplingMatrix]:
-    """Maximise H(OR(X, Y)) over symmetric uniform-marginal couplings.
+def max_symmetric_coupling_entropy(family: FamilySet) -> tuple[float, CouplingMatrix]:
+    """Maximum of H(OR(X, Y)) over symmetric uniform-marginal couplings.
 
-    Conditional-gradient ascent on the concave objective D -> H(Z),
-    Z = OR(X, Y) with (X, Y) ~ D, over couplings with two uniform
-    marginals.  Each step solves the linearised problem with an
-    assignment solver (the vertices of the feasible set are permutation
-    matrices scaled by 1/|A|), symmetrises the chosen vertex (the
-    gradient is symmetric, so this loses nothing), and takes the
-    classic 2/(k+2) step.  Fixed steps are not monotone, so the best
-    iterate seen is tracked and returned.
+    The maximum is log2 |A|, attained by the identity coupling Y = X:
+    OR(X, Y) takes values in the closed family A, so no coupling gives
+    it more than log2 |A| bits, and under Y = X it equals X, uniform on
+    A.  The identity coupling is returned with its entropy evaluated
+    through :meth:`CouplingMatrix.or_entropy`, not the closed form, so
+    callers comparing the two test the OR-output and entropy code.
 
-    Stops early once the duality gap of the linearised problem drops
-    below ``gap_tol``; the gap at the returned point bounds its
-    suboptimality.  Raises :class:`NotClosed` if some pairwise OR
-    escapes the family, and rejects |A| > 64 (the dense K^2 iteration
-    stops being appropriate there).
+    Raises :class:`NotClosed` if some pairwise OR escapes the family.
     """
-    members = np.array(family.members)
-    k = len(members)
-    if k > 64:
-        raise ValueError(f"coupling search supports |A| <= 64, got {k}")
-    ors = np.bitwise_or.outer(members, members)
-    zi = np.searchsorted(members, ors)
-    zi[zi >= k] = k - 1  # keep indices legal before the membership check
-    if not np.array_equal(members[zi], ors):
+    if not is_or_closed(family):
         raise NotClosed(f"family {family.hex_mask} is not closed under OR")
-
-    flat_zi = zi.ravel()
-    inv_ln2 = 1.0 / math.log(2.0)
-
-    def or_dist(d: np.ndarray) -> np.ndarray:
-        return np.bincount(flat_zi, weights=d.ravel(), minlength=k)
-
-    current = np.full((k, k), 1.0 / (k * k))
-    best_entropy = -1.0
-    best_matrix = current
-    for step_index in range(iterations):
-        q = or_dist(current)
-        h = entropy_bits(q)
-        if h > best_entropy:
-            best_entropy = h
-            best_matrix = current.copy()
-        # Gradient of H wrt the coupling cells, in bits.
-        grad = -(np.log2(np.maximum(q, _LOG2_FLOOR))[zi] + inv_ln2)
-        rows, cols = linear_sum_assignment(-grad)
-        vertex = np.zeros_like(current)
-        vertex[rows, cols] = 1.0 / k
-        gap = float((grad * (vertex - current)).sum())
-        if gap < gap_tol:
-            break
-        vertex = 0.5 * (vertex + vertex.T)
-        current = current + (2.0 / (step_index + 2.0)) * (vertex - current)
-    else:
-        # Ran out of iterations; score the last iterate too.
-        h = entropy_bits(or_dist(current))
-        if h > best_entropy:
-            best_entropy = h
-            best_matrix = current.copy()
-
-    return best_entropy, CouplingMatrix(family, best_matrix)
+    k = family.size
+    coupling = CouplingMatrix(family, np.eye(k) / k)
+    return coupling.or_entropy(), coupling
 
 
 @dataclass(frozen=True)
 class EntropyCheckReport:
-    """Outcome of sweeping the coupling-entropy ceiling over all families."""
+    """Outcome of checking the coupling-entropy ceiling over families.
+
+    Ratios and the worst family are None when no family was checked.
+    ``h_star`` maps the mask of each checked family to its H_star.
+    """
 
     n: int
     tol: float
@@ -334,10 +285,11 @@ class EntropyCheckReport:
     checked: int
     skipped: int
     violations: tuple[str, ...]
-    ratio_min: float
-    ratio_mean: float
-    ratio_max: float
-    worst_family: str
+    ratio_min: float | None
+    ratio_mean: float | None
+    ratio_max: float | None
+    worst_family: str | None
+    h_star: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -358,85 +310,56 @@ class EntropyCheckReport:
         }
 
 
-def worker_count() -> int:
-    """Thread count for family sweeps, from UCSB_THREADS (default 1)."""
-    raw = os.environ.get("UCSB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"UCSB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
-
-
-def coupling_entropies(
-    families: Sequence[FamilySet], iterations: int = 200
-) -> list[float]:
-    """H_star of each family, on ``worker_count()`` threads.
-
-    Results come back in input order regardless of thread count, so
-    reports built on top are deterministic.
-    """
-
-    def score(fam: FamilySet) -> float:
-        h_star, _ = max_symmetric_coupling_entropy(fam, iterations=iterations)
-        return h_star
-
-    workers = worker_count()
-    if workers > 1 and len(families) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(score, families))
-    return [score(f) for f in families]
-
-
-def check_entropy_inequality(
-    n: int,
-    tol: float = 1e-6,
-    size_cap: int = 16,
-    iterations: int = 200,
+def check_families(
+    n: int, families: Iterable[FamilySet], tol: float = 1e-6, size_cap: int = 16
 ) -> EntropyCheckReport:
-    """Check H_star <= log2 |A| + tol over every enumerated family.
+    """Check H_star <= log2 |A| + tol over the given families.
 
-    H_star is the maximal symmetric-coupling OR entropy from
-    :func:`max_symmetric_coupling_entropy`; log2 |A| is its information
-    ceiling, attained by the identity coupling.  Families with fewer
-    than two members or more than ``size_cap`` are skipped.  The
-    reported ratios are H_star / log2 |A|, so values persistently below
-    1 would mean the ascent is not reaching the ceiling.
-
-    Sweeps run on ``worker_count()`` threads; results are reduced in
-    enumeration order either way, so the report is deterministic.
+    H_star comes from :func:`max_symmetric_coupling_entropy`, one call
+    per checked family.  Families with fewer than two members or more
+    than ``size_cap`` are skipped.  The reported ratios are
+    H_star / log2 |A|; they sit at 1 up to rounding.  Raises
+    ``ValueError`` unless ``tol`` is finite and non-negative.
     """
-    families: list[FamilySet] = []
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    h_star: dict[int, float] = {}
     skipped = 0
-    for f in enumerate_or_closed(n):
-        if 2 <= f.size <= size_cap:
-            families.append(f)
-        else:
-            skipped += 1
-    stars = coupling_entropies(families, iterations=iterations)
-
     violations: list[str] = []
     ratios: list[float] = []
-    worst = (math.inf, "")
-    for fam, h_star in zip(families, stars):
+    worst = None
+    for fam in families:
+        if not 2 <= fam.size <= size_cap:
+            skipped += 1
+            continue
+        value, _ = max_symmetric_coupling_entropy(fam)
+        h_star[fam.mask] = value
         ceiling = math.log2(fam.size)
-        if h_star > ceiling + tol:
+        if value > ceiling + tol:
             violations.append(
-                f"{fam.hex_mask}: H_star={h_star!r} exceeds log2|A|={ceiling!r}"
+                f"{fam.hex_mask}: H_star={value!r} exceeds log2|A|={ceiling!r}"
             )
-        ratio = h_star / ceiling
+        ratio = value / ceiling
         ratios.append(ratio)
-        if ratio < worst[0]:
+        if worst is None or ratio < worst[0]:
             worst = (ratio, fam.hex_mask)
     return EntropyCheckReport(
         n=n,
         tol=tol,
         size_cap=size_cap,
-        checked=len(families),
+        checked=len(ratios),
         skipped=skipped,
         violations=tuple(violations),
-        ratio_min=min(ratios),
-        ratio_mean=sum(ratios) / len(ratios),
-        ratio_max=max(ratios),
-        worst_family=worst[1],
+        ratio_min=min(ratios, default=None),
+        ratio_mean=sum(ratios) / len(ratios) if ratios else None,
+        ratio_max=max(ratios, default=None),
+        worst_family=None if worst is None else worst[1],
+        h_star=h_star,
     )
+
+
+def check_entropy_inequality(
+    n: int, tol: float = 1e-6, size_cap: int = 16
+) -> EntropyCheckReport:
+    """:func:`check_families` over every family of :func:`enumerate_or_closed`."""
+    return check_families(n, enumerate_or_closed(n), tol, size_cap)

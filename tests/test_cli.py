@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ucsbound
 from ucsbound.cli import SCHEMA_VERSION, main
 from ucsbound.maxcorr import binary_coupling
 
@@ -148,6 +153,35 @@ class TestEnumerate:
         assert block["skipped"] == 4
         assert block["ratio_min"] == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_exits_2(self, tol, capsys):
+        rc = main(["enumerate", "--n", "2", "--check-entropy", "--tol", tol])
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err
+
+    def test_nothing_checked_reports_none(self, tmp_path):
+        out = tmp_path / "families.json"
+        argv = ["enumerate", "--n", "2", "--check-entropy", "--size-cap", "1"]
+        rc = main([*argv, "--out", str(out)])
+        assert rc == 0
+        block = read_json(out)["entropy_check"]
+        assert block["checked"] == 0
+        assert block["ratio_min"] is None and block["ratio_max"] is None
+
+    def test_sampled_families_are_checked(self, tmp_path):
+        out = tmp_path / "sampled.json"
+        sheet = tmp_path / "sampled.csv"
+        argv = ["enumerate", "--n", "5", "--sample", "10", "--seed", "7", "--check-entropy"]
+        assert main([*argv, "--size-cap", "8", "--csv", str(sheet), "--out", str(out)]) == 0
+        payload = read_json(out)
+        block = payload["entropy_check"]
+        assert block["checked"] + block["skipped"] == payload["family_count"]
+        with open(sheet, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        filled = [r for r in rows if r["H_star"]]
+        assert len(filled) == block["checked"]
+        assert all(2 <= int(r["size"]) <= 8 for r in filled)
+
     def test_n5_without_sampling_exits_2(self, capsys):
         rc = main(["enumerate", "--n", "5"])
         assert rc == 2
@@ -213,6 +247,23 @@ class TestMaxcorr:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"matrix": [[0.5, 0.0], [0.0, 0.5]]},
+            {"x_labels": [0, 1], "matrix": [[0.5, 0.0], [0.0, 0.5]]},
+            [[0.5, 0.0], [0.0, 0.5]],
+            "joint",
+            {"x_labels": 0, "y_labels": [0, 1], "matrix": [[0.5, 0.0], [0.0, 0.5]]},
+        ],
+    )
+    def test_malformed_joint_file_exits_2(self, payload, tmp_path, capsys):
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(payload))
+        rc = main(["maxcorr", "--joint", str(path)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_no_timestamps_is_byte_identical(self, tmp_path):
@@ -248,3 +299,19 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["transmogrify"])
         assert excinfo.value.code == 2
+
+
+class TestImport:
+    def test_package_and_cli_load_without_scipy(self):
+        # The package depends on numpy only.
+        code = (
+            "import sys, ucsbound, ucsbound.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(ucsbound.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert done.stdout.strip() == "[]"

@@ -7,7 +7,6 @@ import pytest
 
 from ucsbound.distributions import (
     AtomDist,
-    CorrelationMix,
     ExtremeFamily,
     SymmetricPairDist,
     entropy_ratio,
@@ -164,10 +163,6 @@ class TestMixedOrEntropy:
             assert mixed_or_entropy(d, alpha) == pytest.approx(
                 (1 - alpha) * g0 + alpha * g1, abs=1e-12
             )
-
-    def test_accepts_correlation_mix(self):
-        d = SymmetricPairDist.from_pairs([(0.3, 0.3, 1.0)])
-        assert mixed_or_entropy(d, CorrelationMix(0.25)) == mixed_or_entropy(d, 0.25)
 
     def test_independent_part_uses_product_of_marginal(self):
         # A fully off-diagonal pair: the independent term must mix the

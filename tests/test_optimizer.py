@@ -220,15 +220,15 @@ class TestInnerSearch:
 
     def test_more_effort_never_hurts(self):
         # Growing the grid and refinement budget may only lower the
-        # reported minimum (up to the objective tolerance).
+        # reported minimum (up to 1e-12).
         coarse = inner_inf(0.035, 0.38234, FAST)
         base = SearchConfig()
         mid = inner_inf(0.035, 0.38234, base)
         fine = inner_inf(
             0.035, 0.38234, SearchConfig(grid_points_per_axis=96, refine_rounds=8)
         )
-        assert mid.min_ratio <= coarse.min_ratio + base.objective_tol
-        assert fine.min_ratio <= mid.min_ratio + base.objective_tol
+        assert mid.min_ratio <= coarse.min_ratio + 1e-12
+        assert fine.min_ratio <= mid.min_ratio + 1e-12
 
     def test_pinned_high_block_matches_free_search(self):
         # The free argmin has b2 = 1, so pinning b2 must find the same
@@ -275,7 +275,6 @@ class TestSearchConfig:
         assert cfg.refine_rounds == 6
         assert cfg.multistart_count == 16
         assert cfg.param_tol == 1e-10
-        assert cfg.objective_tol == 1e-12
         assert cfg.epsilon_boundary == 1e-9
         assert cfg.b2_pinned_to_one is False
 

@@ -11,7 +11,7 @@ from ucsbound.ucslab import (
     CouplingMatrix,
     FamilySet,
     check_entropy_inequality,
-    coupling_entropies,
+    check_families,
     element_frequencies,
     enumerate_or_closed,
     is_or_closed,
@@ -20,7 +20,6 @@ from ucsbound.ucslab import (
     or_closure,
     peak_frequency,
     sample_or_closed,
-    worker_count,
 )
 
 SEED = 31337
@@ -208,6 +207,20 @@ class TestMaxSymmetricCouplingEntropy:
             assert h_star == pytest.approx(float(n), abs=1e-9)
             coup.validate()
 
+    def test_no_random_coupling_beats_the_maximum(self):
+        rng = np.random.default_rng(SEED)
+        for fam in enumerate_or_closed(3):
+            k = fam.size
+            if not 2 <= k <= 8:
+                continue
+            h_star, _ = max_symmetric_coupling_entropy(fam)
+            weights = rng.dirichlet(np.ones(3))
+            matrix = np.zeros((k, k))
+            for w in weights:
+                perm = np.eye(k)[rng.permutation(k)]
+                matrix += w * (perm + perm.T) / (2 * k)
+            assert CouplingMatrix(fam, matrix).or_entropy() <= h_star + 1e-12
+
     def test_chain_family(self):
         fam = FamilySet.from_members(2, [0, 1, 3])
         h_star, _ = max_symmetric_coupling_entropy(fam)
@@ -251,35 +264,42 @@ class TestEntropyInequality:
         assert payload["violations"] == []
         assert 0 < payload["ratio_min"] <= payload["ratio_max"]
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        serial = check_entropy_inequality(2)
-        monkeypatch.setenv("UCSB_THREADS", "3")
-        threaded = check_entropy_inequality(2)
-        assert serial == threaded
-
     def test_size_cap_skips_large_families(self):
         capped = check_entropy_inequality(2, size_cap=2)
         assert capped.checked < 9
 
+    def test_nothing_checked_reports_none(self):
+        report = check_entropy_inequality(2, size_cap=1)
+        assert report.checked == 0
+        assert report.skipped == 13
+        assert report.ok
+        assert report.ratio_min is None
+        assert report.ratio_mean is None
+        assert report.ratio_max is None
+        assert report.worst_family is None
+        assert report.to_json_dict()["ratio_min"] is None
 
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("UCSB_THREADS", raising=False)
-        assert worker_count() == 1
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-12])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            check_entropy_inequality(2, tol=tol)
 
-    def test_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("UCSB_THREADS", "4")
-        assert worker_count() == 4
+    def test_zero_tol_is_allowed(self):
+        assert check_entropy_inequality(2, tol=0.0).checked == 9
 
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("UCSB_THREADS", "lots")
-        with pytest.raises(ValueError):
-            worker_count()
+    def test_h_star_covers_exactly_the_checked_families(self):
+        families = sample_or_closed(4, 20, seed=5)
+        report = check_families(4, families, size_cap=6)
+        checked = [f for f in families if 2 <= f.size <= 6]
+        assert set(report.h_star) == {f.mask for f in checked}
+        assert report.checked == len(checked)
+        assert report.skipped == len(families) - len(checked)
+        for fam in checked:
+            assert report.h_star[fam.mask] == max_symmetric_coupling_entropy(fam)[0]
 
-    def test_coupling_entropies_order_is_stable(self, monkeypatch):
-        fams = [f for f in enumerate_or_closed(2) if f.size >= 2]
-        monkeypatch.setenv("UCSB_THREADS", "2")
-        threaded = coupling_entropies(fams)
-        monkeypatch.setenv("UCSB_THREADS", "1")
-        serial = coupling_entropies(fams)
-        assert threaded == pytest.approx(serial, abs=0)
+    def test_ceiling_is_reached_on_n4(self):
+        report = check_entropy_inequality(4)
+        assert report.ok
+        assert (report.checked, report.skipped) == (4943, 16)
+        assert abs(report.ratio_min - 1.0) <= 1e-12
+        assert abs(report.ratio_max - 1.0) <= 1e-12
