@@ -12,13 +12,7 @@ couplings, entropy ceilings) against those concrete examples.
 
 __version__ = "0.1.0"
 
-from .distributions import (
-    AtomDist,
-    ExtremeFamily,
-    SymmetricPairDist,
-    entropy_ratio,
-    mixed_or_entropy,
-)
+from .distributions import ExtremeFamily, entropy_ratio, mixed_or_entropy
 from .errors import (
     BracketFailure,
     DegenerateDenominator,
@@ -80,8 +74,6 @@ from .ucslab import (
 __all__ = [
     "__version__",
     # distributions
-    "AtomDist",
-    "SymmetricPairDist",
     "ExtremeFamily",
     "mixed_or_entropy",
     "entropy_ratio",

@@ -41,7 +41,7 @@ from .optimizer import (
 )
 from .ucslab import check_families, element_frequencies, enumerate_or_closed, sample_or_closed
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 __all__ = ["main", "build_parser", "RunManifest", "SCHEMA_VERSION"]
 
@@ -102,6 +102,15 @@ def _manifest_params(args: argparse.Namespace) -> dict:
     return out
 
 
+def _strip_timing(value):
+    """``value`` without its ``wall_time_ms`` keys, at any depth."""
+    if isinstance(value, dict):
+        return {k: _strip_timing(v) for k, v in value.items() if k != "wall_time_ms"}
+    if isinstance(value, list):
+        return [_strip_timing(v) for v in value]
+    return value
+
+
 def _emit(
     args: argparse.Namespace,
     payload: dict,
@@ -109,10 +118,9 @@ def _emit(
     extra_outputs: tuple[str, ...] = (),
 ) -> None:
     """Write the report (and manifest, when going to a file)."""
-    payload = dict(payload)
-    payload["schema_version"] = SCHEMA_VERSION
     if args.no_timestamps:
-        payload.pop("wall_time_ms", None)
+        payload = _strip_timing(payload)
+    payload = {**payload, "schema_version": SCHEMA_VERSION}
     text = _dump_json(payload)
     if args.out is None:
         return
@@ -183,10 +191,7 @@ def cmd_tmax(args: argparse.Namespace) -> int:
         f"largest certified t: {result.t_certified:.7f} "
         f"(ceiling {result.t_ceiling:.7f}, margin {result.margin}, {result.steps} steps)"
     )
-    payload = result.to_json_dict()
-    if args.no_timestamps:
-        payload["certificate"].pop("wall_time_ms", None)
-    _emit(args, payload, started)
+    _emit(args, result.to_json_dict(), started)
     return 0
 
 

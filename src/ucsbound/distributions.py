@@ -1,23 +1,25 @@
-"""Finite distributions over probabilities and the blended OR-entropy objective.
+"""The reference blended OR-entropy objective over plain atoms.
 
-The certificate machinery works with two small distribution types:
-
-* :class:`AtomDist`, a finite distribution over values in [0, 1],
-  thought of as a distribution over Bernoulli parameters.
-* :class:`SymmetricPairDist`, an exchangeable finite distribution over
-  pairs of such values, stored with unordered support.
+An exchangeable distribution of a pair (P, Q) of Bernoulli parameters
+is given as a list of ``(x, y, mass)`` atoms; each atom's mass is split
+evenly over the orders (x, y) and (y, x), so either order may be
+written.  Each coordinate's marginal then puts mass m/2 on x and m/2 on
+y for every atom.
 
 A candidate in the certificate search is an :class:`ExtremeFamily`: a
 mixture of at most two symmetrised pair-blocks whose marginal mean hits
 a target t.  :func:`mixed_or_entropy` and :func:`entropy_ratio` evaluate
-the objective those candidates are scored by.
+the objective those candidates are scored by, straight from its
+definition.  They share no code with the search, so
+:mod:`ucsbound.optimizer` uses them as the oracle that re-evaluates
+every reported bound.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import DegenerateDenominator
 from .scalars import (
@@ -28,191 +30,14 @@ from .scalars import (
 )
 
 __all__ = [
-    "MERGE_TOL",
     "MASS_TOL",
-    "AtomDist",
-    "SymmetricPairDist",
     "ExtremeFamily",
     "mixed_or_entropy",
     "entropy_ratio",
 ]
 
-# Atoms closer than this are considered the same support point and are
-# merged (mass-weighted) on construction.
-MERGE_TOL = 1e-12
-
 # Total mass must equal one to within this.
 MASS_TOL = 1e-9
-
-
-def _merged(pairs: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Sort (value, mass) pairs and merge values within MERGE_TOL.
-
-    Merged atoms keep the mass-weighted mean of their values, so a merge
-    never moves a support point by more than the tolerance itself.
-    """
-    out: list[list[float]] = []
-    for value, mass in sorted(pairs):
-        if out and value - out[-1][0] <= MERGE_TOL:
-            prev_v, prev_m = out[-1]
-            total = prev_m + mass
-            out[-1] = [(prev_v * prev_m + value * mass) / total, total]
-        else:
-            out.append([value, mass])
-    return [(v, m) for v, m in out]
-
-
-@dataclass(frozen=True)
-class AtomDist:
-    """Finite distribution over values in [0, 1].
-
-    ``values`` is strictly increasing and ``masses`` holds matching
-    positive weights summing to one.  Construct via :meth:`from_pairs`
-    unless the atoms are already clean.
-    """
-
-    values: tuple[float, ...]
-    masses: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.masses) or not self.values:
-            raise ValueError("values and masses must be equal-length and nonempty")
-        for v in self.values:
-            require_prob(v, "atom value")
-        for m in self.masses:
-            if not m > 0.0:
-                raise ValueError(f"atom masses must be positive, got {m!r}")
-        for lo, hi in zip(self.values, self.values[1:]):
-            if hi <= lo:
-                raise ValueError("atom values must be strictly increasing")
-        total = sum(self.masses)
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"atom masses must sum to 1, got {total!r}")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "AtomDist":
-        merged = _merged(pairs)
-        return cls(tuple(v for v, _ in merged), tuple(m for _, m in merged))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def mean(self) -> float:
-        return sum(v * m for v, m in zip(self.values, self.masses))
-
-    def mean_entropy(self) -> float:
-        """Expected binary entropy E[h(V)] in bits."""
-        return sum(m * binary_entropy(v) for v, m in zip(self.values, self.masses))
-
-    def to_json_dict(self) -> dict:
-        return {"atoms": [{"value": v, "mass": m} for v, m in zip(self.values, self.masses)]}
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "AtomDist":
-        return cls.from_pairs((a["value"], a["mass"]) for a in payload["atoms"])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "AtomDist":
-        return cls.from_json_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class SymmetricPairDist:
-    """Exchangeable finite distribution over pairs of values in [0, 1].
-
-    Canonical storage keeps one entry per unordered pair {x, y} with the
-    combined mass of both orders; ``pairs`` is lexicographically sorted
-    with x <= y inside each entry.  :meth:`ordered_atoms` expands back
-    to ordered support when a computation genuinely needs it.
-    """
-
-    pairs: tuple[tuple[float, float], ...]
-    masses: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.pairs) != len(self.masses) or not self.pairs:
-            raise ValueError("pairs and masses must be equal-length and nonempty")
-        for x, y in self.pairs:
-            require_prob(x, "pair value")
-            require_prob(y, "pair value")
-            if y < x:
-                raise ValueError(f"canonical pairs need x <= y, got ({x!r}, {y!r})")
-        for m in self.masses:
-            if not m > 0.0:
-                raise ValueError(f"pair masses must be positive, got {m!r}")
-        for lo, hi in zip(self.pairs, self.pairs[1:]):
-            if hi <= lo:
-                raise ValueError("canonical pairs must be strictly increasing")
-        total = sum(self.masses)
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"pair masses must sum to 1, got {total!r}")
-
-    @classmethod
-    def from_pairs(cls, entries: Iterable[tuple[float, float, float]]) -> "SymmetricPairDist":
-        """Build from (x, y, mass) entries in either order, symmetrising.
-
-        Masses on (x, y) and (y, x) are pooled onto the sorted key.
-        Keys whose coordinates each agree within MERGE_TOL are merged.
-        """
-        accum: dict[tuple[float, float], float] = {}
-        for x, y, mass in entries:
-            key = (x, y) if x <= y else (y, x)
-            accum[key] = accum.get(key, 0.0) + mass
-        merged: list[tuple[tuple[float, float], float]] = []
-        for key, mass in sorted(accum.items()):
-            if merged:
-                (px, py), pm = merged[-1]
-                if abs(key[0] - px) <= MERGE_TOL and abs(key[1] - py) <= MERGE_TOL:
-                    total = pm + mass
-                    merged[-1] = (
-                        ((px * pm + key[0] * mass) / total, (py * pm + key[1] * mass) / total),
-                        total,
-                    )
-                    continue
-            merged.append((key, mass))
-        return cls(tuple(k for k, _ in merged), tuple(m for _, m in merged))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def ordered_atoms(self) -> list[tuple[float, float, float]]:
-        """Ordered support: off-diagonal mass split evenly across both orders."""
-        out: list[tuple[float, float, float]] = []
-        for (x, y), m in zip(self.pairs, self.masses):
-            if x == y:
-                out.append((x, y, m))
-            else:
-                out.append((x, y, 0.5 * m))
-                out.append((y, x, 0.5 * m))
-        return out
-
-    def marginal(self) -> AtomDist:
-        """Distribution of either coordinate (they agree, by exchangeability)."""
-        contrib: list[tuple[float, float]] = []
-        for (x, y), m in zip(self.pairs, self.masses):
-            if x == y:
-                contrib.append((x, m))
-            else:
-                contrib.append((x, 0.5 * m))
-                contrib.append((y, 0.5 * m))
-        return AtomDist.from_pairs(contrib)
-
-    def to_json_dict(self) -> dict:
-        return {"atoms": [{"x": x, "y": y, "mass": m} for (x, y), m in zip(self.pairs, self.masses)]}
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "SymmetricPairDist":
-        return cls.from_pairs((a["x"], a["y"], a["mass"]) for a in payload["atoms"])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "SymmetricPairDist":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -272,16 +97,16 @@ class ExtremeFamily:
         # a_mean can sit a hair above t from roundoff; keep beta a weight.
         return min(1.0, max(0.0, beta))
 
-    def pair_dist(self) -> SymmetricPairDist:
-        """The pair distribution this family denotes."""
-        beta = self.beta
-        entries = [(self.a1, self.a2, 1.0 - beta)]
-        if self.b1 is not None and beta > 0.0:
-            entries.append((self.b1, self.b2, beta))
-        return SymmetricPairDist.from_pairs(entries)
+    def atoms(self) -> list[tuple[float, float, float]]:
+        """The pair distribution as ``(x, y, mass)`` atoms, one per block.
 
-    def marginal(self) -> AtomDist:
-        return self.pair_dist().marginal()
+        The high block is left out when beta = 0.
+        """
+        beta = self.beta
+        atoms = [(self.a1, self.a2, 1.0 - beta)]
+        if self.b1 is not None and beta > 0.0:
+            atoms.append((self.b1, self.b2, beta))
+        return atoms
 
     def argmin_dict(self) -> dict:
         """Flat mapping used in JSON reports."""
@@ -294,10 +119,11 @@ class ExtremeFamily:
         }
 
 
-def mixed_or_entropy(dist: SymmetricPairDist, alpha: float) -> float:
+def mixed_or_entropy(atoms: Iterable[tuple[float, float, float]], alpha: float) -> float:
     """Expected OR entropy under an alpha-blend of couplings, in bits.
 
-    With (P, Q) drawn from ``dist``:
+    ``atoms`` are the ``(x, y, mass)`` atoms of an exchangeable pair
+    distribution of (P, Q).  With (P, Q) drawn from it:
 
     * independent part: both coordinates are resampled independently
       from the marginal, the bits are OR-ed independently, and the term
@@ -307,31 +133,44 @@ def mixed_or_entropy(dist: SymmetricPairDist, alpha: float) -> float:
       h(max_entropy_or_prob_fullcorr(P, Q)).
 
     The blend is (1-alpha) * independent + alpha * correlated, linear in
-    alpha by construction.
+    alpha by construction.  Raises ``ValueError`` on a value outside
+    [0, 1], a negative or non-finite mass, no atoms, or a total mass
+    more than :data:`MASS_TOL` from 1.
     """
     alpha = require_prob(alpha, "alpha")
-    marg = dist.marginal()
-    independent = 0.0
-    for vi, mi in zip(marg.values, marg.masses):
-        for vj, mj in zip(marg.values, marg.masses):
-            independent += mi * mj * binary_entropy(or_prob(vi, vj))
-    correlated = 0.0
-    for (x, y), m in zip(dist.pairs, dist.masses):
-        correlated += m * binary_entropy(max_entropy_or_prob_fullcorr(x, y))
+    atoms = list(atoms)
+    if not atoms:
+        raise ValueError("need at least one atom")
+    for x, y, m in atoms:
+        require_prob(x, "atom value")
+        require_prob(y, "atom value")
+        if not (math.isfinite(m) and m >= 0.0):
+            raise ValueError(f"atom masses must be finite and >= 0, got {m!r}")
+    total = sum(m for _, _, m in atoms)
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"atom masses must sum to 1, got {total!r}")
+    marginal = [(v, 0.5 * m) for x, y, m in atoms for v in (x, y)]
+    independent = sum(
+        mi * mj * binary_entropy(or_prob(vi, vj))
+        for vi, mi in marginal
+        for vj, mj in marginal
+    )
+    correlated = sum(m * binary_entropy(max_entropy_or_prob_fullcorr(x, y)) for x, y, m in atoms)
     return (1.0 - alpha) * independent + alpha * correlated
 
 
 def entropy_ratio(family: ExtremeFamily, alpha: float) -> float:
     """Blended OR entropy of a family divided by its marginal mean entropy.
 
-    This is the quantity the certificate search minimises over families.
+    This is the quantity the certificate search minimises over families;
+    the denominator is the sum of m * (h(x) + h(y)) / 2 over its atoms.
     Raises :class:`DegenerateDenominator` when the marginal carries no
     entropy (all atoms at 0 or 1), since the ratio is then meaningless.
     """
-    dist = family.pair_dist()
-    denom = dist.marginal().mean_entropy()
+    atoms = family.atoms()
+    denom = sum(0.5 * m * (binary_entropy(x) + binary_entropy(y)) for x, y, m in atoms)
     if denom <= 1e-14:
         raise DegenerateDenominator(
             f"marginal mean entropy {denom!r} is numerically zero"
         )
-    return mixed_or_entropy(dist, alpha) / denom
+    return mixed_or_entropy(atoms, alpha) / denom

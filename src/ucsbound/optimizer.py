@@ -81,6 +81,12 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(math.ulp(1.0))
 _DENOM_FLOOR = 1e-14
 _ALPHA_REFINE_TOL = 1e-4
+# Absolute term of each Brent line search's stopping rule, which accepts
+# a point once the bracket around it is within 2 * (sqrt(eps) * |x| +
+# _PARAM_TOL / 3).
+_PARAM_TOL = 1e-10
+# A high block's mean must clear t by this much.
+_EPSILON_BOUNDARY = 1e-9
 _BRANCH_ZERO = "beta_zero"
 _BRANCH_POSITIVE = "beta_positive"
 
@@ -92,16 +98,12 @@ class SearchConfig:
     The defaults reproduce the reference evaluation to ~1e-9; on a
     2-vCPU virtual machine a ``gamma_hat`` sweep over nine weights takes
     under a second.  :data:`VERIFY_CONFIG` is the finer setting of the
-    published check.  ``param_tol`` is the absolute term of each Brent
-    line search's stopping rule, which accepts a point once the bracket
-    around it is within 2 * (sqrt(eps) * |x| + param_tol / 3).
+    published check.
     """
 
     grid_points_per_axis: int = 64
     refine_rounds: int = 6
     multistart_count: int = 16
-    param_tol: float = 1e-10
-    epsilon_boundary: float = 1e-9
     b2_pinned_to_one: bool = False
 
     def __post_init__(self) -> None:
@@ -111,9 +113,6 @@ class SearchConfig:
             raise ValueError("refine_rounds must be >= 0")
         if self.multistart_count < 1:
             raise ValueError("multistart_count must be >= 1")
-        for name in ("param_tol", "epsilon_boundary"):
-            if not 0.0 < getattr(self, name) < 0.1:
-                raise ValueError(f"{name} must lie in (0, 0.1)")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -308,7 +307,6 @@ class _PairGrid:
         self.t = t
         self.config = config
         self.evaluations = 0
-        eps = config.epsilon_boundary
 
         g = config.grid_points_per_axis
         axis = np.linspace(0.0, 1.0, g)
@@ -318,10 +316,10 @@ class _PairGrid:
         keep_a = pair_sum <= 2.0 * t + 1e-12
         ia1, ia2 = ii[keep_a], jj[keep_a]
         if config.b2_pinned_to_one:
-            ib1 = np.flatnonzero(axis + 1.0 >= 2.0 * (t + eps))
+            ib1 = np.flatnonzero(axis + 1.0 >= 2.0 * (t + _EPSILON_BOUNDARY))
             ib2 = np.full_like(ib1, g - 1)
         else:
-            keep_b = pair_sum >= 2.0 * (t + eps)
+            keep_b = pair_sum >= 2.0 * (t + _EPSILON_BOUNDARY)
             ib1, ib2 = ii[keep_b], jj[keep_b]
         if ia1.size == 0 or ib1.size == 0:
             raise EmptyFeasible(
@@ -393,12 +391,12 @@ class _PairGrid:
         without a high block).  Calls go through this module's
         ``binary_entropy``, so a counting wrapper installed there sees all.
         """
-        t, eps = self.t, self.config.epsilon_boundary
+        t = self.t
         h, fc = binary_entropy, max_entropy_or_prob_fullcorr
         w = x[ci ^ 1]  # the other coordinate of the moving block
         hw, sw = h(w), h(w + w - w * w)
-        # Block means allowed: low at most t, high clear of t by eps / 2.
-        low, high = (-_INF, t + 1e-15), (t + 0.5 * eps, _INF)
+        # Block means allowed: low at most t, high clear of t by _EPSILON_BOUNDARY / 2.
+        low, high = (-_INF, t + 1e-15), (t + 0.5 * _EPSILON_BOUNDARY, _INF)
         (mean_lo, mean_hi), (fixed_lo, fixed_hi) = (low, high) if ci < 2 else (high, low)
         fixed_ok = all(0.0 <= v <= 1.0 for k, v in enumerate(x) if k != ci and v is not None)
         o1 = None
@@ -449,10 +447,10 @@ class _PairGrid:
                 if ci < 2:
                     hi = min(hi, 2.0 * t - x[1 - ci])
                 else:
-                    lo = max(lo, 2.0 * (t + cfg.epsilon_boundary) - x[5 - ci])
-                if hi - lo <= cfg.param_tol:
+                    lo = max(lo, 2.0 * (t + _EPSILON_BOUNDARY) - x[5 - ci])
+                if hi - lo <= _PARAM_TOL:
                     continue
-                v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, cfg.param_tol)
+                v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, _PARAM_TOL)
                 if fv < best:
                     x[ci] = v
                     best = fv
@@ -607,7 +605,10 @@ def find_tmax(
     message.  The returned ``t_certified`` carries an actual certificate
     (its bound exceeded 1 + margin); ``t_ceiling`` is the smallest
     tested t that failed, so the true threshold lies between the two.
-    ``margin`` must be finite and >= 0.
+    ``margin`` must be finite and >= 0.  ``t_tol`` must be below hi - lo
+    and at least the float spacing at hi: below that, the midpoint of
+    two adjacent floats rounds onto one of them and the bracket stops
+    shrinking.
     """
     cfg = config or SearchConfig()
     if not (math.isfinite(margin) and margin >= 0.0):
@@ -615,8 +616,11 @@ def find_tmax(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi < 0.5:
         raise ValueError(f"bracket must satisfy 0 < lo < hi < 1/2, got {bracket!r}")
-    if not 0.0 < t_tol < hi - lo:
-        raise ValueError(f"t_tol must lie in (0, hi-lo), got {t_tol!r}")
+    if not math.ulp(hi) <= t_tol < hi - lo:
+        raise ValueError(
+            f"t_tol must lie in [ulp(hi), hi-lo) = [{math.ulp(hi)!r}, {hi - lo!r}), "
+            f"got {t_tol!r}"
+        )
 
     started = time.perf_counter()
     cert_lo = gamma_hat(lo, alphas, cfg)

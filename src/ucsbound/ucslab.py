@@ -243,9 +243,16 @@ class CouplingMatrix:
             raise ValueError("coupling marginals are not uniform")
 
     def or_output_dist(self) -> np.ndarray:
-        """Distribution of OR(X, Y) over the family members."""
+        """Distribution of OR(X, Y) over the family members.
+
+        Raises :class:`NotClosed` if the union of some member pair is not
+        a member, whatever mass the coupling puts on that pair.
+        """
         members = np.array(self.family.members)
-        zi = np.searchsorted(members, np.bitwise_or.outer(members, members))
+        unions = np.bitwise_or.outer(members, members)
+        zi = np.searchsorted(members, unions)
+        if (members.take(zi, mode="clip") != unions).any():
+            raise NotClosed(f"family {self.family.hex_mask} is not closed under OR")
         return np.bincount(zi.ravel(), weights=self.matrix.ravel(), minlength=len(members))
 
     def or_entropy(self) -> float:
@@ -262,10 +269,9 @@ def max_symmetric_coupling_entropy(family: FamilySet) -> tuple[float, CouplingMa
     through :meth:`CouplingMatrix.or_entropy`, not the closed form, so
     callers comparing the two test the OR-output and entropy code.
 
-    Raises :class:`NotClosed` if some pairwise OR escapes the family.
+    Raises :class:`NotClosed`, from the OR-output code, if some pairwise
+    OR escapes the family.
     """
-    if not is_or_closed(family):
-        raise NotClosed(f"family {family.hex_mask} is not closed under OR")
     k = family.size
     coupling = CouplingMatrix(family, np.eye(k) / k)
     return coupling.or_entropy(), coupling

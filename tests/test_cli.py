@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import ucsbound
+from ucsbound import optimizer
 from ucsbound.cli import SCHEMA_VERSION, main
 from ucsbound.maxcorr import binary_coupling
+from ucsbound.optimizer import gamma_hat
 
 FAST_KNOBS = ["--grid", "32", "--refine-rounds", "3", "--multistart", "8"]
 
@@ -19,6 +21,15 @@ FAST_KNOBS = ["--grid", "32", "--refine-rounds", "3", "--multistart", "8"]
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def keys_anywhere(value):
+    """Every mapping key in a parsed JSON value, at any depth."""
+    if isinstance(value, dict):
+        return set(value) | set().union(*(keys_anywhere(v) for v in value.values()))
+    if isinstance(value, list):
+        return set().union(*(keys_anywhere(v) for v in value))
+    return set()
 
 
 def stdout_json(capsys):
@@ -77,6 +88,21 @@ class TestTmax:
         rc = main(["tmax", f"--margin={margin}", "--t-tol", "1e-4", *FAST_KNOBS])
         assert rc == 2
         assert "margin" in capsys.readouterr().err
+
+    def test_t_tol_below_float_resolution_exits_2(self, monkeypatch, capsys):
+        # Capped so that a bisection that never ends fails instead of hanging.
+        calls = []
+
+        def capped(*args, **kwargs):
+            calls.append(args[0])
+            assert len(calls) <= 100, "tmax kept bisecting"
+            return gamma_hat(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "gamma_hat", capped)
+        argv = ["tmax", "--t-tol", "1e-300", "--grid", "8", "--refine-rounds", "0"]
+        rc = main([*argv, "--multistart", "1"])
+        assert rc == 2
+        assert "t_tol" in capsys.readouterr().err
 
     def test_malformed_bracket_exits_2(self, capsys):
         rc = main(["tmax", "--bracket", "0.45", "0.40", *FAST_KNOBS])
@@ -266,13 +292,24 @@ class TestMaxcorr:
 
 
 class TestDeterminism:
-    def test_no_timestamps_is_byte_identical(self, tmp_path):
-        argv = ["enumerate", "--n", "2", "--no-timestamps"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma-hat", "--t", "0.38", *FAST_KNOBS],
+            ["tmax", "--t-tol", "1e-3", *FAST_KNOBS],
+            ["enumerate", "--n", "2"],
+            ["maxcorr", "--pq", "0.3", "0.4", "0.2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_timestamps_is_byte_identical(self, argv, tmp_path):
+        argv = [*argv, "--no-timestamps"]
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         assert main([*argv, "--out", str(a)]) == 0
         assert main([*argv, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert "wall_time_ms" not in keys_anywhere(read_json(a))
         ma = read_json(str(a) + ".manifest.json")
         mb = read_json(str(b) + ".manifest.json")
         assert ma["started_at"] is None and ma["finished_at"] is None

@@ -10,10 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from ucsbound import optimizer
 from ucsbound.errors import BracketFailure, EmptyFeasible, VerificationFailed
 from ucsbound.optimizer import (
     BASELINE_THRESHOLD,
     SearchConfig,
+    _EPSILON_BOUNDARY,
     _brent_min,
     _PairGrid,
     default_alpha_grid,
@@ -100,11 +102,11 @@ def random_family(t, rng, branch):
     return [a1, a2, b1, b2] if rng.uniform() < 0.5 else [a1, a2, b2, b1]
 
 
-def line_range(x, ci, t, eps):
+def line_range(x, ci, t):
     """Feasible values of coordinate ci with the others held."""
     if ci < 2:
         return 0.0, min(1.0, 2 * t - x[1 - ci])
-    return max(0.0, 2 * (t + eps) - x[5 - ci]), 1.0
+    return max(0.0, 2 * (t + _EPSILON_BOUNDARY) - x[5 - ci]), 1.0
 
 
 class TestLineObjective:
@@ -119,7 +121,7 @@ class TestLineObjective:
             x = random_family(t, rng, branch)
             for ci in coords:
                 line = grid._line(x, ci, alpha)
-                lo, hi = line_range(x, ci, t, FAST.epsilon_boundary)
+                lo, hi = line_range(x, ci, t)
                 for u in (x[ci], *rng.uniform(lo, hi, size=3)):
                     y = list(x)
                     y[ci] = u
@@ -274,8 +276,6 @@ class TestSearchConfig:
         assert cfg.grid_points_per_axis == 64
         assert cfg.refine_rounds == 6
         assert cfg.multistart_count == 16
-        assert cfg.param_tol == 1e-10
-        assert cfg.epsilon_boundary == 1e-9
         assert cfg.b2_pinned_to_one is False
 
     @pytest.mark.parametrize(
@@ -284,8 +284,6 @@ class TestSearchConfig:
             dict(grid_points_per_axis=1),
             dict(refine_rounds=-1),
             dict(multistart_count=0),
-            dict(param_tol=0.0),
-            dict(epsilon_boundary=0.5),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -363,6 +361,26 @@ class TestFindTmax:
     def test_rejects_negative_or_non_finite_margin(self, margin):
         with pytest.raises(ValueError, match="margin"):
             find_tmax(FAST, margin=margin, t_tol=1e-4)
+
+    def test_rejects_t_tol_below_float_resolution(self, monkeypatch):
+        # Below the float spacing at hi the bisection midpoint rounds onto
+        # an endpoint and the bracket stops shrinking; the cap turns such
+        # a loop into a failure instead of a hang.
+        calls = []
+
+        def capped(*args, **kwargs):
+            calls.append(args[0])
+            assert len(calls) <= 100, "find_tmax kept bisecting"
+            return gamma_hat(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "gamma_hat", capped)
+        coarse = SearchConfig(8, 0, 1)
+        with pytest.raises(ValueError, match="t_tol"):
+            find_tmax(coarse, bracket=(0.30, 0.45), t_tol=1e-300)
+        assert calls == []
+        # The float spacing itself is accepted, and the bisection ends.
+        result = find_tmax(coarse, bracket=(0.30, 0.45), t_tol=math.ulp(0.45))
+        assert result.t_ceiling - result.t_certified <= math.ulp(0.45)
 
     def test_rejects_malformed_bracket(self):
         with pytest.raises(ValueError):

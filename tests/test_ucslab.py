@@ -193,6 +193,14 @@ class TestCouplingMatrix:
         with pytest.raises(ValueError, match="marginals"):
             CouplingMatrix(fam, m)
 
+    def test_union_outside_the_family_raises(self):
+        # {{e0}, {e1}} misses {e0, e1}; the uniform coupling is valid.
+        coup = CouplingMatrix(FamilySet.from_members(2, [1, 2]), np.full((2, 2), 0.25))
+        with pytest.raises(NotClosed):
+            coup.or_output_dist()
+        with pytest.raises(NotClosed):
+            coup.or_entropy()
+
     def test_or_entropy_of_identity_is_log_size(self):
         fam = FamilySet(2, 0xF)
         coup = CouplingMatrix(fam, np.eye(4) / 4)
