@@ -41,7 +41,7 @@ from .optimizer import (
 )
 from .ucslab import check_families, element_frequencies, enumerate_or_closed, sample_or_closed
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 __all__ = ["main", "build_parser", "RunManifest", "SCHEMA_VERSION"]
 
@@ -149,8 +149,6 @@ def _search_config(args: argparse.Namespace, base: SearchConfig = SearchConfig()
         kwargs["refine_rounds"] = args.refine_rounds
     if getattr(args, "multistart", None) is not None:
         kwargs["multistart_count"] = args.multistart
-    if getattr(args, "pin_b2", False):
-        kwargs["b2_pinned_to_one"] = True
     return replace(base, **kwargs)
 
 
@@ -172,7 +170,7 @@ def cmd_gamma_hat(args: argparse.Namespace) -> int:
     verdict = "certifies" if cert.certifies else "does not certify"
     print(
         f"t={cert.t}: bound {cert.gamma_hat_lower:.10f} at alpha={cert.alpha_star:.6f} "
-        f"({cert.branch}, {cert.evaluations} evaluations) -> {verdict} t"
+        f"({cert.evaluations} evaluations) -> {verdict} t"
     )
     _emit(args, cert.to_json_dict(), started)
     return 0
@@ -341,11 +339,6 @@ def _add_search_knobs(sub: argparse.ArgumentParser, base: SearchConfig = SearchC
     )
     sub.add_argument(
         "--multistart", type=int, help=f"grid points to refine (default {base.multistart_count})"
-    )
-    sub.add_argument(
-        "--pin-b2",
-        action="store_true",
-        help="restrict the high block to b2 = 1",
     )
 
 

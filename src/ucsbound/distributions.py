@@ -7,12 +7,13 @@ written.  Each coordinate's marginal then puts mass m/2 on x and m/2 on
 y for every atom.
 
 A candidate in the certificate search is an :class:`ExtremeFamily`: a
-mixture of at most two symmetrised pair-blocks whose marginal mean hits
-a target t.  :func:`mixed_or_entropy` and :func:`entropy_ratio` evaluate
-the objective those candidates are scored by, straight from its
-definition.  They share no code with the search, so
-:mod:`ucsbound.optimizer` uses them as the oracle that re-evaluates
-every reported bound.
+mixture of two symmetrised pair-blocks whose marginal mean hits a
+target t.  A single block of mean at most t is not a candidate: paired
+with the block (1, 1) it scores no higher (see :mod:`ucsbound.optimizer`).
+:func:`mixed_or_entropy` and :func:`entropy_ratio` evaluate the
+objective those candidates are scored by, straight from its definition.
+They share no code with the search, so :mod:`ucsbound.optimizer` uses
+them as the oracle that re-evaluates every reported bound.
 """
 
 from __future__ import annotations
@@ -42,56 +43,46 @@ MASS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ExtremeFamily:
-    """Mixture of at most two symmetrised pair-blocks with marginal mean t.
+    """Mixture of two symmetrised pair-blocks with marginal mean t.
 
     The low block puts mass 1/2 on each order of (a1, a2) and has block
-    mean a = (a1+a2)/2 <= t.  An optional high block (b1, b2) with block
-    mean b > t receives the unique weight beta that lifts the overall
-    marginal mean to exactly t; with no high block, beta = 0 and the
-    mean constraint is the inequality a <= t.
+    mean a = (a1+a2)/2 <= t.  The high block (b1, b2) with block mean
+    b > t receives the unique weight beta that lifts the overall
+    marginal mean to exactly t; beta = 0 when a = t.
     """
 
     a1: float
     a2: float
     t: float
-    b1: float | None = None
-    b2: float | None = None
+    b1: float
+    b2: float
 
     def __post_init__(self) -> None:
         require_prob(self.a1, "a1")
         require_prob(self.a2, "a2")
         require_prob(self.t, "t")
+        require_prob(self.b1, "b1")
+        require_prob(self.b2, "b2")
         if self.a2 < self.a1:
             raise ValueError("need a1 <= a2")
-        if (self.b1 is None) != (self.b2 is None):
-            raise ValueError("b1 and b2 must be given together or not at all")
+        if self.b2 < self.b1:
+            raise ValueError("need b1 <= b2")
         if self.a_mean > self.t + 1e-12:
             raise ValueError(f"low-block mean {self.a_mean!r} exceeds target {self.t!r}")
-        if self.b1 is not None:
-            require_prob(self.b1, "b1")
-            require_prob(self.b2, "b2")
-            if self.b2 < self.b1:
-                raise ValueError("need b1 <= b2")
-            if self.b_mean <= self.t:
-                raise ValueError(
-                    f"high-block mean {self.b_mean!r} must exceed target {self.t!r}"
-                )
+        if self.b_mean <= self.t:
+            raise ValueError(f"high-block mean {self.b_mean!r} must exceed target {self.t!r}")
 
     @property
     def a_mean(self) -> float:
         return 0.5 * (self.a1 + self.a2)
 
     @property
-    def b_mean(self) -> float | None:
-        if self.b1 is None:
-            return None
+    def b_mean(self) -> float:
         return 0.5 * (self.b1 + self.b2)
 
     @property
     def beta(self) -> float:
         """Weight on the high block making the marginal mean equal t."""
-        if self.b1 is None:
-            return 0.0
         gap = self.b_mean - self.a_mean
         beta = (self.t - self.a_mean) / gap
         # a_mean can sit a hair above t from roundoff; keep beta a weight.
@@ -104,7 +95,7 @@ class ExtremeFamily:
         """
         beta = self.beta
         atoms = [(self.a1, self.a2, 1.0 - beta)]
-        if self.b1 is not None and beta > 0.0:
+        if beta > 0.0:
             atoms.append((self.b1, self.b2, beta))
         return atoms
 

@@ -7,6 +7,16 @@ value above 1 certifies t as a valid frequency lower bound; the best
 such certificate over alpha is what :func:`gamma_hat` reports, and
 :func:`find_tmax` bisects for the largest certifiable t.
 
+Candidate class
+---------------
+A candidate is a low block (a1, a2) of mean a <= t and a high block
+(b1, b2) of mean b > t, which gets weight beta = (t - a) / (b - a).  A
+lone block of mean a <= t is not searched: pairing it with (1, 1),
+always a high block, scales its denominator H/2 and correlated term P by
+1 - beta and its independent term S/4 by (1 - beta)^2, since every term
+touching the value 1 is h(1) = 0.  So R(a1, a2, 1, 1) =
+[(1-alpha)(1-beta) S/4 + alpha P] / (H/2) <= R(a1, a2), equal at a = t.
+
 Search scheme
 -------------
 The candidate space is four numbers (a1, a2, b1, b2), so the search is
@@ -20,8 +30,8 @@ deliberately elementary and fully deterministic:
 2. the best ``multistart_count`` grid points are each polished by
    cyclic per-coordinate Brent line search with a shrinking trust
    window, clipped to the feasible box at every step.  Along one
-   coordinate only 6 of the objective's 16 entropy terms move (4 of 8
-   without a high block); the rest are computed once per line;
+   coordinate only 6 of the objective's 16 entropy terms move; the
+   rest are computed once per line;
 3. the reported minimum is re-evaluated through the reference
    implementation in :mod:`ucsbound.distributions`, so the fast path
    cannot silently drift from the definition it is searching over.
@@ -35,7 +45,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -87,8 +97,6 @@ _ALPHA_REFINE_TOL = 1e-4
 _PARAM_TOL = 1e-10
 # A high block's mean must clear t by this much.
 _EPSILON_BOUNDARY = 1e-9
-_BRANCH_ZERO = "beta_zero"
-_BRANCH_POSITIVE = "beta_positive"
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,6 @@ class SearchConfig:
     grid_points_per_axis: int = 64
     refine_rounds: int = 6
     multistart_count: int = 16
-    b2_pinned_to_one: bool = False
 
     def __post_init__(self) -> None:
         if self.grid_points_per_axis < 2:
@@ -130,7 +137,6 @@ class InnerSearchReport:
     t: float
     min_ratio: float
     argmin: ExtremeFamily
-    branch: str
     evaluations: int
     refined: bool
 
@@ -140,7 +146,6 @@ class InnerSearchReport:
             "t": self.t,
             "min_ratio": self.min_ratio,
             "argmin": self.argmin.argmin_dict(),
-            "branch": self.branch,
             "evaluations": self.evaluations,
             "refined": self.refined,
         }
@@ -154,7 +159,6 @@ class BoundCertificate:
     alpha_star: float
     gamma_hat_lower: float
     argmin: ExtremeFamily
-    branch: str
     evaluations: int
     config: SearchConfig
     wall_time_ms: float | None = None
@@ -170,7 +174,6 @@ class BoundCertificate:
             "alpha_star": self.alpha_star,
             "gamma_hat_lower": self.gamma_hat_lower,
             "argmin": self.argmin.argmin_dict(),
-            "branch": self.branch,
             "evaluations": self.evaluations,
             "config": self.config.to_json_dict(),
             "wall_time_ms": self.wall_time_ms,
@@ -277,7 +280,7 @@ def _mix(beta, h1, h2, s1, s2, s12, p1, p2):
     its two marginal entropies, s its within-block OR entropies (the
     off-diagonal term twice) and p is its correlated OR entropy; s12
     sums the four cross-block OR entropies.  Floats or broadcasting
-    arrays; beta = 0 is the family without a high block.
+    arrays.
     """
     w1, w2 = 0.5 * (1.0 - beta), 0.5 * beta
     denom = w1 * h1 + w2 * h2
@@ -313,14 +316,14 @@ class _PairGrid:
         ii, jj = np.triu_indices(g)
         pair_sum = axis[ii] + axis[jj]
 
-        keep_a = pair_sum <= 2.0 * t + 1e-12
-        ia1, ia2 = ii[keep_a], jj[keep_a]
-        if config.b2_pinned_to_one:
-            ib1 = np.flatnonzero(axis + 1.0 >= 2.0 * (t + _EPSILON_BOUNDARY))
-            ib2 = np.full_like(ib1, g - 1)
-        else:
-            keep_b = pair_sum >= 2.0 * (t + _EPSILON_BOUNDARY)
-            ib1, ib2 = ii[keep_b], jj[keep_b]
+        # No lone-block scan: a lone block never beats itself paired with
+        # (1, 1) (module docstring).  A low block of mean t gets beta = 0
+        # with every high block, so its cells tie and can fill every
+        # multistart slot; refinement still reaches mean t.  The margin
+        # is relative so that (0, 0) stays in at any t > 0.
+        keep_a = pair_sum < 2.0 * t * (1.0 - 1e-12)
+        keep_b = pair_sum >= 2.0 * (t + _EPSILON_BOUNDARY)
+        ia1, ia2, ib1, ib2 = ii[keep_a], jj[keep_a], ii[keep_b], jj[keep_b]
         if ia1.size == 0 or ib1.size == 0:
             raise EmptyFeasible(
                 f"grid of {g} points per axis yields no feasible pairs at t={t}"
@@ -346,40 +349,23 @@ class _PairGrid:
         self._bad, self._ind_over_denom, self._cor_over_denom = _over_denom(
             *_mix(beta, ha[:, None], hb, saa[:, None], sbb, sab, pa[:, None], pb)
         )
-        self._bad0, self._ind0_over_denom0, self._cor0_over_denom0 = _over_denom(
-            *_mix(0.0, ha, 0.0, saa, 0.0, 0.0, pa, 0.0)
-        )
 
     # -- grid scan ---------------------------------------------------------
 
-    def _candidates(self, alpha: float) -> list[tuple]:
-        """Top grid points of both branches, worst (smallest) first."""
-        k = self.config.multistart_count
+    def _candidates(self, alpha: float) -> list[list[float]]:
+        """The ``multistart_count`` best grid points as (a1, a2, b1, b2)."""
         a1, a2 = self._a
         b1, b2 = self._b
-
         r = (1.0 - alpha) * self._ind_over_denom + alpha * self._cor_over_denom
         r[self._bad] = _INF
         self.evaluations += r.size
         flat = r.ravel()
-        take = min(k, flat.size)
-        idx = np.argpartition(flat, take - 1)[:take]
+        take = min(self.config.multistart_count, flat.size)
         out = []
-        for f in idx:
+        for f in np.argpartition(flat, take - 1)[:take]:
             i, j = divmod(int(f), b1.size)
-            params = [float(a1[i]), float(a2[i]), float(b1[j]), float(b2[j])]
-            out.append((float(flat[f]), _BRANCH_POSITIVE, params))
-
-        r0 = (1.0 - alpha) * self._ind0_over_denom0 + alpha * self._cor0_over_denom0
-        r0[self._bad0] = _INF
-        self.evaluations += r0.size
-        take0 = min(k, r0.size)
-        idx0 = np.argpartition(r0, take0 - 1)[:take0]
-        for f in idx0:
-            out.append((float(r0[f]), _BRANCH_ZERO, [float(a1[f]), float(a2[f]), None, None]))
-
-        out.sort(key=_candidate_key)
-        return out[:k]
+            out.append([float(a1[i]), float(a2[i]), float(b1[j]), float(b2[j])])
+        return out
 
     # -- refinement --------------------------------------------------------
 
@@ -387,9 +373,9 @@ class _PairGrid:
         """The search objective along coordinate ``ci`` of ``x``; +inf off the box.
 
         Of the ratio's 16 entropy terms, the 10 that do not involve x[ci]
-        are computed here, once; a call computes the other 6 (4 of 8
-        without a high block).  Calls go through this module's
-        ``binary_entropy``, so a counting wrapper installed there sees all.
+        are computed here, once; a call computes the other 6.  Calls go
+        through this module's ``binary_entropy``, so a counting wrapper
+        installed there sees all.
         """
         t = self.t
         h, fc = binary_entropy, max_entropy_or_prob_fullcorr
@@ -398,16 +384,15 @@ class _PairGrid:
         # Block means allowed: low at most t, high clear of t by _EPSILON_BOUNDARY / 2.
         low, high = (-_INF, t + 1e-15), (t + 0.5 * _EPSILON_BOUNDARY, _INF)
         (mean_lo, mean_hi), (fixed_lo, fixed_hi) = (low, high) if ci < 2 else (high, low)
-        fixed_ok = all(0.0 <= v <= 1.0 for k, v in enumerate(x) if k != ci and v is not None)
-        o1 = None
-        if x[2] is not None:
-            o1, o2 = x[2:] if ci < 2 else x[:2]
-            omean = 0.5 * (o1 + o2)
-            fixed_ok = fixed_ok and fixed_lo <= omean <= fixed_hi
-            ho = h(o1) + h(o2)
-            so = h(o1 + o1 - o1 * o1) + 2.0 * h(o1 + o2 - o1 * o2) + h(o2 + o2 - o2 * o2)
-            po = h(fc(o1, o2))
-            cw = h(w + o1 - w * o1) + h(w + o2 - w * o2)
+        o1, o2 = x[2:] if ci < 2 else x[:2]
+        omean = 0.5 * (o1 + o2)
+        fixed_ok = fixed_lo <= omean <= fixed_hi and all(
+            0.0 <= v <= 1.0 for k, v in enumerate(x) if k != ci
+        )
+        ho = h(o1) + h(o2)
+        so = h(o1 + o1 - o1 * o1) + 2.0 * h(o1 + o2 - o1 * o2) + h(o2 + o2 - o2 * o2)
+        po = h(fc(o1, o2))
+        cw = h(w + o1 - w * o1) + h(w + o2 - w * o2)
 
         def objective(u: float) -> float:
             self.evaluations += 1
@@ -417,31 +402,25 @@ class _PairGrid:
             hu = h(u) + hw
             su = h(u + u - u * u) + 2.0 * h(u + w - u * w) + sw
             pu = h(fc(u, w))
-            if o1 is None:
-                denom, ind, cor = _mix(0.0, hu, 0.0, su, 0.0, 0.0, pu, 0.0)
-            else:
-                # Weight of the fixed block: beta if it is the high block,
-                # 1 - beta if it is the low one; the formula is the same.
-                gamma = (t - mean) / (omean - mean)
-                gamma = 0.0 if gamma < 0.0 else (1.0 if gamma > 1.0 else gamma)
-                cross = h(u + o1 - u * o1) + h(u + o2 - u * o2) + cw
-                denom, ind, cor = _mix(gamma, hu, ho, su, so, cross, pu, po)
+            # Weight of the fixed block: beta if it is the high block,
+            # 1 - beta if it is the low one; the formula is the same.
+            gamma = (t - mean) / (omean - mean)
+            gamma = 0.0 if gamma < 0.0 else (1.0 if gamma > 1.0 else gamma)
+            cross = h(u + o1 - u * o1) + h(u + o2 - u * o2) + cw
+            denom, ind, cor = _mix(gamma, hu, ho, su, so, cross, pu, po)
             if denom <= _DENOM_FLOOR:
                 return _INF
             return ((1.0 - alpha) * ind + alpha * cor) / denom
 
         return objective
 
-    def _refine(self, alpha: float, branch: str, params: list) -> tuple[float, list]:
+    def _refine(self, alpha: float, params: list) -> tuple[float, list]:
         cfg, t = self.config, self.t
         x = list(params)
         best = self._line(x, 0, alpha)(x[0])
-        coords = [0, 1]
-        if branch == _BRANCH_POSITIVE:
-            coords += [2] if cfg.b2_pinned_to_one else [2, 3]
         window = 1.0 / (cfg.grid_points_per_axis - 1)
         for _ in range(cfg.refine_rounds):
-            for ci in coords:
+            for ci in range(4):
                 lo = max(0.0, x[ci] - window)
                 hi = min(1.0, x[ci] + window)
                 if ci < 2:
@@ -462,24 +441,15 @@ class _PairGrid:
     def inner_min(self, alpha: float) -> InnerSearchReport:
         alpha = require_prob(alpha, "alpha")
         before = self.evaluations
-        best_value = _INF
-        best_branch = ""
-        best_params: list = []
-        for value, branch, params in self._candidates(alpha):
-            refined_value, refined_params = self._refine(alpha, branch, params)
-            key = _candidate_key((refined_value, branch, refined_params))
-            if not best_params or key < _candidate_key(
-                (best_value, best_branch, best_params)
-            ):
-                best_value = refined_value
-                best_branch = branch
-                best_params = refined_params
+        best_value, best_params = min(
+            self._refine(alpha, params) for params in self._candidates(alpha)
+        )
         if not math.isfinite(best_value):
             raise EmptyFeasible(
                 f"no family with positive marginal entropy found at t={self.t}; "
                 "increase grid_points_per_axis"
             )
-        family = _params_to_family(best_params, best_branch, self.t)
+        family = ExtremeFamily(*sorted(best_params[:2]), self.t, *sorted(best_params[2:]))
         # Authoritative value: the reference implementation, not the fast path.
         min_ratio = entropy_ratio(family, alpha)
         return InnerSearchReport(
@@ -487,23 +457,9 @@ class _PairGrid:
             t=self.t,
             min_ratio=min_ratio,
             argmin=family,
-            branch=best_branch,
             evaluations=self.evaluations - before,
             refined=self.config.refine_rounds > 0,
         )
-
-
-def _candidate_key(candidate: tuple) -> tuple:
-    value, branch, params = candidate
-    return (value, branch != _BRANCH_ZERO, [p if p is not None else -1.0 for p in params])
-
-
-def _params_to_family(params: Sequence, branch: str, t: float) -> ExtremeFamily:
-    a1, a2 = sorted(params[:2])
-    if branch == _BRANCH_ZERO:
-        return ExtremeFamily(a1, a2, t)
-    b1, b2 = sorted(params[2:])
-    return ExtremeFamily(a1, a2, t, b1, b2)
 
 
 def inner_inf(alpha: float, t: float, config: SearchConfig | None = None) -> InnerSearchReport:
@@ -583,7 +539,6 @@ def gamma_hat(
         alpha_star=best_alpha,
         gamma_hat_lower=report.min_ratio,
         argmin=report.argmin,
-        branch=report.branch,
         evaluations=grid.evaluations,
         config=cfg,
         wall_time_ms=wall_ms,
@@ -688,7 +643,6 @@ def verify_reference_point(
         "b1": fam.b1,
         "b2": fam.b2,
         "beta": fam.beta,
-        "branch": report.branch,
     }
     expected = {
         "min_ratio": REFERENCE_RATIO,
@@ -697,7 +651,6 @@ def verify_reference_point(
         "b1": REFERENCE_LOW_VALUE,
         "b2": 1.0,
         "beta": REFERENCE_BETA,
-        "branch": _BRANCH_POSITIVE,
     }
     ratio_tol = 1e-6 if strict else 2e-5
     problems = []
@@ -705,12 +658,9 @@ def verify_reference_point(
         problems.append(
             f"min_ratio {measured['min_ratio']!r} vs {REFERENCE_RATIO!r} (tol {ratio_tol})"
         )
-    if report.branch != _BRANCH_POSITIVE:
-        problems.append(f"branch {report.branch!r} vs {_BRANCH_POSITIVE!r}")
-    else:
-        for key in ("a1", "a2", "b1", "b2", "beta"):
-            if abs(measured[key] - expected[key]) > 1e-3:
-                problems.append(f"{key} {measured[key]!r} vs {expected[key]!r} (tol 0.001)")
+    for key in ("a1", "a2", "b1", "b2", "beta"):
+        if abs(measured[key] - expected[key]) > 1e-3:
+            problems.append(f"{key} {measured[key]!r} vs {expected[key]!r} (tol 0.001)")
     if problems:
         raise VerificationFailed(
             "reference evaluation not reproduced: " + "; ".join(problems),
@@ -722,7 +672,6 @@ def verify_reference_point(
         alpha_star=REFERENCE_ALPHA,
         gamma_hat_lower=report.min_ratio,
         argmin=fam,
-        branch=report.branch,
         evaluations=report.evaluations,
         config=cfg,
         wall_time_ms=wall_ms,

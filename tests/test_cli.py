@@ -123,7 +123,6 @@ class TestVerifyPaper:
         "flags, expect",
         [
             ([], {}),
-            (["--pin-b2"], {"b2_pinned_to_one": True}),
             (["--multistart", "16"], {}),
             (["--refine-rounds", "7"], {"refine_rounds": 7}),
         ],
@@ -138,7 +137,6 @@ class TestVerifyPaper:
             "grid_points_per_axis": 96,
             "refine_rounds": 8,
             "multistart_count": 16,
-            "b2_pinned_to_one": False,
         }
         assert {k: config[k] for k in defaults} == {**defaults, **expect}
 

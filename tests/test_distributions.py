@@ -27,7 +27,7 @@ class TestExtremeFamily:
         assert high[2] == pytest.approx(0.1560676229942542, abs=1e-12)
 
     def test_beta_zero_when_no_high_block(self):
-        fam = ExtremeFamily(0.2, 0.3, 0.3)
+        fam = ExtremeFamily(0.2, 0.3, 0.25, 1.0, 1.0)
         assert fam.beta == 0.0
         assert fam.atoms() == [(0.2, 0.3, 1.0)]
         # A high block that gets no weight is left out too.
@@ -36,10 +36,9 @@ class TestExtremeFamily:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(a1=0.4, a2=0.3, t=0.4),  # a1 > a2
-            dict(a1=0.3, a2=0.5, t=0.3),  # low-block mean above t
+            dict(a1=0.4, a2=0.3, t=0.4, b1=1.0, b2=1.0),  # a1 > a2
+            dict(a1=0.3, a2=0.5, t=0.3, b1=1.0, b2=1.0),  # low-block mean above t
             dict(a1=0.2, a2=0.2, t=0.3, b1=0.25, b2=0.3),  # high block not above t
-            dict(a1=0.2, a2=0.2, t=0.3, b1=0.9, b2=None),  # half a block
             dict(a1=0.2, a2=0.2, t=0.3, b1=0.9, b2=0.5),  # b1 > b2
         ],
     )
@@ -145,29 +144,29 @@ class TestEntropyRatio:
     def test_denominator_is_mean_marginal_entropy(self):
         # One block (0.3, 0.5): the marginal is 0.3 or 0.5 with mass 1/2
         # each, so the denominator is (h(0.3) + 1) / 2.
-        fam = ExtremeFamily(0.3, 0.5, 0.4)
+        fam = ExtremeFamily(0.3, 0.5, 0.4, 1.0, 1.0)
         for alpha in (0.0, 0.5):
             expect = mixed_or_entropy(fam.atoms(), alpha) / (0.5 * H_03 + 0.5)
             assert entropy_ratio(fam, alpha) == pytest.approx(expect, abs=1e-12)
 
     def test_frozen_beta_zero_value(self):
         # Single block at 0.3: ratio(alpha=0) = h(0.51) / h(0.3).
-        fam = ExtremeFamily(0.3, 0.3, 0.3)
+        fam = ExtremeFamily(0.3, 0.3, 0.3, 1.0, 1.0)
         assert entropy_ratio(fam, 0.0) == pytest.approx(1.1343716843388378, abs=1e-12)
 
     def test_alpha_one_uses_fullcorr_probability(self):
-        fam = ExtremeFamily(0.3, 0.3, 0.3)
+        fam = ExtremeFamily(0.3, 0.3, 0.3, 1.0, 1.0)
         # max-entropy OR probability of (0.3, 0.3) at full correlation is 1/2.
         assert entropy_ratio(fam, 1.0) == pytest.approx(1.0 / H_03, abs=1e-12)
 
     def test_degenerate_marginal_raises(self):
         with pytest.raises(DegenerateDenominator):
-            entropy_ratio(ExtremeFamily(0.0, 0.0, 0.2), 0.5)
+            entropy_ratio(ExtremeFamily(0.0, 0.0, 0.2, 1.0, 1.0), 0.5)
 
     def test_mass_at_one_costs_nothing_upstairs(self):
         # Adding the (1, 1) block leaves the correlated numerator at
         # h(1) = 0 for that block, so the ratio drops below the
         # single-block value at alpha = 0.
-        single = entropy_ratio(ExtremeFamily(0.3, 0.3, 0.3), 0.0)
+        single = entropy_ratio(ExtremeFamily(0.3, 0.3, 0.3, 1.0, 1.0), 0.0)
         lifted = entropy_ratio(ExtremeFamily(0.3, 0.3, 0.32, 1.0, 1.0), 0.0)
         assert lifted < single

@@ -14,6 +14,7 @@ from ucsbound import optimizer
 from ucsbound.errors import BracketFailure, EmptyFeasible, VerificationFailed
 from ucsbound.optimizer import (
     BASELINE_THRESHOLD,
+    VERIFY_CONFIG,
     SearchConfig,
     _EPSILON_BOUNDARY,
     _brent_min,
@@ -91,12 +92,10 @@ def oracle_best_over_samples(t, alpha, rng, count=4000):
     return best
 
 
-def random_family(t, rng, branch):
-    """A feasible (a1, a2, b1, b2), unordered within blocks; b is None on the zero branch."""
+def random_family(t, rng):
+    """A feasible (a1, a2, b1, b2), unordered within blocks."""
     a1 = rng.uniform(0.0, t)
     a2 = rng.uniform(0.0, min(1.0, 2 * t - a1))
-    if branch == "beta_zero":
-        return [a1, a2, None, None]
     b2 = rng.uniform(t + 1e-3, 1.0)
     b1 = rng.uniform(max(0.0, 2 * (t + 1e-6) - b2), 1.0)
     return [a1, a2, b1, b2] if rng.uniform() < 0.5 else [a1, a2, b2, b1]
@@ -109,17 +108,35 @@ def line_range(x, ci, t):
     return max(0.0, 2 * (t + _EPSILON_BOUNDARY) - x[5 - ci]), 1.0
 
 
-class TestLineObjective:
-    @pytest.mark.parametrize("branch", ["beta_zero", "beta_positive"])
-    def test_matches_oracle_along_every_coordinate(self, branch):
+class TestDominationLemma:
+    def test_pairing_with_the_all_ones_block_never_raises_the_ratio(self):
+        # A lone block of mean a <= t scores no lower than the same block
+        # paired with (1, 1), which is why the search has no lone-block
+        # class; the two agree at a = t, where the pair's weight is 0.
         rng = np.random.default_rng(SEED)
-        coords = (0, 1) if branch == "beta_zero" else (0, 1, 2, 3)
+        for _ in range(2000):
+            t = rng.uniform(0.01, 0.49)
+            alpha = rng.uniform()
+            a1 = rng.uniform(0.0, t)
+            a2 = rng.uniform(a1, 2 * t - a1)
+            assert oracle_ratio(a1, a2, 1.0, 1.0, t, alpha) <= oracle_ratio(
+                a1, a2, None, None, t, alpha
+            )
+            a2 = 2 * t - a1
+            assert oracle_ratio(a1, a2, 1.0, 1.0, t, alpha) == pytest.approx(
+                oracle_ratio(a1, a2, None, None, t, alpha), abs=1e-12
+            )
+
+
+class TestLineObjective:
+    def test_matches_oracle_along_every_coordinate(self):
+        rng = np.random.default_rng(SEED)
         for _ in range(40):
             t = rng.uniform(0.2, 0.45)
             alpha = rng.uniform(0.0, 0.3)
             grid = _PairGrid(t, FAST)
-            x = random_family(t, rng, branch)
-            for ci in coords:
+            x = random_family(t, rng)
+            for ci in range(4):
                 line = grid._line(x, ci, alpha)
                 lo, hi = line_range(x, ci, t)
                 for u in (x[ci], *rng.uniform(lo, hi, size=3)):
@@ -135,7 +152,6 @@ class TestLineObjective:
         # Out of [0, 1], or a block mean on the wrong side of t.
         for ci, u in ((0, -0.1), (0, 0.5), (1, 1.2), (2, 0.2), (2, 1.5), (3, -0.2), (3, 0.3)):
             assert grid._line(x, ci, alpha)(u) == math.inf
-        assert grid._line([0.3, 0.33, None, None], 0, alpha)(0.5) == math.inf
         # A fixed block off the box makes the whole line infeasible.
         assert grid._line([0.3, 0.5, 0.4, 0.5], 2, alpha)(0.45) == math.inf
         assert grid._line([0.3, 0.33, 0.4, 0.2], 0, alpha)(0.3) == math.inf
@@ -196,7 +212,6 @@ class TestBrentMin:
 class TestInnerSearch:
     def test_reference_point_reproduced(self):
         rep = inner_inf(0.035, 0.38234)
-        assert rep.branch == "beta_positive"
         assert rep.min_ratio == pytest.approx(1.00000889, abs=1e-7)
         fam = rep.argmin
         for coord in (fam.a1, fam.a2, fam.b1):
@@ -231,14 +246,11 @@ class TestInnerSearch:
         )
         assert mid.min_ratio <= coarse.min_ratio + 1e-12
         assert fine.min_ratio <= mid.min_ratio + 1e-12
-
-    def test_pinned_high_block_matches_free_search(self):
-        # The free argmin has b2 = 1, so pinning b2 must find the same
-        # minimum.
-        free = inner_inf(0.035, 0.38234)
-        pinned = inner_inf(0.035, 0.38234, SearchConfig(b2_pinned_to_one=True))
-        assert pinned.argmin.b2 == 1.0
-        assert pinned.min_ratio == pytest.approx(free.min_ratio, abs=1e-9)
+        # At t = 0.3, 2t lies on the 96-point lattice, so low blocks of
+        # mean exactly t are grid cells.
+        for alpha in (0.0, 0.05, 0.1):
+            fine = inner_inf(alpha, 0.3, VERIFY_CONFIG)
+            assert fine.min_ratio <= inner_inf(alpha, 0.3).min_ratio + 1e-12
 
     def test_sign_flips_across_baseline_threshold(self):
         assert inner_inf(0.0, 0.38).min_ratio > 1.0
@@ -261,7 +273,6 @@ class TestInnerSearch:
             "t",
             "min_ratio",
             "argmin",
-            "branch",
             "evaluations",
             "refined",
         }
@@ -276,7 +287,6 @@ class TestSearchConfig:
         assert cfg.grid_points_per_axis == 64
         assert cfg.refine_rounds == 6
         assert cfg.multistart_count == 16
-        assert cfg.b2_pinned_to_one is False
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -341,7 +351,6 @@ class TestGammaHat:
             "alpha_star",
             "gamma_hat_lower",
             "argmin",
-            "branch",
             "evaluations",
             "config",
             "wall_time_ms",
@@ -428,11 +437,3 @@ class TestVerifyReferencePoint:
         assert failure.measured is not None
         assert failure.expected["min_ratio"] == 1.00000889
         assert abs(failure.measured["min_ratio"] - 1.00000889) > 2e-5
-
-    def test_pinned_high_block_passes(self):
-        cert = verify_reference_point(
-            SearchConfig(
-                grid_points_per_axis=96, refine_rounds=8, b2_pinned_to_one=True
-            )
-        )
-        assert cert.argmin.b2 == 1.0
