@@ -90,6 +90,8 @@ _INF = math.inf
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(math.ulp(1.0))
 _DENOM_FLOOR = 1e-14
+# Grid cells per block when the workspace is built and scanned.
+_BLOCK_CELLS = 1 << 16
 _ALPHA_REFINE_TOL = 1e-4
 # Absolute term of each Brent line search's stopping rule, which accepts
 # a point once the bracket around it is within 2 * (sqrt(eps) * |x| +
@@ -341,28 +343,57 @@ class _PairGrid:
         saa = table[ia1, ia1] + 2.0 * table[ia1, ia2] + table[ia2, ia2]
         sbb = table[ib1, ib1] + 2.0 * table[ib1, ib2] + table[ib2, ib2]
         cols = table[:, ib1] + table[:, ib2]
-        sab = cols[ia1]
-        sab += cols[ia2]
+        amean, bmean = 0.5 * (a1 + a2), 0.5 * (b1 + b2)
 
-        amean = 0.5 * (a1 + a2)[:, None]
-        beta = np.clip((t - amean) / (0.5 * (b1 + b2) - amean), 0.0, 1.0)
-        self._bad, self._ind_over_denom, self._cor_over_denom = _over_denom(
-            *_mix(beta, ha[:, None], hb, saa[:, None], sbb, sab, pa[:, None], pb)
-        )
+        # Only the three retained arrays are grid-sized; each block's
+        # temporaries are _BLOCK_CELLS cells, whatever the grid.
+        shape = (a1.size, b1.size)
+        self._bad = np.empty(shape, dtype=bool)
+        self._ind_over_denom = np.empty(shape)
+        self._cor_over_denom = np.empty(shape)
+        for rows in self._row_blocks():
+            am = amean[rows, None]
+            sab = cols[ia1[rows]]
+            sab += cols[ia2[rows]]
+            beta = np.clip((t - am) / (bmean - am), 0.0, 1.0)
+            mixed = _mix(
+                beta, ha[rows, None], hb, saa[rows, None], sbb, sab, pa[rows, None], pb
+            )
+            (
+                self._bad[rows],
+                self._ind_over_denom[rows],
+                self._cor_over_denom[rows],
+            ) = _over_denom(*mixed)
+
+    def _row_blocks(self):
+        """Slices of low-pair rows, each about _BLOCK_CELLS grid cells."""
+        rows, cols = self._bad.shape
+        step = max(1, _BLOCK_CELLS // cols)
+        return [slice(start, start + step) for start in range(0, rows, step)]
 
     # -- grid scan ---------------------------------------------------------
 
     def _candidates(self, alpha: float) -> list[list[float]]:
-        """The ``multistart_count`` best grid points as (a1, a2, b1, b2)."""
+        """The ``multistart_count`` best grid points as (a1, a2, b1, b2).
+
+        Each row block keeps its own best ``multistart_count`` cells; the
+        overall best are among those.  Ties go to the lower cell index.
+        """
         a1, a2 = self._a
         b1, b2 = self._b
-        r = (1.0 - alpha) * self._ind_over_denom + alpha * self._cor_over_denom
-        r[self._bad] = _INF
-        self.evaluations += r.size
-        flat = r.ravel()
-        take = min(self.config.multistart_count, flat.size)
+        take = min(self.config.multistart_count, self._bad.size)
+        values, cells = [], []
+        for rows in self._row_blocks():
+            r = (1.0 - alpha) * self._ind_over_denom[rows] + alpha * self._cor_over_denom[rows]
+            r[self._bad[rows]] = _INF
+            flat = r.ravel()
+            top = np.argpartition(flat, min(take, flat.size) - 1)[:take]
+            values.append(flat[top])
+            cells.append(top + rows.start * b1.size)
+        self.evaluations += self._bad.size
+        values, cells = np.concatenate(values), np.concatenate(cells)
         out = []
-        for f in np.argpartition(flat, take - 1)[:take]:
+        for f in cells[np.lexsort((cells, values))[:take]]:
             i, j = divmod(int(f), b1.size)
             out.append([float(a1[i]), float(a2[i]), float(b1[j]), float(b2[j])])
         return out

@@ -6,6 +6,7 @@ formula slip in the fast path cannot cancel out of the comparison.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,89 @@ class TestLineObjective:
         line(0.5)
         line(2.0)
         assert grid.evaluations == before + 2
+
+
+def dense_workspace(t, config):
+    """The grid workspace built in one pass over the whole grid."""
+    g = config.grid_points_per_axis
+    axis = np.linspace(0.0, 1.0, g)
+    ii, jj = np.triu_indices(g)
+    pair_sum = axis[ii] + axis[jj]
+    keep_a = pair_sum < 2.0 * t * (1.0 - 1e-12)
+    keep_b = pair_sum >= 2.0 * (t + _EPSILON_BOUNDARY)
+    ia1, ia2, ib1, ib2 = ii[keep_a], jj[keep_a], ii[keep_b], jj[keep_b]
+    a1, a2, b1, b2 = axis[ia1], axis[ia2], axis[ib1], axis[ib2]
+    ent = optimizer._entropy_arr(axis)
+    table = optimizer._entropy_arr(np.add.outer(axis, axis) - np.multiply.outer(axis, axis))
+    ha, hb = ent[ia1] + ent[ia2], ent[ib1] + ent[ib2]
+    pa = optimizer._entropy_arr(optimizer._fullcorr_arr(a1, a2))
+    pb = optimizer._entropy_arr(optimizer._fullcorr_arr(b1, b2))
+    saa = table[ia1, ia1] + 2.0 * table[ia1, ia2] + table[ia2, ia2]
+    sbb = table[ib1, ib1] + 2.0 * table[ib1, ib2] + table[ib2, ib2]
+    cols = table[:, ib1] + table[:, ib2]
+    sab = cols[ia1] + cols[ia2]
+    amean = 0.5 * (a1 + a2)[:, None]
+    beta = np.clip((t - amean) / (0.5 * (b1 + b2) - amean), 0.0, 1.0)
+    bad, ind, cor = optimizer._over_denom(
+        *optimizer._mix(beta, ha[:, None], hb, saa[:, None], sbb, sab, pa[:, None], pb)
+    )
+    return (a1, a2, b1, b2), bad, ind, cor
+
+
+class TestGridWorkspace:
+    @pytest.mark.parametrize("t, g, several", [(0.38234, 96, True), (0.3, 16, False)])
+    def test_blocked_build_matches_one_dense_pass(self, t, g, several):
+        cfg = SearchConfig(grid_points_per_axis=g)
+        grid = _PairGrid(t, cfg)
+        blocks = grid._row_blocks()
+        rows = grid._bad.shape[0]
+        if several:
+            assert len(blocks) > 2 and rows % (blocks[0].stop - blocks[0].start) != 0
+        else:
+            assert len(blocks) == 1
+        (a1, a2, b1, b2), bad, ind, cor = dense_workspace(t, cfg)
+        for got, want in zip((*grid._a, *grid._b), (a1, a2, b1, b2)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(grid._bad, bad)
+        assert np.array_equal(grid._ind_over_denom, ind)
+        assert np.array_equal(grid._cor_over_denom, cor)
+
+    def test_blocked_scan_matches_dense_argpartition(self):
+        t, alpha = 0.38234, 0.035
+        grid = _PairGrid(t, VERIFY_CONFIG)
+        k = VERIFY_CONFIG.multistart_count
+        (a1, a2, b1, b2), bad, ind, cor = dense_workspace(t, VERIFY_CONFIG)
+        r = (1.0 - alpha) * ind + alpha * cor
+        r[bad] = math.inf
+        flat = r.ravel()
+        ranked = np.sort(flat)
+        assert ranked[k - 1] < ranked[k]  # no tie at the cut, so the set is unique
+        want = []
+        for f in np.argpartition(flat, k - 1)[:k]:
+            i, j = divmod(int(f), b1.size)
+            want.append([a1[i], a2[i], b1[j], b2[j]])
+        before = grid.evaluations
+        assert sorted(grid._candidates(alpha)) == sorted(want)
+        assert grid.evaluations - before == flat.size
+
+    def test_memory_stays_near_the_retained_arrays(self):
+        # numpy reports its buffers to tracemalloc.  Only the three kept
+        # arrays are grid-sized; the rest is per block or per axis.
+        tracemalloc.start()
+        try:
+            grid = _PairGrid(0.38234, VERIFY_CONFIG)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            grid._candidates(0.035)
+            scan_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        retained = sum(
+            a.nbytes for a in (grid._bad, grid._ind_over_denom, grid._cor_over_denom)
+        )
+        allowance = 16 * 2**20
+        assert build_peak <= retained + allowance
+        assert scan_peak <= retained + allowance
 
 
 class TestBrentMin:
