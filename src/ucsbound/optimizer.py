@@ -222,7 +222,9 @@ def _fullcorr_arr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(0.5, np.maximum(x, y)), np.minimum(x + y, 1.0))
 
 
-def _brent_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _brent_min(
+    f, lo: float, hi: float, tol: float, start: tuple[float, float] | None = None
+) -> tuple[float, float]:
     """Minimum of f on [lo, hi] by Brent's method (Brent 1973, ch. 5).
 
     Parabolic steps with a golden-section fallback; the point x is
@@ -231,10 +233,19 @@ def _brent_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     form of the method.  f may return +inf: a parabola through such a
     value has no finite vertex, so the step falls back to golden
     section.
+
+    ``start`` is an optional pair (x0, f(x0)) with x0 in [lo, hi]; the
+    search then starts there instead of at the golden point, spends no
+    call on x0, and returns a value no higher than f(x0).
     """
     a, b = lo, hi
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
+    if start is None:
+        x = a + _GOLDEN * (b - a)
+        fx = f(x)
+    else:
+        x, fx = start
+    w = v = x
+    fw = fv = fx
     d = e = 0.0
     while True:
         xm = 0.5 * (a + b)
@@ -460,7 +471,9 @@ class _PairGrid:
                     lo = max(lo, 2.0 * (t + _EPSILON_BOUNDARY) - x[5 - ci])
                 if hi - lo <= _PARAM_TOL:
                     continue
-                v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, _PARAM_TOL)
+                # Start at the window centre, whose value is already known.
+                start = (x[ci], best) if lo <= x[ci] <= hi else None
+                v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, _PARAM_TOL, start)
                 if fv < best:
                     x[ci] = v
                     best = fv
