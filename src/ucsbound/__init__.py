@@ -18,6 +18,7 @@ from .errors import (
     DegenerateDenominator,
     DimensionTooLarge,
     EmptyFeasible,
+    GridTooLarge,
     InfeasibleCorrelation,
     NotClosed,
     RankDeficient,
@@ -83,6 +84,7 @@ __all__ = [
     "RankDeficient",
     "InfeasibleCorrelation",
     "EmptyFeasible",
+    "GridTooLarge",
     "BracketFailure",
     "VerificationFailed",
     "NotClosed",

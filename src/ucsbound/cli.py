@@ -30,7 +30,13 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 from . import __version__
-from .errors import BracketFailure, RankDeficient, UcsBoundError, VerificationFailed
+from .errors import (
+    BracketFailure,
+    GridTooLarge,
+    RankDeficient,
+    UcsBoundError,
+    VerificationFailed,
+)
 from .maxcorr import JointDist, binary_coupling, correlation_spectrum, maximal_correlation, pearson
 from .optimizer import (
     VERIFY_CONFIG,
@@ -434,6 +440,9 @@ def main(argv=None) -> int:
     except (VerificationFailed, BracketFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except GridTooLarge as exc:
+        print(f"error: {exc}; lower --grid", file=sys.stderr)
+        return 2
     except (UcsBoundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

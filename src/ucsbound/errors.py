@@ -29,6 +29,10 @@ class EmptyFeasible(UcsBoundError, ValueError):
     """No candidate family satisfies the mean constraint."""
 
 
+class GridTooLarge(UcsBoundError, MemoryError):
+    """The search grid's workspace does not fit in memory."""
+
+
 class BracketFailure(UcsBoundError, RuntimeError):
     """Bisection endpoints do not straddle the sign change they were given."""
 

@@ -67,6 +67,15 @@ class TestGammaHat:
         assert rc == 2
         assert "--alpha" in capsys.readouterr().err
 
+    def test_grid_too_large_for_memory_exits_2(self, capsys):
+        # The first grid-sized request (the pair indices, 9e12 cells) fails
+        # at once; before it only the 24 MB axis is allocated.
+        rc = main(["gamma-hat", "--t", "0.38", "--grid", "3000000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "3000000 points per axis" in err and "lower --grid" in err
+
     def test_stdout_report(self, capsys):
         rc = main(
             ["gamma-hat", "--t", "0.3", "--alpha", "0.035", *FAST_KNOBS, "--out", "-"]
