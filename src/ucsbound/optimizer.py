@@ -114,8 +114,8 @@ class SearchConfig:
     The defaults reproduce the reference evaluation to ~1e-9; a
     ``gamma_hat`` sweep runs 15 to 22 inner searches of this setting at
     t from 0.05 to 0.49 (nine grid weights, then a Brent polish of the
-    best).
-    :data:`VERIFY_CONFIG` is the finer setting of the published check.
+    best).  :data:`VERIFY_CONFIG` is the finer setting of the published
+    check.
     """
 
     grid_points_per_axis: int = 64
@@ -372,7 +372,7 @@ class _PairGrid:
         amean, bmean = 0.5 * (a1 + a2), 0.5 * (b1 + b2)
 
         # Only the three retained arrays are grid-sized; each block's
-        # temporaries are _BLOCK_CELLS cells, whatever the grid.
+        # temporaries hold about _BLOCK_CELLS cells (one row, if longer).
         shape = (a1.size, b1.size)
         self._bad = np.empty(shape, dtype=bool)
         self._ind_over_denom = np.empty(shape)
