@@ -50,10 +50,7 @@ from .optimizer import (
 from .scalars import (
     binary_entropy,
     entropy_bits,
-    joint_mass_window,
-    max_entropy_or_prob,
     max_entropy_or_prob_fullcorr,
-    median3,
     or_prob,
 )
 from .ucslab import (
@@ -113,9 +110,6 @@ __all__ = [
     "binary_entropy",
     "entropy_bits",
     "or_prob",
-    "joint_mass_window",
-    "median3",
-    "max_entropy_or_prob",
     "max_entropy_or_prob_fullcorr",
     # lab
     "FamilySet",

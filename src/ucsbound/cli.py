@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--alpha",
         default="auto",
-        help='blend weight: a number to pin, or "auto" to sweep (default)',
+        help='blend weight: a number to pin, or "auto" to maximise over [0, 1] (default)',
     )
     _add_search_knobs(p)
     _add_common(p)
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="initial bisection bracket (default 0.37 0.40)",
     )
     p.add_argument("--t-tol", type=float, default=1e-6, help="final bracket width")
-    p.add_argument("--alpha", default="auto", help='blend weights, as in gamma-hat')
+    p.add_argument("--alpha", default="auto", help="blend weight, as in gamma-hat")
     _add_search_knobs(p)
     _add_common(p)
     p.set_defaults(func=cmd_tmax)

@@ -42,8 +42,11 @@ deliberately elementary and fully deterministic:
    implementation in :mod:`ucsbound.distributions`, so the fast path
    cannot silently drift from the definition it is searching over.
 
-Everything downstream (the alpha sweep, the bisection over t) reuses
-this one inner search.
+Everything downstream reuses this one inner search.  For a fixed
+family the ratio is linear in alpha, so the inner minimum is a lower
+envelope of lines and concave on [0, 1]; :func:`gamma_hat` finds its
+maximum by one Brent search over [0, 1] started at alpha = 0, on one
+grid workspace per t.  :func:`find_tmax` bisects over t.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -69,7 +71,6 @@ __all__ = [
     "gamma_hat",
     "find_tmax",
     "verify_reference_point",
-    "default_alpha_grid",
     "REFERENCE_T",
     "REFERENCE_ALPHA",
     "REFERENCE_RATIO",
@@ -112,10 +113,9 @@ class SearchConfig:
     """Knobs of the grid-plus-refinement search.
 
     The defaults reproduce the reference evaluation to ~1e-9; a
-    ``gamma_hat`` sweep runs 15 to 22 inner searches of this setting at
-    t from 0.05 to 0.49 (nine grid weights, then a Brent polish of the
-    best).  :data:`VERIFY_CONFIG` is the finer setting of the published
-    check.
+    ``gamma_hat(t, "auto")`` search over alpha runs 11 to 21 inner
+    searches of this setting at t from 0.05 to 0.49.
+    :data:`VERIFY_CONFIG` is the finer setting of the published check.
     """
 
     grid_points_per_axis: int = 64
@@ -147,7 +147,6 @@ class InnerSearchReport:
     min_ratio: float
     argmin: ExtremeFamily
     evaluations: int
-    refined: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -156,13 +155,12 @@ class InnerSearchReport:
             "min_ratio": self.min_ratio,
             "argmin": self.argmin.argmin_dict(),
             "evaluations": self.evaluations,
-            "refined": self.refined,
         }
 
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """Best certificate over the alpha sweep at one mean target t."""
+    """Best certificate over alpha, or at a pinned alpha, at one mean target t."""
 
     t: float
     alpha_star: float
@@ -517,7 +515,6 @@ class _PairGrid:
             min_ratio=min_ratio,
             argmin=family,
             evaluations=self.evaluations - before,
-            refined=self.config.refine_rounds > 0,
         )
 
 
@@ -532,38 +529,25 @@ def inner_inf(alpha: float, t: float, config: SearchConfig | None = None) -> Inn
     return _PairGrid(t, config or SearchConfig()).inner_min(alpha)
 
 
-def default_alpha_grid() -> list[float]:
-    """Nine evenly spaced blend weights covering [0, 0.1]."""
-    return [round(0.0125 * i, 6) for i in range(9)]
-
-
 def gamma_hat(
     t: float,
-    alphas: str | float | Iterable[float] = "auto",
+    alphas: str | float = "auto",
     config: SearchConfig | None = None,
 ) -> BoundCertificate:
-    """Best worst-case-ratio certificate over a sweep of blend weights.
+    """Best worst-case-ratio certificate over the blend weight alpha.
 
-    ``alphas`` may be the string ``"auto"`` (the default grid on
-    [0, 0.1]), a single weight, or an iterable of weights.  When more
-    than one weight is swept, the best one is polished by a Brent line
-    search on the spanned neighbourhood; the inner minimum is concave in alpha,
-    so a local polish is the right tool.  A single explicit weight is
-    taken as pinned and not moved.
+    ``alphas`` is ``"auto"`` or one weight in [0, 1], which is pinned.
+    ``"auto"`` maximises the inner minimum over alpha in [0, 1] by one
+    Brent search.  Each family's ratio is linear in alpha, so their
+    minimum is concave and the search needs no bracket.  It starts at
+    alpha = 0, so the bound is never below the alpha = 0 certificate.
     """
     cfg = config or SearchConfig()
     if isinstance(alphas, str):
         if alphas != "auto":
-            raise ValueError(f'alphas must be "auto", a number, or a list, got {alphas!r}')
-        alpha_list = default_alpha_grid()
-    elif isinstance(alphas, (int, float)):
-        alpha_list = [float(alphas)]
+            raise ValueError(f'alphas must be "auto" or a number, got {alphas!r}')
     else:
-        alpha_list = sorted({float(a) for a in alphas})
-    if not alpha_list:
-        raise ValueError("alphas must be nonempty")
-    for a in alpha_list:
-        require_prob(a, "alpha")
+        alphas = require_prob(alphas, "alpha")
 
     started = time.perf_counter()
     grid = _PairGrid(t, cfg)
@@ -574,23 +558,16 @@ def gamma_hat(
             reports[a] = grid.inner_min(a)
         return reports[a]
 
-    best_alpha = max(alpha_list, key=lambda a: measure(a).min_ratio)
-
-    if len(alpha_list) > 1:
-        pos = alpha_list.index(best_alpha)
-        left = alpha_list[pos - 1] if pos > 0 else max(0.0, 2 * best_alpha - alpha_list[pos + 1])
-        right = (
-            alpha_list[pos + 1]
-            if pos + 1 < len(alpha_list)
-            else min(1.0, 2 * best_alpha - alpha_list[pos - 1])
+    if alphas == "auto":
+        best_alpha, _ = _brent_min(
+            lambda a: -measure(a).min_ratio,
+            0.0,
+            1.0,
+            _ALPHA_REFINE_TOL,
+            start=(0.0, -measure(0.0).min_ratio),
         )
-        if right - left > _ALPHA_REFINE_TOL:
-            refined_alpha, neg_value = _brent_min(
-                lambda a: -measure(a).min_ratio, left, right, _ALPHA_REFINE_TOL
-            )
-            if -neg_value > measure(best_alpha).min_ratio:
-                best_alpha = refined_alpha
-
+    else:
+        best_alpha = alphas
     report = measure(best_alpha)
     wall_ms = (time.perf_counter() - started) * 1000.0
     return BoundCertificate(
@@ -609,7 +586,7 @@ def find_tmax(
     margin: float = 1e-7,
     bracket: tuple[float, float] = (0.37, 0.40),
     t_tol: float = 1e-6,
-    alphas: str | float | Iterable[float] = "auto",
+    alphas: str | float = "auto",
 ) -> ThresholdCertificate:
     """Bisect for the largest t whose certificate clears 1 + margin.
 
@@ -681,22 +658,18 @@ def verify_reference_point(
 ) -> BoundCertificate:
     """Reproduce the published reference evaluation and check it.
 
-    Runs the inner search at t = 0.38234, alpha = 0.035 (by default
-    with :data:`VERIFY_CONFIG`, a finer grid than usual) and compares
-    the minimum and its argmin against the published values.  Tolerances: 2e-5 on the ratio
-    (1e-6 when ``strict``) and 1e-3 on each argmin coordinate and on
-    beta.  On any mismatch raises :class:`VerificationFailed` carrying
-    the measured and expected values.
+    Runs :func:`gamma_hat` at t = 0.38234 with alpha pinned to 0.035 (by
+    default with :data:`VERIFY_CONFIG`, a finer grid than usual) and
+    compares the minimum and its argmin against the published values.
+    Tolerances: 2e-5 on the ratio (1e-6 when ``strict``) and 1e-3 on
+    each argmin coordinate and on beta.  On any mismatch raises
+    :class:`VerificationFailed` carrying the measured and expected
+    values.
     """
-    cfg = config or VERIFY_CONFIG
-    started = time.perf_counter()
-    grid = _PairGrid(REFERENCE_T, cfg)
-    report = grid.inner_min(REFERENCE_ALPHA)
-    wall_ms = (time.perf_counter() - started) * 1000.0
-
-    fam = report.argmin
+    cert = gamma_hat(REFERENCE_T, REFERENCE_ALPHA, config or VERIFY_CONFIG)
+    fam = cert.argmin
     measured = {
-        "min_ratio": report.min_ratio,
+        "min_ratio": cert.gamma_hat_lower,
         "a1": fam.a1,
         "a2": fam.a2,
         "b1": fam.b1,
@@ -726,12 +699,4 @@ def verify_reference_point(
             measured=measured,
             expected=expected,
         )
-    return BoundCertificate(
-        t=REFERENCE_T,
-        alpha_star=REFERENCE_ALPHA,
-        gamma_hat_lower=report.min_ratio,
-        argmin=fam,
-        evaluations=report.evaluations,
-        config=cfg,
-        wall_time_ms=wall_ms,
-    )
+    return cert

@@ -15,9 +15,6 @@ __all__ = [
     "binary_entropy",
     "entropy_bits",
     "or_prob",
-    "joint_mass_window",
-    "median3",
-    "max_entropy_or_prob",
     "max_entropy_or_prob_fullcorr",
 ]
 
@@ -63,63 +60,19 @@ def or_prob(p: float, q: float) -> float:
     return p + q - p * q
 
 
-def joint_mass_window(rho: float, p: float, q: float) -> tuple[float, float]:
-    """Window of joint on-masses P(X=1, Y=1) with correlation at most rho.
-
-    For a coupling of Bernoulli(p) and Bernoulli(q) whose Pearson
-    correlation has magnitude <= rho, the joint on-mass z = P(X=1, Y=1)
-    satisfies
-
-        p*q - rho*s  <=  z  <=  p*q + rho*s,   s = sqrt(p(1-p)q(1-q)).
-
-    Returns the pair (low, high).  The window is not intersected with
-    the Frechet bounds; callers that need a realisable z clamp it
-    themselves (see :func:`max_entropy_or_prob`, where the median does
-    the clamping implicitly).
-    """
-    if math.isnan(rho) or rho < 0.0 or rho > 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
-    require_prob(p, "p")
-    require_prob(q, "q")
-    spread = rho * math.sqrt(p * (1.0 - p) * q * (1.0 - q))
-    return p * q - spread, p * q + spread
-
-
-def median3(x: float, y: float, z: float) -> float:
-    """Middle value of three reals."""
-    return sorted((x, y, z))[1]
-
-
-def max_entropy_or_prob(rho: float, p: float, q: float) -> float:
-    """OR-output probability with maximal entropy under a correlation cap.
-
-    Over couplings of Bernoulli(p) and Bernoulli(q) with |correlation|
-    <= rho, the OR of the two bits has on-probability p + q - z with z
-    in the window from :func:`joint_mass_window`.  Binary entropy is
-    maximised by the feasible on-probability closest to 1/2:
-
-        median{ max(p, q, p+q-z_high), 1/2, min(p+q, p+q-z_low) }.
-
-    The outer max/min fold in the constraints z >= p+q-1 and z >= 0, so
-    the result is always a probability even though the raw window may
-    poke outside [0, 1].
-    """
-    z_low, z_high = joint_mass_window(rho, p, q)
-    lo = max(p, q, p + q - z_high)
-    hi = min(p + q, p + q - z_low)
-    return median3(lo, 0.5, hi)
-
-
 def max_entropy_or_prob_fullcorr(p: float, q: float) -> float:
-    """Specialisation of :func:`max_entropy_or_prob` to rho = 1.
+    """OR-output probability of maximal entropy over all couplings.
 
-    At full correlation the window formula collapses to
+    A coupling of Bernoulli(p) and Bernoulli(q) with joint on-mass z
+    gives the OR an on-probability p + q - z, and z ranges over the
+    Frechet window [max(0, p + q - 1), min(p, q)].  Binary entropy is
+    maximised by the feasible value closest to 1/2:
 
         median{ max(p, q), 1/2, min(p+q, 1) }
 
-    which is cheaper than the general route and is used in the inner
-    loop of the certificate search.  The test-suite checks agreement
-    with the general function on a dense grid.
+    This is the correlated term of the search objective, evaluated in
+    its inner loop.  The test-suite checks it against a dense scan of
+    the window.
     """
     lo = p if p >= q else q
     s = p + q

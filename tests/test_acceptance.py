@@ -27,7 +27,7 @@ from ucsbound.optimizer import (
     inner_inf,
     verify_reference_point,
 )
-from ucsbound.scalars import max_entropy_or_prob, max_entropy_or_prob_fullcorr
+from ucsbound.scalars import binary_entropy, max_entropy_or_prob_fullcorr
 from ucsbound.ucslab import enumerate_or_closed, max_symmetric_coupling_entropy
 
 SEED = 38234
@@ -221,24 +221,27 @@ class TestCouplingEntropyCeiling:
 
 class TestBlendConsistency:
     def test_or_probability_limits_and_concavity(self):
+        # Full correlation constrains nothing: the correlated term is the
+        # largest h(p + q - z) over the Frechet window of joint on-masses
+        # z, scanned here on a dense grid.  Grid points include both ends
+        # of the window, so the scan can miss only an interior maximum at
+        # 1/2, and by at most a half step.
+        steps = 1000
+        resolution = 1.0 - binary_entropy(0.5 + 0.5 / steps)
+        frac = np.linspace(0.0, 1.0, steps + 1)
         grid = np.linspace(0.0025, 0.9975, 200)
         worst_full = 0.0
-        worst_indep = 0.0
         for p in grid:
-            for q in grid:
-                worst_full = max(
-                    worst_full,
-                    abs(
-                        max_entropy_or_prob(1.0, p, q)
-                        - max_entropy_or_prob_fullcorr(p, q)
-                    ),
-                )
-                worst_indep = max(
-                    worst_indep,
-                    abs(max_entropy_or_prob(0.0, p, q) - (p + q - p * q)),
-                )
-        assert worst_full <= 1e-12
-        assert worst_indep <= 1e-12
+            q = grid[:, None]
+            lo, hi = np.maximum(0.0, p + q - 1.0), np.minimum(p, q)
+            x = p + q - (lo + (hi - lo) * frac)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h = -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
+            scanned = np.nan_to_num(h, nan=0.0).max(axis=1)
+            for qv, best in zip(grid, scanned):
+                gap = binary_entropy(max_entropy_or_prob_fullcorr(p, qv)) - best
+                assert -1e-12 <= gap <= resolution + 1e-12
+                worst_full = max(worst_full, gap)
 
         cfg = SearchConfig(grid_points_per_axis=96, refine_rounds=8)
         t = 0.38
@@ -248,7 +251,7 @@ class TestBlendConsistency:
         slack = mid - 0.5 * (low + high)
         assert slack >= -1e-10
         report(
-            f"blend consistency: full-correlation gap {worst_full:.2e}, "
-            f"independence gap {worst_indep:.2e} (<= 1e-12), concavity "
+            f"blend consistency: full-correlation term above the window scan by "
+            f"{worst_full:.2e} (<= resolution {resolution:.2e}), concavity "
             f"midpoint slack {slack:.2e} >= -1e-10"
         )

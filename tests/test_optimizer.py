@@ -20,7 +20,6 @@ from ucsbound.optimizer import (
     _EPSILON_BOUNDARY,
     _brent_min,
     _PairGrid,
-    default_alpha_grid,
     find_tmax,
     gamma_hat,
     inner_inf,
@@ -310,6 +309,19 @@ class TestBrentMin:
         x, _ = self.run(f, 0.0, 1.0, start=(x0, f(x0)))
         assert f(x) <= f(x0)
 
+    @pytest.mark.parametrize(
+        "f, expect",
+        [
+            (lambda v: (v - 0.3) ** 2 + 1.0, 0.3),
+            # A negated lower envelope of lines, as gamma_hat searches it.
+            (lambda v: -min(1.0 + v, 1.3 - 2.0 * v), 0.1),
+            (lambda v: v, 0.0),
+        ],
+    )
+    def test_start_at_lo_finds_the_minimum(self, f, expect):
+        x, _ = self.run(f, 0.0, 1.0, start=(0.0, f(0.0)))
+        assert x == pytest.approx(expect, abs=1e-7)
+
     def test_warm_start_at_the_minimum_saves_calls(self):
         f = lambda v: (v - 0.3) ** 2 + 1.0
         _, cold = self.run(f, 0.0, 1.0)
@@ -383,11 +395,9 @@ class TestInnerSearch:
             "min_ratio",
             "argmin",
             "evaluations",
-            "refined",
         }
         assert set(payload["argmin"]) == {"a1", "a2", "b1", "b2", "beta"}
         assert payload["evaluations"] > 0
-        assert payload["refined"] is True
 
 
 class TestSearchConfig:
@@ -423,19 +433,41 @@ class TestGammaHat:
         assert cert.gamma_hat_lower == pytest.approx(1.0000089, abs=1e-5)
 
     def test_small_t_certifies(self):
-        cert = gamma_hat(0.3, alphas=[0.0, 0.05], config=FAST)
+        cert = gamma_hat(0.3, alphas="auto", config=FAST)
         assert cert.gamma_hat_lower > 1.0
 
     def test_large_t_fails_to_certify(self):
         cert = gamma_hat(0.49, config=FAST)
         assert cert.gamma_hat_lower < 1.0
         assert not cert.certifies
+        # The bound falls with alpha here; the search starts at 0 and stays.
+        assert cert.alpha_star == 0.0
 
     def test_sweep_at_least_as_good_as_each_grid_point(self):
         cfg = FAST
         cert = gamma_hat(0.38234, config=cfg)
-        for alpha in default_alpha_grid():
+        for alpha in (0.0, 0.0125, 0.025, 0.0375, 0.05, 0.0625, 0.075, 0.0875, 0.1):
             assert cert.gamma_hat_lower >= inner_inf(alpha, 0.38234, cfg).min_ratio - 1e-12
+
+    @pytest.mark.parametrize("t, alpha", [(0.2, 0.125), (0.2, 0.15), (0.3, 0.125)])
+    def test_search_reaches_weights_above_0_1(self, t, alpha):
+        # At small t the best weight is ~0.14, above 0.1.
+        cert = gamma_hat(t, config=FAST)
+        assert cert.gamma_hat_lower >= inner_inf(alpha, t, FAST).min_ratio - 1e-12
+
+    def test_few_inner_searches_near_the_threshold(self, monkeypatch):
+        # The search over alpha converges in about 12 inner searches here.
+        searches = 0
+        inner_min = _PairGrid.inner_min
+
+        def counted(grid, alpha):
+            nonlocal searches
+            searches += 1
+            return inner_min(grid, alpha)
+
+        monkeypatch.setattr(_PairGrid, "inner_min", counted)
+        gamma_hat(0.38234, config=FAST)
+        assert searches < 16
 
     def test_refinement_starts_each_line_search_at_the_window_centre(self, monkeypatch):
         # Started at the golden point of each window instead, the line
@@ -467,10 +499,9 @@ class TestGammaHat:
     def test_rejects_bad_alpha_argument(self):
         with pytest.raises(ValueError):
             gamma_hat(0.38, alphas="garbage")
-        with pytest.raises(ValueError):
-            gamma_hat(0.38, alphas=[])
-        with pytest.raises(ValueError):
-            gamma_hat(0.38, alphas=[0.5, 1.5])
+        for pinned in (1.5, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                gamma_hat(0.38, alphas=pinned)
 
     def test_certificate_shape(self):
         cert = gamma_hat(0.4, 0.05, FAST)

@@ -8,11 +8,7 @@ import pytest
 from ucsbound.scalars import (
     binary_entropy,
     entropy_bits,
-    joint_mass_window,
-    max_entropy_or_prob,
     max_entropy_or_prob_fullcorr,
-    median3,
-    or_prob,
     require_prob,
 )
 
@@ -75,93 +71,10 @@ class TestEntropyBits:
         assert entropy_bits([1.0]) == 0.0
 
 
-class TestJointMassWindow:
-    def test_zero_rho_collapses_to_product(self):
-        lo, hi = joint_mass_window(0.0, 0.3, 0.4)
-        assert lo == hi == pytest.approx(0.12, abs=1e-15)
-
-    def test_frozen_value(self):
-        lo, hi = joint_mass_window(0.5, 0.3, 0.4)
-        assert lo == pytest.approx(0.0077502783967817596, abs=1e-15)
-        assert hi == pytest.approx(0.23224972160321822, abs=1e-15)
-
-    def test_window_widens_with_rho(self):
-        rng = np.random.default_rng(SEED + 3)
-        for _ in range(100):
-            p, q = rng.uniform(0.05, 0.95, 2)
-            r1, r2 = sorted(rng.uniform(0, 1, 2))
-            lo1, hi1 = joint_mass_window(r1, p, q)
-            lo2, hi2 = joint_mass_window(r2, p, q)
-            assert lo2 <= lo1 + 1e-15 and hi1 <= hi2 + 1e-15
-
-    def test_rejects_bad_rho(self):
-        with pytest.raises(ValueError):
-            joint_mass_window(1.5, 0.3, 0.4)
-
-
-class TestMedian3:
-    @pytest.mark.parametrize(
-        "triple,expected",
-        [((1, 2, 3), 2), ((3, 1, 2), 2), ((2, 2, 5), 2), ((0.5, 0.5, 0.5), 0.5)],
-    )
-    def test_small_cases(self, triple, expected):
-        assert median3(*triple) == expected
-
-    def test_matches_sort(self):
-        rng = np.random.default_rng(SEED + 4)
-        for _ in range(300):
-            x, y, z = rng.uniform(-5, 5, 3)
-            assert median3(x, y, z) == sorted([x, y, z])[1]
-
-
 class TestMaxEntropyOrProb:
-    def test_independent_case_is_or_prob(self):
-        rng = np.random.default_rng(SEED + 5)
-        for _ in range(300):
-            p, q = rng.uniform(0, 1, 2)
-            assert max_entropy_or_prob(0.0, p, q) == pytest.approx(
-                or_prob(p, q), abs=1e-12
-            )
-
-    def test_fullcorr_agrees_with_general(self):
-        rng = np.random.default_rng(SEED + 6)
-        for _ in range(500):
-            p, q = rng.uniform(0, 1, 2)
-            assert max_entropy_or_prob(1.0, p, q) == pytest.approx(
-                max_entropy_or_prob_fullcorr(p, q), abs=1e-12
-            )
-
     def test_frozen_fullcorr_values(self):
         # median{max(p,q), 1/2, min(p+q, 1)} worked by hand:
         assert max_entropy_or_prob_fullcorr(0.33, 1.0) == 1.0
         assert max_entropy_or_prob_fullcorr(0.3, 0.3) == 0.5
         assert max_entropy_or_prob_fullcorr(0.1, 0.2) == pytest.approx(0.3, abs=1e-15)
         assert max_entropy_or_prob_fullcorr(0.9, 0.8) == pytest.approx(0.9, abs=1e-15)
-
-    def test_result_is_probability(self):
-        rng = np.random.default_rng(SEED + 7)
-        for _ in range(300):
-            rho = rng.uniform(0, 1)
-            p, q = rng.uniform(0, 1, 2)
-            v = max_entropy_or_prob(rho, p, q)
-            assert 0.0 <= v <= 1.0
-
-    def test_entropy_nondecreasing_in_rho(self):
-        # A wider correlation window can only move the feasible OR mass
-        # closer to 1/2.
-        rng = np.random.default_rng(SEED + 8)
-        for _ in range(200):
-            p, q = rng.uniform(0.02, 0.98, 2)
-            r1, r2 = sorted(rng.uniform(0, 1, 2))
-            h1 = binary_entropy(max_entropy_or_prob(r1, p, q))
-            h2 = binary_entropy(max_entropy_or_prob(r2, p, q))
-            assert h1 <= h2 + 1e-12
-
-    def test_symmetry_in_pq(self):
-        rng = np.random.default_rng(SEED + 9)
-        for _ in range(200):
-            rho = rng.uniform(0, 1)
-            p, q = rng.uniform(0, 1, 2)
-            assert max_entropy_or_prob(rho, p, q) == pytest.approx(
-                max_entropy_or_prob(rho, q, p), abs=1e-15
-            )
