@@ -47,7 +47,7 @@ from .optimizer import (
 )
 from .ucslab import check_families, element_frequencies, enumerate_or_closed, sample_or_closed
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 __all__ = ["main", "build_parser", "RunManifest", "SCHEMA_VERSION"]
 
@@ -174,9 +174,10 @@ def cmd_gamma_hat(args: argparse.Namespace) -> int:
     started = None if args.no_timestamps else _utcnow()
     cert = gamma_hat(args.t, _parse_alpha(args.alpha), _search_config(args))
     verdict = "certifies" if cert.certifies else "does not certify"
+    gap = "pinned" if cert.alpha_gap is None else f"gap {cert.alpha_gap:.1e}"
     print(
         f"t={cert.t}: bound {cert.gamma_hat_lower:.10f} at alpha={cert.alpha_star:.6f} "
-        f"({cert.evaluations} evaluations) -> {verdict} t"
+        f"({gap}, {cert.evaluations} evaluations) -> {verdict} t"
     )
     _emit(args, cert.to_json_dict(), started)
     return 0

@@ -43,12 +43,14 @@ class TestGammaHat:
         out = tmp_path / "report.json"
         rc = main(["gamma-hat", "--t", "0.38", *FAST_KNOBS, "--out", str(out)])
         assert rc == 0
-        assert "certifies t" in capsys.readouterr().out
+        summary = capsys.readouterr().out
+        assert "certifies t" in summary and "gap " in summary
         payload = read_json(out)
         assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["t"] == 0.38
         assert payload["gamma_hat_lower"] > 1.0
         assert 0.0 <= payload["alpha_star"] <= 1.0
+        assert -1e-15 <= payload["alpha_gap"] <= 1e-9
         assert set(payload["argmin"]) == {"a1", "a2", "b1", "b2", "beta"}
         assert payload["wall_time_ms"] > 0
         manifest = read_json(str(out) + ".manifest.json")
@@ -83,6 +85,7 @@ class TestGammaHat:
         assert rc == 0
         payload = stdout_json(capsys)
         assert payload["alpha_star"] == 0.035
+        assert payload["alpha_gap"] is None
         assert payload["gamma_hat_lower"] > 1.0
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ucsbound import optimizer
+from ucsbound.distributions import ExtremeFamily, entropy_ratio
 from ucsbound.errors import BracketFailure, EmptyFeasible, VerificationFailed
 from ucsbound.optimizer import (
     BASELINE_THRESHOLD,
@@ -19,6 +20,7 @@ from ucsbound.optimizer import (
     SearchConfig,
     _EPSILON_BOUNDARY,
     _brent_min,
+    _envelope_argmax,
     _PairGrid,
     find_tmax,
     gamma_hat,
@@ -330,6 +332,44 @@ class TestBrentMin:
         assert warm < cold
 
 
+@pytest.fixture
+def inner_searches(monkeypatch):
+    """The reports of every ``_PairGrid.inner_min`` call made in the test."""
+    reports = []
+    inner_min = _PairGrid.inner_min
+
+    def recorded(grid, alpha):
+        reports.append(inner_min(grid, alpha))
+        return reports[-1]
+
+    monkeypatch.setattr(_PairGrid, "inner_min", recorded)
+    return reports
+
+
+class TestEnvelopeArgmax:
+    def test_two_lines_peak_at_their_kink(self):
+        # 1 + x and 1.5 - 3x cross at x = 1/8, where both are 1.125.
+        alpha, peak = _envelope_argmax([(1.0, 1.0), (1.5, -3.0)])
+        assert alpha == 0.125
+        assert peak == 1.125
+
+    def test_parallel_lines(self):
+        assert _envelope_argmax([(1.0, 0.5), (2.0, 0.5)]) == (1.0, 1.5)
+        assert _envelope_argmax([(1.0, -0.5), (0.8, -0.5)]) == (0.0, 0.8)
+        # A flat line meets a rising one at 1/4; every alpha above ties.
+        assert _envelope_argmax([(1.0, 0.0), (0.5, 2.0)]) == (0.25, 1.0)
+
+    def test_one_rising_line_peaks_at_one(self):
+        assert _envelope_argmax([(0.9, 0.2)]) == (1.0, pytest.approx(1.1))
+
+    def test_one_falling_line_peaks_at_zero(self):
+        assert _envelope_argmax([(0.9, -0.2)]) == (0.0, 0.9)
+
+    def test_crossing_outside_the_interval_is_ignored(self):
+        # The lines cross at x = 2; on [0, 1] the lower one rises.
+        assert _envelope_argmax([(0.0, 1.0), (4.0, -1.0)]) == (1.0, 1.0)
+
+
 class TestInnerSearch:
     def test_reference_point_reproduced(self):
         rep = inner_inf(0.035, 0.38234)
@@ -385,6 +425,16 @@ class TestInnerSearch:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             inner_inf(1.5, 0.38)
+
+    @pytest.mark.parametrize("t", [0.05, 0.2])
+    def test_point_mass_reported_at_small_t(self, t):
+        # Refinement approaches it through low blocks of mean just below
+        # t, whose high block and beta are arbitrary.
+        point = ExtremeFamily(t, t, t, 1.0, 1.0)
+        rep = inner_inf(0.0, t, FAST)
+        assert rep.argmin == point
+        assert rep.argmin.beta == 0.0
+        assert rep.min_ratio == entropy_ratio(point, 0.0)
 
     def test_report_shape(self):
         rep = inner_inf(0.05, 0.4, FAST)
@@ -455,19 +505,26 @@ class TestGammaHat:
         cert = gamma_hat(t, config=FAST)
         assert cert.gamma_hat_lower >= inner_inf(alpha, t, FAST).min_ratio - 1e-12
 
-    def test_few_inner_searches_near_the_threshold(self, monkeypatch):
-        # The search over alpha converges in about 12 inner searches here.
-        searches = 0
-        inner_min = _PairGrid.inner_min
-
-        def counted(grid, alpha):
-            nonlocal searches
-            searches += 1
-            return inner_min(grid, alpha)
-
-        monkeypatch.setattr(_PairGrid, "inner_min", counted)
+    def test_few_inner_searches_near_the_threshold(self, inner_searches):
+        # The search over alpha converges in 5 inner searches here.
         gamma_hat(0.38234, config=FAST)
-        assert searches < 16
+        assert len(inner_searches) <= 8
+
+    @pytest.mark.parametrize("t", [0.375, 0.38, 0.38234])
+    def test_at_most_eight_inner_searches_at_default_settings(self, t, inner_searches):
+        cert = gamma_hat(t)
+        assert len(inner_searches) <= 8
+        assert -1e-15 <= cert.alpha_gap <= 1e-9
+
+    def test_no_family_found_contradicts_the_bound(self, inner_searches):
+        # At t = 0.3 the minimum over alpha has a kink at alpha*: the point
+        # mass at t meets a family with a ~ 0.002.
+        cert = gamma_hat(0.3)
+        families = {rep.argmin for rep in inner_searches}
+        assert len(families) > 1
+        for family in families:
+            assert cert.gamma_hat_lower <= entropy_ratio(family, cert.alpha_star)
+        assert cert.gamma_hat_lower == entropy_ratio(cert.argmin, cert.alpha_star)
 
     def test_refinement_starts_each_line_search_at_the_window_centre(self, monkeypatch):
         # Started at the golden point of each window instead, the line
@@ -513,9 +570,11 @@ class TestGammaHat:
             "argmin",
             "evaluations",
             "config",
+            "alpha_gap",
             "wall_time_ms",
         }
         assert payload["config"]["grid_points_per_axis"] == 32
+        assert payload["alpha_gap"] is None
         assert payload["wall_time_ms"] > 0
 
 
