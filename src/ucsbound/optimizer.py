@@ -24,13 +24,14 @@ deliberately elementary and fully deterministic:
 
 1. a uniform grid per axis, evaluated vectorised with the symmetry
    a1 <= a2, b1 <= b2 folded out.  Every OR-entropy term is read from
-   one g x g table of h(x + y - xy) over the axis.  The per-pair and
-   cross-block sums do not depend on alpha, so the workspace keeps two
-   ratio arrays and a mask of degenerate cells, and re-scans for a new
-   alpha at the cost of one saxpy.  Build and scan stream over blocks
-   of low-pair rows, about 2^16 cells each, so beyond those three
-   arrays (73 MiB at g = 96) they hold only a few block-sized
-   temporaries; each block's best cells compete for the multistart;
+   one g x g table of h(x + y - xy) over the axis.  Build and scan go
+   over blocks of low-pair rows, about 2^16 cells each, and each
+   block's best cells compete for the multistart.  The per-pair and
+   cross-block sums do not depend on alpha, so a search over alpha
+   keeps two ratio arrays and a mask of degenerate cells (73 MiB at
+   g = 96) and re-scans for a new alpha at the cost of one saxpy.  A
+   search at one pinned alpha scans each block as it is built and
+   keeps nothing grid-sized;
 2. the best ``multistart_count`` grid points are each polished by
    cyclic per-coordinate Brent line search with a shrinking trust
    window, clipped to the feasible box at every step.  Each line
@@ -52,9 +53,11 @@ envelope of lines and concave on [0, 1], and each inner search hands
 back one of those lines.  :func:`gamma_hat` maximises it on one grid
 workspace per t: a secant search for the zero of the lines' slopes,
 switching to the maximum of the envelope of every line found so far
-(Kelley 1960) where the secant stalls on a kink.  At default settings
-it takes 5 to 8 inner searches at t = 0.05, 0.2, 0.3 and in [0.375,
-0.38234], and 9 to 11 at t = 0.33, 0.36, 0.42 and 0.49.
+(Kelley 1960) where the secant stalls on a kink.  At alpha = 1 the
+worst families are known in closed form, so that end costs no grid
+search.  At default settings it takes 3 or 4 grid inner searches at
+t = 0.05, 0.1, 0.2, 0.25 and 0.3, 5 or 6 in [0.375, 0.38234], and 6
+to 10 at t = 0.33, 0.36, 0.39, 0.42, 0.45 and 0.49.
 :func:`find_tmax` bisects over t.
 """
 
@@ -110,8 +113,8 @@ _DENOM_FLOOR = 1e-14
 _BLOCK_CELLS = 1 << 16
 # The search over alpha stops once the envelope of the lines it found
 # peaks within _ALPHA_GAP_TOL of its best value, once its bracket is
-# narrower than _ALPHA_REFINE_TOL, or after _ALPHA_MAX_SEARCHES inner
-# searches.
+# narrower than _ALPHA_REFINE_TOL, or after _ALPHA_MAX_SEARCHES tried
+# alphas, alpha = 1 among them.
 _ALPHA_REFINE_TOL = 1e-4
 _ALPHA_GAP_TOL = 1e-10
 _ALPHA_MAX_SEARCHES = 16
@@ -128,9 +131,9 @@ class SearchConfig:
     """Knobs of the grid-plus-refinement search.
 
     The defaults reproduce the reference evaluation to ~1e-9; a
-    ``gamma_hat(t, "auto")`` search over alpha runs 5 to 11 inner
-    searches of this setting at t from 0.05 to 0.49 (5 to 8 in [0.375,
-    0.38234]).
+    ``gamma_hat(t, "auto")`` search over alpha runs 3 to 10 inner
+    searches of this setting at t from 0.05 to 0.49 (5 or 6 in [0.375,
+    0.38234]), and none at alpha = 1, which has a closed form.
     :data:`VERIFY_CONFIG` is the finer setting of the published check.
     """
 
@@ -338,29 +341,37 @@ def _over_denom(denom, ind, cor):
 
 
 class _PairGrid:
-    """Grid workspace bound to one (t, config); reusable across alpha.
+    """Grid workspace bound to one (t, config).
 
-    Precomputes every alpha-independent quantity, in particular the
-    cross-block entropy sums that dominate the cost, so re-scanning at a
-    new alpha is a single linear blend of two cached matrices.
+    The alpha-independent part of every cell, in particular the
+    cross-block entropy sums that dominate the cost, is computed one row
+    block at a time.  By default the blocks are retained, so re-scanning
+    at a new alpha is a single linear blend of two cached matrices: the
+    workspace of a search over alpha.  A grid built with ``stream=True``
+    retains nothing grid-sized; each scan builds every block again and
+    scans it at once, which suits a search at one pinned alpha.
     """
 
-    def __init__(self, t: float, config: SearchConfig):
+    def __init__(self, t: float, config: SearchConfig, stream: bool = False):
         t = float(t)
         if math.isnan(t) or not 0.0 < t < 0.5:
             raise EmptyFeasible(f"t must lie in (0, 1/2), got {t!r}")
         self.t = t
         self.config = config
         self.evaluations = 0
+        self._bad = self._ind_over_denom = self._cor_over_denom = None
         g = config.grid_points_per_axis
         try:
             self._build(g)
+            if not stream:
+                self._retain()
         except MemoryError:
             raise GridTooLarge(
                 f"a grid of {g} points per axis needs more memory than is available"
             ) from None
 
     def _build(self, g: int) -> None:
+        """Per-axis and per-pair terms, and ``_build_block`` over them."""
         t = self.t
         axis = np.linspace(0.0, 1.0, g)
         ii, jj = np.triu_indices(g)
@@ -380,6 +391,7 @@ class _PairGrid:
             )
         a1, a2, b1, b2 = axis[ia1], axis[ia2], axis[ib1], axis[ib2]
         self._a, self._b = (a1, a2), (b1, b2)
+        self._shape = (a1.size, b1.size)
 
         # Every OR entropy h(x + y - xy) is an entry of one table over the
         # axis; the cross-block sums take two column gathers, then two rows.
@@ -393,31 +405,43 @@ class _PairGrid:
         cols = table[:, ib1] + table[:, ib2]
         amean, bmean = 0.5 * (a1 + a2), 0.5 * (b1 + b2)
 
-        # Only the three retained arrays are grid-sized; each block's
-        # temporaries hold about _BLOCK_CELLS cells (one row, if longer).
-        shape = (a1.size, b1.size)
-        self._bad = np.empty(shape, dtype=bool)
-        self._ind_over_denom = np.empty(shape)
-        self._cor_over_denom = np.empty(shape)
-        for rows in self._row_blocks():
+        def build_block(rows: slice):
+            """Degenerate-cell mask, ind/denom and cor/denom of one row block."""
             am = amean[rows, None]
             sab = cols[ia1[rows]]
             sab += cols[ia2[rows]]
             beta = np.clip((t - am) / (bmean - am), 0.0, 1.0)
-            mixed = _mix(
-                beta, ha[rows, None], hb, saa[rows, None], sbb, sab, pa[rows, None], pb
+            return _over_denom(
+                *_mix(beta, ha[rows, None], hb, saa[rows, None], sbb, sab, pa[rows, None], pb)
             )
+
+        self._build_block = build_block
+
+    def _retain(self) -> None:
+        """Build every block into the three grid-sized arrays a re-scan reads."""
+        self._bad = np.empty(self._shape, dtype=bool)
+        self._ind_over_denom = np.empty(self._shape)
+        self._cor_over_denom = np.empty(self._shape)
+        for rows in self._row_blocks():
             (
                 self._bad[rows],
                 self._ind_over_denom[rows],
                 self._cor_over_denom[rows],
-            ) = _over_denom(*mixed)
+            ) = self._build_block(rows)
 
     def _row_blocks(self):
         """Slices of low-pair rows, each about _BLOCK_CELLS grid cells."""
-        rows, cols = self._bad.shape
+        rows, cols = self._shape
         step = max(1, _BLOCK_CELLS // cols)
         return [slice(start, start + step) for start in range(0, rows, step)]
+
+    def _blocks(self):
+        """Each row block's slice, mask, ind/denom and cor/denom: retained or built now."""
+        for rows in self._row_blocks():
+            if self._bad is None:
+                yield rows, *self._build_block(rows)
+            else:
+                yield rows, self._bad[rows], self._ind_over_denom[rows], self._cor_over_denom[rows]
 
     # -- grid scan ---------------------------------------------------------
 
@@ -425,20 +449,24 @@ class _PairGrid:
         """The ``multistart_count`` best grid points as (a1, a2, b1, b2).
 
         Each row block keeps its own best ``multistart_count`` cells; the
-        overall best are among those.  Ties go to the lower cell index.
+        overall best are among those.  The values returned are the grid's
+        lowest, ascending, with equal values in order of cell index.  But
+        where cells tie at a block's cut, ``np.argpartition`` keeps an
+        unspecified subset of them, so the tied cells returned need not
+        be those of lowest index.
         """
         a1, a2 = self._a
         b1, b2 = self._b
-        take = min(self.config.multistart_count, self._bad.size)
+        take = min(self.config.multistart_count, math.prod(self._shape))
         values, cells = [], []
-        for rows in self._row_blocks():
-            r = (1.0 - alpha) * self._ind_over_denom[rows] + alpha * self._cor_over_denom[rows]
-            r[self._bad[rows]] = _INF
+        for rows, bad, ind, cor in self._blocks():
+            r = (1.0 - alpha) * ind + alpha * cor
+            r[bad] = _INF
             flat = r.ravel()
             top = np.argpartition(flat, min(take, flat.size) - 1)[:take]
             values.append(flat[top])
             cells.append(top + rows.start * b1.size)
-        self.evaluations += self._bad.size
+        self.evaluations += math.prod(self._shape)
         values, cells = np.concatenate(values), np.concatenate(cells)
         out = []
         for f in cells[np.lexsort((cells, values))[:take]]:
@@ -554,9 +582,11 @@ def inner_inf(alpha: float, t: float, config: SearchConfig | None = None) -> Inn
     Raises :class:`EmptyFeasible` when t is outside (0, 1/2).  The
     report's ``min_ratio`` is computed by the reference objective at the
     argmin, so it differs from the true infimum only by how well the
-    search converged, never by formula drift.
+    search converged, never by formula drift.  The grid is scanned
+    block by block as it is built, so the search holds nothing
+    grid-sized: its time grows with the grid, its memory does not.
     """
-    return _PairGrid(t, config or SearchConfig()).inner_min(alpha)
+    return _PairGrid(t, config or SearchConfig(), stream=True).inner_min(alpha)
 
 
 def _envelope(lines, alpha: float) -> float:
@@ -597,11 +627,15 @@ def gamma_hat(
     alpha is a supergradient of the concave minimum there.  The search
     starts at alpha = 0, so that weight is always among those scored,
     and stops there if the slope is not positive.
-    Otherwise it brackets the slope's change of sign and steps by
+    Otherwise the other end, alpha = 1, takes the line of a closed-form
+    family instead of an inner search (the lemma is in ``_best_alpha``).
+    The search then brackets the slope's change of sign and steps by
     Illinois secant; when the envelope gap has not halved since the
     step before, it takes the envelope's maximiser instead, which lands
-    on a kink exactly.  At default settings that takes 5 to 8 inner
-    searches at t in [0.375, 0.38234] and 5 to 11 over [0.05, 0.49].
+    on a kink exactly.  At default settings that takes 5 or 6 inner
+    searches at t in [0.375, 0.38234] and 3 to 10 over [0.05, 0.49].
+    A pinned alpha needs one inner search, so its grid is streamed:
+    built block by block and scanned as it goes, never held whole.
 
     Each evaluated alpha is scored by the least reference ratio, at that
     alpha, over every family the search found, so the bound is one that
@@ -616,7 +650,8 @@ def gamma_hat(
         alphas = require_prob(alphas, "alpha")
 
     started = time.perf_counter()
-    grid = _PairGrid(t, cfg)
+    # Only a search over alpha scans the grid more than once.
+    grid = _PairGrid(t, cfg, stream=alphas != "auto")
     if alphas == "auto":
         best_alpha, value, family, alpha_gap = _best_alpha(grid)
     else:
@@ -635,18 +670,50 @@ def gamma_hat(
     )
 
 
+def _alpha_one_family(t: float) -> ExtremeFamily:
+    """The family (0, 0; b1, 1) with the lowest ratio at alpha = 0.
+
+    Every such family with 0 < b1 < 1 has ratio 0 at alpha = 1 (see
+    :func:`_best_alpha`).  At alpha = 0 its ratio is
+    2 - t (4 - q) / (1 + b1) with q = h(2 b1 - b1^2) / h(b1), so the
+    best b1 (~0.0727) does not depend on t.  It is found by Brent's
+    method over (0, 1) on the reference ratio.
+    """
+
+    def ratio_at_zero(b1: float) -> float:
+        if not 0.0 < b1 < 1.0:
+            return _INF
+        return entropy_ratio(ExtremeFamily(0.0, 0.0, t, b1, 1.0), 0.0)
+
+    b1, _ = _brent_min(ratio_at_zero, 0.0, 1.0, _PARAM_TOL)
+    return ExtremeFamily(0.0, 0.0, t, b1, 1.0)
+
+
 def _best_alpha(grid: _PairGrid) -> tuple[float, float, ExtremeFamily, float]:
     """The search over alpha of :func:`gamma_hat`.
 
     Returns the best alpha, its bound, the family attaining it and the
     envelope gap.
+
+    Alpha = 1 needs no inner search.  There the ratio is cor/denom >= 0,
+    and the correlated term cor sums each block's h(fullcorr) with
+    weights 1 - beta and beta.  h(fullcorr(x, y)) is 0 only at (0, 0)
+    or at a pair containing 1.  The low block has mean a <= t < 1/2, so
+    it contains no 1, and its weight 1 - beta is positive since b > t;
+    so it is (0, 0).  Then beta = t / b > 0, so the high block contains
+    1: it is (b1, 1), and the denominator beta h(b1) / 2 is positive
+    only for 0 < b1 < 1.  So the minimum at alpha = 1 is exactly 0, and
+    it is attained exactly on the families (0, 0; b1, 1) with
+    0 < b1 < 1.  Their lines all pass through (1, 0); the one taken for
+    alpha = 1 is the lowest of them, :func:`_alpha_one_family`.
     """
     # Each family found, with its line (ratio at alpha = 0, slope).
     lines: dict[ExtremeFamily, tuple[float, float]] = {}
     evaluated: list[float] = []
 
-    def slope_at(a: float) -> float:
-        family = grid.inner_min(a).argmin
+    def slope_at(a: float, family: ExtremeFamily | None = None) -> float:
+        if family is None:
+            family = grid.inner_min(a).argmin
         if family not in lines:
             r0 = entropy_ratio(family, 0.0)
             lines[family] = (r0, entropy_ratio(family, 1.0) - r0)
@@ -655,7 +722,7 @@ def _best_alpha(grid: _PairGrid) -> tuple[float, float, ExtremeFamily, float]:
 
     lo, slope_lo = 0.0, slope_at(0.0)
     if slope_lo > 0.0:
-        hi, slope_hi = 1.0, slope_at(1.0)
+        hi, slope_hi = 1.0, slope_at(1.0, _alpha_one_family(grid.t))
         moved = None  # the end of [lo, hi] the last step replaced
         last_gap = _INF
         while slope_hi < 0.0 and len(evaluated) < _ALPHA_MAX_SEARCHES:

@@ -78,6 +78,15 @@ class TestGammaHat:
         assert err.count("\n") == 1
         assert "3000000 points per axis" in err and "lower --grid" in err
 
+    def test_pinned_grid_too_large_for_memory_exits_2(self, capsys):
+        # A pinned alpha streams the grid, but the pair indices are still
+        # built first, so the same request fails the same way.
+        rc = main(["gamma-hat", "--t", "0.38", "--alpha", "0.035", "--grid", "3000000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "3000000 points per axis" in err and "lower --grid" in err
+
     def test_stdout_report(self, capsys):
         rc = main(
             ["gamma-hat", "--t", "0.3", "--alpha", "0.035", *FAST_KNOBS, "--out", "-"]

@@ -22,6 +22,7 @@ from ucsbound.optimizer import (
     _brent_min,
     _envelope_argmax,
     _PairGrid,
+    _alpha_one_family,
     find_tmax,
     gamma_hat,
     inner_inf,
@@ -249,6 +250,33 @@ class TestGridWorkspace:
         assert build_peak <= retained + allowance
         assert scan_peak <= retained + allowance
 
+    @pytest.mark.parametrize(
+        "t, alpha, config, several",
+        [
+            (0.38234, 0.035, VERIFY_CONFIG, True),
+            (0.3, 0.1, SearchConfig(grid_points_per_axis=16), False),
+        ],
+    )
+    def test_streamed_grid_matches_the_retained_one(self, t, alpha, config, several):
+        retained = _PairGrid(t, config)
+        streamed = _PairGrid(t, config, stream=True)
+        assert streamed._bad is None and streamed._ind_over_denom is None
+        blocks = len(streamed._row_blocks())
+        assert blocks > 2 if several else blocks == 1
+        assert streamed._candidates(alpha) == retained._candidates(alpha)
+        assert streamed.inner_min(alpha) == retained.inner_min(alpha)
+        assert streamed.evaluations == retained.evaluations
+
+    def test_pinned_search_holds_nothing_grid_sized(self):
+        # The retained VERIFY_CONFIG workspace alone is 73 MiB.
+        tracemalloc.start()
+        try:
+            inner_inf(0.035, 0.38234, VERIFY_CONFIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
 
 class TestBrentMin:
     @staticmethod
@@ -450,6 +478,33 @@ class TestInnerSearch:
         assert payload["evaluations"] > 0
 
 
+class TestAlphaOne:
+    """At alpha = 1 the minimum is 0, on the families (0, 0; b1, 1) (``_best_alpha``)."""
+
+    @pytest.mark.parametrize("config", [FAST, SearchConfig(), SearchConfig(12, 1, 2)])
+    def test_grid_search_finds_zero_on_the_lemma_families(self, config):
+        for t in (0.05, 0.2, 0.3, 0.38234, 0.45):
+            rep = inner_inf(1.0, t, config)
+            fam = rep.argmin
+            assert rep.min_ratio == 0.0
+            assert (fam.a1, fam.a2, fam.b2) == (0.0, 0.0, 1.0) and 0.0 < fam.b1 < 1.0
+
+    @pytest.mark.parametrize("t", [0.01, 0.2, 0.38234, 0.499])
+    def test_closed_form_family_is_lowest_at_alpha_zero(self, t):
+        fam = _alpha_one_family(t)
+        assert (fam.a1, fam.a2, fam.t, fam.b2) == (0.0, 0.0, t, 1.0)
+        assert entropy_ratio(fam, 1.0) == 0.0
+        r0 = entropy_ratio(fam, 0.0)
+        for b in np.linspace(0.0, 1.0, 4001)[1:-1]:
+            assert r0 <= entropy_ratio(ExtremeFamily(0.0, 0.0, t, b, 1.0), 0.0)
+
+    @pytest.mark.parametrize("t", [0.05, 0.3, 0.38234, 0.49])
+    def test_auto_search_runs_no_inner_search_at_one(self, t, inner_searches):
+        gamma_hat(t, "auto", FAST)
+        assert inner_searches
+        assert all(rep.alpha != 1.0 for rep in inner_searches)
+
+
 class TestSearchConfig:
     def test_defaults(self):
         cfg = SearchConfig()
@@ -506,7 +561,7 @@ class TestGammaHat:
         assert cert.gamma_hat_lower >= inner_inf(alpha, t, FAST).min_ratio - 1e-12
 
     def test_few_inner_searches_near_the_threshold(self, inner_searches):
-        # The search over alpha converges in 5 inner searches here.
+        # The search over alpha converges in 6 inner searches here.
         gamma_hat(0.38234, config=FAST)
         assert len(inner_searches) <= 8
 
