@@ -4,10 +4,14 @@ The package has two halves.  The certificate half evaluates a
 worst-case entropy ratio over small mixture families: whenever that
 ratio stays above 1 at a mean target t, every finite union-closed
 family of sets (other than {empty set}) must contain an element in at
-least a t fraction of its members.  The laboratory half exhaustively
-enumerates union-closed families on tiny ground sets and checks the
-information-theoretic building blocks (maximal correlation, symmetric
-couplings, entropy ceilings) against those concrete examples.
+least a t fraction of its members.  The ratio blends two couplings of
+the pair: the independent one and the fully correlated one.  The
+laboratory half exhaustively enumerates union-closed families on tiny
+ground sets and checks the coupling-entropy ceiling on each of them.
+
+``maxcorr`` is a sidecar that no certificate calls: it gives the
+maximal correlation of a two-by-two Bernoulli coupling, spectrally and
+checked against the absolute Pearson correlation.
 """
 
 __version__ = "0.1.0"
@@ -26,15 +30,11 @@ from .errors import (
     VerificationFailed,
 )
 from .maxcorr import (
-    ConditionalJoint,
     JointDist,
     binary_coupling,
-    conditional_maximal_correlation,
     correlation_spectrum,
-    independent_coupling,
     maximal_correlation,
     pearson,
-    product_coupling,
 )
 from .optimizer import (
     BASELINE_THRESHOLD,
@@ -88,14 +88,10 @@ __all__ = [
     "DimensionTooLarge",
     # maximal correlation
     "JointDist",
-    "ConditionalJoint",
     "pearson",
     "correlation_spectrum",
     "maximal_correlation",
-    "conditional_maximal_correlation",
-    "product_coupling",
     "binary_coupling",
-    "independent_coupling",
     # optimizer
     "SearchConfig",
     "InnerSearchReport",

@@ -33,11 +33,10 @@ from . import __version__
 from .errors import (
     BracketFailure,
     GridTooLarge,
-    RankDeficient,
     UcsBoundError,
     VerificationFailed,
 )
-from .maxcorr import JointDist, binary_coupling, correlation_spectrum, maximal_correlation, pearson
+from .maxcorr import binary_coupling, correlation_spectrum, maximal_correlation, pearson
 from .optimizer import (
     VERIFY_CONFIG,
     SearchConfig,
@@ -292,27 +291,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_maxcorr(args: argparse.Namespace) -> int:
     started = None if args.no_timestamps else _utcnow()
-    if (args.joint is None) == (args.pq is None):
-        raise ValueError("give exactly one of --joint FILE or --pq P Q R")
-    if args.pq is not None:
-        p, q, r = args.pq
-        joint = binary_coupling(p, q, r)
-        source = {"kind": "pq", "p": p, "q": q, "joint_on": r}
-    else:
-        with open(args.joint) as fh:
-            joint = JointDist.from_json_dict(json.load(fh))
-        source = {"kind": "file", "path": args.joint}
+    p, q, r = args.pq
+    joint = binary_coupling(p, q, r)
+    source = {"kind": "pq", "p": p, "q": q, "joint_on": r}
 
     spectrum = correlation_spectrum(joint)
     rho = maximal_correlation(joint)
-    try:
-        rho_pearson = pearson(joint)
-    except (ValueError, RankDeficient):
-        rho_pearson = None
-
-    shown = "n/a" if rho_pearson is None else f"{rho_pearson:.9f}"
+    # Both marginals carry mass once the spectrum exists, so neither
+    # variance of a 2x2 coupling is zero and pearson() does not raise
+    # RankDeficient.
+    rho_pearson = pearson(joint)
     print(
-        f"maximal correlation {rho:.9f}; pearson {shown}; "
+        f"maximal correlation {rho:.9f}; pearson {rho_pearson:.9f}; "
         f"top singular value {spectrum[0]:.9f}"
     )
     payload = {
@@ -418,12 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_enumerate)
 
-    p = subs.add_parser("maxcorr", help="maximal correlation of a finite joint")
-    p.add_argument("--joint", help="JSON file with x_labels, y_labels, matrix")
+    p = subs.add_parser("maxcorr", help="maximal correlation of a 2x2 Bernoulli coupling")
     p.add_argument(
         "--pq",
         type=float,
         nargs=3,
+        required=True,
         metavar=("P", "Q", "R"),
         help="2x2 coupling of Bernoulli(P), Bernoulli(Q) with joint on-mass R",
     )

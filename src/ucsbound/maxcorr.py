@@ -15,10 +15,9 @@ against.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,14 +26,10 @@ from .scalars import require_prob
 
 __all__ = [
     "JointDist",
-    "ConditionalJoint",
     "pearson",
     "correlation_spectrum",
     "maximal_correlation",
-    "conditional_maximal_correlation",
-    "product_coupling",
     "binary_coupling",
-    "independent_coupling",
 ]
 
 _MASS_TOL = 1e-9
@@ -76,59 +71,6 @@ class JointDist:
 
     def y_marginal(self) -> np.ndarray:
         return self.matrix.sum(axis=0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x_labels": list(self.x_labels),
-            "y_labels": list(self.y_labels),
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "JointDist":
-        """Inverse of :meth:`to_json_dict`; ``ValueError`` on a malformed payload."""
-        if not isinstance(payload, Mapping):
-            raise ValueError(f"joint must be a JSON object, got {type(payload).__name__}")
-        missing = [k for k in ("x_labels", "y_labels", "matrix") if k not in payload]
-        if missing:
-            raise ValueError(f"joint is missing {', '.join(missing)}")
-        try:
-            x_labels = tuple(payload["x_labels"])
-            y_labels = tuple(payload["y_labels"])
-            matrix = np.asarray(payload["matrix"], dtype=float)
-        except TypeError as exc:
-            raise ValueError(f"malformed joint: {exc}") from None
-        return cls(x_labels, y_labels, matrix)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "JointDist":
-        return cls.from_json_dict(json.loads(text))
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalJoint:
-    """A joint for (X, Y) given each value of a finite side variable.
-
-    ``components[u]`` is the conditional joint of (X, Y) given U = u and
-    ``weights[u]`` the probability of that value.  Weights must be
-    nonnegative and sum to one.
-    """
-
-    components: tuple[JointDist, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.components) != len(self.weights) or not self.components:
-            raise ValueError("components and weights must be equal-length and nonempty")
-        for w in self.weights:
-            if w < 0.0 or math.isnan(w):
-                raise ValueError(f"weights must be nonnegative, got {w!r}")
-        total = sum(self.weights)
-        if abs(total - 1.0) > _MASS_TOL:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
 
 
 def _numeric_labels(labels: Sequence) -> np.ndarray:
@@ -186,37 +128,6 @@ def maximal_correlation(joint: JointDist) -> float:
     return float(min(1.0, max(0.0, spectrum[1])))
 
 
-def conditional_maximal_correlation(cond: ConditionalJoint) -> float:
-    """Maximum of the per-component maximal correlations.
-
-    Components with zero weight are skipped.  A component where X or Y
-    is almost-surely constant carries no correlation and contributes
-    zero (unlike the unconditional function, which raises: there the
-    caller asked about a degenerate pair directly).
-    """
-    best = 0.0
-    for weight, component in zip(cond.weights, cond.components):
-        if weight <= 0.0:
-            continue
-        try:
-            rho = maximal_correlation(component)
-        except RankDeficient:
-            rho = 0.0
-        best = max(best, rho)
-    return best
-
-
-def product_coupling(j1: JointDist, j2: JointDist) -> JointDist:
-    """Independent product of two joints; labels become pairs.
-
-    The maximal correlation of the product is the max of the factors',
-    which the suite verifies numerically.
-    """
-    x_labels = tuple((a, b) for a in j1.x_labels for b in j2.x_labels)
-    y_labels = tuple((a, b) for a in j1.y_labels for b in j2.y_labels)
-    return JointDist(x_labels, y_labels, np.kron(j1.matrix, j2.matrix))
-
-
 def binary_coupling(p: float, q: float, joint_on: float) -> JointDist:
     """2x2 coupling of Bernoulli(p) and Bernoulli(q) with P(1,1) = joint_on.
 
@@ -249,7 +160,3 @@ def binary_coupling(p: float, q: float, joint_on: float) -> JointDist:
     matrix[matrix < 0.0] = 0.0
     return JointDist((0, 1), (0, 1), matrix)
 
-
-def independent_coupling(p: float, q: float) -> JointDist:
-    """The 2x2 product coupling, i.e. joint on-mass p*q."""
-    return binary_coupling(p, q, p * q)

@@ -19,7 +19,6 @@ from ucsbound.maxcorr import (
     correlation_spectrum,
     maximal_correlation,
     pearson,
-    product_coupling,
 )
 from ucsbound.optimizer import (
     SearchConfig,
@@ -102,7 +101,7 @@ class TestBaselineCrossing:
 
 
 class TestMaximalCorrelationIdentities:
-    def test_two_by_two_identities_and_tensorization(self):
+    def test_two_by_two_identities(self):
         rng = np.random.default_rng(SEED)
         worst_pearson = 0.0
         worst_top = 0.0
@@ -116,25 +115,9 @@ class TestMaximalCorrelationIdentities:
             worst_top = max(worst_top, abs(correlation_spectrum(joint)[0] - 1.0))
         assert worst_pearson <= 1e-9
         assert worst_top <= 1e-9
-
-        worst_tensor = 0.0
-        for _ in range(100):
-            p1, q1, p2, q2 = rng.uniform(0.1, 0.9, size=4)
-            r1 = max(0.0, p1 + q1 - 1.0) + rng.uniform(0.05, 0.95) * (
-                min(p1, q1) - max(0.0, p1 + q1 - 1.0)
-            )
-            r2 = max(0.0, p2 + q2 - 1.0) + rng.uniform(0.05, 0.95) * (
-                min(p2, q2) - max(0.0, p2 + q2 - 1.0)
-            )
-            a, b = binary_coupling(p1, q1, r1), binary_coupling(p2, q2, r2)
-            rho_prod = maximal_correlation(product_coupling(a, b))
-            rho_max = max(maximal_correlation(a), maximal_correlation(b))
-            worst_tensor = max(worst_tensor, abs(rho_prod - rho_max))
-        assert worst_tensor <= 1e-9
         report(
             "two-by-two maximal correlation: |pearson| gap "
-            f"{worst_pearson:.2e}, top singular gap {worst_top:.2e}, "
-            f"tensorization gap {worst_tensor:.2e} (all <= 1e-9)"
+            f"{worst_pearson:.2e}, top singular gap {worst_top:.2e} (both <= 1e-9)"
         )
 
 

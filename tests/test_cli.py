@@ -1,8 +1,10 @@
 """Command-line behaviour: exit codes, reports, manifests, determinism."""
 
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,6 @@ import pytest
 import ucsbound
 from ucsbound import optimizer
 from ucsbound.cli import SCHEMA_VERSION, main
-from ucsbound.maxcorr import binary_coupling
 from ucsbound.optimizer import gamma_hat
 
 FAST_KNOBS = ["--grid", "32", "--refine-rounds", "3", "--multistart", "8"]
@@ -258,56 +259,29 @@ class TestMaxcorr:
         )
         assert payload["singular_values"][0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_joint_file_round_trip(self, tmp_path, capsys):
-        joint = binary_coupling(0.3, 0.4, 0.2)
-        path = tmp_path / "joint.json"
-        path.write_text(json.dumps(joint.to_json_dict()))
-        rc = main(["maxcorr", "--joint", str(path), "--out", "-"])
-        assert rc == 0
-        payload = stdout_json(capsys)
-        assert payload["maximal_correlation"] == pytest.approx(
-            0.35634832254989923, abs=1e-12
-        )
-        assert payload["source"]["kind"] == "file"
-
     def test_infeasible_pq_exits_2(self, capsys):
         rc = main(["maxcorr", "--pq", "0.9", "0.9", "0.0"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["maxcorr"],
-            ["maxcorr", "--pq", "0.3", "0.4", "0.2", "--joint", "x.json"],
+            (["maxcorr"], "the following arguments are required: --pq"),
+            (
+                ["maxcorr", "--pq", "0.3", "0.4", "0.2", "--joint", "x.json"],
+                "unrecognized arguments: --joint x.json",
+            ),
         ],
+        ids=["no-pq", "joint"],
     )
-    def test_requires_exactly_one_source(self, argv, capsys):
-        rc = main(argv)
-        assert rc == 2
-        assert "exactly one" in capsys.readouterr().err
-
-    def test_missing_joint_file_exits_2(self, tmp_path, capsys):
-        rc = main(["maxcorr", "--joint", str(tmp_path / "absent.json")])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            {"matrix": [[0.5, 0.0], [0.0, 0.5]]},
-            {"x_labels": [0, 1], "matrix": [[0.5, 0.0], [0.0, 0.5]]},
-            [[0.5, 0.0], [0.0, 0.5]],
-            "joint",
-            {"x_labels": 0, "y_labels": [0, 1], "matrix": [[0.5, 0.0], [0.0, 0.5]]},
-        ],
-    )
-    def test_malformed_joint_file_exits_2(self, payload, tmp_path, capsys):
-        path = tmp_path / "joint.json"
-        path.write_text(json.dumps(payload))
-        rc = main(["maxcorr", "--joint", str(path)])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+    def test_pq_is_the_only_input(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestDeterminism:
@@ -371,3 +345,17 @@ class TestImport:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
         assert done.stdout.strip() == "[]"
+
+    def test_every_exported_name_exists(self):
+        modules = [ucsbound] + [
+            importlib.import_module(f"ucsbound.{info.name}")
+            for info in pkgutil.iter_modules(ucsbound.__path__)
+        ]
+        missing = [
+            f"{module.__name__}.{name}"
+            for module in modules
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+        assert len(modules) > 1  # the submodules were found
+        assert missing == []

@@ -7,15 +7,11 @@ import pytest
 
 from ucsbound.errors import InfeasibleCorrelation, RankDeficient
 from ucsbound.maxcorr import (
-    ConditionalJoint,
     JointDist,
     binary_coupling,
-    conditional_maximal_correlation,
     correlation_spectrum,
-    independent_coupling,
     maximal_correlation,
     pearson,
-    product_coupling,
 )
 
 SEED = 90210
@@ -52,12 +48,6 @@ class TestJointDist:
         with pytest.raises(ValueError):
             JointDist(x_labels, (0, 1), np.asarray(matrix, dtype=float))
 
-    def test_json_round_trip(self):
-        j = binary_coupling(0.25, 0.5, 0.2)
-        again = JointDist.loads(j.dumps())
-        assert again.x_labels == j.x_labels
-        assert np.allclose(again.matrix, j.matrix)
-
 
 class TestBinaryCoupling:
     def test_frechet_violations_raise(self):
@@ -71,7 +61,7 @@ class TestBinaryCoupling:
         binary_coupling(0.8, 0.9, 0.8)  # min(p, q)
 
     def test_independent_coupling_is_product(self):
-        j = independent_coupling(0.3, 0.4)
+        j = binary_coupling(0.3, 0.4, 0.3 * 0.4)
         assert j.matrix == pytest.approx(np.outer([0.7, 0.3], [0.6, 0.4]), abs=1e-15)
 
 
@@ -110,7 +100,7 @@ class TestMaximalCorrelation:
         rng = np.random.default_rng(SEED + 3)
         for _ in range(50):
             p, q = rng.uniform(0.05, 0.95, 2)
-            assert maximal_correlation(independent_coupling(p, q)) == pytest.approx(
+            assert maximal_correlation(binary_coupling(p, q, p * q)) == pytest.approx(
                 0.0, abs=1e-9
             )
 
@@ -135,44 +125,3 @@ class TestMaximalCorrelation:
         with pytest.raises(RankDeficient):
             maximal_correlation(j)
 
-
-class TestProductCoupling:
-    def test_tensorisation_takes_max(self):
-        rng = np.random.default_rng(SEED + 4)
-        for _ in range(60):
-            _, _, _, j1 = random_binary_coupling(rng)
-            _, _, _, j2 = random_binary_coupling(rng)
-            got = maximal_correlation(product_coupling(j1, j2))
-            expect = max(maximal_correlation(j1), maximal_correlation(j2))
-            assert got == pytest.approx(expect, abs=1e-9)
-
-    def test_labels_are_pairs(self):
-        j = product_coupling(binary_coupling(0.5, 0.5, 0.25), binary_coupling(0.5, 0.5, 0.25))
-        assert j.x_labels == ((0, 0), (0, 1), (1, 0), (1, 1))
-        assert j.matrix.shape == (4, 4)
-
-
-class TestConditionalJoint:
-    def test_takes_worst_component(self):
-        ident = JointDist((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
-        indep = independent_coupling(0.5, 0.5)
-        cond = ConditionalJoint((indep, ident), (0.5, 0.5))
-        assert conditional_maximal_correlation(cond) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_weight_component_ignored(self):
-        ident = JointDist((0, 1), (0, 1), np.array([[0.5, 0.0], [0.0, 0.5]]))
-        indep = independent_coupling(0.5, 0.5)
-        cond = ConditionalJoint((indep, ident), (1.0, 0.0))
-        assert conditional_maximal_correlation(cond) == pytest.approx(0.0, abs=1e-9)
-
-    def test_degenerate_component_counts_as_zero(self):
-        constant = JointDist((0, 1), (0, 1), np.array([[0.0, 0.0], [0.5, 0.5]]))
-        half = binary_coupling(0.4, 0.4, 0.25)
-        cond = ConditionalJoint((constant, half), (0.5, 0.5))
-        expect = maximal_correlation(half)
-        assert conditional_maximal_correlation(cond) == pytest.approx(expect, abs=1e-12)
-
-    def test_rejects_bad_weights(self):
-        indep = independent_coupling(0.5, 0.5)
-        with pytest.raises(ValueError):
-            ConditionalJoint((indep,), (0.9,))
