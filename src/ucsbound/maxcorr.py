@@ -2,7 +2,7 @@
 
 The maximal correlation of (X, Y) ~ P is computed spectrally: form
 
-    B[x, y] = P(x, y) / sqrt(P_X(x) * P_Y(y))
+    B[x, y] = P(x, y) / (sqrt(P_X(x)) * sqrt(P_Y(y)))
 
 over the support and take the second-largest singular value.  The top
 singular value of B is always 1 (witnessed by the square-root-marginal
@@ -98,7 +98,8 @@ def pearson(joint: JointDist) -> float:
     if var_x <= 0.0 or var_y <= 0.0:
         raise RankDeficient("a variable with zero variance has no Pearson correlation")
     exy = float((np.outer(xs - ex, ys - ey) * joint.matrix).sum())
-    return exy / math.sqrt(var_x * var_y)
+    # Roots first: var_x * var_y underflows to 0 for marginals near 1e-200.
+    return exy / (math.sqrt(var_x) * math.sqrt(var_y))
 
 
 def correlation_spectrum(joint: JointDist) -> np.ndarray:
@@ -118,7 +119,8 @@ def correlation_spectrum(joint: JointDist) -> np.ndarray:
             f"{int(rows.sum())} x {int(cols.sum())}"
         )
     sub = joint.matrix[np.ix_(rows, cols)]
-    normaliser = np.sqrt(np.outer(px[rows], py[cols]))
+    # Roots first, as in pearson(): the product of tiny marginals underflows.
+    normaliser = np.outer(np.sqrt(px[rows]), np.sqrt(py[cols]))
     return np.linalg.svd(sub / normaliser, compute_uv=False)
 
 

@@ -340,6 +340,14 @@ def _over_denom(denom, ind, cor):
     return bad, np.where(bad, 0.0, ind / safe), np.where(bad, 0.0, cor / safe)
 
 
+def _require_t(t: float) -> float:
+    """``t`` as a float; raises :class:`EmptyFeasible` unless it is in (0, 1/2)."""
+    t = float(t)
+    if math.isnan(t) or not 0.0 < t < 0.5:
+        raise EmptyFeasible(f"t must lie in (0, 1/2), got {t!r}")
+    return t
+
+
 class _PairGrid:
     """Grid workspace bound to one (t, config).
 
@@ -353,10 +361,7 @@ class _PairGrid:
     """
 
     def __init__(self, t: float, config: SearchConfig, stream: bool = False):
-        t = float(t)
-        if math.isnan(t) or not 0.0 < t < 0.5:
-            raise EmptyFeasible(f"t must lie in (0, 1/2), got {t!r}")
-        self.t = t
+        self.t = t = _require_t(t)
         self.config = config
         self.evaluations = 0
         self._bad = self._ind_over_denom = self._cor_over_denom = None
@@ -585,7 +590,16 @@ def inner_inf(alpha: float, t: float, config: SearchConfig | None = None) -> Inn
     search converged, never by formula drift.  The grid is scanned
     block by block as it is built, so the search holds nothing
     grid-sized: its time grows with the grid, its memory does not.
+
+    At alpha = 1 the minimum is known in closed form (the lemma in
+    ``_best_alpha``): it is 0, and the reported argmin is
+    :func:`_alpha_one_family`, whatever the config.  No grid is built
+    there and the report counts 0 evaluations.
     """
+    if require_prob(alpha, "alpha") == 1.0:
+        t = _require_t(t)
+        family = _alpha_one_family(t)
+        return InnerSearchReport(1.0, t, entropy_ratio(family, 1.0), family, evaluations=0)
     return _PairGrid(t, config or SearchConfig(), stream=True).inner_min(alpha)
 
 
@@ -634,8 +648,9 @@ def gamma_hat(
     step before, it takes the envelope's maximiser instead, which lands
     on a kink exactly.  At default settings that takes 5 or 6 inner
     searches at t in [0.375, 0.38234] and 3 to 10 over [0.05, 0.49].
-    A pinned alpha needs one inner search, so its grid is streamed:
-    built block by block and scanned as it goes, never held whole.
+    A pinned alpha needs one inner search, :func:`inner_inf`, so its
+    grid is streamed: built block by block and scanned as it goes, never
+    held whole.  A pinned alpha = 1 builds no grid at all.
 
     Each evaluated alpha is scored by the least reference ratio, at that
     alpha, over every family the search found, so the bound is one that
@@ -650,20 +665,22 @@ def gamma_hat(
         alphas = require_prob(alphas, "alpha")
 
     started = time.perf_counter()
-    # Only a search over alpha scans the grid more than once.
-    grid = _PairGrid(t, cfg, stream=alphas != "auto")
     if alphas == "auto":
+        # Only a search over alpha scans the grid more than once.
+        grid = _PairGrid(t, cfg)
         best_alpha, value, family, alpha_gap = _best_alpha(grid)
+        t, evaluations = grid.t, grid.evaluations
     else:
-        report = grid.inner_min(alphas)
+        report = inner_inf(alphas, t, cfg)
         best_alpha, value, family, alpha_gap = alphas, report.min_ratio, report.argmin, None
+        t, evaluations = report.t, report.evaluations
     wall_ms = (time.perf_counter() - started) * 1000.0
     return BoundCertificate(
-        t=grid.t,
+        t=t,
         alpha_star=best_alpha,
         gamma_hat_lower=value,
         argmin=family,
-        evaluations=grid.evaluations,
+        evaluations=evaluations,
         config=cfg,
         alpha_gap=alpha_gap,
         wall_time_ms=wall_ms,

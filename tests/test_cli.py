@@ -259,6 +259,14 @@ class TestMaxcorr:
         )
         assert payload["singular_values"][0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_tiny_marginals_do_not_underflow(self, tmp_path, capsys):
+        out = tmp_path / "corr.json"
+        rc = main(["maxcorr", "--pq", "1e-200", "1e-200", "1e-300", "--out", str(out)])
+        assert rc == 0
+        payload = read_json(out)
+        assert payload["maximal_correlation"] == pytest.approx(1e-100, rel=1e-9)
+        assert payload["pearson"] == pytest.approx(1e-100, rel=1e-9)
+
     def test_infeasible_pq_exits_2(self, capsys):
         rc = main(["maxcorr", "--pq", "0.9", "0.9", "0.0"])
         assert rc == 2

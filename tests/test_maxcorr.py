@@ -79,6 +79,18 @@ class TestPearson:
             pearson(j)
 
 
+class TestTinyMarginals:
+    """Products of marginals near 1e-200 underflow; their square roots do not."""
+
+    def test_pearson_and_spectrum_match_the_closed_form(self):
+        p, q, r = 1e-200, 1e-200, 1e-300
+        expect = (r - p * q) / (math.sqrt(p * (1 - p)) * math.sqrt(q * (1 - q)))
+        assert expect == pytest.approx(1e-100, rel=1e-12)
+        j = binary_coupling(p, q, r)
+        assert pearson(j) == pytest.approx(expect, rel=1e-9)
+        assert maximal_correlation(j) == pytest.approx(expect, rel=1e-9)
+
+
 class TestMaximalCorrelation:
     def test_two_by_two_equals_absolute_pearson(self):
         rng = np.random.default_rng(SEED + 1)

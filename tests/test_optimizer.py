@@ -505,6 +505,28 @@ class TestAlphaOne:
         assert all(rep.alpha != 1.0 for rep in inner_searches)
 
 
+class TestPinnedAlphaOne:
+    """A pinned alpha = 1 reports the closed-form family, on no grid."""
+
+    @pytest.mark.parametrize("t", [0.05, 0.2, 0.3, 0.38234, 0.45])
+    def test_argmin_does_not_depend_on_the_config(self, t, inner_searches):
+        family = _alpha_one_family(t)
+        for config in (FAST, SearchConfig(), SearchConfig(12, 1, 2)):
+            rep = inner_inf(1.0, t, config)
+            cert = gamma_hat(t, 1.0, config)
+            assert (rep.argmin, rep.min_ratio, rep.evaluations) == (family, 0.0, 0)
+            assert (cert.argmin, cert.gamma_hat_lower, cert.evaluations) == (family, 0.0, 0)
+            assert cert.alpha_star == 1.0
+        assert not inner_searches
+
+    @pytest.mark.parametrize("t", [-0.1, 0.0, 0.5, float("nan")])
+    def test_rejects_t_outside_open_interval(self, t):
+        with pytest.raises(EmptyFeasible, match="t must lie in"):
+            inner_inf(1.0, t)
+        with pytest.raises(EmptyFeasible, match="t must lie in"):
+            gamma_hat(t, 1.0)
+
+
 class TestSearchConfig:
     def test_defaults(self):
         cfg = SearchConfig()

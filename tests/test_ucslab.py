@@ -20,6 +20,7 @@ from ucsbound.ucslab import (
     or_closure,
     peak_frequency,
     sample_or_closed,
+    _closed,
 )
 
 SEED = 31337
@@ -42,6 +43,17 @@ def naive_closed_families(n):
 
 def family_to_masks(family):
     return frozenset(sum(1 << e for e in member) for member in family)
+
+
+def member_loop_frequencies(family):
+    """Element frequencies by the definition: one count per member and element."""
+    members = family.members
+    freq = np.zeros(family.n)
+    for m in members:
+        for e in range(family.n):
+            if (m >> e) & 1:
+                freq[e] += 1.0
+    return freq / len(members)
 
 
 class TestFamilySet:
@@ -106,6 +118,17 @@ class TestFrequencies:
         fam = FamilySet.from_members(2, [1, 3])  # {e0}, {e0,e1}
         assert element_frequencies(fam) == pytest.approx([1.0, 0.5], abs=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_popcounts_match_member_loop_on_every_family(self, n):
+        for fam in enumerate_or_closed(n):
+            assert element_frequencies(fam).tobytes() == member_loop_frequencies(fam).tobytes()
+
+    def test_popcounts_match_member_loop_on_sampled_n5(self):
+        families = sample_or_closed(5, 250, SEED)[:200]
+        assert len(families) == 200
+        for fam in families:
+            assert element_frequencies(fam).tobytes() == member_loop_frequencies(fam).tobytes()
+
 
 class TestEnumeration:
     def test_counts_match_naive_oracle(self):
@@ -123,6 +146,12 @@ class TestEnumeration:
                 mask |= 1 << member_mask
             naive.add(mask)
         assert ours == naive
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_walk_matches_brute_force_scan_in_order(self, n):
+        size = 1 << n
+        scan = [m for m in range(1, 1 << size) if _closed(m, size)]
+        assert [f.mask for f in enumerate_or_closed(n)] == scan
 
     def test_frozen_count_n3(self):
         assert sum(1 for _ in enumerate_or_closed(3)) == 121
