@@ -483,8 +483,9 @@ class TestAlphaOne:
 
     @pytest.mark.parametrize("config", [FAST, SearchConfig(), SearchConfig(12, 1, 2)])
     def test_grid_search_finds_zero_on_the_lemma_families(self, config):
+        # The grid search itself: inner_inf(1.0, ...) answers in closed form.
         for t in (0.05, 0.2, 0.3, 0.38234, 0.45):
-            rep = inner_inf(1.0, t, config)
+            rep = _PairGrid(t, config, stream=True).inner_min(1.0)
             fam = rep.argmin
             assert rep.min_ratio == 0.0
             assert (fam.a1, fam.a2, fam.b2) == (0.0, 0.0, 1.0) and 0.0 < fam.b1 < 1.0
