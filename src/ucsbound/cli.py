@@ -44,7 +44,13 @@ from .optimizer import (
     gamma_hat,
     verify_reference_point,
 )
-from .ucslab import check_families, element_frequencies, enumerate_or_closed, sample_or_closed
+from .ucslab import (
+    check_families,
+    element_frequencies,
+    enumerate_or_closed,
+    lowest_peak,
+    sample_or_closed,
+)
 
 SCHEMA_VERSION = 5
 
@@ -257,13 +263,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
         _atomic_write_text(args.csv, sink.getvalue())
 
-    # The {empty set} family says nothing about element frequencies.
-    eligible = [(row, fam) for row, fam in zip(rows, families) if fam.mask != 1]
-    if eligible:
-        min_row, min_fam = min(eligible, key=lambda rf: (rf[0]["p_A"], rf[1].mask))
-        min_pa, witness = min_row["p_A"], min_fam.hex_mask
-    else:
-        min_pa, witness = None, None
+    least = lowest_peak((row["p_A"], fam) for row, fam in zip(rows, families))
+    min_pa, witness = (None, None) if least is None else (least[0], least[1].hex_mask)
 
     violations = [] if check is None else list(check.violations)
     payload: dict = {
@@ -275,9 +276,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "violations": violations,
     }
     if check is not None:
-        summary = check.to_json_dict()
         keys = ("tol", "size_cap", "checked", "skipped", "ratio_min", "ratio_max")
-        payload["entropy_check"] = {k: summary[k] for k in keys}
+        payload["entropy_check"] = {k: getattr(check, k) for k in keys}
 
     source = "sampled" if sampled else "enumerated"
     print(

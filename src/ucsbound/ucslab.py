@@ -12,10 +12,9 @@ family mask against, per element, the mask of every set containing it.
 
 Besides enumeration and frequency bookkeeping, the module checks the
 coupling-entropy ceiling H(X OR Y) <= log2 |A| over symmetric couplings
-of two uniform copies of a family.  Its maximum is known exactly (the
-identity coupling attains it), so the check evaluates that coupling
-through :meth:`CouplingMatrix.or_entropy` and tests the OR-output and
-entropy code against the closed form.
+of two uniform copies of a family.  Its maximum is known exactly: the
+identity coupling Y = X attains it.  The check evaluates that coupling
+directly, so it is exact by construction.
 """
 
 from __future__ import annotations
@@ -32,13 +31,13 @@ from .scalars import entropy_bits
 __all__ = [
     "MAX_ENUM_N",
     "FamilySet",
-    "CouplingMatrix",
     "EntropyCheckReport",
     "is_or_closed",
     "or_closure",
     "element_frequencies",
     "peak_frequency",
     "enumerate_or_closed",
+    "lowest_peak",
     "min_peak_frequency",
     "sample_or_closed",
     "max_symmetric_coupling_entropy",
@@ -55,6 +54,12 @@ MAX_ENUM_N = 4
 _CONTAIN = {
     n: tuple(sum(1 << k for k in range(1 << n) if (k >> e) & 1) for e in range(n))
     for n in range(1, 6)
+}
+
+# _MOVES[n]: (1 << e, sets containing e, sets lacking e) per element e.
+_MOVES = {
+    n: tuple((1 << e, has, has ^ ((1 << (1 << n)) - 1)) for e, has in enumerate(contain))
+    for n, contain in _CONTAIN.items()
 }
 
 
@@ -121,19 +126,29 @@ def is_or_closed(family: FamilySet) -> bool:
     return _closed(family.mask, 1 << family.n)
 
 
+def _unions(n: int, i: int, mask: int) -> int:
+    """Family mask of {i | m : m a member of ``mask``}, on n elements.
+
+    For each element of i, the members lacking it move up by the shift
+    that adds it, which turns the members into their unions with i.
+    """
+    for shift, has, lacks in _MOVES[n]:
+        if i & shift:
+            mask = ((mask & lacks) << shift) | (mask & has)
+    return mask
+
+
 def or_closure(n: int, generators: Iterable[int]) -> FamilySet:
-    """Smallest OR-closed family containing the given member sets."""
-    seed = FamilySet.from_members(n, generators)
-    mask = seed.mask
-    while True:
-        members = [k for k in range(1 << n) if (mask >> k) & 1]
-        grown = mask
-        for i, a in enumerate(members):
-            for b in members[i:]:
-                grown |= 1 << (a | b)
-        if grown == mask:
-            return FamilySet(n, mask)
-        mask = grown
+    """Smallest OR-closed family containing the given member sets.
+
+    Adding a set g to a closed family F gives the closed family
+    F + {g} + {g | m : m in F}, so one pass over the generators
+    suffices.
+    """
+    mask = 0
+    for g in FamilySet.from_members(n, generators).members:
+        mask |= (1 << g) | _unions(n, g, mask)
+    return FamilySet(n, mask)
 
 
 def element_frequencies(family: FamilySet) -> np.ndarray:
@@ -164,9 +179,7 @@ def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
     member for every member m decided so far.  Each such union is at
     least i, so it has been decided already, and a prune never has to
     force a later set: every leaf but the empty family is closed.  The
-    test is bitwise: for each element of i, the members lacking it move
-    up by the shift that adds it, which turns the members into their
-    unions with i.
+    test is bitwise, through :func:`_unions`.
 
     Raises :class:`DimensionTooLarge` for n > 4: n = 5 has 2,771,103
     OR-closed families, which is not desk-scale.  Use
@@ -179,8 +192,6 @@ def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
         )
     if n < 1:
         raise ValueError(f"ground-set size must be >= 1, got {n!r}")
-    # (shift, sets containing e, sets lacking e) per element e.
-    moves = [(1 << e, c, c ^ ((1 << (1 << n)) - 1)) for e, c in enumerate(_CONTAIN[n])]
     # Each stack entry is (next set to decide, members so far).
     stack = [((1 << n) - 1, 0)]
     while stack:
@@ -189,34 +200,32 @@ def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
             if mask:
                 yield FamilySet(n, mask)
             continue
-        unions = mask
-        for shift, has, lacks in moves:
-            if i & shift:
-                unions = ((unions & lacks) << shift) | (unions & has)
-        if not unions & ~mask:
+        if not _unions(n, i, mask) & ~mask:
             stack.append((i - 1, mask | (1 << i)))
         stack.append((i - 1, mask))
+
+
+def lowest_peak(
+    peaks: Iterable[tuple[float, FamilySet]],
+) -> tuple[float, FamilySet] | None:
+    """The least (peak frequency, family) pair, or None if none is eligible.
+
+    The family {empty set} is excluded: it has no elements at all and
+    its peak frequency of 0 says nothing about the frequency question
+    being probed.  Ties go to the smallest family mask, whatever the
+    input order, so the witness is deterministic.
+    """
+    eligible = ((peak, fam) for peak, fam in peaks if fam.mask != 1)
+    return min(eligible, key=lambda pf: (pf[0], pf[1].mask), default=None)
 
 
 def min_peak_frequency(n: int) -> tuple[float, FamilySet]:
     """Minimum peak frequency over OR-closed families, with a witness.
 
-    The family {empty set} is excluded: it has no elements at all and
-    its peak frequency of 0 says nothing about the frequency question
-    being probed.  Ties go to the smallest family mask, so the witness
-    is deterministic.
+    See :func:`lowest_peak` for the exclusion and the tie-break.  Every
+    n >= 1 has the family {empty set, {0}}, so a witness always exists.
     """
-    best: float | None = None
-    witness: FamilySet | None = None
-    for fam in enumerate_or_closed(n):
-        if fam.mask == 1:  # the {empty set} family
-            continue
-        value = peak_frequency(fam)
-        if best is None or value < best - 1e-15:
-            best = value
-            witness = fam
-    assert best is not None and witness is not None
-    return best, witness
+    return lowest_peak((peak_frequency(fam), fam) for fam in enumerate_or_closed(n))
 
 
 def sample_or_closed(
@@ -229,8 +238,12 @@ def sample_or_closed(
     result may be shorter than ``count`` draws.  Deterministic in
     ``seed``.
     """
+    if not 1 <= n <= 5:
+        raise ValueError(f"ground-set size must be in 1..5, got {n!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     seen: set[int] = set()
     out: list[FamilySet] = []
@@ -244,78 +257,29 @@ def sample_or_closed(
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingMatrix:
-    """Symmetric coupling of two uniform copies of a family.
-
-    ``matrix[i, j]`` couples members[i] with members[j]; rows and
-    columns each sum to 1/|A| (uniform marginals) and the matrix is
-    symmetric.  :meth:`validate` checks those invariants explicitly;
-    construction runs it once.
-    """
-
-    family: FamilySet
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        self.validate()
-
-    def validate(self, tol: float = 1e-9) -> None:
-        k = self.family.size
-        m = self.matrix
-        if m.shape != (k, k):
-            raise ValueError(f"coupling shape {m.shape} does not match |A| = {k}")
-        if m.min() < -1e-12:
-            raise ValueError(f"coupling has negative mass {m.min()!r}")
-        if abs(float(m.sum()) - 1.0) > tol:
-            raise ValueError(f"coupling mass {float(m.sum())!r} is not 1")
-        if np.abs(m - m.T).max() > tol:
-            raise ValueError("coupling is not symmetric")
-        if np.abs(m.sum(axis=1) - 1.0 / k).max() > tol:
-            raise ValueError("coupling marginals are not uniform")
-
-    def or_output_dist(self) -> np.ndarray:
-        """Distribution of OR(X, Y) over the family members.
-
-        Raises :class:`NotClosed` if the union of some member pair is not
-        a member, whatever mass the coupling puts on that pair.
-        """
-        members = np.array(self.family.members)
-        unions = np.bitwise_or.outer(members, members)
-        zi = np.searchsorted(members, unions)
-        if (members.take(zi, mode="clip") != unions).any():
-            raise NotClosed(f"family {self.family.hex_mask} is not closed under OR")
-        return np.bincount(zi.ravel(), weights=self.matrix.ravel(), minlength=len(members))
-
-    def or_entropy(self) -> float:
-        return entropy_bits(self.or_output_dist())
-
-
-def max_symmetric_coupling_entropy(family: FamilySet) -> tuple[float, CouplingMatrix]:
+def max_symmetric_coupling_entropy(family: FamilySet) -> float:
     """Maximum of H(OR(X, Y)) over symmetric uniform-marginal couplings.
 
     The maximum is log2 |A|, attained by the identity coupling Y = X:
     OR(X, Y) takes values in the closed family A, so no coupling gives
     it more than log2 |A| bits, and under Y = X it equals X, uniform on
-    A.  The identity coupling is returned with its entropy evaluated
-    through :meth:`CouplingMatrix.or_entropy`, not the closed form, so
-    callers comparing the two test the OR-output and entropy code.
+    A.  The entropy of that OR output is evaluated directly, so the
+    result is exact by construction.
 
-    Raises :class:`NotClosed`, from the OR-output code, if some pairwise
-    OR escapes the family.
+    Raises :class:`NotClosed` unless the family is closed under OR.
     """
+    if not is_or_closed(family):
+        raise NotClosed(f"family {family.hex_mask} is not closed under OR")
     k = family.size
-    coupling = CouplingMatrix(family, np.eye(k) / k)
-    return coupling.or_entropy(), coupling
+    return entropy_bits([1.0 / k] * k)
 
 
 @dataclass(frozen=True)
 class EntropyCheckReport:
     """Outcome of checking the coupling-entropy ceiling over families.
 
-    Ratios and the worst family are None when no family was checked.
-    ``h_star`` maps the mask of each checked family to its H_star.
+    Ratios are None when no family was checked.  ``h_star`` maps the
+    mask of each checked family to its H_star.
     """
 
     n: int
@@ -325,28 +289,12 @@ class EntropyCheckReport:
     skipped: int
     violations: tuple[str, ...]
     ratio_min: float | None
-    ratio_mean: float | None
     ratio_max: float | None
-    worst_family: str | None
     h_star: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "tol": self.tol,
-            "size_cap": self.size_cap,
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "violations": list(self.violations),
-            "ratio_min": self.ratio_min,
-            "ratio_mean": self.ratio_mean,
-            "ratio_max": self.ratio_max,
-            "worst_family": self.worst_family,
-        }
 
 
 def check_families(
@@ -366,22 +314,18 @@ def check_families(
     skipped = 0
     violations: list[str] = []
     ratios: list[float] = []
-    worst = None
     for fam in families:
         if not 2 <= fam.size <= size_cap:
             skipped += 1
             continue
-        value, _ = max_symmetric_coupling_entropy(fam)
+        value = max_symmetric_coupling_entropy(fam)
         h_star[fam.mask] = value
         ceiling = math.log2(fam.size)
         if value > ceiling + tol:
             violations.append(
                 f"{fam.hex_mask}: H_star={value!r} exceeds log2|A|={ceiling!r}"
             )
-        ratio = value / ceiling
-        ratios.append(ratio)
-        if worst is None or ratio < worst[0]:
-            worst = (ratio, fam.hex_mask)
+        ratios.append(value / ceiling)
     return EntropyCheckReport(
         n=n,
         tol=tol,
@@ -390,9 +334,7 @@ def check_families(
         skipped=skipped,
         violations=tuple(violations),
         ratio_min=min(ratios, default=None),
-        ratio_mean=sum(ratios) / len(ratios) if ratios else None,
         ratio_max=max(ratios, default=None),
-        worst_family=None if worst is None else worst[1],
         h_star=h_star,
     )
 

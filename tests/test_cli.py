@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import ucsbound
-from ucsbound import optimizer
+from ucsbound import cli, optimizer
 from ucsbound.cli import SCHEMA_VERSION, main
 from ucsbound.optimizer import gamma_hat
+from ucsbound.ucslab import lowest_peak, peak_frequency, sample_or_closed
 
 FAST_KNOBS = ["--grid", "32", "--refine-rounds", "3", "--multistart", "8"]
 
@@ -232,6 +233,31 @@ class TestEnumerate:
         rc = main(["enumerate", "--n", "5"])
         assert rc == 2
         assert "sampling" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,word",
+        [(["--n", "-1"], "ground-set size"), (["--n", "5", "--seed", "-1"], "seed")],
+        ids=["n", "seed"],
+    )
+    def test_bad_sample_input_exits_2(self, flags, word, capsys):
+        rc = main(["enumerate", *flags, "--sample", "3"])
+        assert rc == 2
+        assert word in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["forward", "reversed"])
+    def test_witness_ignores_sample_order(self, step, tmp_path, monkeypatch):
+        # The least-peak families of this sample tie at 1/2; the smallest
+        # mask among them is the last in forward order.
+        families = sample_or_closed(5, 200, seed=1)[::step]
+        monkeypatch.setattr(cli, "sample_or_closed", lambda n, count, seed: families)
+        out = tmp_path / "sampled.json"
+        assert main(["enumerate", "--n", "5", "--sample", "200", "--out", str(out)]) == 0
+        value, witness = lowest_peak((peak_frequency(f), f) for f in families)
+        expected = min((peak_frequency(f), f.mask) for f in families if f.mask != 1)
+        assert (value, witness.mask) == expected
+        payload = read_json(out)
+        assert payload["witness_mask"] == witness.hex_mask
+        assert payload["min_pA"] == value
 
     def test_n5_sampling_works(self, tmp_path):
         out = tmp_path / "sampled.json"

@@ -8,13 +8,13 @@ import pytest
 
 from ucsbound.errors import DimensionTooLarge, NotClosed
 from ucsbound.ucslab import (
-    CouplingMatrix,
     FamilySet,
     check_entropy_inequality,
     check_families,
     element_frequencies,
     enumerate_or_closed,
     is_or_closed,
+    lowest_peak,
     max_symmetric_coupling_entropy,
     min_peak_frequency,
     or_closure,
@@ -104,6 +104,20 @@ class TestOrClosure:
             gens = rng.integers(0, 16, size=rng.integers(1, 5))
             assert is_or_closed(or_closure(4, (int(g) for g in gens)))
 
+    def test_closure_is_the_smallest_closed_superset(self):
+        # Closed families are closed under intersection, so the smallest
+        # one holding the generators is the AND of all that hold them.
+        families = [f.mask for f in enumerate_or_closed(3)]
+        rng = np.random.default_rng(SEED)
+        for _ in range(200):
+            gens = [int(g) for g in rng.integers(0, 8, size=rng.integers(1, 5))]
+            want = FamilySet.from_members(3, gens).mask
+            meet = (1 << 8) - 1
+            for mask in families:
+                if mask & want == want:
+                    meet &= mask
+            assert or_closure(3, gens).mask == meet
+
 
 class TestFrequencies:
     def test_full_cube_frequencies_are_half(self):
@@ -177,6 +191,24 @@ class TestMinPeakFrequency:
         value, _ = min_peak_frequency(2)
         assert value > 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_witness_is_smallest_mask_of_least_peak(self, n):
+        peaks = {f.mask: peak_frequency(f) for f in enumerate_or_closed(n) if f.mask != 1}
+        least = min(peaks.values())
+        value, witness = min_peak_frequency(n)
+        assert value == least
+        assert witness.mask == min(m for m, p in peaks.items() if p == least)
+
+    def test_order_does_not_change_the_witness(self):
+        families = sample_or_closed(5, 200, seed=1)
+        pairs = [(peak_frequency(f), f) for f in families]
+        forward = lowest_peak(pairs)
+        least = min(p for p, f in pairs if f.mask != 1)
+        assert forward[1].mask == min(f.mask for p, f in pairs if p == least and f.mask != 1)
+        assert lowest_peak(reversed(pairs)) == forward
+        assert lowest_peak([]) is None
+        assert lowest_peak([(0.0, FamilySet.from_members(5, [0]))]) is None
+
 
 class TestSampling:
     def test_deterministic_in_seed(self):
@@ -201,86 +233,31 @@ class TestSampling:
             sample_or_closed(5, 0, seed=1)
 
 
-class TestCouplingMatrix:
-    def test_validates_good_coupling(self):
-        fam = FamilySet(2, 0xF)
-        CouplingMatrix(fam, np.eye(4) / 4)
-
-    def test_rejects_asymmetric(self):
-        fam = FamilySet(2, 0xF)
-        m = np.full((4, 4), 1 / 16)
-        m[0, 1] += 0.01
-        m[0, 0] -= 0.01
-        with pytest.raises(ValueError, match="symmetric"):
-            CouplingMatrix(fam, m)
-
-    def test_rejects_wrong_marginals(self):
-        fam = FamilySet(2, 0xF)
-        m = np.zeros((4, 4))
-        m[0, 0] = 0.5
-        m[1, 1] = 0.5
-        with pytest.raises(ValueError, match="marginals"):
-            CouplingMatrix(fam, m)
-
-    def test_union_outside_the_family_raises(self):
-        # {{e0}, {e1}} misses {e0, e1}; the uniform coupling is valid.
-        coup = CouplingMatrix(FamilySet.from_members(2, [1, 2]), np.full((2, 2), 0.25))
-        with pytest.raises(NotClosed):
-            coup.or_output_dist()
-        with pytest.raises(NotClosed):
-            coup.or_entropy()
-
-    def test_or_entropy_of_identity_is_log_size(self):
-        fam = FamilySet(2, 0xF)
-        coup = CouplingMatrix(fam, np.eye(4) / 4)
-        assert coup.or_entropy() == pytest.approx(2.0, abs=1e-12)
-
-
 class TestMaxSymmetricCouplingEntropy:
     def test_full_cubes_reach_log_size(self):
         for n in (1, 2, 3):
             fam = FamilySet(n, (1 << (1 << n)) - 1)
-            h_star, coup = max_symmetric_coupling_entropy(fam)
+            h_star = max_symmetric_coupling_entropy(fam)
             assert h_star == pytest.approx(float(n), abs=1e-9)
-            coup.validate()
-
-    def test_no_random_coupling_beats_the_maximum(self):
-        rng = np.random.default_rng(SEED)
-        for fam in enumerate_or_closed(3):
-            k = fam.size
-            if not 2 <= k <= 8:
-                continue
-            h_star, _ = max_symmetric_coupling_entropy(fam)
-            weights = rng.dirichlet(np.ones(3))
-            matrix = np.zeros((k, k))
-            for w in weights:
-                perm = np.eye(k)[rng.permutation(k)]
-                matrix += w * (perm + perm.T) / (2 * k)
-            assert CouplingMatrix(fam, matrix).or_entropy() <= h_star + 1e-12
 
     def test_chain_family(self):
         fam = FamilySet.from_members(2, [0, 1, 3])
-        h_star, _ = max_symmetric_coupling_entropy(fam)
+        h_star = max_symmetric_coupling_entropy(fam)
         assert h_star == pytest.approx(math.log2(3), abs=1e-9)
 
     def test_ceiling_never_exceeded(self):
         for fam in enumerate_or_closed(2):
             if fam.size < 2:
                 continue
-            h_star, _ = max_symmetric_coupling_entropy(fam)
+            h_star = max_symmetric_coupling_entropy(fam)
             assert h_star <= math.log2(fam.size) + 1e-9
-
-    def test_returned_coupling_attains_reported_entropy(self):
-        fam = FamilySet.from_members(3, [0, 1, 2, 3, 7])
-        h_star, coup = max_symmetric_coupling_entropy(fam)
-        assert coup.or_entropy() == pytest.approx(h_star, abs=1e-12)
 
     def test_not_closed_raises(self):
         with pytest.raises(NotClosed):
             max_symmetric_coupling_entropy(FamilySet.from_members(2, [1, 2]))
 
     def test_singleton_family_is_trivial(self):
-        h_star, _ = max_symmetric_coupling_entropy(FamilySet.from_members(2, [3]))
+        h_star = max_symmetric_coupling_entropy(FamilySet.from_members(2, [3]))
         assert h_star == 0.0
 
 
@@ -296,10 +273,9 @@ class TestEntropyInequality:
 
     def test_report_round_trip_keys(self):
         report = check_entropy_inequality(2)
-        payload = report.to_json_dict()
-        assert payload["n"] == 2
-        assert payload["violations"] == []
-        assert 0 < payload["ratio_min"] <= payload["ratio_max"]
+        assert report.n == 2
+        assert report.violations == ()
+        assert 0 < report.ratio_min <= report.ratio_max
 
     def test_size_cap_skips_large_families(self):
         capped = check_entropy_inequality(2, size_cap=2)
@@ -311,10 +287,7 @@ class TestEntropyInequality:
         assert report.skipped == 13
         assert report.ok
         assert report.ratio_min is None
-        assert report.ratio_mean is None
         assert report.ratio_max is None
-        assert report.worst_family is None
-        assert report.to_json_dict()["ratio_min"] is None
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-12])
     def test_rejects_bad_tol(self, tol):
@@ -332,7 +305,7 @@ class TestEntropyInequality:
         assert report.checked == len(checked)
         assert report.skipped == len(families) - len(checked)
         for fam in checked:
-            assert report.h_star[fam.mask] == max_symmetric_coupling_entropy(fam)[0]
+            assert report.h_star[fam.mask] == max_symmetric_coupling_entropy(fam)
 
     def test_ceiling_is_reached_on_n4(self):
         report = check_entropy_inequality(4)
