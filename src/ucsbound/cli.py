@@ -242,6 +242,8 @@ def _family_rows(families, h_star: dict):
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     started = None if args.no_timestamps else _utcnow()
+    if args.check_entropy and args.size_cap < 2:
+        raise ValueError(f"--size-cap must be >= 2, got {args.size_cap}")
     if args.sample is not None:
         families = sample_or_closed(args.n, args.sample, args.seed)
         sampled = True

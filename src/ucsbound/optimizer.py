@@ -36,7 +36,10 @@ deliberately elementary and fully deterministic:
    cyclic per-coordinate Brent line search with a shrinking trust
    window, clipped to the feasible box at every step.  Each line
    search starts at the window centre, the current point, whose value
-   is known, so it never ends worse than it began.  Along one
+   is known, so it never ends worse than it began.  The last round's
+   line searches converge to 1e-10; an earlier round's only hand a
+   start point to the next, narrower window, so they stop at 1e-2 of
+   their own window.  Along one
    coordinate only 6 of the objective's 16 entropy terms move; the
    rest are computed once per line;
 3. the reported minimum is re-evaluated through the reference
@@ -56,7 +59,7 @@ switching to the maximum of the envelope of every line found so far
 (Kelley 1960) where the secant stalls on a kink.  At alpha = 1 the
 worst families are known in closed form, so that end costs no grid
 search.  At default settings it takes 3 or 4 grid inner searches at
-t = 0.05, 0.1, 0.2, 0.25 and 0.3, 5 or 6 in [0.375, 0.38234], and 6
+t = 0.05, 0.1, 0.2, 0.25 and 0.3, 5 to 7 in [0.375, 0.38234], and 6
 to 10 at t = 0.33, 0.36, 0.39, 0.42, 0.45 and 0.49.
 :func:`find_tmax` bisects over t.
 """
@@ -120,8 +123,11 @@ _ALPHA_GAP_TOL = 1e-10
 _ALPHA_MAX_SEARCHES = 16
 # Absolute term of each Brent line search's stopping rule, which accepts
 # a point once the bracket around it is within 2 * (sqrt(eps) * |x| +
-# _PARAM_TOL / 3).
+# tol / 3).  The last refinement round uses tol = _PARAM_TOL; an earlier
+# round only hands a start point to the next, narrower window, so it
+# uses _ROUND_TOL_FRACTION of its own window.
 _PARAM_TOL = 1e-10
+_ROUND_TOL_FRACTION = 1e-2
 # A high block's mean must clear t by this much.
 _EPSILON_BOUNDARY = 1e-9
 
@@ -132,7 +138,7 @@ class SearchConfig:
 
     The defaults reproduce the reference evaluation to ~1e-9; a
     ``gamma_hat(t, "auto")`` search over alpha runs 3 to 10 inner
-    searches of this setting at t from 0.05 to 0.49 (5 or 6 in [0.375,
+    searches of this setting at t from 0.05 to 0.49 (5 to 7 in [0.375,
     0.38234]), and none at alpha = 1, which has a closed form.
     :data:`VERIFY_CONFIG` is the finer setting of the published check.
     """
@@ -531,7 +537,9 @@ class _PairGrid:
         x = list(params)
         best = self._line(x, 0, alpha)(x[0])
         window = 1.0 / (cfg.grid_points_per_axis - 1)
-        for _ in range(cfg.refine_rounds):
+        for r in range(cfg.refine_rounds):
+            last = r == cfg.refine_rounds - 1
+            tol = _PARAM_TOL if last else max(_PARAM_TOL, _ROUND_TOL_FRACTION * window)
             for ci in range(4):
                 lo = max(0.0, x[ci] - window)
                 hi = min(1.0, x[ci] + window)
@@ -543,7 +551,7 @@ class _PairGrid:
                     continue
                 # Start at the window centre, whose value is already known.
                 start = (x[ci], best) if lo <= x[ci] <= hi else None
-                v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, _PARAM_TOL, start)
+                v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, tol, start)
                 if fv < best:
                     x[ci] = v
                     best = fv
@@ -646,7 +654,7 @@ def gamma_hat(
     The search then brackets the slope's change of sign and steps by
     Illinois secant; when the envelope gap has not halved since the
     step before, it takes the envelope's maximiser instead, which lands
-    on a kink exactly.  At default settings that takes 5 or 6 inner
+    on a kink exactly.  At default settings that takes 5 to 7 inner
     searches at t in [0.375, 0.38234] and 3 to 10 over [0.05, 0.49].
     A pinned alpha needs one inner search, :func:`inner_inf`, so its
     grid is streamed: built block by block and scanned as it goes, never

@@ -63,6 +63,12 @@ _MOVES = {
 }
 
 
+def _require_ground_size(n: int) -> None:
+    """Raise ``ValueError`` unless n is a ground-set size a FamilySet allows."""
+    if not 1 <= n <= 5:
+        raise ValueError(f"ground-set size must be in 1..5, got {n!r}")
+
+
 @dataclass(frozen=True)
 class FamilySet:
     """A nonempty family of subsets of {0, ..., n-1}, as a member bitmask.
@@ -76,8 +82,7 @@ class FamilySet:
     mask: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 5:
-            raise ValueError(f"ground-set size must be in 1..5, got {self.n!r}")
+        _require_ground_size(self.n)
         if not 1 <= self.mask < (1 << (1 << self.n)):
             raise ValueError(
                 f"family mask must be in [1, 2^(2^{self.n})), got {self.mask!r}"
@@ -85,6 +90,7 @@ class FamilySet:
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "FamilySet":
+        _require_ground_size(n)
         mask = 0
         for m in members:
             if not 0 <= m < (1 << n):
@@ -238,8 +244,7 @@ def sample_or_closed(
     result may be shorter than ``count`` draws.  Deterministic in
     ``seed``.
     """
-    if not 1 <= n <= 5:
-        raise ValueError(f"ground-set size must be in 1..5, got {n!r}")
+    _require_ground_size(n)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     if seed < 0:
@@ -306,10 +311,14 @@ def check_families(
     per checked family.  Families with fewer than two members or more
     than ``size_cap`` are skipped.  The reported ratios are
     H_star / log2 |A|; they sit at 1 up to rounding.  Raises
-    ``ValueError`` unless ``tol`` is finite and non-negative.
+    ``ValueError`` unless ``tol`` is finite and non-negative, and
+    unless ``size_cap`` is at least 2: a smaller cap would skip every
+    family and pass without checking any.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if size_cap < 2:
+        raise ValueError(f"size_cap must be >= 2, got {size_cap!r}")
     h_star: dict[int, float] = {}
     skipped = 0
     violations: list[str] = []

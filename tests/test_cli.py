@@ -206,14 +206,24 @@ class TestEnumerate:
         assert rc == 2
         assert "tol" in capsys.readouterr().err
 
-    def test_nothing_checked_reports_none(self, tmp_path):
+    def test_nothing_checked_reports_none(self, tmp_path, monkeypatch):
+        # Only single-member families, which the check skips.
+        singletons = [fam for fam in cli.enumerate_or_closed(2) if fam.size == 1]
+        monkeypatch.setattr(cli, "enumerate_or_closed", lambda n: singletons)
         out = tmp_path / "families.json"
-        argv = ["enumerate", "--n", "2", "--check-entropy", "--size-cap", "1"]
+        argv = ["enumerate", "--n", "2", "--check-entropy"]
         rc = main([*argv, "--out", str(out)])
         assert rc == 0
         block = read_json(out)["entropy_check"]
         assert block["checked"] == 0
         assert block["ratio_min"] is None and block["ratio_max"] is None
+
+    @pytest.mark.parametrize("cap", ["1", "0", "-5"])
+    def test_size_cap_below_two_exits_2(self, cap, capsys):
+        # Such a cap skips every family, so the check would pass unchecked.
+        rc = main(["enumerate", "--n", "3", "--check-entropy", "--size-cap", cap])
+        assert rc == 2
+        assert "--size-cap" in capsys.readouterr().err
 
     def test_sampled_families_are_checked(self, tmp_path):
         out = tmp_path / "sampled.json"

@@ -19,6 +19,8 @@ from ucsbound.optimizer import (
     VERIFY_CONFIG,
     SearchConfig,
     _EPSILON_BOUNDARY,
+    _PARAM_TOL,
+    _ROUND_TOL_FRACTION,
     _brent_min,
     _envelope_argmax,
     _PairGrid,
@@ -374,6 +376,20 @@ def inner_searches(monkeypatch):
     return reports
 
 
+@pytest.fixture
+def line_search_tols(monkeypatch):
+    """The tolerance of every ``_brent_min`` call made in the test."""
+    tols = []
+    brent_min = optimizer._brent_min
+
+    def recorded(f, lo, hi, tol, start=None):
+        tols.append(tol)
+        return brent_min(f, lo, hi, tol, start)
+
+    monkeypatch.setattr(optimizer, "_brent_min", recorded)
+    return tols
+
+
 class TestEnvelopeArgmax:
     def test_two_lines_peak_at_their_kink(self):
         # 1 + x and 1.5 - 3x cross at x = 1/8, where both are 1.125.
@@ -623,6 +639,60 @@ class TestGammaHat:
         monkeypatch.setattr(_PairGrid, "_line", counted_line)
         gamma_hat(0.38234, config=FAST)
         assert calls < 26_795
+
+    def test_early_rounds_stop_at_a_fraction_of_their_window(
+        self, monkeypatch, line_search_tols
+    ):
+        # Only the last round polishes to _PARAM_TOL; each earlier one
+        # just hands a start point to the next, narrower window.
+        calls = 0
+        make_line = _PairGrid._line
+
+        def counted_line(grid, *args):
+            line = make_line(grid, *args)
+
+            def objective(u):
+                nonlocal calls
+                calls += 1
+                return line(u)
+
+            return objective
+
+        monkeypatch.setattr(_PairGrid, "_line", counted_line)
+        gamma_hat(0.38234, config=FAST)
+        window = 1.0 / (FAST.grid_points_per_axis - 1)
+        assert set(line_search_tols) == {
+            _ROUND_TOL_FRACTION * window,
+            _ROUND_TOL_FRACTION * (window * 0.35),
+            _PARAM_TOL,
+        }
+        # Every round at _PARAM_TOL made 7,809 calls here.
+        assert calls < 5_000
+
+    def test_one_round_refines_to_the_full_tolerance(self, line_search_tols):
+        # Its only round is the last, so it polishes as every round once
+        # did; these are the values of that refinement.
+        cert = gamma_hat(0.38234, config=SearchConfig(32, 1, 8))
+        assert set(line_search_tols) == {_PARAM_TOL}
+        assert cert.gamma_hat_lower == pytest.approx(1.0000107519085992, abs=1e-12)
+        assert cert.alpha_star == pytest.approx(0.036832130839261686, abs=1e-12)
+        fam = cert.argmin
+        got = (fam.a1, fam.a2, fam.b1, fam.b2)
+        want = (0.328639579575062, 0.33106248415511436, 0.32928340900539577, 1.0)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "t, bound",
+        [
+            (0.375, 1.0119749238290732),
+            (0.38, 1.0038231156520951),
+            (0.382, 1.0005631658568181),
+            (0.38234, 1.0000090184263946),
+        ],
+    )
+    def test_default_ladder_bounds_hold(self, t, bound):
+        # The bounds of every round refined to _PARAM_TOL.
+        assert gamma_hat(t).gamma_hat_lower == pytest.approx(bound, abs=1e-9)
 
     def test_repeat_call_is_identical(self):
         first = gamma_hat(0.38234, config=FAST).to_json_dict()

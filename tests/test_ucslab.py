@@ -72,6 +72,13 @@ class TestFamilySet:
         with pytest.raises(ValueError):
             FamilySet.from_members(2, [4])
 
+    @pytest.mark.parametrize("n", [-1, 0, 6])
+    def test_bad_ground_size_is_named_before_any_member_is_read(self, n):
+        # n = -1 used to fail on 1 << n with "negative shift count".
+        for build in (FamilySet.from_members, or_closure):
+            with pytest.raises(ValueError, match=r"ground-set size must be in 1\.\.5"):
+                build(n, [0])
+
 
 class TestIsOrClosed:
     def test_hand_cases(self):
@@ -282,12 +289,19 @@ class TestEntropyInequality:
         assert capped.checked < 9
 
     def test_nothing_checked_reports_none(self):
-        report = check_entropy_inequality(2, size_cap=1)
+        singletons = [fam for fam in enumerate_or_closed(2) if fam.size == 1]
+        report = check_families(2, singletons)
         assert report.checked == 0
-        assert report.skipped == 13
+        assert report.skipped == 4
         assert report.ok
         assert report.ratio_min is None
         assert report.ratio_max is None
+
+    @pytest.mark.parametrize("size_cap", [1, 0, -5])
+    def test_rejects_size_cap_below_two(self, size_cap):
+        # Such a cap skips every family, so the check would pass unchecked.
+        with pytest.raises(ValueError, match="size_cap"):
+            check_families(2, enumerate_or_closed(2), size_cap=size_cap)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-12])
     def test_rejects_bad_tol(self, tol):
