@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -38,6 +38,8 @@ from .errors import (
 )
 from .maxcorr import binary_coupling, correlation_spectrum, maximal_correlation, pearson
 from .optimizer import (
+    REFERENCE_BETA,
+    REFERENCE_RATIO,
     VERIFY_CONFIG,
     SearchConfig,
     find_tmax,
@@ -54,31 +56,7 @@ from .ucslab import (
 
 SCHEMA_VERSION = 5
 
-__all__ = ["main", "build_parser", "RunManifest", "SCHEMA_VERSION"]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What ran, with what, and what it wrote."""
-
-    subcommand: str
-    parameters: dict
-    tool_version: str
-    schema_version: int
-    started_at: str | None
-    finished_at: str | None
-    outputs: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "tool_version": self.tool_version,
-            "schema_version": self.schema_version,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "outputs": list(self.outputs),
-        }
+__all__ = ["main", "build_parser", "SCHEMA_VERSION"]
 
 
 def _utcnow() -> str:
@@ -91,6 +69,10 @@ def _atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -100,17 +82,6 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _manifest_params(args: argparse.Namespace) -> dict:
-    out = {}
-    for key, value in vars(args).items():
-        if key in ("func", "subcommand"):
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
 
 
 def _strip_timing(value):
@@ -128,7 +99,7 @@ def _emit(
     started_at: str | None,
     extra_outputs: tuple[str, ...] = (),
 ) -> None:
-    """Write the report (and manifest, when going to a file)."""
+    """Write the report (and a manifest of what ran, when going to a file)."""
     if args.no_timestamps:
         payload = _strip_timing(payload)
     payload = {**payload, "schema_version": SCHEMA_VERSION}
@@ -139,16 +110,16 @@ def _emit(
         sys.stdout.write(text)
         return
     _atomic_write_text(args.out, text)
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        parameters=_manifest_params(args),
-        tool_version=__version__,
-        schema_version=SCHEMA_VERSION,
-        started_at=started_at,
-        finished_at=None if args.no_timestamps else _utcnow(),
-        outputs=(args.out,) + extra_outputs,
-    )
-    _atomic_write_text(args.out + ".manifest.json", _dump_json(manifest.to_json_dict()))
+    manifest = {
+        "subcommand": args.subcommand,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")},
+        "tool_version": __version__,
+        "schema_version": SCHEMA_VERSION,
+        "started_at": started_at,
+        "finished_at": None if args.no_timestamps else _utcnow(),
+        "outputs": (args.out, *extra_outputs),
+    }
+    _atomic_write_text(args.out + ".manifest.json", _dump_json(manifest))
 
 
 def _search_config(args: argparse.Namespace, base: SearchConfig = SearchConfig()) -> SearchConfig:
@@ -211,9 +182,9 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     cert = verify_reference_point(config=config, strict=args.strict)
     fam = cert.argmin
     print(f"reference evaluation reproduced (strict={args.strict}):")
-    print(f"  min_ratio {cert.gamma_hat_lower:.10f}  (published 1.00000889)")
+    print(f"  min_ratio {cert.gamma_hat_lower:.10f}  (published {REFERENCE_RATIO})")
     print(f"  argmin a1={fam.a1:.7f} a2={fam.a2:.7f} b1={fam.b1:.7f} b2={fam.b2:.7f}")
-    print(f"  beta {fam.beta:.7f}  (published 0.1560676)")
+    print(f"  beta {fam.beta:.7f}  (published {REFERENCE_BETA})")
     _emit(args, cert.to_json_dict(), started)
     return 0
 

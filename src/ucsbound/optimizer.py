@@ -28,19 +28,21 @@ deliberately elementary and fully deterministic:
    over blocks of low-pair rows, about 2^16 cells each, and each
    block's best cells compete for the multistart.  The per-pair and
    cross-block sums do not depend on alpha, so a search over alpha
-   keeps two ratio arrays and a mask of degenerate cells (73 MiB at
-   g = 96) and re-scans for a new alpha at the cost of one saxpy.  A
-   search at one pinned alpha scans each block as it is built and
-   keeps nothing grid-sized;
+   keeps each block as built, two ratio arrays and a mask of
+   degenerate cells (73 MiB at g = 96), and re-scans for a new alpha
+   at the cost of one saxpy.  A search at one pinned alpha scans each
+   block as it is built and keeps nothing grid-sized;
 2. the best ``multistart_count`` grid points are each polished by
    cyclic per-coordinate Brent line search with a shrinking trust
-   window, clipped to the feasible box at every step.  Each line
-   search starts at the window centre, the current point, whose value
-   is known, so it never ends worse than it began.  The last round's
-   line searches converge to 1e-10; an earlier round's only hand a
-   start point to the next, narrower window, so they stop at 1e-2 of
-   their own window.  Along one
-   coordinate only 6 of the objective's 16 entropy terms move; the
+   window, clipped to the feasible box at every step.  That clip is
+   the only box rule: Brent's bounded method evaluates only inside its
+   bracket, so the line objective never sees a point off the box and
+   does not test for one.  Each line search starts at the window
+   centre, the current point, whose value is known, so it never ends
+   worse than it began.  The last round's line searches converge to
+   1e-10; an earlier round's only hand a start point to the next,
+   narrower window, so they stop at 1e-2 of their own window.  Along
+   one coordinate only 6 of the objective's 16 entropy terms move; the
    rest are computed once per line;
 3. the reported minimum is re-evaluated through the reference
    implementation in :mod:`ucsbound.distributions`, so the fast path
@@ -67,8 +69,9 @@ to 10 at t = 0.33, 0.36, 0.39, 0.42, 0.45 and 0.49.
 from __future__ import annotations
 
 import math
+import operator
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -132,15 +135,25 @@ _ROUND_TOL_FRACTION = 1e-2
 _EPSILON_BOUNDARY = 1e-9
 
 
+def _json(value):
+    """``value`` as JSON data: a family as its ``argmin_dict``, any other
+    dataclass as a dict of its fields, a tuple as a list."""
+    if isinstance(value, ExtremeFamily):
+        return value.argmin_dict()
+    if is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs of the grid-plus-refinement search.
 
-    The defaults reproduce the reference evaluation to ~1e-9; a
-    ``gamma_hat(t, "auto")`` search over alpha runs 3 to 10 inner
-    searches of this setting at t from 0.05 to 0.49 (5 to 7 in [0.375,
-    0.38234]), and none at alpha = 1, which has a closed form.
+    The defaults reproduce the reference evaluation to ~1e-9.
     :data:`VERIFY_CONFIG` is the finer setting of the published check.
+    Each knob must be an integer, a numpy one included.
     """
 
     grid_points_per_axis: int = 64
@@ -148,6 +161,12 @@ class SearchConfig:
     multistart_count: int = 16
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                object.__setattr__(self, f.name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}") from None
         if self.grid_points_per_axis < 2:
             raise ValueError("grid_points_per_axis must be >= 2")
         if self.refine_rounds < 0:
@@ -156,7 +175,7 @@ class SearchConfig:
             raise ValueError("multistart_count must be >= 1")
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return _json(self)
 
 
 # Search used by :func:`verify_reference_point` and ``verify-paper``.
@@ -174,13 +193,7 @@ class InnerSearchReport:
     evaluations: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "t": self.t,
-            "min_ratio": self.min_ratio,
-            "argmin": self.argmin.argmin_dict(),
-            "evaluations": self.evaluations,
-        }
+        return _json(self)
 
 
 @dataclass(frozen=True)
@@ -208,16 +221,7 @@ class BoundCertificate:
         return self.gamma_hat_lower > 1.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "alpha_star": self.alpha_star,
-            "gamma_hat_lower": self.gamma_hat_lower,
-            "argmin": self.argmin.argmin_dict(),
-            "evaluations": self.evaluations,
-            "config": self.config.to_json_dict(),
-            "alpha_gap": self.alpha_gap,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return _json(self)
 
 
 @dataclass(frozen=True)
@@ -234,16 +238,7 @@ class ThresholdCertificate:
     wall_time_ms: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "t_certified": self.t_certified,
-            "t_ceiling": self.t_ceiling,
-            "margin": self.margin,
-            "bracket": list(self.bracket),
-            "endpoint_bounds": list(self.endpoint_bounds),
-            "steps": self.steps,
-            "certificate": self.certificate.to_json_dict(),
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return _json(self)
 
 
 def _entropy_arr(x: np.ndarray) -> np.ndarray:
@@ -359,23 +354,24 @@ class _PairGrid:
 
     The alpha-independent part of every cell, in particular the
     cross-block entropy sums that dominate the cost, is computed one row
-    block at a time.  By default the blocks are retained, so re-scanning
-    at a new alpha is a single linear blend of two cached matrices: the
-    workspace of a search over alpha.  A grid built with ``stream=True``
-    retains nothing grid-sized; each scan builds every block again and
-    scans it at once, which suits a search at one pinned alpha.
+    block at a time.  By default the blocks are kept as built, so
+    re-scanning at a new alpha is a single linear blend of two cached
+    arrays per block: the workspace of a search over alpha.  A grid
+    built with ``stream=True`` keeps nothing grid-sized; each scan
+    builds every block again and scans it at once, which suits a search
+    at one pinned alpha.
     """
 
     def __init__(self, t: float, config: SearchConfig, stream: bool = False):
         self.t = t = _require_t(t)
         self.config = config
         self.evaluations = 0
-        self._bad = self._ind_over_denom = self._cor_over_denom = None
+        self._kept = None
         g = config.grid_points_per_axis
         try:
             self._build(g)
             if not stream:
-                self._retain()
+                self._kept = list(self._blocks())
         except MemoryError:
             raise GridTooLarge(
                 f"a grid of {g} points per axis needs more memory than is available"
@@ -421,24 +417,13 @@ class _PairGrid:
             am = amean[rows, None]
             sab = cols[ia1[rows]]
             sab += cols[ia2[rows]]
-            beta = np.clip((t - am) / (bmean - am), 0.0, 1.0)
+            # In (0, 1): every low pair's mean is below t, every high one's above.
+            beta = (t - am) / (bmean - am)
             return _over_denom(
                 *_mix(beta, ha[rows, None], hb, saa[rows, None], sbb, sab, pa[rows, None], pb)
             )
 
         self._build_block = build_block
-
-    def _retain(self) -> None:
-        """Build every block into the three grid-sized arrays a re-scan reads."""
-        self._bad = np.empty(self._shape, dtype=bool)
-        self._ind_over_denom = np.empty(self._shape)
-        self._cor_over_denom = np.empty(self._shape)
-        for rows in self._row_blocks():
-            (
-                self._bad[rows],
-                self._ind_over_denom[rows],
-                self._cor_over_denom[rows],
-            ) = self._build_block(rows)
 
     def _row_blocks(self):
         """Slices of low-pair rows, each about _BLOCK_CELLS grid cells."""
@@ -447,12 +432,10 @@ class _PairGrid:
         return [slice(start, start + step) for start in range(0, rows, step)]
 
     def _blocks(self):
-        """Each row block's slice, mask, ind/denom and cor/denom: retained or built now."""
-        for rows in self._row_blocks():
-            if self._bad is None:
-                yield rows, *self._build_block(rows)
-            else:
-                yield rows, self._bad[rows], self._ind_over_denom[rows], self._cor_over_denom[rows]
+        """Each row block's slice, mask, ind/denom and cor/denom: kept, or built now."""
+        if self._kept is not None:
+            return self._kept
+        return ((rows, *self._build_block(rows)) for rows in self._row_blocks())
 
     # -- grid scan ---------------------------------------------------------
 
@@ -488,25 +471,21 @@ class _PairGrid:
     # -- refinement --------------------------------------------------------
 
     def _line(self, x: list, ci: int, alpha: float):
-        """The search objective along coordinate ``ci`` of ``x``; +inf off the box.
+        """The search objective along coordinate ``ci`` of ``x``.
 
         Of the ratio's 16 entropy terms, the 10 that do not involve x[ci]
         are computed here, once; a call computes the other 6.  Calls go
         through this module's ``binary_entropy``, so a counting wrapper
-        installed there sees all.
+        installed there sees all.  Points are not checked against the
+        feasible box: :meth:`_refine` clips every window to it.  +inf
+        marks a degenerate denominator.
         """
         t = self.t
         h, fc = binary_entropy, max_entropy_or_prob_fullcorr
         w = x[ci ^ 1]  # the other coordinate of the moving block
         hw, sw = h(w), h(w + w - w * w)
-        # Block means allowed: low at most t, high clear of t by _EPSILON_BOUNDARY / 2.
-        low, high = (-_INF, t + 1e-15), (t + 0.5 * _EPSILON_BOUNDARY, _INF)
-        (mean_lo, mean_hi), (fixed_lo, fixed_hi) = (low, high) if ci < 2 else (high, low)
         o1, o2 = x[2:] if ci < 2 else x[:2]
         omean = 0.5 * (o1 + o2)
-        fixed_ok = fixed_lo <= omean <= fixed_hi and all(
-            0.0 <= v <= 1.0 for k, v in enumerate(x) if k != ci
-        )
         ho = h(o1) + h(o2)
         so = h(o1 + o1 - o1 * o1) + 2.0 * h(o1 + o2 - o1 * o2) + h(o2 + o2 - o2 * o2)
         po = h(fc(o1, o2))
@@ -515,13 +494,12 @@ class _PairGrid:
         def objective(u: float) -> float:
             self.evaluations += 1
             mean = 0.5 * (u + w)
-            if not (fixed_ok and 0.0 <= u <= 1.0 and mean_lo <= mean <= mean_hi):
-                return _INF
             hu = h(u) + hw
             su = h(u + u - u * u) + 2.0 * h(u + w - u * w) + sw
             pu = h(fc(u, w))
             # Weight of the fixed block: beta if it is the high block,
-            # 1 - beta if it is the low one; the formula is the same.
+            # 1 - beta if it is the low one; the formula is the same.  The
+            # clip absorbs rounding at the edges of the box.
             gamma = (t - mean) / (omean - mean)
             gamma = 0.0 if gamma < 0.0 else (1.0 if gamma > 1.0 else gamma)
             cross = h(u + o1 - u * o1) + h(u + o2 - u * o2) + cw
@@ -654,11 +632,10 @@ def gamma_hat(
     The search then brackets the slope's change of sign and steps by
     Illinois secant; when the envelope gap has not halved since the
     step before, it takes the envelope's maximiser instead, which lands
-    on a kink exactly.  At default settings that takes 5 to 7 inner
-    searches at t in [0.375, 0.38234] and 3 to 10 over [0.05, 0.49].
-    A pinned alpha needs one inner search, :func:`inner_inf`, so its
-    grid is streamed: built block by block and scanned as it goes, never
-    held whole.  A pinned alpha = 1 builds no grid at all.
+    on a kink exactly.  A pinned alpha needs one inner search,
+    :func:`inner_inf`, so its grid is streamed: built block by block and
+    scanned as it goes, never held whole.  A pinned alpha = 1 builds no
+    grid at all.
 
     Each evaluated alpha is scored by the least reference ratio, at that
     alpha, over every family the search found, so the bound is one that

@@ -191,6 +191,22 @@ class TestEnumerate:
         manifest = read_json(str(out) + ".manifest.json")
         assert str(sheet) in manifest["outputs"]
 
+    def test_outputs_get_the_mode_open_gives(self, tmp_path):
+        out = tmp_path / "families.json"
+        sheet = tmp_path / "families.csv"
+        # Fix the umask so that the comparison shows more than 0600 == 0600.
+        umask = os.umask(0o022)
+        try:
+            rc = main(["enumerate", "--n", "2", "--csv", str(sheet), "--out", str(out)])
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(umask)
+        assert rc == 0
+        want = (tmp_path / "plain.txt").stat().st_mode
+        for path in (out, tmp_path / "families.json.manifest.json", sheet):
+            assert oct(path.stat().st_mode) == oct(want)
+
     def test_entropy_check_block(self, tmp_path):
         out = tmp_path / "families.json"
         rc = main(["enumerate", "--n", "2", "--check-entropy", "--out", str(out)])

@@ -150,16 +150,31 @@ class TestLineObjective:
                     expect = oracle_ratio(*y, t, alpha)
                     assert line(u) == pytest.approx(expect, abs=1e-12)
 
-    def test_infinite_off_the_feasible_box(self):
-        t, alpha = 0.38, 0.035
-        grid = _PairGrid(t, FAST)
-        x = [0.3, 0.33, 0.4, 0.5]
-        # Out of [0, 1], or a block mean on the wrong side of t.
-        for ci, u in ((0, -0.1), (0, 0.5), (1, 1.2), (2, 0.2), (2, 1.5), (3, -0.2), (3, 0.3)):
-            assert grid._line(x, ci, alpha)(u) == math.inf
-        # A fixed block off the box makes the whole line infeasible.
-        assert grid._line([0.3, 0.5, 0.4, 0.5], 2, alpha)(0.45) == math.inf
-        assert grid._line([0.3, 0.33, 0.4, 0.2], 0, alpha)(0.3) == math.inf
+    def test_refinement_evaluates_only_inside_the_feasible_box(self, monkeypatch):
+        # The line objective does not test the box; the window clip in
+        # _refine is what keeps every point it sees inside.
+        points = []
+        make_line = _PairGrid._line
+
+        def recorded_line(grid, x, ci, alpha):
+            line = make_line(grid, x, ci, alpha)
+
+            def objective(u):
+                y = list(x)
+                y[ci] = u
+                points.append((grid.t, y))
+                return line(u)
+
+            return objective
+
+        monkeypatch.setattr(_PairGrid, "_line", recorded_line)
+        for t in (0.05, 0.3, 0.38234, 0.49):
+            gamma_hat(t, config=FAST)
+        assert len(points) > 1000
+        for t, (a1, a2, b1, b2) in points:
+            assert all(0.0 <= v <= 1.0 for v in (a1, a2, b1, b2))
+            assert 0.5 * (a1 + a2) <= t + 1e-15
+            assert 0.5 * (b1 + b2) >= t + _EPSILON_BOUNDARY - 1e-15
 
     def test_counts_evaluations(self):
         grid = _PairGrid(0.38, FAST)
@@ -203,7 +218,9 @@ class TestGridWorkspace:
         cfg = SearchConfig(grid_points_per_axis=g)
         grid = _PairGrid(t, cfg)
         blocks = grid._row_blocks()
-        rows = grid._bad.shape[0]
+        _, *kept = zip(*grid._kept)
+        kept_bad, kept_ind, kept_cor = map(np.concatenate, kept)
+        rows = kept_bad.shape[0]
         if several:
             assert len(blocks) > 2 and rows % (blocks[0].stop - blocks[0].start) != 0
         else:
@@ -211,9 +228,9 @@ class TestGridWorkspace:
         (a1, a2, b1, b2), bad, ind, cor = dense_workspace(t, cfg)
         for got, want in zip((*grid._a, *grid._b), (a1, a2, b1, b2)):
             assert np.array_equal(got, want)
-        assert np.array_equal(grid._bad, bad)
-        assert np.array_equal(grid._ind_over_denom, ind)
-        assert np.array_equal(grid._cor_over_denom, cor)
+        assert np.array_equal(kept_bad, bad)
+        assert np.array_equal(kept_ind, ind)
+        assert np.array_equal(kept_cor, cor)
 
     def test_blocked_scan_matches_dense_argpartition(self):
         t, alpha = 0.38234, 0.035
@@ -234,8 +251,8 @@ class TestGridWorkspace:
         assert grid.evaluations - before == flat.size
 
     def test_memory_stays_near_the_retained_arrays(self):
-        # numpy reports its buffers to tracemalloc.  Only the three kept
-        # arrays are grid-sized; the rest is per block or per axis.
+        # numpy reports its buffers to tracemalloc.  Only the kept blocks
+        # add up to grid size; the rest is per block or per axis.
         tracemalloc.start()
         try:
             grid = _PairGrid(0.38234, VERIFY_CONFIG)
@@ -245,9 +262,7 @@ class TestGridWorkspace:
             scan_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        retained = sum(
-            a.nbytes for a in (grid._bad, grid._ind_over_denom, grid._cor_over_denom)
-        )
+        retained = sum(a.nbytes for _, *arrays in grid._kept for a in arrays)
         allowance = 16 * 2**20
         assert build_peak <= retained + allowance
         assert scan_peak <= retained + allowance
@@ -262,7 +277,7 @@ class TestGridWorkspace:
     def test_streamed_grid_matches_the_retained_one(self, t, alpha, config, several):
         retained = _PairGrid(t, config)
         streamed = _PairGrid(t, config, stream=True)
-        assert streamed._bad is None and streamed._ind_over_denom is None
+        assert streamed._kept is None
         blocks = len(streamed._row_blocks())
         assert blocks > 2 if several else blocks == 1
         assert streamed._candidates(alpha) == retained._candidates(alpha)
@@ -562,6 +577,24 @@ class TestSearchConfig:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid_points_per_axis", 64.0),
+            ("refine_rounds", 2.5),
+            ("multistart_count", 1.5),
+            ("grid_points_per_axis", "64"),
+        ],
+    )
+    def test_rejects_non_integer_knobs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+
+    def test_accepts_numpy_integers_as_python_ints(self):
+        cfg = SearchConfig(np.int64(32), np.int32(3), np.uint8(8))
+        assert cfg == FAST
+        assert all(type(v) is int for v in cfg.to_json_dict().values())
 
 
 class TestGammaHat:
