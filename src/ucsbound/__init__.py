@@ -9,7 +9,12 @@ the pair: the independent one and the fully correlated one.  The
 laboratory half exhaustively enumerates union-closed families on tiny
 ground sets and checks the coupling-entropy ceiling on each of them.
 That check evaluates the identity coupling directly; the identity
-attains the ceiling, so the check is exact by construction.
+attains the ceiling, so the check is exact by construction.  Element
+frequencies and peaks are popcounts of the family's member bitmask.
+
+numpy loads on the first array operation, not on import: the grid
+search, ``element_frequencies``, ``sample_or_closed`` and ``maxcorr``
+build arrays; enumeration, peaks and the entropy check do not.
 
 ``maxcorr`` is a sidecar that no certificate calls: it gives the
 maximal correlation of a two-by-two Bernoulli coupling, spectrally and

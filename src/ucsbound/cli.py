@@ -48,8 +48,8 @@ from .optimizer import (
 )
 from .ucslab import (
     check_families,
-    element_frequencies,
     enumerate_or_closed,
+    frequency_list,
     lowest_peak,
     sample_or_closed,
 )
@@ -193,7 +193,7 @@ def _family_rows(families, h_star: dict):
     """CSV rows; H_star and ratio are None for families not checked."""
     rows = []
     for fam in families:
-        freqs = element_frequencies(fam)
+        freqs = frequency_list(fam)
         h_x = math.log2(fam.size)
         star = h_star.get(fam.mask)
         rows.append(
@@ -201,8 +201,8 @@ def _family_rows(families, h_star: dict):
                 "n": fam.n,
                 "size": fam.size,
                 "mask": fam.hex_mask,
-                "p_A": float(freqs.max()),
-                "freqs": ";".join(repr(float(v)) for v in freqs),
+                "p_A": max(freqs),
+                "freqs": ";".join(map(repr, freqs)),
                 "H_X": h_x,
                 "H_star": star,
                 "ratio": None if star is None else star / h_x,

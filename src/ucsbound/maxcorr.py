@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import InfeasibleCorrelation, RankDeficient
 from .scalars import require_prob
+
+np = lazy_import("numpy")
 
 __all__ = [
     "JointDist",

@@ -73,11 +73,12 @@ import operator
 import time
 from dataclasses import dataclass, fields, is_dataclass
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .distributions import ExtremeFamily, entropy_ratio
 from .errors import BracketFailure, EmptyFeasible, GridTooLarge, VerificationFailed
 from .scalars import binary_entropy, max_entropy_or_prob_fullcorr, require_prob
+
+np = lazy_import("numpy")
 
 __all__ = [
     "SearchConfig",
@@ -679,12 +680,11 @@ def _alpha_one_family(t: float) -> ExtremeFamily:
     :func:`_best_alpha`).  At alpha = 0 its ratio is
     2 - t (4 - q) / (1 + b1) with q = h(2 b1 - b1^2) / h(b1), so the
     best b1 (~0.0727) does not depend on t.  It is found by Brent's
-    method over (0, 1) on the reference ratio.
+    method over (0, 1) on the reference ratio; the bounded method
+    evaluates only strictly inside its bracket, so b1 is never 0 or 1.
     """
 
     def ratio_at_zero(b1: float) -> float:
-        if not 0.0 < b1 < 1.0:
-            return _INF
         return entropy_ratio(ExtremeFamily(0.0, 0.0, t, b1, 1.0), 0.0)
 
     b1, _ = _brent_min(ratio_at_zero, 0.0, 1.0, _PARAM_TOL)

@@ -9,6 +9,9 @@ letting a set in only if its union with every member already in is a
 member too; so it visits only OR-closed partial families, not all
 2^(2^n) - 1 family masks.  Element frequencies are popcounts of the
 family mask against, per element, the mask of every set containing it.
+Peak frequencies read those popcounts as floats (:func:`frequency_list`),
+so only :func:`element_frequencies` and :func:`sample_or_closed` use
+numpy.
 
 Besides enumeration and frequency bookkeeping, the module checks the
 coupling-entropy ceiling H(X OR Y) <= log2 |A| over symmetric couplings
@@ -23,10 +26,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import DimensionTooLarge, NotClosed
 from .scalars import entropy_bits
+
+np = lazy_import("numpy")
 
 __all__ = [
     "MAX_ENUM_N",
@@ -34,6 +38,7 @@ __all__ = [
     "EntropyCheckReport",
     "is_or_closed",
     "or_closure",
+    "frequency_list",
     "element_frequencies",
     "peak_frequency",
     "enumerate_or_closed",
@@ -157,23 +162,28 @@ def or_closure(n: int, generators: Iterable[int]) -> FamilySet:
     return FamilySet(n, mask)
 
 
-def element_frequencies(family: FamilySet) -> np.ndarray:
-    """Fraction of members containing each ground element, shape (n,).
+def frequency_list(family: FamilySet) -> list[float]:
+    """Fraction of members containing each ground element, as n floats.
 
     The members containing element e are the family mask's bits within
     ``_CONTAIN[n][e]``, so each count is one popcount.
     """
     mask, size = family.mask, family.size
-    return np.array([(mask & c).bit_count() / size for c in _CONTAIN[family.n]])
+    return [(mask & c).bit_count() / size for c in _CONTAIN[family.n]]
+
+
+def element_frequencies(family: FamilySet) -> np.ndarray:
+    """:func:`frequency_list` as an array of shape (n,)."""
+    return np.array(frequency_list(family))
 
 
 def peak_frequency(family: FamilySet) -> float:
-    """Largest element frequency of the family.
+    """Largest element frequency of the family, read without numpy.
 
     For the family whose only member is the empty set this is 0; every
     other family contains a nonempty member, so some element appears.
     """
-    return float(element_frequencies(family).max())
+    return max(frequency_list(family))
 
 
 def enumerate_or_closed(n: int) -> Iterator[FamilySet]:

@@ -391,20 +391,56 @@ class TestParser:
         assert excinfo.value.code == 2
 
 
+# numpy loads on first array use.  Until then the package holds its name
+# in sys.modules with a placeholder, so numpy counts as loaded once any of
+# its submodules is.
+NUMPY_LOADED = "any(m.startswith('numpy.') for m in sys.modules)"
+
+
+def run_python(code, cwd=None):
+    """Stdout of ``python -c code`` in a fresh interpreter that finds this package."""
+    src = str(Path(ucsbound.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, cwd=cwd
+    )
+    return done.stdout.splitlines()
+
+
 class TestImport:
     def test_package_and_cli_load_without_scipy(self):
-        # The package depends on numpy only.
+        # The package depends on numpy only, and loads it on first array use.
         code = (
             "import sys, ucsbound, ucsbound.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(len([m for m in sys.modules if m.split('.')[0] == 'scipy'])); "
+            f"print({NUMPY_LOADED})"
         )
-        src = str(Path(ucsbound.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        assert run_python(code) == ["0", "False"]
+
+    def test_enumerate_runs_without_numpy_and_gamma_hat_loads_it(self, tmp_path):
+        code = (
+            "import sys; from ucsbound.cli import main; "
+            "print(main(['enumerate', '--n', '4', '--check-entropy', '--csv', 'e.csv', "
+            "'--no-timestamps', '--out', 'e.json'])); "
+            f"print({NUMPY_LOADED}); "
+            "print(main(['gamma-hat', '--t', '0.38', '--alpha', '0.035', '--grid', '12', "
+            "'--refine-rounds', '1', '--multistart', '2'])); "
+            f"print({NUMPY_LOADED})"
         )
-        assert done.stdout.strip() == "[]"
+        # Each command prints its summary line before its exit code.
+        out = run_python(code, cwd=tmp_path)
+        assert len(out) == 6
+        assert out[1:3] == ["0", "False"] and out[4:] == ["0", "True"]
+        assert read_json(tmp_path / "e.json")["family_count"] == 4959
+
+    def test_missing_numpy_fails_at_import(self):
+        code = (
+            "import sys; sys.modules['numpy'] = None\n"
+            "try:\n    import ucsbound\n"
+            "except ModuleNotFoundError as exc:\n    print(exc.name)"
+        )
+        assert run_python(code) == ["numpy"]
 
     def test_every_exported_name_exists(self):
         modules = [ucsbound] + [

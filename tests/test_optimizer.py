@@ -530,6 +530,25 @@ class TestAlphaOne:
         for b in np.linspace(0.0, 1.0, 4001)[1:-1]:
             assert r0 <= entropy_ratio(ExtremeFamily(0.0, 0.0, t, b, 1.0), 0.0)
 
+    def test_b1_search_evaluates_only_inside_the_open_interval(self, monkeypatch):
+        # At b1 = 0 or 1 the reference ratio raises DegenerateDenominator;
+        # ratio_at_zero does not guard those ends, as Brent never asks there.
+        points = []
+
+        def recorded(f, lo, hi, tol, start=None):
+            def g(x):
+                points.append(x)
+                return f(x)
+
+            return _brent_min(g, lo, hi, tol, start)
+
+        monkeypatch.setattr(optimizer, "_brent_min", recorded)
+        for t in (0.05, 0.2, 0.3, 0.38234, 0.49):
+            del points[:]
+            fam = _alpha_one_family(t)
+            assert fam.b1 in points
+            assert all(0.0 < x < 1.0 for x in points)
+
     @pytest.mark.parametrize("t", [0.05, 0.3, 0.38234, 0.49])
     def test_auto_search_runs_no_inner_search_at_one(self, t, inner_searches):
         gamma_hat(t, "auto", FAST)

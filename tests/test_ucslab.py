@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ucsbound.cli import _family_rows
 from ucsbound.errors import DimensionTooLarge, NotClosed
 from ucsbound.ucslab import (
     FamilySet,
@@ -139,16 +140,28 @@ class TestFrequencies:
         fam = FamilySet.from_members(2, [1, 3])  # {e0}, {e0,e1}
         assert element_frequencies(fam) == pytest.approx([1.0, 0.5], abs=1e-15)
 
+    @staticmethod
+    def check_against_member_loop(families):
+        """Arrays match the member loop; peaks and CSV rows match the arrays bit for bit."""
+        rows = _family_rows(families, {})
+        assert len(rows) == len(families)
+        for fam, row in zip(families, rows):
+            freqs = element_frequencies(fam)
+            assert freqs.tobytes() == member_loop_frequencies(fam).tobytes()
+            peak = float(freqs.max())
+            assert peak_frequency(fam).hex() == peak.hex()
+            assert row["p_A"].hex() == peak.hex()
+            assert row["freqs"] == ";".join(repr(float(v)) for v in freqs)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_popcounts_match_member_loop_on_every_family(self, n):
-        for fam in enumerate_or_closed(n):
-            assert element_frequencies(fam).tobytes() == member_loop_frequencies(fam).tobytes()
+        self.check_against_member_loop(list(enumerate_or_closed(n)))
 
     def test_popcounts_match_member_loop_on_sampled_n5(self):
         families = sample_or_closed(5, 250, SEED)[:200]
         assert len(families) == 200
-        for fam in families:
-            assert element_frequencies(fam).tobytes() == member_loop_frequencies(fam).tobytes()
+        self.check_against_member_loop(families)
+        self.check_against_member_loop(sample_or_closed(5, 200, 1))
 
 
 class TestEnumeration:
