@@ -12,9 +12,10 @@ That check evaluates the identity coupling directly; the identity
 attains the ceiling, so the check is exact by construction.  Element
 frequencies and peaks are popcounts of the family's member bitmask.
 
-numpy loads on the first array operation, not on import: the grid
-search, ``element_frequencies``, ``sample_or_closed`` and ``maxcorr``
-build arrays; enumeration, peaks and the entropy check do not.
+numpy loads on the first array operation, not on import: only
+``element_frequencies``, ``sample_or_closed`` and ``maxcorr`` build
+arrays; the certificate search, enumeration, peaks and the entropy
+check do not.
 
 ``maxcorr`` is a sidecar that no certificate calls: it gives the
 maximal correlation of a two-by-two Bernoulli coupling, spectrally and

@@ -302,13 +302,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_search_knobs(sub: argparse.ArgumentParser, base: SearchConfig = SearchConfig()) -> None:
     sub.add_argument(
-        "--grid", type=int, help=f"grid points per axis (default {base.grid_points_per_axis})"
+        "--grid", type=int, help=f"seed points per face axis (default {base.grid_points_per_axis})"
     )
     sub.add_argument(
         "--refine-rounds", type=int, help=f"refinement rounds (default {base.refine_rounds})"
     )
     sub.add_argument(
-        "--multistart", type=int, help=f"grid points to refine (default {base.multistart_count})"
+        "--multistart", type=int, help=f"seed points to refine (default {base.multistart_count})"
     )
 
 

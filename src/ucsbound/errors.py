@@ -30,7 +30,7 @@ class EmptyFeasible(UcsBoundError, ValueError):
 
 
 class GridTooLarge(UcsBoundError, MemoryError):
-    """The search grid's workspace does not fit in memory."""
+    """The search's seed scan has more cells than its fixed cap, checked before any work."""
 
 
 class BracketFailure(UcsBoundError, RuntimeError):

@@ -17,34 +17,41 @@ always a high block, scales its denominator H/2 and correlated term P by
 touching the value 1 is h(1) = 0.  So R(a1, a2, 1, 1) =
 [(1-alpha)(1-beta) S/4 + alpha P] / (H/2) <= R(a1, a2), equal at a = t.
 
+Searched face
+-------------
+The search covers the face a1 = a2 = a <= t, b2 = 1, where every
+minimum of the class found so far lies; the tests audit that by a
+descent over all four numbers.  It is a finding, not a theorem: the
+reported value is an upper estimate of the infimum over the class.  On
+the face the high mean (b1 + 1)/2 >= 1/2 exceeds t, beta =
+2(t - a) / (b1 + 1 - 2a), and the terms touching 1 vanish, so
+
+    ind = (1-beta)^2 h(2a - a^2) + beta (1-beta) h(a + b1 - a b1)
+          + (beta/2)^2 h(2 b1 - b1^2)
+    cor = (1-beta) h(fullcorr(a, a))
+    R   = [(1-alpha) ind + alpha cor] / [(1-beta) h(a) + (beta/2) h(b1)]
+
 Search scheme
 -------------
-The candidate space is four numbers (a1, a2, b1, b2), so the search is
-deliberately elementary and fully deterministic:
-
-1. a uniform grid per axis, evaluated vectorised with the symmetry
-   a1 <= a2, b1 <= b2 folded out.  Every OR-entropy term is read from
-   one g x g table of h(x + y - xy) over the axis.  Build and scan go
-   over blocks of low-pair rows, about 2^16 cells each, and each
-   block's best cells compete for the multistart.  The per-pair and
-   cross-block sums do not depend on alpha, so a search over alpha
-   keeps each block as built, two ratio arrays and a mask of
-   degenerate cells (73 MiB at g = 96), and re-scans for a new alpha
-   at the cost of one saxpy.  A search at one pinned alpha scans each
-   block as it is built and keeps nothing grid-sized;
-2. the best ``multistart_count`` grid points are each polished by
-   cyclic per-coordinate Brent line search with a shrinking trust
-   window, clipped to the feasible box at every step.  That clip is
-   the only box rule: Brent's bounded method evaluates only inside its
-   bracket, so the line objective never sees a point off the box and
-   does not test for one.  Each line search starts at the window
-   centre, the current point, whose value is known, so it never ends
-   worse than it began.  The last round's line searches converge to
-   1e-10; an earlier round's only hand a start point to the next,
-   narrower window, so they stop at 1e-2 of their own window.  Along
-   one coordinate only 6 of the objective's 16 entropy terms move; the
-   rest are computed once per line;
-3. the reported minimum is re-evaluated through the reference
+1. a seed scan of ``grid_points_per_axis`` points per coordinate on
+   sin^2 axes, dense at both ends, where h' is steepest:
+   a = t sin^2(pi k / 2g) for k < g, so a = 0 is in and a = t, a row
+   of copies of the point mass, is not; b1 = sin^2(pi k / 2(g - 1)).
+   A cell's ind/denom and cor/denom do not depend on alpha, so they
+   are kept, and a scan at a new alpha costs one blend per cell;
+2. the best ``multistart_count`` cells are each polished by cyclic
+   per-coordinate Brent line search with a shrinking trust window,
+   clipped to the face at every step, the only box rule (``_line``).
+   Each line search starts at the window centre, the current point,
+   whose value is known, so it never ends worse than it began.
+   The last round's line searches converge to 1e-10; an earlier
+   round's only hand a start point to the next, narrower window, so
+   they stop at 1e-2 of their own window.  Along a, 4 of the ratio's 6
+   entropies move, along b1 3; the rest are computed once per line;
+3. the best refined point is polished by nested Brent (Brent 1973,
+   ch. 5) in a one-cell window, over a of the minimum over b1, as a
+   coordinate search crawls along a curved valley;
+4. the reported minimum is re-evaluated through the reference
    implementation in :mod:`ucsbound.distributions`, so the fast path
    cannot silently drift from the definition it is searching over.
 
@@ -55,30 +62,27 @@ worst case, which refinement only approaches.
 Everything downstream reuses this one inner search.  For a fixed
 family the ratio is linear in alpha, so the inner minimum is a lower
 envelope of lines and concave on [0, 1], and each inner search hands
-back one of those lines.  :func:`gamma_hat` maximises it on one grid
-workspace per t: a secant search for the zero of the lines' slopes,
+back one of those lines.  :func:`gamma_hat` maximises it on one seed
+scan per t: a secant search for the zero of the lines' slopes,
 switching to the maximum of the envelope of every line found so far
 (Kelley 1960) where the secant stalls on a kink.  At alpha = 1 the
-worst families are known in closed form, so that end costs no grid
-search.  At default settings it takes 3 or 4 grid inner searches at
-t = 0.05, 0.1, 0.2, 0.25 and 0.3, 5 to 7 in [0.375, 0.38234], and 6
-to 10 at t = 0.33, 0.36, 0.39, 0.42, 0.45 and 0.49.
-:func:`find_tmax` bisects over t.
+worst families are known in closed form, so that end costs no inner
+search.  At default settings it takes 3 inner searches at t <= 0.2, 5
+to 7 at t = 0.25, 0.3 and in [0.375, 0.45], and 9 or 10 at t = 0.33,
+0.36 and 0.49.  :func:`find_tmax` bisects over t.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import time
 from dataclasses import dataclass, fields, is_dataclass
 
-from ._lazy import lazy_import
 from .distributions import ExtremeFamily, entropy_ratio
 from .errors import BracketFailure, EmptyFeasible, GridTooLarge, VerificationFailed
 from .scalars import binary_entropy, max_entropy_or_prob_fullcorr, require_prob
-
-np = lazy_import("numpy")
 
 __all__ = [
     "SearchConfig",
@@ -112,12 +116,11 @@ REFERENCE_BETA = 0.1560676
 # the independent-coupling argument alone: (3 - sqrt 5) / 2.
 BASELINE_THRESHOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
-_INF = math.inf
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(math.ulp(1.0))
 _DENOM_FLOOR = 1e-14
-# Grid cells per block when the workspace is built and scanned.
-_BLOCK_CELLS = 1 << 16
+# Largest seed scan: a cell costs about 2 microseconds and 130 bytes.
+_MAX_SEED_CELLS = 1 << 20
 # The search over alpha stops once the envelope of the lines it found
 # peaks within _ALPHA_GAP_TOL of its best value, once its bracket is
 # narrower than _ALPHA_REFINE_TOL, or after _ALPHA_MAX_SEARCHES tried
@@ -125,15 +128,12 @@ _BLOCK_CELLS = 1 << 16
 _ALPHA_REFINE_TOL = 1e-4
 _ALPHA_GAP_TOL = 1e-10
 _ALPHA_MAX_SEARCHES = 16
-# Absolute term of each Brent line search's stopping rule, which accepts
-# a point once the bracket around it is within 2 * (sqrt(eps) * |x| +
-# tol / 3).  The last refinement round uses tol = _PARAM_TOL; an earlier
-# round only hands a start point to the next, narrower window, so it
-# uses _ROUND_TOL_FRACTION of its own window.
+# Absolute tolerance of each Brent line search (see _brent_min): the last
+# refinement round and the polish use _PARAM_TOL; an earlier round only
+# hands a start point to the next, narrower window, so it uses
+# _ROUND_TOL_FRACTION of its own window.
 _PARAM_TOL = 1e-10
 _ROUND_TOL_FRACTION = 1e-2
-# A high block's mean must clear t by this much.
-_EPSILON_BOUNDARY = 1e-9
 
 
 def _json(value):
@@ -150,7 +150,7 @@ def _json(value):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the grid-plus-refinement search.
+    """Knobs of the seed-scan-plus-refinement search.
 
     The defaults reproduce the reference evaluation to ~1e-9.
     :data:`VERIFY_CONFIG` is the finer setting of the published check.
@@ -242,20 +242,6 @@ class ThresholdCertificate:
         return _json(self)
 
 
-def _entropy_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorised binary entropy with the 0 log 0 = 0 convention."""
-    out = np.zeros(x.shape)
-    m = (x > 0.0) & (x < 1.0)
-    xm = x[m]
-    out[m] = -(xm * np.log2(xm) + (1.0 - xm) * np.log2(1.0 - xm))
-    return out
-
-
-def _fullcorr_arr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorised max_entropy_or_prob_fullcorr."""
-    return np.minimum(np.maximum(0.5, np.maximum(x, y)), np.minimum(x + y, 1.0))
-
-
 def _brent_min(
     f, lo: float, hi: float, tol: float, start: tuple[float, float] | None = None
 ) -> tuple[float, float]:
@@ -326,20 +312,12 @@ def _mix(beta, h1, h2, s1, s2, s12, p1, p2):
     Block 1 has weight 1 - beta, block 2 weight beta.  Per block, h sums
     its two marginal entropies, s its within-block OR entropies (the
     off-diagonal term twice) and p is its correlated OR entropy; s12
-    sums the four cross-block OR entropies.  Floats or broadcasting
-    arrays.
+    sums the four cross-block OR entropies.
     """
     w1, w2 = 0.5 * (1.0 - beta), 0.5 * beta
     denom = w1 * h1 + w2 * h2
     ind = w1 * w1 * s1 + w2 * w2 * s2 + 2.0 * w1 * w2 * s12
     return denom, ind, (1.0 - beta) * p1 + beta * p2
-
-
-def _over_denom(denom, ind, cor):
-    """Grid mask of degenerate denominators, and ind/denom, cor/denom elsewhere 0."""
-    bad = denom <= _DENOM_FLOOR
-    safe = np.where(bad, 1.0, denom)
-    return bad, np.where(bad, 0.0, ind / safe), np.where(bad, 0.0, cor / safe)
 
 
 def _require_t(t: float) -> float:
@@ -350,192 +328,128 @@ def _require_t(t: float) -> float:
     return t
 
 
-class _PairGrid:
-    """Grid workspace bound to one (t, config).
+class _FaceSearch:
+    """Seed scan and refinement on the face (a, a; b1, 1), bound to one (t, config).
 
-    The alpha-independent part of every cell, in particular the
-    cross-block entropy sums that dominate the cost, is computed one row
-    block at a time.  By default the blocks are kept as built, so
-    re-scanning at a new alpha is a single linear blend of two cached
-    arrays per block: the workspace of a search over alpha.  A grid
-    built with ``stream=True`` keeps nothing grid-sized; each scan
-    builds every block again and scans it at once, which suits a search
-    at one pinned alpha.
+    A point is the list [a, b1].  The seed cells keep their
+    alpha-independent ind/denom and cor/denom, so a search over alpha
+    re-scans them at one blend per cell.
     """
 
-    def __init__(self, t: float, config: SearchConfig, stream: bool = False):
+    def __init__(self, t: float, config: SearchConfig):
         self.t = t = _require_t(t)
         self.config = config
         self.evaluations = 0
-        self._kept = None
         g = config.grid_points_per_axis
-        try:
-            self._build(g)
-            if not stream:
-                self._kept = list(self._blocks())
-        except MemoryError:
+        if g * g > _MAX_SEED_CELLS:
             raise GridTooLarge(
-                f"a grid of {g} points per axis needs more memory than is available"
-            ) from None
-
-    def _build(self, g: int) -> None:
-        """Per-axis and per-pair terms, and ``_build_block`` over them."""
-        t = self.t
-        axis = np.linspace(0.0, 1.0, g)
-        ii, jj = np.triu_indices(g)
-        pair_sum = axis[ii] + axis[jj]
-
-        # No lone-block scan: a lone block never beats itself paired with
-        # (1, 1) (module docstring).  A low block of mean t gets beta = 0
-        # with every high block, so its cells tie and can fill every
-        # multistart slot; refinement still reaches mean t.  The margin
-        # is relative so that (0, 0) stays in at any t > 0.
-        keep_a = pair_sum < 2.0 * t * (1.0 - 1e-12)
-        keep_b = pair_sum >= 2.0 * (t + _EPSILON_BOUNDARY)
-        ia1, ia2, ib1, ib2 = ii[keep_a], jj[keep_a], ii[keep_b], jj[keep_b]
-        if ia1.size == 0 or ib1.size == 0:
-            raise EmptyFeasible(
-                f"grid of {g} points per axis yields no feasible pairs at t={t}"
+                f"a grid of {g} points per axis has {g * g} seed cells, "
+                f"more than the {_MAX_SEED_CELLS} a search allows"
             )
-        a1, a2, b1, b2 = axis[ia1], axis[ia2], axis[ib1], axis[ib2]
-        self._a, self._b = (a1, a2), (b1, b2)
-        self._shape = (a1.size, b1.size)
+        lows = [self._low(t * math.sin(0.5 * math.pi * k / g) ** 2) for k in range(g)]
+        highs = [self._high(math.sin(0.5 * math.pi * k / (g - 1)) ** 2) for k in range(g)]
+        self._cells = []
+        for low in lows:
+            for high in highs:
+                denom, ind, cor = self._terms(low, high)
+                # Only a = 0 with b1 = 0 or 1 carries no entropy.
+                if denom > _DENOM_FLOOR:
+                    self._cells.append((ind / denom, cor / denom, low[0], high[0]))
 
-        # Every OR entropy h(x + y - xy) is an entry of one table over the
-        # axis; the cross-block sums take two column gathers, then two rows.
-        ent = _entropy_arr(axis)
-        table = _entropy_arr(np.add.outer(axis, axis) - np.multiply.outer(axis, axis))
-        ha, hb = ent[ia1] + ent[ia2], ent[ib1] + ent[ib2]
-        pa = _entropy_arr(_fullcorr_arr(a1, a2))
-        pb = _entropy_arr(_fullcorr_arr(b1, b2))
-        saa = table[ia1, ia1] + 2.0 * table[ia1, ia2] + table[ia2, ia2]
-        sbb = table[ib1, ib1] + 2.0 * table[ib1, ib2] + table[ib2, ib2]
-        cols = table[:, ib1] + table[:, ib2]
-        amean, bmean = 0.5 * (a1 + a2), 0.5 * (b1 + b2)
+    @staticmethod
+    def _low(a: float) -> tuple[float, float, float, float]:
+        """a with the low block's own entropies: h(a), h(2a - a^2), h(fullcorr(a, a))."""
+        h = binary_entropy
+        return a, h(a), h(a + a - a * a), h(max_entropy_or_prob_fullcorr(a, a))
 
-        def build_block(rows: slice):
-            """Degenerate-cell mask, ind/denom and cor/denom of one row block."""
-            am = amean[rows, None]
-            sab = cols[ia1[rows]]
-            sab += cols[ia2[rows]]
-            # In (0, 1): every low pair's mean is below t, every high one's above.
-            beta = (t - am) / (bmean - am)
-            return _over_denom(
-                *_mix(beta, ha[rows, None], hb, saa[rows, None], sbb, sab, pa[rows, None], pb)
-            )
+    @staticmethod
+    def _high(b1: float) -> tuple[float, float, float]:
+        """b1 with the high block's own entropies: h(b1), h(2 b1 - b1^2)."""
+        return b1, binary_entropy(b1), binary_entropy(b1 + b1 - b1 * b1)
 
-        self._build_block = build_block
+    def _terms(self, low, high) -> tuple[float, float, float]:
+        """Denominator, independent and correlated terms at a face point."""
+        a, ha, sa, pa = low
+        b1, hb, sb = high
+        beta = 2.0 * (self.t - a) / (b1 + 1.0 - a - a)
+        cross = binary_entropy(a + b1 - a * b1)
+        return _mix(beta, ha + ha, hb, 4.0 * sa, sb, cross + cross, pa, 0.0)
 
-    def _row_blocks(self):
-        """Slices of low-pair rows, each about _BLOCK_CELLS grid cells."""
-        rows, cols = self._shape
-        step = max(1, _BLOCK_CELLS // cols)
-        return [slice(start, start + step) for start in range(0, rows, step)]
-
-    def _blocks(self):
-        """Each row block's slice, mask, ind/denom and cor/denom: kept, or built now."""
-        if self._kept is not None:
-            return self._kept
-        return ((rows, *self._build_block(rows)) for rows in self._row_blocks())
-
-    # -- grid scan ---------------------------------------------------------
+    # -- seed scan ---------------------------------------------------------
 
     def _candidates(self, alpha: float) -> list[list[float]]:
-        """The ``multistart_count`` best grid points as (a1, a2, b1, b2).
-
-        Each row block keeps its own best ``multistart_count`` cells; the
-        overall best are among those.  The values returned are the grid's
-        lowest, ascending, with equal values in order of cell index.  But
-        where cells tie at a block's cut, ``np.argpartition`` keeps an
-        unspecified subset of them, so the tied cells returned need not
-        be those of lowest index.
-        """
-        a1, a2 = self._a
-        b1, b2 = self._b
-        take = min(self.config.multistart_count, math.prod(self._shape))
-        values, cells = [], []
-        for rows, bad, ind, cor in self._blocks():
-            r = (1.0 - alpha) * ind + alpha * cor
-            r[bad] = _INF
-            flat = r.ravel()
-            top = np.argpartition(flat, min(take, flat.size) - 1)[:take]
-            values.append(flat[top])
-            cells.append(top + rows.start * b1.size)
-        self.evaluations += math.prod(self._shape)
-        values, cells = np.concatenate(values), np.concatenate(cells)
-        out = []
-        for f in cells[np.lexsort((cells, values))[:take]]:
-            i, j = divmod(int(f), b1.size)
-            out.append([float(a1[i]), float(a2[i]), float(b1[j]), float(b2[j])])
-        return out
+        """The ``multistart_count`` lowest seed cells as [a, b1], ties in scan order."""
+        self.evaluations += len(self._cells)
+        best = heapq.nsmallest(
+            self.config.multistart_count,
+            self._cells,
+            key=lambda cell: (1.0 - alpha) * cell[0] + alpha * cell[1],
+        )
+        return [[a, b1] for _, _, a, b1 in best]
 
     # -- refinement --------------------------------------------------------
 
     def _line(self, x: list, ci: int, alpha: float):
-        """The search objective along coordinate ``ci`` of ``x``.
+        """The search objective along coordinate ``ci`` of ``x`` = [a, b1].
 
-        Of the ratio's 16 entropy terms, the 10 that do not involve x[ci]
-        are computed here, once; a call computes the other 6.  Calls go
-        through this module's ``binary_entropy``, so a counting wrapper
-        installed there sees all.  Points are not checked against the
-        feasible box: :meth:`_refine` clips every window to it.  +inf
-        marks a degenerate denominator.
+        The entropies of the coordinate held are computed here, once.
+        Calls go through this module's ``binary_entropy``, so a counting
+        wrapper installed there sees all.  Points are not checked against
+        the face: :meth:`_refine` and :meth:`_polish` clip every window
+        to it.  +inf marks a degenerate denominator.
         """
-        t = self.t
-        h, fc = binary_entropy, max_entropy_or_prob_fullcorr
-        w = x[ci ^ 1]  # the other coordinate of the moving block
-        hw, sw = h(w), h(w + w - w * w)
-        o1, o2 = x[2:] if ci < 2 else x[:2]
-        omean = 0.5 * (o1 + o2)
-        ho = h(o1) + h(o2)
-        so = h(o1 + o1 - o1 * o1) + 2.0 * h(o1 + o2 - o1 * o2) + h(o2 + o2 - o2 * o2)
-        po = h(fc(o1, o2))
-        cw = h(w + o1 - w * o1) + h(w + o2 - w * o2)
+        if ci == 0:
+            high = self._high(x[1])
+            point = lambda u: (self._low(u), high)
+        else:
+            low = self._low(x[0])
+            point = lambda u: (low, self._high(u))
 
         def objective(u: float) -> float:
             self.evaluations += 1
-            mean = 0.5 * (u + w)
-            hu = h(u) + hw
-            su = h(u + u - u * u) + 2.0 * h(u + w - u * w) + sw
-            pu = h(fc(u, w))
-            # Weight of the fixed block: beta if it is the high block,
-            # 1 - beta if it is the low one; the formula is the same.  The
-            # clip absorbs rounding at the edges of the box.
-            gamma = (t - mean) / (omean - mean)
-            gamma = 0.0 if gamma < 0.0 else (1.0 if gamma > 1.0 else gamma)
-            cross = h(u + o1 - u * o1) + h(u + o2 - u * o2) + cw
-            denom, ind, cor = _mix(gamma, hu, ho, su, so, cross, pu, po)
+            denom, ind, cor = self._terms(*point(u))
             if denom <= _DENOM_FLOOR:
-                return _INF
+                return math.inf
             return ((1.0 - alpha) * ind + alpha * cor) / denom
 
         return objective
 
+    def _window(self, x: list, ci: int, width: float) -> tuple[float, float]:
+        """The face's range of coordinate ``ci``, within ``width`` of x[ci]."""
+        top = self.t if ci == 0 else 1.0
+        return max(0.0, x[ci] - width), min(top, x[ci] + width)
+
     def _refine(self, alpha: float, params: list) -> tuple[float, list]:
-        cfg, t = self.config, self.t
+        cfg = self.config
         x = list(params)
         best = self._line(x, 0, alpha)(x[0])
         window = 1.0 / (cfg.grid_points_per_axis - 1)
         for r in range(cfg.refine_rounds):
             last = r == cfg.refine_rounds - 1
             tol = _PARAM_TOL if last else max(_PARAM_TOL, _ROUND_TOL_FRACTION * window)
-            for ci in range(4):
-                lo = max(0.0, x[ci] - window)
-                hi = min(1.0, x[ci] + window)
-                if ci < 2:
-                    hi = min(hi, 2.0 * t - x[1 - ci])
-                else:
-                    lo = max(lo, 2.0 * (t + _EPSILON_BOUNDARY) - x[5 - ci])
-                if hi - lo <= _PARAM_TOL:
-                    continue
+            for ci in range(2):
+                lo, hi = self._window(x, ci, window)
                 # Start at the window centre, whose value is already known.
-                start = (x[ci], best) if lo <= x[ci] <= hi else None
-                v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, tol, start)
+                v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, tol, (x[ci], best))
                 if fv < best:
                     x[ci] = v
                     best = fv
             window *= 0.35
         return best, x
+
+    def _polish(self, alpha: float, best: float, x: list) -> tuple[float, list]:
+        """Nested Brent in a one-cell window around x: over a, of the minimum over b1."""
+        window = 1.0 / (self.config.grid_points_per_axis - 1)
+        b_lo, b_hi = self._window(x, 1, window)
+        argmin_b1 = {}
+
+        def over_b1(a: float) -> float:
+            y = [a, x[1]]
+            argmin_b1[a], fv = _brent_min(self._line(y, 1, alpha), b_lo, b_hi, _PARAM_TOL)
+            return fv
+
+        a, fa = _brent_min(over_b1, *self._window(x, 0, window), _PARAM_TOL)
+        return (fa, [a, argmin_b1[a]]) if fa < best else (best, x)
 
     # -- public entry ------------------------------------------------------
 
@@ -545,16 +459,12 @@ class _PairGrid:
         best_value, best_params = min(
             self._refine(alpha, params) for params in self._candidates(alpha)
         )
-        if not math.isfinite(best_value):
-            raise EmptyFeasible(
-                f"no family with positive marginal entropy found at t={self.t}; "
-                "increase grid_points_per_axis"
-            )
-        family = ExtremeFamily(*sorted(best_params[:2]), self.t, *sorted(best_params[2:]))
+        if self.config.refine_rounds:
+            best_value, best_params = self._polish(alpha, best_value, best_params)
+        a, b1 = best_params
+        family = ExtremeFamily(a, a, self.t, b1, 1.0)
         # Authoritative value: the reference implementation, not the fast path.
         min_ratio = entropy_ratio(family, alpha)
-        # Refinement nears the point mass at t only through low blocks of
-        # mean just below t, whose high block and beta are then arbitrary.
         point = ExtremeFamily(self.t, self.t, self.t, 1.0, 1.0)
         point_ratio = entropy_ratio(point, alpha)
         if point_ratio <= min_ratio:
@@ -573,21 +483,20 @@ def inner_inf(alpha: float, t: float, config: SearchConfig | None = None) -> Inn
 
     Raises :class:`EmptyFeasible` when t is outside (0, 1/2).  The
     report's ``min_ratio`` is computed by the reference objective at the
-    argmin, so it differs from the true infimum only by how well the
-    search converged, never by formula drift.  The grid is scanned
-    block by block as it is built, so the search holds nothing
-    grid-sized: its time grows with the grid, its memory does not.
+    argmin, so it differs from the infimum over the face (module
+    docstring) only by how well the search converged, never by formula
+    drift.  Raises :class:`GridTooLarge` past 2^20 seed cells.
 
     At alpha = 1 the minimum is known in closed form (the lemma in
     ``_best_alpha``): it is 0, and the reported argmin is
-    :func:`_alpha_one_family`, whatever the config.  No grid is built
+    :func:`_alpha_one_family`, whatever the config.  No seed is scanned
     there and the report counts 0 evaluations.
     """
     if require_prob(alpha, "alpha") == 1.0:
         t = _require_t(t)
         family = _alpha_one_family(t)
         return InnerSearchReport(1.0, t, entropy_ratio(family, 1.0), family, evaluations=0)
-    return _PairGrid(t, config or SearchConfig(), stream=True).inner_min(alpha)
+    return _FaceSearch(t, config or SearchConfig()).inner_min(alpha)
 
 
 def _envelope(lines, alpha: float) -> float:
@@ -634,9 +543,7 @@ def gamma_hat(
     Illinois secant; when the envelope gap has not halved since the
     step before, it takes the envelope's maximiser instead, which lands
     on a kink exactly.  A pinned alpha needs one inner search,
-    :func:`inner_inf`, so its grid is streamed: built block by block and
-    scanned as it goes, never held whole.  A pinned alpha = 1 builds no
-    grid at all.
+    :func:`inner_inf`; a pinned alpha = 1 needs none.
 
     Each evaluated alpha is scored by the least reference ratio, at that
     alpha, over every family the search found, so the bound is one that
@@ -652,10 +559,9 @@ def gamma_hat(
 
     started = time.perf_counter()
     if alphas == "auto":
-        # Only a search over alpha scans the grid more than once.
-        grid = _PairGrid(t, cfg)
-        best_alpha, value, family, alpha_gap = _best_alpha(grid)
-        t, evaluations = grid.t, grid.evaluations
+        face = _FaceSearch(t, cfg)
+        best_alpha, value, family, alpha_gap = _best_alpha(face)
+        t, evaluations = face.t, face.evaluations
     else:
         report = inner_inf(alphas, t, cfg)
         best_alpha, value, family, alpha_gap = alphas, report.min_ratio, report.argmin, None
@@ -691,7 +597,7 @@ def _alpha_one_family(t: float) -> ExtremeFamily:
     return ExtremeFamily(0.0, 0.0, t, b1, 1.0)
 
 
-def _best_alpha(grid: _PairGrid) -> tuple[float, float, ExtremeFamily, float]:
+def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
     """The search over alpha of :func:`gamma_hat`.
 
     Returns the best alpha, its bound, the family attaining it and the
@@ -715,7 +621,7 @@ def _best_alpha(grid: _PairGrid) -> tuple[float, float, ExtremeFamily, float]:
 
     def slope_at(a: float, family: ExtremeFamily | None = None) -> float:
         if family is None:
-            family = grid.inner_min(a).argmin
+            family = face.inner_min(a).argmin
         if family not in lines:
             r0 = entropy_ratio(family, 0.0)
             lines[family] = (r0, entropy_ratio(family, 1.0) - r0)
@@ -724,9 +630,9 @@ def _best_alpha(grid: _PairGrid) -> tuple[float, float, ExtremeFamily, float]:
 
     lo, slope_lo = 0.0, slope_at(0.0)
     if slope_lo > 0.0:
-        hi, slope_hi = 1.0, slope_at(1.0, _alpha_one_family(grid.t))
+        hi, slope_hi = 1.0, slope_at(1.0, _alpha_one_family(face.t))
         moved = None  # the end of [lo, hi] the last step replaced
-        last_gap = _INF
+        last_gap = math.inf
         while slope_hi < 0.0 and len(evaluated) < _ALPHA_MAX_SEARCHES:
             peak_alpha, peak = _envelope_argmax(lines.values())
             gap = peak - max(_envelope(lines.values(), a) for a in evaluated)
@@ -836,7 +742,7 @@ def verify_reference_point(
     """Reproduce the published reference evaluation and check it.
 
     Runs :func:`gamma_hat` at t = 0.38234 with alpha pinned to 0.035 (by
-    default with :data:`VERIFY_CONFIG`, a finer grid than usual) and
+    default with :data:`VERIFY_CONFIG`, a finer seed scan than usual) and
     compares the minimum and its argmin against the published values.
     Tolerances: 2e-5 on the ratio (1e-6 when ``strict``) and 1e-3 on
     each argmin coordinate and on beta.  On any mismatch raises
@@ -844,15 +750,7 @@ def verify_reference_point(
     values.
     """
     cert = gamma_hat(REFERENCE_T, REFERENCE_ALPHA, config or VERIFY_CONFIG)
-    fam = cert.argmin
-    measured = {
-        "min_ratio": cert.gamma_hat_lower,
-        "a1": fam.a1,
-        "a2": fam.a2,
-        "b1": fam.b1,
-        "b2": fam.b2,
-        "beta": fam.beta,
-    }
+    measured = {"min_ratio": cert.gamma_hat_lower, **cert.argmin.argmin_dict()}
     expected = {
         "min_ratio": REFERENCE_RATIO,
         "a1": REFERENCE_LOW_VALUE,

@@ -1,8 +1,8 @@
 """Scalar kernels: binary entropy and the OR-output probability of two bits.
 
 Everything here works on plain floats and is deliberately allocation-free;
-the grid search in :mod:`ucsbound.optimizer` calls these functions millions
-of times.  All entropies are in bits.
+the face search in :mod:`ucsbound.optimizer` calls ``binary_entropy``
+3-6 x 10^4 times per ``gamma_hat``.  All entropies are in bits.
 """
 
 from __future__ import annotations

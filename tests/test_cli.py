@@ -72,8 +72,8 @@ class TestGammaHat:
         assert "--alpha" in capsys.readouterr().err
 
     def test_grid_too_large_for_memory_exits_2(self, capsys):
-        # The first grid-sized request (the pair indices, 9e12 cells) fails
-        # at once; before it only the 24 MB axis is allocated.
+        # 9e12 seed cells pass the fixed cap, which is checked before any
+        # work; a scan of them would run for hours.
         rc = main(["gamma-hat", "--t", "0.38", "--grid", "3000000"])
         assert rc == 2
         err = capsys.readouterr().err
@@ -81,8 +81,7 @@ class TestGammaHat:
         assert "3000000 points per axis" in err and "lower --grid" in err
 
     def test_pinned_grid_too_large_for_memory_exits_2(self, capsys):
-        # A pinned alpha streams the grid, but the pair indices are still
-        # built first, so the same request fails the same way.
+        # A pinned alpha runs one inner search, which checks the same cap.
         rc = main(["gamma-hat", "--t", "0.38", "--alpha", "0.035", "--grid", "3000000"])
         assert rc == 2
         err = capsys.readouterr().err
@@ -418,21 +417,24 @@ class TestImport:
         )
         assert run_python(code) == ["0", "False"]
 
-    def test_enumerate_runs_without_numpy_and_gamma_hat_loads_it(self, tmp_path):
-        code = (
-            "import sys; from ucsbound.cli import main; "
-            "print(main(['enumerate', '--n', '4', '--check-entropy', '--csv', 'e.csv', "
-            "'--no-timestamps', '--out', 'e.json'])); "
-            f"print({NUMPY_LOADED}); "
-            "print(main(['gamma-hat', '--t', '0.38', '--alpha', '0.035', '--grid', '12', "
-            "'--refine-rounds', '1', '--multistart', '2'])); "
-            f"print({NUMPY_LOADED})"
-        )
-        # Each command prints its summary line before its exit code.
-        out = run_python(code, cwd=tmp_path)
-        assert len(out) == 6
-        assert out[1:3] == ["0", "False"] and out[4:] == ["0", "True"]
+    def test_search_and_enumerate_run_without_numpy_and_maxcorr_loads_it(self, tmp_path):
+        knobs = "'--grid', '12', '--refine-rounds', '1', '--multistart', '2'"
+        commands = [
+            "'enumerate', '--n', '4', '--check-entropy', '--csv', 'e.csv', "
+            "'--no-timestamps', '--out', 'e.json'",
+            f"'gamma-hat', '--t', '0.38', {knobs}",
+            f"'gamma-hat', '--t', '0.38', '--alpha', '0.035', {knobs}",
+            f"'tmax', '--t-tol', '1e-3', {knobs}",
+            f"'verify-paper', '--strict', '--out', 'vp.json'",
+            "'maxcorr', '--pq', '0.3', '0.4', '0.2'",
+        ]
+        code = "import sys; from ucsbound.cli import main"
+        for argv in commands:
+            code += f"; rc = main([{argv}]); print('=>', rc, {NUMPY_LOADED})"
+        results = [line for line in run_python(code, cwd=tmp_path) if line.startswith("=>")]
+        assert results == ["=> 0 False"] * 5 + ["=> 0 True"]
         assert read_json(tmp_path / "e.json")["family_count"] == 4959
+        assert read_json(tmp_path / "vp.json")["gamma_hat_lower"] > 1.0
 
     def test_missing_numpy_fails_at_import(self):
         code = (
