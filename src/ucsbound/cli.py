@@ -308,7 +308,10 @@ def _add_search_knobs(sub: argparse.ArgumentParser, base: SearchConfig = SearchC
         "--refine-rounds", type=int, help=f"refinement rounds (default {base.refine_rounds})"
     )
     sub.add_argument(
-        "--multistart", type=int, help=f"seed points to refine (default {base.multistart_count})"
+        "--multistart",
+        type=int,
+        help=f"most seed points to refine; starts that meet within one trust window "
+        f"merge (default {base.multistart_count})",
     )
 
 

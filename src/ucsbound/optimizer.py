@@ -39,15 +39,26 @@ Search scheme
    of copies of the point mass, is not; b1 = sin^2(pi k / 2(g - 1)).
    A cell's ind/denom and cor/denom do not depend on alpha, so they
    are kept, and a scan at a new alpha costs one blend per cell;
-2. the best ``multistart_count`` cells are each polished by cyclic
-   per-coordinate Brent line search with a shrinking trust window,
-   clipped to the face at every step, the only box rule (``_line``).
-   Each line search starts at the window centre, the current point,
-   whose value is known, so it never ends worse than it began.
-   The last round's line searches converge to 1e-10; an earlier
-   round's only hand a start point to the next, narrower window, so
-   they stop at 1e-2 of their own window.  Along a, 4 of the ratio's 6
-   entropies move, along b1 3; the rest are computed once per line;
+2. the best ``multistart_count`` cells start a cyclic per-coordinate
+   Brent line search with a shrinking trust window, clipped to the
+   face at every step, the only box rule (``_line``).  The starts run
+   in lockstep: each round runs for every live start before the next
+   round runs for any.  After every round but the last, the starts are
+   sorted by value, ties in scan order, and a start within the next
+   round's window (Chebyshev distance on (a, b1)) of a better one kept
+   is dropped, as the two would go on to search one basin.  So
+   ``multistart_count`` caps the starts.  At the default settings, for
+   t >= 0.33 a median of 3 of 16 are left after the first round, and
+   an inner search makes ~650 line-objective calls (~1,500 refining
+   every start); for t <= 0.3, where the starts crawl towards the
+   point mass at separate b1, 12 are left and it makes ~2,100
+   (~2,400).  Each line search starts at the window centre, the
+   current point, whose value is known, so it never ends worse than it
+   began.  The last round's line searches converge to 1e-10; an
+   earlier round's only hand a start point to the next, narrower
+   window, so they stop at 1e-2 of their own window.  Along a, 4 of
+   the ratio's 6 entropies move, along b1 3; the rest are computed
+   once per line;
 3. the best refined point is polished by nested Brent (Brent 1973,
    ch. 5) in a one-cell window, over a of the minimum over b1, as a
    coordinate search crawls along a curved valley;
@@ -68,8 +79,8 @@ switching to the maximum of the envelope of every line found so far
 (Kelley 1960) where the secant stalls on a kink.  At alpha = 1 the
 worst families are known in closed form, so that end costs no inner
 search.  At default settings it takes 3 inner searches at t <= 0.2, 5
-to 7 at t = 0.25, 0.3 and in [0.375, 0.45], and 9 or 10 at t = 0.33,
-0.36 and 0.49.  :func:`find_tmax` bisects over t.
+to 7 at t = 0.25, 0.3, 0.45 and in [0.375, 0.38234], and 9 or 10 at
+t = 0.33, 0.36, 0.42 and 0.49.  :func:`find_tmax` bisects over t.
 """
 
 from __future__ import annotations
@@ -320,6 +331,16 @@ def _mix(beta, h1, h2, s1, s2, s12, p1, p2):
     return denom, ind, (1.0 - beta) * p1 + beta * p2
 
 
+def _merge(starts: list, radius: float) -> list:
+    """``starts`` (value, [a, b1]) by value, ties in their order, less each
+    one within Chebyshev distance ``radius`` of a better one kept."""
+    kept = []
+    for value, x in sorted(starts, key=operator.itemgetter(0)):
+        if all(max(abs(x[0] - y[0]), abs(x[1] - y[1])) > radius for _, y in kept):
+            kept.append((value, x))
+    return kept
+
+
 def _require_t(t: float) -> float:
     """``t`` as a float; raises :class:`EmptyFeasible` unless it is in (0, 1/2)."""
     t = float(t)
@@ -419,23 +440,39 @@ class _FaceSearch:
         top = self.t if ci == 0 else 1.0
         return max(0.0, x[ci] - width), min(top, x[ci] + width)
 
-    def _refine(self, alpha: float, params: list) -> tuple[float, list]:
+    def _round(
+        self, alpha: float, best: float, x: list, window: float, tol: float
+    ) -> tuple[float, list]:
+        """One refinement round from x, of value ``best``: a line search per
+        coordinate.  x is moved in place."""
+        for ci in range(2):
+            lo, hi = self._window(x, ci, window)
+            # Start at the window centre, whose value is already known.
+            v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, tol, (x[ci], best))
+            if fv < best:
+                x[ci] = v
+                best = fv
+        return best, x
+
+    def _refine(self, alpha: float, points: list) -> tuple[float, list]:
+        """The lowest point reached by refining ``points`` in lockstep.
+
+        Every start runs a round before any runs the next.  Between
+        rounds, a start within the next round's trust window of a better
+        one (ties: the earlier one) is dropped, as both would go on to
+        search the same basin.
+        """
         cfg = self.config
-        x = list(params)
-        best = self._line(x, 0, alpha)(x[0])
+        starts = [(self._line(x, 0, alpha)(x[0]), x) for x in points]
         window = 1.0 / (cfg.grid_points_per_axis - 1)
         for r in range(cfg.refine_rounds):
             last = r == cfg.refine_rounds - 1
             tol = _PARAM_TOL if last else max(_PARAM_TOL, _ROUND_TOL_FRACTION * window)
-            for ci in range(2):
-                lo, hi = self._window(x, ci, window)
-                # Start at the window centre, whose value is already known.
-                v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, tol, (x[ci], best))
-                if fv < best:
-                    x[ci] = v
-                    best = fv
+            starts = [self._round(alpha, best, x, window, tol) for best, x in starts]
             window *= 0.35
-        return best, x
+            if not last:
+                starts = _merge(starts, window)
+        return min(starts)
 
     def _polish(self, alpha: float, best: float, x: list) -> tuple[float, list]:
         """Nested Brent in a one-cell window around x: over a, of the minimum over b1."""
@@ -456,9 +493,7 @@ class _FaceSearch:
     def inner_min(self, alpha: float) -> InnerSearchReport:
         alpha = require_prob(alpha, "alpha")
         before = self.evaluations
-        best_value, best_params = min(
-            self._refine(alpha, params) for params in self._candidates(alpha)
-        )
+        best_value, best_params = self._refine(alpha, self._candidates(alpha))
         if self.config.refine_rounds:
             best_value, best_params = self._polish(alpha, best_value, best_params)
         a, b1 = best_params

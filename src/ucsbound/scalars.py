@@ -2,7 +2,8 @@
 
 Everything here works on plain floats and is deliberately allocation-free;
 the face search in :mod:`ucsbound.optimizer` calls ``binary_entropy``
-3-6 x 10^4 times per ``gamma_hat``.  All entropies are in bits.
+1.7-5 x 10^4 times per ``gamma_hat`` at the default settings, 4,416
+of them in the seed scan.  All entropies are in bits.
 """
 
 from __future__ import annotations
@@ -56,8 +57,14 @@ def entropy_bits(masses: Sequence[float]) -> float:
 
 
 def or_prob(p: float, q: float) -> float:
-    """P(X or Y = 1) for independent bits with marginals p and q."""
-    return p + q - p * q
+    """P(X or Y = 1) for independent bits with marginals p and q.
+
+    Written p + q (1 - p), which is exactly 1 when either marginal is
+    1.  p + q - pq can miss 1 there by an ulp, and h of that is ~6e-15
+    instead of 0: 2.7e-13 of the entropy ratio of a family whose low
+    block is near 0, where the other terms are ~1e-3.
+    """
+    return p + q * (1.0 - p)
 
 
 def max_entropy_or_prob_fullcorr(p: float, q: float) -> float:

@@ -5,6 +5,7 @@ The oracle in this module re-derives the search objective from scratch
 formula slip in the fast path cannot cancel out of the comparison.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -76,6 +77,35 @@ def oracle_ratio(a1, a2, b1, b2, t, alpha):
     )
     correlated = sum(m * oracle_entropy(oracle_fullcorr(x, y)) for x, y, m in atoms)
     return ((1 - alpha) * independent + alpha * correlated) / denom
+
+
+def decimal_face_ratio(a, b1, t, alpha):
+    """The ratio at the face point (a, a; b1, 1) in 30-digit decimal arithmetic.
+
+    From the face formula, with beta = 2 (t - a) / (b1 + 1 - 2a) and
+    every term that touches the value 1 equal to h(1) = 0.  The float
+    arguments convert exactly.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30
+        a, b1, t, alpha = map(decimal.Decimal, (a, b1, t, alpha))
+        one, half = decimal.Decimal(1), decimal.Decimal("0.5")
+        ln2 = decimal.Decimal(2).ln()
+
+        def h(x):
+            if x <= 0 or x >= 1:
+                return decimal.Decimal(0)
+            return -(x * x.ln() + (one - x) * (one - x).ln()) / ln2
+
+        beta = 2 * (t - a) / (b1 + one - 2 * a)
+        ind = (
+            (one - beta) ** 2 * h(2 * a - a * a)
+            + beta * (one - beta) * h(a + b1 - a * b1)
+            + (beta / 2) ** 2 * h(2 * b1 - b1 * b1)
+        )
+        cor = (one - beta) * h(sorted((a, half, min(2 * a, one)))[1])
+        denom = (one - beta) * h(a) + beta / 2 * h(b1)
+        return ((one - alpha) * ind + alpha * cor) / denom
 
 
 def oracle_best_over_samples(t, alpha, rng, count=4000):
@@ -300,6 +330,25 @@ def inner_searches(monkeypatch):
 
 
 @pytest.fixture
+def line_calls(monkeypatch):
+    """The point of every ``_FaceSearch._line`` objective call made in the test."""
+    calls = []
+    make_line = _FaceSearch._line
+
+    def counted_line(grid, *args):
+        line = make_line(grid, *args)
+
+        def objective(u):
+            calls.append(u)
+            return line(u)
+
+        return objective
+
+    monkeypatch.setattr(_FaceSearch, "_line", counted_line)
+    return calls
+
+
+@pytest.fixture
 def line_search_tols(monkeypatch):
     """The tolerance of every ``_brent_min`` call made in the test."""
     tols = []
@@ -505,6 +554,73 @@ class TestFace:
         assert below > 1.0 > above
 
 
+# The face's threshold, the t at which the maximum over alpha of the
+# face minimum is 1: a 40-digit max-min put it at 0.38234553335 +- 1.2e-11.
+T_STAR_FACE = 0.38234553335
+
+
+class TestFaceThreshold:
+    def test_decimal_oracle_matches_the_reference_ratio(self):
+        rng = np.random.default_rng(SEED)
+        points = []
+        for _ in range(40):
+            t = rng.uniform(0.05, 0.49)
+            alpha = rng.uniform(0.0, 0.3)
+            a, b1 = rng.uniform(0.0, t), rng.uniform(0.0, 1.0)
+            points += [(a, b1, t, alpha), (0.0, b1, t, alpha), (a, 0.0, t, alpha), (a, 1.0, t, alpha)]
+            # Near a = 0, where the small-a basins lie.  Below a ~ 1e-4 the
+            # float h(a), which rounds 1 - a, is itself off by over 1e-13.
+            points += [(0.01 * t, b1, t, alpha), (0.01 * t, 0.0, t, alpha), (0.01 * t, 1.0, t, alpha)]
+        for a, b1, t, alpha in points:
+            got = entropy_ratio(ExtremeFamily(a, a, t, b1, 1.0), alpha)
+            assert got == pytest.approx(float(decimal_face_ratio(a, b1, t, alpha)), rel=1e-13)
+
+    def test_threshold_is_frozen(self):
+        # The bounds at t* -+ 1e-10 clear 1 by +1.9e-10 and -1.4e-10.
+        below = gamma_hat(T_STAR_FACE - 1e-10)
+        above = gamma_hat(T_STAR_FACE + 1e-10)
+        assert below.gamma_hat_lower > 1.0 > above.gamma_hat_lower
+        # The decimal oracle agrees on which side of 1 each argmin lies.
+        for cert, side in ((below, 1), (above, -1)):
+            fam = cert.argmin
+            assert fam.a1 == fam.a2 and fam.b2 == 1.0
+            assert side * (decimal_face_ratio(fam.a1, fam.b1, cert.t, cert.alpha_star) - 1) > 0
+
+
+def refine_every_start(face, alpha):
+    """The inner minimum with no merge: every seed start through every
+    round of ``_FaceSearch._round``, then the search's polish and its
+    reference scoring, the point mass at t included."""
+    cfg = face.config
+    best = (math.inf, None)
+    for x in face._candidates(alpha):
+        value = face._line(x, 0, alpha)(x[0])
+        window = 1.0 / (cfg.grid_points_per_axis - 1)
+        for r in range(cfg.refine_rounds):
+            last = r == cfg.refine_rounds - 1
+            tol = _PARAM_TOL if last else max(_PARAM_TOL, _ROUND_TOL_FRACTION * window)
+            value, x = face._round(alpha, value, x, window, tol)
+            window *= 0.35
+        best = min(best, (value, x))
+    _, (a, b1) = face._polish(alpha, *best)
+    t = face.t
+    return min(
+        entropy_ratio(ExtremeFamily(a, a, t, b1, 1.0), alpha),
+        entropy_ratio(ExtremeFamily(t, t, t, 1.0, 1.0), alpha),
+    )
+
+
+class TestLockstepRefinement:
+    @pytest.mark.parametrize("config", [SearchConfig(), FAST], ids=["default", "fast"])
+    def test_merging_starts_loses_nothing(self, config):
+        # Worst case measured: the merged search 9.3e-15 above.
+        for t in sorted(GRID_ALPHA_STAR):
+            for alpha in (0.0, GRID_ALPHA_STAR[t], 0.3):
+                face = _FaceSearch(t, config)
+                merged = face.inner_min(alpha).min_ratio
+                assert merged <= refine_every_start(face, alpha) + 1e-12, (t, alpha)
+
+
 class TestAlphaOne:
     """At alpha = 1 the minimum is 0, on the families (0, 0; b1, 1) (``_best_alpha``)."""
 
@@ -668,45 +784,15 @@ class TestGammaHat:
             assert cert.gamma_hat_lower <= entropy_ratio(family, cert.alpha_star)
         assert cert.gamma_hat_lower == entropy_ratio(cert.argmin, cert.alpha_star)
 
-    def test_refinement_starts_each_line_search_at_the_window_centre(self, monkeypatch):
+    def test_refinement_starts_each_line_search_at_the_window_centre(self, line_calls):
         # Started at the golden point of each window instead, the line
         # searches of this sweep made 3,584 objective calls.
-        calls = 0
-        make_line = _FaceSearch._line
-
-        def counted_line(grid, *args):
-            line = make_line(grid, *args)
-
-            def objective(u):
-                nonlocal calls
-                calls += 1
-                return line(u)
-
-            return objective
-
-        monkeypatch.setattr(_FaceSearch, "_line", counted_line)
         gamma_hat(0.38234, config=FAST)
-        assert calls < 3_584
+        assert len(line_calls) < 3_584
 
-    def test_early_rounds_stop_at_a_fraction_of_their_window(
-        self, monkeypatch, line_search_tols
-    ):
+    def test_early_rounds_stop_at_a_fraction_of_their_window(self, line_calls, line_search_tols):
         # Only the last round polishes to _PARAM_TOL; each earlier one
         # just hands a start point to the next, narrower window.
-        calls = 0
-        make_line = _FaceSearch._line
-
-        def counted_line(grid, *args):
-            line = make_line(grid, *args)
-
-            def objective(u):
-                nonlocal calls
-                calls += 1
-                return line(u)
-
-            return objective
-
-        monkeypatch.setattr(_FaceSearch, "_line", counted_line)
         gamma_hat(0.38234, config=FAST)
         window = 1.0 / (FAST.grid_points_per_axis - 1)
         assert set(line_search_tols) == {
@@ -715,7 +801,13 @@ class TestGammaHat:
             _PARAM_TOL,
         }
         # Every round at _PARAM_TOL made 4,788 calls here.
-        assert calls < 4_200
+        assert len(line_calls) < 4_200
+
+    def test_starts_that_share_a_window_are_refined_once(self, line_calls):
+        # Each of the 16 starts refined through all 6 rounds, unmerged,
+        # made 7,616 calls here; most of them end in one basin.
+        gamma_hat(0.38234)
+        assert len(line_calls) < 5_000
 
     def test_one_round_refines_to_the_full_tolerance(self, line_search_tols):
         # Its only round is the last, so it polishes as every round once
@@ -843,6 +935,11 @@ class TestVerifyReferencePoint:
     def test_strict_passes(self):
         cert = verify_reference_point(strict=True)
         assert cert.gamma_hat_lower == pytest.approx(1.00000889, abs=1e-6)
+
+    def test_refines_each_basin_once(self, line_calls):
+        # Every start refined through every round, unmerged, made 1,657 calls.
+        verify_reference_point()
+        assert len(line_calls) < 800
 
     def test_degraded_config_fails_with_report(self):
         with pytest.raises(VerificationFailed) as excinfo:

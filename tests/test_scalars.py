@@ -9,6 +9,7 @@ from ucsbound.scalars import (
     binary_entropy,
     entropy_bits,
     max_entropy_or_prob_fullcorr,
+    or_prob,
     require_prob,
 )
 
@@ -69,6 +70,20 @@ class TestEntropyBits:
 
     def test_point_mass(self):
         assert entropy_bits([1.0]) == 0.0
+
+
+class TestOrProb:
+    def test_a_certain_bit_makes_the_or_certain(self):
+        # p + q - pq misses 1 by an ulp at p = 0.0008593297651760803.
+        rng = np.random.default_rng(SEED)
+        for p in (0.0008593297651760803, *rng.uniform(0.0, 1.0, size=2000)):
+            assert or_prob(p, 1.0) == 1.0 == or_prob(1.0, p)
+
+    def test_matches_the_complement_of_both_off(self):
+        rng = np.random.default_rng(SEED)
+        for p, q in rng.uniform(0.0, 1.0, size=(200, 2)):
+            assert or_prob(p, q) == pytest.approx(1.0 - (1.0 - p) * (1.0 - q), abs=1e-15)
+        assert or_prob(0.0, 0.0) == 0.0
 
 
 class TestMaxEntropyOrProb:
