@@ -13,13 +13,14 @@ attains the ceiling, so the check is exact by construction.  Element
 frequencies and peaks are popcounts of the family's member bitmask.
 
 numpy loads on the first array operation, not on import: only
-``element_frequencies``, ``sample_or_closed`` and ``maxcorr`` build
-arrays; the certificate search, enumeration, peaks and the entropy
-check do not.
+``element_frequencies`` and ``sample_or_closed`` build arrays; the
+certificate search, enumeration, peaks, the entropy check and
+``maxcorr`` do not.
 
 ``maxcorr`` is a sidecar that no certificate calls: it gives the
-maximal correlation of a two-by-two Bernoulli coupling, spectrally and
-checked against the absolute Pearson correlation.
+maximal correlation of a two-by-two Bernoulli coupling, in closed form
+from the normalised joint's Frobenius norm and determinant, and checked
+against the absolute Pearson correlation.
 """
 
 __version__ = "0.1.0"

@@ -228,12 +228,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     rows = _family_rows(families, {} if check is None else check.h_star)
 
     if args.csv is not None:
-        fieldnames = ["n", "size", "mask", "p_A", "freqs", "H_X", "H_star", "ratio"]
         sink = io.StringIO()
-        writer = csv.DictWriter(sink, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+        writer = csv.writer(sink)
+        writer.writerow(["n", "size", "mask", "p_A", "freqs", "H_X", "H_star", "ratio"])
+        # Rows keep the header's key order; csv writes None as an empty cell.
+        writer.writerows(row.values() for row in rows)
         _atomic_write_text(args.csv, sink.getvalue())
 
     least = lowest_peak((row["p_A"], fam) for row, fam in zip(rows, families))

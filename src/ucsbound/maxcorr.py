@@ -1,16 +1,16 @@
-"""Maximal correlation of finite joint distributions.
+"""Maximal correlation of a two-by-two joint distribution, in closed form.
 
-The maximal correlation of (X, Y) ~ P is computed spectrally: form
+The maximal correlation of (X, Y) ~ P is the second singular value of
 
-    B[x, y] = P(x, y) / (sqrt(P_X(x)) * sqrt(P_Y(y)))
+    B[x, y] = P(x, y) / (sqrt(P_X(x)) * sqrt(P_Y(y))).
 
-over the support and take the second-largest singular value.  The top
-singular value of B is always 1 (witnessed by the square-root-marginal
-vectors), which the tests use as a self-check on the decomposition.
-
-For 2x2 joints the second singular value coincides with the absolute
-Pearson correlation, giving an independent route the suite compares
-against.
+For a 2x2 joint both singular values follow from the squared Frobenius
+norm F^2 = s1^2 + s2^2 and the determinant |det B| = s1 * s2:
+(s1 +- s2)^2 = F^2 +- 2 |det B|.  The top value s1 is always 1
+(witnessed by the square-root-marginal vectors); it is computed, not
+assumed, so the tests can use it as a self-check on the arithmetic.  The
+second equals the absolute Pearson correlation, which :func:`pearson`
+computes by the moment formula as an independent route.
 """
 
 from __future__ import annotations
@@ -19,11 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ._lazy import lazy_import
 from .errors import InfeasibleCorrelation, RankDeficient
 from .scalars import require_prob
-
-np = lazy_import("numpy")
 
 __all__ = [
     "JointDist",
@@ -38,45 +35,51 @@ _MASS_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class JointDist:
-    """Joint distribution of two finite variables as a labelled matrix.
+    """Joint distribution of two binary variables as a labelled 2x2 matrix.
 
-    ``matrix[i, j]`` is P(X = x_labels[i], Y = y_labels[j]).  Entries
-    must be nonnegative (a tolerance of -1e-12 absorbs roundoff from
-    arithmetic that produced the matrix) and sum to one.
+    ``matrix[i][j]`` is P(X = x_labels[i], Y = y_labels[j]), stored as
+    two tuples of floats.  Entries must be finite and nonnegative (a
+    tolerance of -1e-12 absorbs roundoff from arithmetic that produced
+    the matrix) and sum to one.  Any other shape raises ``ValueError``.
     """
 
     x_labels: tuple
     y_labels: tuple
-    matrix: np.ndarray = field(repr=False)
+    matrix: tuple = field(repr=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        try:
+            m = tuple(tuple(float(v) for v in row) for row in self.matrix)
+        except TypeError as exc:
+            raise ValueError("joint matrix must be rows of numbers") from exc
         object.__setattr__(self, "matrix", m)
-        if m.shape != (len(self.x_labels), len(self.y_labels)):
+        rows = [len(row) for row in m]
+        if rows != [2, 2] or len(self.x_labels) != 2 or len(self.y_labels) != 2:
             raise ValueError(
-                f"matrix shape {m.shape} does not match labels "
-                f"({len(self.x_labels)}, {len(self.y_labels)})"
+                f"need a 2x2 matrix and two labels per axis, got rows of {rows} "
+                f"and ({len(self.x_labels)}, {len(self.y_labels)}) labels"
             )
-        if m.size == 0:
-            raise ValueError("joint distribution must be nonempty")
-        if not np.all(np.isfinite(m)):
+        cells = m[0] + m[1]
+        if not all(map(math.isfinite, cells)):
             raise ValueError("joint matrix must be finite")
-        if m.min() < -1e-12:
-            raise ValueError(f"joint matrix has negative mass {m.min()!r}")
-        total = float(m.sum())
+        if min(cells) < -1e-12:
+            raise ValueError(f"joint matrix has negative mass {min(cells)!r}")
+        total = sum(cells)
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"joint matrix must sum to 1, got {total!r}")
 
-    def x_marginal(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
+    def x_marginal(self) -> tuple[float, float]:
+        (m00, m01), (m10, m11) = self.matrix
+        return m00 + m01, m10 + m11
 
-    def y_marginal(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
+    def y_marginal(self) -> tuple[float, float]:
+        (m00, m01), (m10, m11) = self.matrix
+        return m00 + m10, m01 + m11
 
 
-def _numeric_labels(labels: Sequence) -> np.ndarray:
+def _numeric_labels(labels: Sequence) -> tuple[float, ...]:
     try:
-        return np.asarray([float(v) for v in labels])
+        return tuple(float(v) for v in labels)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"labels must be numeric for moment computations: {labels!r}") from exc
 
@@ -92,43 +95,46 @@ def pearson(joint: JointDist) -> float:
     ys = _numeric_labels(joint.y_labels)
     px = joint.x_marginal()
     py = joint.y_marginal()
-    ex = float(px @ xs)
-    ey = float(py @ ys)
-    var_x = float(px @ (xs - ex) ** 2)
-    var_y = float(py @ (ys - ey) ** 2)
+    ex = px[0] * xs[0] + px[1] * xs[1]
+    ey = py[0] * ys[0] + py[1] * ys[1]
+    var_x = px[0] * (xs[0] - ex) ** 2 + px[1] * (xs[1] - ex) ** 2
+    var_y = py[0] * (ys[0] - ey) ** 2 + py[1] * (ys[1] - ey) ** 2
     if var_x <= 0.0 or var_y <= 0.0:
         raise RankDeficient("a variable with zero variance has no Pearson correlation")
-    exy = float((np.outer(xs - ex, ys - ey) * joint.matrix).sum())
+    exy = sum(
+        m * ((x - ex) * (y - ey)) for row, x in zip(joint.matrix, xs) for m, y in zip(row, ys)
+    )
     # Roots first: var_x * var_y underflows to 0 for marginals near 1e-200.
     return exy / (math.sqrt(var_x) * math.sqrt(var_y))
 
 
-def correlation_spectrum(joint: JointDist) -> np.ndarray:
-    """Singular values (descending) of the normalised joint over its support.
+def correlation_spectrum(joint: JointDist) -> tuple[float, float]:
+    """Both singular values, descending, of the normalised joint.
 
-    Rows and columns with zero marginal mass are dropped first; if fewer
-    than two of either remain the spectrum carries no correlation
-    information and :class:`RankDeficient` is raised.
+    A row or column with zero marginal mass leaves the spectrum without
+    correlation information, and :class:`RankDeficient` is raised.
     """
     px = joint.x_marginal()
     py = joint.y_marginal()
-    rows = px > 0.0
-    cols = py > 0.0
-    if int(rows.sum()) < 2 or int(cols.sum()) < 2:
+    if min(px) <= 0.0 or min(py) <= 0.0:
         raise RankDeficient(
-            "need at least two rows and two columns with mass, got "
-            f"{int(rows.sum())} x {int(cols.sum())}"
+            f"need two rows and two columns with mass, got marginals {px} and {py}"
         )
-    sub = joint.matrix[np.ix_(rows, cols)]
     # Roots first, as in pearson(): the product of tiny marginals underflows.
-    normaliser = np.outer(np.sqrt(px[rows]), np.sqrt(py[cols]))
-    return np.linalg.svd(sub / normaliser, compute_uv=False)
+    rx = [math.sqrt(v) for v in px]
+    ry = [math.sqrt(v) for v in py]
+    b = [[m / (r * c) for m, c in zip(row, ry)] for row, r in zip(joint.matrix, rx)]
+    (b00, b01), (b10, b11) = b
+    # F^2 + 2 det B and F^2 - 2 det B as sums of squares, which do not
+    # cancel: one is (s1 + s2)^2, the other (s1 - s2)^2.
+    top = 0.5 * (math.hypot(b00 + b11, b01 - b10) + math.hypot(b00 - b11, b01 + b10))
+    # s2 = |det B| / s1 keeps its relative precision when s2 is tiny.
+    return top, abs(b00 * b11 - b01 * b10) / top
 
 
 def maximal_correlation(joint: JointDist) -> float:
     """Second singular value of the normalised joint, clipped into [0, 1]."""
-    spectrum = correlation_spectrum(joint)
-    return float(min(1.0, max(0.0, spectrum[1])))
+    return min(1.0, max(0.0, correlation_spectrum(joint)[1]))
 
 
 def binary_coupling(p: float, q: float, joint_on: float) -> JointDist:
@@ -153,13 +159,6 @@ def binary_coupling(p: float, q: float, joint_on: float) -> JointDist:
             f"for marginals p={p!r}, q={q!r}"
         )
     r = min(hi, max(lo, r))
-    matrix = np.array(
-        [
-            [1.0 - p - q + r, q - r],
-            [p - r, r],
-        ]
-    )
-    # Clamp the roundoff shadow of the feasibility check.
-    matrix[matrix < 0.0] = 0.0
-    return JointDist((0, 1), (0, 1), matrix)
-
+    # With r in [lo, hi], only P(0, 0) can round below 0: clamp it.
+    m00 = max(0.0, 1.0 - p - q + r)
+    return JointDist((0, 1), (0, 1), ((m00, q - r), (p - r, r)))

@@ -92,7 +92,13 @@ import time
 from dataclasses import dataclass, fields, is_dataclass
 
 from .distributions import ExtremeFamily, entropy_ratio
-from .errors import BracketFailure, EmptyFeasible, GridTooLarge, VerificationFailed
+from .errors import (
+    BracketFailure,
+    DegenerateDenominator,
+    EmptyFeasible,
+    GridTooLarge,
+    VerificationFailed,
+)
 from .scalars import binary_entropy, max_entropy_or_prob_fullcorr, require_prob
 
 __all__ = [
@@ -376,6 +382,11 @@ class _FaceSearch:
                 # Only a = 0 with b1 = 0 or 1 carries no entropy.
                 if denom > _DENOM_FLOOR:
                     self._cells.append((ind / denom, cor / denom, low[0], high[0]))
+        if not self._cells:
+            raise DegenerateDenominator(
+                f"at t={t!r} no seed cell has an entropy denominator above "
+                f"{_DENOM_FLOOR!r}; t is too small to search"
+            )
 
     @staticmethod
     def _low(a: float) -> tuple[float, float, float, float]:
@@ -520,7 +531,9 @@ def inner_inf(alpha: float, t: float, config: SearchConfig | None = None) -> Inn
     report's ``min_ratio`` is computed by the reference objective at the
     argmin, so it differs from the infimum over the face (module
     docstring) only by how well the search converged, never by formula
-    drift.  Raises :class:`GridTooLarge` past 2^20 seed cells.
+    drift.  Raises :class:`GridTooLarge` past 2^20 seed cells, and
+    :class:`DegenerateDenominator` when t is so small (about 1e-16) that
+    no seed cell's denominator clears 1e-14.
 
     At alpha = 1 the minimum is known in closed form (the lemma in
     ``_best_alpha``): it is 0, and the reported argmin is

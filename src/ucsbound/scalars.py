@@ -45,9 +45,8 @@ def binary_entropy(a: float) -> float:
 def entropy_bits(masses: Sequence[float]) -> float:
     """Shannon entropy in bits of a finite mass vector.
 
-    Zero masses contribute nothing.  Tiny negative entries (roundoff
-    from upstream linear algebra) are treated as zero rather than fed
-    to the logarithm.
+    Zero masses, and any negative entry, contribute nothing rather than
+    being fed to the logarithm.
     """
     total = 0.0
     for m in masses:

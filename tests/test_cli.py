@@ -66,6 +66,13 @@ class TestGammaHat:
         assert rc == 2
         assert "t must lie in (0, 1/2)" in capsys.readouterr().err
 
+    def test_t_too_small_to_search_exits_2(self, capsys):
+        rc = main(["gamma-hat", "--t", "1e-20"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "at t=1e-20 no seed cell has an entropy denominator above 1e-14" in err
+        assert "Traceback" not in err
+
     def test_bad_alpha_exits_2(self, capsys):
         rc = main(["gamma-hat", "--t", "0.38", "--alpha", "sideways"])
         assert rc == 2
@@ -315,8 +322,8 @@ class TestMaxcorr:
         rc = main(["maxcorr", "--pq", "1e-200", "1e-200", "1e-300", "--out", str(out)])
         assert rc == 0
         payload = read_json(out)
-        assert payload["maximal_correlation"] == pytest.approx(1e-100, rel=1e-9)
-        assert payload["pearson"] == pytest.approx(1e-100, rel=1e-9)
+        assert payload["maximal_correlation"] == pytest.approx(1e-100, rel=1e-9, abs=0)
+        assert payload["pearson"] == pytest.approx(1e-100, rel=1e-9, abs=0)
 
     def test_infeasible_pq_exits_2(self, capsys):
         rc = main(["maxcorr", "--pq", "0.9", "0.9", "0.0"])
@@ -417,7 +424,7 @@ class TestImport:
         )
         assert run_python(code) == ["0", "False"]
 
-    def test_search_and_enumerate_run_without_numpy_and_maxcorr_loads_it(self, tmp_path):
+    def test_commands_run_without_numpy_and_sampling_loads_it(self, tmp_path):
         knobs = "'--grid', '12', '--refine-rounds', '1', '--multistart', '2'"
         commands = [
             "'enumerate', '--n', '4', '--check-entropy', '--csv', 'e.csv', "
@@ -427,12 +434,14 @@ class TestImport:
             f"'tmax', '--t-tol', '1e-3', {knobs}",
             f"'verify-paper', '--strict', '--out', 'vp.json'",
             "'maxcorr', '--pq', '0.3', '0.4', '0.2'",
+            "'maxcorr', '--pq', '1e-200', '1e-200', '1e-300'",
+            "'enumerate', '--n', '5', '--sample', '20', '--seed', '1'",
         ]
         code = "import sys; from ucsbound.cli import main"
         for argv in commands:
             code += f"; rc = main([{argv}]); print('=>', rc, {NUMPY_LOADED})"
         results = [line for line in run_python(code, cwd=tmp_path) if line.startswith("=>")]
-        assert results == ["=> 0 False"] * 5 + ["=> 0 True"]
+        assert results == ["=> 0 False"] * 7 + ["=> 0 True"]
         assert read_json(tmp_path / "e.json")["family_count"] == 4959
         assert read_json(tmp_path / "vp.json")["gamma_hat_lower"] > 1.0
 

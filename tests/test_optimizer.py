@@ -7,6 +7,7 @@ formula slip in the fast path cannot cancel out of the comparison.
 
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -439,6 +440,15 @@ class TestInnerSearch:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             inner_inf(1.5, 0.38)
+
+    @pytest.mark.parametrize("t", [1e-16, 1e-20, 5e-324])
+    def test_t_too_small_for_any_seed_cell_raises(self, t):
+        # Every seed cell's denominator is below the 1e-14 floor here.
+        message = f"at t={t!r} no seed cell has an entropy denominator above 1e-14"
+        with pytest.raises(DegenerateDenominator, match=re.escape(message)):
+            inner_inf(0.1, t)
+        with pytest.raises(DegenerateDenominator, match=re.escape(message)):
+            gamma_hat(t)
 
     @pytest.mark.parametrize("t", [0.05, 0.2])
     def test_point_mass_reported_at_small_t(self, t):
