@@ -12,10 +12,13 @@ That check evaluates the identity coupling directly; the identity
 attains the ceiling, so the check is exact by construction.  Element
 frequencies and peaks are popcounts of the family's member bitmask.
 
+``import ucsbound`` loads none of the submodules: each exported name
+is resolved on first access, which imports the submodule defining it.
 numpy loads on the first array operation, not on import: only
 ``element_frequencies`` and ``sample_or_closed`` build arrays; the
 certificate search, enumeration, peaks, the entropy check and
-``maxcorr`` do not.
+``maxcorr`` do not.  The import does look numpy up, so a missing numpy
+still fails at ``import ucsbound``.
 
 ``maxcorr`` is a sidecar that no certificate calls: it gives the
 maximal correlation of a two-by-two Bernoulli coupling, in closed form
@@ -25,107 +28,73 @@ against the absolute Pearson correlation.
 
 __version__ = "0.1.0"
 
-from .distributions import ExtremeFamily, entropy_ratio, mixed_or_entropy
-from .errors import (
-    BracketFailure,
-    DegenerateDenominator,
-    DimensionTooLarge,
-    EmptyFeasible,
-    GridTooLarge,
-    InfeasibleCorrelation,
-    NotClosed,
-    RankDeficient,
-    UcsBoundError,
-    VerificationFailed,
-)
-from .maxcorr import (
-    JointDist,
-    binary_coupling,
-    correlation_spectrum,
-    maximal_correlation,
-    pearson,
-)
-from .optimizer import (
-    BASELINE_THRESHOLD,
-    BoundCertificate,
-    InnerSearchReport,
-    SearchConfig,
-    ThresholdCertificate,
-    find_tmax,
-    gamma_hat,
-    inner_inf,
-    verify_reference_point,
-)
-from .scalars import (
-    binary_entropy,
-    entropy_bits,
-    max_entropy_or_prob_fullcorr,
-    or_prob,
-)
-from .ucslab import (
-    EntropyCheckReport,
-    FamilySet,
-    check_entropy_inequality,
-    check_families,
-    element_frequencies,
-    enumerate_or_closed,
-    is_or_closed,
-    max_symmetric_coupling_entropy,
-    min_peak_frequency,
-    or_closure,
-    peak_frequency,
-    sample_or_closed,
-)
+from importlib import import_module as _import_module
 
-__all__ = [
-    "__version__",
-    # distributions
-    "ExtremeFamily",
-    "mixed_or_entropy",
-    "entropy_ratio",
-    # errors
-    "UcsBoundError",
-    "DegenerateDenominator",
-    "RankDeficient",
-    "InfeasibleCorrelation",
-    "EmptyFeasible",
-    "GridTooLarge",
-    "BracketFailure",
-    "VerificationFailed",
-    "NotClosed",
-    "DimensionTooLarge",
-    # maximal correlation
-    "JointDist",
-    "pearson",
-    "correlation_spectrum",
-    "maximal_correlation",
-    "binary_coupling",
-    # optimizer
-    "SearchConfig",
-    "InnerSearchReport",
-    "BoundCertificate",
-    "ThresholdCertificate",
-    "inner_inf",
-    "gamma_hat",
-    "find_tmax",
-    "verify_reference_point",
-    "BASELINE_THRESHOLD",
-    # scalars
-    "binary_entropy",
-    "entropy_bits",
-    "or_prob",
-    "max_entropy_or_prob_fullcorr",
-    # lab
-    "FamilySet",
-    "EntropyCheckReport",
-    "is_or_closed",
-    "or_closure",
-    "element_frequencies",
-    "peak_frequency",
-    "enumerate_or_closed",
-    "min_peak_frequency",
-    "sample_or_closed",
-    "max_symmetric_coupling_entropy",
-    "check_families",
-    "check_entropy_inequality",
-]
+from ._lazy import lazy_import as _lazy_import
+
+# Finds numpy without running it, so that a missing numpy fails here.
+_lazy_import("numpy")
+
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "ExtremeFamily": "distributions",
+    "mixed_or_entropy": "distributions",
+    "entropy_ratio": "distributions",
+    "UcsBoundError": "errors",
+    "DegenerateDenominator": "errors",
+    "RankDeficient": "errors",
+    "InfeasibleCorrelation": "errors",
+    "EmptyFeasible": "errors",
+    "GridTooLarge": "errors",
+    "BracketFailure": "errors",
+    "VerificationFailed": "errors",
+    "NotClosed": "errors",
+    "DimensionTooLarge": "errors",
+    "JointDist": "maxcorr",
+    "pearson": "maxcorr",
+    "correlation_spectrum": "maxcorr",
+    "maximal_correlation": "maxcorr",
+    "binary_coupling": "maxcorr",
+    "SearchConfig": "config",
+    "InnerSearchReport": "optimizer",
+    "BoundCertificate": "optimizer",
+    "ThresholdCertificate": "optimizer",
+    "inner_inf": "optimizer",
+    "gamma_hat": "optimizer",
+    "find_tmax": "optimizer",
+    "verify_reference_point": "optimizer",
+    "BASELINE_THRESHOLD": "optimizer",
+    "binary_entropy": "scalars",
+    "entropy_bits": "scalars",
+    "or_prob": "scalars",
+    "max_entropy_or_prob_fullcorr": "scalars",
+    "FamilySet": "ucslab",
+    "EntropyCheckReport": "ucslab",
+    "is_or_closed": "ucslab",
+    "or_closure": "ucslab",
+    "element_frequencies": "ucslab",
+    "peak_frequency": "ucslab",
+    "enumerate_or_closed": "ucslab",
+    "min_peak_frequency": "ucslab",
+    "sample_or_closed": "ucslab",
+    "max_symmetric_coupling_entropy": "ucslab",
+    "check_families": "ucslab",
+    "check_entropy_inequality": "ucslab",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    """An exported name, or a submodule that exports one, imported on first access."""
+    if name in _EXPORTS.values():
+        return _import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -19,47 +19,32 @@ suite relies on this.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
 import tempfile
 from dataclasses import replace
-from datetime import datetime, timezone
 
 from . import __version__
+from .config import VERIFY_CONFIG, SearchConfig
 from .errors import (
     BracketFailure,
     GridTooLarge,
     UcsBoundError,
     VerificationFailed,
 )
-from .maxcorr import binary_coupling, correlation_spectrum, maximal_correlation, pearson
-from .optimizer import (
-    REFERENCE_BETA,
-    REFERENCE_RATIO,
-    VERIFY_CONFIG,
-    SearchConfig,
-    find_tmax,
-    gamma_hat,
-    verify_reference_point,
-)
-from .ucslab import (
-    check_families,
-    enumerate_or_closed,
-    frequency_list,
-    lowest_peak,
-    sample_or_closed,
-)
 
 SCHEMA_VERSION = 5
 
 __all__ = ["main", "build_parser", "SCHEMA_VERSION"]
 
+_CSV_HEADER = "n,size,mask,p_A,freqs,H_X,H_star,ratio\r\n"
+
 
 def _utcnow() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
@@ -147,6 +132,8 @@ def _parse_alpha(raw: str):
 
 
 def cmd_gamma_hat(args: argparse.Namespace) -> int:
+    from .optimizer import gamma_hat
+
     started = None if args.no_timestamps else _utcnow()
     cert = gamma_hat(args.t, _parse_alpha(args.alpha), _search_config(args))
     verdict = "certifies" if cert.certifies else "does not certify"
@@ -160,6 +147,8 @@ def cmd_gamma_hat(args: argparse.Namespace) -> int:
 
 
 def cmd_tmax(args: argparse.Namespace) -> int:
+    from .optimizer import find_tmax
+
     started = None if args.no_timestamps else _utcnow()
     result = find_tmax(
         _search_config(args),
@@ -177,6 +166,8 @@ def cmd_tmax(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
+    from .optimizer import REFERENCE_BETA, REFERENCE_RATIO, verify_reference_point
+
     started = None if args.no_timestamps else _utcnow()
     config = _search_config(args, VERIFY_CONFIG)
     cert = verify_reference_point(config=config, strict=args.strict)
@@ -189,29 +180,41 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     return 0
 
 
-def _family_rows(families, h_star: dict):
-    """CSV rows; H_star and ratio are None for families not checked."""
-    rows = []
+def _family_lines(families, h_star: dict) -> list[tuple[float, str]]:
+    """Each family's peak frequency and its CSV line, ended by CRLF.
+
+    H_star and ratio are empty cells for families not checked.  Only
+    the mask is unique to a family: a frequency is count / size, and
+    H_X, H_star and ratio depend on the size and H_star alone, so each
+    distinct cell is formatted once, by ``repr`` as ``csv`` would.  No
+    cell holds a comma, quote or line break, so none needs quoting.
+    """
+    from .ucslab import element_counts
+
+    fractions: dict[int, list[str]] = {}
+    tails: dict[tuple[int, float | None], str] = {}
+    out = []
     for fam in families:
-        freqs = frequency_list(fam)
-        h_x = math.log2(fam.size)
+        size = fam.size
+        cells = fractions.get(size)
+        if cells is None:
+            cells = fractions[size] = [repr(k / size) for k in range(size + 1)]
         star = h_star.get(fam.mask)
-        rows.append(
-            {
-                "n": fam.n,
-                "size": fam.size,
-                "mask": fam.hex_mask,
-                "p_A": max(freqs),
-                "freqs": ";".join(map(repr, freqs)),
-                "H_X": h_x,
-                "H_star": star,
-                "ratio": None if star is None else star / h_x,
-            }
-        )
-    return rows
+        tail = tails.get((size, star))
+        if tail is None:
+            h_x = math.log2(size)
+            tail = f"{h_x!r},," if star is None else f"{h_x!r},{star!r},{star / h_x!r}"
+            tails[size, star] = tail
+        counts = element_counts(fam)
+        top = max(counts)
+        freqs = ";".join([cells[k] for k in counts])
+        out.append((top / size, f"{fam.n},{size},{fam.hex_mask},{cells[top]},{freqs},{tail}\r\n"))
+    return out
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .ucslab import check_families, enumerate_or_closed, lowest_peak, sample_or_closed
+
     started = None if args.no_timestamps else _utcnow()
     if args.check_entropy and args.size_cap < 2:
         raise ValueError(f"--size-cap must be >= 2, got {args.size_cap}")
@@ -225,17 +228,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     check = None
     if args.check_entropy:
         check = check_families(args.n, families, args.tol, args.size_cap)
-    rows = _family_rows(families, {} if check is None else check.h_star)
+    rows = _family_lines(families, {} if check is None else check.h_star)
 
     if args.csv is not None:
-        sink = io.StringIO()
-        writer = csv.writer(sink)
-        writer.writerow(["n", "size", "mask", "p_A", "freqs", "H_X", "H_star", "ratio"])
-        # Rows keep the header's key order; csv writes None as an empty cell.
-        writer.writerows(row.values() for row in rows)
-        _atomic_write_text(args.csv, sink.getvalue())
+        _atomic_write_text(args.csv, _CSV_HEADER + "".join([line for _, line in rows]))
 
-    least = lowest_peak((row["p_A"], fam) for row, fam in zip(rows, families))
+    least = lowest_peak((p_a, fam) for (p_a, _), fam in zip(rows, families))
     min_pa, witness = (None, None) if least is None else (least[0], least[1].hex_mask)
 
     violations = [] if check is None else list(check.violations)
@@ -262,6 +260,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_maxcorr(args: argparse.Namespace) -> int:
+    from .maxcorr import binary_coupling, correlation_spectrum, maximal_correlation, pearson
+
     started = None if args.no_timestamps else _utcnow()
     p, q, r = args.pq
     joint = binary_coupling(p, q, r)

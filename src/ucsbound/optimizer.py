@@ -91,6 +91,7 @@ import operator
 import time
 from dataclasses import dataclass, fields, is_dataclass
 
+from .config import VERIFY_CONFIG, SearchConfig
 from .distributions import ExtremeFamily, entropy_ratio
 from .errors import (
     BracketFailure,
@@ -163,41 +164,6 @@ def _json(value):
     if isinstance(value, tuple):
         return [_json(v) for v in value]
     return value
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs of the seed-scan-plus-refinement search.
-
-    The defaults reproduce the reference evaluation to ~1e-9.
-    :data:`VERIFY_CONFIG` is the finer setting of the published check.
-    Each knob must be an integer, a numpy one included.
-    """
-
-    grid_points_per_axis: int = 64
-    refine_rounds: int = 6
-    multistart_count: int = 16
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            try:
-                object.__setattr__(self, f.name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{f.name} must be an integer, got {value!r}") from None
-        if self.grid_points_per_axis < 2:
-            raise ValueError("grid_points_per_axis must be >= 2")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be >= 0")
-        if self.multistart_count < 1:
-            raise ValueError("multistart_count must be >= 1")
-
-    def to_json_dict(self) -> dict:
-        return _json(self)
-
-
-# Search used by :func:`verify_reference_point` and ``verify-paper``.
-VERIFY_CONFIG = SearchConfig(grid_points_per_axis=96, refine_rounds=8)
 
 
 @dataclass(frozen=True)
@@ -538,7 +504,9 @@ def inner_inf(alpha: float, t: float, config: SearchConfig | None = None) -> Inn
     At alpha = 1 the minimum is known in closed form (the lemma in
     ``_best_alpha``): it is 0, and the reported argmin is
     :func:`_alpha_one_family`, whatever the config.  No seed is scanned
-    there and the report counts 0 evaluations.
+    there and the report counts 0 evaluations; for t up to ~1.44e-14,
+    where no such family has a denominator above 1e-14, it raises
+    :class:`DegenerateDenominator`.
     """
     if require_prob(alpha, "alpha") == 1.0:
         t = _require_t(t)
@@ -597,6 +565,11 @@ def gamma_hat(
     alpha, over every family the search found, so the bound is one that
     no family seen contradicts; the best alpha by that score is
     reported, with the family attaining it.
+
+    ``"auto"`` always needs the alpha = 1 family, so for t up to
+    ~1.44e-14, where its denominator cannot clear 1e-14, it raises
+    :class:`DegenerateDenominator` naming t; above that cut it returns a
+    bound.
     """
     cfg = config or SearchConfig()
     if isinstance(alphas, str):
@@ -636,12 +609,27 @@ def _alpha_one_family(t: float) -> ExtremeFamily:
     best b1 (~0.0727) does not depend on t.  It is found by Brent's
     method over (0, 1) on the reference ratio; the bounded method
     evaluates only strictly inside its bracket, so b1 is never 0 or 1.
+
+    The denominator is t h(b1) / (1 + b1), largest at the golden point
+    b1 = (3 - sqrt 5) / 2, where it is t log2 of the golden ratio,
+    ~0.694 t.  Brent's method starts there and scores a family whose
+    denominator is not above the oracle's 1e-14 floor as +inf, so it
+    ends on a family the oracle can score unless there is none: then,
+    for t up to ~1.44e-14, it raises :class:`DegenerateDenominator`.
     """
 
     def ratio_at_zero(b1: float) -> float:
-        return entropy_ratio(ExtremeFamily(0.0, 0.0, t, b1, 1.0), 0.0)
+        try:
+            return entropy_ratio(ExtremeFamily(0.0, 0.0, t, b1, 1.0), 0.0)
+        except DegenerateDenominator:
+            return math.inf
 
-    b1, _ = _brent_min(ratio_at_zero, 0.0, 1.0, _PARAM_TOL)
+    b1, value = _brent_min(ratio_at_zero, 0.0, 1.0, _PARAM_TOL)
+    if value == math.inf:
+        raise DegenerateDenominator(
+            f"at t={t!r} no family (0, 0; b1, 1) has an entropy denominator "
+            f"above {_DENOM_FLOOR!r}; t is too small to search"
+        )
     return ExtremeFamily(0.0, 0.0, t, b1, 1.0)
 
 
@@ -661,8 +649,11 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
     only for 0 < b1 < 1.  So the minimum at alpha = 1 is exactly 0, and
     it is attained exactly on the families (0, 0; b1, 1) with
     0 < b1 < 1.  Their lines all pass through (1, 0); the one taken for
-    alpha = 1 is the lowest of them, :func:`_alpha_one_family`.
+    alpha = 1 is the lowest of them, :func:`_alpha_one_family`.  It is
+    found first, even when the search stops at alpha = 0, so that a t
+    too small for it fails whatever the slope there.
     """
+    top = _alpha_one_family(face.t)
     # Each family found, with its line (ratio at alpha = 0, slope).
     lines: dict[ExtremeFamily, tuple[float, float]] = {}
     evaluated: list[float] = []
@@ -678,7 +669,7 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
 
     lo, slope_lo = 0.0, slope_at(0.0)
     if slope_lo > 0.0:
-        hi, slope_hi = 1.0, slope_at(1.0, _alpha_one_family(face.t))
+        hi, slope_hi = 1.0, slope_at(1.0, top)
         moved = None  # the end of [lo, hi] the last step replaced
         last_gap = math.inf
         while slope_hi < 0.0 and len(evaluated) < _ALPHA_MAX_SEARCHES:

@@ -8,20 +8,23 @@ the full set down to the empty set, deciding each in or out and
 letting a set in only if its union with every member already in is a
 member too; so it visits only OR-closed partial families, not all
 2^(2^n) - 1 family masks.  Element frequencies are popcounts of the
-family mask against, per element, the mask of every set containing it.
-Peak frequencies read those popcounts as floats (:func:`frequency_list`),
-so only :func:`element_frequencies` and :func:`sample_or_closed` use
-numpy.
+family mask against, per element, the mask of every set containing it
+(:func:`element_counts`).  Peak frequencies read those popcounts as
+floats (:func:`frequency_list`), so only :func:`element_frequencies`
+and :func:`sample_or_closed` use numpy, which loads on their first
+call; ``import ucsbound`` has already checked that it is installed.
 
 Besides enumeration and frequency bookkeeping, the module checks the
 coupling-entropy ceiling H(X OR Y) <= log2 |A| over symmetric couplings
 of two uniform copies of a family.  Its maximum is known exactly: the
 identity coupling Y = X attains it.  The check evaluates that coupling
-directly, so it is exact by construction.
+directly, so it is exact by construction.  Its value depends on the
+family's size alone, so it is computed once per size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -38,6 +41,7 @@ __all__ = [
     "EntropyCheckReport",
     "is_or_closed",
     "or_closure",
+    "element_counts",
     "frequency_list",
     "element_frequencies",
     "peak_frequency",
@@ -162,14 +166,20 @@ def or_closure(n: int, generators: Iterable[int]) -> FamilySet:
     return FamilySet(n, mask)
 
 
-def frequency_list(family: FamilySet) -> list[float]:
-    """Fraction of members containing each ground element, as n floats.
+def element_counts(family: FamilySet) -> list[int]:
+    """Number of members containing each ground element, as n ints.
 
     The members containing element e are the family mask's bits within
     ``_CONTAIN[n][e]``, so each count is one popcount.
     """
-    mask, size = family.mask, family.size
-    return [(mask & c).bit_count() / size for c in _CONTAIN[family.n]]
+    mask = family.mask
+    return [(mask & c).bit_count() for c in _CONTAIN[family.n]]
+
+
+def frequency_list(family: FamilySet) -> list[float]:
+    """Fraction of members containing each ground element, as n floats."""
+    size = family.size
+    return [k / size for k in element_counts(family)]
 
 
 def element_frequencies(family: FamilySet) -> np.ndarray:
@@ -182,8 +192,10 @@ def peak_frequency(family: FamilySet) -> float:
 
     For the family whose only member is the empty set this is 0; every
     other family contains a nonempty member, so some element appears.
+    It is the largest count over the size, the same float as the largest
+    of :func:`frequency_list`, as rounding a quotient keeps its order.
     """
-    return max(frequency_list(family))
+    return max(element_counts(family)) / family.size
 
 
 def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
@@ -285,7 +297,15 @@ def max_symmetric_coupling_entropy(family: FamilySet) -> float:
     """
     if not is_or_closed(family):
         raise NotClosed(f"family {family.hex_mask} is not closed under OR")
-    k = family.size
+    return _uniform_bits(family.size)
+
+
+@functools.cache
+def _uniform_bits(k: int) -> float:
+    """Entropy in bits of the uniform distribution on k outcomes.
+
+    A family has at most 2^5 members, so the cache holds at most 32 values.
+    """
     return entropy_bits([1.0 / k] * k)
 
 

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import ucsbound
-from ucsbound import cli, optimizer
+from ucsbound import optimizer, ucslab
 from ucsbound.cli import SCHEMA_VERSION, main
-from ucsbound.optimizer import gamma_hat
+from ucsbound.optimizer import VERIFY_CONFIG, SearchConfig, gamma_hat
 from ucsbound.ucslab import lowest_peak, peak_frequency, sample_or_closed
 
 FAST_KNOBS = ["--grid", "32", "--refine-rounds", "3", "--multistart", "8"]
@@ -71,6 +71,13 @@ class TestGammaHat:
         assert rc == 2
         err = capsys.readouterr().err
         assert "at t=1e-20 no seed cell has an entropy denominator above 1e-14" in err
+        assert "Traceback" not in err
+
+    def test_t_below_the_alpha_one_cut_exits_2(self, capsys):
+        rc = main(["gamma-hat", "--t", "1e-14"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "at t=1e-14 no family (0, 0; b1, 1) has an entropy denominator above 1e-14" in err
         assert "Traceback" not in err
 
     def test_bad_alpha_exits_2(self, capsys):
@@ -230,8 +237,8 @@ class TestEnumerate:
 
     def test_nothing_checked_reports_none(self, tmp_path, monkeypatch):
         # Only single-member families, which the check skips.
-        singletons = [fam for fam in cli.enumerate_or_closed(2) if fam.size == 1]
-        monkeypatch.setattr(cli, "enumerate_or_closed", lambda n: singletons)
+        singletons = [fam for fam in ucslab.enumerate_or_closed(2) if fam.size == 1]
+        monkeypatch.setattr(ucslab, "enumerate_or_closed", lambda n: singletons)
         out = tmp_path / "families.json"
         argv = ["enumerate", "--n", "2", "--check-entropy"]
         rc = main([*argv, "--out", str(out)])
@@ -281,7 +288,7 @@ class TestEnumerate:
         # The least-peak families of this sample tie at 1/2; the smallest
         # mask among them is the last in forward order.
         families = sample_or_closed(5, 200, seed=1)[::step]
-        monkeypatch.setattr(cli, "sample_or_closed", lambda n, count, seed: families)
+        monkeypatch.setattr(ucslab, "sample_or_closed", lambda n, count, seed: families)
         out = tmp_path / "sampled.json"
         assert main(["enumerate", "--n", "5", "--sample", "200", "--out", str(out)]) == 0
         value, witness = lowest_peak((peak_frequency(f), f) for f in families)
@@ -396,6 +403,20 @@ class TestParser:
             main(["transmogrify"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [("gamma-hat", SearchConfig()), ("verify-paper", VERIFY_CONFIG)],
+        ids=["gamma-hat", "verify-paper"],
+    )
+    def test_help_prints_the_search_defaults(self, command, config, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"seed points per face axis (default {config.grid_points_per_axis})" in text
+        assert f"refinement rounds (default {config.refine_rounds})" in text
+        assert f"merge (default {config.multistart_count})" in text
+
 
 # numpy loads on first array use.  Until then the package holds its name
 # in sys.modules with a placeholder, so numpy counts as loaded once any of
@@ -444,6 +465,34 @@ class TestImport:
         assert results == ["=> 0 False"] * 7 + ["=> 0 True"]
         assert read_json(tmp_path / "e.json")["family_count"] == 4959
         assert read_json(tmp_path / "vp.json")["gamma_hat_lower"] > 1.0
+
+    def test_each_command_loads_only_what_it_runs(self, tmp_path):
+        knobs = ["--grid", "12", "--refine-rounds", "1", "--multistart", "2"]
+        search = {"ucsbound.optimizer", "ucsbound.distributions"}
+        lab = {"ucsbound.ucslab"}
+        corr = {"ucsbound.maxcorr"}
+        cases = [
+            (["enumerate", "--n", "4", "--check-entropy"], search | corr),
+            (["enumerate", "--n", "5", "--sample", "20", "--seed", "1"], search | corr),
+            (["maxcorr", "--pq", "0.3", "0.4", "0.2"], search | lab),
+            (["gamma-hat", "--t", "0.38", *knobs], lab | corr),
+            (["tmax", "--t-tol", "1e-3", *knobs], lab | corr),
+            (["verify-paper", "--strict"], lab | corr),
+        ]
+        loaded = "' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'ucsbound'))"
+        assert run_python(f"import sys, ucsbound; print({loaded})") == ["ucsbound ucsbound._lazy"]
+        for argv, unloaded in cases:
+            code = f"import sys; from ucsbound.cli import main; print(main({argv!r})); print({loaded})"
+            rc, modules = run_python(code, cwd=tmp_path)[-2:]
+            assert rc == "0", argv
+            assert unloaded.isdisjoint(modules.split()), argv
+
+    def test_star_import_binds_every_exported_name(self):
+        namespace = {}
+        exec("from ucsbound import *", namespace)
+        assert [name for name in ucsbound.__all__ if name not in namespace] == []
+        assert all(namespace[name] is getattr(ucsbound, name) for name in ucsbound.__all__)
+        assert set(ucsbound.__all__) <= set(dir(ucsbound))
 
     def test_missing_numpy_fails_at_import(self):
         code = (

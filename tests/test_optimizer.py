@@ -653,8 +653,8 @@ class TestAlphaOne:
             assert r0 <= entropy_ratio(ExtremeFamily(0.0, 0.0, t, b, 1.0), 0.0)
 
     def test_b1_search_evaluates_only_inside_the_open_interval(self, monkeypatch):
-        # At b1 = 0 or 1 the reference ratio raises DegenerateDenominator;
-        # ratio_at_zero does not guard those ends, as Brent never asks there.
+        # At b1 = 0 or 1 the family carries no entropy at all; Brent never
+        # asks there.
         points = []
 
         def recorded(f, lo, hi, tol, start=None):
@@ -670,6 +670,22 @@ class TestAlphaOne:
             fam = _alpha_one_family(t)
             assert fam.b1 in points
             assert all(0.0 < x < 1.0 for x in points)
+
+    @pytest.mark.parametrize("t", [1e-13, 5e-14, 1e-14, 3e-15, 1e-15, 5e-16, 2e-16])
+    def test_tiny_t_has_one_cut(self, t):
+        # The family (0, 0; b1, 1) has denominator t h(b1) / (1 + b1), at
+        # most t log2 of the golden ratio, so below the cut none clears the
+        # 1e-14 floor.  "auto" needs one whatever the slope at alpha = 0.
+        cut = 1e-14 / math.log2((1.0 + math.sqrt(5.0)) / 2.0)
+        if t > cut:
+            cert = gamma_hat(t)
+            assert cert.gamma_hat_lower == entropy_ratio(cert.argmin, cert.alpha_star)
+            return
+        message = f"at t={t!r} no family (0, 0; b1, 1) has an entropy denominator above 1e-14"
+        with pytest.raises(DegenerateDenominator, match=re.escape(message)):
+            gamma_hat(t)
+        with pytest.raises(DegenerateDenominator, match=re.escape(message)):
+            inner_inf(1.0, t)
 
     @pytest.mark.parametrize("t", [0.05, 0.3, 0.38234, 0.49])
     def test_auto_search_runs_no_inner_search_at_one(self, t, inner_searches):
