@@ -213,7 +213,13 @@ def _family_lines(families, h_star: dict) -> list[tuple[float, str]]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from .ucslab import check_families, enumerate_or_closed, lowest_peak, sample_or_closed
+    from .ucslab import (
+        check_families,
+        enumerate_or_closed,
+        lowest_peak,
+        peak_frequency,
+        sample_or_closed,
+    )
 
     started = None if args.no_timestamps else _utcnow()
     if args.check_entropy and args.size_cap < 2:
@@ -228,12 +234,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     check = None
     if args.check_entropy:
         check = check_families(args.n, families, args.tol, args.size_cap)
-    rows = _family_lines(families, {} if check is None else check.h_star)
-
     if args.csv is not None:
+        rows = _family_lines(families, {} if check is None else check.h_star)
         _atomic_write_text(args.csv, _CSV_HEADER + "".join([line for _, line in rows]))
+        peaks = [p_a for p_a, _ in rows]
+    else:
+        peaks = [peak_frequency(fam) for fam in families]
 
-    least = lowest_peak((p_a, fam) for (p_a, _), fam in zip(rows, families))
+    least = lowest_peak(zip(peaks, families))
     min_pa, witness = (None, None) if least is None else (least[0], least[1].hex_mask)
 
     violations = [] if check is None else list(check.violations)

@@ -3,13 +3,17 @@
 A set over the ground elements {0, ..., n-1} is encoded as an integer
 bitmask in [0, 2^n); taking unions is then bitwise OR.  A *family* of
 such sets is in turn encoded as a bitmask over the 2^n possible
-members.  Exhaustive enumeration for n <= 4 walks those members from
-the full set down to the empty set, deciding each in or out and
-letting a set in only if its union with every member already in is a
-member too; so it visits only OR-closed partial families, not all
-2^(2^n) - 1 family masks.  Element frequencies are popcounts of the
-family mask against, per element, the mask of every set containing it
-(:func:`element_counts`).  Peak frequencies read those popcounts as
+members.  Closure proofs and exhaustive enumeration for n <= 4 both
+split a family at its top element n - 1 into two families on n - 1
+elements: ``lo``, the members lacking n - 1, and ``hi``, the members
+holding it, with n - 1 removed.  The family is closed iff both halves
+are and ``lo`` lies inside the stabiliser of ``hi`` (see
+:func:`_split`).  A table built at import holds every closed family on
+at most 3 elements with its stabiliser, so :func:`is_or_closed` is a
+lookup or three for n <= 4, and enumeration pairs closed halves from
+that table: it never meets the 2^(2^n) - 1 family masks one by one.
+Element frequencies are popcounts of the family mask against, per
+element, the mask of every set containing it (:func:`element_counts`).  Peak frequencies read those popcounts as
 floats (:func:`frequency_list`), so only :func:`element_frequencies`
 and :func:`sample_or_closed` use numpy, which loads on their first
 call; ``import ucsbound`` has already checked that it is installed.
@@ -120,27 +124,6 @@ class FamilySet:
         return f"0x{self.mask:x}"
 
 
-def _closed(mask: int, size: int) -> bool:
-    """True iff the family mask over ``size`` candidate sets is OR-closed.
-
-    Each member is paired with the smaller ones as the scan meets it, so
-    an open family is rejected without listing all its members first.
-    """
-    seen: list[int] = []
-    for k in range(size):
-        if (mask >> k) & 1:
-            for a in seen:
-                if not (mask >> (a | k)) & 1:
-                    return False
-            seen.append(k)
-    return True
-
-
-def is_or_closed(family: FamilySet) -> bool:
-    """True iff the union of every member pair is again a member."""
-    return _closed(family.mask, 1 << family.n)
-
-
 def _unions(n: int, i: int, mask: int) -> int:
     """Family mask of {i | m : m a member of ``mask``}, on n elements.
 
@@ -151,6 +134,73 @@ def _unions(n: int, i: int, mask: int) -> int:
         if i & shift:
             mask = ((mask & lacks) << shift) | (mask & has)
     return mask
+
+
+def _stabiliser(n: int, mask: int) -> int:
+    """Family mask of {x : x | y is a member for every member y}, on n >= 1 elements.
+
+    It holds the empty set, and for a closed family it is itself closed.
+    """
+    return sum(1 << x for x in range(1 << n) if not _unions(n, x, mask) & ~mask)
+
+
+def _split(n: int, lower: dict[int, int]) -> list[int]:
+    """Ascending closed family masks on n elements, from those on n - 1.
+
+    ``lower`` maps each closed mask on n - 1 elements, 0 included, to its
+    stabiliser, in ascending order.  A family on n elements splits at
+    element n - 1 into ``lo``, its members lacking n - 1, and ``hi``, its
+    members holding n - 1 with n - 1 removed; its mask is
+    ``lo | hi << 2^(n-1)``.  It is closed iff ``lo`` and ``hi`` are and
+    every member of ``lo`` is in the stabiliser of ``hi``.  Families
+    whose ``hi`` share a stabiliser share their list of ``lo``.
+    """
+    shift = 1 << (n - 1)
+    below: dict[int, list[int]] = {}
+    out: list[int] = []
+    for hi, stab in lower.items():
+        los = below.get(stab)
+        if los is None:
+            los = below[stab] = [lo for lo in lower if not lo & ~stab]
+        top = hi << shift
+        out += [top | lo for lo in los]
+    return out
+
+
+# _STAB[n]: every closed family mask on n <= 3 elements, the empty family
+# included, mapped to its stabiliser, in ascending order: 142 entries in
+# all.  Closure on n <= 4 elements is then a lookup or three.
+_STAB: dict[int, dict[int, int]] = {0: {0: 1, 1: 1}}
+for _n in range(1, 4):
+    _STAB[_n] = {f: _stabiliser(_n, f) for f in _split(_n, _STAB[_n - 1])}
+del _n
+
+
+def _closed_masks(n: int) -> list[int]:
+    """Every closed family mask on n >= 1 elements, 0 included, ascending."""
+    lower = _STAB.get(n - 1)
+    if lower is None:
+        lower = {f: _stabiliser(n - 1, f) for f in _closed_masks(n - 1)}
+    return _split(n, lower)
+
+
+def _is_closed(n: int, mask: int) -> bool:
+    """True iff the family mask on n >= 0 elements is OR-closed (see :func:`_split`)."""
+    table = _STAB.get(n)
+    if table is not None:
+        return mask in table
+    shift = 1 << (n - 1)
+    lo, hi = mask & ((1 << shift) - 1), mask >> shift
+    if not (_is_closed(n - 1, lo) and _is_closed(n - 1, hi)):
+        return False
+    table = _STAB.get(n - 1)
+    stab = _stabiliser(n - 1, hi) if table is None else table[hi]
+    return not lo & ~stab
+
+
+def is_or_closed(family: FamilySet) -> bool:
+    """True iff the union of every member pair is again a member."""
+    return _is_closed(family.n, family.mask)
 
 
 def or_closure(n: int, generators: Iterable[int]) -> FamilySet:
@@ -201,13 +251,13 @@ def peak_frequency(family: FamilySet) -> float:
 def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
     """All OR-closed families on n elements, in increasing mask order.
 
-    A depth-first walk decides the candidate sets from 2^n - 1 down to
-    0, trying "exclude" before "include", so the families come out in
-    increasing mask order.  Set i may join only if i | m is already a
-    member for every member m decided so far.  Each such union is at
-    least i, so it has been decided already, and a prune never has to
-    force a later set: every leaf but the empty family is closed.  The
-    test is bitwise, through :func:`_unions`.
+    Each family splits at element n - 1 into two closed families on
+    n - 1 elements (see :func:`_split`), so the closed families on n
+    elements are the pairs (hi, lo) of closed families on n - 1 with
+    ``lo`` inside the stabiliser of ``hi``.  Looping over ``hi`` and
+    then over ``lo``, both ascending, yields the masks in increasing
+    order.  For n <= 4 the families on n - 1 elements and their
+    stabilisers come from the table built at import.
 
     Raises :class:`DimensionTooLarge` for n > 4: n = 5 has 2,771,103
     OR-closed families, which is not desk-scale.  Use
@@ -220,17 +270,9 @@ def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
         )
     if n < 1:
         raise ValueError(f"ground-set size must be >= 1, got {n!r}")
-    # Each stack entry is (next set to decide, members so far).
-    stack = [((1 << n) - 1, 0)]
-    while stack:
-        i, mask = stack.pop()
-        if i < 0:
-            if mask:
-                yield FamilySet(n, mask)
-            continue
-        if not _unions(n, i, mask) & ~mask:
-            stack.append((i - 1, mask | (1 << i)))
-        stack.append((i - 1, mask))
+    # The first mask is 0, the empty family.
+    for mask in _closed_masks(n)[1:]:
+        yield FamilySet(n, mask)
 
 
 def lowest_peak(
@@ -343,7 +385,8 @@ def check_families(
     H_star / log2 |A|; they sit at 1 up to rounding.  Raises
     ``ValueError`` unless ``tol`` is finite and non-negative, and
     unless ``size_cap`` is at least 2: a smaller cap would skip every
-    family and pass without checking any.
+    family and pass without checking any.  Raises ``ValueError`` too
+    on a family over another ground-set size than n.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
@@ -354,6 +397,8 @@ def check_families(
     violations: list[str] = []
     ratios: list[float] = []
     for fam in families:
+        if fam.n != n:
+            raise ValueError(f"check_families on n = {n} got a family on n = {fam.n}")
         if not 2 <= fam.size <= size_cap:
             skipped += 1
             continue

@@ -220,6 +220,21 @@ class TestEnumerate:
         for path in (out, tmp_path / "families.json.manifest.json", sheet):
             assert oct(path.stat().st_mode) == oct(want)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "4", "--check-entropy"], ["--n", "5", "--sample", "200", "--seed", "1"]],
+        ids=["n4", "sampled"],
+    )
+    def test_csv_does_not_change_report_or_stdout(self, argv, tmp_path, capsys):
+        # Without --csv, p_A comes from peak_frequency, not the CSV lines.
+        outputs = []
+        for extra in ([], ["--csv", str(tmp_path / "families.csv")]):
+            out = tmp_path / f"report{len(extra)}.json"
+            rc = main(["enumerate", *argv, *extra, "--no-timestamps", "--out", str(out)])
+            assert rc == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
     def test_entropy_check_block(self, tmp_path):
         out = tmp_path / "families.json"
         rc = main(["enumerate", "--n", "2", "--check-entropy", "--out", str(out)])

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from ucsbound.ucslab import (
     or_closure,
     peak_frequency,
     sample_or_closed,
-    _closed,
+    _closed_masks,
+    _stabiliser,
 )
 
 SEED = 31337
@@ -40,6 +43,22 @@ def naive_closed_families(n):
             if all(a | b in family for a in family for b in family):
                 out.append(family)
     return out
+
+
+def pairwise_closed(mask, size):
+    """Closure oracle: True iff the family mask over ``size`` candidate sets is OR-closed.
+
+    Each member is paired with the smaller ones as the scan meets it, so
+    an open family is rejected without listing all its members first.
+    """
+    seen = []
+    for k in range(size):
+        if (mask >> k) & 1:
+            for a in seen:
+                if not (mask >> (a | k)) & 1:
+                    return False
+            seen.append(k)
+    return True
 
 
 def family_to_masks(family):
@@ -95,6 +114,26 @@ class TestIsOrClosed:
                 masks = family_to_masks(fam)
                 encoded = FamilySet.from_members(n, masks)
                 assert is_or_closed(encoded)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_pairwise_oracle_on_every_mask(self, n):
+        size = 1 << n
+        for mask in range(1, 1 << size):
+            assert is_or_closed(FamilySet(n, mask)) == pairwise_closed(mask, size), hex(mask)
+
+    def test_matches_pairwise_oracle_on_n5(self):
+        # Random masks are almost never closed; one-bit flips of closed
+        # families sit next to the boundary from both sides.
+        rng = random.Random(SEED)
+        masks = [rng.getrandbits(32) or 1 for _ in range(100_000)]
+        for fam in sample_or_closed(5, 300, SEED):
+            masks += [fam.mask ^ (1 << k) for k in range(32) if fam.mask != 1 << k]
+        closed = 0
+        for mask in masks:
+            expected = pairwise_closed(mask, 32)
+            assert is_or_closed(FamilySet(5, mask)) == expected, hex(mask)
+            closed += expected
+        assert closed > 1000
 
 
 class TestOrClosure:
@@ -182,10 +221,27 @@ class TestEnumeration:
         assert ours == naive
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_walk_matches_brute_force_scan_in_order(self, n):
+    def test_split_matches_brute_force_scan_in_order(self, n):
         size = 1 << n
-        scan = [m for m in range(1, 1 << size) if _closed(m, size)]
+        scan = [m for m in range(1, 1 << size) if pairwise_closed(m, size)]
         assert [f.mask for f in enumerate_or_closed(n)] == scan
+
+    def test_split_counts_n5_ground_truth(self):
+        # OEIS A102896: 2,771,103 closed families at n = 5.  The split
+        # pairs each closed hi on 4 elements with every closed lo inside
+        # its stabiliser; a sum over submasks counts those lo for every
+        # 16-bit mask at once, so no pair is built.
+        start = time.perf_counter()
+        lower = _closed_masks(4)
+        inside = np.zeros(1 << 16, dtype=np.int64)
+        inside[lower] = 1
+        for k in range(16):
+            halves = inside.reshape(-1, 2, 1 << k)
+            halves[:, 1, :] += halves[:, 0, :]
+        count = sum(int(inside[_stabiliser(4, hi)]) for hi in lower)
+        elapsed = time.perf_counter() - start
+        assert count - 1 == 2_771_103  # less the empty family
+        assert elapsed <= 3.0
 
     def test_frozen_count_n3(self):
         assert sum(1 for _ in enumerate_or_closed(3)) == 121
@@ -309,6 +365,10 @@ class TestEntropyInequality:
         assert report.ok
         assert report.ratio_min is None
         assert report.ratio_max is None
+
+    def test_rejects_families_of_another_size(self):
+        with pytest.raises(ValueError, match=r"n = 3 .* n = 4"):
+            check_families(3, enumerate_or_closed(4))
 
     @pytest.mark.parametrize("size_cap", [1, 0, -5])
     def test_rejects_size_cap_below_two(self, size_cap):
