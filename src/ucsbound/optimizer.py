@@ -289,20 +289,6 @@ def _brent_min(
                 v, fv = u, fu
 
 
-def _mix(beta, h1, h2, s1, s2, s12, p1, p2):
-    """Denominator, independent and correlated terms of a two-block family.
-
-    Block 1 has weight 1 - beta, block 2 weight beta.  Per block, h sums
-    its two marginal entropies, s its within-block OR entropies (the
-    off-diagonal term twice) and p is its correlated OR entropy; s12
-    sums the four cross-block OR entropies.
-    """
-    w1, w2 = 0.5 * (1.0 - beta), 0.5 * beta
-    denom = w1 * h1 + w2 * h2
-    ind = w1 * w1 * s1 + w2 * w2 * s2 + 2.0 * w1 * w2 * s12
-    return denom, ind, (1.0 - beta) * p1 + beta * p2
-
-
 def _merge(starts: list, radius: float) -> list:
     """``starts`` (value, [a, b1]) by value, ties in their order, less each
     one within Chebyshev distance ``radius`` of a better one kept."""
@@ -366,12 +352,19 @@ class _FaceSearch:
         return b1, binary_entropy(b1), binary_entropy(b1 + b1 - b1 * b1)
 
     def _terms(self, low, high) -> tuple[float, float, float]:
-        """Denominator, independent and correlated terms at a face point."""
+        """Denominator, independent and correlated terms at a face point.
+
+        The low block (a, a) has weight 1 - beta and the high block
+        (b1, 1) weight beta; every entropy touching the value 1 is 0.
+        """
         a, ha, sa, pa = low
         b1, hb, sb = high
         beta = 2.0 * (self.t - a) / (b1 + 1.0 - a - a)
         cross = binary_entropy(a + b1 - a * b1)
-        return _mix(beta, ha + ha, hb, 4.0 * sa, sb, cross + cross, pa, 0.0)
+        w1, w2 = 0.5 * (1.0 - beta), 0.5 * beta
+        denom = w1 * (ha + ha) + w2 * hb
+        ind = w1 * w1 * (4.0 * sa) + w2 * w2 * sb + 2.0 * w1 * w2 * (cross + cross)
+        return denom, ind, (1.0 - beta) * pa + beta * 0.0
 
     # -- seed scan ---------------------------------------------------------
 
