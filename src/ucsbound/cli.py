@@ -317,8 +317,8 @@ def _add_search_knobs(sub: argparse.ArgumentParser, base: SearchConfig = SearchC
     sub.add_argument(
         "--multistart",
         type=int,
-        help=f"most seed points to refine; starts that meet within one trust window "
-        f"merge (default {base.multistart_count})",
+        help=f"most seed points to refine; a point with a lower neighbour on the seed "
+        f"grid is not refined (default {base.multistart_count})",
     )
 
 

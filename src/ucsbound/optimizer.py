@@ -39,26 +39,23 @@ Search scheme
    of copies of the point mass, is not; b1 = sin^2(pi k / 2(g - 1)).
    A cell's ind/denom and cor/denom do not depend on alpha, so they
    are kept, and a scan at a new alpha costs one blend per cell;
-2. the best ``multistart_count`` cells start a cyclic per-coordinate
-   Brent line search with a shrinking trust window, clipped to the
-   face at every step, the only box rule (``_line``).  The starts run
-   in lockstep: each round runs for every live start before the next
-   round runs for any.  After every round but the last, the starts are
-   sorted by value, ties in scan order, and a start within the next
-   round's window (Chebyshev distance on (a, b1)) of a better one kept
-   is dropped, as the two would go on to search one basin.  So
-   ``multistart_count`` caps the starts.  At the default settings, for
-   t >= 0.33 a median of 3 of 16 are left after the first round, and
-   an inner search makes ~650 line-objective calls (~1,500 refining
-   every start); for t <= 0.3, where the starts crawl towards the
-   point mass at separate b1, 12 are left and it makes ~2,100
-   (~2,400).  Each line search starts at the window centre, the
-   current point, whose value is known, so it never ends worse than it
-   began.  The last round's line searches converge to 1e-10; an
-   earlier round's only hand a start point to the next, narrower
-   window, so they stop at 1e-2 of their own window.  Along a, 4 of
-   the ratio's 6 entropies move, along b1 3; the rest are computed
-   once per line;
+2. of the ``multistart_count`` lowest cells, each with no lower
+   8-neighbour on the seed grid starts a cyclic per-coordinate Brent
+   line search with a shrinking trust window, clipped to the face at
+   every step, the only box rule (``_line``).  A cell with a lower
+   neighbour lies on the slope of a basin that a lower cell starts in
+   (the rule of multi-level single linkage, Rinnooy Kan and Timmer
+   1987), so ``multistart_count`` caps the starts.  At the default
+   settings 1 or 2 of 16 start, and an inner search makes a median of
+   ~260 line-objective calls for t >= 0.33 and ~760 for t <= 0.3,
+   where the starts crawl towards the point mass.  Each start runs
+   all its rounds before the next starts.  Each line search starts at
+   the window centre, the current point, whose value is known, so it
+   never ends worse than it began.  The last round's line searches
+   converge to 1e-10; an earlier round's only hand a start point to
+   the next, narrower window, so they stop at 1e-2 of their own
+   window.  Along a, 4 of the ratio's 6 entropies move, along b1 3;
+   the rest are computed once per line;
 3. the best refined point is polished by nested Brent (Brent 1973,
    ch. 5) in a one-cell window, over a of the minimum over b1, as a
    coordinate search crawls along a curved valley;
@@ -87,7 +84,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import time
 from dataclasses import dataclass, fields, is_dataclass
 
@@ -137,7 +133,7 @@ BASELINE_THRESHOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(math.ulp(1.0))
 _DENOM_FLOOR = 1e-14
-# Largest seed scan: a cell costs about 2 microseconds and 130 bytes.
+# Largest seed scan: a cell costs about 2 microseconds and 150 bytes.
 _MAX_SEED_CELLS = 1 << 20
 # The search over alpha stops once the envelope of the lines it found
 # peaks within _ALPHA_GAP_TOL of its best value, once its bracket is
@@ -289,16 +285,6 @@ def _brent_min(
                 v, fv = u, fu
 
 
-def _merge(starts: list, radius: float) -> list:
-    """``starts`` (value, [a, b1]) by value, ties in their order, less each
-    one within Chebyshev distance ``radius`` of a better one kept."""
-    kept = []
-    for value, x in sorted(starts, key=operator.itemgetter(0)):
-        if all(max(abs(x[0] - y[0]), abs(x[1] - y[1])) > radius for _, y in kept):
-            kept.append((value, x))
-    return kept
-
-
 def _require_t(t: float) -> float:
     """``t`` as a float; raises :class:`EmptyFeasible` unless it is in (0, 1/2)."""
     t = float(t)
@@ -327,13 +313,16 @@ class _FaceSearch:
             )
         lows = [self._low(t * math.sin(0.5 * math.pi * k / g) ** 2) for k in range(g)]
         highs = [self._high(math.sin(0.5 * math.pi * k / (g - 1)) ** 2) for k in range(g)]
+        # A cell is (ind/denom, cor/denom, a, b1, i, j), (i, j) its place
+        # on the grid; the column indices are shared by every row.
+        columns = list(enumerate(highs))
         self._cells = []
-        for low in lows:
-            for high in highs:
+        for i, low in enumerate(lows):
+            for j, high in columns:
                 denom, ind, cor = self._terms(low, high)
                 # Only a = 0 with b1 = 0 or 1 carries no entropy.
                 if denom > _DENOM_FLOOR:
-                    self._cells.append((ind / denom, cor / denom, low[0], high[0]))
+                    self._cells.append((ind / denom, cor / denom, low[0], high[0], i, j))
         if not self._cells:
             raise DegenerateDenominator(
                 f"at t={t!r} no seed cell has an entropy denominator above "
@@ -369,14 +358,28 @@ class _FaceSearch:
     # -- seed scan ---------------------------------------------------------
 
     def _candidates(self, alpha: float) -> list[list[float]]:
-        """The ``multistart_count`` lowest seed cells as [a, b1], ties in scan order."""
+        """The seed cells, as [a, b1], among the ``multistart_count`` lowest
+        that have no lower 8-neighbour on the grid, ties in scan order.
+
+        A lower neighbour of one of the lowest cells is one of them too,
+        so the test needs no other cell.  The lowest cell always passes.
+        """
         self.evaluations += len(self._cells)
         best = heapq.nsmallest(
             self.config.multistart_count,
             self._cells,
             key=lambda cell: (1.0 - alpha) * cell[0] + alpha * cell[1],
         )
-        return [[a, b1] for _, _, a, b1 in best]
+        value = {(i, j): (1.0 - alpha) * r + alpha * c for r, c, _, _, i, j in best}
+        return [
+            [a, b1]
+            for _, _, a, b1, i, j in best
+            if not any(
+                value.get((i + di, j + dj), math.inf) < value[i, j]
+                for di in (-1, 0, 1)
+                for dj in (-1, 0, 1)
+            )
+        ]
 
     # -- refinement --------------------------------------------------------
 
@@ -425,24 +428,20 @@ class _FaceSearch:
         return best, x
 
     def _refine(self, alpha: float, points: list) -> tuple[float, list]:
-        """The lowest point reached by refining ``points`` in lockstep.
-
-        Every start runs a round before any runs the next.  Between
-        rounds, a start within the next round's trust window of a better
-        one (ties: the earlier one) is dropped, as both would go on to
-        search the same basin.
-        """
+        """The lowest point reached by refining each of ``points`` in turn
+        through every round, with a window that shrinks by 0.35 a round."""
         cfg = self.config
-        starts = [(self._line(x, 0, alpha)(x[0]), x) for x in points]
-        window = 1.0 / (cfg.grid_points_per_axis - 1)
-        for r in range(cfg.refine_rounds):
-            last = r == cfg.refine_rounds - 1
-            tol = _PARAM_TOL if last else max(_PARAM_TOL, _ROUND_TOL_FRACTION * window)
-            starts = [self._round(alpha, best, x, window, tol) for best, x in starts]
-            window *= 0.35
-            if not last:
-                starts = _merge(starts, window)
-        return min(starts)
+        ends = []
+        for x in points:
+            best = self._line(x, 0, alpha)(x[0])
+            window = 1.0 / (cfg.grid_points_per_axis - 1)
+            for r in range(cfg.refine_rounds):
+                last = r == cfg.refine_rounds - 1
+                tol = _PARAM_TOL if last else max(_PARAM_TOL, _ROUND_TOL_FRACTION * window)
+                best, x = self._round(alpha, best, x, window, tol)
+                window *= 0.35
+            ends.append((best, x))
+        return min(ends)
 
     def _polish(self, alpha: float, best: float, x: list) -> tuple[float, list]:
         """Nested Brent in a one-cell window around x: over a, of the minimum over b1."""

@@ -2,7 +2,7 @@
 
 Everything here works on plain floats and is deliberately allocation-free;
 the face search in :mod:`ucsbound.optimizer` calls ``binary_entropy``
-1.7-5 x 10^4 times per ``gamma_hat`` at the default settings, 4,416
+1.1-2.2 x 10^4 times per ``gamma_hat`` at the default settings, 4,416
 of them in the seed scan.  All entropies are in bits.
 """
 

@@ -430,7 +430,7 @@ class TestParser:
         text = " ".join(capsys.readouterr().out.split())
         assert f"seed points per face axis (default {config.grid_points_per_axis})" in text
         assert f"refinement rounds (default {config.refine_rounds})" in text
-        assert f"merge (default {config.multistart_count})" in text
+        assert f"is not refined (default {config.multistart_count})" in text
 
 
 # numpy loads on first array use.  Until then the package holds its name

@@ -6,6 +6,7 @@ formula slip in the fast path cannot cancel out of the comparison.
 """
 
 import decimal
+import heapq
 import math
 import re
 
@@ -213,25 +214,53 @@ def sin2_axis(top, g, steps):
 
 
 class TestSeedScan:
-    @pytest.mark.parametrize("t, alpha", [(0.38234, 0.035), (0.3, 0.13670131074022357)])
+    @pytest.mark.parametrize(
+        "t, alpha",
+        [(0.38234, 0.035), (0.3, 0.13670131074022357), (0.42, 0.015353891482515016)],
+    )
     def test_candidates_are_the_lowest_cells_by_the_oracle(self, t, alpha):
+        # The candidates are the k lowest cells less each with a lower
+        # 8-neighbour among them.  At t = 0.42 one has a lower neighbour
+        # only on a diagonal.
         g, k = FAST.grid_points_per_axis, FAST.multistart_count
-        cells = [
-            (oracle_ratio(a, a, b1, 1.0, t, alpha), [a, b1])
-            for a in sin2_axis(t, g, g)
-            for b1 in sin2_axis(1.0, g, g - 1)
+        cells = {
+            (i, j): (oracle_ratio(a, a, b1, 1.0, t, alpha), [a, b1])
+            for i, a in enumerate(sin2_axis(t, g, g))
+            for j, b1 in enumerate(sin2_axis(1.0, g, g - 1))
             if a > 0.0 or 0.0 < b1 < 1.0
-        ]
-        cells.sort(key=lambda cell: cell[0])
-        assert cells[k - 1][0] < cells[k][0] - 1e-9  # no near tie at the cut
+        }
+        order = sorted(cells, key=lambda ij: cells[ij][0])
+        assert cells[order[k - 1]][0] < cells[order[k]][0] - 1e-9  # no near tie at the cut
+        lowest = order[:k]
+        lower_neighbours = {
+            (i, j): [
+                n
+                for n in lowest
+                if max(abs(n[0] - i), abs(n[1] - j)) == 1
+                and cells[n][0] < cells[i, j][0]
+            ]
+            for i, j in lowest
+        }
+        for ij in lowest:
+            for n in lowest:
+                if max(abs(n[0] - ij[0]), abs(n[1] - ij[1])) == 1:
+                    assert abs(cells[n][0] - cells[ij][0]) > 1e-9  # no near tie
         got = _FaceSearch(t, FAST)._candidates(alpha)
-        assert sorted(got) == sorted(point for _, point in cells[:k])
+        assert cells[lowest[0]][1] in got
+        assert 1 <= len(got) < k
+        assert sorted(got) == sorted(cells[ij][1] for ij in lowest if not lower_neighbours[ij])
 
     def test_axis_has_a_zero_and_leaves_out_the_point_mass(self):
         t = 0.3
-        a_values = {a for _, _, a, _ in _FaceSearch(t, FAST)._cells}
+        cells = _FaceSearch(t, FAST)._cells
+        a_values = {a for _, _, a, _, _, _ in cells}
         assert min(a_values) == 0.0 and max(a_values) < t
         assert len(a_values) == FAST.grid_points_per_axis
+        # Each cell's grid indices name its place on the two axes.
+        row = {i: a for _, _, a, _, i, _ in cells}
+        column = {j: b1 for _, _, _, b1, _, j in cells}
+        assert all((row[i], column[j]) == (a, b1) for _, _, a, b1, i, j in cells)
+        assert sorted(row.values()) == sorted(a_values)
 
 
 class TestBrentMin:
@@ -597,21 +626,17 @@ class TestFaceThreshold:
             assert side * (decimal_face_ratio(fam.a1, fam.b1, cert.t, cert.alpha_star) - 1) > 0
 
 
-def refine_every_start(face, alpha):
-    """The inner minimum with no merge: every seed start through every
-    round of ``_FaceSearch._round``, then the search's polish and its
-    reference scoring, the point mass at t included."""
-    cfg = face.config
-    best = (math.inf, None)
-    for x in face._candidates(alpha):
-        value = face._line(x, 0, alpha)(x[0])
-        window = 1.0 / (cfg.grid_points_per_axis - 1)
-        for r in range(cfg.refine_rounds):
-            last = r == cfg.refine_rounds - 1
-            tol = _PARAM_TOL if last else max(_PARAM_TOL, _ROUND_TOL_FRACTION * window)
-            value, x = face._round(alpha, value, x, window, tol)
-            window *= 0.35
-        best = min(best, (value, x))
+def refine_the_lowest_cells(face, alpha):
+    """The inner minimum with no seed filter: ``_FaceSearch._refine`` and
+    ``_polish`` from every one of the ``multistart_count`` lowest seed
+    cells, then the search's reference scoring, the point mass at t
+    included."""
+    lowest = heapq.nsmallest(
+        face.config.multistart_count,
+        face._cells,
+        key=lambda cell: (1.0 - alpha) * cell[0] + alpha * cell[1],
+    )
+    best = face._refine(alpha, [[a, b1] for _, _, a, b1, _, _ in lowest])
     _, (a, b1) = face._polish(alpha, *best)
     t = face.t
     return min(
@@ -620,15 +645,18 @@ def refine_every_start(face, alpha):
     )
 
 
-class TestLockstepRefinement:
+class TestSeedFilter:
     @pytest.mark.parametrize("config", [SearchConfig(), FAST], ids=["default", "fast"])
-    def test_merging_starts_loses_nothing(self, config):
-        # Worst case measured: the merged search 9.3e-15 above.
+    def test_filtering_starts_loses_nothing(self, config):
+        # A seed cell with a lower neighbour lies on the slope of a basin
+        # that a lower cell starts in.  Worst case measured: the two
+        # searches 5.6e-16 apart.
         for t in sorted(GRID_ALPHA_STAR):
             for alpha in (0.0, GRID_ALPHA_STAR[t], 0.3):
                 face = _FaceSearch(t, config)
-                merged = face.inner_min(alpha).min_ratio
-                assert merged <= refine_every_start(face, alpha) + 1e-12, (t, alpha)
+                filtered = face.inner_min(alpha).min_ratio
+                every = refine_the_lowest_cells(face, alpha)
+                assert filtered == pytest.approx(every, abs=1e-12), (t, alpha)
 
 
 class TestAlphaOne:
@@ -811,29 +839,32 @@ class TestGammaHat:
         assert cert.gamma_hat_lower == entropy_ratio(cert.argmin, cert.alpha_star)
 
     def test_refinement_starts_each_line_search_at_the_window_centre(self, line_calls):
-        # Started at the golden point of each window instead, the line
-        # searches of this sweep made 3,584 objective calls.
-        gamma_hat(0.38234, config=FAST)
-        assert len(line_calls) < 3_584
+        # This sweep makes 1,327 objective calls.  Started at the golden
+        # point of each window instead, its line searches made 1,680.
+        gamma_hat(0.38234)
+        assert len(line_calls) < 1_600
 
     def test_early_rounds_stop_at_a_fraction_of_their_window(self, line_calls, line_search_tols):
         # Only the last round polishes to _PARAM_TOL; each earlier one
         # just hands a start point to the next, narrower window.
-        gamma_hat(0.38234, config=FAST)
-        window = 1.0 / (FAST.grid_points_per_axis - 1)
-        assert set(line_search_tols) == {
-            _ROUND_TOL_FRACTION * window,
-            _ROUND_TOL_FRACTION * (window * 0.35),
-            _PARAM_TOL,
-        }
-        # Every round at _PARAM_TOL made 4,788 calls here.
-        assert len(line_calls) < 4_200
+        cfg = SearchConfig()
+        gamma_hat(0.38234, config=cfg)
+        window = 1.0 / (cfg.grid_points_per_axis - 1)
+        tols = {_PARAM_TOL}
+        for _ in range(cfg.refine_rounds - 1):
+            tols.add(_ROUND_TOL_FRACTION * window)
+            window *= 0.35
+        assert set(line_search_tols) == tols
+        # Every round at _PARAM_TOL made 1,699 calls here, against 1,327.
+        assert len(line_calls) < 1_600
 
     def test_starts_that_share_a_window_are_refined_once(self, line_calls):
-        # Each of the 16 starts refined through all 6 rounds, unmerged,
-        # made 7,616 calls here; most of them end in one basin.
+        # Only seed cells with no lower neighbour start, 1 or 2 per inner
+        # search, and this sweep makes 1,327 calls.  All 16 of the lowest
+        # cells, merged between rounds once they met in a window, made
+        # 3,574; each refined through all 6 rounds, 7,616.
         gamma_hat(0.38234)
-        assert len(line_calls) < 5_000
+        assert len(line_calls) < 1_600
 
     def test_one_round_refines_to_the_full_tolerance(self, line_search_tols):
         # Its only round is the last, so it polishes as every round once
@@ -841,11 +872,11 @@ class TestGammaHat:
         # polish after it.
         cert = gamma_hat(0.38234, config=SearchConfig(32, 1, 8))
         assert set(line_search_tols) == {_PARAM_TOL}
-        assert cert.gamma_hat_lower == pytest.approx(1.0000090184262682, abs=1e-12)
-        assert cert.alpha_star == pytest.approx(0.03561154717900596, abs=1e-12)
+        assert cert.gamma_hat_lower == pytest.approx(1.000009018426272, abs=1e-12)
+        assert cert.alpha_star == pytest.approx(0.035611520626045265, abs=1e-12)
         fam = cert.argmin
         got = (fam.a1, fam.a2, fam.b1, fam.b2)
-        want = (0.32945195869339783, 0.32945195869339783, 0.32945198204006043, 1.0)
+        want = (0.3294519967459344, 0.3294519967459344, 0.32945199178177587, 1.0)
         assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -963,9 +994,10 @@ class TestVerifyReferencePoint:
         assert cert.gamma_hat_lower == pytest.approx(1.00000889, abs=1e-6)
 
     def test_refines_each_basin_once(self, line_calls):
-        # Every start refined through every round, unmerged, made 1,657 calls.
+        # One seed cell starts and this makes 235 calls.  All 16 of the
+        # lowest cells made 534 merged and 1,657 unmerged.
         verify_reference_point()
-        assert len(line_calls) < 800
+        assert len(line_calls) < 280
 
     def test_degraded_config_fails_with_report(self):
         with pytest.raises(VerificationFailed) as excinfo:
