@@ -47,7 +47,7 @@ Search scheme
    (the rule of multi-level single linkage, Rinnooy Kan and Timmer
    1987), so ``multistart_count`` caps the starts.  At the default
    settings 1 or 2 of 16 start, and an inner search makes a median of
-   ~260 line-objective calls for t >= 0.33 and ~760 for t <= 0.3,
+   ~250 line-objective calls for t >= 0.33 and ~760 for t <= 0.3,
    where the starts crawl towards the point mass.  Each start runs
    all its rounds before the next starts.  Each line search starts at
    the window centre, the current point, whose value is known, so it

@@ -20,6 +20,9 @@ __all__ = [
 ]
 
 
+_LN2 = math.log(2.0)
+
+
 def require_prob(x: float, name: str = "value") -> float:
     """Validate that ``x`` is a probability and return it as a float.
 
@@ -36,10 +39,13 @@ def binary_entropy(a: float) -> float:
 
     The endpoint convention is handled by branching rather than by
     adding a fudge term, so ``binary_entropy(0.0) == 0.0`` exactly.
+    log(1 - a) is taken as log1p(-a): rounding 1 - a first would cost
+    an absolute error of ~1e-16 on an h(a) of only ~a log2(1/a), 8e-11
+    of it at a = 3.4e-8.
     """
     if a <= 0.0 or a >= 1.0:
         return 0.0
-    return -(a * math.log2(a) + (1.0 - a) * math.log2(1.0 - a))
+    return -(a * math.log2(a) + (1.0 - a) * math.log1p(-a) / _LN2)
 
 
 def entropy_bits(masses: Sequence[float]) -> float:

@@ -1,5 +1,6 @@
 """Scalar kernels: entropy and the OR-output probability."""
 
+import decimal
 import math
 
 import numpy as np
@@ -41,6 +42,17 @@ class TestBinaryEntropy:
         assert binary_entropy(0.11) == pytest.approx(0.499915958164528, abs=1e-15)
         assert binary_entropy(0.3) == pytest.approx(0.8812908992306927, abs=1e-15)
         assert binary_entropy(0.51) == pytest.approx(0.9997114417528099, abs=1e-15)
+
+    @pytest.mark.parametrize("a", [3.4e-8, 1.22e-6, 0.3, 1.0 - 1e-9])
+    def test_relative_precision_against_decimal(self, a):
+        # Rounding 1 - a before its log cost 8e-11 of h at a = 3.4e-8;
+        # the face search visits a ~ 1.3e-6 at t = 0.25.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            x = decimal.Decimal(a)  # exact
+            one = decimal.Decimal(1)
+            want = -(x * x.ln() + (one - x) * (one - x).ln()) / decimal.Decimal(2).ln()
+        assert binary_entropy(a) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(SEED)
