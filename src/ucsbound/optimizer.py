@@ -365,12 +365,12 @@ class _FaceSearch:
         so the test needs no other cell.  The lowest cell always passes.
         """
         self.evaluations += len(self._cells)
-        best = heapq.nsmallest(
-            self.config.multistart_count,
-            self._cells,
-            key=lambda cell: (1.0 - alpha) * cell[0] + alpha * cell[1],
-        )
-        value = {(i, j): (1.0 - alpha) * r + alpha * c for r, c, _, _, i, j in best}
+
+        def blend(cell):
+            return (1.0 - alpha) * cell[0] + alpha * cell[1]
+
+        best = heapq.nsmallest(self.config.multistart_count, self._cells, key=blend)
+        value = {cell[4:]: blend(cell) for cell in best}
         return [
             [a, b1]
             for _, _, a, b1, i, j in best

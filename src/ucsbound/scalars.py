@@ -40,7 +40,7 @@ def binary_entropy(a: float) -> float:
     The endpoint convention is handled by branching rather than by
     adding a fudge term, so ``binary_entropy(0.0) == 0.0`` exactly.
     log(1 - a) is taken as log1p(-a): rounding 1 - a first would cost
-    an absolute error of ~1e-16 on an h(a) of only ~a log2(1/a), 8e-11
+    an absolute error of ~1e-16 on an h(a) of only ~a log2(1/a), 6e-11
     of it at a = 3.4e-8.
     """
     if a <= 0.0 or a >= 1.0:

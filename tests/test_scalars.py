@@ -45,7 +45,7 @@ class TestBinaryEntropy:
 
     @pytest.mark.parametrize("a", [3.4e-8, 1.22e-6, 0.3, 1.0 - 1e-9])
     def test_relative_precision_against_decimal(self, a):
-        # Rounding 1 - a before its log cost 8e-11 of h at a = 3.4e-8;
+        # Rounding 1 - a before its log cost 6e-11 of h at a = 3.4e-8;
         # the face search visits a ~ 1.3e-6 at t = 0.25.
         with decimal.localcontext() as ctx:
             ctx.prec = 40
