@@ -241,8 +241,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         peaks = [peak_frequency(fam) for fam in families]
 
-    least = lowest_peak(zip(peaks, families))
-    min_pa, witness = (None, None) if least is None else (least[0], least[1].hex_mask)
+    least = lowest_peak(zip(peaks, [fam.mask for fam in families]))
+    min_pa, witness = (None, None) if least is None else (least[0], hex(least[1]))
 
     violations = [] if check is None else list(check.violations)
     payload: dict = {

@@ -17,6 +17,9 @@ element, the mask of every set containing it (:func:`element_counts`).  Peak fre
 floats (:func:`frequency_list`), so only :func:`element_frequencies`
 and :func:`sample_or_closed` use numpy, which loads on their first
 call; ``import ucsbound`` has already checked that it is installed.
+The checks over a whole enumeration, :func:`min_peak_frequency` and
+:func:`check_entropy_inequality`, read the split's integer masks
+directly: a :class:`FamilySet` is built only for the witness.
 
 Besides enumeration and frequency bookkeeping, the module checks the
 coupling-entropy ceiling H(X OR Y) <= log2 |A| over symmetric couplings
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -76,10 +80,33 @@ _MOVES = {
 }
 
 
-def _require_ground_size(n: int) -> None:
-    """Raise ``ValueError`` unless n is a ground-set size a FamilySet allows."""
-    if not 1 <= n <= 5:
+def _as_size(n) -> int:
+    """n as an int, a numpy one included; ``ValueError`` naming it if not an integer."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"ground-set size must be an integer, got {n!r}") from None
+
+
+def _ground_size(n) -> int:
+    """n as an int; ``ValueError`` unless it is a ground-set size a FamilySet allows."""
+    size = _as_size(n)
+    if not 1 <= size <= 5:
         raise ValueError(f"ground-set size must be in 1..5, got {n!r}")
+    return size
+
+
+def _enum_size(n) -> int:
+    """n as an int; :class:`DimensionTooLarge` above MAX_ENUM_N, ``ValueError`` below 1."""
+    size = _as_size(n)
+    if size > MAX_ENUM_N:
+        raise DimensionTooLarge(
+            f"exhaustive enumeration supports n <= {MAX_ENUM_N}, got {n!r}; "
+            "use sampling for larger ground sets"
+        )
+    if size < 1:
+        raise ValueError(f"ground-set size must be >= 1, got {n!r}")
+    return size
 
 
 @dataclass(frozen=True)
@@ -95,15 +122,17 @@ class FamilySet:
     mask: int
 
     def __post_init__(self) -> None:
-        _require_ground_size(self.n)
-        if not 1 <= self.mask < (1 << (1 << self.n)):
+        n = _ground_size(self.n)
+        if n is not self.n:  # a bool or a numpy int is kept as an int
+            object.__setattr__(self, "n", n)
+        if not 1 <= self.mask < (1 << (1 << n)):
             raise ValueError(
-                f"family mask must be in [1, 2^(2^{self.n})), got {self.mask!r}"
+                f"family mask must be in [1, 2^(2^{n})), got {self.mask!r}"
             )
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "FamilySet":
-        _require_ground_size(n)
+        n = _ground_size(n)
         mask = 0
         for m in members:
             if not 0 <= m < (1 << n):
@@ -237,6 +266,11 @@ def element_frequencies(family: FamilySet) -> np.ndarray:
     return np.array(frequency_list(family))
 
 
+def _peak(n: int, mask: int) -> float:
+    """:func:`peak_frequency` of a family mask on n elements."""
+    return max([(mask & c).bit_count() for c in _CONTAIN[n]]) / mask.bit_count()
+
+
 def peak_frequency(family: FamilySet) -> float:
     """Largest element frequency of the family, read without numpy.
 
@@ -245,7 +279,7 @@ def peak_frequency(family: FamilySet) -> float:
     It is the largest count over the size, the same float as the largest
     of :func:`frequency_list`, as rounding a quotient keeps its order.
     """
-    return max(element_counts(family)) / family.size
+    return _peak(family.n, family.mask)
 
 
 def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
@@ -263,39 +297,34 @@ def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
     OR-closed families, which is not desk-scale.  Use
     :func:`sample_or_closed` there instead.
     """
-    if n > MAX_ENUM_N:
-        raise DimensionTooLarge(
-            f"exhaustive enumeration supports n <= {MAX_ENUM_N}, got {n}; "
-            "use sampling for larger ground sets"
-        )
-    if n < 1:
-        raise ValueError(f"ground-set size must be >= 1, got {n!r}")
+    n = _enum_size(n)
     # The first mask is 0, the empty family.
     for mask in _closed_masks(n)[1:]:
         yield FamilySet(n, mask)
 
 
-def lowest_peak(
-    peaks: Iterable[tuple[float, FamilySet]],
-) -> tuple[float, FamilySet] | None:
-    """The least (peak frequency, family) pair, or None if none is eligible.
+def lowest_peak(peaks: Iterable[tuple[float, int]]) -> tuple[float, int] | None:
+    """The least (peak frequency, family mask) pair, or None if none is eligible.
 
-    The family {empty set} is excluded: it has no elements at all and
-    its peak frequency of 0 says nothing about the frequency question
-    being probed.  Ties go to the smallest family mask, whatever the
-    input order, so the witness is deterministic.
+    The family {empty set}, mask 1, is excluded: it has no elements at
+    all and its peak frequency of 0 says nothing about the frequency
+    question being probed.  Ties go to the smallest family mask,
+    whatever the input order, so the witness is deterministic.
     """
-    eligible = ((peak, fam) for peak, fam in peaks if fam.mask != 1)
-    return min(eligible, key=lambda pf: (pf[0], pf[1].mask), default=None)
+    return min((pair for pair in peaks if pair[1] != 1), default=None)
 
 
 def min_peak_frequency(n: int) -> tuple[float, FamilySet]:
     """Minimum peak frequency over OR-closed families, with a witness.
 
-    See :func:`lowest_peak` for the exclusion and the tie-break.  Every
-    n >= 1 has the family {empty set, {0}}, so a witness always exists.
+    It reads the masks of :func:`enumerate_or_closed` and builds a
+    FamilySet for the witness alone.  See :func:`lowest_peak` for the
+    exclusion and the tie-break.  Every n >= 1 has the family
+    {empty set, {0}}, so a witness always exists.
     """
-    return lowest_peak((peak_frequency(fam), fam) for fam in enumerate_or_closed(n))
+    n = _enum_size(n)
+    peak, mask = lowest_peak([(_peak(n, m), m) for m in _closed_masks(n)[1:]])
+    return peak, FamilySet(n, mask)
 
 
 def sample_or_closed(
@@ -308,7 +337,7 @@ def sample_or_closed(
     result may be shorter than ``count`` draws.  Deterministic in
     ``seed``.
     """
-    _require_ground_size(n)
+    n = _ground_size(n)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     if seed < 0:
@@ -337,9 +366,14 @@ def max_symmetric_coupling_entropy(family: FamilySet) -> float:
 
     Raises :class:`NotClosed` unless the family is closed under OR.
     """
-    if not is_or_closed(family):
-        raise NotClosed(f"family {family.hex_mask} is not closed under OR")
-    return _uniform_bits(family.size)
+    return _coupling_entropy(family.n, family.mask)
+
+
+def _coupling_entropy(n: int, mask: int) -> float:
+    """:func:`max_symmetric_coupling_entropy` of a family mask on n elements."""
+    if not _is_closed(n, mask):
+        raise NotClosed(f"family {mask:#x} is not closed under OR")
+    return _uniform_bits(mask.bit_count())
 
 
 @functools.cache
@@ -374,41 +408,30 @@ class EntropyCheckReport:
         return not self.violations
 
 
-def check_families(
-    n: int, families: Iterable[FamilySet], tol: float = 1e-6, size_cap: int = 16
-) -> EntropyCheckReport:
-    """Check H_star <= log2 |A| + tol over the given families.
-
-    H_star comes from :func:`max_symmetric_coupling_entropy`, one call
-    per checked family.  Families with fewer than two members or more
-    than ``size_cap`` are skipped.  The reported ratios are
-    H_star / log2 |A|; they sit at 1 up to rounding.  Raises
-    ``ValueError`` unless ``tol`` is finite and non-negative, and
-    unless ``size_cap`` is at least 2: a smaller cap would skip every
-    family and pass without checking any.  Raises ``ValueError`` too
-    on a family over another ground-set size than n.
-    """
+def _check_limits(tol: float, size_cap: int) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if size_cap < 2:
         raise ValueError(f"size_cap must be >= 2, got {size_cap!r}")
+
+
+def _check(n: int, masks: Iterable[int], tol: float, size_cap: int) -> EntropyCheckReport:
+    """:func:`check_families` over family masks on n elements; ``tol`` and
+    ``size_cap`` are already checked."""
     h_star: dict[int, float] = {}
     skipped = 0
     violations: list[str] = []
     ratios: list[float] = []
-    for fam in families:
-        if fam.n != n:
-            raise ValueError(f"check_families on n = {n} got a family on n = {fam.n}")
-        if not 2 <= fam.size <= size_cap:
+    for mask in masks:
+        size = mask.bit_count()
+        if not 2 <= size <= size_cap:
             skipped += 1
             continue
-        value = max_symmetric_coupling_entropy(fam)
-        h_star[fam.mask] = value
-        ceiling = math.log2(fam.size)
+        value = _coupling_entropy(n, mask)
+        h_star[mask] = value
+        ceiling = math.log2(size)
         if value > ceiling + tol:
-            violations.append(
-                f"{fam.hex_mask}: H_star={value!r} exceeds log2|A|={ceiling!r}"
-            )
+            violations.append(f"{mask:#x}: H_star={value!r} exceeds log2|A|={ceiling!r}")
         ratios.append(value / ceiling)
     return EntropyCheckReport(
         n=n,
@@ -423,8 +446,41 @@ def check_families(
     )
 
 
+def check_families(
+    n: int, families: Iterable[FamilySet], tol: float = 1e-6, size_cap: int = 16
+) -> EntropyCheckReport:
+    """Check H_star <= log2 |A| + tol over the given families.
+
+    H_star is :func:`max_symmetric_coupling_entropy` of each checked
+    family, read from its mask.  Families with fewer than two members or
+    more than ``size_cap`` are skipped.  The reported ratios are
+    H_star / log2 |A|; they sit at 1 up to rounding.  Raises
+    ``ValueError`` unless ``tol`` is finite and non-negative, then
+    unless ``size_cap`` is at least 2: a smaller cap would skip every
+    family and pass without checking any.  Raises ``ValueError`` last
+    unless n is an integer, or on a family over another ground-set size
+    than n.
+    """
+    _check_limits(tol, size_cap)
+    n = _as_size(n)
+
+    def masks() -> Iterator[int]:
+        for fam in families:
+            if fam.n != n:
+                raise ValueError(f"check_families on n = {n} got a family on n = {fam.n}")
+            yield fam.mask
+
+    return _check(n, masks(), tol, size_cap)
+
+
 def check_entropy_inequality(
     n: int, tol: float = 1e-6, size_cap: int = 16
 ) -> EntropyCheckReport:
-    """:func:`check_families` over every family of :func:`enumerate_or_closed`."""
-    return check_families(n, enumerate_or_closed(n), tol, size_cap)
+    """:func:`check_families` over every family of :func:`enumerate_or_closed`.
+
+    It reads their masks and builds no FamilySet.  ``tol`` and
+    ``size_cap`` are checked before n.
+    """
+    _check_limits(tol, size_cap)
+    n = _enum_size(n)
+    return _check(n, _closed_masks(n)[1:], tol, size_cap)

@@ -306,11 +306,11 @@ class TestEnumerate:
         monkeypatch.setattr(ucslab, "sample_or_closed", lambda n, count, seed: families)
         out = tmp_path / "sampled.json"
         assert main(["enumerate", "--n", "5", "--sample", "200", "--out", str(out)]) == 0
-        value, witness = lowest_peak((peak_frequency(f), f) for f in families)
+        value, witness = lowest_peak((peak_frequency(f), f.mask) for f in families)
         expected = min((peak_frequency(f), f.mask) for f in families if f.mask != 1)
-        assert (value, witness.mask) == expected
+        assert (value, witness) == expected
         payload = read_json(out)
-        assert payload["witness_mask"] == witness.hex_mask
+        assert payload["witness_mask"] == hex(witness)
         assert payload["min_pA"] == value
 
     def test_n5_sampling_works(self, tmp_path):

@@ -1,5 +1,6 @@
 """Enumeration lab: closures, frequencies, and the coupling-entropy ceiling."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ import pytest
 from ucsbound.cli import _family_lines
 from ucsbound.errors import DimensionTooLarge, NotClosed
 from ucsbound.ucslab import (
+    EntropyCheckReport,
     FamilySet,
     check_entropy_inequality,
     check_families,
@@ -23,11 +25,26 @@ from ucsbound.ucslab import (
     or_closure,
     peak_frequency,
     sample_or_closed,
+    _check,
     _closed_masks,
     _stabiliser,
 )
 
 SEED = 31337
+
+
+@pytest.fixture
+def post_inits(monkeypatch):
+    """One cell counting the FamilySets built while the test runs."""
+    count = [0]
+    real = FamilySet.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        real(self)
+
+    monkeypatch.setattr(FamilySet, "__post_init__", counted)
+    return count
 
 
 def naive_closed_families(n):
@@ -98,6 +115,47 @@ class TestFamilySet:
         for build in (FamilySet.from_members, or_closure):
             with pytest.raises(ValueError, match=r"ground-set size must be in 1\.\.5"):
                 build(n, [0])
+
+
+# Every public function that takes a ground-set size, called with n.
+ENTRY_POINTS = {
+    "FamilySet": lambda n: FamilySet(n, 3),
+    "from_members": lambda n: FamilySet.from_members(n, [1]),
+    "or_closure": lambda n: or_closure(n, [1, 2]),
+    "enumerate_or_closed": lambda n: list(enumerate_or_closed(n)),
+    "min_peak_frequency": lambda n: min_peak_frequency(n),
+    "check_families": lambda n: check_families(n, enumerate_or_closed(4)),
+    "check_entropy_inequality": lambda n: check_entropy_inequality(n),
+    "sample_or_closed": lambda n: sample_or_closed(n, 5, 1),
+}
+
+
+def as_plain(value):
+    """The value with each family as (type of n, n, mask), for comparing results."""
+    if isinstance(value, FamilySet):
+        return type(value.n), value.n, value.mask
+    if isinstance(value, (list, tuple)):
+        return [as_plain(v) for v in value]
+    if isinstance(value, EntropyCheckReport):
+        return [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return value
+
+
+class TestGroundSetSize:
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("n", [4.0, "4"])
+    def test_non_integer_size_is_named(self, name, n):
+        # A float used to fail on 1 << n with a bare TypeError.
+        with pytest.raises(ValueError, match=rf"ground-set size must be an integer, got {n!r}"):
+            ENTRY_POINTS[name](n)
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_numpy_integer_size_works_as_an_int(self, name):
+        assert as_plain(ENTRY_POINTS[name](np.int64(4))) == as_plain(ENTRY_POINTS[name](4))
+
+    def test_bool_size_is_kept_as_an_int(self):
+        fam = FamilySet(True, 1)
+        assert type(fam.n) is int and fam == FamilySet(1, 1)
 
 
 class TestIsOrClosed:
@@ -277,13 +335,24 @@ class TestMinPeakFrequency:
 
     def test_order_does_not_change_the_witness(self):
         families = sample_or_closed(5, 200, seed=1)
-        pairs = [(peak_frequency(f), f) for f in families]
+        pairs = [(peak_frequency(f), f.mask) for f in families]
         forward = lowest_peak(pairs)
-        least = min(p for p, f in pairs if f.mask != 1)
-        assert forward[1].mask == min(f.mask for p, f in pairs if p == least and f.mask != 1)
+        least = min(p for p, m in pairs if m != 1)
+        assert forward == (least, min(m for p, m in pairs if p == least and m != 1))
         assert lowest_peak(reversed(pairs)) == forward
         assert lowest_peak([]) is None
-        assert lowest_peak([(0.0, FamilySet.from_members(5, [0]))]) is None
+        assert lowest_peak([(0.0, 1)]) is None  # {empty set}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_masks_give_the_rule_over_families(self, n):
+        value, witness = min_peak_frequency(n)
+        peak, mask = lowest_peak((peak_frequency(f), f.mask) for f in enumerate_or_closed(n))
+        assert value.hex() == peak.hex()
+        assert witness == FamilySet(n, mask)
+
+    def test_builds_the_witness_alone(self, post_inits):
+        min_peak_frequency(4)
+        assert post_inits == [1]
 
 
 class TestSampling:
@@ -365,6 +434,39 @@ class TestEntropyInequality:
         assert report.ok
         assert report.ratio_min is None
         assert report.ratio_max is None
+        assert _check(2, [fam.mask for fam in singletons], 1e-6, 16) == report
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_masks_match_the_families_field_by_field(self, n):
+        from_masks = check_entropy_inequality(n)
+        from_families = check_families(n, list(enumerate_or_closed(n)))
+        assert as_plain(from_masks) == as_plain(from_families)
+        assert list(from_masks.h_star.items()) == list(from_families.h_star.items())
+
+    def test_builds_no_family(self, post_inits):
+        check_entropy_inequality(4)
+        assert post_inits == [0]
+
+    def test_open_family_raises(self):
+        with pytest.raises(NotClosed, match="0x6"):
+            check_families(2, [FamilySet.from_members(2, [1, 2])])
+
+    @pytest.mark.parametrize(
+        "kwargs, error, too_large",
+        [
+            (dict(tol=math.nan, size_cap=1), "tol", "tol"),
+            (dict(tol=0.0, size_cap=1), "size_cap", "size_cap"),
+            (dict(tol=0.0, size_cap=2), "ground-set size", "supports n <= 4"),
+        ],
+    )
+    def test_errors_name_tol_then_size_cap_then_n(self, kwargs, error, too_large):
+        for n in ("4", 4.5):
+            with pytest.raises(ValueError, match=error):
+                check_families(n, enumerate_or_closed(2), **kwargs)
+            with pytest.raises(ValueError, match=error):
+                check_entropy_inequality(n, **kwargs)
+        with pytest.raises(ValueError, match=too_large):
+            check_entropy_inequality(5, **kwargs)
 
     def test_rejects_families_of_another_size(self):
         with pytest.raises(ValueError, match=r"n = 3 .* n = 4"):
