@@ -14,11 +14,11 @@ frequencies and peaks are popcounts of the family's member bitmask.
 
 ``import ucsbound`` loads none of the submodules: each exported name
 is resolved on first access, which imports the submodule defining it.
-numpy loads on the first array operation, not on import: only
-``element_frequencies`` and ``sample_or_closed`` build arrays; the
-certificate search, enumeration, peaks, the entropy check and
-``maxcorr`` do not.  The import does look numpy up, so a missing numpy
-still fails at ``import ucsbound``.
+numpy is imported only inside the two functions that use it,
+``element_frequencies`` and ``sample_or_closed``; the certificate
+search, enumeration, peaks, the entropy check and ``maxcorr`` run
+without it.  The import does look numpy up, without loading it, so a
+missing numpy still fails at ``import ucsbound``.
 
 ``maxcorr`` is a sidecar that no certificate calls: it gives the
 maximal correlation of a two-by-two Bernoulli coupling, in closed form
@@ -29,11 +29,11 @@ against the absolute Pearson correlation.
 __version__ = "0.1.0"
 
 from importlib import import_module as _import_module
-
-from ._lazy import lazy_import as _lazy_import
+from importlib.util import find_spec as _find_spec
 
 # Finds numpy without running it, so that a missing numpy fails here.
-_lazy_import("numpy")
+if _find_spec("numpy") is None:
+    raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
 
 # Exported name -> the submodule that defines it.
 _EXPORTS = {

@@ -50,8 +50,9 @@ def _utcnow() -> str:
 
 def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ucsbound-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ucsbound-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         # mkstemp makes the file 0600; give it the mode open() would.
@@ -59,9 +60,11 @@ def _atomic_write_text(path: str, text: str) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the given path, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

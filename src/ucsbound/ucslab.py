@@ -13,10 +13,11 @@ at most 3 elements with its stabiliser, so :func:`is_or_closed` is a
 lookup or three for n <= 4, and enumeration pairs closed halves from
 that table: it never meets the 2^(2^n) - 1 family masks one by one.
 Element frequencies are popcounts of the family mask against, per
-element, the mask of every set containing it (:func:`element_counts`).  Peak frequencies read those popcounts as
-floats (:func:`frequency_list`), so only :func:`element_frequencies`
-and :func:`sample_or_closed` use numpy, which loads on their first
-call; ``import ucsbound`` has already checked that it is installed.
+element, the mask of every set containing it (:func:`element_counts`).
+Peak frequencies read those popcounts as floats (:func:`frequency_list`),
+so only :func:`element_frequencies` and :func:`sample_or_closed` use
+numpy, and each imports it in its own body; ``import ucsbound`` has
+already checked that it is installed.
 The checks over a whole enumeration, :func:`min_peak_frequency` and
 :func:`check_entropy_inequality`, read the split's integer masks
 directly: a :class:`FamilySet` is built only for the witness.
@@ -35,13 +36,13 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ._lazy import lazy_import
 from .errors import DimensionTooLarge, NotClosed
 from .scalars import entropy_bits
 
-np = lazy_import("numpy")
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_ENUM_N",
@@ -80,17 +81,20 @@ _MOVES = {
 }
 
 
-def _as_size(n) -> int:
-    """n as an int, a numpy one included; ``ValueError`` naming it if not an integer."""
+def _as_int(value, what: str, low: int | None = None) -> int:
+    """value as an int, a numpy one too; ``ValueError`` naming ``what`` if not one or below ``low``."""
     try:
-        return operator.index(n)
+        number = operator.index(value)
     except TypeError:
-        raise ValueError(f"ground-set size must be an integer, got {n!r}") from None
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and number < low:
+        raise ValueError(f"{what} must be >= {low}, got {value!r}")
+    return number
 
 
 def _ground_size(n) -> int:
     """n as an int; ``ValueError`` unless it is a ground-set size a FamilySet allows."""
-    size = _as_size(n)
+    size = _as_int(n, "ground-set size")
     if not 1 <= size <= 5:
         raise ValueError(f"ground-set size must be in 1..5, got {n!r}")
     return size
@@ -98,7 +102,7 @@ def _ground_size(n) -> int:
 
 def _enum_size(n) -> int:
     """n as an int; :class:`DimensionTooLarge` above MAX_ENUM_N, ``ValueError`` below 1."""
-    size = _as_size(n)
+    size = _as_int(n, "ground-set size")
     if size > MAX_ENUM_N:
         raise DimensionTooLarge(
             f"exhaustive enumeration supports n <= {MAX_ENUM_N}, got {n!r}; "
@@ -125,6 +129,8 @@ class FamilySet:
         n = _ground_size(self.n)
         if n is not self.n:  # a bool or a numpy int is kept as an int
             object.__setattr__(self, "n", n)
+        if type(self.mask) is not int:  # likewise the mask; a float raises ValueError
+            object.__setattr__(self, "mask", _as_int(self.mask, "family mask"))
         if not 1 <= self.mask < (1 << (1 << n)):
             raise ValueError(
                 f"family mask must be in [1, 2^(2^{n})), got {self.mask!r}"
@@ -135,6 +141,8 @@ class FamilySet:
         n = _ground_size(n)
         mask = 0
         for m in members:
+            if type(m) is not int:
+                m = _as_int(m, "member")
             if not 0 <= m < (1 << n):
                 raise ValueError(f"member {m!r} outside [0, 2^{n})")
             mask |= 1 << m
@@ -263,6 +271,8 @@ def frequency_list(family: FamilySet) -> list[float]:
 
 def element_frequencies(family: FamilySet) -> np.ndarray:
     """:func:`frequency_list` as an array of shape (n,)."""
+    import numpy as np
+
     return np.array(frequency_list(family))
 
 
@@ -335,13 +345,15 @@ def sample_or_closed(
     Each draw picks 1..max_generators member sets uniformly at random
     and closes them under OR; duplicates (by mask) are dropped, so the
     result may be shorter than ``count`` draws.  Deterministic in
-    ``seed``.
+    ``seed``.  Raises ``ValueError`` naming ``count``, ``seed`` or
+    ``max_generators`` unless it is an integer (seed >= 0, others >= 1).
     """
+    import numpy as np
+
     n = _ground_size(n)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    count = _as_int(count, "count", 1)
+    seed = _as_int(seed, "seed", 0)
+    max_generators = _as_int(max_generators, "max_generators", 1)
     rng = np.random.default_rng(seed)
     seen: set[int] = set()
     out: list[FamilySet] = []
@@ -462,7 +474,7 @@ def check_families(
     than n.
     """
     _check_limits(tol, size_cap)
-    n = _as_size(n)
+    n = _as_int(n, "ground-set size")
 
     def masks() -> Iterator[int]:
         for fam in families:

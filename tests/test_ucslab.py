@@ -158,6 +158,48 @@ class TestGroundSetSize:
         assert type(fam.n) is int and fam == FamilySet(1, 1)
 
 
+# Argument name -> a call taking it, where 3 is a valid value.
+INTEGER_ARGUMENTS = {
+    "family mask": lambda v: FamilySet(2, v),
+    "member": lambda v: FamilySet.from_members(2, [v]),
+    "generator": lambda v: or_closure(2, [v]),
+    "count": lambda v: sample_or_closed(3, v, 1),
+    "seed": lambda v: sample_or_closed(3, 5, v),
+    "max_generators": lambda v: sample_or_closed(3, 5, 1, v),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("arg", list(INTEGER_ARGUMENTS))
+    @pytest.mark.parametrize("value", [3.0, "3"])
+    def test_non_integer_is_named(self, arg, value):
+        # Each is checked before use: a float mask would construct, and a
+        # float member would fail on a shift with a bare TypeError.
+        name = "member" if arg == "generator" else arg
+        with pytest.raises(ValueError, match=rf"{name} must be an integer, got {value!r}"):
+            INTEGER_ARGUMENTS[arg](value)
+
+    @pytest.mark.parametrize("arg", list(INTEGER_ARGUMENTS))
+    @pytest.mark.parametrize("value", [True, np.int64(3)], ids=["True", "np.int64(3)"])
+    def test_bool_and_numpy_integers_work_as_ints(self, arg, value):
+        got = INTEGER_ARGUMENTS[arg](value)
+        assert as_plain(got) == as_plain(INTEGER_ARGUMENTS[arg](int(value)))
+        families = got if isinstance(got, list) else [got]
+        assert all(type(fam.mask) is int for fam in families)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((3, 0, 1), "count must be >= 1, got 0"),
+            ((3, 5, -1), "seed must be >= 0, got -1"),
+            ((3, 5, 1, 0), "max_generators must be >= 1, got 0"),
+        ],
+    )
+    def test_sampling_bounds_are_named(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            sample_or_closed(*args)
+
+
 class TestIsOrClosed:
     def test_hand_cases(self):
         assert is_or_closed(FamilySet.from_members(2, [0]))  # {empty}
@@ -376,6 +418,16 @@ class TestSampling:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             sample_or_closed(5, 0, seed=1)
+
+    def test_draws_are_pinned(self):
+        # Another generator would change every sampled family for a seed,
+        # and the `enumerate --sample` reports with it.
+        assert [f.mask for f in sample_or_closed(4, 6, 7)] == [
+            0xCE00, 0xA099, 0xE000, 0x80, 0xF08E, 0x8830
+        ]
+        assert [f.mask for f in sample_or_closed(4, 6, np.int64(7), 2)] == [
+            0x400, 0x3200, 0x9, 0x10, 0x4001, 0x2000
+        ]
 
 
 class TestMaxSymmetricCouplingEntropy:
