@@ -19,6 +19,7 @@ suite relies on this.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from .errors import (
     VerificationFailed,
 )
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 __all__ = ["main", "build_parser", "SCHEMA_VERSION"]
 
@@ -49,6 +50,8 @@ def _utcnow() -> str:
 
 
 def _atomic_write_text(path: str, text: str) -> None:
+    if os.path.isdir(path):  # refused before the temp file is written beside it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
@@ -153,13 +156,7 @@ def cmd_tmax(args: argparse.Namespace) -> int:
     from .optimizer import find_tmax
 
     started = None if args.no_timestamps else _utcnow()
-    result = find_tmax(
-        _search_config(args),
-        margin=args.margin,
-        bracket=tuple(args.bracket),
-        t_tol=args.t_tol,
-        alphas=_parse_alpha(args.alpha),
-    )
+    result = find_tmax(_search_config(args), args.margin, tuple(args.bracket), args.t_tol)
     print(
         f"largest certified t: {result.t_certified:.7f} "
         f"(ceiling {result.t_ceiling:.7f}, margin {result.margin}, {result.steps} steps)"
@@ -225,8 +222,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     )
 
     started = None if args.no_timestamps else _utcnow()
-    if args.check_entropy and args.size_cap < 2:
-        raise ValueError(f"--size-cap must be >= 2, got {args.size_cap}")
     if args.sample is not None:
         families = sample_or_closed(args.n, args.sample, args.seed)
         sampled = True
@@ -236,7 +231,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     check = None
     if args.check_entropy:
-        check = check_families(args.n, families, args.tol, args.size_cap)
+        check = check_families(args.n, families)
     if args.csv is not None:
         rows = _family_lines(families, {} if check is None else check.h_star)
         _atomic_write_text(args.csv, _CSV_HEADER + "".join([line for _, line in rows]))
@@ -257,7 +252,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "violations": violations,
     }
     if check is not None:
-        keys = ("tol", "size_cap", "checked", "skipped", "ratio_min", "ratio_max")
+        keys = ("checked", "skipped", "ratio_min", "ratio_max")
         payload["entropy_check"] = {k: getattr(check, k) for k in keys}
 
     source = "sampled" if sampled else "enumerated"
@@ -358,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="initial bisection bracket (default 0.37 0.40)",
     )
     p.add_argument("--t-tol", type=float, default=1e-6, help="final bracket width")
-    p.add_argument("--alpha", default="auto", help="blend weight, as in gamma-hat")
     _add_search_knobs(p)
     _add_common(p)
     p.set_defaults(func=cmd_tmax)
@@ -383,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also check the coupling-entropy ceiling H(X or Y) <= log2 |A| per family",
     )
-    p.add_argument("--tol", type=float, default=1e-6, help="entropy ceiling tolerance")
-    p.add_argument("--size-cap", type=int, default=16, help="largest |A| to check")
     p.add_argument(
         "--sample",
         type=int,

@@ -93,7 +93,6 @@ from .errors import (
     BracketFailure,
     DegenerateDenominator,
     EmptyFeasible,
-    GridTooLarge,
     VerificationFailed,
 )
 from .scalars import binary_entropy, max_entropy_or_prob_fullcorr, require_prob
@@ -133,8 +132,6 @@ BASELINE_THRESHOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(math.ulp(1.0))
 _DENOM_FLOOR = 1e-14
-# Largest seed scan: a cell costs about 2 microseconds and 150 bytes.
-_MAX_SEED_CELLS = 1 << 20
 # The search over alpha stops once the envelope of the lines it found
 # peaks within _ALPHA_GAP_TOL of its best value, once its bracket is
 # narrower than _ALPHA_REFINE_TOL, or after _ALPHA_MAX_SEARCHES tried
@@ -306,11 +303,6 @@ class _FaceSearch:
         self.config = config
         self.evaluations = 0
         g = config.grid_points_per_axis
-        if g * g > _MAX_SEED_CELLS:
-            raise GridTooLarge(
-                f"a grid of {g} points per axis has {g * g} seed cells, "
-                f"more than the {_MAX_SEED_CELLS} a search allows"
-            )
         lows = [self._low(t * math.sin(0.5 * math.pi * k / g) ** 2) for k in range(g)]
         highs = [self._high(math.sin(0.5 * math.pi * k / (g - 1)) ** 2) for k in range(g)]
         # A cell is (ind/denom, cor/denom, a, b1, i, j), (i, j) its place
@@ -489,7 +481,7 @@ def inner_inf(alpha: float, t: float, config: SearchConfig | None = None) -> Inn
     report's ``min_ratio`` is computed by the reference objective at the
     argmin, so it differs from the infimum over the face (module
     docstring) only by how well the search converged, never by formula
-    drift.  Raises :class:`GridTooLarge` past 2^20 seed cells, and
+    drift.  :class:`SearchConfig` caps the seed scan at 2^20 cells.  Raises
     :class:`DegenerateDenominator` when t is so small (about 1e-16) that
     no seed cell's denominator clears 1e-14.
 
@@ -700,10 +692,10 @@ def find_tmax(
     margin: float = 1e-7,
     bracket: tuple[float, float] = (0.37, 0.40),
     t_tol: float = 1e-6,
-    alphas: str | float = "auto",
 ) -> ThresholdCertificate:
     """Bisect for the largest t whose certificate clears 1 + margin.
 
+    Each tested t gets :func:`gamma_hat` with alpha searched over [0, 1].
     The bracket must straddle the threshold: the low endpoint has to
     certify and the high endpoint has to fail, otherwise
     :class:`BracketFailure` is raised with both endpoint bounds in the
@@ -728,8 +720,8 @@ def find_tmax(
         )
 
     started = time.perf_counter()
-    cert_lo = gamma_hat(lo, alphas, cfg)
-    cert_hi = gamma_hat(hi, alphas, cfg)
+    cert_lo = gamma_hat(lo, "auto", cfg)
+    cert_hi = gamma_hat(hi, "auto", cfg)
     endpoint_bounds = (cert_lo.gamma_hat_lower, cert_hi.gamma_hat_lower)
     threshold = 1.0 + margin
     if cert_lo.gamma_hat_lower <= threshold:
@@ -747,7 +739,7 @@ def find_tmax(
     steps = 0
     while hi - lo > t_tol:
         mid = 0.5 * (lo + hi)
-        cert = gamma_hat(mid, alphas, cfg)
+        cert = gamma_hat(mid, "auto", cfg)
         steps += 1
         if cert.gamma_hat_lower > threshold:
             lo = mid

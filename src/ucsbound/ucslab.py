@@ -26,8 +26,9 @@ Besides enumeration and frequency bookkeeping, the module checks the
 coupling-entropy ceiling H(X OR Y) <= log2 |A| over symmetric couplings
 of two uniform copies of a family.  Its maximum is known exactly: the
 identity coupling Y = X attains it.  The check evaluates that coupling
-directly, so it is exact by construction.  Its value depends on the
-family's size alone, so it is computed once per size.
+directly, so it is exact by construction.  The value depends on the
+family's size alone, so it is computed once per size, and the check
+skips only the families of fewer than two members.
 """
 
 from __future__ import annotations
@@ -337,28 +338,25 @@ def min_peak_frequency(n: int) -> tuple[float, FamilySet]:
     return peak, FamilySet(n, mask)
 
 
-def sample_or_closed(
-    n: int, count: int, seed: int, max_generators: int = 4
-) -> list[FamilySet]:
+def sample_or_closed(n: int, count: int, seed: int) -> list[FamilySet]:
     """Distinct OR-closed families grown from random generator sets.
 
-    Each draw picks 1..max_generators member sets uniformly at random
-    and closes them under OR; duplicates (by mask) are dropped, so the
-    result may be shorter than ``count`` draws.  Deterministic in
-    ``seed``.  Raises ``ValueError`` naming ``count``, ``seed`` or
-    ``max_generators`` unless it is an integer (seed >= 0, others >= 1).
+    Each draw picks 1 to 4 member sets uniformly at random and closes
+    them under OR; duplicates (by mask) are dropped, so the result may
+    be shorter than ``count`` draws.  Deterministic in ``seed``.  Raises
+    ``ValueError`` naming ``count`` or ``seed`` unless it is an integer
+    (count >= 1, seed >= 0).
     """
     import numpy as np
 
     n = _ground_size(n)
     count = _as_int(count, "count", 1)
     seed = _as_int(seed, "seed", 0)
-    max_generators = _as_int(max_generators, "max_generators", 1)
     rng = np.random.default_rng(seed)
     seen: set[int] = set()
     out: list[FamilySet] = []
     for _ in range(count):
-        k = int(rng.integers(1, max_generators + 1))
+        k = int(rng.integers(1, 5))
         gens = rng.integers(0, 1 << n, size=k)
         fam = or_closure(n, (int(g) for g in gens))
         if fam.mask not in seen:
@@ -406,8 +404,6 @@ class EntropyCheckReport:
     """
 
     n: int
-    tol: float
-    size_cap: int
     checked: int
     skipped: int
     violations: tuple[str, ...]
@@ -420,35 +416,29 @@ class EntropyCheckReport:
         return not self.violations
 
 
-def _check_limits(tol: float, size_cap: int) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    if size_cap < 2:
-        raise ValueError(f"size_cap must be >= 2, got {size_cap!r}")
+# Slack of the ceiling check; H_star is exact by construction.
+_CEILING_TOL = 1e-6
 
 
-def _check(n: int, masks: Iterable[int], tol: float, size_cap: int) -> EntropyCheckReport:
-    """:func:`check_families` over family masks on n elements; ``tol`` and
-    ``size_cap`` are already checked."""
+def _check(n: int, masks: Iterable[int]) -> EntropyCheckReport:
+    """:func:`check_families` over family masks on n elements."""
     h_star: dict[int, float] = {}
     skipped = 0
     violations: list[str] = []
     ratios: list[float] = []
     for mask in masks:
         size = mask.bit_count()
-        if not 2 <= size <= size_cap:
+        if size < 2:
             skipped += 1
             continue
         value = _coupling_entropy(n, mask)
         h_star[mask] = value
         ceiling = math.log2(size)
-        if value > ceiling + tol:
+        if value > ceiling + _CEILING_TOL:
             violations.append(f"{mask:#x}: H_star={value!r} exceeds log2|A|={ceiling!r}")
         ratios.append(value / ceiling)
     return EntropyCheckReport(
         n=n,
-        tol=tol,
-        size_cap=size_cap,
         checked=len(ratios),
         skipped=skipped,
         violations=tuple(violations),
@@ -458,22 +448,15 @@ def _check(n: int, masks: Iterable[int], tol: float, size_cap: int) -> EntropyCh
     )
 
 
-def check_families(
-    n: int, families: Iterable[FamilySet], tol: float = 1e-6, size_cap: int = 16
-) -> EntropyCheckReport:
-    """Check H_star <= log2 |A| + tol over the given families.
+def check_families(n: int, families: Iterable[FamilySet]) -> EntropyCheckReport:
+    """Check H_star <= log2 |A| + 1e-6 over the given families.
 
     H_star is :func:`max_symmetric_coupling_entropy` of each checked
-    family, read from its mask.  Families with fewer than two members or
-    more than ``size_cap`` are skipped.  The reported ratios are
-    H_star / log2 |A|; they sit at 1 up to rounding.  Raises
-    ``ValueError`` unless ``tol`` is finite and non-negative, then
-    unless ``size_cap`` is at least 2: a smaller cap would skip every
-    family and pass without checking any.  Raises ``ValueError`` last
-    unless n is an integer, or on a family over another ground-set size
-    than n.
+    family, read from its mask.  Families with fewer than two members
+    are skipped.  The reported ratios are H_star / log2 |A|; they sit at
+    1 up to rounding.  Raises ``ValueError`` unless n is an integer, or
+    on a family over another ground-set size than n.
     """
-    _check_limits(tol, size_cap)
     n = _as_int(n, "ground-set size")
 
     def masks() -> Iterator[int]:
@@ -482,17 +465,13 @@ def check_families(
                 raise ValueError(f"check_families on n = {n} got a family on n = {fam.n}")
             yield fam.mask
 
-    return _check(n, masks(), tol, size_cap)
+    return _check(n, masks())
 
 
-def check_entropy_inequality(
-    n: int, tol: float = 1e-6, size_cap: int = 16
-) -> EntropyCheckReport:
+def check_entropy_inequality(n: int) -> EntropyCheckReport:
     """:func:`check_families` over every family of :func:`enumerate_or_closed`.
 
-    It reads their masks and builds no FamilySet.  ``tol`` and
-    ``size_cap`` are checked before n.
+    It reads their masks and builds no FamilySet.
     """
-    _check_limits(tol, size_cap)
     n = _enum_size(n)
-    return _check(n, _closed_masks(n)[1:], tol, size_cap)
+    return _check(n, _closed_masks(n)[1:])

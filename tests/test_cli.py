@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,14 @@ class TestGammaHat:
     def test_pinned_grid_too_large_for_memory_exits_2(self, capsys):
         # A pinned alpha runs one inner search, which checks the same cap.
         rc = main(["gamma-hat", "--t", "0.38", "--alpha", "0.035", "--grid", "3000000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "3000000 points per axis" in err and "lower --grid" in err
+
+    def test_alpha_one_grid_too_large_for_memory_exits_2(self, capsys):
+        # alpha = 1 has a closed form and scans no seed, but the cap holds.
+        rc = main(["gamma-hat", "--t", "0.38", "--alpha", "1", "--grid", "3000000"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -244,12 +253,6 @@ class TestEnumerate:
         assert block["skipped"] == 4
         assert block["ratio_min"] == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-    def test_bad_tol_exits_2(self, tol, capsys):
-        rc = main(["enumerate", "--n", "2", "--check-entropy", "--tol", tol])
-        assert rc == 2
-        assert "tol" in capsys.readouterr().err
-
     def test_nothing_checked_reports_none(self, tmp_path, monkeypatch):
         # Only single-member families, which the check skips.
         singletons = [fam for fam in ucslab.enumerate_or_closed(2) if fam.size == 1]
@@ -262,26 +265,19 @@ class TestEnumerate:
         assert block["checked"] == 0
         assert block["ratio_min"] is None and block["ratio_max"] is None
 
-    @pytest.mark.parametrize("cap", ["1", "0", "-5"])
-    def test_size_cap_below_two_exits_2(self, cap, capsys):
-        # Such a cap skips every family, so the check would pass unchecked.
-        rc = main(["enumerate", "--n", "3", "--check-entropy", "--size-cap", cap])
-        assert rc == 2
-        assert "--size-cap" in capsys.readouterr().err
-
     def test_sampled_families_are_checked(self, tmp_path):
         out = tmp_path / "sampled.json"
         sheet = tmp_path / "sampled.csv"
         argv = ["enumerate", "--n", "5", "--sample", "10", "--seed", "7", "--check-entropy"]
-        assert main([*argv, "--size-cap", "8", "--csv", str(sheet), "--out", str(out)]) == 0
+        assert main([*argv, "--csv", str(sheet), "--out", str(out)]) == 0
         payload = read_json(out)
         block = payload["entropy_check"]
         assert block["checked"] + block["skipped"] == payload["family_count"]
         with open(sheet, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        filled = [r for r in rows if r["H_star"]]
-        assert len(filled) == block["checked"]
-        assert all(2 <= int(r["size"]) <= 8 for r in filled)
+        assert len(rows) == payload["family_count"]
+        assert block["checked"] == sum(int(r["size"]) >= 2 for r in rows)
+        assert all(bool(r["H_star"]) == (int(r["size"]) >= 2) for r in rows)
 
     def test_n5_without_sampling_exits_2(self, capsys):
         rc = main(["enumerate", "--n", "5"])
@@ -333,15 +329,44 @@ class TestReportWrites:
         ],
         ids=["missing-directory", "csv-is-a-directory"],
     )
-    def test_error_names_the_given_path(self, argv, target, tmp_path, capsys):
+    def test_error_names_the_given_path(self, argv, target, tmp_path, capsys, monkeypatch):
         # Each write goes through a temp file beside the given path; the
-        # error must name the path the user gave, and the temp file must go.
+        # error must name the path the user gave, and no temp file may be
+        # made: a missing directory cannot hold one, and a directory
+        # target is refused before the report is written anywhere.
+        made = []
+
+        def mkstemp(*args, **kwargs):
+            fd, name = real_mkstemp(*args, **kwargs)
+            made.append(name)
+            return fd, name
+
+        real_mkstemp = tempfile.mkstemp
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
         (tmp_path / "adir").mkdir()
         path = str(tmp_path / target)
         assert main([*argv, path]) == 2
         err = capsys.readouterr().err
         assert repr(path) in err and ".ucsbound-" not in err
+        assert made == []
         assert list(tmp_path.rglob(".ucsbound-*")) == []
+
+
+class TestRetiredFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "2", "--check-entropy", "--tol", "0"],
+            ["enumerate", "--n", "2", "--check-entropy", "--size-cap", "8"],
+            ["tmax", "--alpha", "0.035"],
+        ],
+        ids=["tol", "size-cap", "tmax-alpha"],
+    )
+    def test_retired_flags_are_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 class TestMaxcorr:

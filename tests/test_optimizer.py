@@ -19,6 +19,7 @@ from ucsbound.errors import (
     BracketFailure,
     DegenerateDenominator,
     EmptyFeasible,
+    GridTooLarge,
     VerificationFailed,
 )
 from ucsbound.optimizer import (
@@ -782,6 +783,12 @@ class TestSearchConfig:
     def test_rejects_non_integer_knobs(self, field, value):
         with pytest.raises(ValueError, match=field):
             SearchConfig(**{field: value})
+
+    def test_grid_cap_is_checked_when_built(self):
+        # 1024 points per axis is 2^20 seed cells, the most a search allows.
+        assert SearchConfig(grid_points_per_axis=1024).grid_points_per_axis == 1024
+        with pytest.raises(GridTooLarge, match="1025 points per axis has 1050625 seed cells"):
+            SearchConfig(grid_points_per_axis=1025)
 
     def test_accepts_numpy_integers_as_python_ints(self):
         cfg = SearchConfig(np.int64(32), np.int32(3), np.uint8(8))
