@@ -13,12 +13,19 @@ at most 3 elements with its stabiliser, so :func:`is_or_closed` is a
 lookup or three for n <= 4, and enumeration pairs closed halves from
 that table: it never meets the 2^(2^n) - 1 family masks one by one.
 Element frequencies are popcounts of the family mask against, per
-element, the mask of every set containing it (:func:`element_counts`).
-Peak frequencies read those popcounts as floats (:func:`frequency_list`),
-so only :func:`element_frequencies` and :func:`sample_or_closed` use
-numpy, and each imports it in its own body; ``import ucsbound`` has
-already checked that it is installed.
-The checks over a whole enumeration, :func:`min_peak_frequency` and
+element, the mask of every set containing it (:func:`element_counts`),
+each divided by the family's size in the same pass
+(:func:`frequency_list`, :func:`element_frequencies`).  Only
+:func:`element_frequencies` and :func:`sample_or_closed` use numpy, and
+each imports it in its own body; ``import ucsbound`` has already checked
+that it is installed.
+
+Input is validated where it enters: a :class:`FamilySet` checks its
+ground-set size and mask when built, and every public function checks
+its other arguments before use.  Closure works on masks
+(:func:`or_closure`): each generator is checked and folded into the
+mask, and one FamilySet is built for the result.  The checks over a
+whole enumeration, :func:`min_peak_frequency` and
 :func:`check_entropy_inequality`, read the split's integer masks
 directly: a :class:`FamilySet` is built only for the witness.
 
@@ -121,13 +128,22 @@ class FamilySet:
     Bit k of ``mask`` is set iff the subset with element-bitmask k
     belongs to the family.  Note the empty *set* (k = 0) is an ordinary
     member; only the empty *family* is forbidden.
+
+    Every construction validates: a plain ``int`` n in 1..5 and a plain
+    ``int`` mask in [1, 2^(2^n)) pass one chained test, the case of every
+    family the module builds; anything else (a bool, a numpy integer, a
+    float, a value out of range) is converted to ``int`` or rejected
+    with ``ValueError`` naming the ground-set size or the mask.
     """
 
     n: int
     mask: int
 
     def __post_init__(self) -> None:
-        n = _ground_size(self.n)
+        n, mask = self.n, self.mask
+        if type(n) is int and type(mask) is int and 1 <= n <= 5 and 1 <= mask < 1 << (1 << n):
+            return
+        n = _ground_size(n)
         if n is not self.n:  # a bool or a numpy int is kept as an int
             object.__setattr__(self, "n", n)
         if type(self.mask) is not int:  # likewise the mask; a float raises ValueError
@@ -142,11 +158,9 @@ class FamilySet:
         n = _ground_size(n)
         mask = 0
         for m in members:
-            if type(m) is not int:
-                m = _as_int(m, "member")
-            if not 0 <= m < (1 << n):
-                raise ValueError(f"member {m!r} outside [0, 2^{n})")
-            mask |= 1 << m
+            mask |= 1 << _member(n, m)
+        if not mask:
+            raise ValueError("a family needs at least one member")
         return cls(n, mask)
 
     @property
@@ -160,6 +174,15 @@ class FamilySet:
     @property
     def hex_mask(self) -> str:
         return f"0x{self.mask:x}"
+
+
+def _member(n: int, m) -> int:
+    """m as a set on n elements; ``ValueError`` naming it unless an integer in [0, 2^n)."""
+    if type(m) is not int:
+        m = _as_int(m, "member")
+    if not 0 <= m < (1 << n):
+        raise ValueError(f"member {m!r} outside [0, 2^{n})")
+    return m
 
 
 def _unions(n: int, i: int, mask: int) -> int:
@@ -246,11 +269,19 @@ def or_closure(n: int, generators: Iterable[int]) -> FamilySet:
 
     Adding a set g to a closed family F gives the closed family
     F + {g} + {g | m : m in F}, so one pass over the generators
-    suffices.
+    suffices, in any order.  The pass works on the family mask: n is
+    checked first, then each generator as it is read, as a member in
+    [0, 2^n); a generator already in the mask adds nothing and is
+    skipped.  Raises ``ValueError`` on an empty list of generators.
     """
+    n = _ground_size(n)
     mask = 0
-    for g in FamilySet.from_members(n, generators).members:
-        mask |= (1 << g) | _unions(n, g, mask)
+    for g in generators:
+        g = _member(n, g)
+        if not mask >> g & 1:
+            mask |= 1 << g | _unions(n, g, mask)
+    if not mask:
+        raise ValueError("a closure needs at least one generator")
     return FamilySet(n, mask)
 
 
@@ -266,15 +297,22 @@ def element_counts(family: FamilySet) -> list[int]:
 
 def frequency_list(family: FamilySet) -> list[float]:
     """Fraction of members containing each ground element, as n floats."""
-    size = family.size
-    return [k / size for k in element_counts(family)]
+    mask = family.mask
+    size = mask.bit_count()
+    return [(mask & c).bit_count() / size for c in _CONTAIN[family.n]]
 
 
 def element_frequencies(family: FamilySet) -> np.ndarray:
-    """:func:`frequency_list` as an array of shape (n,)."""
+    """:func:`frequency_list` as an array of shape (n,), the same floats.
+
+    It makes the same single popcount pass itself rather than call
+    :func:`frequency_list`: it runs once per family in a lab pass.
+    """
     import numpy as np
 
-    return np.array(frequency_list(family))
+    mask = family.mask
+    size = mask.bit_count()
+    return np.array([(mask & c).bit_count() / size for c in _CONTAIN[family.n]])
 
 
 def _peak(n: int, mask: int) -> float:
@@ -357,8 +395,7 @@ def sample_or_closed(n: int, count: int, seed: int) -> list[FamilySet]:
     out: list[FamilySet] = []
     for _ in range(count):
         k = int(rng.integers(1, 5))
-        gens = rng.integers(0, 1 << n, size=k)
-        fam = or_closure(n, (int(g) for g in gens))
+        fam = or_closure(n, rng.integers(0, 1 << n, size=k).tolist())
         if fam.mask not in seen:
             seen.add(fam.mask)
             out.append(fam)
@@ -454,10 +491,10 @@ def check_families(n: int, families: Iterable[FamilySet]) -> EntropyCheckReport:
     H_star is :func:`max_symmetric_coupling_entropy` of each checked
     family, read from its mask.  Families with fewer than two members
     are skipped.  The reported ratios are H_star / log2 |A|; they sit at
-    1 up to rounding.  Raises ``ValueError`` unless n is an integer, or
-    on a family over another ground-set size than n.
+    1 up to rounding.  Raises ``ValueError`` unless n is a ground-set
+    size in 1..5, or on a family over another ground-set size than n.
     """
-    n = _as_int(n, "ground-set size")
+    n = _ground_size(n)
 
     def masks() -> Iterator[int]:
         for fam in families:

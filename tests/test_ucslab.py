@@ -18,6 +18,7 @@ from ucsbound.ucslab import (
     check_families,
     element_frequencies,
     enumerate_or_closed,
+    frequency_list,
     is_or_closed,
     lowest_peak,
     max_symmetric_coupling_entropy,
@@ -78,6 +79,20 @@ def pairwise_closed(mask, size):
     return True
 
 
+def unread_generators():
+    """An iterable that fails the test if anything reads from it."""
+    raise AssertionError("a generator was read")
+    yield
+
+
+def reference_closure(n, generators):
+    """Closure oracle on sets: sorted, deduplicated generators folded one by one."""
+    members = set()
+    for g in sorted({int(g) for g in generators}):
+        members |= {g} | {g | m for m in members}
+    return sum(1 << m for m in members)
+
+
 def family_to_masks(family):
     return frozenset(sum(1 << e for e in member) for member in family)
 
@@ -113,8 +128,57 @@ class TestFamilySet:
     def test_bad_ground_size_is_named_before_any_member_is_read(self, n):
         # n = -1 used to fail on 1 << n with "negative shift count".
         for build in (FamilySet.from_members, or_closure):
-            with pytest.raises(ValueError, match=r"ground-set size must be in 1\.\.5"):
-                build(n, [0])
+            for members in ([0], unread_generators()):
+                with pytest.raises(ValueError, match=r"ground-set size must be in 1\.\.5"):
+                    build(n, members)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (FamilySet.from_members, "a family needs at least one member"),
+            (or_closure, "a closure needs at least one generator"),
+        ],
+        ids=["from_members", "or_closure"],
+    )
+    def test_no_members_is_named(self, build, message):
+        # Both used to name a family mask of 0, which the caller never gave.
+        with pytest.raises(ValueError, match=message):
+            build(3, [])
+
+    # (n, mask, message of the ValueError or None if accepted): both
+    # edges of the mask range for every n, the masks just outside them,
+    # sizes outside 1..5, and each kind of non-int value for n and mask.
+    VALIDATION = [
+        *[(n, 1, None) for n in range(1, 6)],
+        *[(n, (1 << (1 << n)) - 1, None) for n in range(1, 6)],
+        *[(n, 0, rf"family mask must be in \[1, 2\^\(2\^{n}\)\), got 0") for n in range(1, 6)],
+        *[
+            (n, 1 << (1 << n), rf"family mask must be in \[1, 2\^\(2\^{n}\)\), got {1 << (1 << n)}")
+            for n in range(1, 6)
+        ],
+        (0, 1, r"ground-set size must be in 1\.\.5, got 0"),
+        (6, 1, r"ground-set size must be in 1\.\.5, got 6"),
+        (True, 3, None),
+        (np.int64(3), 3, None),
+        (3.0, 3, r"ground-set size must be an integer, got 3\.0"),
+        ("3", 3, r"ground-set size must be an integer, got '3'"),
+        (2, True, None),
+        (2, np.int64(3), None),
+        (2, 3.0, r"family mask must be an integer, got 3\.0"),
+        (2, "3", r"family mask must be an integer, got '3'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "n, mask, message", VALIDATION, ids=[f"{n!r}-{mask!r}" for n, mask, _ in VALIDATION]
+    )
+    def test_validation_table(self, n, mask, message):
+        if message is not None:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                FamilySet(n, mask)
+            return
+        fam = FamilySet(n, mask)
+        assert type(fam.n) is int and type(fam.mask) is int
+        assert (fam.n, fam.mask) == (int(n), int(mask))
 
 
 # Every public function that takes a ground-set size, called with n.
@@ -249,6 +313,18 @@ class TestOrClosure:
             gens = rng.integers(0, 16, size=rng.integers(1, 5))
             assert is_or_closed(or_closure(4, (int(g) for g in gens)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_reference_fold(self, n):
+        # Unsorted lists with repeats, as plain ints and as numpy ints.
+        rng = np.random.default_rng(SEED + n)
+        for _ in range(200):
+            gens = rng.integers(0, 1 << n, size=rng.integers(1, 9))
+            want = reference_closure(n, gens)
+            for given in (gens, gens.tolist(), list(gens)):
+                fam = or_closure(n, given)
+                assert fam.mask == want
+                assert type(fam.n) is int and type(fam.mask) is int
+
     def test_closure_is_the_smallest_closed_superset(self):
         # Closed families are closed under intersection, so the smallest
         # one holding the generators is the AND of all that hold them.
@@ -293,6 +369,18 @@ class TestFrequencies:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_popcounts_match_member_loop_on_every_family(self, n):
         self.check_against_member_loop(list(enumerate_or_closed(n)))
+
+    @staticmethod
+    def check_against_frequency_list(families):
+        for fam in families:
+            freqs = element_frequencies(fam)
+            assert freqs.dtype == np.float64
+            assert freqs.tobytes() == np.array(frequency_list(fam)).tobytes()
+
+    def test_array_is_the_frequency_list_bit_for_bit(self):
+        for n in (1, 2, 3, 4):
+            self.check_against_frequency_list(list(enumerate_or_closed(n)))
+        self.check_against_frequency_list(sample_or_closed(5, 500, SEED))
 
     def test_popcounts_match_member_loop_on_sampled_n5(self):
         families = sample_or_closed(5, 250, SEED)[:200]
@@ -495,6 +583,11 @@ class TestEntropyInequality:
             check_families(2, [FamilySet.from_members(2, [1, 2])])
 
     def test_errors_name_the_ground_set_size(self):
+        # 0, -1 and 6 used to give a report carrying that n.
+        for n in ("4", 4.5, 0, -1, 6):
+            with pytest.raises(ValueError, match="ground-set size"):
+                check_families(n, [])
+        assert check_families(5, []).n == 5  # sampled families
         for n in ("4", 4.5):
             with pytest.raises(ValueError, match="ground-set size"):
                 check_families(n, enumerate_or_closed(2))
