@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 from . import __version__
 from .config import VERIFY_CONFIG, SearchConfig
@@ -122,7 +121,7 @@ def _search_config(args: argparse.Namespace, base: SearchConfig = SearchConfig()
         kwargs["refine_rounds"] = args.refine_rounds
     if getattr(args, "multistart", None) is not None:
         kwargs["multistart_count"] = args.multistart
-    return replace(base, **kwargs)
+    return SearchConfig(**{**base._asdict(), **kwargs})
 
 
 def _parse_alpha(raw: str):
@@ -180,8 +179,8 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     return 0
 
 
-def _family_lines(families, h_star: dict) -> list[tuple[float, str]]:
-    """Each family's peak frequency and its CSV line, ended by CRLF.
+def _family_lines(n: int, masks: list[int], h_star: dict) -> list[tuple[float, str]]:
+    """Each family mask's peak frequency and its CSV line, ended by CRLF.
 
     H_star and ratio are empty cells for families not checked.  Only
     the mask is unique to a family: a frequency is count / size, and
@@ -189,63 +188,54 @@ def _family_lines(families, h_star: dict) -> list[tuple[float, str]]:
     distinct cell is formatted once, by ``repr`` as ``csv`` would.  No
     cell holds a comma, quote or line break, so none needs quoting.
     """
-    from .ucslab import element_counts
+    from .ucslab import _CONTAIN
 
     fractions: dict[int, list[str]] = {}
     tails: dict[tuple[int, float | None], str] = {}
     out = []
-    for fam in families:
-        size = fam.size
+    for mask in masks:
+        size = mask.bit_count()
         cells = fractions.get(size)
         if cells is None:
             cells = fractions[size] = [repr(k / size) for k in range(size + 1)]
-        star = h_star.get(fam.mask)
+        star = h_star.get(mask)
         tail = tails.get((size, star))
         if tail is None:
             h_x = math.log2(size)
             tail = f"{h_x!r},," if star is None else f"{h_x!r},{star!r},{star / h_x!r}"
             tails[size, star] = tail
-        counts = element_counts(fam)
+        counts = [(mask & c).bit_count() for c in _CONTAIN[n]]
         top = max(counts)
         freqs = ";".join([cells[k] for k in counts])
-        out.append((top / size, f"{fam.n},{size},{fam.hex_mask},{cells[top]},{freqs},{tail}\r\n"))
+        out.append((top / size, f"{n},{size},{mask:#x},{cells[top]},{freqs},{tail}\r\n"))
     return out
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from .ucslab import (
-        check_families,
-        enumerate_or_closed,
-        lowest_peak,
-        peak_frequency,
-        sample_or_closed,
-    )
+    from .ucslab import _check, _closed_masks, _enum_size, _peak, lowest_peak, sample_or_closed
 
     started = None if args.no_timestamps else _utcnow()
-    if args.sample is not None:
-        families = sample_or_closed(args.n, args.sample, args.seed)
-        sampled = True
+    n, sampled = args.n, args.sample is not None
+    if sampled:  # the only path that builds FamilySets
+        masks = [fam.mask for fam in sample_or_closed(n, args.sample, args.seed)]
     else:
-        families = list(enumerate_or_closed(args.n))
-        sampled = False
+        masks = _closed_masks(_enum_size(n))[1:]
 
-    check = None
-    if args.check_entropy:
-        check = check_families(args.n, families)
+    check = _check(n, masks) if args.check_entropy else None
     if args.csv is not None:
-        rows = _family_lines(families, {} if check is None else check.h_star)
+        rows = _family_lines(n, masks, {} if check is None else check.h_star)
         _atomic_write_text(args.csv, _CSV_HEADER + "".join([line for _, line in rows]))
         peaks = [p_a for p_a, _ in rows]
     else:
-        peaks = [peak_frequency(fam) for fam in families]
+        peaks = [_peak(n, mask) for mask in masks]
 
-    least = lowest_peak(zip(peaks, [fam.mask for fam in families]))
+    least = lowest_peak(zip(peaks, masks))
     min_pa, witness = (None, None) if least is None else (least[0], hex(least[1]))
 
     violations = [] if check is None else list(check.violations)
     payload: dict = {
-        "n": args.n,
-        "family_count": len(families),
+        "n": n,
+        "family_count": len(masks),
         "sampled": sampled,
         "min_pA": min_pa,
         "witness_mask": witness,
@@ -257,7 +247,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     source = "sampled" if sampled else "enumerated"
     print(
-        f"n={args.n}: {len(families)} {source} OR-closed families, "
+        f"n={n}: {len(masks)} {source} OR-closed families, "
         f"min p_A = {min_pa} (witness {witness}), {len(violations)} violations"
     )
     extra = (args.csv,) if args.csv is not None else ()

@@ -8,7 +8,7 @@ building its parser does not load the search.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 from .errors import GridTooLarge
 
@@ -18,28 +18,34 @@ __all__ = ["SearchConfig", "VERIFY_CONFIG"]
 _MAX_SEED_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs of the seed-scan-plus-refinement search.
-
-    The defaults reproduce the reference evaluation to ~1e-9.
-    :data:`VERIFY_CONFIG` is the finer setting of the published check.
-    Each knob must be an integer, a numpy one included.  A grid of more
-    than 2^20 seed cells raises :class:`GridTooLarge`, before any work.
-    """
-
+class _SearchConfig(NamedTuple):
     grid_points_per_axis: int = 64
     refine_rounds: int = 6
     multistart_count: int = 16
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+
+class SearchConfig(_SearchConfig):
+    """Knobs of the seed-scan-plus-refinement search.
+
+    The defaults reproduce the reference evaluation to ~1e-9.
+    :data:`VERIFY_CONFIG` is the finer setting of the published check.
+    Each knob must be an integer, a numpy one included, and is stored as
+    an int.  A grid of more than 2^20 seed cells raises
+    :class:`GridTooLarge`, before any work.  Construction validates;
+    ``_replace`` and ``_make`` do not, so build a changed copy as
+    ``SearchConfig(**{**config._asdict(), ...})``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SearchConfig:
+        knobs = []
+        for name, value in zip(cls._fields, super().__new__(cls, *args, **kwargs)):
             try:
-                object.__setattr__(self, f.name, operator.index(value))
+                knobs.append(operator.index(value))
             except TypeError:
-                raise ValueError(f"{f.name} must be an integer, got {value!r}") from None
-        g = self.grid_points_per_axis
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        g, rounds, starts = knobs
         if g < 2:
             raise ValueError("grid_points_per_axis must be >= 2")
         if g * g > _MAX_SEED_CELLS:
@@ -47,13 +53,14 @@ class SearchConfig:
                 f"a grid of {g} points per axis has {g * g} seed cells, "
                 f"more than the {_MAX_SEED_CELLS} a search allows"
             )
-        if self.refine_rounds < 0:
+        if rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
-        if self.multistart_count < 1:
+        if starts < 1:
             raise ValueError("multistart_count must be >= 1")
+        return tuple.__new__(cls, knobs)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # Search used by :func:`ucsbound.optimizer.verify_reference_point` and

@@ -19,8 +19,7 @@ them as the oracle that re-evaluates every reported bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DegenerateDenominator
 from .scalars import (
@@ -41,8 +40,15 @@ __all__ = [
 MASS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ExtremeFamily:
+class _ExtremeFamily(NamedTuple):
+    a1: float
+    a2: float
+    t: float
+    b1: float
+    b2: float
+
+
+class ExtremeFamily(_ExtremeFamily):
     """Mixture of two symmetrised pair-blocks with marginal mean t.
 
     The low block puts mass 1/2 on each order of (a1, a2) and has block
@@ -51,18 +57,12 @@ class ExtremeFamily:
     marginal mean to exactly t; beta = 0 when a = t.
     """
 
-    a1: float
-    a2: float
-    t: float
-    b1: float
-    b2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_prob(self.a1, "a1")
-        require_prob(self.a2, "a2")
-        require_prob(self.t, "t")
-        require_prob(self.b1, "b1")
-        require_prob(self.b2, "b2")
+    def __new__(cls, *args, **kwargs) -> ExtremeFamily:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            require_prob(value, name)
         if self.a2 < self.a1:
             raise ValueError("need a1 <= a2")
         if self.b2 < self.b1:
@@ -71,6 +71,7 @@ class ExtremeFamily:
             raise ValueError(f"low-block mean {self.a_mean!r} exceeds target {self.t!r}")
         if self.b_mean <= self.t:
             raise ValueError(f"high-block mean {self.b_mean!r} must exceed target {self.t!r}")
+        return self
 
     @property
     def a_mean(self) -> float:

@@ -16,8 +16,7 @@ computes by the moment formula as an independent route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InfeasibleCorrelation, RankDeficient
 from .scalars import require_prob
@@ -33,8 +32,13 @@ __all__ = [
 _MASS_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class JointDist:
+class _JointDist(NamedTuple):
+    x_labels: tuple
+    y_labels: tuple
+    matrix: tuple
+
+
+class JointDist(_JointDist):
     """Joint distribution of two binary variables as a labelled 2x2 matrix.
 
     ``matrix[i][j]`` is P(X = x_labels[i], Y = y_labels[j]), stored as
@@ -43,21 +47,18 @@ class JointDist:
     the matrix) and sum to one.  Any other shape raises ``ValueError``.
     """
 
-    x_labels: tuple
-    y_labels: tuple
-    matrix: tuple = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, x_labels: tuple, y_labels: tuple, matrix) -> JointDist:
         try:
-            m = tuple(tuple(float(v) for v in row) for row in self.matrix)
+            m = tuple(tuple(float(v) for v in row) for row in matrix)
         except TypeError as exc:
             raise ValueError("joint matrix must be rows of numbers") from exc
-        object.__setattr__(self, "matrix", m)
         rows = [len(row) for row in m]
-        if rows != [2, 2] or len(self.x_labels) != 2 or len(self.y_labels) != 2:
+        if rows != [2, 2] or len(x_labels) != 2 or len(y_labels) != 2:
             raise ValueError(
                 f"need a 2x2 matrix and two labels per axis, got rows of {rows} "
-                f"and ({len(self.x_labels)}, {len(self.y_labels)}) labels"
+                f"and ({len(x_labels)}, {len(y_labels)}) labels"
             )
         cells = m[0] + m[1]
         if not all(map(math.isfinite, cells)):
@@ -67,6 +68,7 @@ class JointDist:
         total = sum(cells)
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"joint matrix must sum to 1, got {total!r}")
+        return tuple.__new__(cls, (x_labels, y_labels, m))
 
     def x_marginal(self) -> tuple[float, float]:
         (m00, m01), (m10, m11) = self.matrix

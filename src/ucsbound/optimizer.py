@@ -85,7 +85,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from typing import NamedTuple
 
 from .config import VERIFY_CONFIG, SearchConfig
 from .distributions import ExtremeFamily, entropy_ratio
@@ -149,18 +149,17 @@ _ROUND_TOL_FRACTION = 1e-2
 
 def _json(value):
     """``value`` as JSON data: a family as its ``argmin_dict``, any other
-    dataclass as a dict of its fields, a tuple as a list."""
+    record (a named tuple) as a dict of its fields, other tuples as lists."""
     if isinstance(value, ExtremeFamily):
         return value.argmin_dict()
-    if is_dataclass(value):
-        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "_asdict"):
+        return {k: _json(v) for k, v in value._asdict().items()}
     if isinstance(value, tuple):
         return [_json(v) for v in value]
     return value
 
 
-@dataclass(frozen=True)
-class InnerSearchReport:
+class InnerSearchReport(NamedTuple):
     """Result of one worst-case-ratio search at fixed (alpha, t)."""
 
     alpha: float
@@ -173,8 +172,7 @@ class InnerSearchReport:
         return _json(self)
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Best certificate over alpha, or at a pinned alpha, at one mean target t.
 
     ``alpha_gap`` is the maximum over alpha of the envelope of the
@@ -201,8 +199,7 @@ class BoundCertificate:
         return _json(self)
 
 
-@dataclass(frozen=True)
-class ThresholdCertificate:
+class ThresholdCertificate(NamedTuple):
     """Outcome of bisecting for the largest certifiable mean target."""
 
     t_certified: float

@@ -20,12 +20,12 @@ each divided by the family's size in the same pass
 each imports it in its own body; ``import ucsbound`` has already checked
 that it is installed.
 
-Input is validated where it enters: a :class:`FamilySet` checks its
-ground-set size and mask when built, and every public function checks
-its other arguments before use.  Closure works on masks
-(:func:`or_closure`): each generator is checked and folded into the
-mask, and one FamilySet is built for the result.  The checks over a
-whole enumeration, :func:`min_peak_frequency` and
+Input is validated where it enters: a :class:`FamilySet`, the named
+tuple (n, mask), checks both in ``__new__`` (``_replace`` and ``_make``
+skip it), and every public function checks its other arguments first.
+Closure works on masks (:func:`or_closure`): each generator is checked
+and folded into the mask, and one FamilySet is built for the result.
+The checks over a whole enumeration, :func:`min_peak_frequency` and
 :func:`check_entropy_inequality`, read the split's integer masks
 directly: a :class:`FamilySet` is built only for the witness.
 
@@ -43,8 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import DimensionTooLarge, NotClosed
 from .scalars import entropy_bits
@@ -121,37 +120,37 @@ def _enum_size(n) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class FamilySet:
+class _FamilySet(NamedTuple):
+    n: int
+    mask: int
+
+
+class FamilySet(_FamilySet):
     """A nonempty family of subsets of {0, ..., n-1}, as a member bitmask.
 
     Bit k of ``mask`` is set iff the subset with element-bitmask k
     belongs to the family.  Note the empty *set* (k = 0) is an ordinary
     member; only the empty *family* is forbidden.
 
-    Every construction validates: a plain ``int`` n in 1..5 and a plain
+    Building one validates: a plain ``int`` n in 1..5 and a plain
     ``int`` mask in [1, 2^(2^n)) pass one chained test, the case of every
     family the module builds; anything else (a bool, a numpy integer, a
     float, a value out of range) is converted to ``int`` or rejected
-    with ``ValueError`` naming the ground-set size or the mask.
+    with ``ValueError`` naming the ground-set size or the mask.  The
+    family is a named tuple ``(n, mask)``; its ``_replace`` and
+    ``_make`` skip the validation, so build a new FamilySet instead.
     """
 
-    n: int
-    mask: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n, mask = self.n, self.mask
-        if type(n) is int and type(mask) is int and 1 <= n <= 5 and 1 <= mask < 1 << (1 << n):
-            return
-        n = _ground_size(n)
-        if n is not self.n:  # a bool or a numpy int is kept as an int
-            object.__setattr__(self, "n", n)
-        if type(self.mask) is not int:  # likewise the mask; a float raises ValueError
-            object.__setattr__(self, "mask", _as_int(self.mask, "family mask"))
-        if not 1 <= self.mask < (1 << (1 << n)):
-            raise ValueError(
-                f"family mask must be in [1, 2^(2^{n})), got {self.mask!r}"
-            )
+    def __new__(cls, n: int, mask: int) -> FamilySet:
+        if not (type(n) is int and type(mask) is int and 1 <= n <= 5 and 1 <= mask < 1 << (1 << n)):
+            n = _ground_size(n)  # a bool or a numpy int is kept as an int
+            if type(mask) is not int:  # likewise the mask; a float raises ValueError
+                mask = _as_int(mask, "family mask")
+            if not 1 <= mask < (1 << (1 << n)):
+                raise ValueError(f"family mask must be in [1, 2^(2^{n})), got {mask!r}")
+        return tuple.__new__(cls, (n, mask))
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "FamilySet":
@@ -432,12 +431,12 @@ def _uniform_bits(k: int) -> float:
     return entropy_bits([1.0 / k] * k)
 
 
-@dataclass(frozen=True)
-class EntropyCheckReport:
+class EntropyCheckReport(NamedTuple):
     """Outcome of checking the coupling-entropy ceiling over families.
 
     Ratios are None when no family was checked.  ``h_star`` maps the
-    mask of each checked family to its H_star.
+    mask of each checked family to its H_star; each report has its own
+    dict, and the repr leaves it out.
     """
 
     n: int
@@ -446,7 +445,11 @@ class EntropyCheckReport:
     violations: tuple[str, ...]
     ratio_min: float | None
     ratio_max: float | None
-    h_star: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
+    h_star: dict[int, float]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:-1], self))
+        return f"EntropyCheckReport({fields})"
 
     @property
     def ok(self) -> bool:

@@ -111,6 +111,21 @@ class TestGammaHat:
         assert err.count("\n") == 1
         assert "3000000 points per axis" in err and "lower --grid" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gamma-hat", "--t", "0.38", "--grid", "1"], "grid_points_per_axis must be >= 2"),
+            (["gamma-hat", "--t", "0.38", "--multistart", "0"], "multistart_count must be >= 1"),
+            (["gamma-hat", "--t", "0.38", "--refine-rounds", "-1"], "refine_rounds must be >= 0"),
+            (["verify-paper", "--grid", "1"], "grid_points_per_axis must be >= 2"),
+        ],
+        ids=["grid", "multistart", "refine-rounds", "verify-grid"],
+    )
+    def test_knobs_out_of_range_exit_2(self, argv, message, capsys):
+        # The knobs are checked when the command line's SearchConfig is built.
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_stdout_report(self, capsys):
         rc = main(
             ["gamma-hat", "--t", "0.3", "--alpha", "0.035", *FAST_KNOBS, "--out", "-"]
@@ -255,8 +270,9 @@ class TestEnumerate:
 
     def test_nothing_checked_reports_none(self, tmp_path, monkeypatch):
         # Only single-member families, which the check skips.
-        singletons = [fam for fam in ucslab.enumerate_or_closed(2) if fam.size == 1]
-        monkeypatch.setattr(ucslab, "enumerate_or_closed", lambda n: singletons)
+        # enumerate reads the closed family masks, the empty family's 0 first.
+        singletons = [fam.mask for fam in ucslab.enumerate_or_closed(2) if fam.size == 1]
+        monkeypatch.setattr(ucslab, "_closed_masks", lambda n: [0, *singletons])
         out = tmp_path / "families.json"
         argv = ["enumerate", "--n", "2", "--check-entropy"]
         rc = main([*argv, "--out", str(out)])
@@ -556,6 +572,23 @@ class TestImport:
             rc, modules = run_python(code, cwd=tmp_path)[-2:]
             assert rc == "0", argv
             assert unloaded.isdisjoint(modules.split()), argv
+
+    def test_no_command_loads_dataclasses_or_inspect(self, tmp_path):
+        # The package's records are named tuples; dataclasses would load
+        # inspect, ast, dis and tokenize with it.
+        commands = [
+            ["verify-paper", "--strict"],
+            ["gamma-hat", "--t", "0.38234", "--alpha", "0.035"],
+            ["enumerate", "--n", "4", "--check-entropy", "--csv", "F"],
+            ["maxcorr", "--pq", "0.3", "0.4", "0.2"],
+        ]
+        loaded = "sorted({'dataclasses', 'inspect'} & set(sys.modules))"
+        code = f"import sys; from ucsbound.cli import main; print('=>', {loaded})"
+        for argv in commands:
+            code += f"; rc = main({argv!r}); print('=>', rc, {loaded})"
+        results = [line for line in run_python(code, cwd=tmp_path) if line.startswith("=>")]
+        assert results == ["=> []"] + ["=> 0 []"] * len(commands)
+        assert (tmp_path / "F").exists()
 
     def test_star_import_binds_every_exported_name(self):
         namespace = {}

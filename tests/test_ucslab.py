@@ -1,6 +1,5 @@
 """Enumeration lab: closures, frequencies, and the coupling-entropy ceiling."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -9,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from ucsbound.cli import _family_lines
+from ucsbound.cli import _family_lines, main
 from ucsbound.errors import DimensionTooLarge, NotClosed
 from ucsbound.ucslab import (
     EntropyCheckReport,
@@ -35,16 +34,16 @@ SEED = 31337
 
 
 @pytest.fixture
-def post_inits(monkeypatch):
+def constructions(monkeypatch):
     """One cell counting the FamilySets built while the test runs."""
     count = [0]
-    real = FamilySet.__post_init__
+    real = FamilySet.__new__
 
-    def counted(self):
+    def counted(cls, *args, **kwargs):
         count[0] += 1
-        real(self)
+        return real(cls, *args, **kwargs)
 
-    monkeypatch.setattr(FamilySet, "__post_init__", counted)
+    monkeypatch.setattr(FamilySet, "__new__", counted)
     return count
 
 
@@ -198,10 +197,10 @@ def as_plain(value):
     """The value with each family as (type of n, n, mask), for comparing results."""
     if isinstance(value, FamilySet):
         return type(value.n), value.n, value.mask
+    if isinstance(value, EntropyCheckReport):
+        return [getattr(value, name) for name in value._fields]
     if isinstance(value, (list, tuple)):
         return [as_plain(v) for v in value]
-    if isinstance(value, EntropyCheckReport):
-        return [getattr(value, f.name) for f in dataclasses.fields(value)]
     return value
 
 
@@ -356,7 +355,7 @@ class TestFrequencies:
     @staticmethod
     def check_against_member_loop(families):
         """Arrays match the member loop; peaks and CSV rows match the arrays bit for bit."""
-        rows = _family_lines(families, {})
+        rows = _family_lines(families[0].n, [fam.mask for fam in families], {})
         assert len(rows) == len(families)
         for fam, (p_a, line) in zip(families, rows):
             freqs = element_frequencies(fam)
@@ -478,9 +477,9 @@ class TestMinPeakFrequency:
         assert value.hex() == peak.hex()
         assert witness == FamilySet(n, mask)
 
-    def test_builds_the_witness_alone(self, post_inits):
+    def test_builds_the_witness_alone(self, constructions):
         min_peak_frequency(4)
-        assert post_inits == [1]
+        assert constructions == [1]
 
 
 class TestSampling:
@@ -557,6 +556,16 @@ class TestEntropyInequality:
         assert report.violations == ()
         assert 0 < report.ratio_min <= report.ratio_max
 
+    def test_reports_do_not_share_h_star(self):
+        # h_star is a required field: there is no default dict to share.
+        with pytest.raises(TypeError, match="h_star"):
+            EntropyCheckReport(2, 0, 0, (), None, None)
+        first, second = check_families(2, []), check_families(2, [])
+        assert first.h_star == {} and first.h_star is not second.h_star
+        first.h_star[3] = 1.0
+        assert second.h_star == {} and check_families(2, []).h_star == {}
+        assert "h_star" not in repr(check_entropy_inequality(2))
+
     def test_nothing_checked_reports_none(self):
         singletons = [fam for fam in enumerate_or_closed(2) if fam.size == 1]
         report = check_families(2, singletons)
@@ -574,9 +583,14 @@ class TestEntropyInequality:
         assert as_plain(from_masks) == as_plain(from_families)
         assert list(from_masks.h_star.items()) == list(from_families.h_star.items())
 
-    def test_builds_no_family(self, post_inits):
+    def test_builds_no_family(self, constructions):
         check_entropy_inequality(4)
-        assert post_inits == [0]
+        assert constructions == [0]
+
+    def test_enumerate_command_builds_no_family(self, constructions, tmp_path, capsys):
+        argv = ["enumerate", "--n", "4", "--check-entropy", "--csv", str(tmp_path / "f.csv")]
+        assert main(argv) == 0
+        assert constructions == [0]
 
     def test_open_family_raises(self):
         with pytest.raises(NotClosed, match="0x6"):
