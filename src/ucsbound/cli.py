@@ -182,28 +182,29 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 def _family_lines(n: int, masks: list[int], h_star: dict) -> list[tuple[float, str]]:
     """Each family mask's peak frequency and its CSV line, ended by CRLF.
 
-    H_star and ratio are empty cells for families not checked.  Only
-    the mask is unique to a family: a frequency is count / size, and
-    H_X, H_star and ratio depend on the size and H_star alone, so each
-    distinct cell is formatted once, by ``repr`` as ``csv`` would.  No
-    cell holds a comma, quote or line break, so none needs quoting.
+    ``h_star`` maps each checked family size to its H_star; H_star and
+    ratio are empty cells for families not checked.  Only the mask is
+    unique to a family: a frequency is count / size, and H_X, H_star and
+    ratio depend on the size alone, so each distinct cell is formatted
+    once, by ``repr`` as ``csv`` would.  No cell holds a comma, quote or
+    line break, so none needs quoting.
     """
     from .ucslab import _CONTAIN
 
     fractions: dict[int, list[str]] = {}
-    tails: dict[tuple[int, float | None], str] = {}
+    tails: dict[int, str] = {}
     out = []
     for mask in masks:
         size = mask.bit_count()
         cells = fractions.get(size)
         if cells is None:
             cells = fractions[size] = [repr(k / size) for k in range(size + 1)]
-        star = h_star.get(mask)
-        tail = tails.get((size, star))
+        tail = tails.get(size)
         if tail is None:
+            star = h_star.get(size)
             h_x = math.log2(size)
             tail = f"{h_x!r},," if star is None else f"{h_x!r},{star!r},{star / h_x!r}"
-            tails[size, star] = tail
+            tails[size] = tail
         counts = [(mask & c).bit_count() for c in _CONTAIN[n]]
         top = max(counts)
         freqs = ";".join([cells[k] for k in counts])
@@ -223,7 +224,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     check = _check(n, masks) if args.check_entropy else None
     if args.csv is not None:
-        rows = _family_lines(n, masks, {} if check is None else check.h_star)
+        rows = _family_lines(n, masks, {} if check is None else check.h_star_by_size)
         _atomic_write_text(args.csv, _CSV_HEADER + "".join([line for _, line in rows]))
         peaks = [p_a for p_a, _ in rows]
     else:

@@ -31,6 +31,7 @@ from .scalars import (
 
 __all__ = [
     "MASS_TOL",
+    "DENOM_FLOOR",
     "ExtremeFamily",
     "mixed_or_entropy",
     "entropy_ratio",
@@ -38,6 +39,8 @@ __all__ = [
 
 # Total mass must equal one to within this.
 MASS_TOL = 1e-9
+# A marginal mean entropy at or below this is numerically zero.
+DENOM_FLOOR = 1e-14
 
 
 class _ExtremeFamily(NamedTuple):
@@ -161,7 +164,7 @@ def entropy_ratio(family: ExtremeFamily, alpha: float) -> float:
     """
     atoms = family.atoms()
     denom = sum(0.5 * m * (binary_entropy(x) + binary_entropy(y)) for x, y, m in atoms)
-    if denom <= 1e-14:
+    if denom <= DENOM_FLOOR:
         raise DegenerateDenominator(
             f"marginal mean entropy {denom!r} is numerically zero"
         )

@@ -88,7 +88,7 @@ import time
 from typing import NamedTuple
 
 from .config import VERIFY_CONFIG, SearchConfig
-from .distributions import ExtremeFamily, entropy_ratio
+from .distributions import DENOM_FLOOR, ExtremeFamily, entropy_ratio
 from .errors import (
     BracketFailure,
     DegenerateDenominator,
@@ -131,7 +131,6 @@ BASELINE_THRESHOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(math.ulp(1.0))
-_DENOM_FLOOR = 1e-14
 # The search over alpha stops once the envelope of the lines it found
 # peaks within _ALPHA_GAP_TOL of its best value, once its bracket is
 # narrower than _ALPHA_REFINE_TOL, or after _ALPHA_MAX_SEARCHES tried
@@ -310,12 +309,12 @@ class _FaceSearch:
             for j, high in columns:
                 denom, ind, cor = self._terms(low, high)
                 # Only a = 0 with b1 = 0 or 1 carries no entropy.
-                if denom > _DENOM_FLOOR:
+                if denom > DENOM_FLOOR:
                     self._cells.append((ind / denom, cor / denom, low[0], high[0], i, j))
         if not self._cells:
             raise DegenerateDenominator(
                 f"at t={t!r} no seed cell has an entropy denominator above "
-                f"{_DENOM_FLOOR!r}; t is too small to search"
+                f"{DENOM_FLOOR!r}; t is too small to search"
             )
 
     @staticmethod
@@ -391,7 +390,7 @@ class _FaceSearch:
         def objective(u: float) -> float:
             self.evaluations += 1
             denom, ind, cor = self._terms(*point(u))
-            if denom <= _DENOM_FLOOR:
+            if denom <= DENOM_FLOOR:
                 return math.inf
             return ((1.0 - alpha) * ind + alpha * cor) / denom
 
@@ -402,23 +401,10 @@ class _FaceSearch:
         top = self.t if ci == 0 else 1.0
         return max(0.0, x[ci] - width), min(top, x[ci] + width)
 
-    def _round(
-        self, alpha: float, best: float, x: list, window: float, tol: float
-    ) -> tuple[float, list]:
-        """One refinement round from x, of value ``best``: a line search per
-        coordinate.  x is moved in place."""
-        for ci in range(2):
-            lo, hi = self._window(x, ci, window)
-            # Start at the window centre, whose value is already known.
-            v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, tol, (x[ci], best))
-            if fv < best:
-                x[ci] = v
-                best = fv
-        return best, x
-
     def _refine(self, alpha: float, points: list) -> tuple[float, list]:
-        """The lowest point reached by refining each of ``points`` in turn
-        through every round, with a window that shrinks by 0.35 a round."""
+        """The lowest point reached by refining each of ``points`` in turn:
+        a round is a line search per coordinate, kept only if lower, in a
+        window that shrinks by 0.35 a round.  Points move in place."""
         cfg = self.config
         ends = []
         for x in points:
@@ -427,7 +413,13 @@ class _FaceSearch:
             for r in range(cfg.refine_rounds):
                 last = r == cfg.refine_rounds - 1
                 tol = _PARAM_TOL if last else max(_PARAM_TOL, _ROUND_TOL_FRACTION * window)
-                best, x = self._round(alpha, best, x, window, tol)
+                for ci in range(2):
+                    lo, hi = self._window(x, ci, window)
+                    # Start at the window centre, whose value is already known.
+                    v, fv = _brent_min(self._line(x, ci, alpha), lo, hi, tol, (x[ci], best))
+                    if fv < best:
+                        x[ci] = v
+                        best = fv
                 window *= 0.35
             ends.append((best, x))
         return min(ends)
@@ -594,9 +586,10 @@ def _alpha_one_family(t: float) -> ExtremeFamily:
     The denominator is t h(b1) / (1 + b1), largest at the golden point
     b1 = (3 - sqrt 5) / 2, where it is t log2 of the golden ratio,
     ~0.694 t.  Brent's method starts there and scores a family whose
-    denominator is not above the oracle's 1e-14 floor as +inf, so it
-    ends on a family the oracle can score unless there is none: then,
-    for t up to ~1.44e-14, it raises :class:`DegenerateDenominator`.
+    denominator is not above the oracle's ``DENOM_FLOOR`` (1e-14) as
+    +inf, so it ends on a family the oracle can score unless there is
+    none: then, for t up to ~1.44e-14, it raises
+    :class:`DegenerateDenominator`.
     """
 
     def ratio_at_zero(b1: float) -> float:
@@ -609,7 +602,7 @@ def _alpha_one_family(t: float) -> ExtremeFamily:
     if value == math.inf:
         raise DegenerateDenominator(
             f"at t={t!r} no family (0, 0; b1, 1) has an entropy denominator "
-            f"above {_DENOM_FLOOR!r}; t is too small to search"
+            f"above {DENOM_FLOOR!r}; t is too small to search"
         )
     return ExtremeFamily(0.0, 0.0, t, b1, 1.0)
 

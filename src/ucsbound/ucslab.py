@@ -13,8 +13,8 @@ at most 3 elements with its stabiliser, so :func:`is_or_closed` is a
 lookup or three for n <= 4, and enumeration pairs closed halves from
 that table: it never meets the 2^(2^n) - 1 family masks one by one.
 Element frequencies are popcounts of the family mask against, per
-element, the mask of every set containing it (:func:`element_counts`),
-each divided by the family's size in the same pass
+element, the mask of every set containing it, each divided by the
+family's size in the same pass
 (:func:`frequency_list`, :func:`element_frequencies`).  Only
 :func:`element_frequencies` and :func:`sample_or_closed` use numpy, and
 each imports it in its own body; ``import ucsbound`` has already checked
@@ -34,13 +34,15 @@ coupling-entropy ceiling H(X OR Y) <= log2 |A| over symmetric couplings
 of two uniform copies of a family.  Its maximum is known exactly: the
 identity coupling Y = X attains it.  The check evaluates that coupling
 directly, so it is exact by construction.  The value depends on the
-family's size alone, so it is computed once per size, and the check
-skips only the families of fewer than two members.
+family's size alone, so the check runs once per family size that occurs
+and skips only the families of fewer than two members.  Closure is
+proved where families enter (:func:`check_families`,
+:func:`max_symmetric_coupling_entropy`); enumerated and sampled masks
+are closed by construction and are not proved again.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
@@ -57,7 +59,6 @@ __all__ = [
     "EntropyCheckReport",
     "is_or_closed",
     "or_closure",
-    "element_counts",
     "frequency_list",
     "element_frequencies",
     "peak_frequency",
@@ -284,16 +285,6 @@ def or_closure(n: int, generators: Iterable[int]) -> FamilySet:
     return FamilySet(n, mask)
 
 
-def element_counts(family: FamilySet) -> list[int]:
-    """Number of members containing each ground element, as n ints.
-
-    The members containing element e are the family mask's bits within
-    ``_CONTAIN[n][e]``, so each count is one popcount.
-    """
-    mask = family.mask
-    return [(mask & c).bit_count() for c in _CONTAIN[family.n]]
-
-
 def frequency_list(family: FamilySet) -> list[float]:
     """Fraction of members containing each ground element, as n floats."""
     mask = family.mask
@@ -412,31 +403,22 @@ def max_symmetric_coupling_entropy(family: FamilySet) -> float:
 
     Raises :class:`NotClosed` unless the family is closed under OR.
     """
-    return _coupling_entropy(family.n, family.mask)
+    if not _is_closed(family.n, family.mask):
+        raise NotClosed(f"family {family.mask:#x} is not closed under OR")
+    return _uniform_bits(family.mask.bit_count())
 
 
-def _coupling_entropy(n: int, mask: int) -> float:
-    """:func:`max_symmetric_coupling_entropy` of a family mask on n elements."""
-    if not _is_closed(n, mask):
-        raise NotClosed(f"family {mask:#x} is not closed under OR")
-    return _uniform_bits(mask.bit_count())
-
-
-@functools.cache
 def _uniform_bits(k: int) -> float:
-    """Entropy in bits of the uniform distribution on k outcomes.
-
-    A family has at most 2^5 members, so the cache holds at most 32 values.
-    """
+    """Entropy in bits of the uniform distribution on k outcomes."""
     return entropy_bits([1.0 / k] * k)
 
 
 class EntropyCheckReport(NamedTuple):
     """Outcome of checking the coupling-entropy ceiling over families.
 
-    Ratios are None when no family was checked.  ``h_star`` maps the
-    mask of each checked family to its H_star; each report has its own
-    dict, and the repr leaves it out.
+    Ratios are None when no family was checked.  ``h_star_by_size`` maps
+    the size of each checked family to its H_star; each report has its
+    own dict.
     """
 
     n: int
@@ -445,11 +427,7 @@ class EntropyCheckReport(NamedTuple):
     violations: tuple[str, ...]
     ratio_min: float | None
     ratio_max: float | None
-    h_star: dict[int, float]
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:-1], self))
-        return f"EntropyCheckReport({fields})"
+    h_star_by_size: dict[int, float]
 
     @property
     def ok(self) -> bool:
@@ -460,31 +438,29 @@ class EntropyCheckReport(NamedTuple):
 _CEILING_TOL = 1e-6
 
 
-def _check(n: int, masks: Iterable[int]) -> EntropyCheckReport:
-    """:func:`check_families` over family masks on n elements."""
-    h_star: dict[int, float] = {}
-    skipped = 0
-    violations: list[str] = []
-    ratios: list[float] = []
+def _check(n: int, masks: list[int]) -> EntropyCheckReport:
+    """:func:`check_families` over closed family masks on n elements, one
+    family size at a time: H_star and the ceiling depend on the size alone."""
+    counts = [0] * ((1 << n) + 1)
     for mask in masks:
-        size = mask.bit_count()
-        if size < 2:
-            skipped += 1
-            continue
-        value = _coupling_entropy(n, mask)
-        h_star[mask] = value
+        counts[mask.bit_count()] += 1
+    h_star = {size: _uniform_bits(size) for size in range(2, len(counts)) if counts[size]}
+    ratios: list[float] = []
+    over: dict[int, str] = {}  # the message of each size over the ceiling
+    for size, value in h_star.items():
         ceiling = math.log2(size)
         if value > ceiling + _CEILING_TOL:
-            violations.append(f"{mask:#x}: H_star={value!r} exceeds log2|A|={ceiling!r}")
+            over[size] = f"H_star={value!r} exceeds log2|A|={ceiling!r}"
         ratios.append(value / ceiling)
+    over_masks = [mask for mask in masks if mask.bit_count() in over] if over else []
     return EntropyCheckReport(
         n=n,
-        checked=len(ratios),
-        skipped=skipped,
-        violations=tuple(violations),
+        checked=sum(counts[2:]),
+        skipped=counts[0] + counts[1],
+        violations=tuple([f"{mask:#x}: {over[mask.bit_count()]}" for mask in over_masks]),
         ratio_min=min(ratios, default=None),
         ratio_max=max(ratios, default=None),
-        h_star=h_star,
+        h_star_by_size=h_star,
     )
 
 
@@ -492,20 +468,21 @@ def check_families(n: int, families: Iterable[FamilySet]) -> EntropyCheckReport:
     """Check H_star <= log2 |A| + 1e-6 over the given families.
 
     H_star is :func:`max_symmetric_coupling_entropy` of each checked
-    family, read from its mask.  Families with fewer than two members
+    family, read from its size.  Families with fewer than two members
     are skipped.  The reported ratios are H_star / log2 |A|; they sit at
     1 up to rounding.  Raises ``ValueError`` unless n is a ground-set
-    size in 1..5, or on a family over another ground-set size than n.
+    size in 1..5; as each family is read, ``ValueError`` if it is over
+    another ground-set size than n, :class:`NotClosed` if it is open.
     """
     n = _ground_size(n)
-
-    def masks() -> Iterator[int]:
-        for fam in families:
-            if fam.n != n:
-                raise ValueError(f"check_families on n = {n} got a family on n = {fam.n}")
-            yield fam.mask
-
-    return _check(n, masks())
+    masks: list[int] = []
+    for fam in families:
+        if fam.n != n:
+            raise ValueError(f"check_families on n = {n} got a family on n = {fam.n}")
+        if not _is_closed(n, fam.mask):
+            raise NotClosed(f"family {fam.mask:#x} is not closed under OR")
+        masks.append(fam.mask)
+    return _check(n, masks)
 
 
 def check_entropy_inequality(n: int) -> EntropyCheckReport:

@@ -579,6 +579,7 @@ class TestImport:
         commands = [
             ["verify-paper", "--strict"],
             ["gamma-hat", "--t", "0.38234", "--alpha", "0.035"],
+            ["gamma-hat", "--t", "0.38234"],
             ["enumerate", "--n", "4", "--check-entropy", "--csv", "F"],
             ["maxcorr", "--pq", "0.3", "0.4", "0.2"],
         ]

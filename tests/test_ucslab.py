@@ -8,8 +8,10 @@ import time
 import numpy as np
 import pytest
 
+from ucsbound import ucslab
 from ucsbound.cli import _family_lines, main
 from ucsbound.errors import DimensionTooLarge, NotClosed
+from ucsbound.scalars import entropy_bits
 from ucsbound.ucslab import (
     EntropyCheckReport,
     FamilySet,
@@ -557,14 +559,15 @@ class TestEntropyInequality:
         assert 0 < report.ratio_min <= report.ratio_max
 
     def test_reports_do_not_share_h_star(self):
-        # h_star is a required field: there is no default dict to share.
-        with pytest.raises(TypeError, match="h_star"):
+        # h_star_by_size is a required field: there is no default dict to share.
+        with pytest.raises(TypeError, match="h_star_by_size"):
             EntropyCheckReport(2, 0, 0, (), None, None)
         first, second = check_families(2, []), check_families(2, [])
-        assert first.h_star == {} and first.h_star is not second.h_star
-        first.h_star[3] = 1.0
-        assert second.h_star == {} and check_families(2, []).h_star == {}
-        assert "h_star" not in repr(check_entropy_inequality(2))
+        assert first.h_star_by_size == {} and first.h_star_by_size is not second.h_star_by_size
+        first.h_star_by_size[3] = 1.0
+        assert second.h_star_by_size == {} and check_families(2, []).h_star_by_size == {}
+        full, again = check_entropy_inequality(2), check_entropy_inequality(2)
+        assert full.h_star_by_size is not again.h_star_by_size
 
     def test_nothing_checked_reports_none(self):
         singletons = [fam for fam in enumerate_or_closed(2) if fam.size == 1]
@@ -581,7 +584,7 @@ class TestEntropyInequality:
         from_masks = check_entropy_inequality(n)
         from_families = check_families(n, list(enumerate_or_closed(n)))
         assert as_plain(from_masks) == as_plain(from_families)
-        assert list(from_masks.h_star.items()) == list(from_families.h_star.items())
+        assert list(from_masks.h_star_by_size.items()) == list(from_families.h_star_by_size.items())
 
     def test_builds_no_family(self, constructions):
         check_entropy_inequality(4)
@@ -618,11 +621,47 @@ class TestEntropyInequality:
         families = sample_or_closed(4, 20, seed=5)
         report = check_families(4, families)
         checked = [f for f in families if f.size >= 2]
-        assert set(report.h_star) == {f.mask for f in checked}
+        assert set(report.h_star_by_size) == {f.size for f in checked}
         assert report.checked == len(checked)
         assert report.skipped == len(families) - len(checked)
         for fam in checked:
-            assert report.h_star[fam.mask] == max_symmetric_coupling_entropy(fam)
+            assert report.h_star_by_size[fam.size] == max_symmetric_coupling_entropy(fam)
+
+    def test_a_size_over_the_ceiling_lists_each_of_its_families(self, monkeypatch):
+        exact = ucslab._uniform_bits
+        monkeypatch.setattr(ucslab, "_uniform_bits", lambda k: exact(k) + (1e-3 if k == 3 else 0.0))
+        report = check_entropy_inequality(2)
+        value, ceiling = exact(3) + 1e-3, math.log2(3)
+        threes = sorted(fam.mask for fam in enumerate_or_closed(2) if fam.size == 3)
+        assert threes == [0xb, 0xd, 0xe]
+        assert report.violations == tuple(
+            f"{mask:#x}: H_star={value!r} exceeds log2|A|={ceiling!r}" for mask in threes
+        )
+        assert not report.ok
+        assert (report.checked, report.skipped) == (9, 4)
+
+    def test_matches_the_per_family_loop(self):
+        def per_family(masks):
+            # The check as one loop over the families, each scored alone.
+            skipped, violations, ratios = 0, [], []
+            for mask in masks:
+                size = mask.bit_count()
+                if size < 2:
+                    skipped += 1
+                    continue
+                value, ceiling = entropy_bits([1.0 / size] * size), math.log2(size)
+                if value > ceiling + 1e-6:
+                    violations.append(f"{mask:#x}: H_star={value!r} exceeds log2|A|={ceiling!r}")
+                ratios.append(value / ceiling)
+            low, high = min(ratios, default=None), max(ratios, default=None)
+            return len(ratios), skipped, tuple(violations), low, high
+
+        cases = [(n, _closed_masks(n)[1:]) for n in range(1, 5)]
+        cases.append((5, [fam.mask for fam in sample_or_closed(5, 2000, 7)]))
+        for n, masks in cases:
+            report = _check(n, masks)
+            counts = report.checked, report.skipped, report.violations
+            assert (*counts, report.ratio_min, report.ratio_max) == per_family(masks), n
 
     def test_ceiling_is_reached_on_n4(self):
         report = check_entropy_inequality(4)
