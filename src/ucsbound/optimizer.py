@@ -38,7 +38,13 @@ Search scheme
    a = t sin^2(pi k / 2g) for k < g, so a = 0 is in and a = t, a row
    of copies of the point mass, is not; b1 = sin^2(pi k / 2(g - 1)).
    A cell's ind/denom and cor/denom do not depend on alpha, so they
-   are kept, and a scan at a new alpha costs one blend per cell;
+   are kept, as columns in scan order.  Each run of 8 consecutive
+   cells keeps its least ind/denom and least cor/denom, whose blend
+   bounds every blend in the run from below.  A scan at a new alpha
+   visits the runs by increasing bound and stops at the first whose
+   bound is above the k-th lowest blend so far, so it blends only the
+   cells of runs that can hold one of the k lowest: a median of ~90
+   of the 4,094 cells at the default settings;
 2. of the ``multistart_count`` lowest cells, each with no lower
    8-neighbour on the seed grid starts a cyclic per-coordinate Brent
    line search with a shrinking trust window, clipped to the face at
@@ -82,6 +88,7 @@ t = 0.33, 0.36, 0.42 and 0.49.  :func:`find_tmax` bisects over t.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import time
@@ -144,6 +151,8 @@ _ALPHA_MAX_SEARCHES = 16
 # _ROUND_TOL_FRACTION of its own window.
 _PARAM_TOL = 1e-10
 _ROUND_TOL_FRACTION = 1e-2
+# Seed cells per run of the scan's bound (see _FaceSearch._candidates).
+_RUN = 8
 
 
 def _json(value):
@@ -290,8 +299,9 @@ class _FaceSearch:
     """Seed scan and refinement on the face (a, a; b1, 1), bound to one (t, config).
 
     A point is the list [a, b1].  The seed cells keep their
-    alpha-independent ind/denom and cor/denom, so a search over alpha
-    re-scans them at one blend per cell.
+    alpha-independent ind/denom and cor/denom in columns, and each run
+    of ``_RUN`` cells keeps the least of each, so a search over alpha
+    re-scans only the runs whose bound can reach the lowest cells.
     """
 
     def __init__(self, t: float, config: SearchConfig):
@@ -301,21 +311,32 @@ class _FaceSearch:
         g = config.grid_points_per_axis
         lows = [self._low(t * math.sin(0.5 * math.pi * k / g) ** 2) for k in range(g)]
         highs = [self._high(math.sin(0.5 * math.pi * k / (g - 1)) ** 2) for k in range(g)]
-        # A cell is (ind/denom, cor/denom, a, b1, i, j), (i, j) its place
-        # on the grid; the column indices are shared by every row.
-        columns = list(enumerate(highs))
-        self._cells = []
+        self._a_axis = [low[0] for low in lows]
+        self._b1_axis = [high[0] for high in highs]
+        # The seed cells as columns in scan order: ind/denom, cor/denom
+        # and the grid place i * g + j of a = a_axis[i], b1 = b1_axis[j].
+        ind_col, cor_col, places = [], [], []
         for i, low in enumerate(lows):
-            for j, high in columns:
+            for j, high in enumerate(highs):
                 denom, ind, cor = self._terms(low, high)
                 # Only a = 0 with b1 = 0 or 1 carries no entropy.
                 if denom > DENOM_FLOOR:
-                    self._cells.append((ind / denom, cor / denom, low[0], high[0], i, j))
-        if not self._cells:
+                    ind_col.append(ind / denom)
+                    cor_col.append(cor / denom)
+                    places.append(i * g + j)
+        if not places:
             raise DegenerateDenominator(
                 f"at t={t!r} no seed cell has an entropy denominator above "
                 f"{DENOM_FLOOR!r}; t is too small to search"
             )
+        self._ind, self._cor, self._place = ind_col, cor_col, places
+        # Each run of _RUN consecutive cells, by its first scan index,
+        # keeps its least ind/denom and least cor/denom, from which a scan
+        # bounds the run's blends.
+        self._runs = [
+            (min(ind_col[s : s + _RUN]), min(cor_col[s : s + _RUN]), s)
+            for s in range(0, len(places), _RUN)
+        ]
 
     @staticmethod
     def _low(a: float) -> tuple[float, float, float, float]:
@@ -349,21 +370,41 @@ class _FaceSearch:
         """The seed cells, as [a, b1], among the ``multistart_count`` lowest
         that have no lower 8-neighbour on the grid, ties in scan order.
 
+        Runs are visited in increasing order of their bound
+        (1 - alpha) min ind + alpha min cor.  Rounding is monotone, so no
+        blend in a run is below its bound, and the scan stops at the
+        first run whose bound is above the k-th lowest blend so far: no
+        cell of it or of a later run can displace one.  Only the blends
+        of visited runs are computed and counted.
+
         A lower neighbour of one of the lowest cells is one of them too,
         so the test needs no other cell.  The lowest cell always passes.
         """
-        self.evaluations += len(self._cells)
-
-        def blend(cell):
-            return (1.0 - alpha) * cell[0] + alpha * cell[1]
-
-        best = heapq.nsmallest(self.config.multistart_count, self._cells, key=blend)
-        value = {cell[4:]: blend(cell) for cell in best}
+        w = 1.0 - alpha
+        k = self.config.multistart_count
+        ind, cor = self._ind, self._cor
+        runs = [(w * lo_ind + alpha * lo_cor, start) for lo_ind, lo_cor, start in self._runs]
+        heapq.heapify(runs)
+        # The k lowest (blend, scan index) so far, in order.
+        best = []
+        while runs:
+            bound, start = heapq.heappop(runs)
+            if len(best) == k and bound > best[-1][0]:
+                break
+            cells = range(start, min(start + _RUN, len(ind)))
+            self.evaluations += len(cells)
+            for c in cells:
+                entry = (w * ind[c] + alpha * cor[c], c)
+                if len(best) < k or entry < best[-1]:
+                    bisect.insort(best, entry)
+                    del best[k:]
+        g = self.config.grid_points_per_axis
+        value = {divmod(self._place[c], g): v for v, c in best}
         return [
-            [a, b1]
-            for _, _, a, b1, i, j in best
+            [self._a_axis[i], self._b1_axis[j]]
+            for (i, j), v in value.items()
             if not any(
-                value.get((i + di, j + dj), math.inf) < value[i, j]
+                value.get((i + di, j + dj), math.inf) < v
                 for di in (-1, 0, 1)
                 for dj in (-1, 0, 1)
             )

@@ -210,12 +210,44 @@ class TestLineObjective:
         line(2.0)
         assert face.evaluations == 2
         face._candidates(0.035)
-        # Every seed cell but the two of a = 0 with b1 = 0 or 1.
-        assert face.evaluations == 2 + 32 * 32 - 2
+        # Five runs of 8 of the 1,022 live seed cells reach the 8 lowest.
+        assert face.evaluations == 2 + 40
+
+    def test_rescan_blends_under_a_tenth_of_the_cells(self):
+        face = _FaceSearch(0.38234, SearchConfig())
+        face._candidates(0.035)
+        assert len(face._ind) == 64 * 64 - 2
+        assert face.evaluations < 410
 
 
 def sin2_axis(top, g, steps):
     return [top * math.sin(0.5 * math.pi * k / steps) ** 2 for k in range(g)]
+
+
+def lowest_cells(face, alpha):
+    """Scan indices of the ``multistart_count`` lowest seed cells, every
+    cell blended and ranked, ties in scan order."""
+    blend = [(1.0 - alpha) * ind + alpha * cor for ind, cor in zip(face._ind, face._cor)]
+    return heapq.nsmallest(face.config.multistart_count, range(len(blend)), key=blend.__getitem__)
+
+
+def exhaustive_candidates(face, alpha):
+    """``_FaceSearch._candidates`` with no bound: the lowest cells of every
+    cell, less each with a lower 8-neighbour on the grid."""
+    g = face.config.grid_points_per_axis
+    value = {
+        divmod(face._place[c], g): (1.0 - alpha) * face._ind[c] + alpha * face._cor[c]
+        for c in lowest_cells(face, alpha)
+    }
+    return [
+        [face._a_axis[i], face._b1_axis[j]]
+        for (i, j), v in value.items()
+        if not any(
+            value.get((i + di, j + dj), math.inf) < v
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+        )
+    ]
 
 
 class TestSeedScan:
@@ -257,15 +289,70 @@ class TestSeedScan:
 
     def test_axis_has_a_zero_and_leaves_out_the_point_mass(self):
         t = 0.3
-        cells = _FaceSearch(t, FAST)._cells
-        a_values = {a for _, _, a, _, _, _ in cells}
+        g = FAST.grid_points_per_axis
+        face = _FaceSearch(t, FAST)
+        places = [divmod(place, g) for place in face._place]
+        a_values = {face._a_axis[i] for i, _ in places}
         assert min(a_values) == 0.0 and max(a_values) < t
-        assert len(a_values) == FAST.grid_points_per_axis
-        # Each cell's grid indices name its place on the two axes.
-        row = {i: a for _, _, a, _, i, _ in cells}
-        column = {j: b1 for _, _, _, b1, _, j in cells}
-        assert all((row[i], column[j]) == (a, b1) for _, _, a, b1, i, j in cells)
-        assert sorted(row.values()) == sorted(a_values)
+        assert len(a_values) == g
+        # Each cell's grid place names its values on the two sin^2 axes;
+        # the cells are the grid in scan order but for a = 0 with b1 = 0 or 1.
+        assert face._a_axis == sin2_axis(t, g, g)
+        assert face._b1_axis == sin2_axis(1.0, g, g - 1)
+        assert places == [(i, j) for i in range(g) for j in range(g) if i or 0 < j < g - 1]
+        assert len(face._ind) == len(face._cor) == len(places)
+        assert sorted(face._a_axis) == sorted(a_values)
+
+    @pytest.mark.parametrize(
+        "config",
+        [SearchConfig(), FAST, SearchConfig(12, 1, 2), SearchConfig(2, 0, 10)],
+        ids=["default", "fast", "12-1-2", "2-0-10"],
+    )
+    def test_bounded_scan_equals_the_exhaustive_one(self, config):
+        # The scan blends exactly the runs whose bound is not above the
+        # k-th lowest blend: those that can hold one of the lowest cells.
+        # At (2, 0, 10) only 2 cells are live, fewer than the 10 asked
+        # for, so every run is blended.
+        for t in (1e-3, 0.05, 0.2, 0.3, 0.33, 0.375, 0.38234, 0.42, 0.49):
+            face = _FaceSearch(t, config)
+            n = len(face._ind)
+            runs = [range(s, min(s + optimizer._RUN, n)) for s in range(0, n, optimizer._RUN)]
+            for alpha in (0.0, 0.035, 0.3, 1.0):
+                before = face.evaluations
+                assert face._candidates(alpha) == exhaustive_candidates(face, alpha), (t, alpha)
+                w = 1.0 - alpha
+                blends = sorted(w * ind + alpha * cor for ind, cor in zip(face._ind, face._cor))
+                k = config.multistart_count
+                cut = blends[k - 1] if n >= k else math.inf
+                reach = [
+                    run
+                    for run in runs
+                    if w * min(face._ind[c] for c in run) + alpha * min(face._cor[c] for c in run)
+                    <= cut
+                ]
+                assert face.evaluations - before == sum(map(len, reach)), (t, alpha)
+
+    def test_tie_at_the_cut_falls_to_the_earlier_run(self, monkeypatch):
+        # Every cell has denominator 1, so scan index = grid place, and at
+        # alpha = 0 its blend is its ind.  The 2nd lowest blend, 0.5, is
+        # shared by cell 18 in run 2 and cell 9 in run 1; run 2 (bound
+        # 0.25) is visited first, and run 1's bound equals the cut, so run
+        # 1 must be blended too for the earlier cell to win the tie.
+        t, config = 0.3, SearchConfig(12, 1, 2)
+        g = config.grid_points_per_axis
+        a_axis, b1_axis = sin2_axis(t, g, g), sin2_axis(1.0, g, g - 1)
+        patched = {17: 0.25, 18: 0.5, 9: 0.5}
+
+        def terms(self, low, high):
+            c = a_axis.index(low[0]) * g + b1_axis.index(high[0])
+            return 1.0, patched.get(c, 2.0 + c), 0.0
+
+        monkeypatch.setattr(_FaceSearch, "_terms", terms)
+        face = _FaceSearch(t, config)
+        got = face._candidates(0.0)
+        assert got == exhaustive_candidates(face, 0.0)
+        assert got == [[a_axis[1], b1_axis[5]], [a_axis[0], b1_axis[9]]]
+        assert face.evaluations == 16
 
 
 class TestBrentMin:
@@ -639,12 +726,9 @@ def refine_the_lowest_cells(face, alpha):
     ``_polish`` from every one of the ``multistart_count`` lowest seed
     cells, then the search's reference scoring, the point mass at t
     included."""
-    lowest = heapq.nsmallest(
-        face.config.multistart_count,
-        face._cells,
-        key=lambda cell: (1.0 - alpha) * cell[0] + alpha * cell[1],
-    )
-    best = face._refine(alpha, [[a, b1] for _, _, a, b1, _, _ in lowest])
+    g = face.config.grid_points_per_axis
+    places = (divmod(face._place[c], g) for c in lowest_cells(face, alpha))
+    best = face._refine(alpha, [[face._a_axis[i], face._b1_axis[j]] for i, j in places])
     _, (a, b1) = face._polish(alpha, *best)
     t = face.t
     return min(
