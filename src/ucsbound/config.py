@@ -14,7 +14,7 @@ from .errors import GridTooLarge
 
 __all__ = ["SearchConfig", "VERIFY_CONFIG"]
 
-# Largest seed scan: a cell costs about 1.5 microseconds and 110 bytes.
+# Largest seed scan: a cell costs about 1.2 microseconds and 110 bytes.
 _MAX_SEED_CELLS = 1 << 20
 
 

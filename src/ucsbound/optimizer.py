@@ -38,13 +38,17 @@ Search scheme
    a = t sin^2(pi k / 2g) for k < g, so a = 0 is in and a = t, a row
    of copies of the point mass, is not; b1 = sin^2(pi k / 2(g - 1)).
    A cell's ind/denom and cor/denom do not depend on alpha, so they
-   are kept, as columns in scan order.  Each run of 8 consecutive
-   cells keeps its least ind/denom and least cor/denom, whose blend
-   bounds every blend in the run from below.  A scan at a new alpha
-   visits the runs by increasing bound and stops at the first whose
-   bound is above the k-th lowest blend so far, so it blends only the
-   cells of runs that can hold one of the k lowest: a median of ~90
-   of the 4,094 cells at the default settings;
+   are kept, as columns in scan order.  They are built a row of a at
+   a time from the formula above (``_seed_cells``), which the line
+   objective (``_line``) writes out again in the same float
+   operations; the tests hold the two to the same bits on every
+   cell.  Each run of 8 consecutive cells keeps its least ind/denom
+   and least cor/denom, whose blend bounds every blend in the run
+   from below.  A scan at a new alpha visits the runs by increasing
+   bound and stops at the first whose bound is above the k-th lowest
+   blend so far, so it blends only the cells of runs that can hold one
+   of the k lowest: a median of ~90 of the 4,094 cells at the default
+   settings;
 2. of the ``multistart_count`` lowest cells, each with no lower
    8-neighbour on the seed grid starts a cyclic per-coordinate Brent
    line search with a shrinking trust window, clipped to the face at
@@ -102,7 +106,7 @@ from .errors import (
     EmptyFeasible,
     VerificationFailed,
 )
-from .scalars import binary_entropy, max_entropy_or_prob_fullcorr, require_prob
+from .scalars import _LN2, binary_entropy, max_entropy_or_prob_fullcorr, require_prob
 
 __all__ = [
     "SearchConfig",
@@ -309,60 +313,56 @@ class _FaceSearch:
         self.config = config
         self.evaluations = 0
         g = config.grid_points_per_axis
-        lows = [self._low(t * math.sin(0.5 * math.pi * k / g) ** 2) for k in range(g)]
-        highs = [self._high(math.sin(0.5 * math.pi * k / (g - 1)) ** 2) for k in range(g)]
-        self._a_axis = [low[0] for low in lows]
-        self._b1_axis = [high[0] for high in highs]
-        # The seed cells as columns in scan order: ind/denom, cor/denom
-        # and the grid place i * g + j of a = a_axis[i], b1 = b1_axis[j].
-        ind_col, cor_col, places = [], [], []
-        for i, low in enumerate(lows):
-            for j, high in enumerate(highs):
-                denom, ind, cor = self._terms(low, high)
-                # Only a = 0 with b1 = 0 or 1 carries no entropy.
-                if denom > DENOM_FLOOR:
-                    ind_col.append(ind / denom)
-                    cor_col.append(cor / denom)
-                    places.append(i * g + j)
-        if not places:
+        self._a_axis = [t * math.sin(0.5 * math.pi * k / g) ** 2 for k in range(g)]
+        self._b1_axis = [math.sin(0.5 * math.pi * k / (g - 1)) ** 2 for k in range(g)]
+        self._ind, self._cor, self._place = self._seed_cells()
+        if not self._place:
             raise DegenerateDenominator(
                 f"at t={t!r} no seed cell has an entropy denominator above "
                 f"{DENOM_FLOOR!r}; t is too small to search"
             )
-        self._ind, self._cor, self._place = ind_col, cor_col, places
         # Each run of _RUN consecutive cells, by its first scan index,
         # keeps its least ind/denom and least cor/denom, from which a scan
         # bounds the run's blends.
         self._runs = [
-            (min(ind_col[s : s + _RUN]), min(cor_col[s : s + _RUN]), s)
-            for s in range(0, len(places), _RUN)
+            (min(self._ind[s : s + _RUN]), min(self._cor[s : s + _RUN]), s)
+            for s in range(0, len(self._place), _RUN)
         ]
 
-    @staticmethod
-    def _low(a: float) -> tuple[float, float, float, float]:
-        """a with the low block's own entropies: h(a), h(2a - a^2), h(fullcorr(a, a))."""
-        h = binary_entropy
-        return a, h(a), h(a + a - a * a), h(max_entropy_or_prob_fullcorr(a, a))
+    def _seed_cells(self) -> tuple[list, list, list]:
+        """The seed cells as columns in scan order: ind/denom, cor/denom
+        and the grid place i * g + j of a = a_axis[i], b1 = b1_axis[j].
 
-    @staticmethod
-    def _high(b1: float) -> tuple[float, float, float]:
-        """b1 with the high block's own entropies: h(b1), h(2 b1 - b1^2)."""
-        return b1, binary_entropy(b1), binary_entropy(b1 + b1 - b1 * b1)
-
-    def _terms(self, low, high) -> tuple[float, float, float]:
-        """Denominator, independent and correlated terms at a face point.
-
-        The low block (a, a) has weight 1 - beta and the high block
-        (b1, 1) weight beta; every entropy touching the value 1 is 0.
+        The face formula (module docstring), a row of a at a time: the
+        entropies of a are taken once a row, those of b1 once a column,
+        and only the cross term h(a + b1 - a b1) once a cell, written out
+        as :func:`~ucsbound.scalars.binary_entropy` computes it.  Only
+        a = 0 with b1 = 0 or 1 carries no entropy; it is left out.
         """
-        a, ha, sa, pa = low
-        b1, hb, sb = high
-        beta = 2.0 * (self.t - a) / (b1 + 1.0 - a - a)
-        cross = binary_entropy(a + b1 - a * b1)
-        w1, w2 = 0.5 * (1.0 - beta), 0.5 * beta
-        denom = w1 * (ha + ha) + w2 * hb
-        ind = w1 * w1 * (4.0 * sa) + w2 * w2 * sb + 2.0 * w1 * w2 * (cross + cross)
-        return denom, ind, (1.0 - beta) * pa + beta * 0.0
+        t, h, log2, log1p = self.t, binary_entropy, math.log2, math.log1p
+        g = len(self._b1_axis)
+        columns = [(b1, b1 + 1.0, h(b1), h(b1 + b1 - b1 * b1)) for b1 in self._b1_axis]
+        ind_col, cor_col, places = [], [], []
+        for i, a in enumerate(self._a_axis):
+            ha = h(a)
+            gap, ha2 = 2.0 * (t - a), ha + ha
+            sa4, pa = 4.0 * h(a + a - a * a), h(max_entropy_or_prob_fullcorr(a, a))
+            for place, (b1, b1_1, hb, sb) in enumerate(columns, i * g):
+                beta = gap / (b1_1 - a - a)
+                nb = 1.0 - beta
+                w1, w2 = 0.5 * nb, 0.5 * beta
+                denom = w1 * ha2 + w2 * hb
+                if denom > DENOM_FLOOR:
+                    x = a + b1 - a * b1
+                    cross = (
+                        0.0 if x <= 0.0 or x >= 1.0
+                        else -(x * log2(x) + (1.0 - x) * log1p(-x) / _LN2)
+                    )
+                    ind = w1 * w1 * sa4 + w2 * w2 * sb + 2.0 * w1 * w2 * (cross + cross)
+                    ind_col.append(ind / denom)
+                    cor_col.append(nb * pa / denom)
+                    places.append(place)
+        return ind_col, cor_col, places
 
     # -- seed scan ---------------------------------------------------------
 
@@ -415,25 +415,40 @@ class _FaceSearch:
     def _line(self, x: list, ci: int, alpha: float):
         """The search objective along coordinate ``ci`` of ``x`` = [a, b1].
 
-        The entropies of the coordinate held are computed here, once.
-        Calls go through this module's ``binary_entropy``, so a counting
-        wrapper installed there sees all.  Points are not checked against
-        the face: :meth:`_refine` and :meth:`_polish` clip every window
-        to it.  +inf marks a degenerate denominator.
+        The face formula as :meth:`_seed_cells` writes it, in the same
+        float operations: the entropies of the coordinate held are
+        computed here, once, and a call computes the 2 or 3 that move and
+        the cross term.  Points are not checked against the face:
+        :meth:`_refine` and :meth:`_polish` clip every window to it.
+        +inf marks a degenerate denominator.
         """
-        if ci == 0:
-            high = self._high(x[1])
-            point = lambda u: (self._low(u), high)
+        t, w, h = self.t, 1.0 - alpha, binary_entropy
+        log2, log1p, corr = math.log2, math.log1p, max_entropy_or_prob_fullcorr
+        a0, b0 = x
+        if ci:
+            ha0 = h(a0)
+            held = a0, ha0 + ha0, 4.0 * h(a0 + a0 - a0 * a0), h(corr(a0, a0))
         else:
-            low = self._low(x[0])
-            point = lambda u: (low, self._high(u))
+            held = b0, h(b0), h(b0 + b0 - b0 * b0)
 
         def objective(u: float) -> float:
             self.evaluations += 1
-            denom, ind, cor = self._terms(*point(u))
+            if ci:
+                (a, ha2, sa4, pa), b1, hb, sb = held, u, h(u), h(u + u - u * u)
+            else:
+                ha = h(u)
+                a, ha2, sa4, pa = u, ha + ha, 4.0 * h(u + u - u * u), h(corr(u, u))
+                b1, hb, sb = held
+            beta = 2.0 * (t - a) / (b1 + 1.0 - a - a)
+            nb = 1.0 - beta
+            w1, w2 = 0.5 * nb, 0.5 * beta
+            denom = w1 * ha2 + w2 * hb
             if denom <= DENOM_FLOOR:
                 return math.inf
-            return ((1.0 - alpha) * ind + alpha * cor) / denom
+            x = a + b1 - a * b1
+            cross = 0.0 if x <= 0.0 or x >= 1.0 else -(x * log2(x) + (1.0 - x) * log1p(-x) / _LN2)
+            ind = w1 * w1 * sa4 + w2 * w2 * sb + 2.0 * w1 * w2 * (cross + cross)
+            return (w * ind + alpha * (nb * pa)) / denom
 
         return objective
 

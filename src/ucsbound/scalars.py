@@ -2,8 +2,13 @@
 
 Everything here works on plain floats and is deliberately allocation-free;
 the face search in :mod:`ucsbound.optimizer` calls ``binary_entropy``
-1.1-2.2 x 10^4 times per ``gamma_hat`` at the default settings, 4,416
-of them in the seed scan.  All entropies are in bits.
+3.6-10.6 x 10^3 times per ``gamma_hat`` at the default settings, 320 of
+them to build the seed grid (3 per point of the a axis, 2 per point of
+the b1 axis).  The entropy of the
+search's cross term, one per seed cell and per line-objective call, is
+written out there in ``binary_entropy``'s float operations instead of
+called; the tests check that copy against this one bit for bit.  All
+entropies are in bits.
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ The oracle in this module re-derives the search objective from scratch
 formula slip in the fast path cannot cancel out of the comparison.
 """
 
+import ast
 import decimal
 import heapq
 import math
+import random
 import re
 
 import numpy as np
@@ -37,6 +39,7 @@ from ucsbound.optimizer import (
     inner_inf,
     verify_reference_point,
 )
+from ucsbound.scalars import binary_entropy
 
 SEED = 61803
 
@@ -220,6 +223,34 @@ class TestLineObjective:
         assert face.evaluations < 410
 
 
+class TestInlineEntropy:
+    def test_every_written_out_entropy_is_binary_entropy_bit_for_bit(self):
+        # The face search writes the cross term's entropy out by hand in
+        # the row build and in the line objective.  Each copy, read from
+        # the module's source, must round exactly as
+        # scalars.binary_entropy does, ends and subnormals included.
+        with open(optimizer.__file__, encoding="utf-8") as f:
+            source = f.read()
+        copies = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.IfExp) and "log2(" in ast.get_source_segment(source, node)
+        ]
+        assert len(copies) == 2
+        rng = random.Random(SEED)
+        points = [0.0, -0.0, 1.0, 5e-324, 3.4e-8, 0.5, 1.0 - 2.0**-53, 1.0 + 2.0**-52, -1.0, 2.0]
+        points += [math.nan, math.inf, -math.inf]
+        points += [rng.random() for _ in range(5000)]
+        points += [10.0 ** -rng.uniform(0.0, 323.0) for _ in range(2500)]
+        points += [1.0 - 2.0 ** -rng.uniform(1.0, 53.0) for _ in range(2500)]
+        names = {**vars(optimizer), "log2": math.log2, "log1p": math.log1p}
+        for node in copies:
+            (var,) = {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)}
+            copy = eval(f"lambda {var}: ({ast.get_source_segment(source, node)})", names)
+            for x in points:
+                assert copy(x).hex() == binary_entropy(x).hex(), (node.lineno, x)
+
+
 def sin2_axis(top, g, steps):
     return [top * math.sin(0.5 * math.pi * k / steps) ** 2 for k in range(g)]
 
@@ -333,8 +364,8 @@ class TestSeedScan:
                 assert face.evaluations - before == sum(map(len, reach)), (t, alpha)
 
     def test_tie_at_the_cut_falls_to_the_earlier_run(self, monkeypatch):
-        # Every cell has denominator 1, so scan index = grid place, and at
-        # alpha = 0 its blend is its ind.  The 2nd lowest blend, 0.5, is
+        # Every cell is live, so scan index = grid place, and at alpha = 0
+        # its blend is its ind/denom.  The 2nd lowest blend, 0.5, is
         # shared by cell 18 in run 2 and cell 9 in run 1; run 2 (bound
         # 0.25) is visited first, and run 1's bound equals the cut, so run
         # 1 must be blended too for the earlier cell to win the tie.
@@ -343,16 +374,40 @@ class TestSeedScan:
         a_axis, b1_axis = sin2_axis(t, g, g), sin2_axis(1.0, g, g - 1)
         patched = {17: 0.25, 18: 0.5, 9: 0.5}
 
-        def terms(self, low, high):
-            c = a_axis.index(low[0]) * g + b1_axis.index(high[0])
-            return 1.0, patched.get(c, 2.0 + c), 0.0
+        def seed_cells(self):
+            cells = range(g * g)
+            return [patched.get(c, 2.0 + c) for c in cells], [0.0 for _ in cells], list(cells)
 
-        monkeypatch.setattr(_FaceSearch, "_terms", terms)
+        monkeypatch.setattr(_FaceSearch, "_seed_cells", seed_cells)
         face = _FaceSearch(t, config)
         got = face._candidates(0.0)
         assert got == exhaustive_candidates(face, 0.0)
         assert got == [[a_axis[1], b1_axis[5]], [a_axis[0], b1_axis[9]]]
         assert face.evaluations == 16
+
+    @pytest.mark.parametrize(
+        "config",
+        [SearchConfig(), FAST, SearchConfig(12, 1, 2), VERIFY_CONFIG],
+        ids=["default", "fast", "12-1-2", "verify"],
+    )
+    def test_cells_are_the_line_objective_bit_for_bit(self, config):
+        # The row build and the line objective each write the face formula
+        # out.  (1 ind + 0 cor) / denom rounds to exactly ind / denom, so
+        # through every live cell, along either coordinate, the line
+        # objective at alpha = 0 must return the cell's ind/denom and at
+        # alpha = 1 its cor/denom, to the last bit; at a cell left out it
+        # must return +inf.
+        g = config.grid_points_per_axis
+        for t in (0.05, 0.3, 0.38234, 0.49):
+            face = _FaceSearch(t, config)
+            live = dict(zip(face._place, zip(face._ind, face._cor)))
+            for i, a in enumerate(face._a_axis):
+                for j, b1 in enumerate(face._b1_axis):
+                    x = [a, b1]
+                    want = live.get(i * g + j, (math.inf, math.inf))
+                    for ci in range(2):
+                        got = face._line(x, ci, 0.0)(x[ci]), face._line(x, ci, 1.0)(x[ci])
+                        assert [v.hex() for v in got] == [v.hex() for v in want], (t, i, j, ci)
 
 
 class TestBrentMin:
