@@ -77,13 +77,14 @@ The point mass at t, the family a1 = a2 = t with beta = 0, is also
 scored through the reference implementation; at small t it is the
 worst case, which refinement only approaches.
 
-Everything downstream reuses this one inner search.  For a fixed
-family the ratio is linear in alpha, so the inner minimum is a lower
-envelope of lines and concave on [0, 1], and each inner search hands
-back one of those lines.  :func:`gamma_hat` maximises it on one seed
-scan per t: a secant search for the zero of the lines' slopes,
+For a fixed family the ratio is linear in alpha, so the inner minimum
+is a lower envelope of lines and concave on [0, 1].  :func:`gamma_hat`
+maximises it on one seed scan per t, by the lines of refined families
+(steps 1, 2 and 4): a secant search for the zero of the lines' slopes,
 switching to the maximum of the envelope of every line found so far
-(Kelley 1960) where the secant stalls on a kink.  At alpha = 1 the
+(Kelley 1960) where the secant stalls on a kink.  Only the point at the
+alpha it reports is polished, and its family joins those it scores the
+bound over, so a search over alpha polishes once.  At alpha = 1 the
 worst families are known in closed form, so that end costs no inner
 search.  At default settings it takes 3 inner searches at t <= 0.2, 5
 to 7 at t = 0.25, 0.3, 0.45 and in [0.375, 0.38234], and 9 or 10 at
@@ -482,6 +483,8 @@ class _FaceSearch:
 
     def _polish(self, alpha: float, best: float, x: list) -> tuple[float, list]:
         """Nested Brent in a one-cell window around x: over a, of the minimum over b1."""
+        if not self.config.refine_rounds:
+            return best, x
         window = 1.0 / (self.config.grid_points_per_axis - 1)
         b_lo, b_hi = self._window(x, 1, window)
         argmin_b1 = {}
@@ -496,13 +499,13 @@ class _FaceSearch:
 
     # -- public entry ------------------------------------------------------
 
-    def inner_min(self, alpha: float) -> InnerSearchReport:
-        alpha = require_prob(alpha, "alpha")
-        before = self.evaluations
-        best_value, best_params = self._refine(alpha, self._candidates(alpha))
-        if self.config.refine_rounds:
-            best_value, best_params = self._polish(alpha, best_value, best_params)
-        a, b1 = best_params
+    def _refined(self, alpha: float) -> tuple[float, list]:
+        """Steps 1 and 2 at ``alpha``: the lowest refined value and its point."""
+        return self._refine(alpha, self._candidates(alpha))
+
+    def _scored(self, alpha: float, x: list) -> tuple[float, ExtremeFamily]:
+        """Step 4: the lower reference ratio of x's family and the point mass, and its family."""
+        a, b1 = x
         family = ExtremeFamily(a, a, self.t, b1, 1.0)
         # Authoritative value: the reference implementation, not the fast path.
         min_ratio = entropy_ratio(family, alpha)
@@ -510,13 +513,13 @@ class _FaceSearch:
         point_ratio = entropy_ratio(point, alpha)
         if point_ratio <= min_ratio:
             family, min_ratio = point, point_ratio
-        return InnerSearchReport(
-            alpha=alpha,
-            t=self.t,
-            min_ratio=min_ratio,
-            argmin=family,
-            evaluations=self.evaluations - before,
-        )
+        return min_ratio, family
+
+    def inner_min(self, alpha: float) -> InnerSearchReport:
+        alpha = require_prob(alpha, "alpha")
+        before = self.evaluations
+        _, x = self._polish(alpha, *self._refined(alpha))
+        return InnerSearchReport(alpha, self.t, *self._scored(alpha, x), self.evaluations - before)
 
 
 def inner_inf(alpha: float, t: float, config: SearchConfig | None = None) -> InnerSearchReport:
@@ -592,8 +595,9 @@ def gamma_hat(
 
     Each evaluated alpha is scored by the least reference ratio, at that
     alpha, over every family the search found, so the bound is one that
-    no family seen contradicts; the best alpha by that score is
-    reported, with the family attaining it.
+    no family seen contradicts.  The families that steer are refined,
+    not polished; the best alpha by that score is reported, its point
+    polished, with its score over every family and the family attaining it.
 
     ``"auto"`` always needs the alpha = 1 family, so for t up to
     ~1.44e-14, where its denominator cannot clear 1e-14, it raises
@@ -667,7 +671,7 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
     """The search over alpha of :func:`gamma_hat`.
 
     Returns the best alpha, its bound, the family attaining it and the
-    envelope gap.
+    envelope gap.  Only the refined point of the best alpha is polished.
 
     Alpha = 1 needs no inner search.  There the ratio is cor/denom >= 0,
     and the correlated term cor sums each block's h(fullcorr) with
@@ -684,22 +688,36 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
     too small for it fails whatever the slope there.
     """
     top = _alpha_one_family(face.t)
-    # Each family found, with its line (ratio at alpha = 0, slope).
+    # Each family found, with its line (ratio at alpha = 0, slope); each
+    # reference ratio scored, by (family, alpha); each alpha's refined point.
     lines: dict[ExtremeFamily, tuple[float, float]] = {}
+    ratios: dict[tuple[ExtremeFamily, float], float] = {}
+    refined: dict[float, tuple[float, list]] = {}
     evaluated: list[float] = []
 
-    def slope_at(a: float, family: ExtremeFamily | None = None) -> float:
-        if family is None:
-            family = face.inner_min(a).argmin
+    def ratio(family: ExtremeFamily, a: float) -> float:
+        if (family, a) not in ratios:
+            ratios[family, a] = entropy_ratio(family, a)
+        return ratios[family, a]
+
+    def found(a: float, scored: tuple[float, ExtremeFamily]) -> None:
+        value, family = scored
+        ratios[family, a] = value
         if family not in lines:
-            r0 = entropy_ratio(family, 0.0)
-            lines[family] = (r0, entropy_ratio(family, 1.0) - r0)
+            r0 = ratio(family, 0.0)
+            lines[family] = (r0, ratio(family, 1.0) - r0)
+
+    def slope_at(a: float, scored: tuple[float, ExtremeFamily] | None = None) -> float:
+        if scored is None:
+            refined[a] = face._refined(a)
+            scored = face._scored(a, refined[a][1])
+        found(a, scored)
         evaluated.append(a)
         return min(lines.values(), key=lambda line: line[0] + line[1] * a)[1]
 
     lo, slope_lo = 0.0, slope_at(0.0)
     if slope_lo > 0.0:
-        hi, slope_hi = 1.0, slope_at(1.0, top)
+        hi, slope_hi = 1.0, slope_at(1.0, (entropy_ratio(top, 1.0), top))
         moved = None  # the end of [lo, hi] the last step replaced
         last_gap = math.inf
         while slope_hi < 0.0 and len(evaluated) < _ALPHA_MAX_SEARCHES:
@@ -726,9 +744,11 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
                 break
 
     def score(a: float) -> tuple[float, ExtremeFamily]:
-        return min(((entropy_ratio(f, a), f) for f in lines), key=lambda vf: vf[0])
+        return min(((ratio(f, a), f) for f in lines), key=lambda vf: vf[0])
 
     best_alpha = max(evaluated, key=lambda a: score(a)[0])
+    # Alpha = 1 scores 0, never above alpha = 0, so best_alpha was searched.
+    found(best_alpha, face._scored(best_alpha, face._polish(best_alpha, *refined[best_alpha])[1]))
     value, family = score(best_alpha)
     return best_alpha, value, family, _envelope_argmax(lines.values())[1] - value
 

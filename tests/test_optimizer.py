@@ -26,6 +26,7 @@ from ucsbound.errors import (
 )
 from ucsbound.optimizer import (
     BASELINE_THRESHOLD,
+    InnerSearchReport,
     VERIFY_CONFIG,
     SearchConfig,
     _PARAM_TOL,
@@ -494,15 +495,20 @@ class TestBrentMin:
 
 @pytest.fixture
 def inner_searches(monkeypatch):
-    """The reports of every ``_FaceSearch.inner_min`` call made in the test."""
+    """A report of every inner search made in the test: each seed scan and
+    refinement (``_FaceSearch._refined``), its point scored as the search
+    scores it, before any polish."""
     reports = []
-    inner_min = _FaceSearch.inner_min
+    refined = _FaceSearch._refined
 
     def recorded(grid, alpha):
-        reports.append(inner_min(grid, alpha))
-        return reports[-1]
+        before = grid.evaluations
+        value, x = refined(grid, alpha)
+        evaluations = grid.evaluations - before
+        reports.append(InnerSearchReport(alpha, grid.t, *grid._scored(alpha, x), evaluations))
+        return value, x
 
-    monkeypatch.setattr(_FaceSearch, "inner_min", recorded)
+    monkeypatch.setattr(_FaceSearch, "_refined", recorded)
     return reports
 
 
@@ -991,14 +997,44 @@ class TestGammaHat:
             assert cert.gamma_hat_lower <= entropy_ratio(family, cert.alpha_star)
         assert cert.gamma_hat_lower == entropy_ratio(cert.argmin, cert.alpha_star)
 
+    @pytest.mark.parametrize("config", [SearchConfig(), FAST, SearchConfig(12, 1, 2)], ids=["default", "fast", "tiny"])
+    def test_only_the_chosen_alpha_is_polished(self, config, monkeypatch):
+        # Refined families steer alpha; the nested polish runs once, at the
+        # alpha reported.  Polishing every alpha tried ran it 5 times at
+        # t = 0.38234.
+        polished = []
+        polish = _FaceSearch._polish
+
+        def recorded(grid, alpha, *args):
+            polished.append(alpha)
+            return polish(grid, alpha, *args)
+
+        monkeypatch.setattr(_FaceSearch, "_polish", recorded)
+        for t in (0.05, 0.3, 0.38234, 0.49):
+            polished.clear()
+            cert = gamma_hat(t, "auto", config)
+            assert polished == [cert.alpha_star], t
+
+    @pytest.mark.parametrize(
+        "config",
+        [SearchConfig(), FAST, SearchConfig(12, 1, 2), SearchConfig(32, 1, 8), SearchConfig(16, 0, 4)],
+        ids=["default", "fast", "tiny", "one-round", "no-rounds"],
+    )
+    def test_bound_is_no_higher_than_the_inner_search_at_alpha_star(self, config):
+        # The family that inner_inf reports at alpha* is the one the search
+        # polished there, so it is among those the bound is scored over.
+        for t in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.33, 0.36, 0.375, 0.38, 0.38234, 0.4, 0.45, 0.49):
+            cert = gamma_hat(t, "auto", config)
+            assert cert.gamma_hat_lower <= inner_inf(cert.alpha_star, t, config).min_ratio, t
+
     def test_refinement_starts_each_line_search_at_the_window_centre(self, line_calls):
-        # These four sweeps make 9,767 objective calls.  Started at the
+        # These four sweeps make 4,008 objective calls.  Started at the
         # golden point of each window instead, their line searches made
-        # 10,878.  One sweep alone moves by 5-25 % with the last bits of
+        # 4,908.  One sweep alone moves by 5-25 % with the last bits of
         # the objective, enough to swap which start is cheaper.
         for t in SPREAD_T:
             gamma_hat(t)
-        assert len(line_calls) < 10_300
+        assert len(line_calls) < 4_450
 
     def test_early_rounds_stop_at_a_fraction_of_their_window(self, line_calls, line_search_tols):
         # Only the last round polishes to _PARAM_TOL; each earlier one
@@ -1012,28 +1048,29 @@ class TestGammaHat:
             tols.add(_ROUND_TOL_FRACTION * window)
             window *= 0.35
         assert set(line_search_tols) == tols
-        # Every round at _PARAM_TOL made 12,700 calls here, against 9,767.
-        assert len(line_calls) < 11_200
+        # Every round at _PARAM_TOL made 6,528 calls here, against 4,008.
+        assert len(line_calls) < 5_300
 
     def test_starts_that_share_a_window_are_refined_once(self, line_calls):
         # Only seed cells with no lower neighbour start, 1 or 2 per inner
-        # search, and this sweep makes 1,370 calls.  All 16 of the lowest
-        # cells, merged between rounds once they met in a window, made
-        # 3,574; each refined through all 6 rounds, 7,616.
+        # search, and this sweep makes 536 calls.  All 16 of the lowest
+        # cells, each refined through all 6 rounds, made 6,784.  The bound
+        # also holds the polish to the one alpha reported: polishing every
+        # alpha tried made 1,370.
         gamma_hat(0.38234)
-        assert len(line_calls) < 1_650
+        assert len(line_calls) < 650
 
     def test_one_round_refines_to_the_full_tolerance(self, line_search_tols):
-        # Its only round is the last, so it polishes as every round once
-        # did; these are the values of that refinement and the nested
-        # polish after it.
+        # Its only round is the last, so it refines to _PARAM_TOL as every
+        # round once did.  These are the values of that refinement, which
+        # steers alpha, and of the nested polish at the alpha chosen.
         cert = gamma_hat(0.38234, config=SearchConfig(32, 1, 8))
         assert set(line_search_tols) == {_PARAM_TOL}
-        assert cert.gamma_hat_lower == pytest.approx(1.0000090184262707, abs=1e-12)
-        assert cert.alpha_star == pytest.approx(0.0356115308187476, abs=1e-12)
+        assert cert.gamma_hat_lower == pytest.approx(1.0000090177977283, abs=1e-12)
+        assert cert.alpha_star == pytest.approx(0.035567899480857125, abs=1e-12)
         fam = cert.argmin
         got = (fam.a1, fam.a2, fam.b1, fam.b2)
-        want = (0.3294519718505985, 0.3294519718505985, 0.3294519730700902, 1.0)
+        want = (0.3294952804318288, 0.3294952804318288, 0.32949528664675737, 1.0)
         assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -1118,6 +1155,17 @@ class TestFindTmax:
             find_tmax(FAST, bracket=(0.4, 0.2))
         with pytest.raises(ValueError):
             find_tmax(FAST, bracket=(0.2, 0.6))
+
+    def test_default_run_reproduces_the_published_threshold(self):
+        # The bisection points are dyadic in the bracket, so they are pinned
+        # exactly; t = 0.38234 is certified with room to spare.
+        result = find_tmax()
+        assert (result.t_certified, result.t_ceiling, result.steps) == (
+            0.382344970703125,
+            0.3823458862304687,
+            15,
+        )
+        assert result.certificate.gamma_hat_lower > 1.0 + 1e-7
 
     def test_coarse_threshold_run(self):
         # A loose tolerance keeps this cheap; the precise run lives in
