@@ -78,7 +78,6 @@ _EXPORTS = {
     "min_peak_frequency": "ucslab",
     "sample_or_closed": "ucslab",
     "max_symmetric_coupling_entropy": "ucslab",
-    "check_families": "ucslab",
     "check_entropy_inequality": "ucslab",
 }
 

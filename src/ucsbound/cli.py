@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Every subcommand prints a short human summary to stdout and can write a
-JSON report with ``--out`` (``--out -`` streams the JSON to stdout).
-When a report is written to a file, a run manifest goes next to it as
-``<out>.manifest.json``.  Reports are written atomically: a temp file in
-the target directory is renamed into place, so readers never observe a
-half-written JSON.
+Every subcommand prints a short human summary to stdout and returns its
+report; :func:`main` writes it with ``--out`` (``--out -`` streams the
+JSON to stdout).  When a report is written to a file, a run manifest
+goes next to it as ``<out>.manifest.json``.  Reports are written
+atomically: a temp file in the target directory is renamed into place,
+so readers never observe a half-written JSON.  A report or CSV path that
+is empty, a directory, or in a missing directory exits 2 before the run.
 
 Exit codes: 0 on success, 1 when the requested check or search failed
 on the merits (a verification mismatch, a bisection bracket that does
@@ -48,10 +49,19 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    if os.path.isdir(path):  # refused before the temp file is written beside it
+def _require_writable(path: str) -> str:
+    """The directory a write to ``path`` goes to; raises the ``OSError`` of
+    that write if ``path`` is empty, a directory, or in a missing directory."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    if not (path and os.path.isdir(directory)):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return directory
+
+
+def _atomic_write_text(path: str, text: str) -> None:
+    directory = _require_writable(path)  # refused before a temp file is made
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ucsbound-", suffix=".tmp")
@@ -83,19 +93,13 @@ def _strip_timing(value):
     return value
 
 
-def _emit(
-    args: argparse.Namespace,
-    payload: dict,
-    started_at: str | None,
-    extra_outputs: tuple[str, ...] = (),
-) -> None:
+def _emit(args: argparse.Namespace, payload: dict, started_at: str | None, extra: tuple) -> None:
     """Write the report (and a manifest of what ran, when going to a file)."""
-    if args.no_timestamps:
-        payload = _strip_timing(payload)
-    payload = {**payload, "schema_version": SCHEMA_VERSION}
-    text = _dump_json(payload)
     if args.out is None:
         return
+    if args.no_timestamps:
+        payload = _strip_timing(payload)
+    text = _dump_json({**payload, "schema_version": SCHEMA_VERSION})
     if args.out == "-":
         sys.stdout.write(text)
         return
@@ -107,21 +111,19 @@ def _emit(
         "schema_version": SCHEMA_VERSION,
         "started_at": started_at,
         "finished_at": None if args.no_timestamps else _utcnow(),
-        "outputs": (args.out, *extra_outputs),
+        "outputs": (args.out, *extra),
     }
     _atomic_write_text(args.out + ".manifest.json", _dump_json(manifest))
 
 
 def _search_config(args: argparse.Namespace, base: SearchConfig = SearchConfig()) -> SearchConfig:
     """``base`` with the search knobs given on the command line applied."""
-    kwargs = {}
-    if getattr(args, "grid", None) is not None:
-        kwargs["grid_points_per_axis"] = args.grid
-    if getattr(args, "refine_rounds", None) is not None:
-        kwargs["refine_rounds"] = args.refine_rounds
-    if getattr(args, "multistart", None) is not None:
-        kwargs["multistart_count"] = args.multistart
-    return SearchConfig(**{**base._asdict(), **kwargs})
+    given = {
+        "grid_points_per_axis": args.grid,
+        "refine_rounds": args.refine_rounds,
+        "multistart_count": args.multistart,
+    }
+    return SearchConfig(**{**base._asdict(), **{k: v for k, v in given.items() if v is not None}})
 
 
 def _parse_alpha(raw: str):
@@ -136,10 +138,9 @@ def _parse_alpha(raw: str):
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_gamma_hat(args: argparse.Namespace) -> int:
+def cmd_gamma_hat(args: argparse.Namespace) -> dict:
     from .optimizer import gamma_hat
 
-    started = None if args.no_timestamps else _utcnow()
     cert = gamma_hat(args.t, _parse_alpha(args.alpha), _search_config(args))
     verdict = "certifies" if cert.certifies else "does not certify"
     gap = "pinned" if cert.alpha_gap is None else f"gap {cert.alpha_gap:.1e}"
@@ -147,36 +148,30 @@ def cmd_gamma_hat(args: argparse.Namespace) -> int:
         f"t={cert.t}: bound {cert.gamma_hat_lower:.10f} at alpha={cert.alpha_star:.6f} "
         f"({gap}, {cert.evaluations} evaluations) -> {verdict} t"
     )
-    _emit(args, cert.to_json_dict(), started)
-    return 0
+    return cert.to_json_dict()
 
 
-def cmd_tmax(args: argparse.Namespace) -> int:
+def cmd_tmax(args: argparse.Namespace) -> dict:
     from .optimizer import find_tmax
 
-    started = None if args.no_timestamps else _utcnow()
     result = find_tmax(_search_config(args), args.margin, tuple(args.bracket), args.t_tol)
     print(
         f"largest certified t: {result.t_certified:.7f} "
         f"(ceiling {result.t_ceiling:.7f}, margin {result.margin}, {result.steps} steps)"
     )
-    _emit(args, result.to_json_dict(), started)
-    return 0
+    return result.to_json_dict()
 
 
-def cmd_verify_paper(args: argparse.Namespace) -> int:
+def cmd_verify_paper(args: argparse.Namespace) -> dict:
     from .optimizer import REFERENCE_BETA, REFERENCE_RATIO, verify_reference_point
 
-    started = None if args.no_timestamps else _utcnow()
-    config = _search_config(args, VERIFY_CONFIG)
-    cert = verify_reference_point(config=config, strict=args.strict)
+    cert = verify_reference_point(config=_search_config(args, VERIFY_CONFIG), strict=args.strict)
     fam = cert.argmin
     print(f"reference evaluation reproduced (strict={args.strict}):")
     print(f"  min_ratio {cert.gamma_hat_lower:.10f}  (published {REFERENCE_RATIO})")
     print(f"  argmin a1={fam.a1:.7f} a2={fam.a2:.7f} b1={fam.b1:.7f} b2={fam.b2:.7f}")
     print(f"  beta {fam.beta:.7f}  (published {REFERENCE_BETA})")
-    _emit(args, cert.to_json_dict(), started)
-    return 0
+    return cert.to_json_dict()
 
 
 def _family_lines(n: int, masks: list[int], h_star: dict) -> list[tuple[float, str]]:
@@ -212,10 +207,9 @@ def _family_lines(n: int, masks: list[int], h_star: dict) -> list[tuple[float, s
     return out
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> dict:
     from .ucslab import _check, _closed_masks, _enum_size, _peak, lowest_peak, sample_or_closed
 
-    started = None if args.no_timestamps else _utcnow()
     n, sampled = args.n, args.sample is not None
     if sampled:  # the only path that builds FamilySets
         masks = [fam.mask for fam in sample_or_closed(n, args.sample, args.seed)]
@@ -251,19 +245,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         f"n={n}: {len(masks)} {source} OR-closed families, "
         f"min p_A = {min_pa} (witness {witness}), {len(violations)} violations"
     )
-    extra = (args.csv,) if args.csv is not None else ()
-    _emit(args, payload, started, extra_outputs=extra)
-    return 1 if violations else 0
+    return payload
 
 
-def cmd_maxcorr(args: argparse.Namespace) -> int:
+def cmd_maxcorr(args: argparse.Namespace) -> dict:
     from .maxcorr import binary_coupling, correlation_spectrum, maximal_correlation, pearson
 
-    started = None if args.no_timestamps else _utcnow()
     p, q, r = args.pq
     joint = binary_coupling(p, q, r)
-    source = {"kind": "pq", "p": p, "q": q, "joint_on": r}
-
     spectrum = correlation_spectrum(joint)
     rho = maximal_correlation(joint)
     # Both marginals carry mass once the spectrum exists, so neither
@@ -274,14 +263,12 @@ def cmd_maxcorr(args: argparse.Namespace) -> int:
         f"maximal correlation {rho:.9f}; pearson {rho_pearson:.9f}; "
         f"top singular value {spectrum[0]:.9f}"
     )
-    payload = {
-        "source": source,
+    return {
+        "source": {"kind": "pq", "p": p, "q": q, "joint_on": r},
         "maximal_correlation": rho,
         "pearson": rho_pearson,
         "singular_values": [float(s) for s in spectrum],
     }
-    _emit(args, payload, started)
-    return 0
 
 
 # -- parser ----------------------------------------------------------------
@@ -393,10 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = None if args.no_timestamps else _utcnow()
+    extra = () if getattr(args, "csv", None) is None else (args.csv,)  # enumerate --csv
     try:
-        return args.func(args)
+        for path in (args.out, *extra):  # refused before the run, not after it
+            if path not in (None, "-"):
+                _require_writable(path)
+        payload = args.func(args)
+        _emit(args, payload, started, extra)
+        return 1 if payload.get("violations") else 0
     except (VerificationFailed, BracketFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

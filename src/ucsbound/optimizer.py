@@ -55,13 +55,14 @@ Search scheme
    every step, the only box rule (``_line``).  A cell with a lower
    neighbour lies on the slope of a basin that a lower cell starts in
    (the rule of multi-level single linkage, Rinnooy Kan and Timmer
-   1987), so ``multistart_count`` caps the starts.  At the default
-   settings 1 or 2 of 16 start, and an inner search makes a median of
-   ~250 line-objective calls for t >= 0.33 and ~760 for t <= 0.3,
-   where the starts crawl towards the point mass.  Each start runs
-   all its rounds before the next starts.  Each line search starts at
-   the window centre, the current point, whose value is known, so it
-   never ends worse than it began.  The last round's line searches
+   1987), so ``multistart_count`` caps the starts but does not fix
+   their number.  An inner search's ``evaluations`` counts its seed-cell
+   blends and its line-objective calls, the polish's (step 3) among
+   them; it makes more line calls at small t, where the starts crawl
+   towards the point mass.  Each start runs all its rounds before the
+   next starts.  Each line search starts at the window centre, the
+   current point, whose value is known, so it never ends worse than it
+   began.  The last round's line searches
    converge to 1e-10; an earlier round's only hand a start point to
    the next, narrower window, so they stop at 1e-2 of their own
    window.  Along a, 4 of the ratio's 6 entropies move, along b1 3;

@@ -31,12 +31,12 @@ _LN2 = math.log(2.0)
 def require_prob(x: float, name: str = "value") -> float:
     """Validate that ``x`` is a probability and return it as a float.
 
-    Rejects NaN and anything outside [0, 1].
+    Rejects NaN and anything outside [0, 1]; returns -0.0 as 0.0.
     """
     x = float(x)
     if math.isnan(x) or x < 0.0 or x > 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
-    return x
+    return x or 0.0
 
 
 def binary_entropy(a: float) -> float:

@@ -36,9 +36,9 @@ identity coupling Y = X attains it.  The check evaluates that coupling
 directly, so it is exact by construction.  The value depends on the
 family's size alone, so the check runs once per family size that occurs
 and skips only the families of fewer than two members.  Closure is
-proved where families enter (:func:`check_families`,
-:func:`max_symmetric_coupling_entropy`); enumerated and sampled masks
-are closed by construction and are not proved again.
+proved where a family enters (:func:`max_symmetric_coupling_entropy`);
+enumerated and sampled masks are closed by construction and are not
+proved again.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ __all__ = [
     "min_peak_frequency",
     "sample_or_closed",
     "max_symmetric_coupling_entropy",
-    "check_families",
     "check_entropy_inequality",
 ]
 
@@ -439,8 +438,8 @@ _CEILING_TOL = 1e-6
 
 
 def _check(n: int, masks: list[int]) -> EntropyCheckReport:
-    """:func:`check_families` over closed family masks on n elements, one
-    family size at a time: H_star and the ceiling depend on the size alone."""
+    """The ceiling check over closed family masks on n elements, one family
+    size at a time: H_star and the ceiling depend on the size alone."""
     counts = [0] * ((1 << n) + 1)
     for mask in masks:
         counts[mask.bit_count()] += 1
@@ -464,31 +463,13 @@ def _check(n: int, masks: list[int]) -> EntropyCheckReport:
     )
 
 
-def check_families(n: int, families: Iterable[FamilySet]) -> EntropyCheckReport:
-    """Check H_star <= log2 |A| + 1e-6 over the given families.
-
-    H_star is :func:`max_symmetric_coupling_entropy` of each checked
-    family, read from its size.  Families with fewer than two members
-    are skipped.  The reported ratios are H_star / log2 |A|; they sit at
-    1 up to rounding.  Raises ``ValueError`` unless n is a ground-set
-    size in 1..5; as each family is read, ``ValueError`` if it is over
-    another ground-set size than n, :class:`NotClosed` if it is open.
-    """
-    n = _ground_size(n)
-    masks: list[int] = []
-    for fam in families:
-        if fam.n != n:
-            raise ValueError(f"check_families on n = {n} got a family on n = {fam.n}")
-        if not _is_closed(n, fam.mask):
-            raise NotClosed(f"family {fam.mask:#x} is not closed under OR")
-        masks.append(fam.mask)
-    return _check(n, masks)
-
-
 def check_entropy_inequality(n: int) -> EntropyCheckReport:
-    """:func:`check_families` over every family of :func:`enumerate_or_closed`.
+    """Check H_star <= log2 |A| + 1e-6 over every family of :func:`enumerate_or_closed`.
 
-    It reads their masks and builds no FamilySet.
+    H_star is :func:`max_symmetric_coupling_entropy`, read from the
+    family's size; families of fewer than two members are skipped, and
+    the ratios H_star / log2 |A| sit at 1 up to rounding.  It reads the
+    families' masks and builds no FamilySet.
     """
     n = _enum_size(n)
     return _check(n, _closed_masks(n)[1:])

@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -135,6 +136,14 @@ class TestGammaHat:
         assert payload["alpha_star"] == 0.035
         assert payload["alpha_gap"] is None
         assert payload["gamma_hat_lower"] > 1.0
+
+    def test_negative_zero_alpha_reads_as_zero(self, capsys):
+        # -0.0 used to come back as alpha_star -0.0, printed alpha=-0.000000.
+        cert = gamma_hat(0.3, -0.0, SearchConfig(32, 3, 8))
+        assert cert.alpha_star == 0.0 and math.copysign(1.0, cert.alpha_star) == 1.0
+        assert main(["gamma-hat", "--t", "0.3", "--alpha", "-0.0", *FAST_KNOBS, "--out", "-"]) == 0
+        text = capsys.readouterr().out
+        assert "at alpha=0.000000 " in text and '"alpha_star": 0.0,' in text
 
 
 class TestTmax:
@@ -366,6 +375,43 @@ class TestReportWrites:
         assert repr(path) in err and ".ucsbound-" not in err
         assert made == []
         assert list(tmp_path.rglob(".ucsbound-*")) == []
+
+    @pytest.mark.parametrize(
+        "argv, runs",
+        [
+            (["gamma-hat", "--t", "0.3", "--out"], "gamma_hat"),
+            (["tmax", "--out"], "find_tmax"),
+            (["verify-paper", "--out"], "verify_reference_point"),
+            (["enumerate", "--n", "4", "--csv"], "_closed_masks"),
+            (["enumerate", "--n", "4", "--csv", "ok.csv", "--out"], "_closed_masks"),
+        ],
+        ids=["gamma-hat", "tmax", "verify-paper", "enumerate-csv", "enumerate-out"],
+    )
+    @pytest.mark.parametrize(
+        "target, error",
+        [
+            ("", "[Errno 2] No such file or directory"),
+            ("adir", "[Errno 21] Is a directory"),
+            ("missing/x.json", "[Errno 2] No such file or directory"),
+        ],
+        ids=["empty", "directory", "missing-directory"],
+    )
+    def test_unwritable_path_is_refused_before_the_run(
+        self, argv, runs, target, error, tmp_path, capsys, monkeypatch
+    ):
+        # These used to run the whole search, print its summary, and only
+        # then fail to write the report.
+        def run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(ucslab if runs == "_closed_masks" else optimizer, runs, run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        assert main([*argv, target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}: {target!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
 
 
 class TestRetiredFlags:

@@ -23,6 +23,11 @@ class TestRequireProb:
         assert require_prob(0) == 0.0
         assert require_prob(1) == 1.0
 
+    def test_negative_zero_is_zero(self):
+        assert require_prob(-0.0).hex() == "0x0.0p+0"
+        for x in (0.0, 5e-324, 0.25, 1.0 - 2**-53, 1.0):
+            assert require_prob(x).hex() == x.hex()
+
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), 2])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from ucsbound.ucslab import (
     EntropyCheckReport,
     FamilySet,
     check_entropy_inequality,
-    check_families,
     element_frequencies,
     enumerate_or_closed,
     frequency_list,
@@ -189,7 +188,6 @@ ENTRY_POINTS = {
     "or_closure": lambda n: or_closure(n, [1, 2]),
     "enumerate_or_closed": lambda n: list(enumerate_or_closed(n)),
     "min_peak_frequency": lambda n: min_peak_frequency(n),
-    "check_families": lambda n: check_families(n, enumerate_or_closed(4)),
     "check_entropy_inequality": lambda n: check_entropy_inequality(n),
     "sample_or_closed": lambda n: sample_or_closed(n, 5, 1),
 }
@@ -534,7 +532,7 @@ class TestMaxSymmetricCouplingEntropy:
             assert h_star <= math.log2(fam.size) + 1e-9
 
     def test_not_closed_raises(self):
-        with pytest.raises(NotClosed):
+        with pytest.raises(NotClosed, match="^family 0x6 is not closed under OR$"):
             max_symmetric_coupling_entropy(FamilySet.from_members(2, [1, 2]))
 
     def test_singleton_family_is_trivial(self):
@@ -562,27 +560,27 @@ class TestEntropyInequality:
         # h_star_by_size is a required field: there is no default dict to share.
         with pytest.raises(TypeError, match="h_star_by_size"):
             EntropyCheckReport(2, 0, 0, (), None, None)
-        first, second = check_families(2, []), check_families(2, [])
+        first, second = _check(2, []), _check(2, [])
         assert first.h_star_by_size == {} and first.h_star_by_size is not second.h_star_by_size
         first.h_star_by_size[3] = 1.0
-        assert second.h_star_by_size == {} and check_families(2, []).h_star_by_size == {}
+        assert second.h_star_by_size == {} and _check(2, []).h_star_by_size == {}
         full, again = check_entropy_inequality(2), check_entropy_inequality(2)
         assert full.h_star_by_size is not again.h_star_by_size
 
     def test_nothing_checked_reports_none(self):
-        singletons = [fam for fam in enumerate_or_closed(2) if fam.size == 1]
-        report = check_families(2, singletons)
+        singletons = [fam.mask for fam in enumerate_or_closed(2) if fam.size == 1]
+        report = _check(2, singletons)
         assert report.checked == 0
         assert report.skipped == 4
         assert report.ok
         assert report.ratio_min is None
         assert report.ratio_max is None
-        assert _check(2, [fam.mask for fam in singletons]) == report
+        assert report.h_star_by_size == {}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_masks_match_the_families_field_by_field(self, n):
         from_masks = check_entropy_inequality(n)
-        from_families = check_families(n, list(enumerate_or_closed(n)))
+        from_families = _check(n, [fam.mask for fam in enumerate_or_closed(n)])
         assert as_plain(from_masks) == as_plain(from_families)
         assert list(from_masks.h_star_by_size.items()) == list(from_families.h_star_by_size.items())
 
@@ -595,31 +593,20 @@ class TestEntropyInequality:
         assert main(argv) == 0
         assert constructions == [0]
 
-    def test_open_family_raises(self):
-        with pytest.raises(NotClosed, match="0x6"):
-            check_families(2, [FamilySet.from_members(2, [1, 2])])
-
     def test_errors_name_the_ground_set_size(self):
-        # 0, -1 and 6 used to give a report carrying that n.
-        for n in ("4", 4.5, 0, -1, 6):
-            with pytest.raises(ValueError, match="ground-set size"):
-                check_families(n, [])
-        assert check_families(5, []).n == 5  # sampled families
-        for n in ("4", 4.5):
-            with pytest.raises(ValueError, match="ground-set size"):
-                check_families(n, enumerate_or_closed(2))
+        for n in ("4", 4.5, 0, -1):
             with pytest.raises(ValueError, match="ground-set size"):
                 check_entropy_inequality(n)
-        with pytest.raises(DimensionTooLarge, match="supports n <= 4"):
-            check_entropy_inequality(5)
-
-    def test_rejects_families_of_another_size(self):
-        with pytest.raises(ValueError, match=r"n = 3 .* n = 4"):
-            check_families(3, enumerate_or_closed(4))
+        for n in (5, 6):
+            with pytest.raises(DimensionTooLarge, match="supports n <= 4"):
+                check_entropy_inequality(n)
+        # enumerate --sample checks sampled masks on n = 5 through _check.
+        sampled = [fam.mask for fam in sample_or_closed(5, 20, 1)]
+        assert _check(5, sampled).n == 5
 
     def test_h_star_covers_exactly_the_checked_families(self):
         families = sample_or_closed(4, 20, seed=5)
-        report = check_families(4, families)
+        report = _check(4, [fam.mask for fam in families])
         checked = [f for f in families if f.size >= 2]
         assert set(report.h_star_by_size) == {f.size for f in checked}
         assert report.checked == len(checked)
