@@ -593,6 +593,17 @@ class TestEntropyInequality:
         assert main(argv) == 0
         assert constructions == [0]
 
+    def test_open_family_raises(self):
+        # The check covers closed families only: the H_star it reports for a
+        # size is refused, by mask, for an open family of that size, and the
+        # open masks on n = 2 (0x6 and 0x7) are neither checked nor skipped.
+        with pytest.raises(NotClosed, match="0x6"):
+            max_symmetric_coupling_entropy(FamilySet.from_members(2, [1, 2]))
+        open_masks = [m for m in range(1, 16) if not is_or_closed(FamilySet(2, m))]
+        assert open_masks == [0x6, 0x7]
+        report = check_entropy_inequality(2)
+        assert report.checked + report.skipped == 15 - len(open_masks)
+
     def test_errors_name_the_ground_set_size(self):
         for n in ("4", 4.5, 0, -1):
             with pytest.raises(ValueError, match="ground-set size"):
