@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Every subcommand prints a short human summary to stdout and returns its
-report; :func:`main` writes it with ``--out`` (``--out -`` streams the
-JSON to stdout).  When a report is written to a file, a run manifest
+report; :func:`main` writes it with ``--out``.  ``--out -`` streams the
+JSON to stdout and sends the summary to stderr, so that stdout is the
+JSON alone.  When a report is written to a file, a run manifest
 goes next to it as ``<out>.manifest.json``.  Reports are written
 atomically: a temp file in the target directory is renamed into place,
 so readers never observe a half-written JSON.  A report or CSV path that
-is empty, a directory, or in a missing directory exits 2 before the run.
+is empty, a directory, or in a missing directory exits 2 before the run,
+and so does ``--csv -``: the sheet goes to a file only.
 
 Exit codes: 0 on success, 1 when the requested check or search failed
 on the merits (a verification mismatch, a bisection bracket that does
@@ -20,6 +22,7 @@ suite relies on this.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import math
@@ -28,7 +31,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .config import VERIFY_CONFIG, SearchConfig
+from .config import SearchConfig
 from .errors import (
     BracketFailure,
     GridTooLarge,
@@ -116,14 +119,10 @@ def _emit(args: argparse.Namespace, payload: dict, started_at: str | None, extra
     _atomic_write_text(args.out + ".manifest.json", _dump_json(manifest))
 
 
-def _search_config(args: argparse.Namespace, base: SearchConfig = SearchConfig()) -> SearchConfig:
-    """``base`` with the search knobs given on the command line applied."""
-    given = {
-        "grid_points_per_axis": args.grid,
-        "refine_rounds": args.refine_rounds,
-        "multistart_count": args.multistart,
-    }
-    return SearchConfig(**{**base._asdict(), **{k: v for k, v in given.items() if v is not None}})
+def _search_config(args: argparse.Namespace) -> SearchConfig:
+    """The default search with the knobs given on the command line applied."""
+    given = zip(SearchConfig._fields, (args.grid, args.refine_rounds, args.multistart))
+    return SearchConfig(**{k: v for k, v in given if v is not None})
 
 
 def _parse_alpha(raw: str):
@@ -165,7 +164,7 @@ def cmd_tmax(args: argparse.Namespace) -> dict:
 def cmd_verify_paper(args: argparse.Namespace) -> dict:
     from .optimizer import REFERENCE_BETA, REFERENCE_RATIO, verify_reference_point
 
-    cert = verify_reference_point(config=_search_config(args, VERIFY_CONFIG), strict=args.strict)
+    cert = verify_reference_point(config=_search_config(args), strict=args.strict)
     fam = cert.argmin
     print(f"reference evaluation reproduced (strict={args.strict}):")
     print(f"  min_ratio {cert.gamma_hat_lower:.10f}  (published {REFERENCE_RATIO})")
@@ -283,18 +282,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_search_knobs(sub: argparse.ArgumentParser, base: SearchConfig = SearchConfig()) -> None:
-    sub.add_argument(
-        "--grid", type=int, help=f"seed points per face axis (default {base.grid_points_per_axis})"
-    )
-    sub.add_argument(
-        "--refine-rounds", type=int, help=f"refinement rounds (default {base.refine_rounds})"
-    )
+def _add_search_knobs(sub: argparse.ArgumentParser) -> None:
+    grid, rounds, starts = SearchConfig()
+    sub.add_argument("--grid", type=int, help=f"seed points per face axis (default {grid})")
+    sub.add_argument("--refine-rounds", type=int, help=f"refinement rounds (default {rounds})")
     sub.add_argument(
         "--multistart",
         type=int,
         help=f"most seed points to refine; a point with a lower neighbour on the seed "
-        f"grid is not refined (default {base.multistart_count})",
+        f"grid is not refined (default {starts})",
     )
 
 
@@ -340,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run the published reference evaluation and compare against it",
     )
     p.add_argument("--strict", action="store_true", help="tighten the ratio tolerance to 1e-6")
-    _add_search_knobs(p, VERIFY_CONFIG)
+    _add_search_knobs(p)
     _add_common(p)
     p.set_defaults(func=cmd_verify_paper)
 
@@ -384,10 +380,13 @@ def main(argv=None) -> int:
     started = None if args.no_timestamps else _utcnow()
     extra = () if getattr(args, "csv", None) is None else (args.csv,)  # enumerate --csv
     try:
+        if "-" in extra:
+            raise ValueError("--csv - is not supported; give the sheet a file path")
         for path in (args.out, *extra):  # refused before the run, not after it
             if path not in (None, "-"):
                 _require_writable(path)
-        payload = args.func(args)
+        with contextlib.redirect_stdout(sys.stderr if args.out == "-" else sys.stdout):
+            payload = args.func(args)
         _emit(args, payload, started, extra)
         return 1 if payload.get("violations") else 0
     except (VerificationFailed, BracketFailure) as exc:

@@ -1,8 +1,8 @@
 """Knobs of the certificate search, kept apart from the search itself.
 
-:mod:`ucsbound.optimizer` runs the search and re-exports both names;
-the command line reads the defaults for its help text from here, so
-building its parser does not load the search.
+:mod:`ucsbound.optimizer` runs the search and re-exports
+:class:`SearchConfig`; the command line reads the defaults for its help
+text from here, so building its parser does not load the search.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .errors import GridTooLarge
 
-__all__ = ["SearchConfig", "VERIFY_CONFIG"]
+__all__ = ["SearchConfig"]
 
 # Largest seed scan: a cell costs about 1.2 microseconds and 110 bytes.
 _MAX_SEED_CELLS = 1 << 20
@@ -27,8 +27,8 @@ class _SearchConfig(NamedTuple):
 class SearchConfig(_SearchConfig):
     """Knobs of the seed-scan-plus-refinement search.
 
-    The defaults reproduce the reference evaluation to ~1e-9.
-    :data:`VERIFY_CONFIG` is the finer setting of the published check.
+    The defaults are the search of every certificate, the published
+    check's included, which they reproduce to ~1e-9.
     Each knob must be an integer, a numpy one included, and is stored as
     an int.  A grid of more than 2^20 seed cells raises
     :class:`GridTooLarge`, before any work.  Construction validates;
@@ -61,8 +61,3 @@ class SearchConfig(_SearchConfig):
 
     def to_json_dict(self) -> dict:
         return self._asdict()
-
-
-# Search used by :func:`ucsbound.optimizer.verify_reference_point` and
-# ``verify-paper``.
-VERIFY_CONFIG = SearchConfig(grid_points_per_axis=96, refine_rounds=8)

@@ -86,21 +86,23 @@ switching to the maximum of the envelope of every line found so far
 (Kelley 1960) where the secant stalls on a kink.  Only the point at the
 alpha it reports is polished, and its family joins those it scores the
 bound over, so a search over alpha polishes once.  At alpha = 1 the
-worst families are known in closed form, so that end costs no inner
-search.  At default settings it takes 3 inner searches at t <= 0.2, 5
-to 7 at t = 0.25, 0.3, 0.45 and in [0.375, 0.38234], and 9 or 10 at
-t = 0.33, 0.36, 0.42 and 0.49.  :func:`find_tmax` bisects over t.
+worst families are known in closed form, one b1 for every t, so that
+end costs no inner search.  At default settings it takes 3 inner
+searches at t <= 0.2, 5 to 7 at t = 0.25, 0.3, 0.45 and in
+[0.375, 0.38234], and 9 or 10 at t = 0.33, 0.36, 0.42 and 0.49.
+:func:`find_tmax` bisects over t.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
 import time
 from typing import NamedTuple
 
-from .config import VERIFY_CONFIG, SearchConfig
+from .config import SearchConfig
 from .distributions import DENOM_FLOOR, ExtremeFamily, entropy_ratio
 from .errors import (
     BracketFailure,
@@ -112,7 +114,6 @@ from .scalars import _LN2, binary_entropy, max_entropy_or_prob_fullcorr, require
 
 __all__ = [
     "SearchConfig",
-    "VERIFY_CONFIG",
     "InnerSearchReport",
     "BoundCertificate",
     "ThresholdCertificate",
@@ -634,38 +635,41 @@ def gamma_hat(
     )
 
 
+@functools.cache
+def _alpha_one_b1() -> float:
+    """b1* of :func:`_alpha_one_family`, found by Brent once per process."""
+
+    def objective(b1: float) -> float:
+        return (binary_entropy(b1 + b1 - b1 * b1) / binary_entropy(b1) - 4.0) / (1.0 + b1)
+
+    return _brent_min(objective, 0.0, 1.0, _PARAM_TOL)[0]
+
+
 def _alpha_one_family(t: float) -> ExtremeFamily:
     """The family (0, 0; b1, 1) with the lowest ratio at alpha = 0.
 
     Every such family with 0 < b1 < 1 has ratio 0 at alpha = 1 (see
     :func:`_best_alpha`).  At alpha = 0 its ratio is
     2 - t (4 - q) / (1 + b1) with q = h(2 b1 - b1^2) / h(b1), so the
-    best b1 (~0.0727) does not depend on t.  It is found by Brent's
-    method over (0, 1) on the reference ratio; the bounded method
-    evaluates only strictly inside its bracket, so b1 is never 0 or 1.
-
-    The denominator is t h(b1) / (1 + b1), largest at the golden point
-    b1 = (3 - sqrt 5) / 2, where it is t log2 of the golden ratio,
-    ~0.694 t.  Brent's method starts there and scores a family whose
-    denominator is not above the oracle's ``DENOM_FLOOR`` (1e-14) as
-    +inf, so it ends on a family the oracle can score unless there is
-    none: then, for t up to ~1.44e-14, it raises
-    :class:`DegenerateDenominator`.
+    best b1, b1* ~0.0727, minimises (q - 4) / (1 + b1) at every t.  The
+    bounded Brent of :func:`_alpha_one_b1` evaluates only inside (0, 1),
+    never at 0 or 1.  The denominator is t h(b1) / (1 + b1), ~0.351 t
+    at b1* and largest, ~0.694 t, at the golden point (3 - sqrt 5) / 2,
+    which stands in for t up to ~2.85e-14, where the oracle finds b1*'s
+    not above ``DENOM_FLOOR`` (1e-14).  For t up to ~1.44e-14, where it
+    finds neither above, this raises :class:`DegenerateDenominator`.
     """
-
-    def ratio_at_zero(b1: float) -> float:
+    for b1 in (_alpha_one_b1(), _GOLDEN):
+        family = ExtremeFamily(0.0, 0.0, t, b1, 1.0)
         try:
-            return entropy_ratio(ExtremeFamily(0.0, 0.0, t, b1, 1.0), 0.0)
+            entropy_ratio(family, 1.0)
         except DegenerateDenominator:
-            return math.inf
-
-    b1, value = _brent_min(ratio_at_zero, 0.0, 1.0, _PARAM_TOL)
-    if value == math.inf:
-        raise DegenerateDenominator(
-            f"at t={t!r} no family (0, 0; b1, 1) has an entropy denominator "
-            f"above {DENOM_FLOOR!r}; t is too small to search"
-        )
-    return ExtremeFamily(0.0, 0.0, t, b1, 1.0)
+            continue
+        return family
+    raise DegenerateDenominator(
+        f"at t={t!r} no family (0, 0; b1, 1) has an entropy denominator "
+        f"above {DENOM_FLOOR!r}; t is too small to search"
+    )
 
 
 def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
@@ -831,15 +835,15 @@ def verify_reference_point(
 ) -> BoundCertificate:
     """Reproduce the published reference evaluation and check it.
 
-    Runs :func:`gamma_hat` at t = 0.38234 with alpha pinned to 0.035 (by
-    default with :data:`VERIFY_CONFIG`, a finer seed scan than usual) and
+    Runs :func:`gamma_hat` at t = 0.38234 with alpha pinned to 0.035, by
+    default on ``SearchConfig()``, the search of every certificate, and
     compares the minimum and its argmin against the published values.
     Tolerances: 2e-5 on the ratio (1e-6 when ``strict``) and 1e-3 on
     each argmin coordinate and on beta.  On any mismatch raises
     :class:`VerificationFailed` carrying the measured and expected
     values.
     """
-    cert = gamma_hat(REFERENCE_T, REFERENCE_ALPHA, config or VERIFY_CONFIG)
+    cert = gamma_hat(REFERENCE_T, REFERENCE_ALPHA, config)
     measured = {"min_ratio": cert.gamma_hat_lower, **cert.argmin.argmin_dict()}
     expected = {
         "min_ratio": REFERENCE_RATIO,

@@ -16,7 +16,7 @@ import pytest
 import ucsbound
 from ucsbound import optimizer, ucslab
 from ucsbound.cli import SCHEMA_VERSION, main
-from ucsbound.optimizer import VERIFY_CONFIG, SearchConfig, gamma_hat
+from ucsbound.optimizer import SearchConfig, gamma_hat
 from ucsbound.ucslab import lowest_peak, peak_frequency, sample_or_closed
 
 FAST_KNOBS = ["--grid", "32", "--refine-rounds", "3", "--multistart", "8"]
@@ -37,9 +37,8 @@ def keys_anywhere(value):
 
 
 def stdout_json(capsys):
-    """Parse the JSON block that --out - appends after the summary line."""
-    text = capsys.readouterr().out
-    return json.loads(text[text.index("{") :])
+    """Parse the whole of stdout, which --out - gives to the JSON report alone."""
+    return json.loads(capsys.readouterr().out)
 
 
 class TestGammaHat:
@@ -142,8 +141,27 @@ class TestGammaHat:
         cert = gamma_hat(0.3, -0.0, SearchConfig(32, 3, 8))
         assert cert.alpha_star == 0.0 and math.copysign(1.0, cert.alpha_star) == 1.0
         assert main(["gamma-hat", "--t", "0.3", "--alpha", "-0.0", *FAST_KNOBS, "--out", "-"]) == 0
-        text = capsys.readouterr().out
-        assert "at alpha=0.000000 " in text and '"alpha_star": 0.0,' in text
+        captured = capsys.readouterr()
+        assert "at alpha=0.000000 " in captured.err and '"alpha_star": 0.0,' in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma-hat", "--t", "0.38", *FAST_KNOBS],
+        ["tmax", "--t-tol", "1e-3", *FAST_KNOBS],
+        ["verify-paper", "--strict", *FAST_KNOBS],
+        ["enumerate", "--n", "2", "--check-entropy"],
+        ["maxcorr", "--pq", "0.3", "0.4", "0.2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_dash_writes_only_the_json_to_stdout(argv, capsys):
+    # The summary goes to stderr, so stdout pipes into a JSON reader whole.
+    assert main([*argv, "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["schema_version"] == SCHEMA_VERSION
+    assert captured.err.strip()
 
 
 class TestTmax:
@@ -197,17 +215,30 @@ class TestVerifyPaper:
         ],
     )
     def test_overrides_apply_to_verify_defaults(self, flags, expect, tmp_path):
-        # verify-paper searches a 96-point grid with 8 rounds unless told
-        # otherwise; a flag changes only its own knob.
+        # verify-paper runs the default search unless told otherwise; a
+        # flag changes only its own knob.
         out = tmp_path / "verify.json"
         assert main(["verify-paper", *flags, "--out", str(out)]) == 0
-        config = read_json(out)["config"]
-        defaults = {
-            "grid_points_per_axis": 96,
-            "refine_rounds": 8,
-            "multistart_count": 16,
+        defaults = SearchConfig()._asdict()
+        assert read_json(out)["config"] == {**defaults, **expect}
+
+    def test_finer_search_is_one_flag_away(self, tmp_path):
+        # The finer search, a 96-point grid refined 8 rounds, stays one set
+        # of flags away and keeps its bits.
+        out = tmp_path / "verify.json"
+        argv = ["verify-paper", "--strict", "--grid", "96", "--refine-rounds", "8"]
+        assert main([*argv, "--no-timestamps", "--out", str(out)]) == 0
+        payload = read_json(out)
+        assert payload["gamma_hat_lower"].hex() == (1.0000088929370758).hex()
+        assert payload["argmin"] == {
+            "a1": 0.3300622366381754,
+            "a2": 0.3300622366381754,
+            "b1": 0.3300622228105198,
+            "b2": 1.0,
+            "beta": 0.15606752537284296,
         }
-        assert {k: config[k] for k in defaults} == {**defaults, **expect}
+        assert payload["evaluations"] == 334
+        assert payload["config"] == SearchConfig(96, 8)._asdict()
 
     def test_degraded_search_exits_1(self, capsys):
         rc = main(["verify-paper", "--grid", "8", "--refine-rounds", "0"])
@@ -413,6 +444,19 @@ class TestReportWrites:
         assert captured.err == f"error: {error}: {target!r}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
 
+    def test_csv_dash_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # The sheet goes to a file only; "-" is not taken as a file name.
+        def run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(ucslab, "_closed_masks", run)
+        monkeypatch.chdir(tmp_path)
+        assert main(["enumerate", "--n", "2", "--csv", "-", "--out", "r.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --csv - is not supported; give the sheet a file path\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRetiredFlags:
     @pytest.mark.parametrize(
@@ -527,7 +571,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "command, config",
-        [("gamma-hat", SearchConfig()), ("verify-paper", VERIFY_CONFIG)],
+        [("gamma-hat", SearchConfig()), ("verify-paper", SearchConfig())],
         ids=["gamma-hat", "verify-paper"],
     )
     def test_help_prints_the_search_defaults(self, command, config, capsys):

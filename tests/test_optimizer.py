@@ -26,14 +26,16 @@ from ucsbound.errors import (
 )
 from ucsbound.optimizer import (
     BASELINE_THRESHOLD,
+    REFERENCE_ALPHA,
+    REFERENCE_T,
     InnerSearchReport,
-    VERIFY_CONFIG,
     SearchConfig,
     _PARAM_TOL,
     _ROUND_TOL_FRACTION,
     _brent_min,
     _envelope_argmax,
     _FaceSearch,
+    _alpha_one_b1,
     _alpha_one_family,
     find_tmax,
     gamma_hat,
@@ -388,8 +390,8 @@ class TestSeedScan:
 
     @pytest.mark.parametrize(
         "config",
-        [SearchConfig(), FAST, SearchConfig(12, 1, 2), VERIFY_CONFIG],
-        ids=["default", "fast", "12-1-2", "verify"],
+        [SearchConfig(), FAST, SearchConfig(12, 1, 2), SearchConfig(96, 8)],
+        ids=["default", "fast", "12-1-2", "96-8"],
     )
     def test_cells_are_the_line_objective_bit_for_bit(self, config):
         # The row build and the line objective each write the face formula
@@ -607,7 +609,7 @@ class TestInnerSearch:
         assert mid.min_ratio <= coarse.min_ratio + 1e-12
         assert fine.min_ratio <= mid.min_ratio + 1e-12
         for alpha in (0.0, 0.05, 0.1):
-            fine = inner_inf(alpha, 0.3, VERIFY_CONFIG)
+            fine = inner_inf(alpha, 0.3, SearchConfig(96, 8))
             assert fine.min_ratio <= inner_inf(alpha, 0.3).min_ratio + 1e-12
 
     def test_sign_flips_across_baseline_threshold(self):
@@ -835,7 +837,9 @@ class TestAlphaOne:
 
     def test_b1_search_evaluates_only_inside_the_open_interval(self, monkeypatch):
         # At b1 = 0 or 1 the family carries no entropy at all; Brent never
-        # asks there.
+        # asks there.  The search runs once per process, so it is cleared
+        # to be watched, and again after, so that no later test sees the
+        # b1 of a watched search.
         points = []
 
         def recorded(f, lo, hi, tol, start=None):
@@ -846,11 +850,36 @@ class TestAlphaOne:
             return _brent_min(g, lo, hi, tol, start)
 
         monkeypatch.setattr(optimizer, "_brent_min", recorded)
-        for t in (0.05, 0.2, 0.3, 0.38234, 0.49):
-            del points[:]
-            fam = _alpha_one_family(t)
-            assert fam.b1 in points
-            assert all(0.0 < x < 1.0 for x in points)
+        _alpha_one_b1.cache_clear()
+        try:
+            b1 = _alpha_one_b1()
+            for t in (0.05, 0.2, 0.3, 0.38234, 0.49):
+                assert _alpha_one_family(t).b1 == b1
+        finally:
+            _alpha_one_b1.cache_clear()
+        assert b1 in points
+        assert all(0.0 < x < 1.0 for x in points)
+        assert _alpha_one_b1() == b1
+
+    @pytest.mark.parametrize("t", [0.05, 0.2, 0.3, 0.38234, 0.49])
+    def test_one_b1_is_the_best_at_every_t(self, t):
+        # The b1 minimising the ratio at alpha = 0 does not depend on t:
+        # a search per t on the reference ratio lands within 1e-8 of it.
+        def ratio_at_zero(b1):
+            return entropy_ratio(ExtremeFamily(0.0, 0.0, t, b1, 1.0), 0.0)
+
+        per_t, _ = _brent_min(ratio_at_zero, 0.0, 1.0, _PARAM_TOL)
+        assert _alpha_one_b1() == pytest.approx(per_t, abs=1e-8)
+        assert _alpha_one_family(t) == ExtremeFamily(0.0, 0.0, t, _alpha_one_b1(), 1.0)
+
+    @pytest.mark.parametrize("t", [2e-14, 2.8e-14])
+    def test_golden_b1_stands_in_where_the_best_one_is_degenerate(self, t):
+        # b1* ~0.0727 has denominator ~0.351 t, the golden point ~0.694 t:
+        # between the two cuts only the golden point's clears 1e-14.
+        with pytest.raises(DegenerateDenominator):
+            entropy_ratio(ExtremeFamily(0.0, 0.0, t, _alpha_one_b1(), 1.0), 1.0)
+        golden = (3.0 - math.sqrt(5.0)) / 2.0
+        assert _alpha_one_family(t) == ExtremeFamily(0.0, 0.0, t, golden, 1.0)
 
     @pytest.mark.parametrize("t", [1e-13, 5e-14, 1e-14, 3e-15, 1e-15, 5e-16, 2e-16])
     def test_tiny_t_has_one_cut(self, t):
@@ -1198,11 +1227,20 @@ class TestVerifyReferencePoint:
         cert = verify_reference_point(strict=True)
         assert cert.gamma_hat_lower == pytest.approx(1.00000889, abs=1e-6)
 
+    def test_runs_the_default_search(self):
+        # The published check is the search of every certificate.
+        cert = verify_reference_point()
+        rep = inner_inf(REFERENCE_ALPHA, REFERENCE_T)
+        assert cert.gamma_hat_lower.hex() == rep.min_ratio.hex()
+        assert cert.argmin == rep.argmin
+        assert cert.config == SearchConfig()
+
     def test_refines_each_basin_once(self, line_calls):
-        # One seed cell starts and this makes 254 calls.  All 16 of the
-        # lowest cells made 534 merged and 1,657 unmerged.
+        # One seed cell starts and this makes 225 calls.  On a 96-point
+        # grid refined 8 rounds it made 254, and all 16 of the lowest
+        # cells there 534 merged and 1,657 unmerged.
         verify_reference_point()
-        assert len(line_calls) < 300
+        assert len(line_calls) < 265
 
     def test_degraded_config_fails_with_report(self):
         with pytest.raises(VerificationFailed) as excinfo:
