@@ -12,8 +12,11 @@ target t.  A single block of mean at most t is not a candidate: paired
 with the block (1, 1) it scores no higher (see :mod:`ucsbound.optimizer`).
 :func:`mixed_or_entropy` and :func:`entropy_ratio` evaluate the
 objective those candidates are scored by, straight from its definition.
-They share no code with the search, so :mod:`ucsbound.optimizer` uses
-them as the oracle that re-evaluates every reported bound.
+The objective is linear in alpha, so :func:`ratio_terms` gives a
+family's three alpha-free terms, and both are blends of those terms.
+None of this shares code with the search, so :mod:`ucsbound.optimizer`
+uses :func:`ratio_terms` as the oracle that re-evaluates every reported
+bound.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ __all__ = [
     "MASS_TOL",
     "DENOM_FLOOR",
     "ExtremeFamily",
+    "RatioTerms",
     "mixed_or_entropy",
+    "ratio_terms",
     "entropy_ratio",
 ]
 
@@ -133,7 +138,17 @@ def mixed_or_entropy(atoms: Iterable[tuple[float, float, float]], alpha: float) 
     more than :data:`MASS_TOL` from 1.
     """
     alpha = require_prob(alpha, "alpha")
-    atoms = list(atoms)
+    return _blend(*_or_terms(list(atoms)), alpha)
+
+
+def _blend(independent: float, correlated: float, alpha: float) -> float:
+    """(1-alpha) * independent + alpha * correlated: the alpha-blend, written once."""
+    return (1.0 - alpha) * independent + alpha * correlated
+
+
+def _or_terms(atoms: list[tuple[float, float, float]]) -> tuple[float, float]:
+    """The independent and correlated OR entropies of ``atoms``, checked as
+    :func:`mixed_or_entropy` says."""
     if not atoms:
         raise ValueError("need at least one atom")
     for x, y, m in atoms:
@@ -151,16 +166,36 @@ def mixed_or_entropy(atoms: Iterable[tuple[float, float, float]], alpha: float) 
         for vj, mj in marginal
     )
     correlated = sum(m * binary_entropy(max_entropy_or_prob_fullcorr(x, y)) for x, y, m in atoms)
-    return (1.0 - alpha) * independent + alpha * correlated
+    return independent, correlated
 
 
-def entropy_ratio(family: ExtremeFamily, alpha: float) -> float:
-    """Blended OR entropy of a family divided by its marginal mean entropy.
+class RatioTerms(NamedTuple):
+    """A family's entropy ratio at every alpha: none of its terms depends on alpha.
 
-    This is the quantity the certificate search minimises over families;
-    the denominator is the sum of m * (h(x) + h(y)) / 2 over its atoms.
-    Raises :class:`DegenerateDenominator` when the marginal carries no
-    entropy (all atoms at 0 or 1), since the ratio is then meaningless.
+    ``independent`` and ``correlated`` are the two parts of
+    :func:`mixed_or_entropy`, ``denom`` the marginal mean entropy.
+    """
+
+    independent: float
+    correlated: float
+    denom: float
+
+    def ratio(self, alpha: float) -> float:
+        """The ratio at ``alpha``, bit for bit :func:`entropy_ratio`'s.
+
+        Raises ``ValueError`` unless alpha is in [0, 1].
+        """
+        alpha = require_prob(alpha, "alpha")
+        return _blend(self.independent, self.correlated, alpha) / self.denom
+
+
+def ratio_terms(family: ExtremeFamily) -> RatioTerms:
+    """The alpha-free terms of a family's entropy ratio, in one oracle pass.
+
+    The denominator is the sum of m * (h(x) + h(y)) / 2 over the
+    family's atoms.  Raises :class:`DegenerateDenominator` when the
+    marginal carries no entropy (all atoms at 0 or 1), since the ratio
+    is then meaningless.
     """
     atoms = family.atoms()
     denom = sum(0.5 * m * (binary_entropy(x) + binary_entropy(y)) for x, y, m in atoms)
@@ -168,4 +203,15 @@ def entropy_ratio(family: ExtremeFamily, alpha: float) -> float:
         raise DegenerateDenominator(
             f"marginal mean entropy {denom!r} is numerically zero"
         )
-    return mixed_or_entropy(atoms, alpha) / denom
+    return RatioTerms(*_or_terms(atoms), denom)
+
+
+def entropy_ratio(family: ExtremeFamily, alpha: float) -> float:
+    """Blended OR entropy of a family divided by its marginal mean entropy.
+
+    This is the quantity the certificate search minimises over families,
+    ``ratio_terms(family).ratio(alpha)``.  Raises
+    :class:`DegenerateDenominator` as :func:`ratio_terms` does, and
+    ``ValueError`` unless alpha is in [0, 1].
+    """
+    return ratio_terms(family).ratio(alpha)

@@ -44,11 +44,13 @@ Search scheme
    operations; the tests hold the two to the same bits on every
    cell.  Each run of 8 consecutive cells keeps its least ind/denom
    and least cor/denom, whose blend bounds every blend in the run
-   from below.  A scan at a new alpha visits the runs by increasing
-   bound and stops at the first whose bound is above the k-th lowest
-   blend so far, so it blends only the cells of runs that can hold one
-   of the k lowest: a median of ~90 of the 4,094 cells at the default
-   settings;
+   from below, and each group of 8 consecutive runs keeps the least
+   of its runs', which bounds every run in it.  A scan at a new alpha
+   visits the runs by increasing bound and stops at the first whose
+   bound is above the k-th lowest blend so far, so it blends only the
+   cells of runs that can hold one of the k lowest.  It ranks the
+   groups first and ranks a group's runs only when the group comes up,
+   so a group whose bound is too high costs one bound, not eight;
 2. of the ``multistart_count`` lowest cells, each with no lower
    8-neighbour on the seed grid starts a cyclic per-coordinate Brent
    line search with a shrinking trust window, clipped to the face at
@@ -73,6 +75,10 @@ Search scheme
 4. the reported minimum is re-evaluated through the reference
    implementation in :mod:`ucsbound.distributions`, so the fast path
    cannot silently drift from the definition it is searching over.
+   The reference gives a family's three alpha-free terms (independent
+   and correlated entropy, and the denominator) in one pass; a search
+   keeps them by family, so each family it scores passes through the
+   reference once, and its ratio at any alpha is a blend of its terms.
 
 The point mass at t, the family a1 = a2 = t with beta = 0, is also
 scored through the reference implementation; at small t it is the
@@ -87,10 +93,7 @@ switching to the maximum of the envelope of every line found so far
 alpha it reports is polished, and its family joins those it scores the
 bound over, so a search over alpha polishes once.  At alpha = 1 the
 worst families are known in closed form, one b1 for every t, so that
-end costs no inner search.  At default settings it takes 3 inner
-searches at t <= 0.2, 5 to 7 at t = 0.25, 0.3, 0.45 and in
-[0.375, 0.38234], and 9 or 10 at t = 0.33, 0.36, 0.42 and 0.49.
-:func:`find_tmax` bisects over t.
+end costs no inner search.  :func:`find_tmax` bisects over t.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ import time
 from typing import NamedTuple
 
 from .config import SearchConfig
-from .distributions import DENOM_FLOOR, ExtremeFamily, entropy_ratio
+from .distributions import DENOM_FLOOR, ExtremeFamily, RatioTerms, ratio_terms
 from .errors import (
     BracketFailure,
     DegenerateDenominator,
@@ -158,7 +161,8 @@ _ALPHA_MAX_SEARCHES = 16
 # _ROUND_TOL_FRACTION of its own window.
 _PARAM_TOL = 1e-10
 _ROUND_TOL_FRACTION = 1e-2
-# Seed cells per run of the scan's bound (see _FaceSearch._candidates).
+# Seed cells per run of the scan's bound, and runs per group of runs
+# (see _FaceSearch._candidates).
 _RUN = 8
 
 
@@ -294,6 +298,16 @@ def _brent_min(
                 v, fv = u, fu
 
 
+def _least_per_run(values: list) -> list:
+    """The least of each run of ``_RUN`` consecutive values, the last run
+    possibly shorter, in one pass over ``values``."""
+    # One iterator read _RUN times per call of min: the full runs, in order.
+    least = list(map(min, *[iter(values)] * _RUN))
+    if len(values) % _RUN:
+        least.append(min(values[len(least) * _RUN :]))
+    return least
+
+
 def _require_t(t: float) -> float:
     """``t`` as a float; raises :class:`EmptyFeasible` unless it is in (0, 1/2)."""
     t = float(t)
@@ -306,9 +320,12 @@ class _FaceSearch:
     """Seed scan and refinement on the face (a, a; b1, 1), bound to one (t, config).
 
     A point is the list [a, b1].  The seed cells keep their
-    alpha-independent ind/denom and cor/denom in columns, and each run
-    of ``_RUN`` cells keeps the least of each, so a search over alpha
-    re-scans only the runs whose bound can reach the lowest cells.
+    alpha-independent ind/denom and cor/denom in columns, each run of
+    ``_RUN`` cells keeps the least of each, and each group of ``_RUN``
+    runs the least of its runs', so a search over alpha re-scans only
+    the runs whose bound can reach the lowest cells.  The reference
+    terms of each family scored are kept by family, so a search passes
+    a family through the oracle once, whatever the alphas it is scored at.
     """
 
     def __init__(self, t: float, config: SearchConfig):
@@ -324,13 +341,12 @@ class _FaceSearch:
                 f"at t={t!r} no seed cell has an entropy denominator above "
                 f"{DENOM_FLOOR!r}; t is too small to search"
             )
-        # Each run of _RUN consecutive cells, by its first scan index,
-        # keeps its least ind/denom and least cor/denom, from which a scan
-        # bounds the run's blends.
-        self._runs = [
-            (min(self._ind[s : s + _RUN]), min(self._cor[s : s + _RUN]), s)
-            for s in range(0, len(self._place), _RUN)
-        ]
+        # Run r, the cells from r * _RUN on, keeps its least ind/denom and
+        # least cor/denom, from which a scan bounds the run's blends; group
+        # q, the runs from q * _RUN on, keeps the least of its runs'.
+        self._runs = _least_per_run(self._ind), _least_per_run(self._cor)
+        self._groups = _least_per_run(self._runs[0]), _least_per_run(self._runs[1])
+        self._oracle: dict[ExtremeFamily, RatioTerms] = {}
 
     def _seed_cells(self) -> tuple[list, list, list]:
         """The seed cells as columns in scan order: ind/denom, cor/denom
@@ -380,20 +396,38 @@ class _FaceSearch:
         cell of it or of a later run can displace one.  Only the blends
         of visited runs are computed and counted.
 
+        The runs are ordered in two levels.  The heap starts with the
+        groups, each bounded by its least ind and least cor, a bound no
+        run of it goes below; a group's runs enter the heap when it
+        pops.  A group's key (bound, first cell, 0) is at most each of
+        its runs' (bound, first cell, 1), so the runs pop in the same
+        order as from one heap of them all, and the scan blends the same
+        runs.  A group whose bound is above the k-th lowest blend stops
+        the scan too: every run yet to pop has a bound at least as high.
+
         A lower neighbour of one of the lowest cells is one of them too,
         so the test needs no other cell.  The lowest cell always passes.
         """
         w = 1.0 - alpha
         k = self.config.multistart_count
         ind, cor = self._ind, self._cor
-        runs = [(w * lo_ind + alpha * lo_cor, start) for lo_ind, lo_cor, start in self._runs]
-        heapq.heapify(runs)
+        run_ind, run_cor = self._runs
+        span = _RUN * _RUN  # cells per group
+        heap = [
+            (w * lo_ind + alpha * lo_cor, q * span, 0)
+            for q, (lo_ind, lo_cor) in enumerate(zip(*self._groups))
+        ]
+        heapq.heapify(heap)
         # The k lowest (blend, scan index) so far, in order.
         best = []
-        while runs:
-            bound, start = heapq.heappop(runs)
+        while heap:
+            bound, start, is_run = heapq.heappop(heap)
             if len(best) == k and bound > best[-1][0]:
                 break
+            if not is_run:
+                for r in range(start // _RUN, min((start + span) // _RUN, len(run_ind))):
+                    heapq.heappush(heap, (w * run_ind[r] + alpha * run_cor[r], r * _RUN, 1))
+                continue
             cells = range(start, min(start + _RUN, len(ind)))
             self.evaluations += len(cells)
             for c in cells:
@@ -505,14 +539,21 @@ class _FaceSearch:
         """Steps 1 and 2 at ``alpha``: the lowest refined value and its point."""
         return self._refine(alpha, self._candidates(alpha))
 
+    def _terms(self, family: ExtremeFamily) -> RatioTerms:
+        """The reference terms of ``family``, from one oracle pass per search."""
+        terms = self._oracle.get(family)
+        if terms is None:
+            terms = self._oracle[family] = ratio_terms(family)
+        return terms
+
     def _scored(self, alpha: float, x: list) -> tuple[float, ExtremeFamily]:
         """Step 4: the lower reference ratio of x's family and the point mass, and its family."""
         a, b1 = x
         family = ExtremeFamily(a, a, self.t, b1, 1.0)
         # Authoritative value: the reference implementation, not the fast path.
-        min_ratio = entropy_ratio(family, alpha)
+        min_ratio = self._terms(family).ratio(alpha)
         point = ExtremeFamily(self.t, self.t, self.t, 1.0, 1.0)
-        point_ratio = entropy_ratio(point, alpha)
+        point_ratio = self._terms(point).ratio(alpha)
         if point_ratio <= min_ratio:
             family, min_ratio = point, point_ratio
         return min_ratio, family
@@ -544,8 +585,10 @@ def inner_inf(alpha: float, t: float, config: SearchConfig | None = None) -> Inn
     """
     if require_prob(alpha, "alpha") == 1.0:
         t = _require_t(t)
-        family = _alpha_one_family(t)
-        return InnerSearchReport(1.0, t, entropy_ratio(family, 1.0), family, evaluations=0)
+        # The oracle's terms of each family tried, kept for this call only.
+        terms = functools.cache(ratio_terms)
+        family = _alpha_one_family(t, terms)
+        return InnerSearchReport(1.0, t, terms(family).ratio(1.0), family, evaluations=0)
     return _FaceSearch(t, config or SearchConfig()).inner_min(alpha)
 
 
@@ -645,7 +688,7 @@ def _alpha_one_b1() -> float:
     return _brent_min(objective, 0.0, 1.0, _PARAM_TOL)[0]
 
 
-def _alpha_one_family(t: float) -> ExtremeFamily:
+def _alpha_one_family(t: float, terms=ratio_terms) -> ExtremeFamily:
     """The family (0, 0; b1, 1) with the lowest ratio at alpha = 0.
 
     Every such family with 0 < b1 < 1 has ratio 0 at alpha = 1 (see
@@ -658,11 +701,14 @@ def _alpha_one_family(t: float) -> ExtremeFamily:
     which stands in for t up to ~2.85e-14, where the oracle finds b1*'s
     not above ``DENOM_FLOOR`` (1e-14).  For t up to ~1.44e-14, where it
     finds neither above, this raises :class:`DegenerateDenominator`.
+    ``terms`` is the oracle, :func:`~ucsbound.distributions.ratio_terms`
+    or a memo of it, which a caller that scores the family then reads
+    again instead of passing the family through the oracle twice.
     """
     for b1 in (_alpha_one_b1(), _GOLDEN):
         family = ExtremeFamily(0.0, 0.0, t, b1, 1.0)
         try:
-            entropy_ratio(family, 1.0)
+            terms(family)
         except DegenerateDenominator:
             continue
         return family
@@ -692,37 +738,30 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
     found first, even when the search stops at alpha = 0, so that a t
     too small for it fails whatever the slope there.
     """
-    top = _alpha_one_family(face.t)
-    # Each family found, with its line (ratio at alpha = 0, slope); each
-    # reference ratio scored, by (family, alpha); each alpha's refined point.
+    top = _alpha_one_family(face.t, face._terms)
+    # Each family found, with its line (ratio at alpha = 0, slope) from
+    # the face's reference terms; each alpha's refined point.
     lines: dict[ExtremeFamily, tuple[float, float]] = {}
-    ratios: dict[tuple[ExtremeFamily, float], float] = {}
     refined: dict[float, tuple[float, list]] = {}
     evaluated: list[float] = []
 
-    def ratio(family: ExtremeFamily, a: float) -> float:
-        if (family, a) not in ratios:
-            ratios[family, a] = entropy_ratio(family, a)
-        return ratios[family, a]
-
-    def found(a: float, scored: tuple[float, ExtremeFamily]) -> None:
-        value, family = scored
-        ratios[family, a] = value
+    def found(family: ExtremeFamily) -> None:
         if family not in lines:
-            r0 = ratio(family, 0.0)
-            lines[family] = (r0, ratio(family, 1.0) - r0)
+            terms = face._terms(family)
+            r0 = terms.ratio(0.0)
+            lines[family] = (r0, terms.ratio(1.0) - r0)
 
-    def slope_at(a: float, scored: tuple[float, ExtremeFamily] | None = None) -> float:
-        if scored is None:
+    def slope_at(a: float, family: ExtremeFamily | None = None) -> float:
+        if family is None:
             refined[a] = face._refined(a)
-            scored = face._scored(a, refined[a][1])
-        found(a, scored)
+            family = face._scored(a, refined[a][1])[1]
+        found(family)
         evaluated.append(a)
         return min(lines.values(), key=lambda line: line[0] + line[1] * a)[1]
 
     lo, slope_lo = 0.0, slope_at(0.0)
     if slope_lo > 0.0:
-        hi, slope_hi = 1.0, slope_at(1.0, (entropy_ratio(top, 1.0), top))
+        hi, slope_hi = 1.0, slope_at(1.0, top)
         moved = None  # the end of [lo, hi] the last step replaced
         last_gap = math.inf
         while slope_hi < 0.0 and len(evaluated) < _ALPHA_MAX_SEARCHES:
@@ -749,11 +788,11 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
                 break
 
     def score(a: float) -> tuple[float, ExtremeFamily]:
-        return min(((ratio(f, a), f) for f in lines), key=lambda vf: vf[0])
+        return min(((face._terms(f).ratio(a), f) for f in lines), key=lambda vf: vf[0])
 
     best_alpha = max(evaluated, key=lambda a: score(a)[0])
     # Alpha = 1 scores 0, never above alpha = 0, so best_alpha was searched.
-    found(best_alpha, face._scored(best_alpha, face._polish(best_alpha, *refined[best_alpha])[1]))
+    found(face._scored(best_alpha, face._polish(best_alpha, *refined[best_alpha])[1])[1])
     value, family = score(best_alpha)
     return best_alpha, value, family, _envelope_argmax(lines.values())[1] - value
 

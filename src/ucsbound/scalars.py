@@ -2,13 +2,12 @@
 
 Everything here works on plain floats and is deliberately allocation-free;
 the face search in :mod:`ucsbound.optimizer` calls ``binary_entropy``
-1.8-4.9 x 10^3 times per ``gamma_hat`` at the default settings over t
-in [0.05, 0.49], 320 of them to build the seed grid (3 per point of the
-a axis, 2 per point of the b1 axis).  The entropy of the
-search's cross term, one per seed cell and per line-objective call, is
-written out there in ``binary_entropy``'s float operations instead of
-called; the tests check that copy against this one bit for bit.  All
-entropies are in bits.
+for the entropies of the seed grid's axes (3 per point of the a axis,
+2 per point of the b1 axis) and for those a line-objective call moves.
+The entropy of the search's cross term, one per seed cell and per
+line-objective call, is written out there in ``binary_entropy``'s float
+operations instead of called; the tests check that copy against this one
+bit for bit.  All entropies are in bits.
 """
 
 from __future__ import annotations

@@ -1,11 +1,19 @@
 """The blended OR-entropy objective over plain (x, y, mass) atoms."""
 
 import math
+import random
+import re
 
 import numpy as np
 import pytest
 
-from ucsbound.distributions import ExtremeFamily, entropy_ratio, mixed_or_entropy
+from ucsbound.distributions import (
+    ExtremeFamily,
+    RatioTerms,
+    entropy_ratio,
+    mixed_or_entropy,
+    ratio_terms,
+)
 from ucsbound.errors import DegenerateDenominator
 
 SEED = 47113
@@ -170,3 +178,66 @@ class TestEntropyRatio:
         single = entropy_ratio(ExtremeFamily(0.3, 0.3, 0.3, 1.0, 1.0), 0.0)
         lifted = entropy_ratio(ExtremeFamily(0.3, 0.3, 0.32, 1.0, 1.0), 0.0)
         assert lifted < single
+
+
+def random_family(rng: random.Random) -> ExtremeFamily:
+    """A family with both blocks anywhere their means allow, ends included."""
+    ends = (0.0, 1.0)
+    while True:
+        x = [rng.choice(ends) if rng.random() < 0.1 else rng.random() for _ in range(4)]
+        a1, a2, b1, b2 = min(x[:2]), max(x[:2]), min(x[2:]), max(x[2:])
+        a, b = 0.5 * (a1 + a2), 0.5 * (b1 + b2)
+        if a < b:
+            t = a if rng.random() < 0.1 else rng.uniform(a, b)
+            if a <= t < b:
+                return ExtremeFamily(a1, a2, t, b1, b2)
+
+
+class TestRatioTerms:
+    """One oracle pass gives the alpha-free terms; the ratio blends them."""
+
+    def test_ratio_is_the_blend_of_the_terms_bit_for_bit(self):
+        rng = random.Random(SEED)
+        families = [random_family(rng) for _ in range(10_000)]
+        degenerate = 0
+        for family in families:
+            try:
+                ind, cor, denom = terms = ratio_terms(family)
+            except DegenerateDenominator:
+                degenerate += 1
+                continue
+            for alpha in (0.0, 1.0, -0.0, rng.random()):
+                want = ((1.0 - alpha) * ind + alpha * cor) / denom
+                assert entropy_ratio(family, alpha).hex() == want.hex(), (family, alpha)
+                assert terms.ratio(alpha).hex() == want.hex(), (family, alpha)
+                mixed = mixed_or_entropy(family.atoms(), alpha)
+                assert mixed.hex() == ((1.0 - alpha) * ind + alpha * cor).hex(), (family, alpha)
+        assert degenerate < 100
+
+    def test_terms_are_the_parts_of_the_blend(self):
+        fam = ExtremeFamily(0.3, 0.3, 0.3, 1.0, 1.0)
+        terms = ratio_terms(fam)
+        assert isinstance(terms, RatioTerms)
+        assert terms.independent == mixed_or_entropy(fam.atoms(), 0.0)
+        assert terms.correlated == mixed_or_entropy(fam.atoms(), 1.0)
+        assert terms.denom == pytest.approx(H_03, abs=1e-15)
+
+    def test_degenerate_family_raises(self):
+        fam = ExtremeFamily(0.0, 0.0, 0.2, 1.0, 1.0)
+        with pytest.raises(DegenerateDenominator, match="is numerically zero"):
+            ratio_terms(fam)
+        for alpha in (0.5, math.nan, 1.1):
+            with pytest.raises(DegenerateDenominator, match="is numerically zero"):
+                entropy_ratio(fam, alpha)
+
+    @pytest.mark.parametrize("alpha", [math.nan, -0.1, 1.1])
+    def test_alpha_outside_the_unit_interval_raises(self, alpha):
+        fam = ExtremeFamily(0.3, 0.3, 0.38234, 0.3, 1.0)
+        message = f"alpha must lie in [0, 1], got {alpha!r}"
+        for call in (
+            lambda: entropy_ratio(fam, alpha),
+            lambda: ratio_terms(fam).ratio(alpha),
+            lambda: mixed_or_entropy(fam.atoms(), alpha),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()

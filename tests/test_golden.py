@@ -7,11 +7,15 @@ strings, integers and order must match exactly.  Floats must match to
 envelope gap: libm and numpy may differ in the last bits between builds.
 
 After a change that moves an output on purpose, regenerate the files
-with
+of the commands it moves, and only those, by naming them:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py verify-paper
 
-and say in CHANGES.md which fields moved, by how much, and why.
+Each named command's files are deleted and written anew; the other
+commands' files are left as they are, so their last bits stay those of
+the machine that wrote them.  With no name, every command's files are
+rewritten and nothing else is kept in ``tests/golden/``.  Say in
+CHANGES.md which fields moved, by how much, and why.
 """
 
 import contextlib
@@ -58,6 +62,20 @@ def run(name: str, directory: Path) -> list[str]:
         raise RuntimeError(f"{name} exited {rc}")
     (directory / f"{name}.stdout").write_text(stdout.getvalue())
     return sorted(p.name for p in directory.iterdir() if p.name.startswith(f"{name}."))
+
+
+def regenerate(names: list[str], directory: Path = GOLDEN) -> None:
+    """Rewrite the files of the commands ``names`` in ``directory``; with
+    no name, empty ``directory`` and rewrite every command's."""
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        raise SystemExit(f"unknown command {unknown[0]!r}; choose from {', '.join(COMMANDS)}")
+    directory.mkdir(exist_ok=True)
+    for old in directory.iterdir():
+        if not names or old.name.split(".", 1)[0] in names:
+            old.unlink()
+    for name in names or COMMANDS:
+        print(name, *run(name, directory), file=sys.stderr)
 
 
 def same_float(got: float, want: float) -> bool:
@@ -115,9 +133,19 @@ def test_comparison_rules():
     assert not same_text("0x1f,0.5", "0x1e,0.5")
 
 
+def test_regenerating_one_command_leaves_the_others(tmp_path):
+    for golden in GOLDEN.iterdir():
+        (tmp_path / golden.name).write_text("kept\n")
+    regenerate(["maxcorr"], tmp_path)
+    for filename in sorted(p.name for p in GOLDEN.iterdir()):
+        got = (tmp_path / filename).read_text()
+        if filename.startswith("maxcorr."):
+            assert got != "kept\n", filename
+        else:
+            assert got == "kept\n", filename
+    with pytest.raises(SystemExit, match="unknown command 'verify'"):
+        regenerate(["verify"], tmp_path)
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for old in GOLDEN.iterdir():
-        old.unlink()
-    for name in COMMANDS:
-        print(name, *run(name, GOLDEN), file=sys.stderr)
+    regenerate(sys.argv[1:])

@@ -6,11 +6,13 @@ formula slip in the fast path cannot cancel out of the comparison.
 """
 
 import ast
+import collections
 import decimal
 import heapq
 import math
 import random
 import re
+import types
 
 import numpy as np
 import pytest
@@ -365,6 +367,58 @@ class TestSeedScan:
                     <= cut
                 ]
                 assert face.evaluations - before == sum(map(len, reach)), (t, alpha)
+
+    @pytest.mark.parametrize(
+        "config, runs, groups",
+        [(SearchConfig(), 512, 64), (SearchConfig(12, 1, 2), 18, 3), (SearchConfig(2, 0, 10), 1, 1)],
+        ids=["default", "12-1-2", "2-0-10"],
+    )
+    def test_each_group_bounds_every_run_in_it(self, config, runs, groups):
+        # Run r holds the cells from r * _RUN on and group q the runs from
+        # q * _RUN on, the last of each possibly shorter: at (12, 1, 2) the
+        # 142 live cells make 18 runs, the last of 6 cells, and 3 groups,
+        # the last of 2 runs; at (2, 0, 10) the 2 live cells make one of each.
+        R = optimizer._RUN
+        for t in (1e-3, 0.3, 0.38234, 0.49):
+            face = _FaceSearch(t, config)
+            n = len(face._ind)
+            want = [
+                (min(face._ind[s : s + R]), min(face._cor[s : s + R])) for s in range(0, n, R)
+            ]
+            assert list(zip(*face._runs)) == want
+            assert (len(want), len(face._groups[0]), len(face._groups[1])) == (runs, groups, groups)
+            for q, (g_ind, g_cor) in enumerate(zip(*face._groups)):
+                members = want[q * R : (q + 1) * R]
+                assert members
+                for r_ind, r_cor in members:
+                    assert g_ind <= r_ind and g_cor <= r_cor
+                    for alpha in (0.0, 0.035, 0.3, 1.0):
+                        w = 1.0 - alpha
+                        assert w * g_ind + alpha * g_cor <= w * r_ind + alpha * r_cor
+                assert (g_ind, g_cor) == tuple(map(min, zip(*members)))
+
+    def test_a_rescan_ranks_the_runs_of_popped_groups_only(self, monkeypatch):
+        # The groups are heapified; a run enters the heap, one push, only
+        # with the whole of its group, when that group pops.  Far fewer
+        # groups pop than there are.
+        pushed = []
+
+        def heappush(heap, entry):
+            pushed.append(entry)
+            heapq.heappush(heap, entry)
+
+        counting = types.SimpleNamespace(
+            heapify=heapq.heapify, heappop=heapq.heappop, heappush=heappush
+        )
+        monkeypatch.setattr(optimizer, "heapq", counting)
+        for t in (0.05, 0.3, 0.38234, 0.49):
+            face = _FaceSearch(t, SearchConfig())
+            for alpha in (0.0, 0.035, 0.3, 1.0):
+                del pushed[:]
+                face._candidates(alpha)
+                assert pushed and all(is_run for _, _, is_run in pushed)
+                assert len(pushed) % optimizer._RUN == 0
+                assert len(pushed) < len(face._runs[0]) // 2, (t, alpha)
 
     def test_tie_at_the_cut_falls_to_the_earlier_run(self, monkeypatch):
         # Every cell is live, so scan index = grid place, and at alpha = 0
@@ -902,6 +956,45 @@ class TestAlphaOne:
         gamma_hat(t, "auto", FAST)
         assert inner_searches
         assert all(rep.alpha != 1.0 for rep in inner_searches)
+
+
+@pytest.fixture
+def oracle_passes(monkeypatch):
+    """Counts the oracle passes each family gets: every pass of
+    ``ratio_terms`` lists the family's atoms once, and nothing else does,
+    however the search holds the oracle."""
+    passes = collections.Counter()
+    atoms = ExtremeFamily.atoms
+
+    def counted(family):
+        passes[family] += 1
+        return atoms(family)
+
+    monkeypatch.setattr(ExtremeFamily, "atoms", counted)
+    return passes
+
+
+class TestOraclePasses:
+    """A search passes each family it scores through the oracle once."""
+
+    @pytest.mark.parametrize("t", [0.3, 0.38234])
+    def test_auto_search_passes_each_family_once(self, t, oracle_passes):
+        top = ExtremeFamily(0.0, 0.0, t, _alpha_one_b1(), 1.0)
+        cert = gamma_hat(t, "auto")
+        # The slope at alpha = 0 is positive, so the alpha = 1 family was
+        # scored at alpha = 1 as well as checked.
+        assert cert.alpha_star > 0.0
+        assert oracle_passes[top] == 1
+        assert oracle_passes[ExtremeFamily(t, t, t, 1.0, 1.0)] == 1
+        assert cert.argmin in oracle_passes
+        assert len(oracle_passes) > 3
+        assert set(oracle_passes.values()) == {1}
+
+    @pytest.mark.parametrize("alpha", [0.035, 1.0])
+    def test_pinned_search_passes_each_family_once(self, alpha, oracle_passes):
+        rep = inner_inf(alpha, REFERENCE_T)
+        assert rep.argmin in oracle_passes
+        assert set(oracle_passes.values()) == {1}
 
 
 class TestPinnedAlphaOne:
