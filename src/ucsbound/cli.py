@@ -207,7 +207,7 @@ def _family_lines(n: int, masks: list[int], h_star: dict) -> list[tuple[float, s
 
 
 def cmd_enumerate(args: argparse.Namespace) -> dict:
-    from .ucslab import _check, _closed_masks, _enum_size, _peak, lowest_peak, sample_or_closed
+    from .ucslab import _check, _closed_masks, _enum_size, _peaks, lowest_peak, sample_or_closed
 
     n, sampled = args.n, args.sample is not None
     if sampled:  # the only path that builds FamilySets
@@ -221,7 +221,7 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
         _atomic_write_text(args.csv, _CSV_HEADER + "".join([line for _, line in rows]))
         peaks = [p_a for p_a, _ in rows]
     else:
-        peaks = [_peak(n, mask) for mask in masks]
+        peaks = _peaks(n, masks)
 
     least = lowest_peak(zip(peaks, masks))
     min_pa, witness = (None, None) if least is None else (least[0], hex(least[1]))

@@ -13,9 +13,9 @@ at most 3 elements with its stabiliser, so :func:`is_or_closed` is a
 lookup or three for n <= 4, and enumeration pairs closed halves from
 that table: it never meets the 2^(2^n) - 1 family masks one by one.
 Element frequencies are popcounts of the family mask against, per
-element, the mask of every set containing it, each divided by the
-family's size in the same pass
-(:func:`frequency_list`, :func:`element_frequencies`).  Only
+element, the mask of every set containing it, over the family's size
+(:func:`frequency_list`, :func:`element_frequencies`); peaks over many
+masks scan one popcount column per element (:func:`_peaks`).  Only
 :func:`element_frequencies` and :func:`sample_or_closed` use numpy, and
 each imports it in its own body; ``import ucsbound`` has already checked
 that it is installed.
@@ -25,9 +25,9 @@ tuple (n, mask), checks both in ``__new__`` (``_replace`` and ``_make``
 skip it), and every public function checks its other arguments first.
 Closure works on masks (:func:`or_closure`): each generator is checked
 and folded into the mask, and one FamilySet is built for the result.
-The checks over a whole enumeration, :func:`min_peak_frequency` and
-:func:`check_entropy_inequality`, read the split's integer masks
-directly: a :class:`FamilySet` is built only for the witness.
+The checks over a whole enumeration, :func:`min_peak_frequency` (by
+the column scan) and :func:`check_entropy_inequality`, read the split's
+masks directly: a :class:`FamilySet` is built only for the witness.
 
 Besides enumeration and frequency bookkeeping, the module checks the
 coupling-entropy ceiling H(X OR Y) <= log2 |A| over symmetric couplings
@@ -304,11 +304,6 @@ def element_frequencies(family: FamilySet) -> np.ndarray:
     return np.array([(mask & c).bit_count() / size for c in _CONTAIN[family.n]])
 
 
-def _peak(n: int, mask: int) -> float:
-    """:func:`peak_frequency` of a family mask on n elements."""
-    return max([(mask & c).bit_count() for c in _CONTAIN[n]]) / mask.bit_count()
-
-
 def peak_frequency(family: FamilySet) -> float:
     """Largest element frequency of the family, read without numpy.
 
@@ -317,28 +312,30 @@ def peak_frequency(family: FamilySet) -> float:
     It is the largest count over the size, the same float as the largest
     of :func:`frequency_list`, as rounding a quotient keeps its order.
     """
-    return _peak(family.n, family.mask)
+    mask = family.mask
+    return max([(mask & c).bit_count() for c in _CONTAIN[family.n]]) / mask.bit_count()
+
+
+def _peaks(n: int, masks: list[int]) -> list[float]:
+    """:func:`peak_frequency` of each nonzero family mask on n elements, from
+    one popcount column per element: the same counts and sizes, so the same floats."""
+    columns = [map(int.bit_count, map(c.__and__, masks)) for c in _CONTAIN[n]]
+    tops = columns[0] if n == 1 else map(max, *columns)
+    return list(map(operator.truediv, tops, map(int.bit_count, masks)))
 
 
 def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
     """All OR-closed families on n elements, in increasing mask order.
 
-    Each family splits at element n - 1 into two closed families on
-    n - 1 elements (see :func:`_split`), so the closed families on n
-    elements are the pairs (hi, lo) of closed families on n - 1 with
-    ``lo`` inside the stabiliser of ``hi``.  Looping over ``hi`` and
-    then over ``lo``, both ascending, yields the masks in increasing
-    order.  For n <= 4 the families on n - 1 elements and their
-    stabilisers come from the table built at import.
-
-    Raises :class:`DimensionTooLarge` for n > 4: n = 5 has 2,771,103
-    OR-closed families, which is not desk-scale.  Use
-    :func:`sample_or_closed` there instead.
+    They are the masks :func:`_split` pairs from the closed halves on
+    n - 1 elements in the table built at import.  It raises
+    :class:`DimensionTooLarge` for n > 4 when called, not when iterated:
+    n = 5 has 2,771,103 OR-closed families, which is not desk-scale.
+    Use :func:`sample_or_closed` there instead.
     """
     n = _enum_size(n)
     # The first mask is 0, the empty family.
-    for mask in _closed_masks(n)[1:]:
-        yield FamilySet(n, mask)
+    return (FamilySet(n, mask) for mask in _closed_masks(n)[1:])
 
 
 def lowest_peak(peaks: Iterable[tuple[float, int]]) -> tuple[float, int] | None:
@@ -355,14 +352,17 @@ def lowest_peak(peaks: Iterable[tuple[float, int]]) -> tuple[float, int] | None:
 def min_peak_frequency(n: int) -> tuple[float, FamilySet]:
     """Minimum peak frequency over OR-closed families, with a witness.
 
-    It reads the masks of :func:`enumerate_or_closed` and builds a
-    FamilySet for the witness alone.  See :func:`lowest_peak` for the
-    exclusion and the tie-break.  Every n >= 1 has the family
-    {empty set, {0}}, so a witness always exists.
+    It scans the masks of :func:`enumerate_or_closed` by :func:`_peaks`,
+    past 1, the family {empty set}, and builds a FamilySet for the
+    witness alone: the first mask at the least peak.  The masks ascend,
+    so that is the witness of :func:`lowest_peak`.  Every n >= 1 has the
+    family {empty set, {0}}, so a witness always exists.
     """
     n = _enum_size(n)
-    peak, mask = lowest_peak([(_peak(n, m), m) for m in _closed_masks(n)[1:]])
-    return peak, FamilySet(n, mask)
+    masks = _closed_masks(n)[2:]
+    peaks = _peaks(n, masks)
+    least = min(peaks)
+    return least, FamilySet(n, masks[peaks.index(least)])
 
 
 def sample_or_closed(n: int, count: int, seed: int) -> list[FamilySet]:

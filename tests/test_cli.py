@@ -290,7 +290,7 @@ class TestEnumerate:
         ids=["n4", "sampled"],
     )
     def test_csv_does_not_change_report_or_stdout(self, argv, tmp_path, capsys):
-        # Without --csv, p_A comes from peak_frequency, not the CSV lines.
+        # Without --csv, p_A comes from ucslab._peaks' popcount columns, not the CSV lines.
         outputs = []
         for extra in ([], ["--csv", str(tmp_path / "families.csv")]):
             out = tmp_path / f"report{len(extra)}.json"
@@ -298,6 +298,14 @@ class TestEnumerate:
             assert rc == 0
             outputs.append((out.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exhaustive_witness_is_min_peak_frequency(self, n, tmp_path):
+        out = tmp_path / "families.json"
+        assert main(["enumerate", "--n", str(n), "--out", str(out)]) == 0
+        payload = read_json(out)
+        value, witness = ucslab.min_peak_frequency(n)
+        assert (payload["min_pA"], payload["witness_mask"]) == (value, witness.hex_mask)
 
     def test_entropy_check_block(self, tmp_path):
         out = tmp_path / "families.json"

@@ -28,6 +28,7 @@ from ucsbound.ucslab import (
     sample_or_closed,
     _check,
     _closed_masks,
+    _peaks,
     _stabiliser,
 )
 
@@ -439,6 +440,13 @@ class TestEnumeration:
         with pytest.raises(DimensionTooLarge):
             list(enumerate_or_closed(5))
 
+    @pytest.mark.parametrize(
+        "n,error", [(5, DimensionTooLarge), (0, ValueError), ("x", ValueError)]
+    )
+    def test_bad_size_raises_when_called_not_when_iterated(self, n, error):
+        with pytest.raises(error):
+            enumerate_or_closed(n)
+
 
 class TestMinPeakFrequency:
     def test_half_with_deterministic_witness(self):
@@ -480,6 +488,28 @@ class TestMinPeakFrequency:
     def test_builds_the_witness_alone(self, constructions):
         min_peak_frequency(4)
         assert constructions == [1]
+
+    def test_reads_the_closed_masks_once(self, monkeypatch):
+        calls = []
+        real = ucslab._closed_masks
+        monkeypatch.setattr(ucslab, "_closed_masks", lambda n: calls.append(n) or real(n))
+        min_peak_frequency(4)
+        assert calls == [4]
+
+    @staticmethod
+    def check_columns_against_peak_frequency(n, masks):
+        got = [peak.hex() for peak in _peaks(n, masks)]
+        assert got == [peak_frequency(FamilySet(n, mask)).hex() for mask in masks]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_columns_give_peak_frequency_on_every_family(self, n):
+        # Every closed family but the empty one, 0, which has no size.
+        self.check_columns_against_peak_frequency(n, _closed_masks(n)[1:])
+
+    def test_columns_give_peak_frequency_on_sampled_n5_in_draw_order(self):
+        masks = [fam.mask for fam in sample_or_closed(5, 500, SEED)]
+        assert masks != sorted(masks)
+        self.check_columns_against_peak_frequency(5, masks)
 
 
 class TestSampling:
