@@ -6,9 +6,10 @@ JSON to stdout and sends the summary to stderr, so that stdout is the
 JSON alone.  When a report is written to a file, a run manifest
 goes next to it as ``<out>.manifest.json``.  Reports are written
 atomically: a temp file in the target directory is renamed into place,
-so readers never observe a half-written JSON.  A report or CSV path that
-is empty, a directory, or in a missing directory exits 2 before the run,
-and so does ``--csv -``: the sheet goes to a file only.
+so readers never observe a half-written JSON.  A report, manifest or CSV
+path that is empty, a directory, or in a missing directory exits 2
+before the run, and so do two of them that name one file, and
+``--csv -``: the sheet goes to a file only.
 
 Exit codes: 0 on success, 1 when the requested check or search failed
 on the merits (a verification mismatch, a bisection bracket that does
@@ -25,7 +26,6 @@ import argparse
 import contextlib
 import errno
 import json
-import math
 import os
 import sys
 import tempfile
@@ -42,8 +42,6 @@ from .errors import (
 SCHEMA_VERSION = 6
 
 __all__ = ["main", "build_parser", "SCHEMA_VERSION"]
-
-_CSV_HEADER = "n,size,mask,p_A,freqs,H_X,H_star,ratio\r\n"
 
 
 def _utcnow() -> str:
@@ -173,41 +171,9 @@ def cmd_verify_paper(args: argparse.Namespace) -> dict:
     return cert.to_json_dict()
 
 
-def _family_lines(n: int, masks: list[int], h_star: dict) -> list[tuple[float, str]]:
-    """Each family mask's peak frequency and its CSV line, ended by CRLF.
-
-    ``h_star`` maps each checked family size to its H_star; H_star and
-    ratio are empty cells for families not checked.  Only the mask is
-    unique to a family: a frequency is count / size, and H_X, H_star and
-    ratio depend on the size alone, so each distinct cell is formatted
-    once, by ``repr`` as ``csv`` would.  No cell holds a comma, quote or
-    line break, so none needs quoting.
-    """
-    from .ucslab import _CONTAIN
-
-    fractions: dict[int, list[str]] = {}
-    tails: dict[int, str] = {}
-    out = []
-    for mask in masks:
-        size = mask.bit_count()
-        cells = fractions.get(size)
-        if cells is None:
-            cells = fractions[size] = [repr(k / size) for k in range(size + 1)]
-        tail = tails.get(size)
-        if tail is None:
-            star = h_star.get(size)
-            h_x = math.log2(size)
-            tail = f"{h_x!r},," if star is None else f"{h_x!r},{star!r},{star / h_x!r}"
-            tails[size] = tail
-        counts = [(mask & c).bit_count() for c in _CONTAIN[n]]
-        top = max(counts)
-        freqs = ";".join([cells[k] for k in counts])
-        out.append((top / size, f"{n},{size},{mask:#x},{cells[top]},{freqs},{tail}\r\n"))
-    return out
-
-
 def cmd_enumerate(args: argparse.Namespace) -> dict:
-    from .ucslab import _check, _closed_masks, _enum_size, _peaks, lowest_peak, sample_or_closed
+    from .ucslab import _check, _closed_masks, _columns, _enum_size, _peaks, _sheet, lowest_peak
+    from .ucslab import sample_or_closed
 
     n, sampled = args.n, args.sample is not None
     if sampled:  # the only path that builds FamilySets
@@ -216,14 +182,12 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
         masks = _closed_masks(_enum_size(n))[1:]
 
     check = _check(n, masks) if args.check_entropy else None
+    columns, tops = _columns(n, masks)
     if args.csv is not None:
-        rows = _family_lines(n, masks, {} if check is None else check.h_star_by_size)
-        _atomic_write_text(args.csv, _CSV_HEADER + "".join([line for _, line in rows]))
-        peaks = [p_a for p_a, _ in rows]
-    else:
-        peaks = _peaks(n, masks)
+        h_star = {} if check is None else check.h_star_by_size
+        _atomic_write_text(args.csv, _sheet(n, masks, columns, tops, h_star))
 
-    least = lowest_peak(zip(peaks, masks))
+    least = lowest_peak(zip(_peaks(tops, masks), masks))
     min_pa, witness = (None, None) if least is None else (least[0], hex(least[1]))
 
     violations = [] if check is None else list(check.violations)
@@ -382,9 +346,14 @@ def main(argv=None) -> int:
     try:
         if "-" in extra:
             raise ValueError("--csv - is not supported; give the sheet a file path")
-        for path in (args.out, *extra):  # refused before the run, not after it
-            if path not in (None, "-"):
-                _require_writable(path)
+        report = () if args.out in (None, "-") else (args.out, args.out + ".manifest.json")
+        written: set[str] = set()
+        for path in (*report, *extra):  # refused before the run, not after it
+            _require_writable(path)
+            real = os.path.realpath(path)
+            if real in written:
+                raise ValueError(f"two outputs would be written to one file, {real!r}")
+            written.add(real)
         with contextlib.redirect_stdout(sys.stderr if args.out == "-" else sys.stdout):
             payload = args.func(args)
         _emit(args, payload, started, extra)

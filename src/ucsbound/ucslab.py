@@ -14,8 +14,9 @@ lookup or three for n <= 4, and enumeration pairs closed halves from
 that table: it never meets the 2^(2^n) - 1 family masks one by one.
 Element frequencies are popcounts of the family mask against, per
 element, the mask of every set containing it, over the family's size
-(:func:`frequency_list`, :func:`element_frequencies`); peaks over many
-masks scan one popcount column per element (:func:`_peaks`).  Only
+(:func:`frequency_list`, :func:`element_frequencies`); over many masks,
+one popcount column per element (:func:`_columns`), which gives both
+the peaks (:func:`_peaks`) and the ``--csv`` sheet (:func:`_sheet`).  Only
 :func:`element_frequencies` and :func:`sample_or_closed` use numpy, and
 each imports it in its own body; ``import ucsbound`` has already checked
 that it is installed.
@@ -316,12 +317,41 @@ def peak_frequency(family: FamilySet) -> float:
     return max([(mask & c).bit_count() for c in _CONTAIN[family.n]]) / mask.bit_count()
 
 
-def _peaks(n: int, masks: list[int]) -> list[float]:
-    """:func:`peak_frequency` of each nonzero family mask on n elements, from
-    one popcount column per element: the same counts and sizes, so the same floats."""
-    columns = [map(int.bit_count, map(c.__and__, masks)) for c in _CONTAIN[n]]
-    tops = columns[0] if n == 1 else map(max, *columns)
+def _columns(n: int, masks: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Member counts of the family masks on n elements, one list per element,
+    and each family's largest count: the counts of :func:`peak_frequency`."""
+    columns = [list(map(int.bit_count, map(c.__and__, masks))) for c in _CONTAIN[n]]
+    return columns, columns[0] if n == 1 else list(map(max, *columns))
+
+
+def _peaks(tops: list[int], masks: list[int]) -> list[float]:
+    """:func:`peak_frequency` of each nonzero family mask from its largest count
+    (:func:`_columns`): the same counts and sizes, so the same floats."""
     return list(map(operator.truediv, tops, map(int.bit_count, masks)))
+
+
+def _sheet(n: int, masks: list[int], columns: list, tops: list[int], h_star: dict) -> str:
+    """The ``enumerate --csv`` sheet of the family masks on n elements from
+    their :func:`_columns`: a header, then a row per family, each ended by CRLF.
+
+    ``h_star`` maps each checked family size to its H_star; H_star and
+    ratio are empty cells for families not checked.  A frequency is
+    count / size, and H_X, H_star and ratio depend on the size alone, so
+    each distinct cell is formatted once per size, by ``repr`` as ``csv``
+    would.  No cell holds a comma, quote or line break, so none is quoted.
+    """
+    by_size: dict[int, tuple[list[str], str]] = {}
+    rows = ["n,size,mask,p_A,freqs,H_X,H_star,ratio\r\n"]
+    for mask, top, counts in zip(masks, tops, zip(*columns)):
+        size = mask.bit_count()
+        if size not in by_size:
+            star, h_x = h_star.get(size), math.log2(size)
+            tail = f"{h_x!r},," if star is None else f"{h_x!r},{star!r},{star / h_x!r}"
+            by_size[size] = [repr(k / size) for k in range(size + 1)], tail
+        fractions, tail = by_size[size]
+        freqs = ";".join([fractions[k] for k in counts])
+        rows.append(f"{n},{size},{mask:#x},{fractions[top]},{freqs},{tail}\r\n")
+    return "".join(rows)
 
 
 def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
@@ -360,7 +390,7 @@ def min_peak_frequency(n: int) -> tuple[float, FamilySet]:
     """
     n = _enum_size(n)
     masks = _closed_masks(n)[2:]
-    peaks = _peaks(n, masks)
+    peaks = _peaks(_columns(n, masks)[1], masks)
     least = min(peaks)
     return least, FamilySet(n, masks[peaks.index(least)])
 

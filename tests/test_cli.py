@@ -290,7 +290,7 @@ class TestEnumerate:
         ids=["n4", "sampled"],
     )
     def test_csv_does_not_change_report_or_stdout(self, argv, tmp_path, capsys):
-        # Without --csv, p_A comes from ucslab._peaks' popcount columns, not the CSV lines.
+        # With or without --csv, p_A comes from the same ucslab._columns pass as the sheet.
         outputs = []
         for extra in ([], ["--csv", str(tmp_path / "families.csv")]):
             out = tmp_path / f"report{len(extra)}.json"
@@ -464,6 +464,55 @@ class TestReportWrites:
         assert captured.out == ""
         assert captured.err == "error: --csv - is not supported; give the sheet a file path\n"
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize(
+        "argv, runs",
+        [(["enumerate", "--n", "2"], "_closed_masks"), (["tmax"], "find_tmax")],
+        ids=["enumerate", "tmax"],
+    )
+    def test_manifest_path_is_refused_before_the_run(
+        self, argv, runs, tmp_path, capsys, monkeypatch
+    ):
+        # A directory at the manifest path used to fail only after the
+        # command had run and written its report.
+        def run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(ucslab if runs == "_closed_masks" else optimizer, runs, run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json.manifest.json").mkdir()
+        assert main([*argv, "--out", "r.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 21] Is a directory: 'r.json.manifest.json'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json.manifest.json"]
+
+    @pytest.mark.parametrize(
+        "sheet, real",
+        [
+            ("r.json", "r.json"),
+            ("r.json.manifest.json", "r.json.manifest.json"),
+            ("sub/../r.json", "r.json"),
+        ],
+        ids=["report", "manifest", "dotdot"],
+    )
+    def test_two_outputs_naming_one_file_are_refused_before_the_run(
+        self, sheet, real, tmp_path, capsys, monkeypatch
+    ):
+        # The later write used to overwrite the earlier, and exit 0.
+        def run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(ucslab, "_closed_masks", run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(["enumerate", "--n", "2", "--csv", sheet, "--out", "r.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        path = os.path.realpath(tmp_path / real)
+        assert captured.err == f"error: two outputs would be written to one file, {path!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
 
 class TestRetiredFlags:

@@ -1,5 +1,7 @@
 """Enumeration lab: closures, frequencies, and the coupling-entropy ceiling."""
 
+import csv
+import io
 import itertools
 import math
 import random
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from ucsbound import ucslab
-from ucsbound.cli import _family_lines, main
+from ucsbound.cli import main
 from ucsbound.errors import DimensionTooLarge, NotClosed
 from ucsbound.scalars import entropy_bits
 from ucsbound.ucslab import (
@@ -28,7 +30,9 @@ from ucsbound.ucslab import (
     sample_or_closed,
     _check,
     _closed_masks,
+    _columns,
     _peaks,
+    _sheet,
     _stabiliser,
 )
 
@@ -355,10 +359,13 @@ class TestFrequencies:
 
     @staticmethod
     def check_against_member_loop(families):
-        """Arrays match the member loop; peaks and CSV rows match the arrays bit for bit."""
-        rows = _family_lines(families[0].n, [fam.mask for fam in families], {})
-        assert len(rows) == len(families)
-        for fam, (p_a, line) in zip(families, rows):
+        """Arrays match the member loop; peaks and sheet rows match the arrays bit for bit."""
+        n, masks = families[0].n, [fam.mask for fam in families]
+        columns, tops = _columns(n, masks)
+        peaks = _peaks(tops, masks)
+        rows = _sheet(n, masks, columns, tops, {}).split("\r\n")[1:-1]
+        assert len(peaks) == len(rows) == len(families)
+        for fam, p_a, line in zip(families, peaks, rows):
             freqs = element_frequencies(fam)
             assert freqs.tobytes() == member_loop_frequencies(fam).tobytes()
             peak = float(freqs.max())
@@ -498,7 +505,7 @@ class TestMinPeakFrequency:
 
     @staticmethod
     def check_columns_against_peak_frequency(n, masks):
-        got = [peak.hex() for peak in _peaks(n, masks)]
+        got = [peak.hex() for peak in _peaks(_columns(n, masks)[1], masks)]
         assert got == [peak_frequency(FamilySet(n, mask)).hex() for mask in masks]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -510,6 +517,40 @@ class TestMinPeakFrequency:
         masks = [fam.mask for fam in sample_or_closed(5, 500, SEED)]
         assert masks != sorted(masks)
         self.check_columns_against_peak_frequency(5, masks)
+
+
+class TestSheet:
+    @staticmethod
+    def reference_sheet(families, checked):
+        """The sheet as ``csv`` writes it from the per-family frequencies, peak
+        and H_star, with H_star and ratio empty unless ``checked``."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\r\n")
+        writer.writerow(["n", "size", "mask", "p_A", "freqs", "H_X", "H_star", "ratio"])
+        for fam in families:
+            h_x = math.log2(fam.size)
+            star = max_symmetric_coupling_entropy(fam) if checked and fam.size > 1 else None
+            freqs = ";".join(map(repr, frequency_list(fam)))
+            ratio = None if star is None else star / h_x
+            row = [fam.n, fam.size, hex(fam.mask), peak_frequency(fam), freqs, h_x, star, ratio]
+            writer.writerow(row)
+        return out.getvalue()
+
+    def check_sheet(self, n, masks):
+        families = [FamilySet(n, mask) for mask in masks]
+        columns, tops = _columns(n, masks)
+        for h_star in ({}, _check(n, masks).h_star_by_size):
+            got = _sheet(n, masks, columns, tops, h_star)
+            assert got == self.reference_sheet(families, checked=bool(h_star))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sheet_is_what_csv_writes_on_every_family(self, n):
+        self.check_sheet(n, _closed_masks(n)[1:])
+
+    def test_sheet_is_what_csv_writes_on_sampled_n5_in_draw_order(self):
+        masks = [fam.mask for fam in sample_or_closed(5, 500, SEED)]
+        assert masks != sorted(masks)
+        self.check_sheet(5, masks)
 
 
 class TestSampling:
