@@ -61,13 +61,16 @@ def _require_writable(path: str) -> str:
     return directory
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file for the block to write, renamed to ``path`` when the block
+    ends, and removed if the block raises: readers never see it half written."""
     directory = _require_writable(path)  # refused before a temp file is made
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ucsbound-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         # mkstemp makes the file 0600; give it the mode open() would.
         umask = os.umask(0)
         os.umask(umask)
@@ -104,7 +107,8 @@ def _emit(args: argparse.Namespace, payload: dict, started_at: str | None, extra
     if args.out == "-":
         sys.stdout.write(text)
         return
-    _atomic_write_text(args.out, text)
+    with _atomic_file(args.out) as fh:
+        fh.write(text)
     manifest = {
         "subcommand": args.subcommand,
         "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")},
@@ -114,7 +118,8 @@ def _emit(args: argparse.Namespace, payload: dict, started_at: str | None, extra
         "finished_at": None if args.no_timestamps else _utcnow(),
         "outputs": (args.out, *extra),
     }
-    _atomic_write_text(args.out + ".manifest.json", _dump_json(manifest))
+    with _atomic_file(args.out + ".manifest.json") as fh:
+        fh.write(_dump_json(manifest))
 
 
 def _search_config(args: argparse.Namespace) -> SearchConfig:
@@ -172,28 +177,35 @@ def cmd_verify_paper(args: argparse.Namespace) -> dict:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> dict:
-    from .ucslab import _check, _closed_masks, _columns, _enum_size, _peaks, _sheet, lowest_peak
+    from .ucslab import _check, _chunks, _columns, _enum_size, _least, _merged, _sheet
     from .ucslab import sample_or_closed
 
     n, sampled = args.n, args.sample is not None
-    if sampled:  # the only path that builds FamilySets
-        masks = [fam.mask for fam in sample_or_closed(n, args.sample, args.seed)]
+    if sampled:  # the only path that builds FamilySets; its masks are one chunk
+        chunks = [[fam.mask for fam in sample_or_closed(n, args.sample, args.seed)]]
     else:
-        masks = _closed_masks(_enum_size(n))[1:]
+        chunks = _chunks(_enum_size(n))
 
-    check = _check(n, masks) if args.check_entropy else None
-    columns, tops = _columns(n, masks)
-    if args.csv is not None:
-        h_star = {} if check is None else check.h_star_by_size
-        _atomic_write_text(args.csv, _sheet(n, masks, columns, tops, h_star))
-
-    least = lowest_peak(zip(_peaks(tops, masks), masks))
+    # One pass over the chunks, keeping the count, the least (peak, mask)
+    # and the check so far; the sheet is written a chunk at a time.
+    count, least, check = 0, None, None
+    with contextlib.nullcontext() if args.csv is None else _atomic_file(args.csv) as sheet:
+        for index, masks in enumerate(chunks):
+            count += len(masks)
+            part = _check(n, masks) if args.check_entropy else None
+            if part is not None:
+                check = part if check is None else _merged(check, part)
+            columns, tops = _columns(n, masks)
+            if sheet is not None:
+                h_star = {} if part is None else part.h_star_by_size
+                sheet.write(_sheet(n, masks, columns, tops, h_star, header=not index))
+            least = _least(least, tops, masks)
     min_pa, witness = (None, None) if least is None else (least[0], hex(least[1]))
 
     violations = [] if check is None else list(check.violations)
     payload: dict = {
         "n": n,
-        "family_count": len(masks),
+        "family_count": count,
         "sampled": sampled,
         "min_pA": min_pa,
         "witness_mask": witness,
@@ -205,7 +217,7 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
 
     source = "sampled" if sampled else "enumerated"
     print(
-        f"n={n}: {len(masks)} {source} OR-closed families, "
+        f"n={n}: {count} {source} OR-closed families, "
         f"min p_A = {min_pa} (witness {witness}), {len(violations)} violations"
     )
     return payload
@@ -318,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sample",
         type=int,
-        help="sample this many random closures instead of enumerating (for n = 5)",
+        help="sample this many random closures instead of enumerating",
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     _add_common(p)

@@ -17,6 +17,21 @@ always a high block, scales its denominator H/2 and correlated term P by
 touching the value 1 is h(1) = 0.  So R(a1, a2, 1, 1) =
 [(1-alpha)(1-beta) S/4 + alpha P] / (H/2) <= R(a1, a2), equal at a = t.
 
+Means below the target
+----------------------
+A certificate at t covers every mean below t.  Mix any law of the pair
+(P, Q) of mean m < t with the atom (1, 1) at weight eps = (t - m)/(1 - m):
+the mean becomes (1 - eps) m + eps = t.  Every OR touching the value 1
+is 1, h(1) = 0 and fullcorr(1, q) = 1, so the independent term scales
+by (1 - eps)^2 and the correlated term and the denominator by 1 - eps:
+the mixed ratio is [(1-alpha)(1-eps) ind + alpha cor] / denom, at most
+the law's own at every alpha.  So at every alpha the infimum over laws
+of mean t is at most the infimum over laws of mean m, and the best bound
+over alpha does not rise with t.  Over all laws that is exact.  The
+mixture of a two-block law has three blocks, though, so for the
+candidate class it holds given the paper's reduction to two
+blocks; the tests check it on the face numerically.
+
 Searched face
 -------------
 The search covers the face a1 = a2 = a <= t, b2 = 1, where every

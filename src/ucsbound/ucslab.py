@@ -3,7 +3,7 @@
 A set over the ground elements {0, ..., n-1} is encoded as an integer
 bitmask in [0, 2^n); taking unions is then bitwise OR.  A *family* of
 such sets is in turn encoded as a bitmask over the 2^n possible
-members.  Closure proofs and exhaustive enumeration for n <= 4 both
+members.  Closure proofs and exhaustive enumeration for n <= 5 both
 split a family at its top element n - 1 into two families on n - 1
 elements: ``lo``, the members lacking n - 1, and ``hi``, the members
 holding it, with n - 1 removed.  The family is closed iff both halves
@@ -11,7 +11,8 @@ are and ``lo`` lies inside the stabiliser of ``hi`` (see
 :func:`_split`).  A table built at import holds every closed family on
 at most 3 elements with its stabiliser, so :func:`is_or_closed` is a
 lookup or three for n <= 4, and enumeration pairs closed halves from
-that table: it never meets the 2^(2^n) - 1 family masks one by one.
+that table, or at n = 5 from one it builds from the families on 4
+elements: it never meets the 2^(2^n) - 1 family masks one by one.
 Element frequencies are popcounts of the family mask against, per
 element, the mask of every set containing it, over the family's size
 (:func:`frequency_list`, :func:`element_frequencies`); over many masks,
@@ -26,9 +27,13 @@ tuple (n, mask), checks both in ``__new__`` (``_replace`` and ``_make``
 skip it), and every public function checks its other arguments first.
 Closure works on masks (:func:`or_closure`): each generator is checked
 and folded into the mask, and one FamilySet is built for the result.
-The checks over a whole enumeration, :func:`min_peak_frequency` (by
-the column scan) and :func:`check_entropy_inequality`, read the split's
-masks directly: a :class:`FamilySet` is built only for the witness.
+Exhaustive enumeration takes the closed masks in ascending chunks of at
+most ``_CHUNK`` masks (:func:`_chunks`): n <= 4 is one chunk, and n = 5,
+2,771,103 families, runs in bounded memory.  The checks over a whole
+enumeration, :func:`min_peak_frequency` (by the column scan) and
+:func:`check_entropy_inequality`, read the chunks' masks directly and
+keep only a running result across them: a :class:`FamilySet` is built
+only for the witness.
 
 Besides enumeration and frequency bookkeeping, the module checks the
 coupling-entropy ceiling H(X OR Y) <= log2 |A| over symmetric couplings
@@ -44,8 +49,10 @@ proved again.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import DimensionTooLarge, NotClosed
@@ -71,9 +78,14 @@ __all__ = [
     "check_entropy_inequality",
 ]
 
-# Exhaustive enumeration yields every OR-closed family: 4959 at n = 4,
-# but 2,771,103 at n = 5, too many for the per-family checks here.
-MAX_ENUM_N = 4
+# Exhaustive enumeration yields every OR-closed family: 4959 at n = 4 and
+# 2,771,103 at n = 5, which the exhaustive scans take a chunk at a time.
+# A FamilySet holds no family on more than 5 elements.
+MAX_ENUM_N = 5
+
+# The most masks an exhaustive scan holds at once (:func:`_chunks`).  At
+# least 2^14, so that n <= 4, 4959 families, is a single chunk.
+_CHUNK = 1 << 16
 
 # _CONTAIN[n][e]: the family mask of every subset of {0, ..., n-1} that
 # contains element e, for each ground-set size a FamilySet allows.
@@ -112,10 +124,7 @@ def _enum_size(n) -> int:
     """n as an int; :class:`DimensionTooLarge` above MAX_ENUM_N, ``ValueError`` below 1."""
     size = _as_int(n, "ground-set size")
     if size > MAX_ENUM_N:
-        raise DimensionTooLarge(
-            f"exhaustive enumeration supports n <= {MAX_ENUM_N}, got {n!r}; "
-            "use sampling for larger ground sets"
-        )
+        raise DimensionTooLarge(f"exhaustive enumeration supports n <= {MAX_ENUM_N}, got {n!r}")
     if size < 1:
         raise ValueError(f"ground-set size must be >= 1, got {n!r}")
     return size
@@ -205,44 +214,74 @@ def _stabiliser(n: int, mask: int) -> int:
     return sum(1 << x for x in range(1 << n) if not _unions(n, x, mask) & ~mask)
 
 
-def _split(n: int, lower: dict[int, int]) -> list[int]:
-    """Ascending closed family masks on n elements, from those on n - 1.
+def _split(n: int, lower: dict[int, int]) -> Iterator[list[int]]:
+    """Ascending closed family masks on n >= 2 elements, 0 included, from
+    those on n - 1, in one list per ``hi``.
 
     ``lower`` maps each closed mask on n - 1 elements, 0 included, to its
     stabiliser, in ascending order.  A family on n elements splits at
     element n - 1 into ``lo``, its members lacking n - 1, and ``hi``, its
     members holding n - 1 with n - 1 removed; its mask is
     ``lo | hi << 2^(n-1)``.  It is closed iff ``lo`` and ``hi`` are and
-    every member of ``lo`` is in the stabiliser of ``hi``.  Families
-    whose ``hi`` share a stabiliser share their list of ``lo``.
+    every member of ``lo`` is in the stabiliser of ``hi``.  The ``lo``
+    inside a stabiliser come from the same split one level down, over the
+    table of closed masks on n - 2 elements: ``lo`` splits into a top half
+    ``h`` and a bottom half, and lies inside the stabiliser iff each half
+    lies inside the stabiliser's.  So no ``lo`` outside it is ever built.
     """
-    shift = 1 << (n - 1)
-    below: dict[int, list[int]] = {}
-    out: list[int] = []
+    shift, half = 1 << (n - 1), 1 << (n - 2)
+    table = _STAB[n - 2]
+    # inside[x]: the closed masks on n - 2 elements inside the mask x.
+    inside = [[m for m in table if not m & ~x] for x in range(1 << half)]
     for hi, stab in lower.items():
-        los = below.get(stab)
-        if los is None:
-            los = below[stab] = [lo for lo in lower if not lo & ~stab]
-        top = hi << shift
-        out += [top | lo for lo in los]
-    return out
+        bottom, top = stab & ((1 << half) - 1), stab >> half
+        high = hi << shift
+        # "for head in (...,)" binds the block's shared high bits once per h.
+        yield [
+            head | m
+            for h, s in table.items()
+            if not h & ~top
+            for head in (high | h << half,)
+            for m in inside[s & bottom]
+        ]
 
 
 # _STAB[n]: every closed family mask on n <= 3 elements, the empty family
 # included, mapped to its stabiliser, in ascending order: 142 entries in
-# all.  Closure on n <= 4 elements is then a lookup or three.
+# all.  Closure on n <= 4 elements is then a lookup or three.  Every
+# family on one element is closed; the split builds the rest.
 _STAB: dict[int, dict[int, int]] = {0: {0: 1, 1: 1}}
-for _n in range(1, 4):
-    _STAB[_n] = {f: _stabiliser(_n, f) for f in _split(_n, _STAB[_n - 1])}
+_STAB[1] = {f: _stabiliser(1, f) for f in range(4)}
+for _n in (2, 3):
+    _STAB[_n] = {f: _stabiliser(_n, f) for block in _split(_n, _STAB[_n - 1]) for f in block}
 del _n
 
 
 def _closed_masks(n: int) -> list[int]:
-    """Every closed family mask on n >= 1 elements, 0 included, ascending."""
-    lower = _STAB.get(n - 1)
-    if lower is None:
-        lower = {f: _stabiliser(n - 1, f) for f in _closed_masks(n - 1)}
-    return _split(n, lower)
+    """Every closed family mask on 1 <= n <= 4 elements, 0 included, ascending."""
+    table = _STAB.get(n)
+    if table is not None:
+        return list(table)
+    return list(chain.from_iterable(_split(n, _STAB[n - 1])))
+
+
+def _chunks(n: int) -> Iterator[list[int]]:
+    """Every nonempty closed family mask on 1 <= n <= 5 elements, ascending,
+    in lists of ``_CHUNK`` masks but the last, which holds the rest.
+
+    For n <= 4 the masks are :func:`_closed_masks`; for n = 5 they come
+    from :func:`_split`'s per-``hi`` blocks, over a table of the closed
+    masks on 4 elements and their stabilisers built here, so that no list
+    holds them all.
+    """
+    if n <= 4:
+        blocks = [_closed_masks(n)]
+    else:
+        blocks = _split(n, {f: _stabiliser(n - 1, f) for f in _closed_masks(n - 1)})
+    masks = chain.from_iterable(blocks)
+    next(masks)  # 0, the empty family
+    while chunk := list(islice(masks, _CHUNK)):
+        yield chunk
 
 
 def _is_closed(n: int, mask: int) -> bool:
@@ -330,9 +369,13 @@ def _peaks(tops: list[int], masks: list[int]) -> list[float]:
     return list(map(operator.truediv, tops, map(int.bit_count, masks)))
 
 
-def _sheet(n: int, masks: list[int], columns: list, tops: list[int], h_star: dict) -> str:
+def _sheet(
+    n: int, masks: list[int], columns: list, tops: list[int], h_star: dict, header: bool = True
+) -> str:
     """The ``enumerate --csv`` sheet of the family masks on n elements from
     their :func:`_columns`: a header, then a row per family, each ended by CRLF.
+    A sheet written a chunk of masks at a time has its header only once:
+    ``header`` is false for every chunk after the first.
 
     ``h_star`` maps each checked family size to its H_star; H_star and
     ratio are empty cells for families not checked.  A frequency is
@@ -341,7 +384,7 @@ def _sheet(n: int, masks: list[int], columns: list, tops: list[int], h_star: dic
     would.  No cell holds a comma, quote or line break, so none is quoted.
     """
     by_size: dict[int, tuple[list[str], str]] = {}
-    rows = ["n,size,mask,p_A,freqs,H_X,H_star,ratio\r\n"]
+    rows = ["n,size,mask,p_A,freqs,H_X,H_star,ratio\r\n"] if header else []
     for mask, top, counts in zip(masks, tops, zip(*columns)):
         size = mask.bit_count()
         if size not in by_size:
@@ -357,15 +400,17 @@ def _sheet(n: int, masks: list[int], columns: list, tops: list[int], h_star: dic
 def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
     """All OR-closed families on n elements, in increasing mask order.
 
-    They are the masks :func:`_split` pairs from the closed halves on
-    n - 1 elements in the table built at import.  It raises
-    :class:`DimensionTooLarge` for n > 4 when called, not when iterated:
-    n = 5 has 2,771,103 OR-closed families, which is not desk-scale.
-    Use :func:`sample_or_closed` there instead.
+    They are the masks :func:`_split` pairs from closed halves on n - 1
+    elements, read a chunk at a time (:func:`_chunks`), so that at n = 5,
+    2,771,103 families, the iterator holds one chunk of masks, not all of
+    them.  Each mask is closed and in range by construction, so each
+    FamilySet is built as ``_make`` builds one, without the check in
+    ``FamilySet.__new__``.  It raises :class:`DimensionTooLarge` for n > 5
+    when called, not when iterated.
     """
     n = _enum_size(n)
-    # The first mask is 0, the empty family.
-    return (FamilySet(n, mask) for mask in _closed_masks(n)[1:])
+    masks = chain.from_iterable(_chunks(n))
+    return map(tuple.__new__, repeat(FamilySet), zip(repeat(n), masks))
 
 
 def lowest_peak(peaks: Iterable[tuple[float, int]]) -> tuple[float, int] | None:
@@ -379,20 +424,29 @@ def lowest_peak(peaks: Iterable[tuple[float, int]]) -> tuple[float, int] | None:
     return min((pair for pair in peaks if pair[1] != 1), default=None)
 
 
+def _least(
+    least: tuple[float, int] | None, tops: list[int], masks: list[int]
+) -> tuple[float, int] | None:
+    """The :func:`lowest_peak` of ``least``, the least pair of the chunks so
+    far or None, and the chunk's masks with their largest counts ``tops``."""
+    pairs = zip(_peaks(tops, masks), masks)
+    return lowest_peak(pairs if least is None else chain([least], pairs))
+
+
 def min_peak_frequency(n: int) -> tuple[float, FamilySet]:
     """Minimum peak frequency over OR-closed families, with a witness.
 
-    It scans the masks of :func:`enumerate_or_closed` by :func:`_peaks`,
-    past 1, the family {empty set}, and builds a FamilySet for the
-    witness alone: the first mask at the least peak.  The masks ascend,
-    so that is the witness of :func:`lowest_peak`.  Every n >= 1 has the
-    family {empty set, {0}}, so a witness always exists.
+    It scans the masks of :func:`enumerate_or_closed` a chunk at a time
+    by :func:`_peaks`, keeping the :func:`lowest_peak` so far, and builds
+    a FamilySet for the witness alone.  Every n >= 1 has the family
+    {empty set, {0}}, so a witness always exists.
     """
     n = _enum_size(n)
-    masks = _closed_masks(n)[2:]
-    peaks = _peaks(_columns(n, masks)[1], masks)
-    least = min(peaks)
-    return least, FamilySet(n, masks[peaks.index(least)])
+    least = None
+    for masks in _chunks(n):
+        least = _least(least, _columns(n, masks)[1], masks)
+    peak, mask = least
+    return peak, FamilySet(n, mask)
 
 
 def sample_or_closed(n: int, count: int, seed: int) -> list[FamilySet]:
@@ -493,13 +547,30 @@ def _check(n: int, masks: list[int]) -> EntropyCheckReport:
     )
 
 
+def _merged(a: EntropyCheckReport, b: EntropyCheckReport) -> EntropyCheckReport:
+    """The :func:`_check` of two lists of masks on n elements, one after the
+    other, from the check of each: H_star and the ceiling depend on the
+    size alone, so each size gives the same ratio in both."""
+    lows = [r for r in (a.ratio_min, b.ratio_min) if r is not None]
+    highs = [r for r in (a.ratio_max, b.ratio_max) if r is not None]
+    return EntropyCheckReport(
+        n=a.n,
+        checked=a.checked + b.checked,
+        skipped=a.skipped + b.skipped,
+        violations=a.violations + b.violations,
+        ratio_min=min(lows, default=None),
+        ratio_max=max(highs, default=None),
+        h_star_by_size=dict(sorted({**a.h_star_by_size, **b.h_star_by_size}.items())),
+    )
+
+
 def check_entropy_inequality(n: int) -> EntropyCheckReport:
     """Check H_star <= log2 |A| + 1e-6 over every family of :func:`enumerate_or_closed`.
 
     H_star is :func:`max_symmetric_coupling_entropy`, read from the
     family's size; families of fewer than two members are skipped, and
-    the ratios H_star / log2 |A| sit at 1 up to rounding.  It reads the
-    families' masks and builds no FamilySet.
+    the ratios H_star / log2 |A| sit at 1 up to rounding.  It checks the
+    families' masks a chunk at a time and builds no FamilySet.
     """
     n = _enum_size(n)
-    return _check(n, _closed_masks(n)[1:])
+    return functools.reduce(_merged, map(_check, repeat(n), _chunks(n)))

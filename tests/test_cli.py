@@ -343,10 +343,10 @@ class TestEnumerate:
         assert block["checked"] == sum(int(r["size"]) >= 2 for r in rows)
         assert all(bool(r["H_star"]) == (int(r["size"]) >= 2) for r in rows)
 
-    def test_n5_without_sampling_exits_2(self, capsys):
-        rc = main(["enumerate", "--n", "5"])
+    def test_n6_exits_2(self, capsys):
+        rc = main(["enumerate", "--n", "6"])
         assert rc == 2
-        assert "sampling" in capsys.readouterr().err
+        assert "supports n <= 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags,word",

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from ucsbound import optimizer
-from ucsbound.distributions import ExtremeFamily, entropy_ratio
+from ucsbound.distributions import ExtremeFamily, entropy_ratio, mixed_or_entropy
 from ucsbound.errors import (
     BracketFailure,
     DegenerateDenominator,
@@ -168,6 +168,46 @@ class TestDominationLemma:
             assert oracle_ratio(a1, a2, 1.0, 1.0, t, alpha) == pytest.approx(
                 oracle_ratio(a1, a2, None, None, t, alpha), abs=1e-12
             )
+
+
+class TestMeansBelowTarget:
+    """A certificate at t covers every mean below t: mixing in the atom (1, 1)
+    lifts a law's mean to t and never raises its ratio (``optimizer`` docstring)."""
+
+    @staticmethod
+    def law_ratio(atoms, alpha):
+        denom = sum(0.5 * m * (oracle_entropy(x) + oracle_entropy(y)) for x, y, m in atoms)
+        return mixed_or_entropy(atoms, alpha) / denom
+
+    def test_mixing_in_the_all_ones_atom_never_raises_the_ratio(self):
+        rng = np.random.default_rng(SEED)
+        mixed_laws = 0
+        while mixed_laws < 2000:
+            t, alpha = rng.uniform(0.01, 0.49), rng.uniform()
+            k = int(rng.integers(1, 5))
+            values = rng.uniform(0.0, min(1.0, 2 * t), size=(k, 2))
+            masses = rng.dirichlet(np.ones(k))
+            atoms = [(float(x), float(y), float(m)) for (x, y), m in zip(values, masses)]
+            mean = sum(0.5 * m * (x + y) for x, y, m in atoms)
+            if not (mean < t and self.law_ratio(atoms, 0.0) > 0.0):
+                continue
+            eps = (t - mean) / (1.0 - mean)
+            mixed = [(x, y, (1.0 - eps) * m) for x, y, m in atoms] + [(1.0, 1.0, eps)]
+            mixed_mean = sum(0.5 * m * (x + y) for x, y, m in mixed)
+            assert mixed_mean == pytest.approx((1.0 - eps) * mean + eps, abs=1e-12)
+            assert mixed_mean == pytest.approx(t, abs=1e-12)
+            before, after = self.law_ratio(atoms, alpha), self.law_ratio(mixed, alpha)
+            assert after <= before * (1.0 + 1e-12)
+            mixed_laws += 1
+
+    def test_face_bound_below_the_target_is_no_lower(self):
+        # At alpha*(0.38234), the face bound at each mean below t is at least
+        # the bound at t, up to rounding.
+        alpha = gamma_hat(REFERENCE_T).alpha_star
+        at_t = inner_inf(alpha, REFERENCE_T).min_ratio
+        ladder = (1e-12, 1e-8, 1e-6, 0.01, 0.1, 0.2, 0.3, 0.35, 0.38, 0.382, 0.38233, 0.382339999)
+        for mean in ladder:
+            assert inner_inf(alpha, mean).min_ratio >= at_t - 1e-12, mean
 
 
 class TestLineObjective:

@@ -3,6 +3,7 @@
 import csv
 import io
 import itertools
+import json
 import math
 import random
 import time
@@ -29,8 +30,11 @@ from ucsbound.ucslab import (
     peak_frequency,
     sample_or_closed,
     _check,
+    _chunks,
     _closed_masks,
     _columns,
+    _least,
+    _merged,
     _peaks,
     _sheet,
     _stabiliser,
@@ -445,10 +449,10 @@ class TestEnumeration:
 
     def test_too_large_raises(self):
         with pytest.raises(DimensionTooLarge):
-            list(enumerate_or_closed(5))
+            list(enumerate_or_closed(6))
 
     @pytest.mark.parametrize(
-        "n,error", [(5, DimensionTooLarge), (0, ValueError), ("x", ValueError)]
+        "n,error", [(6, DimensionTooLarge), (0, ValueError), ("x", ValueError)]
     )
     def test_bad_size_raises_when_called_not_when_iterated(self, n, error):
         with pytest.raises(error):
@@ -517,6 +521,118 @@ class TestMinPeakFrequency:
         masks = [fam.mask for fam in sample_or_closed(5, 500, SEED)]
         assert masks != sorted(masks)
         self.check_columns_against_peak_frequency(5, masks)
+
+
+class TestChunkedScan:
+    """The exhaustive scans take the closed masks in chunks of ``_CHUNK``;
+    at any chunk size they give what one chunk of every mask gives."""
+
+    @staticmethod
+    def scan(n, chunks):
+        """Columns, least (peak, mask), check and sheet over the chunks, merged
+        as ``enumerate`` merges them."""
+        columns, least, check, sheet = [[] for _ in range(n)], None, None, []
+        for index, masks in enumerate(chunks):
+            part_columns, tops = _columns(n, masks)
+            for column, part in zip(columns, part_columns):
+                column += part
+            least = _least(least, tops, masks)
+            part = _check(n, masks)
+            check = part if check is None else _merged(check, part)
+            sheet.append(_sheet(n, masks, part_columns, tops, part.h_star_by_size, header=not index))
+        return columns, least, check, "".join(sheet)
+
+    @staticmethod
+    def whole(n, masks):
+        columns, tops = _columns(n, masks)
+        check = _check(n, masks)
+        least = lowest_peak(zip(_peaks(tops, masks), masks))
+        return columns, least, check, _sheet(n, masks, columns, tops, check.h_star_by_size)
+
+    @pytest.mark.parametrize("size", [7, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chunks_split_the_closed_masks(self, n, size, monkeypatch):
+        monkeypatch.setattr(ucslab, "_CHUNK", size)
+        chunks = list(_chunks(n))
+        assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= size
+        assert list(itertools.chain(*chunks)) == _closed_masks(n)[1:]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_up_to_four_elements_is_one_chunk(self, n):
+        assert list(_chunks(n)) == [_closed_masks(n)[1:]]
+
+    @pytest.mark.parametrize("size", [7, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_any_chunk_size_gives_the_single_chunk_results(self, n, size, monkeypatch):
+        masks = _closed_masks(n)[1:]
+        value, witness = min_peak_frequency(n)
+        report = check_entropy_inequality(n)
+        monkeypatch.setattr(ucslab, "_CHUNK", size)
+        assert len(list(_chunks(n))) > 1 or len(masks) <= size
+        got = self.scan(n, _chunks(n))
+        assert got == self.whole(n, masks)
+        chunked_value, chunked_witness = min_peak_frequency(n)
+        assert (chunked_value.hex(), chunked_witness) == (value.hex(), witness)
+        assert check_entropy_inequality(n) == report == got[2]
+
+    @pytest.mark.parametrize("size", [7, 64])
+    def test_sampled_masks_in_chunks_give_the_single_chunk_results(self, size):
+        masks = [fam.mask for fam in sample_or_closed(5, 2000, 7)]
+        assert masks != sorted(masks)
+        chunks = [masks[i : i + size] for i in range(0, len(masks), size)]
+        assert self.scan(5, chunks) == self.whole(5, masks)
+
+    @pytest.mark.parametrize("size", [7, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_enumerate_command_is_byte_identical_in_chunks(self, n, size, tmp_path, monkeypatch):
+        argv = ["enumerate", "--n", str(n), "--check-entropy", "--no-timestamps"]
+        outputs = []
+        for chunk in (ucslab._CHUNK, size):
+            monkeypatch.setattr(ucslab, "_CHUNK", chunk)
+            sheet, out = tmp_path / f"{chunk}.csv", tmp_path / f"{chunk}.json"
+            assert main([*argv, "--csv", str(sheet), "--out", str(out)]) == 0
+            outputs.append((sheet.read_bytes(), out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_violations_across_chunks_keep_their_order(self, monkeypatch):
+        exact = ucslab._uniform_bits
+        monkeypatch.setattr(ucslab, "_uniform_bits", lambda k: exact(k) + (1e-3 if k in (2, 3) else 0.0))
+        report = check_entropy_inequality(3)
+        assert len(report.violations) > 10 and not report.ok
+        monkeypatch.setattr(ucslab, "_CHUNK", 7)
+        assert check_entropy_inequality(3) == report
+
+    def test_a_tie_across_chunks_keeps_the_smallest_mask(self):
+        # {empty, {0}}, {empty, {1}} and the full cube on 2 elements all peak
+        # at 1/2; {empty set}, 0x1, is passed over.
+        for chunks in ([[0x5], [0x3]], [[0x3], [0x5]], [[0x5, 0x1], [0xF, 0x3]]):
+            least = None
+            for masks in chunks:
+                least = _least(least, _columns(2, masks)[1], masks)
+            assert least == (0.5, 0x3), chunks
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_enumerated_families_are_plain_closed_family_sets(self, n):
+        families = list(enumerate_or_closed(n))
+        assert [f.mask for f in families] == _closed_masks(n)[1:]
+        for fam in families:
+            assert type(fam) is FamilySet
+            assert fam == FamilySet(n, fam.mask) and fam.n == n
+            assert is_or_closed(fam)
+
+    @pytest.mark.slow
+    def test_exhaustive_n5(self, tmp_path):
+        # OEIS A102896: 2,771,103 closed families at n = 5, every one scanned.
+        out = tmp_path / "n5.json"
+        assert main(["enumerate", "--n", "5", "--check-entropy", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["family_count"] == 2_771_103
+        assert (report["min_pA"], report["witness_mask"]) == (0.5, "0x3")
+        assert report["violations"] == []
+        block = report["entropy_check"]
+        assert block["checked"] + block["skipped"] == 2_771_103
+        assert min_peak_frequency(5) == (0.5, FamilySet(5, 0x3))
 
 
 class TestSheet:
@@ -679,8 +795,8 @@ class TestEntropyInequality:
         for n in ("4", 4.5, 0, -1):
             with pytest.raises(ValueError, match="ground-set size"):
                 check_entropy_inequality(n)
-        for n in (5, 6):
-            with pytest.raises(DimensionTooLarge, match="supports n <= 4"):
+        for n in (6, 7):
+            with pytest.raises(DimensionTooLarge, match="supports n <= 5"):
                 check_entropy_inequality(n)
         # enumerate --sample checks sampled masks on n = 5 through _check.
         sampled = [fam.mask for fam in sample_or_closed(5, 20, 1)]
