@@ -39,7 +39,7 @@ from .errors import (
     VerificationFailed,
 )
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 __all__ = ["main", "build_parser", "SCHEMA_VERSION"]
 
@@ -177,36 +177,16 @@ def cmd_verify_paper(args: argparse.Namespace) -> dict:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> dict:
-    from .ucslab import _check, _chunks, _columns, _enum_size, _least, _merged, _sheet
-    from .ucslab import sample_or_closed
+    from .ucslab import scan
 
-    n, sampled = args.n, args.sample is not None
-    if sampled:  # the only path that builds FamilySets; its masks are one chunk
-        chunks = [[fam.mask for fam in sample_or_closed(n, args.sample, args.seed)]]
-    else:
-        chunks = _chunks(_enum_size(n))
-
-    # One pass over the chunks, keeping the count, the least (peak, mask)
-    # and the check so far; the sheet is written a chunk at a time.
-    count, least, check = 0, None, None
     with contextlib.nullcontext() if args.csv is None else _atomic_file(args.csv) as sheet:
-        for index, masks in enumerate(chunks):
-            count += len(masks)
-            part = _check(n, masks) if args.check_entropy else None
-            if part is not None:
-                check = part if check is None else _merged(check, part)
-            columns, tops = _columns(n, masks)
-            if sheet is not None:
-                h_star = {} if part is None else part.h_star_by_size
-                sheet.write(_sheet(n, masks, columns, tops, h_star, header=not index))
-            least = _least(least, tops, masks)
-    min_pa, witness = (None, None) if least is None else (least[0], hex(least[1]))
+        count, (min_pa, mask), check = scan(args.n, args.check_entropy, sheet)
+    witness = hex(mask)
 
     violations = [] if check is None else list(check.violations)
     payload: dict = {
-        "n": n,
+        "n": args.n,
         "family_count": count,
-        "sampled": sampled,
         "min_pA": min_pa,
         "witness_mask": witness,
         "violations": violations,
@@ -215,9 +195,8 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
         keys = ("checked", "skipped", "ratio_min", "ratio_max")
         payload["entropy_check"] = {k: getattr(check, k) for k in keys}
 
-    source = "sampled" if sampled else "enumerated"
     print(
-        f"n={n}: {count} {source} OR-closed families, "
+        f"n={args.n}: {count} enumerated OR-closed families, "
         f"min p_A = {min_pa} (witness {witness}), {len(violations)} violations"
     )
     return payload
@@ -318,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser(
         "enumerate",
-        help="enumerate (or sample) OR-closed families and report frequencies",
+        help="enumerate OR-closed families and report frequencies",
     )
     p.add_argument("--n", type=int, required=True, help="ground-set size")
     p.add_argument("--csv", help="write one row per family here")
@@ -327,12 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also check the coupling-entropy ceiling H(X or Y) <= log2 |A| per family",
     )
-    p.add_argument(
-        "--sample",
-        type=int,
-        help="sample this many random closures instead of enumerating",
-    )
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     _add_common(p)
     p.set_defaults(func=cmd_enumerate)
 

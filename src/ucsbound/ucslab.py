@@ -19,8 +19,9 @@ element, the mask of every set containing it, over the family's size
 one popcount column per element (:func:`_columns`), which gives both
 the peaks (:func:`_peaks`) and the ``--csv`` sheet (:func:`_sheet`).  Only
 :func:`element_frequencies` and :func:`sample_or_closed` use numpy, and
-each imports it in its own body; ``import ucsbound`` has already checked
-that it is installed.
+each imports it in its own body; no command calls either (the lab
+pass in ``benchmarks/`` does), and ``import ucsbound`` has already
+checked that numpy is installed.
 
 Input is validated where it enters: a :class:`FamilySet`, the named
 tuple (n, mask), checks both in ``__new__`` (``_replace`` and ``_make``
@@ -29,11 +30,9 @@ Closure works on masks (:func:`or_closure`): each generator is checked
 and folded into the mask, and one FamilySet is built for the result.
 Exhaustive enumeration takes the closed masks in ascending chunks of at
 most ``_CHUNK`` masks (:func:`_chunks`): n <= 4 is one chunk, and n = 5,
-2,771,103 families, runs in bounded memory.  The checks over a whole
-enumeration, :func:`min_peak_frequency` (by the column scan) and
-:func:`check_entropy_inequality`, read the chunks' masks directly and
-keep only a running result across them: a :class:`FamilySet` is built
-only for the witness.
+2,771,103 families, runs in bounded memory.  One fold over the chunks,
+:func:`scan`, serves :func:`min_peak_frequency` and ``enumerate``;
+:func:`check_entropy_inequality` counts family sizes alone.
 
 Besides enumeration and frequency bookkeeping, the module checks the
 coupling-entropy ceiling H(X OR Y) <= log2 |A| over symmetric couplings
@@ -43,17 +42,15 @@ directly, so it is exact by construction.  The value depends on the
 family's size alone, so the check runs once per family size that occurs
 and skips only the families of fewer than two members.  Closure is
 proved where a family enters (:func:`max_symmetric_coupling_entropy`);
-enumerated and sampled masks are closed by construction and are not
-proved again.
+enumerated masks are closed by construction and are not proved again.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from itertools import chain, islice, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import DimensionTooLarge, NotClosed
 from .scalars import entropy_bits
@@ -72,6 +69,7 @@ __all__ = [
     "peak_frequency",
     "enumerate_or_closed",
     "lowest_peak",
+    "scan",
     "min_peak_frequency",
     "sample_or_closed",
     "max_symmetric_coupling_entropy",
@@ -369,26 +367,27 @@ def _peaks(tops: list[int], masks: list[int]) -> list[float]:
     return list(map(operator.truediv, tops, map(int.bit_count, masks)))
 
 
-def _sheet(
-    n: int, masks: list[int], columns: list, tops: list[int], h_star: dict, header: bool = True
-) -> str:
-    """The ``enumerate --csv`` sheet of the family masks on n elements from
-    their :func:`_columns`: a header, then a row per family, each ended by CRLF.
-    A sheet written a chunk of masks at a time has its header only once:
-    ``header`` is false for every chunk after the first.
+_HEADER = "n,size,mask,p_A,freqs,H_X,H_star,ratio\r\n"
 
-    ``h_star`` maps each checked family size to its H_star; H_star and
-    ratio are empty cells for families not checked.  A frequency is
-    count / size, and H_X, H_star and ratio depend on the size alone, so
-    each distinct cell is formatted once per size, by ``repr`` as ``csv``
-    would.  No cell holds a comma, quote or line break, so none is quoted.
+
+def _sheet(n: int, masks: list[int], columns: list, tops: list[int], check: bool) -> str:
+    """The ``enumerate --csv`` rows of the family masks on n elements from
+    their :func:`_columns`, each ended by CRLF; :func:`scan` writes the
+    :data:`_HEADER` above the first.
+
+    H_star and ratio are empty cells unless ``check`` is set and the
+    family has at least two members.  A frequency is count / size, and
+    H_X, H_star and ratio depend on the size alone, so each distinct cell
+    is formatted once per size, by ``repr`` as ``csv`` would.  No cell
+    holds a comma, quote or line break, so none is quoted.
     """
     by_size: dict[int, tuple[list[str], str]] = {}
-    rows = ["n,size,mask,p_A,freqs,H_X,H_star,ratio\r\n"] if header else []
+    rows = []
     for mask, top, counts in zip(masks, tops, zip(*columns)):
         size = mask.bit_count()
         if size not in by_size:
-            star, h_x = h_star.get(size), math.log2(size)
+            star = _uniform_bits(size) if check and size > 1 else None
+            h_x = math.log2(size)
             tail = f"{h_x!r},," if star is None else f"{h_x!r},{star!r},{star / h_x!r}"
             by_size[size] = [repr(k / size) for k in range(size + 1)], tail
         fractions, tail = by_size[size]
@@ -424,28 +423,37 @@ def lowest_peak(peaks: Iterable[tuple[float, int]]) -> tuple[float, int] | None:
     return min((pair for pair in peaks if pair[1] != 1), default=None)
 
 
-def _least(
-    least: tuple[float, int] | None, tops: list[int], masks: list[int]
-) -> tuple[float, int] | None:
-    """The :func:`lowest_peak` of ``least``, the least pair of the chunks so
-    far or None, and the chunk's masks with their largest counts ``tops``."""
-    pairs = zip(_peaks(tops, masks), masks)
-    return lowest_peak(pairs if least is None else chain([least], pairs))
+def scan(n: int, check: bool = False, sheet: TextIO | None = None) -> tuple:
+    """One pass over every OR-closed family on n elements, a chunk of masks
+    at a time (:func:`_chunks`): the family count, the least (peak, mask)
+    by :func:`lowest_peak` and, if ``check`` is set, the
+    :func:`check_entropy_inequality` report, else None.  Across chunks it
+    keeps only those and the number of families of each size.  Given a
+    ``sheet`` file, it writes the ``enumerate --csv`` sheet there from the
+    :func:`_columns` that give the peaks.  It builds no FamilySet.
+    """
+    n = _enum_size(n)
+    count, least, sizes = 0, None, [0] * ((1 << n) + 1)
+    if sheet is not None:
+        sheet.write(_HEADER)
+    for masks in _chunks(n):
+        count += len(masks)
+        columns, tops = _columns(n, masks)
+        pairs = zip(_peaks(tops, masks), masks)
+        least = lowest_peak(pairs if least is None else chain([least], pairs))
+        if check:
+            for mask in masks:
+                sizes[mask.bit_count()] += 1
+        if sheet is not None:
+            sheet.write(_sheet(n, masks, columns, tops, check))
+    return count, least, _report(n, sizes) if check else None
 
 
 def min_peak_frequency(n: int) -> tuple[float, FamilySet]:
-    """Minimum peak frequency over OR-closed families, with a witness.
-
-    It scans the masks of :func:`enumerate_or_closed` a chunk at a time
-    by :func:`_peaks`, keeping the :func:`lowest_peak` so far, and builds
-    a FamilySet for the witness alone.  Every n >= 1 has the family
-    {empty set, {0}}, so a witness always exists.
-    """
-    n = _enum_size(n)
-    least = None
-    for masks in _chunks(n):
-        least = _least(least, _columns(n, masks)[1], masks)
-    peak, mask = least
+    """Minimum peak frequency over OR-closed families, with a witness: the
+    least pair of :func:`scan`, with a FamilySet built for the witness alone.
+    Every n >= 1 has the family {empty set, {0}}, so a witness exists."""
+    peak, mask = scan(n)[1]
     return peak, FamilySet(n, mask)
 
 
@@ -521,13 +529,13 @@ class EntropyCheckReport(NamedTuple):
 _CEILING_TOL = 1e-6
 
 
-def _check(n: int, masks: list[int]) -> EntropyCheckReport:
-    """The ceiling check over closed family masks on n elements, one family
-    size at a time: H_star and the ceiling depend on the size alone."""
-    counts = [0] * ((1 << n) + 1)
-    for mask in masks:
-        counts[mask.bit_count()] += 1
-    h_star = {size: _uniform_bits(size) for size in range(2, len(counts)) if counts[size]}
+def _report(n: int, sizes: list[int]) -> EntropyCheckReport:
+    """The ceiling check over the closed families on n elements, of which
+    ``sizes[k]`` have k members: H_star and the ceiling depend on the size
+    alone.  Only if some size is over the ceiling are the closed masks
+    read again (:func:`_chunks`), to list each family of that size; the
+    families of one member are skipped."""
+    h_star = {size: _uniform_bits(size) for size in range(2, len(sizes)) if sizes[size]}
     ratios: list[float] = []
     over: dict[int, str] = {}  # the message of each size over the ceiling
     for size, value in h_star.items():
@@ -535,32 +543,15 @@ def _check(n: int, masks: list[int]) -> EntropyCheckReport:
         if value > ceiling + _CEILING_TOL:
             over[size] = f"H_star={value!r} exceeds log2|A|={ceiling!r}"
         ratios.append(value / ceiling)
-    over_masks = [mask for mask in masks if mask.bit_count() in over] if over else []
+    masks = [m for m in chain.from_iterable(_chunks(n)) if m.bit_count() in over] if over else []
     return EntropyCheckReport(
         n=n,
-        checked=sum(counts[2:]),
-        skipped=counts[0] + counts[1],
-        violations=tuple([f"{mask:#x}: {over[mask.bit_count()]}" for mask in over_masks]),
+        checked=sum(sizes[2:]),
+        skipped=sizes[1],
+        violations=tuple([f"{m:#x}: {over[m.bit_count()]}" for m in masks]),
         ratio_min=min(ratios, default=None),
         ratio_max=max(ratios, default=None),
         h_star_by_size=h_star,
-    )
-
-
-def _merged(a: EntropyCheckReport, b: EntropyCheckReport) -> EntropyCheckReport:
-    """The :func:`_check` of two lists of masks on n elements, one after the
-    other, from the check of each: H_star and the ceiling depend on the
-    size alone, so each size gives the same ratio in both."""
-    lows = [r for r in (a.ratio_min, b.ratio_min) if r is not None]
-    highs = [r for r in (a.ratio_max, b.ratio_max) if r is not None]
-    return EntropyCheckReport(
-        n=a.n,
-        checked=a.checked + b.checked,
-        skipped=a.skipped + b.skipped,
-        violations=a.violations + b.violations,
-        ratio_min=min(lows, default=None),
-        ratio_max=max(highs, default=None),
-        h_star_by_size=dict(sorted({**a.h_star_by_size, **b.h_star_by_size}.items())),
     )
 
 
@@ -569,8 +560,13 @@ def check_entropy_inequality(n: int) -> EntropyCheckReport:
 
     H_star is :func:`max_symmetric_coupling_entropy`, read from the
     family's size; families of fewer than two members are skipped, and
-    the ratios H_star / log2 |A| sit at 1 up to rounding.  It checks the
-    families' masks a chunk at a time and builds no FamilySet.
+    the ratios H_star / log2 |A| sit at 1 up to rounding.  It counts the
+    families of each size a chunk of masks at a time, as :func:`scan`
+    does, without the peaks, and builds no FamilySet.
     """
     n = _enum_size(n)
-    return functools.reduce(_merged, map(_check, repeat(n), _chunks(n)))
+    sizes = [0] * ((1 << n) + 1)
+    for masks in _chunks(n):
+        for mask in masks:
+            sizes[mask.bit_count()] += 1
+    return _report(n, sizes)

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, reports, manifests, determinism."""
 
+import ast
 import csv
 import importlib
 import json
@@ -17,7 +18,6 @@ import ucsbound
 from ucsbound import optimizer, ucslab
 from ucsbound.cli import SCHEMA_VERSION, main
 from ucsbound.optimizer import SearchConfig, gamma_hat
-from ucsbound.ucslab import lowest_peak, peak_frequency, sample_or_closed
 
 FAST_KNOBS = ["--grid", "32", "--refine-rounds", "3", "--multistart", "8"]
 
@@ -258,7 +258,7 @@ class TestEnumerate:
         assert payload["min_pA"] == 0.5
         assert payload["witness_mask"] == "0x3"
         assert payload["violations"] == []
-        assert payload["sampled"] is False
+        assert "sampled" not in payload
         with open(sheet, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 13
@@ -284,11 +284,7 @@ class TestEnumerate:
         for path in (out, tmp_path / "families.json.manifest.json", sheet):
             assert oct(path.stat().st_mode) == oct(want)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["--n", "4", "--check-entropy"], ["--n", "5", "--sample", "200", "--seed", "1"]],
-        ids=["n4", "sampled"],
-    )
+    @pytest.mark.parametrize("argv", [["--n", "4", "--check-entropy"]], ids=["n4"])
     def test_csv_does_not_change_report_or_stdout(self, argv, tmp_path, capsys):
         # With or without --csv, p_A comes from the same ucslab._columns pass as the sheet.
         outputs = []
@@ -329,59 +325,15 @@ class TestEnumerate:
         assert block["checked"] == 0
         assert block["ratio_min"] is None and block["ratio_max"] is None
 
-    def test_sampled_families_are_checked(self, tmp_path):
-        out = tmp_path / "sampled.json"
-        sheet = tmp_path / "sampled.csv"
-        argv = ["enumerate", "--n", "5", "--sample", "10", "--seed", "7", "--check-entropy"]
-        assert main([*argv, "--csv", str(sheet), "--out", str(out)]) == 0
-        payload = read_json(out)
-        block = payload["entropy_check"]
-        assert block["checked"] + block["skipped"] == payload["family_count"]
-        with open(sheet, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == payload["family_count"]
-        assert block["checked"] == sum(int(r["size"]) >= 2 for r in rows)
-        assert all(bool(r["H_star"]) == (int(r["size"]) >= 2) for r in rows)
-
     def test_n6_exits_2(self, capsys):
         rc = main(["enumerate", "--n", "6"])
         assert rc == 2
         assert "supports n <= 5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flags,word",
-        [(["--n", "-1"], "ground-set size"), (["--n", "5", "--seed", "-1"], "seed")],
-        ids=["n", "seed"],
-    )
-    def test_bad_sample_input_exits_2(self, flags, word, capsys):
-        rc = main(["enumerate", *flags, "--sample", "3"])
+    def test_n_below_one_exits_2(self, capsys):
+        rc = main(["enumerate", "--n", "-1"])
         assert rc == 2
-        assert word in capsys.readouterr().err
-
-    @pytest.mark.parametrize("step", [1, -1], ids=["forward", "reversed"])
-    def test_witness_ignores_sample_order(self, step, tmp_path, monkeypatch):
-        # The least-peak families of this sample tie at 1/2; the smallest
-        # mask among them is the last in forward order.
-        families = sample_or_closed(5, 200, seed=1)[::step]
-        monkeypatch.setattr(ucslab, "sample_or_closed", lambda n, count, seed: families)
-        out = tmp_path / "sampled.json"
-        assert main(["enumerate", "--n", "5", "--sample", "200", "--out", str(out)]) == 0
-        value, witness = lowest_peak((peak_frequency(f), f.mask) for f in families)
-        expected = min((peak_frequency(f), f.mask) for f in families if f.mask != 1)
-        assert (value, witness) == expected
-        payload = read_json(out)
-        assert payload["witness_mask"] == hex(witness)
-        assert payload["min_pA"] == value
-
-    def test_n5_sampling_works(self, tmp_path):
-        out = tmp_path / "sampled.json"
-        rc = main(
-            ["enumerate", "--n", "5", "--sample", "10", "--seed", "7", "--out", str(out)]
-        )
-        assert rc == 0
-        payload = read_json(out)
-        assert payload["sampled"] is True
-        assert 1 <= payload["family_count"] <= 10
+        assert "ground-set size" in capsys.readouterr().err
 
 
 class TestReportWrites:
@@ -522,8 +474,10 @@ class TestRetiredFlags:
             ["enumerate", "--n", "2", "--check-entropy", "--tol", "0"],
             ["enumerate", "--n", "2", "--check-entropy", "--size-cap", "8"],
             ["tmax", "--alpha", "0.035"],
+            ["enumerate", "--n", "5", "--sample", "200"],
+            ["enumerate", "--n", "5", "--seed", "1"],
         ],
-        ids=["tol", "size-cap", "tmax-alpha"],
+        ids=["tol", "size-cap", "tmax-alpha", "sample", "seed"],
     )
     def test_retired_flags_are_unknown(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -657,8 +611,8 @@ def run_python(code, cwd=None):
 
 class TestImport:
     def test_package_and_cli_load_without_scipy(self):
-        # The package depends on numpy only, and imports it only to sample
-        # or to build an array.
+        # The package depends on numpy only, and imports it only in the
+        # library's sampler and frequency array, which no command calls.
         code = (
             "import sys, ucsbound, ucsbound.cli; "
             "print(len([m for m in sys.modules if m.split('.')[0] == 'scipy'])); "
@@ -678,7 +632,7 @@ class TestImport:
         results = [line for line in run_python(code) if line.startswith("=>")]
         assert results == ["=> False", "=> False", "=> 0 False"]
 
-    def test_commands_run_without_numpy_and_sampling_loads_it(self, tmp_path):
+    def test_commands_run_without_numpy(self, tmp_path):
         knobs = "'--grid', '12', '--refine-rounds', '1', '--multistart', '2'"
         commands = [
             "'enumerate', '--n', '4', '--check-entropy', '--csv', 'e.csv', "
@@ -689,13 +643,12 @@ class TestImport:
             f"'verify-paper', '--strict', '--out', 'vp.json'",
             "'maxcorr', '--pq', '0.3', '0.4', '0.2'",
             "'maxcorr', '--pq', '1e-200', '1e-200', '1e-300'",
-            "'enumerate', '--n', '5', '--sample', '20', '--seed', '1'",
         ]
         code = "import sys; from ucsbound.cli import main"
         for argv in commands:
             code += f"; rc = main([{argv}]); print('=>', rc, {NUMPY_LOADED})"
         results = [line for line in run_python(code, cwd=tmp_path) if line.startswith("=>")]
-        assert results == ["=> 0 False"] * 7 + ["=> 0 True"]
+        assert results == ["=> 0 False"] * len(commands)
         assert read_json(tmp_path / "e.json")["family_count"] == 4959
         assert read_json(tmp_path / "vp.json")["gamma_hat_lower"] > 1.0
 
@@ -706,7 +659,6 @@ class TestImport:
         corr = {"ucsbound.maxcorr"}
         cases = [
             (["enumerate", "--n", "4", "--check-entropy"], search | corr),
-            (["enumerate", "--n", "5", "--sample", "20", "--seed", "1"], search | corr),
             (["maxcorr", "--pq", "0.3", "0.4", "0.2"], search | lab),
             (["gamma-hat", "--t", "0.38", *knobs], lab | corr),
             (["tmax", "--t-tol", "1e-3", *knobs], lab | corr),
@@ -744,6 +696,22 @@ class TestImport:
         assert [name for name in ucsbound.__all__ if name not in namespace] == []
         assert all(namespace[name] is getattr(ucsbound, name) for name in ucsbound.__all__)
         assert set(ucsbound.__all__) <= set(dir(ucsbound))
+
+    def test_cli_uses_no_private_lab_name(self):
+        # The command line reaches the lab through its public names only:
+        # neither "from .ucslab import _x" nor "ucslab._x".
+        tree = ast.parse(Path(ucsbound.__file__).with_name("cli.py").read_text())
+        private = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("ucslab"):
+                private += [alias.name for alias in node.names if alias.name.startswith("_")]
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                if isinstance(node.value, ast.Name) and node.value.id == "ucslab":
+                    private.append(node.attr)
+        assert any(
+            isinstance(node, ast.ImportFrom) and node.module == "ucslab" for node in ast.walk(tree)
+        )
+        assert private == []
 
     def test_missing_numpy_fails_at_import(self):
         code = (

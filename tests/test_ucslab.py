@@ -29,13 +29,13 @@ from ucsbound.ucslab import (
     or_closure,
     peak_frequency,
     sample_or_closed,
-    _check,
+    scan,
+    _HEADER,
     _chunks,
     _closed_masks,
     _columns,
-    _least,
-    _merged,
     _peaks,
+    _report,
     _sheet,
     _stabiliser,
 )
@@ -100,6 +100,14 @@ def reference_closure(n, generators):
     for g in sorted({int(g) for g in generators}):
         members |= {g} | {g | m for m in members}
     return sum(1 << m for m in members)
+
+
+def size_counts(n, masks):
+    """How many of the family masks on n elements have each size, 0 to 2^n."""
+    sizes = [0] * ((1 << n) + 1)
+    for mask in masks:
+        sizes[mask.bit_count()] += 1
+    return sizes
 
 
 def family_to_masks(family):
@@ -367,7 +375,7 @@ class TestFrequencies:
         n, masks = families[0].n, [fam.mask for fam in families]
         columns, tops = _columns(n, masks)
         peaks = _peaks(tops, masks)
-        rows = _sheet(n, masks, columns, tops, {}).split("\r\n")[1:-1]
+        rows = _sheet(n, masks, columns, tops, False).split("\r\n")[:-1]
         assert len(peaks) == len(rows) == len(families)
         for fam, p_a, line in zip(families, peaks, rows):
             freqs = element_frequencies(fam)
@@ -528,26 +536,10 @@ class TestChunkedScan:
     at any chunk size they give what one chunk of every mask gives."""
 
     @staticmethod
-    def scan(n, chunks):
-        """Columns, least (peak, mask), check and sheet over the chunks, merged
-        as ``enumerate`` merges them."""
-        columns, least, check, sheet = [[] for _ in range(n)], None, None, []
-        for index, masks in enumerate(chunks):
-            part_columns, tops = _columns(n, masks)
-            for column, part in zip(columns, part_columns):
-                column += part
-            least = _least(least, tops, masks)
-            part = _check(n, masks)
-            check = part if check is None else _merged(check, part)
-            sheet.append(_sheet(n, masks, part_columns, tops, part.h_star_by_size, header=not index))
-        return columns, least, check, "".join(sheet)
-
-    @staticmethod
-    def whole(n, masks):
-        columns, tops = _columns(n, masks)
-        check = _check(n, masks)
-        least = lowest_peak(zip(_peaks(tops, masks), masks))
-        return columns, least, check, _sheet(n, masks, columns, tops, check.h_star_by_size)
+    def scan_with_sheet(n, check=True):
+        """:func:`scan`'s count, least pair and report, and the sheet it writes."""
+        sheet = io.StringIO()
+        return (*scan(n, check, sheet), sheet.getvalue())
 
     @pytest.mark.parametrize("size", [7, 64])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -566,22 +558,27 @@ class TestChunkedScan:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_any_chunk_size_gives_the_single_chunk_results(self, n, size, monkeypatch):
         masks = _closed_masks(n)[1:]
+        whole = [self.scan_with_sheet(n, check) for check in (False, True)]
         value, witness = min_peak_frequency(n)
         report = check_entropy_inequality(n)
+        assert whole[0][0] == whole[1][0] == len(masks) and whole[0][2] is None
         monkeypatch.setattr(ucslab, "_CHUNK", size)
         assert len(list(_chunks(n))) > 1 or len(masks) <= size
-        got = self.scan(n, _chunks(n))
-        assert got == self.whole(n, masks)
+        assert [self.scan_with_sheet(n, check) for check in (False, True)] == whole
         chunked_value, chunked_witness = min_peak_frequency(n)
         assert (chunked_value.hex(), chunked_witness) == (value.hex(), witness)
-        assert check_entropy_inequality(n) == report == got[2]
+        assert check_entropy_inequality(n) == report == whole[1][2]
 
     @pytest.mark.parametrize("size", [7, 64])
-    def test_sampled_masks_in_chunks_give_the_single_chunk_results(self, size):
+    def test_sampled_masks_in_chunks_give_the_single_chunk_results(self, size, monkeypatch):
+        # The fold relies on no order of the masks: these are in draw order.
         masks = [fam.mask for fam in sample_or_closed(5, 2000, 7)]
         assert masks != sorted(masks)
+        monkeypatch.setattr(ucslab, "_chunks", lambda n: iter([masks]))
+        whole = self.scan_with_sheet(5)
         chunks = [masks[i : i + size] for i in range(0, len(masks), size)]
-        assert self.scan(5, chunks) == self.whole(5, masks)
+        monkeypatch.setattr(ucslab, "_chunks", lambda n: iter(chunks))
+        assert self.scan_with_sheet(5) == whole
 
     @pytest.mark.parametrize("size", [7, 64])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -600,17 +597,16 @@ class TestChunkedScan:
         monkeypatch.setattr(ucslab, "_uniform_bits", lambda k: exact(k) + (1e-3 if k in (2, 3) else 0.0))
         report = check_entropy_inequality(3)
         assert len(report.violations) > 10 and not report.ok
+        assert scan(3, check=True)[2] == report
         monkeypatch.setattr(ucslab, "_CHUNK", 7)
-        assert check_entropy_inequality(3) == report
+        assert check_entropy_inequality(3) == report == scan(3, check=True)[2]
 
-    def test_a_tie_across_chunks_keeps_the_smallest_mask(self):
+    def test_a_tie_across_chunks_keeps_the_smallest_mask(self, monkeypatch):
         # {empty, {0}}, {empty, {1}} and the full cube on 2 elements all peak
         # at 1/2; {empty set}, 0x1, is passed over.
         for chunks in ([[0x5], [0x3]], [[0x3], [0x5]], [[0x5, 0x1], [0xF, 0x3]]):
-            least = None
-            for masks in chunks:
-                least = _least(least, _columns(2, masks)[1], masks)
-            assert least == (0.5, 0x3), chunks
+            monkeypatch.setattr(ucslab, "_chunks", lambda n, chunks=chunks: iter(chunks))
+            assert scan(2)[1] == (0.5, 0x3), chunks
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_enumerated_families_are_plain_closed_family_sets(self, n):
@@ -623,7 +619,8 @@ class TestChunkedScan:
 
     @pytest.mark.slow
     def test_exhaustive_n5(self, tmp_path):
-        # OEIS A102896: 2,771,103 closed families at n = 5, every one scanned.
+        # OEIS A102896: 2,771,103 closed families at n = 5, every one scanned,
+        # in about 43 chunks: the one input that is more than one chunk.
         out = tmp_path / "n5.json"
         assert main(["enumerate", "--n", "5", "--check-entropy", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
@@ -632,7 +629,13 @@ class TestChunkedScan:
         assert report["violations"] == []
         block = report["entropy_check"]
         assert block["checked"] + block["skipped"] == 2_771_103
-        assert min_peak_frequency(5) == (0.5, FamilySet(5, 0x3))
+        # The library's own entry points agree with the command's block.
+        check = check_entropy_inequality(5)
+        assert {key: getattr(check, key) for key in block} == block
+        assert list(check.violations) == report["violations"]
+        value, witness = min_peak_frequency(5)
+        assert (value, witness.hex_mask) == (report["min_pA"], report["witness_mask"])
+        assert witness == FamilySet(5, 0x3)
 
 
 class TestSheet:
@@ -655,9 +658,9 @@ class TestSheet:
     def check_sheet(self, n, masks):
         families = [FamilySet(n, mask) for mask in masks]
         columns, tops = _columns(n, masks)
-        for h_star in ({}, _check(n, masks).h_star_by_size):
-            got = _sheet(n, masks, columns, tops, h_star)
-            assert got == self.reference_sheet(families, checked=bool(h_star))
+        for check in (False, True):
+            got = _HEADER + _sheet(n, masks, columns, tops, check)
+            assert got == self.reference_sheet(families, checked=check)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sheet_is_what_csv_writes_on_every_family(self, n):
@@ -692,8 +695,7 @@ class TestSampling:
             sample_or_closed(5, 0, seed=1)
 
     def test_draws_are_pinned(self):
-        # Another generator would change every sampled family for a seed,
-        # and the `enumerate --sample` reports with it.
+        # Another generator would change every sampled family for a seed.
         assert [f.mask for f in sample_or_closed(4, 6, 7)] == [
             0xCE00, 0xA099, 0xE000, 0x80, 0xF08E, 0x8830
         ]
@@ -747,16 +749,19 @@ class TestEntropyInequality:
         # h_star_by_size is a required field: there is no default dict to share.
         with pytest.raises(TypeError, match="h_star_by_size"):
             EntropyCheckReport(2, 0, 0, (), None, None)
-        first, second = _check(2, []), _check(2, [])
+        none = [0] * 5
+        first, second = _report(2, none), _report(2, none)
         assert first.h_star_by_size == {} and first.h_star_by_size is not second.h_star_by_size
         first.h_star_by_size[3] = 1.0
-        assert second.h_star_by_size == {} and _check(2, []).h_star_by_size == {}
+        assert second.h_star_by_size == {} and _report(2, none).h_star_by_size == {}
         full, again = check_entropy_inequality(2), check_entropy_inequality(2)
+        scanned = scan(2, check=True)[2]
         assert full.h_star_by_size is not again.h_star_by_size
+        assert scanned.h_star_by_size is not full.h_star_by_size
 
     def test_nothing_checked_reports_none(self):
         singletons = [fam.mask for fam in enumerate_or_closed(2) if fam.size == 1]
-        report = _check(2, singletons)
+        report = _report(2, size_counts(2, singletons))
         assert report.checked == 0
         assert report.skipped == 4
         assert report.ok
@@ -767,13 +772,33 @@ class TestEntropyInequality:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_masks_match_the_families_field_by_field(self, n):
         from_masks = check_entropy_inequality(n)
-        from_families = _check(n, [fam.mask for fam in enumerate_or_closed(n)])
-        assert as_plain(from_masks) == as_plain(from_families)
-        assert list(from_masks.h_star_by_size.items()) == list(from_families.h_star_by_size.items())
+        sizes = [0] * ((1 << n) + 1)
+        for fam in enumerate_or_closed(n):
+            sizes[fam.size] += 1
+        for other in (_report(n, sizes), scan(n, check=True)[2]):
+            assert as_plain(from_masks) == as_plain(other)
+            assert list(from_masks.h_star_by_size.items()) == list(other.h_star_by_size.items())
 
     def test_builds_no_family(self, constructions):
         check_entropy_inequality(4)
         assert constructions == [0]
+
+    def test_counts_sizes_without_columns(self, monkeypatch):
+        # The check needs each family's size, not its per-element counts.
+        def columns(*args):
+            raise AssertionError("columns were computed")
+
+        monkeypatch.setattr(ucslab, "_columns", columns)
+        assert check_entropy_inequality(4).checked == 4943
+
+    def test_reads_the_masks_again_only_for_violations(self, monkeypatch):
+        calls = []
+        real = ucslab._closed_masks
+        monkeypatch.setattr(ucslab, "_closed_masks", lambda n: calls.append(n) or real(n))
+        assert check_entropy_inequality(4).ok and calls == [4]
+        exact = ucslab._uniform_bits
+        monkeypatch.setattr(ucslab, "_uniform_bits", lambda k: exact(k) + (1e-3 if k == 3 else 0.0))
+        assert not check_entropy_inequality(4).ok and calls == [4, 4, 4]
 
     def test_enumerate_command_builds_no_family(self, constructions, tmp_path, capsys):
         argv = ["enumerate", "--n", "4", "--check-entropy", "--csv", str(tmp_path / "f.csv")]
@@ -798,13 +823,13 @@ class TestEntropyInequality:
         for n in (6, 7):
             with pytest.raises(DimensionTooLarge, match="supports n <= 5"):
                 check_entropy_inequality(n)
-        # enumerate --sample checks sampled masks on n = 5 through _check.
-        sampled = [fam.mask for fam in sample_or_closed(5, 20, 1)]
-        assert _check(5, sampled).n == 5
+        for n in (0, 6):
+            with pytest.raises(ValueError if n < 1 else DimensionTooLarge):
+                scan(n)
 
     def test_h_star_covers_exactly_the_checked_families(self):
         families = sample_or_closed(4, 20, seed=5)
-        report = _check(4, [fam.mask for fam in families])
+        report = _report(4, size_counts(4, [fam.mask for fam in families]))
         checked = [f for f in families if f.size >= 2]
         assert set(report.h_star_by_size) == {f.size for f in checked}
         assert report.checked == len(checked)
@@ -844,7 +869,7 @@ class TestEntropyInequality:
         cases = [(n, _closed_masks(n)[1:]) for n in range(1, 5)]
         cases.append((5, [fam.mask for fam in sample_or_closed(5, 2000, 7)]))
         for n, masks in cases:
-            report = _check(n, masks)
+            report = _report(n, size_counts(n, masks))
             counts = report.checked, report.skipped, report.violations
             assert (*counts, report.ratio_min, report.ratio_max) == per_family(masks), n
 
