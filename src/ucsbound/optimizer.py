@@ -827,7 +827,8 @@ def find_tmax(
     message.  The returned ``t_certified`` carries an actual certificate
     (its bound exceeded 1 + margin); ``t_ceiling`` is the smallest
     tested t that failed, so the true threshold lies between the two.
-    ``margin`` must be finite and >= 0.  ``t_tol`` must be below hi - lo
+    ``bracket`` must be a pair (lo, hi) with 0 < lo < hi < 1/2, and
+    ``margin`` finite and >= 0.  ``t_tol`` must be below hi - lo
     and at least the float spacing at hi: below that, the midpoint of
     two adjacent floats rounds onto one of them and the bracket stops
     shrinking.
@@ -835,7 +836,10 @@ def find_tmax(
     cfg = config or SearchConfig()
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
-    lo, hi = float(bracket[0]), float(bracket[1])
+    try:
+        lo, hi = span = tuple(map(float, bracket))
+    except (TypeError, ValueError):
+        raise ValueError(f"bracket must be a pair (lo, hi), got {bracket!r}") from None
     if not 0.0 < lo < hi < 0.5:
         raise ValueError(f"bracket must satisfy 0 < lo < hi < 1/2, got {bracket!r}")
     if not math.ulp(hi) <= t_tol < hi - lo:
@@ -876,7 +880,7 @@ def find_tmax(
         t_certified=lo,
         t_ceiling=hi,
         margin=margin,
-        bracket=(float(bracket[0]), float(bracket[1])),
+        bracket=span,
         endpoint_bounds=endpoint_bounds,
         steps=steps,
         certificate=best,

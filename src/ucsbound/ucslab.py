@@ -8,11 +8,11 @@ split a family at its top element n - 1 into two families on n - 1
 elements: ``lo``, the members lacking n - 1, and ``hi``, the members
 holding it, with n - 1 removed.  The family is closed iff both halves
 are and ``lo`` lies inside the stabiliser of ``hi`` (see
-:func:`_split`).  A table built at import holds every closed family on
-at most 3 elements with its stabiliser, so :func:`is_or_closed` is a
-lookup or three for n <= 4, and enumeration pairs closed halves from
-that table, or at n = 5 from one it builds from the families on 4
-elements: it never meets the 2^(2^n) - 1 family masks one by one.
+:func:`_split`).  A cached table per ground-set size k <= 4
+(:func:`_closed`) holds every closed family on k elements with its
+stabiliser.  :func:`is_or_closed` looks n <= 3 up and splits once above
+that; enumeration pairs closed halves from the tables one and two sizes
+down: it never meets the 2^(2^n) - 1 family masks one by one.
 Element frequencies are popcounts of the family mask against, per
 element, the mask of every set containing it, over the family's size
 (:func:`frequency_list`, :func:`element_frequencies`); over many masks,
@@ -47,6 +47,7 @@ enumerated masks are closed by construction and are not proved again.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from itertools import chain, islice, repeat
@@ -86,10 +87,10 @@ MAX_ENUM_N = 5
 _CHUNK = 1 << 16
 
 # _CONTAIN[n][e]: the family mask of every subset of {0, ..., n-1} that
-# contains element e, for each ground-set size a FamilySet allows.
+# contains element e, for each n in 0..5 (0 is the split's bottom level).
 _CONTAIN = {
     n: tuple(sum(1 << k for k in range(1 << n) if (k >> e) & 1) for e in range(n))
-    for n in range(1, 6)
+    for n in range(6)
 }
 
 # _MOVES[n]: (1 << e, sets containing e, sets lacking e) per element e.
@@ -212,26 +213,25 @@ def _stabiliser(n: int, mask: int) -> int:
     return sum(1 << x for x in range(1 << n) if not _unions(n, x, mask) & ~mask)
 
 
-def _split(n: int, lower: dict[int, int]) -> Iterator[list[int]]:
-    """Ascending closed family masks on n >= 2 elements, 0 included, from
-    those on n - 1, in one list per ``hi``.
+def _split(n: int) -> Iterator[list[int]]:
+    """Ascending closed family masks on n >= 2 elements, 0 included, in one
+    list per ``hi``, from the closed masks on n - 1 elements (:func:`_closed`).
 
-    ``lower`` maps each closed mask on n - 1 elements, 0 included, to its
-    stabiliser, in ascending order.  A family on n elements splits at
-    element n - 1 into ``lo``, its members lacking n - 1, and ``hi``, its
-    members holding n - 1 with n - 1 removed; its mask is
-    ``lo | hi << 2^(n-1)``.  It is closed iff ``lo`` and ``hi`` are and
-    every member of ``lo`` is in the stabiliser of ``hi``.  The ``lo``
-    inside a stabiliser come from the same split one level down, over the
-    table of closed masks on n - 2 elements: ``lo`` splits into a top half
-    ``h`` and a bottom half, and lies inside the stabiliser iff each half
-    lies inside the stabiliser's.  So no ``lo`` outside it is ever built.
+    A family on n elements splits at element n - 1 into ``lo``, its
+    members lacking n - 1, and ``hi``, its members holding n - 1 with
+    n - 1 removed; its mask is ``lo | hi << 2^(n-1)``.  It is closed iff
+    ``lo`` and ``hi`` are and every member of ``lo`` is in the stabiliser
+    of ``hi``.  The ``lo`` inside a stabiliser come from the same split
+    one level down, over the closed masks on n - 2 elements: ``lo``
+    splits into a top half ``h`` and a bottom half, and lies inside the
+    stabiliser iff each half lies inside the stabiliser's.  So no ``lo``
+    outside it is ever built.
     """
     shift, half = 1 << (n - 1), 1 << (n - 2)
-    table = _STAB[n - 2]
+    table = _closed(n - 2)
     # inside[x]: the closed masks on n - 2 elements inside the mask x.
     inside = [[m for m in table if not m & ~x] for x in range(1 << half)]
-    for hi, stab in lower.items():
+    for hi, stab in _closed(n - 1).items():
         bottom, top = stab & ((1 << half) - 1), stab >> half
         high = hi << shift
         # "for head in (...,)" binds the block's shared high bits once per h.
@@ -244,39 +244,26 @@ def _split(n: int, lower: dict[int, int]) -> Iterator[list[int]]:
         ]
 
 
-# _STAB[n]: every closed family mask on n <= 3 elements, the empty family
-# included, mapped to its stabiliser, in ascending order: 142 entries in
-# all.  Closure on n <= 4 elements is then a lookup or three.  Every
-# family on one element is closed; the split builds the rest.
-_STAB: dict[int, dict[int, int]] = {0: {0: 1, 1: 1}}
-_STAB[1] = {f: _stabiliser(1, f) for f in range(4)}
-for _n in (2, 3):
-    _STAB[_n] = {f: _stabiliser(_n, f) for block in _split(_n, _STAB[_n - 1]) for f in block}
-del _n
-
-
-def _closed_masks(n: int) -> list[int]:
-    """Every closed family mask on 1 <= n <= 4 elements, 0 included, ascending."""
-    table = _STAB.get(n)
-    if table is not None:
-        return list(table)
-    return list(chain.from_iterable(_split(n, _STAB[n - 1])))
+@functools.cache
+def _closed(k: int) -> dict[int, int]:
+    """Every closed family mask on k <= 4 elements, 0 included, mapped to
+    its stabiliser, ascending; built once per process, never changed.
+    Families on k <= 1 are all closed; :func:`_split` builds the rest.
+    Only the n = 5 scan (:func:`_chunks`) builds k = 4, 4,960 stabilisers;
+    a closure proof computes the one stabiliser it needs.
+    """
+    masks = range(1 << (1 << k)) if k <= 1 else chain.from_iterable(_split(k))
+    return {f: _stabiliser(k, f) for f in masks}
 
 
 def _chunks(n: int) -> Iterator[list[int]]:
     """Every nonempty closed family mask on 1 <= n <= 5 elements, ascending,
     in lists of ``_CHUNK`` masks but the last, which holds the rest.
 
-    For n <= 4 the masks are :func:`_closed_masks`; for n = 5 they come
-    from :func:`_split`'s per-``hi`` blocks, over a table of the closed
-    masks on 4 elements and their stabilisers built here, so that no list
-    holds them all.
+    They come from :func:`_split`'s per-``hi`` blocks, so that at n = 5
+    no list holds them all.
     """
-    if n <= 4:
-        blocks = [_closed_masks(n)]
-    else:
-        blocks = _split(n, {f: _stabiliser(n - 1, f) for f in _closed_masks(n - 1)})
-    masks = chain.from_iterable(blocks)
+    masks = chain.from_iterable(_split(n) if n > 1 else [_closed(1)])
     next(masks)  # 0, the empty family
     while chunk := list(islice(masks, _CHUNK)):
         yield chunk
@@ -284,16 +271,11 @@ def _chunks(n: int) -> Iterator[list[int]]:
 
 def _is_closed(n: int, mask: int) -> bool:
     """True iff the family mask on n >= 0 elements is OR-closed (see :func:`_split`)."""
-    table = _STAB.get(n)
-    if table is not None:
-        return mask in table
+    if n <= 3:
+        return mask in _closed(n)
     shift = 1 << (n - 1)
     lo, hi = mask & ((1 << shift) - 1), mask >> shift
-    if not (_is_closed(n - 1, lo) and _is_closed(n - 1, hi)):
-        return False
-    table = _STAB.get(n - 1)
-    stab = _stabiliser(n - 1, hi) if table is None else table[hi]
-    return not lo & ~stab
+    return _is_closed(n - 1, lo) and _is_closed(n - 1, hi) and not lo & ~_stabiliser(n - 1, hi)
 
 
 def is_or_closed(family: FamilySet) -> bool:

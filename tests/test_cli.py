@@ -314,9 +314,9 @@ class TestEnumerate:
 
     def test_nothing_checked_reports_none(self, tmp_path, monkeypatch):
         # Only single-member families, which the check skips.
-        # enumerate reads the closed family masks, the empty family's 0 first.
+        # enumerate reads the nonempty closed family masks a chunk at a time.
         singletons = [fam.mask for fam in ucslab.enumerate_or_closed(2) if fam.size == 1]
-        monkeypatch.setattr(ucslab, "_closed_masks", lambda n: [0, *singletons])
+        monkeypatch.setattr(ucslab, "_chunks", lambda n: iter([singletons]))
         out = tmp_path / "families.json"
         argv = ["enumerate", "--n", "2", "--check-entropy"]
         rc = main([*argv, "--out", str(out)])
@@ -373,8 +373,8 @@ class TestReportWrites:
             (["gamma-hat", "--t", "0.3", "--out"], "gamma_hat"),
             (["tmax", "--out"], "find_tmax"),
             (["verify-paper", "--out"], "verify_reference_point"),
-            (["enumerate", "--n", "4", "--csv"], "_closed_masks"),
-            (["enumerate", "--n", "4", "--csv", "ok.csv", "--out"], "_closed_masks"),
+            (["enumerate", "--n", "4", "--csv"], "_chunks"),
+            (["enumerate", "--n", "4", "--csv", "ok.csv", "--out"], "_chunks"),
         ],
         ids=["gamma-hat", "tmax", "verify-paper", "enumerate-csv", "enumerate-out"],
     )
@@ -395,7 +395,7 @@ class TestReportWrites:
         def run(*args, **kwargs):
             raise AssertionError("the command ran")
 
-        monkeypatch.setattr(ucslab if runs == "_closed_masks" else optimizer, runs, run)
+        monkeypatch.setattr(ucslab if runs == "_chunks" else optimizer, runs, run)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "adir").mkdir()
         assert main([*argv, target]) == 2
@@ -409,7 +409,7 @@ class TestReportWrites:
         def run(*args, **kwargs):
             raise AssertionError("the command ran")
 
-        monkeypatch.setattr(ucslab, "_closed_masks", run)
+        monkeypatch.setattr(ucslab, "_chunks", run)
         monkeypatch.chdir(tmp_path)
         assert main(["enumerate", "--n", "2", "--csv", "-", "--out", "r.json"]) == 2
         captured = capsys.readouterr()
@@ -420,7 +420,7 @@ class TestReportWrites:
 
     @pytest.mark.parametrize(
         "argv, runs",
-        [(["enumerate", "--n", "2"], "_closed_masks"), (["tmax"], "find_tmax")],
+        [(["enumerate", "--n", "2"], "_chunks"), (["tmax"], "find_tmax")],
         ids=["enumerate", "tmax"],
     )
     def test_manifest_path_is_refused_before_the_run(
@@ -431,7 +431,7 @@ class TestReportWrites:
         def run(*args, **kwargs):
             raise AssertionError("the command ran")
 
-        monkeypatch.setattr(ucslab if runs == "_closed_masks" else optimizer, runs, run)
+        monkeypatch.setattr(ucslab if runs == "_chunks" else optimizer, runs, run)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "r.json.manifest.json").mkdir()
         assert main([*argv, "--out", "r.json"]) == 2
@@ -456,7 +456,7 @@ class TestReportWrites:
         def run(*args, **kwargs):
             raise AssertionError("the command ran")
 
-        monkeypatch.setattr(ucslab, "_closed_masks", run)
+        monkeypatch.setattr(ucslab, "_chunks", run)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         assert main(["enumerate", "--n", "2", "--csv", sheet, "--out", "r.json"]) == 2

@@ -1318,6 +1318,19 @@ class TestFindTmax:
         with pytest.raises(ValueError):
             find_tmax(FAST, bracket=(0.2, 0.6))
 
+    @pytest.mark.parametrize(
+        "bracket", [(0.37, 0.40, 0.1), (0.37,), 0.37], ids=["three", "one", "scalar"]
+    )
+    def test_rejects_a_bracket_that_is_not_a_pair(self, bracket, monkeypatch):
+        # A third value used to be dropped without a word, and a single
+        # value raised IndexError or TypeError; no search may run.
+        def run(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(optimizer, "gamma_hat", run)
+        with pytest.raises(ValueError, match="bracket must be a pair"):
+            find_tmax(FAST, bracket=bracket)
+
     def test_default_run_reproduces_the_published_threshold(self):
         # The bisection points are dyadic in the bracket, so they are pinned
         # exactly; t = 0.38234 is certified with room to spare.

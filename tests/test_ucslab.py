@@ -32,12 +32,11 @@ from ucsbound.ucslab import (
     scan,
     _HEADER,
     _chunks,
-    _closed_masks,
+    _closed,
     _columns,
     _peaks,
     _report,
     _sheet,
-    _stabiliser,
 )
 
 SEED = 31337
@@ -437,13 +436,13 @@ class TestEnumeration:
         # its stabiliser; a sum over submasks counts those lo for every
         # 16-bit mask at once, so no pair is built.
         start = time.perf_counter()
-        lower = _closed_masks(4)
+        lower = _closed(4)
         inside = np.zeros(1 << 16, dtype=np.int64)
-        inside[lower] = 1
+        inside[list(lower)] = 1
         for k in range(16):
             halves = inside.reshape(-1, 2, 1 << k)
             halves[:, 1, :] += halves[:, 0, :]
-        count = sum(int(inside[_stabiliser(4, hi)]) for hi in lower)
+        count = sum(int(inside[stab]) for stab in lower.values())
         elapsed = time.perf_counter() - start
         assert count - 1 == 2_771_103  # less the empty family
         assert elapsed <= 3.0
@@ -465,6 +464,39 @@ class TestEnumeration:
     def test_bad_size_raises_when_called_not_when_iterated(self, n, error):
         with pytest.raises(error):
             enumerate_or_closed(n)
+
+
+class TestClosedTable:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_table_is_every_closed_mask_with_its_stabiliser(self, k):
+        size = 1 << k
+
+        def stabiliser(mask):
+            members = [y for y in range(size) if mask >> y & 1]
+            return sum(1 << x for x in range(size) if all(mask >> (x | y) & 1 for y in members))
+
+        closed = [m for m in range(1 << size) if pairwise_closed(m, size)]
+        assert list(_closed(k).items()) == [(m, stabiliser(m)) for m in closed]
+
+    def test_only_the_n5_scan_builds_the_four_element_table(self):
+        # The table on 4 elements, 4,960 stabilisers, serves the exhaustive
+        # n = 5 scan alone: the n <= 4 scans and closure proofs up to n = 5
+        # read the tables on at most 3 elements.
+        ucslab._closed.cache_clear()
+        scan(4, True, io.StringIO())
+        list(enumerate_or_closed(4))
+        check_entropy_inequality(4)
+        families = sample_or_closed(5, 300, SEED)
+        assert all(is_or_closed(f) for f in families) and len(families) > 100
+        for k in range(4):
+            ucslab._closed(k)
+        # k = 0..3 built, each once, and nothing else.
+        info = ucslab._closed.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)
+        next(_chunks(5))
+        next(_chunks(5))
+        info = ucslab._closed.cache_info()
+        assert (info.misses, info.currsize) == (5, 5)
 
 
 class TestMinPeakFrequency:
@@ -510,8 +542,8 @@ class TestMinPeakFrequency:
 
     def test_reads_the_closed_masks_once(self, monkeypatch):
         calls = []
-        real = ucslab._closed_masks
-        monkeypatch.setattr(ucslab, "_closed_masks", lambda n: calls.append(n) or real(n))
+        real = ucslab._chunks
+        monkeypatch.setattr(ucslab, "_chunks", lambda n: calls.append(n) or real(n))
         min_peak_frequency(4)
         assert calls == [4]
 
@@ -523,7 +555,7 @@ class TestMinPeakFrequency:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_columns_give_peak_frequency_on_every_family(self, n):
         # Every closed family but the empty one, 0, which has no size.
-        self.check_columns_against_peak_frequency(n, _closed_masks(n)[1:])
+        self.check_columns_against_peak_frequency(n, list(_closed(n))[1:])
 
     def test_columns_give_peak_frequency_on_sampled_n5_in_draw_order(self):
         masks = [fam.mask for fam in sample_or_closed(5, 500, SEED)]
@@ -548,16 +580,16 @@ class TestChunkedScan:
         chunks = list(_chunks(n))
         assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
         assert 1 <= len(chunks[-1]) <= size
-        assert list(itertools.chain(*chunks)) == _closed_masks(n)[1:]
+        assert list(itertools.chain(*chunks)) == list(_closed(n))[1:]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_up_to_four_elements_is_one_chunk(self, n):
-        assert list(_chunks(n)) == [_closed_masks(n)[1:]]
+        assert list(_chunks(n)) == [list(_closed(n))[1:]]
 
     @pytest.mark.parametrize("size", [7, 64])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_any_chunk_size_gives_the_single_chunk_results(self, n, size, monkeypatch):
-        masks = _closed_masks(n)[1:]
+        masks = list(_closed(n))[1:]
         whole = [self.scan_with_sheet(n, check) for check in (False, True)]
         value, witness = min_peak_frequency(n)
         report = check_entropy_inequality(n)
@@ -611,7 +643,7 @@ class TestChunkedScan:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_enumerated_families_are_plain_closed_family_sets(self, n):
         families = list(enumerate_or_closed(n))
-        assert [f.mask for f in families] == _closed_masks(n)[1:]
+        assert [f.mask for f in families] == list(_closed(n))[1:]
         for fam in families:
             assert type(fam) is FamilySet
             assert fam == FamilySet(n, fam.mask) and fam.n == n
@@ -664,7 +696,7 @@ class TestSheet:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sheet_is_what_csv_writes_on_every_family(self, n):
-        self.check_sheet(n, _closed_masks(n)[1:])
+        self.check_sheet(n, list(_closed(n))[1:])
 
     def test_sheet_is_what_csv_writes_on_sampled_n5_in_draw_order(self):
         masks = [fam.mask for fam in sample_or_closed(5, 500, SEED)]
@@ -793,8 +825,8 @@ class TestEntropyInequality:
 
     def test_reads_the_masks_again_only_for_violations(self, monkeypatch):
         calls = []
-        real = ucslab._closed_masks
-        monkeypatch.setattr(ucslab, "_closed_masks", lambda n: calls.append(n) or real(n))
+        real = ucslab._chunks
+        monkeypatch.setattr(ucslab, "_chunks", lambda n: calls.append(n) or real(n))
         assert check_entropy_inequality(4).ok and calls == [4]
         exact = ucslab._uniform_bits
         monkeypatch.setattr(ucslab, "_uniform_bits", lambda k: exact(k) + (1e-3 if k == 3 else 0.0))
@@ -866,7 +898,7 @@ class TestEntropyInequality:
             low, high = min(ratios, default=None), max(ratios, default=None)
             return len(ratios), skipped, tuple(violations), low, high
 
-        cases = [(n, _closed_masks(n)[1:]) for n in range(1, 5)]
+        cases = [(n, list(_closed(n))[1:]) for n in range(1, 5)]
         cases.append((5, [fam.mask for fam in sample_or_closed(5, 2000, 7)]))
         for n, masks in cases:
             report = _report(n, size_counts(n, masks))
