@@ -158,10 +158,9 @@ REFERENCE_LOW_VALUE = 0.3300622
 REFERENCE_BETA = 0.1560676
 
 # Threshold certified without the blended objective (alpha = 0), i.e. by
-# the independent-coupling argument alone: (3 - sqrt 5) / 2.
+# the independent-coupling argument alone: (3 - sqrt 5) / 2.  It is also
+# the golden-section fraction of Brent's search and of the alpha = 1 b1.
 BASELINE_THRESHOLD = (3.0 - math.sqrt(5.0)) / 2.0
-
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(math.ulp(1.0))
 # The search over alpha stops once the envelope of the lines it found
 # peaks within _ALPHA_GAP_TOL of its best value, once its bracket is
@@ -267,7 +266,7 @@ def _brent_min(
     """
     a, b = lo, hi
     if start is None:
-        x = a + _GOLDEN * (b - a)
+        x = a + BASELINE_THRESHOLD * (b - a)
         fx = f(x)
     else:
         x, fx = start
@@ -299,7 +298,7 @@ def _brent_min(
                 golden = False
         if golden:
             e = (b if x < xm else a) - x
-            d = _GOLDEN * e
+            d = BASELINE_THRESHOLD * e
         u = x + (d if abs(d) >= tol1 else (tol1 if d >= 0.0 else -tol1))
         fu = f(u)
         if fu <= fx:
@@ -720,7 +719,7 @@ def _alpha_one_family(t: float, terms=ratio_terms) -> ExtremeFamily:
     or a memo of it, which a caller that scores the family then reads
     again instead of passing the family through the oracle twice.
     """
-    for b1 in (_alpha_one_b1(), _GOLDEN):
+    for b1 in (_alpha_one_b1(), BASELINE_THRESHOLD):
         family = ExtremeFamily(0.0, 0.0, t, b1, 1.0)
         try:
             terms(family)

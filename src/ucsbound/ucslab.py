@@ -141,24 +141,20 @@ class FamilySet(_FamilySet):
     belongs to the family.  Note the empty *set* (k = 0) is an ordinary
     member; only the empty *family* is forbidden.
 
-    Building one validates: a plain ``int`` n in 1..5 and a plain
-    ``int`` mask in [1, 2^(2^n)) pass one chained test, the case of every
-    family the module builds; anything else (a bool, a numpy integer, a
-    float, a value out of range) is converted to ``int`` or rejected
-    with ``ValueError`` naming the ground-set size or the mask.  The
-    family is a named tuple ``(n, mask)``; its ``_replace`` and
-    ``_make`` skip the validation, so build a new FamilySet instead.
+    Building one converts n and the mask to ``int`` (a bool or a numpy
+    integer too) and checks n in 1..5 and the mask in [1, 2^(2^n)); any
+    other value raises ``ValueError`` naming the ground-set size or the
+    mask.  The family is a named tuple ``(n, mask)``; its ``_replace`` and
+    ``_make`` skip the check, so build a new FamilySet instead.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, mask: int) -> FamilySet:
-        if not (type(n) is int and type(mask) is int and 1 <= n <= 5 and 1 <= mask < 1 << (1 << n)):
-            n = _ground_size(n)  # a bool or a numpy int is kept as an int
-            if type(mask) is not int:  # likewise the mask; a float raises ValueError
-                mask = _as_int(mask, "family mask")
-            if not 1 <= mask < (1 << (1 << n)):
-                raise ValueError(f"family mask must be in [1, 2^(2^{n})), got {mask!r}")
+        n = _ground_size(n)
+        mask = _as_int(mask, "family mask")
+        if not 1 <= mask < (1 << (1 << n)):
+            raise ValueError(f"family mask must be in [1, 2^(2^{n})), got {mask!r}")
         return tuple.__new__(cls, (n, mask))
 
     @classmethod
@@ -186,8 +182,7 @@ class FamilySet(_FamilySet):
 
 def _member(n: int, m) -> int:
     """m as a set on n elements; ``ValueError`` naming it unless an integer in [0, 2^n)."""
-    if type(m) is not int:
-        m = _as_int(m, "member")
+    m = _as_int(m, "member")
     if not 0 <= m < (1 << n):
         raise ValueError(f"member {m!r} outside [0, 2^{n})")
     return m
@@ -312,16 +307,10 @@ def frequency_list(family: FamilySet) -> list[float]:
 
 
 def element_frequencies(family: FamilySet) -> np.ndarray:
-    """:func:`frequency_list` as an array of shape (n,), the same floats.
-
-    It makes the same single popcount pass itself rather than call
-    :func:`frequency_list`: it runs once per family in a lab pass.
-    """
+    """:func:`frequency_list` as an array of shape (n,), the same floats."""
     import numpy as np
 
-    mask = family.mask
-    size = mask.bit_count()
-    return np.array([(mask & c).bit_count() / size for c in _CONTAIN[family.n]])
+    return np.array(frequency_list(family))
 
 
 def peak_frequency(family: FamilySet) -> float:
@@ -329,11 +318,8 @@ def peak_frequency(family: FamilySet) -> float:
 
     For the family whose only member is the empty set this is 0; every
     other family contains a nonempty member, so some element appears.
-    It is the largest count over the size, the same float as the largest
-    of :func:`frequency_list`, as rounding a quotient keeps its order.
     """
-    mask = family.mask
-    return max([(mask & c).bit_count() for c in _CONTAIN[family.n]]) / mask.bit_count()
+    return max(frequency_list(family))
 
 
 def _columns(n: int, masks: list[int]) -> tuple[list[list[int]], list[int]]:
@@ -345,7 +331,8 @@ def _columns(n: int, masks: list[int]) -> tuple[list[list[int]], list[int]]:
 
 def _peaks(tops: list[int], masks: list[int]) -> list[float]:
     """:func:`peak_frequency` of each nonzero family mask from its largest count
-    (:func:`_columns`): the same counts and sizes, so the same floats."""
+    (:func:`_columns`): the largest count over the size is the largest of
+    the counts over the size, as rounding a quotient keeps its order."""
     return list(map(operator.truediv, tops, map(int.bit_count, masks)))
 
 
@@ -489,10 +476,7 @@ def _uniform_bits(k: int) -> float:
 class EntropyCheckReport(NamedTuple):
     """Outcome of checking the coupling-entropy ceiling over families.
 
-    Ratios are None when no family was checked.  ``h_star_by_size`` maps
-    the size of each checked family to its H_star; each report has its
-    own dict.
-    """
+    Ratios are None when no family was checked."""
 
     n: int
     checked: int
@@ -500,7 +484,6 @@ class EntropyCheckReport(NamedTuple):
     violations: tuple[str, ...]
     ratio_min: float | None
     ratio_max: float | None
-    h_star_by_size: dict[int, float]
 
     @property
     def ok(self) -> bool:
@@ -533,7 +516,6 @@ def _report(n: int, sizes: list[int]) -> EntropyCheckReport:
         violations=tuple([f"{m:#x}: {over[m.bit_count()]}" for m in masks]),
         ratio_min=min(ratios, default=None),
         ratio_max=max(ratios, default=None),
-        h_star_by_size=h_star,
     )
 
 
