@@ -21,7 +21,9 @@ the peaks (:func:`_peaks`) and the ``--csv`` sheet (:func:`_sheet`).  Only
 :func:`element_frequencies` and :func:`sample_or_closed` use numpy, and
 each imports it in its own body; no command calls either (the lab
 pass in ``benchmarks/`` does), and ``import ucsbound`` has already
-checked that numpy is installed.
+checked that numpy is installed.  The sampler reads its draws as
+32-bit words from PCG64's raw stream, a block of outputs at a time
+(:func:`_words`), not from ``Generator.integers``.
 
 Input is validated where it enters: a :class:`FamilySet`, the named
 tuple (n, mask), checks both in ``__new__`` (``_replace`` and ``_make``
@@ -31,7 +33,9 @@ and folded into the mask, and one FamilySet is built for the result.
 Exhaustive enumeration takes the closed masks in ascending chunks of at
 most ``_CHUNK`` masks (:func:`_chunks`): n <= 4 is one chunk, and n = 5,
 2,771,103 families, runs in bounded memory.  One fold over the chunks,
-:func:`scan`, serves :func:`min_peak_frequency` and ``enumerate``;
+:func:`scan`, serves :func:`min_peak_frequency` and ``enumerate``: per
+chunk, :func:`lowest_peak` takes the least peak by one ``min`` over the
+chunk's floats and its witness by one over the masks that reach it.
 :func:`check_entropy_inequality` counts family sizes alone.
 
 Besides enumeration and frequency bookkeeping, the module checks the
@@ -50,7 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import DimensionTooLarge, NotClosed
@@ -85,6 +89,10 @@ MAX_ENUM_N = 5
 # The most masks an exhaustive scan holds at once (:func:`_chunks`).  At
 # least 2^14, so that n <= 4, 4959 families, is a single chunk.
 _CHUNK = 1 << 16
+
+# The raw 64-bit outputs :func:`_words` draws at once.  A draw reads
+# about 3.5 32-bit words, so one block serves about 580 draws.
+_RAW_BLOCK = 1 << 10
 
 # _CONTAIN[n][e]: the family mask of every subset of {0, ..., n-1} that
 # contains element e, for each n in 0..5 (0 is the split's bottom level).
@@ -381,25 +389,34 @@ def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
     return map(tuple.__new__, repeat(FamilySet), zip(repeat(n), masks))
 
 
-def lowest_peak(peaks: Iterable[tuple[float, int]]) -> tuple[float, int] | None:
-    """The least (peak frequency, family mask) pair, or None if none is eligible.
+def lowest_peak(peaks: list[float], masks: list[int]) -> tuple[float, int] | None:
+    """The least (peak frequency, family mask) over two parallel lists, or
+    None if no family is eligible.
 
     The family {empty set}, mask 1, is excluded: it has no elements at
     all and its peak frequency of 0 says nothing about the frequency
     question being probed.  Ties go to the smallest family mask,
-    whatever the input order, so the witness is deterministic.
+    whatever the order of the lists, so the witness is deterministic.
+    The least peak is one ``min`` over the floats and the witness one
+    over the masks that reach it, so no pair is built per family.
     """
-    return min((pair for pair in peaks if pair[1] != 1), default=None)
+    if 1 in masks:
+        peaks = [math.inf if mask == 1 else peak for peak, mask in zip(peaks, masks)]
+    low = min(peaks, default=math.inf)
+    if low == math.inf:
+        return None
+    return low, min(compress(masks, map(low.__eq__, peaks)))
 
 
 def scan(n: int, check: bool = False, sheet: TextIO | None = None) -> tuple:
     """One pass over every OR-closed family on n elements, a chunk of masks
     at a time (:func:`_chunks`): the family count, the least (peak, mask)
-    by :func:`lowest_peak` and, if ``check`` is set, the
-    :func:`check_entropy_inequality` report, else None.  Across chunks it
-    keeps only those and the number of families of each size.  Given a
-    ``sheet`` file, it writes the ``enumerate --csv`` sheet there from the
-    :func:`_columns` that give the peaks.  It builds no FamilySet.
+    by :func:`lowest_peak`, or None if no family is eligible, and, if
+    ``check`` is set, the :func:`check_entropy_inequality` report, else
+    None.  Across chunks it keeps only those and the number of families
+    of each size.  Given a ``sheet`` file, it writes the ``enumerate
+    --csv`` sheet there from the :func:`_columns` that give the peaks.
+    It builds no FamilySet.
     """
     n = _enum_size(n)
     count, least, sizes = 0, None, [0] * ((1 << n) + 1)
@@ -408,8 +425,9 @@ def scan(n: int, check: bool = False, sheet: TextIO | None = None) -> tuple:
     for masks in _chunks(n):
         count += len(masks)
         columns, tops = _columns(n, masks)
-        pairs = zip(_peaks(tops, masks), masks)
-        least = lowest_peak(pairs if least is None else chain([least], pairs))
+        pair = lowest_peak(_peaks(tops, masks), masks)
+        if pair is not None:
+            least = pair if least is None else min(least, pair)
         if check:
             for mask in masks:
                 sizes[mask.bit_count()] += 1
@@ -434,22 +452,44 @@ def sample_or_closed(n: int, count: int, seed: int) -> list[FamilySet]:
     be shorter than ``count`` draws.  Deterministic in ``seed``.  Raises
     ``ValueError`` naming ``count`` or ``seed`` unless it is an integer
     (count >= 1, seed >= 0).
+
+    The draws read 32-bit words (:func:`_words`) from the raw stream of
+    ``numpy.random.PCG64(seed)``: a draw reads one word and takes
+    k = 1 + (word >> 30) generators, then one word per generator, each
+    giving ``word >> (32 - n)``.  These are the values of
+    ``default_rng(seed)`` drawing ``integers(1, 5)`` and then
+    ``integers(0, 2**n, size=k)``: for a range of power-of-two size,
+    numpy's bounded integers take one 32-bit word per value and return
+    its top bits.  The rule reads only the bit generator's stream, which
+    numpy keeps stable across releases (NEP 19); it makes no such
+    promise for ``Generator.integers``.
     """
     import numpy as np
 
     n = _ground_size(n)
     count = _as_int(count, "count", 1)
     seed = _as_int(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
+    words, shift = _words(np.random.PCG64(seed)), 32 - n
     seen: set[int] = set()
     out: list[FamilySet] = []
     for _ in range(count):
-        k = int(rng.integers(1, 5))
-        fam = or_closure(n, rng.integers(0, 1 << n, size=k).tolist())
+        k = 1 + (next(words) >> 30)
+        fam = or_closure(n, [word >> shift for word in islice(words, k)])
         if fam.mask not in seen:
             seen.add(fam.mask)
             out.append(fam)
     return out
+
+
+def _words(bits) -> Iterator[int]:
+    """The 32-bit words of a numpy bit generator's raw stream, without end:
+    the low half of each 64-bit output, then its high half, read
+    ``_RAW_BLOCK`` outputs at a time, so memory does not grow with the
+    number of words read."""
+    while True:
+        raw = bits.random_raw(_RAW_BLOCK)
+        # Read as little-endian, each 64-bit output is its low word, then its high one.
+        yield from raw.astype("<u8").view("<u4").tolist()
 
 
 def max_symmetric_coupling_entropy(family: FamilySet) -> float:

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -521,20 +522,33 @@ class TestMinPeakFrequency:
 
     def test_order_does_not_change_the_witness(self):
         families = sample_or_closed(5, 200, seed=1)
-        pairs = [(peak_frequency(f), f.mask) for f in families]
-        forward = lowest_peak(pairs)
-        least = min(p for p, m in pairs if m != 1)
-        assert forward == (least, min(m for p, m in pairs if p == least and m != 1))
-        assert lowest_peak(reversed(pairs)) == forward
-        assert lowest_peak([]) is None
-        assert lowest_peak([(0.0, 1)]) is None  # {empty set}
+        peaks, masks = [peak_frequency(f) for f in families], [f.mask for f in families]
+        forward = lowest_peak(peaks, masks)
+        least = min(p for p, m in zip(peaks, masks) if m != 1)
+        assert forward == (least, min(m for p, m in zip(peaks, masks) if p == least and m != 1))
+        assert lowest_peak(peaks[::-1], masks[::-1]) == forward
+        assert lowest_peak([], []) is None
+        assert lowest_peak([0.0], [1]) is None  # {empty set}
+        assert lowest_peak([0.5, 0.0], [0x3, 1]) == (0.5, 0x3)
+        peaks, masks = [0.0, 0.5, 0.5], [1, 0x5, 0x3]
+        assert lowest_peak(peaks, masks) == (0.5, 0x3)
+        assert (peaks, masks) == ([0.0, 0.5, 0.5], [1, 0x5, 0x3])  # left as they were
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_masks_give_the_rule_over_families(self, n):
         value, witness = min_peak_frequency(n)
-        peak, mask = lowest_peak((peak_frequency(f), f.mask) for f in enumerate_or_closed(n))
+        families = list(enumerate_or_closed(n))
+        peak, mask = lowest_peak([peak_frequency(f) for f in families], [f.mask for f in families])
         assert value.hex() == peak.hex()
         assert witness == FamilySet(n, mask)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_scan_keeps_the_pair_rule(self, n):
+        # The least (peak, mask) tuple over every family but {empty set}.
+        peak, mask = min((peak_frequency(f), f.mask) for f in enumerate_or_closed(n) if f.mask != 1)
+        for check in (False, True):
+            got_peak, got_mask = scan(n, check)[1]
+            assert (got_peak.hex(), got_mask) == (peak.hex(), mask)
 
     def test_builds_the_witness_alone(self, constructions):
         min_peak_frequency(4)
@@ -636,9 +650,20 @@ class TestChunkedScan:
     def test_a_tie_across_chunks_keeps_the_smallest_mask(self, monkeypatch):
         # {empty, {0}}, {empty, {1}} and the full cube on 2 elements all peak
         # at 1/2; {empty set}, 0x1, is passed over.
-        for chunks in ([[0x5], [0x3]], [[0x3], [0x5]], [[0x5, 0x1], [0xF, 0x3]]):
+        for chunks in (
+            [[0x5], [0x3]],
+            [[0x3], [0x5]],
+            [[0x5, 0x1], [0xF, 0x3]],
+            [[0x5], [0xF, 0x1, 0x3]],
+            [[0xF, 0x5, 0x3]],  # every peak in the chunk ties
+        ):
             monkeypatch.setattr(ucslab, "_chunks", lambda n, chunks=chunks: iter(chunks))
             assert scan(2)[1] == (0.5, 0x3), chunks
+
+    @pytest.mark.parametrize("chunks", [[], [[0x1]], [[0x1], [0x1]]])
+    def test_no_eligible_family_gives_none(self, chunks, monkeypatch):
+        monkeypatch.setattr(ucslab, "_chunks", lambda n: iter(chunks))
+        assert scan(2)[:2] == (sum(map(len, chunks)), None)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_enumerated_families_are_plain_closed_family_sets(self, n):
@@ -731,6 +756,57 @@ class TestSampling:
         assert [f.mask for f in sample_or_closed(4, 6, 7)] == [
             0xCE00, 0xA099, 0xE000, 0x80, 0xF08E, 0x8830
         ]
+
+    @staticmethod
+    def per_draw_masks(n, count, seed):
+        """The sampled masks by the per-draw rule of ``default_rng(seed)``:
+        k = ``integers(1, 5)``, then ``integers(0, 2**n, size=k)`` generators."""
+        rng = np.random.default_rng(seed)
+        seen = {}
+        for _ in range(count):
+            k = int(rng.integers(1, 5))
+            seen.setdefault(or_closure(n, rng.integers(0, 1 << n, size=k).tolist()).mask)
+        return list(seen)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_raw_words_give_the_per_draw_rule(self, n):
+        # Each draw reads at least one 64-bit output, so 2000 draws span
+        # more than one block.
+        assert 2000 > ucslab._RAW_BLOCK
+        for seed in (0, 1, 7, 12345, 2**31 - 5):
+            for count in (1, 2, 3, 6, 500, 2000):
+                got = [f.mask for f in sample_or_closed(n, count, seed)]
+                assert got == self.per_draw_masks(n, count, seed), (seed, count)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_does_not_change_the_draws(self, block, monkeypatch):
+        whole = {n: sample_or_closed(n, 300, 7) for n in (2, 5)}
+        monkeypatch.setattr(ucslab, "_RAW_BLOCK", block)
+        assert {n: sample_or_closed(n, 300, 7) for n in (2, 5)} == whole
+
+    def test_needs_no_generator(self, monkeypatch):
+        # numpy's Generator type is immutable, so its integers method cannot
+        # be patched; the sampler builds no Generator, so it never calls it.
+        want = self.per_draw_masks(5, 50, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy Generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        assert [f.mask for f in sample_or_closed(5, 50, 3)] == want
+
+    @pytest.mark.slow
+    def test_memory_does_not_grow_with_the_draws(self):
+        # The families kept take about 2.3 MB; drawing every word up front
+        # would take about 32 MB.
+        tracemalloc.start()
+        try:
+            sample_or_closed(5, 10**5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak
 
 
 class TestMaxSymmetricCouplingEntropy:
