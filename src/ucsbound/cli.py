@@ -50,22 +50,22 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _require_writable(path: str) -> str:
-    """The directory a write to ``path`` goes to; raises the ``OSError`` of
-    that write if ``path`` is empty, a directory, or in a missing directory."""
-    directory = os.path.dirname(path) or "."
+def _require_writable(path: str) -> None:
+    """Raise the ``OSError`` of a write to ``path`` if it is empty, a
+    directory, or in a missing directory."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not (path and os.path.isdir(directory)):
+    if not (path and os.path.isdir(os.path.dirname(path) or ".")):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    return directory
 
 
 @contextlib.contextmanager
 def _atomic_file(path: str):
     """A text file for the block to write, renamed to ``path`` when the block
-    ends, and removed if the block raises: readers never see it half written."""
-    directory = _require_writable(path)  # refused before a temp file is made
+    ends, and removed if the block raises: readers never see it half written.
+    :func:`main` has checked ``path`` before the run; a write that fails
+    after that raises the ``OSError`` naming ``path``, not the temp file."""
+    directory = os.path.dirname(path) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ucsbound-", suffix=".tmp")

@@ -46,6 +46,24 @@ the face the high mean (b1 + 1)/2 >= 1/2 exceeds t, beta =
     cor = (1-beta) h(fullcorr(a, a))
     R   = [(1-alpha) ind + alpha cor] / [(1-beta) h(a) + (beta/2) h(b1)]
 
+The diagonal a = b1
+-------------------
+A numerical finding, not a theorem: near the threshold the face's
+minimiser lies on a = b1 (at t = 0.375 and 0.38234, Newton in 50 digits
+from the search's argmin lands there; at t = 0.3 the small-a basin wins
+instead).  On that line beta = 2(t - a)/(1 - a), 1 - beta/2 =
+(1 - t)/(1 - a), ind = (1 - beta/2)^2 h(2a - a^2) and denom =
+(1 - beta/2) h(a), so the ratio is a function of a alone:
+
+    R_diag(a) = (1-alpha) (1-t)/(1-a) h(2a - a^2)/h(a)
+              + alpha (1 + a - 2t)/(1-t) h(fc(a))/h(a)
+
+with fc(a) = fullcorr(a, a), which is 1/2 for a in [1/4, 1/2].  At
+(t, alpha) = (0.38234, 0.035) its minimum, in 40 digits, is
+1.000008892937076088... at a = 0.330062244237798946..., beta ~
+0.1560675: the published reference point.  The tests check it against
+the search.
+
 Search scheme
 -------------
 1. a seed scan of ``grid_points_per_axis`` points per coordinate on
@@ -598,11 +616,8 @@ def inner_inf(alpha: float, t: float, config: SearchConfig | None = None) -> Inn
     :class:`DegenerateDenominator`.
     """
     if require_prob(alpha, "alpha") == 1.0:
-        t = _require_t(t)
-        # The oracle's terms of each family tried, kept for this call only.
-        terms = functools.cache(ratio_terms)
-        family = _alpha_one_family(t, terms)
-        return InnerSearchReport(1.0, t, terms(family).ratio(1.0), family, evaluations=0)
+        family, terms = _alpha_one_family(_require_t(t))
+        return InnerSearchReport(1.0, family.t, terms.ratio(1.0), family, evaluations=0)
     return _FaceSearch(t, config or SearchConfig()).inner_min(alpha)
 
 
@@ -702,8 +717,9 @@ def _alpha_one_b1() -> float:
     return _brent_min(objective, 0.0, 1.0, _PARAM_TOL)[0]
 
 
-def _alpha_one_family(t: float, terms=ratio_terms) -> ExtremeFamily:
-    """The family (0, 0; b1, 1) with the lowest ratio at alpha = 0.
+def _alpha_one_family(t: float) -> tuple[ExtremeFamily, RatioTerms]:
+    """The family (0, 0; b1, 1) with the lowest ratio at alpha = 0, and its
+    reference terms (:func:`~ucsbound.distributions.ratio_terms`).
 
     Every such family with 0 < b1 < 1 has ratio 0 at alpha = 1 (see
     :func:`_best_alpha`).  At alpha = 0 its ratio is
@@ -715,17 +731,15 @@ def _alpha_one_family(t: float, terms=ratio_terms) -> ExtremeFamily:
     which stands in for t up to ~2.85e-14, where the oracle finds b1*'s
     not above ``DENOM_FLOOR`` (1e-14).  For t up to ~1.44e-14, where it
     finds neither above, this raises :class:`DegenerateDenominator`.
-    ``terms`` is the oracle, :func:`~ucsbound.distributions.ratio_terms`
-    or a memo of it, which a caller that scores the family then reads
-    again instead of passing the family through the oracle twice.
+    The terms are the oracle's one pass over the family, so a caller that
+    scores it does not pass it through the oracle again.
     """
     for b1 in (_alpha_one_b1(), BASELINE_THRESHOLD):
         family = ExtremeFamily(0.0, 0.0, t, b1, 1.0)
         try:
-            terms(family)
+            return family, ratio_terms(family)
         except DegenerateDenominator:
             continue
-        return family
     raise DegenerateDenominator(
         f"at t={t!r} no family (0, 0; b1, 1) has an entropy denominator "
         f"above {DENOM_FLOOR!r}; t is too small to search"
@@ -752,7 +766,8 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
     found first, even when the search stops at alpha = 0, so that a t
     too small for it fails whatever the slope there.
     """
-    top = _alpha_one_family(face.t, face._terms)
+    top, terms = _alpha_one_family(face.t)
+    face._oracle[top] = terms
     # Each family found, with its line (ratio at alpha = 0, slope) from
     # the face's reference terms; each alpha's refined point.
     lines: dict[ExtremeFamily, tuple[float, float]] = {}

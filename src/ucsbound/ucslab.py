@@ -25,11 +25,14 @@ checked that numpy is installed.  The sampler reads its draws as
 32-bit words from PCG64's raw stream, a block of outputs at a time
 (:func:`_words`), not from ``Generator.integers``.
 
-Input is validated where it enters: a :class:`FamilySet`, the named
-tuple (n, mask), checks both in ``__new__`` (``_replace`` and ``_make``
-skip it), and every public function checks its other arguments first.
-Closure works on masks (:func:`or_closure`): each generator is checked
-and folded into the mask, and one FamilySet is built for the result.
+Each input is checked once, where it enters: a :class:`FamilySet`, the
+named tuple (n, mask), checks both in ``__new__`` (``_replace`` and
+``_make`` skip it), and every public function checks its other
+arguments first.  Closure is one fold over masks (:func:`_fold`), which
+:func:`or_closure` feeds with each generator, checked once, and
+:func:`sample_or_closed` with its drawn words, in range by construction.
+A family the lab builds itself, closed and in range by construction, is
+made as ``_make`` makes one, without a second check.
 Exhaustive enumeration takes the closed masks in ascending chunks of at
 most ``_CHUNK`` masks (:func:`_chunks`): n <= 4 is one chunk, and n = 5,
 2,771,103 families, runs in bounded memory.  One fold over the chunks,
@@ -153,7 +156,10 @@ class FamilySet(_FamilySet):
     integer too) and checks n in 1..5 and the mask in [1, 2^(2^n)); any
     other value raises ``ValueError`` naming the ground-set size or the
     mask.  The family is a named tuple ``(n, mask)``; its ``_replace`` and
-    ``_make`` skip the check, so build a new FamilySet instead.
+    ``_make`` skip the check, so build a new FamilySet instead.  The
+    lab's own builders (enumeration, closure and the sampler) check their
+    inputs where they enter and skip it too, as their masks are in range
+    by construction: each value is checked once.
     """
 
     __slots__ = ()
@@ -164,16 +170,6 @@ class FamilySet(_FamilySet):
         if not 1 <= mask < (1 << (1 << n)):
             raise ValueError(f"family mask must be in [1, 2^(2^{n})), got {mask!r}")
         return tuple.__new__(cls, (n, mask))
-
-    @classmethod
-    def from_members(cls, n: int, members: Iterable[int]) -> "FamilySet":
-        n = _ground_size(n)
-        mask = 0
-        for m in members:
-            mask |= 1 << _member(n, m)
-        if not mask:
-            raise ValueError("a family needs at least one member")
-        return cls(n, mask)
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -286,25 +282,36 @@ def is_or_closed(family: FamilySet) -> bool:
     return _is_closed(family.n, family.mask)
 
 
-def or_closure(n: int, generators: Iterable[int]) -> FamilySet:
-    """Smallest OR-closed family containing the given member sets.
+def _fold(n: int, generators: Iterable[int]) -> int:
+    """Mask of the smallest closed family on n elements holding the
+    generators, each a member in [0, 2^n); 0 if there are none.
 
     Adding a set g to a closed family F gives the closed family
     F + {g} + {g | m : m in F}, so one pass over the generators
-    suffices, in any order.  The pass works on the family mask: n is
-    checked first, then each generator as it is read, as a member in
-    [0, 2^n); a generator already in the mask adds nothing and is
-    skipped.  Raises ``ValueError`` on an empty list of generators.
+    suffices, in any order; a generator already in the mask adds
+    nothing and is skipped.
     """
-    n = _ground_size(n)
     mask = 0
     for g in generators:
-        g = _member(n, g)
         if not mask >> g & 1:
             mask |= 1 << g | _unions(n, g, mask)
+    return mask
+
+
+def or_closure(n: int, generators: Iterable[int]) -> FamilySet:
+    """Smallest OR-closed family containing the given member sets.
+
+    n is checked first, then each generator once, as it is read, as a
+    member in [0, 2^n), and the checked generators are folded into the
+    mask (:func:`_fold`).  The result is closed and in range by
+    construction, so its FamilySet is built without a second check.
+    Raises ``ValueError`` on an empty list of generators.
+    """
+    n = _ground_size(n)
+    mask = _fold(n, (_member(n, g) for g in generators))
     if not mask:
         raise ValueError("a closure needs at least one generator")
-    return FamilySet(n, mask)
+    return tuple.__new__(FamilySet, (n, mask))
 
 
 def frequency_list(family: FamilySet) -> list[float]:
@@ -451,7 +458,9 @@ def sample_or_closed(n: int, count: int, seed: int) -> list[FamilySet]:
     them under OR; duplicates (by mask) are dropped, so the result may
     be shorter than ``count`` draws.  Deterministic in ``seed``.  Raises
     ``ValueError`` naming ``count`` or ``seed`` unless it is an integer
-    (count >= 1, seed >= 0).
+    (count >= 1, seed >= 0).  n, count and seed are checked once per
+    call; each draw's generators are in [0, 2^n) by construction, so they
+    are folded (:func:`_fold`) and built into FamilySets unchecked.
 
     The draws read 32-bit words (:func:`_words`) from the raw stream of
     ``numpy.random.PCG64(seed)``: a draw reads one word and takes
@@ -474,10 +483,10 @@ def sample_or_closed(n: int, count: int, seed: int) -> list[FamilySet]:
     out: list[FamilySet] = []
     for _ in range(count):
         k = 1 + (next(words) >> 30)
-        fam = or_closure(n, [word >> shift for word in islice(words, k)])
-        if fam.mask not in seen:
-            seen.add(fam.mask)
-            out.append(fam)
+        mask = _fold(n, [word >> shift for word in islice(words, k)])
+        if mask not in seen:
+            seen.add(mask)
+            out.append(tuple.__new__(FamilySet, (n, mask)))
     return out
 
 

@@ -404,6 +404,24 @@ class TestReportWrites:
         assert captured.err == f"error: {error}: {target!r}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
 
+    def test_directory_removed_during_the_run_is_named(self, tmp_path, capsys, monkeypatch):
+        # The paths are checked once, before the run; a report write that
+        # fails after it still names the given path, and leaves no temp file.
+        real = ucslab._chunks
+
+        def remove_then_run(n):
+            os.rmdir(tmp_path / "sub")
+            return real(n)
+
+        monkeypatch.setattr(ucslab, "_chunks", remove_then_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(["enumerate", "--n", "2", "--out", "sub/r"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: [Errno 2] No such file or directory: 'sub/r'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_csv_dash_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
         # The sheet goes to a file only; "-" is not taken as a file name.
         def run(*args, **kwargs):

@@ -878,6 +878,65 @@ class TestFaceThreshold:
             assert side * (decimal_face_ratio(fam.a1, fam.b1, cert.t, cert.alpha_star) - 1) > 0
 
 
+def decimal_diagonal_minimum(t, alpha):
+    """The least R_diag(a) over a in (0, t), with its a and beta, in 50-digit
+    decimal arithmetic: the face's closed form on its diagonal a = b1 (module
+    docstring of ``optimizer``), by a scan of 400 points and then golden
+    section between the neighbours of the least of them.  t and alpha are
+    decimal strings, read exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        t, alpha, one, half = D(t), D(alpha), D(1), D("0.5")
+        ln2 = D(2).ln()
+
+        def h(x):
+            return -(x * x.ln() + (one - x) * (one - x).ln()) / ln2
+
+        def r_diag(a):
+            fc = sorted((a, half, min(2 * a, one)))[1]
+            return (
+                (one - alpha) * (one - t) / (one - a) * h(2 * a - a * a) / h(a)
+                + alpha * (one + a - 2 * t) / (one - t) * h(fc) / h(a)
+            )
+
+        step = t / 400
+        k = min(range(1, 400), key=lambda k: r_diag(k * step))
+        lo, hi = (k - 1) * step, (k + 1) * step
+        g = (D(5).sqrt() - one) / 2
+        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+        rc, rd = r_diag(c), r_diag(d)
+        while hi - lo > D("1e-24"):
+            if rc < rd:
+                hi, d, rd = d, c, rc
+                c = hi - g * (hi - lo)
+                rc = r_diag(c)
+            else:
+                lo, c, rc = c, d, rd
+                d = lo + g * (hi - lo)
+                rd = r_diag(d)
+        a = (lo + hi) / 2
+        return r_diag(a), a, 2 * (t - a) / (one - a)
+
+
+class TestDiagonalClosedForm:
+    """The face's one-variable form on a = b1 reproduces the reference point."""
+
+    def test_reference_point_in_40_digits(self):
+        value, a, beta = decimal_diagonal_minimum(str(REFERENCE_T), str(REFERENCE_ALPHA))
+        assert abs(value - decimal.Decimal("1.000008892937076088")) < decimal.Decimal("1e-18")
+        assert abs(a - decimal.Decimal("0.330062244237798946")) < decimal.Decimal("1e-18")
+        assert abs(beta - decimal.Decimal("0.1560675")) < decimal.Decimal("5e-8")
+        assert abs(value - decimal.Decimal(str(optimizer.REFERENCE_RATIO))) < decimal.Decimal("5e-9")
+        # The search at the verify-paper --grid 96 --refine-rounds 8 config
+        # reads the same minimum, at a family on the diagonal.
+        cert = gamma_hat(REFERENCE_T, REFERENCE_ALPHA, SearchConfig(96, 8))
+        assert abs(decimal.Decimal(cert.gamma_hat_lower) - value) <= decimal.Decimal("1e-15")
+        fam = cert.argmin
+        assert fam.a1 == fam.a2 and fam.b2 == 1.0
+        assert abs(fam.a1 - float(a)) < 1e-6 and abs(fam.b1 - float(a)) < 1e-6
+
+
 def refine_the_lowest_cells(face, alpha):
     """The inner minimum with no seed filter: ``_FaceSearch._refine`` and
     ``_polish`` from every one of the ``multistart_count`` lowest seed
@@ -922,7 +981,7 @@ class TestAlphaOne:
 
     @pytest.mark.parametrize("t", [0.01, 0.2, 0.38234, 0.499])
     def test_closed_form_family_is_lowest_at_alpha_zero(self, t):
-        fam = _alpha_one_family(t)
+        fam, terms = _alpha_one_family(t)
         assert (fam.a1, fam.a2, fam.t, fam.b2) == (0.0, 0.0, t, 1.0)
         assert entropy_ratio(fam, 1.0) == 0.0
         r0 = entropy_ratio(fam, 0.0)
@@ -948,7 +1007,7 @@ class TestAlphaOne:
         try:
             b1 = _alpha_one_b1()
             for t in (0.05, 0.2, 0.3, 0.38234, 0.49):
-                assert _alpha_one_family(t).b1 == b1
+                assert _alpha_one_family(t)[0].b1 == b1
         finally:
             _alpha_one_b1.cache_clear()
         assert b1 in points
@@ -964,7 +1023,7 @@ class TestAlphaOne:
 
         per_t, _ = _brent_min(ratio_at_zero, 0.0, 1.0, _PARAM_TOL)
         assert _alpha_one_b1() == pytest.approx(per_t, abs=1e-8)
-        assert _alpha_one_family(t) == ExtremeFamily(0.0, 0.0, t, _alpha_one_b1(), 1.0)
+        assert _alpha_one_family(t)[0] == ExtremeFamily(0.0, 0.0, t, _alpha_one_b1(), 1.0)
 
     @pytest.mark.parametrize("t", [2e-14, 2.8e-14])
     def test_golden_b1_stands_in_where_the_best_one_is_degenerate(self, t):
@@ -973,7 +1032,7 @@ class TestAlphaOne:
         with pytest.raises(DegenerateDenominator):
             entropy_ratio(ExtremeFamily(0.0, 0.0, t, _alpha_one_b1(), 1.0), 1.0)
         golden = (3.0 - math.sqrt(5.0)) / 2.0
-        assert _alpha_one_family(t) == ExtremeFamily(0.0, 0.0, t, golden, 1.0)
+        assert _alpha_one_family(t)[0] == ExtremeFamily(0.0, 0.0, t, golden, 1.0)
 
     @pytest.mark.parametrize("t", [1e-13, 5e-14, 1e-14, 3e-15, 1e-15, 5e-16, 2e-16])
     def test_tiny_t_has_one_cut(self, t):
@@ -1042,7 +1101,7 @@ class TestPinnedAlphaOne:
 
     @pytest.mark.parametrize("t", [0.05, 0.2, 0.3, 0.38234, 0.45])
     def test_argmin_does_not_depend_on_the_config(self, t, inner_searches):
-        family = _alpha_one_family(t)
+        family = _alpha_one_family(t)[0]
         for config in (FAST, SearchConfig(), SearchConfig(12, 1, 2)):
             rep = inner_inf(1.0, t, config)
             cert = gamma_hat(t, 1.0, config)

@@ -1,6 +1,7 @@
 """Enumeration lab: closures, frequencies, and the coupling-entropy ceiling."""
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -41,6 +42,19 @@ from ucsbound.ucslab import (
 )
 
 SEED = 31337
+
+
+def counted(monkeypatch, name):
+    """One cell counting the calls of ``ucslab.<name>`` while the test runs."""
+    count = [0]
+    real = getattr(ucslab, name)
+
+    def wrapper(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(ucslab, name, wrapper)
+    return count
 
 
 @pytest.fixture
@@ -127,7 +141,7 @@ def member_loop_frequencies(family):
 
 class TestFamilySet:
     def test_members_round_trip(self):
-        fam = FamilySet.from_members(3, [0, 3, 7])
+        fam = FamilySet(3, 1 << 0 | 1 << 3 | 1 << 7)
         assert fam.members == (0, 3, 7)
         assert fam.size == 3
         assert fam.hex_mask == "0x89"
@@ -137,28 +151,24 @@ class TestFamilySet:
         with pytest.raises(ValueError):
             FamilySet(n, mask)
 
-    def test_from_members_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            FamilySet.from_members(2, [4])
+    def test_or_closure_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^member 4 outside \[0, 2\^2\)$"):
+            or_closure(2, [4])
 
     @pytest.mark.parametrize("n", [-1, 0, 6])
     def test_bad_ground_size_is_named_before_any_member_is_read(self, n):
         # n = -1 used to fail on 1 << n with "negative shift count".
-        for build in (FamilySet.from_members, or_closure):
-            for members in ([0], unread_generators()):
-                with pytest.raises(ValueError, match=r"ground-set size must be in 1\.\.5"):
-                    build(n, members)
+        for members in ([0], unread_generators()):
+            with pytest.raises(ValueError, match=r"ground-set size must be in 1\.\.5"):
+                or_closure(n, members)
 
     @pytest.mark.parametrize(
         "build, message",
-        [
-            (FamilySet.from_members, "a family needs at least one member"),
-            (or_closure, "a closure needs at least one generator"),
-        ],
-        ids=["from_members", "or_closure"],
+        [(or_closure, "a closure needs at least one generator")],
+        ids=["or_closure"],
     )
     def test_no_members_is_named(self, build, message):
-        # Both used to name a family mask of 0, which the caller never gave.
+        # It used to name a family mask of 0, which the caller never gave.
         with pytest.raises(ValueError, match=message):
             build(3, [])
 
@@ -201,7 +211,6 @@ class TestFamilySet:
 # Every public function that takes a ground-set size, called with n.
 ENTRY_POINTS = {
     "FamilySet": lambda n: FamilySet(n, 3),
-    "from_members": lambda n: FamilySet.from_members(n, [1]),
     "or_closure": lambda n: or_closure(n, [1, 2]),
     "enumerate_or_closed": lambda n: list(enumerate_or_closed(n)),
     "min_peak_frequency": lambda n: min_peak_frequency(n),
@@ -241,8 +250,8 @@ class TestGroundSetSize:
 # Argument name -> a call taking it, where 3 is a valid value.
 INTEGER_ARGUMENTS = {
     "family mask": lambda v: FamilySet(2, v),
-    "member": lambda v: FamilySet.from_members(2, [v]),
-    "generator": lambda v: or_closure(2, [v]),
+    "member": lambda v: or_closure(2, [v]),
+    "generator": lambda v: or_closure(2, [1, v]),  # one after the first
     "count": lambda v: sample_or_closed(3, v, 1),
     "seed": lambda v: sample_or_closed(3, 5, v),
 }
@@ -280,17 +289,16 @@ class TestIntegerArguments:
 
 class TestIsOrClosed:
     def test_hand_cases(self):
-        assert is_or_closed(FamilySet.from_members(2, [0]))  # {empty}
-        assert is_or_closed(FamilySet.from_members(2, [0, 1]))
+        assert is_or_closed(FamilySet(2, 0b1))  # {empty}
+        assert is_or_closed(FamilySet(2, 0b11))  # {empty}, {e0}
         assert is_or_closed(FamilySet(3, (1 << 8) - 1))  # full cube
         # {e0}, {e1} without their union:
-        assert not is_or_closed(FamilySet.from_members(2, [1, 2]))
+        assert not is_or_closed(FamilySet(2, 0b110))
 
     def test_matches_naive_oracle(self):
         for n in (1, 2):
             for fam in naive_closed_families(n):
-                masks = family_to_masks(fam)
-                encoded = FamilySet.from_members(n, masks)
+                encoded = FamilySet(n, sum(1 << m for m in family_to_masks(fam)))
                 assert is_or_closed(encoded)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -348,12 +356,20 @@ class TestOrClosure:
         rng = np.random.default_rng(SEED)
         for _ in range(200):
             gens = [int(g) for g in rng.integers(0, 8, size=rng.integers(1, 5))]
-            want = FamilySet.from_members(3, gens).mask
+            want = sum(1 << g for g in set(gens))
             meet = (1 << 8) - 1
             for mask in families:
                 if mask & want == want:
                     meet &= mask
             assert or_closure(3, gens).mask == meet
+
+    def test_checks_each_generator_once(self, monkeypatch, constructions):
+        # n once, each generator once as a member, and no second check of
+        # the closed mask by FamilySet.__new__.
+        members, as_int = counted(monkeypatch, "_member"), counted(monkeypatch, "_as_int")
+        gens = [1, 2, 1, 4, 0, np.int64(6)]
+        assert or_closure(3, gens).mask == reference_closure(3, gens)
+        assert (members, as_int, constructions) == ([len(gens)], [1 + len(gens)], [0])
 
 
 class TestFrequencies:
@@ -363,10 +379,10 @@ class TestFrequencies:
         assert peak_frequency(fam) == 0.5
 
     def test_empty_only_family_has_zero_peak(self):
-        assert peak_frequency(FamilySet.from_members(2, [0])) == 0.0
+        assert peak_frequency(FamilySet(2, 0b1)) == 0.0
 
     def test_hand_case(self):
-        fam = FamilySet.from_members(2, [1, 3])  # {e0}, {e0,e1}
+        fam = FamilySet(2, 0b1010)  # {e0}, {e0,e1}
         assert element_frequencies(fam) == pytest.approx([1.0, 0.5], abs=1e-15)
 
     @staticmethod
@@ -747,6 +763,26 @@ class TestSampling:
         for fam in fams:
             assert is_or_closed(fam)
 
+    def test_masks_are_the_pinned_draws(self):
+        # The masks, in draw order, that the sampler gave when it closed
+        # each draw through or_closure, for the seeds of this class.
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for seed in (0, 1, 3, 7, 11, 12, 12345, 2**31 - 5):
+                digest.update(repr([f.mask for f in sample_or_closed(n, 2000, seed)]).encode())
+        assert digest.hexdigest() == (
+            "a5aa85033410b00a80ab4c3ece086b443e53c05782780d9d4829837b7ec16c73"
+        )
+
+    def test_checks_each_argument_once(self, monkeypatch, constructions):
+        # n, count and seed once per call; the drawn generators are in
+        # range by construction and are not checked, nor are the families.
+        as_int = counted(monkeypatch, "_as_int")
+        families = sample_or_closed(5, 500, SEED)
+        assert as_int == [3]
+        assert constructions == [0]
+        assert all(type(f) is FamilySet and is_or_closed(f) for f in families)
+
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             sample_or_closed(5, 0, seed=1)
@@ -817,7 +853,7 @@ class TestMaxSymmetricCouplingEntropy:
             assert h_star == pytest.approx(float(n), abs=1e-9)
 
     def test_chain_family(self):
-        fam = FamilySet.from_members(2, [0, 1, 3])
+        fam = FamilySet(2, 0b1011)  # {empty}, {e0}, {e0,e1}
         h_star = max_symmetric_coupling_entropy(fam)
         assert h_star == pytest.approx(math.log2(3), abs=1e-9)
 
@@ -830,10 +866,10 @@ class TestMaxSymmetricCouplingEntropy:
 
     def test_not_closed_raises(self):
         with pytest.raises(NotClosed, match="^family 0x6 is not closed under OR$"):
-            max_symmetric_coupling_entropy(FamilySet.from_members(2, [1, 2]))
+            max_symmetric_coupling_entropy(FamilySet(2, 0b110))
 
     def test_singleton_family_is_trivial(self):
-        h_star = max_symmetric_coupling_entropy(FamilySet.from_members(2, [3]))
+        h_star = max_symmetric_coupling_entropy(FamilySet(2, 0b1000))
         assert h_star == 0.0
 
 
@@ -902,7 +938,7 @@ class TestEntropyInequality:
         # size is refused, by mask, for an open family of that size, and the
         # open masks on n = 2 (0x6 and 0x7) are neither checked nor skipped.
         with pytest.raises(NotClosed, match="0x6"):
-            max_symmetric_coupling_entropy(FamilySet.from_members(2, [1, 2]))
+            max_symmetric_coupling_entropy(FamilySet(2, 0b110))
         open_masks = [m for m in range(1, 16) if not is_or_closed(FamilySet(2, m))]
         assert open_masks == [0x6, 0x7]
         report = check_entropy_inequality(2)
