@@ -878,35 +878,45 @@ class TestFaceThreshold:
             assert side * (decimal_face_ratio(fam.a1, fam.b1, cert.t, cert.alpha_star) - 1) > 0
 
 
-def decimal_diagonal_minimum(t, alpha):
-    """The least R_diag(a) over a in (0, t), with its a and beta, in 50-digit
-    decimal arithmetic: the face's closed form on its diagonal a = b1 (module
-    docstring of ``optimizer``), by a scan of 400 points and then golden
-    section between the neighbours of the least of them.  t and alpha are
-    decimal strings, read exactly."""
+def decimal_diagonal_ratio(a, t, alpha):
+    """R_diag(a), the face's ratio on its diagonal a = b1 in closed form
+    (module docstring of ``optimizer``), in 50-digit decimal arithmetic.
+    Each argument is a Decimal, or a float or decimal string read exactly."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        D = decimal.Decimal
-        t, alpha, one, half = D(t), D(alpha), D(1), D("0.5")
-        ln2 = D(2).ln()
+        a, t, alpha = map(decimal.Decimal, (a, t, alpha))
+        one = decimal.Decimal(1)
+        ln2 = decimal.Decimal(2).ln()
 
         def h(x):
             return -(x * x.ln() + (one - x) * (one - x).ln()) / ln2
 
+        fc = sorted((a, one / 2, min(2 * a, one)))[1]
+        return (
+            (one - alpha) * (one - t) / (one - a) * h(2 * a - a * a) / h(a)
+            + alpha * (one + a - 2 * t) / (one - t) * h(fc) / h(a)
+        )
+
+
+def decimal_diagonal_minimum(t, alpha):
+    """The least :func:`decimal_diagonal_ratio` over a in (0, t), with its a
+    and beta, in 50 digits: a scan of 400 points, then golden section
+    between the neighbours of the least of them.  t and alpha are decimal
+    strings, read exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        t, alpha, one = decimal.Decimal(t), decimal.Decimal(alpha), decimal.Decimal(1)
+
         def r_diag(a):
-            fc = sorted((a, half, min(2 * a, one)))[1]
-            return (
-                (one - alpha) * (one - t) / (one - a) * h(2 * a - a * a) / h(a)
-                + alpha * (one + a - 2 * t) / (one - t) * h(fc) / h(a)
-            )
+            return decimal_diagonal_ratio(a, t, alpha)
 
         step = t / 400
         k = min(range(1, 400), key=lambda k: r_diag(k * step))
         lo, hi = (k - 1) * step, (k + 1) * step
-        g = (D(5).sqrt() - one) / 2
+        g = (decimal.Decimal(5).sqrt() - one) / 2
         c, d = hi - g * (hi - lo), lo + g * (hi - lo)
         rc, rd = r_diag(c), r_diag(d)
-        while hi - lo > D("1e-24"):
+        while hi - lo > decimal.Decimal("1e-24"):
             if rc < rd:
                 hi, d, rd = d, c, rc
                 c = hi - g * (hi - lo)
@@ -921,6 +931,15 @@ def decimal_diagonal_minimum(t, alpha):
 
 class TestDiagonalClosedForm:
     """The face's one-variable form on a = b1 reproduces the reference point."""
+
+    @pytest.mark.parametrize(
+        "a, t, alpha",
+        [(0.01, 0.38234, 0.035), (0.2, 0.38234, 0.035), (0.33, 0.38234, 0.035), (0.1, 0.3, 0.2)],
+    )
+    def test_is_the_face_ratio_on_the_diagonal(self, a, t, alpha):
+        # fc(a) is 2a below a = 1/4 and 1/2 above it.
+        got = decimal_diagonal_ratio(a, t, alpha)
+        assert abs(got - decimal_face_ratio(a, a, t, alpha)) < decimal.Decimal("1e-26")
 
     def test_reference_point_in_40_digits(self):
         value, a, beta = decimal_diagonal_minimum(str(REFERENCE_T), str(REFERENCE_ALPHA))
