@@ -14,11 +14,11 @@ frequencies and peaks are popcounts of the family's member bitmask.
 
 ``import ucsbound`` loads none of the submodules: each exported name
 is resolved on first access, which imports the submodule defining it.
-numpy is imported only inside the two functions that use it,
-``element_frequencies`` and ``sample_or_closed``; the certificate
-search, enumeration, peaks, the entropy check and ``maxcorr`` run
-without it.  The import does look numpy up, without loading it, so a
-missing numpy still fails at ``import ucsbound``.
+numpy is imported only inside the one function that uses it,
+``element_frequencies``; the certificate search, enumeration, peaks,
+the entropy check, the sampler and ``maxcorr`` run without it.  The
+import does look numpy up, without loading it, so a missing numpy
+still fails at ``import ucsbound``.
 
 ``maxcorr`` is a sidecar that no certificate calls: it gives the
 maximal correlation of a two-by-two Bernoulli coupling, in closed form

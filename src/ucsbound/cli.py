@@ -63,8 +63,10 @@ def _require_writable(path: str) -> None:
 def _atomic_file(path: str):
     """A text file for the block to write, renamed to ``path`` when the block
     ends, and removed if the block raises: readers never see it half written.
-    :func:`main` has checked ``path`` before the run; a write that fails
-    after that raises the ``OSError`` naming ``path``, not the temp file."""
+    :func:`main` has checked ``path`` before the run; an ``OSError`` after
+    that which names no file or the temp file is raised again naming
+    ``path``, and one that names another path, which the block itself
+    touched, passes through unchanged."""
     directory = os.path.dirname(path) or "."
     tmp = None
     try:
@@ -79,7 +81,8 @@ def _atomic_file(path: str):
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, OSError):  # name the given path, not the temp file
+        # Until mkstemp returns, only it has run, and its error names the temp file.
+        if isinstance(exc, OSError) and (tmp is None or exc.filename in (None, tmp)):
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 

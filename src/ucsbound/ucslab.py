@@ -18,12 +18,11 @@ element, the mask of every set containing it, over the family's size
 (:func:`frequency_list`, :func:`element_frequencies`); over many masks,
 one popcount column per element (:func:`_columns`), which gives both
 the peaks (:func:`_peaks`) and the ``--csv`` sheet (:func:`_sheet`).  Only
-:func:`element_frequencies` and :func:`sample_or_closed` use numpy, and
-each imports it in its own body; no command calls either (the lab
-pass in ``benchmarks/`` does), and ``import ucsbound`` has already
-checked that numpy is installed.  The sampler reads its draws as
-32-bit words from PCG64's raw stream, a block of outputs at a time
-(:func:`_words`), not from ``Generator.integers``.
+:func:`element_frequencies` uses numpy, and imports it in its own
+body; no command calls it (the lab pass in ``benchmarks/`` does), and
+``import ucsbound`` has already checked that numpy is installed.  The
+sampler (:func:`sample_or_closed`) draws its words from the standard
+library's ``random.Random``.
 
 Each input is checked once, where it enters: a :class:`FamilySet`, the
 named tuple (n, mask), checks both in ``__new__`` (``_replace`` and
@@ -57,6 +56,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 from itertools import chain, compress, islice, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, TextIO
 
@@ -92,10 +92,6 @@ MAX_ENUM_N = 5
 # The most masks an exhaustive scan holds at once (:func:`_chunks`).  At
 # least 2^14, so that n <= 4, 4959 families, is a single chunk.
 _CHUNK = 1 << 16
-
-# The raw 64-bit outputs :func:`_words` draws at once.  A draw reads
-# about 3.5 32-bit words, so one block serves about 580 draws.
-_RAW_BLOCK = 1 << 10
 
 # _CONTAIN[n][e]: the family mask of every subset of {0, ..., n-1} that
 # contains element e, for each n in 0..5 (0 is the split's bottom level).
@@ -462,43 +458,24 @@ def sample_or_closed(n: int, count: int, seed: int) -> list[FamilySet]:
     call; each draw's generators are in [0, 2^n) by construction, so they
     are folded (:func:`_fold`) and built into FamilySets unchecked.
 
-    The draws read 32-bit words (:func:`_words`) from the raw stream of
-    ``numpy.random.PCG64(seed)``: a draw reads one word and takes
-    k = 1 + (word >> 30) generators, then one word per generator, each
-    giving ``word >> (32 - n)``.  These are the values of
-    ``default_rng(seed)`` drawing ``integers(1, 5)`` and then
-    ``integers(0, 2**n, size=k)``: for a range of power-of-two size,
-    numpy's bounded integers take one 32-bit word per value and return
-    its top bits.  The rule reads only the bit generator's stream, which
-    numpy keeps stable across releases (NEP 19); it makes no such
-    promise for ``Generator.integers``.
+    The draws come from ``random.Random(seed).getrandbits``, which for
+    k <= 32 bits returns the top k bits of one 32-bit Mersenne Twister
+    word.  A draw reads one word, whose top 2 bits plus 1 give its number
+    k of generators, then k words, each giving a generator as its top n
+    bits.
     """
-    import numpy as np
-
     n = _ground_size(n)
     count = _as_int(count, "count", 1)
     seed = _as_int(seed, "seed", 0)
-    words, shift = _words(np.random.PCG64(seed)), 32 - n
+    bits = random.Random(seed).getrandbits
     seen: set[int] = set()
     out: list[FamilySet] = []
     for _ in range(count):
-        k = 1 + (next(words) >> 30)
-        mask = _fold(n, [word >> shift for word in islice(words, k)])
+        mask = _fold(n, [bits(n) for _ in range(1 + bits(2))])
         if mask not in seen:
             seen.add(mask)
             out.append(tuple.__new__(FamilySet, (n, mask)))
     return out
-
-
-def _words(bits) -> Iterator[int]:
-    """The 32-bit words of a numpy bit generator's raw stream, without end:
-    the low half of each 64-bit output, then its high half, read
-    ``_RAW_BLOCK`` outputs at a time, so memory does not grow with the
-    number of words read."""
-    while True:
-        raw = bits.random_raw(_RAW_BLOCK)
-        # Read as little-endian, each 64-bit output is its low word, then its high one.
-        yield from raw.astype("<u8").view("<u4").tolist()
 
 
 def max_symmetric_coupling_entropy(family: FamilySet) -> float:

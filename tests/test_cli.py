@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import errno
 import importlib
 import json
 import math
@@ -422,6 +423,24 @@ class TestReportWrites:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_an_error_the_run_raises_keeps_its_own_path(self, tmp_path, capsys, monkeypatch):
+        # An OSError that names a path other than the output or its temp
+        # file is the run's own: it is not relabelled with the sheet's path.
+        real = ucslab._chunks
+
+        def remove_then_run(n):
+            os.rmdir("sub")  # the temp sheet is in it
+            return real(n)
+
+        monkeypatch.setattr(ucslab, "_chunks", remove_then_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(["enumerate", "--n", "2", "--csv", "sub/s"]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: [Errno {errno.ENOTEMPTY}] {os.strerror(errno.ENOTEMPTY)}: 'sub'\n"
+        )
+        assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")] == ["sub"]
+
     def test_csv_dash_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
         # The sheet goes to a file only; "-" is not taken as a file name.
         def run(*args, **kwargs):
@@ -630,13 +649,19 @@ def run_python(code, cwd=None):
 class TestImport:
     def test_package_and_cli_load_without_scipy(self):
         # The package depends on numpy only, and imports it only in the
-        # library's sampler and frequency array, which no command calls.
+        # library's frequency array, element_frequencies, which no command
+        # calls.
         code = (
             "import sys, ucsbound, ucsbound.cli; "
             "print(len([m for m in sys.modules if m.split('.')[0] == 'scipy'])); "
             f"print({NUMPY_LOADED})"
         )
         assert run_python(code) == ["0", "False"]
+
+    def test_sampling_loads_no_numpy(self):
+        # The sampler draws its words from the standard library's random.
+        code = f"import sys, ucsbound; ucsbound.sample_or_closed(5, 500, 3); print({NUMPY_LOADED})"
+        assert run_python(code) == ["False"]
 
     def test_numpy_stays_unloaded_when_a_library_probes_for_it(self):
         # pytest.approx looks numpy up in sys.modules; a placeholder

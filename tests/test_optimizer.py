@@ -94,15 +94,15 @@ def oracle_ratio(a1, a2, b1, b2, t, alpha):
     return ((1 - alpha) * independent + alpha * correlated) / denom
 
 
-def decimal_face_ratio(a, b1, t, alpha):
-    """The ratio at the face point (a, a; b1, 1) in 30-digit decimal arithmetic.
+def decimal_face_ratio(a, b1, t, alpha, prec=30):
+    """The ratio at the face point (a, a; b1, 1) in ``prec``-digit decimal arithmetic.
 
     From the face formula, with beta = 2 (t - a) / (b1 + 1 - 2a) and
     every term that touches the value 1 equal to h(1) = 0.  The float
     arguments convert exactly.
     """
     with decimal.localcontext() as ctx:
-        ctx.prec = 30
+        ctx.prec = prec
         a, b1, t, alpha = map(decimal.Decimal, (a, b1, t, alpha))
         one, half = decimal.Decimal(1), decimal.Decimal("0.5")
         ln2 = decimal.Decimal(2).ln()
@@ -902,7 +902,7 @@ def decimal_diagonal_minimum(t, alpha):
     """The least :func:`decimal_diagonal_ratio` over a in (0, t), with its a
     and beta, in 50 digits: a scan of 400 points, then golden section
     between the neighbours of the least of them.  t and alpha are decimal
-    strings, read exactly."""
+    strings or floats, read exactly."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         t, alpha, one = decimal.Decimal(t), decimal.Decimal(alpha), decimal.Decimal(1)
@@ -927,6 +927,37 @@ def decimal_diagonal_minimum(t, alpha):
                 rd = r_diag(d)
         a = (lo + hi) / 2
         return r_diag(a), a, 2 * (t - a) / (one - a)
+
+
+def decimal_face_newton(t, alpha, a, b1):
+    """The critical point of the face ratio R(a, b1) at (t, alpha) that
+    Newton's method reaches from (a, b1), with R there, in 50-digit
+    decimal arithmetic: central differences at step 1e-20 for the
+    gradient and 1e-12 for the Hessian, until a step moves the point by
+    less than 1e-24.  The float arguments convert exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, b1 = decimal.Decimal(a), decimal.Decimal(b1)
+        g, s = decimal.Decimal("1e-20"), decimal.Decimal("1e-12")
+
+        def r(a, b1):
+            return decimal_face_ratio(a, b1, t, alpha, prec=50)
+
+        for _ in range(8):
+            ga = (r(a + g, b1) - r(a - g, b1)) / (2 * g)
+            gb = (r(a, b1 + g) - r(a, b1 - g)) / (2 * g)
+            mid = 2 * r(a, b1)
+            haa = (r(a + s, b1) - mid + r(a - s, b1)) / (s * s)
+            hbb = (r(a, b1 + s) - mid + r(a, b1 - s)) / (s * s)
+            hab = (
+                r(a + s, b1 + s) - r(a + s, b1 - s) - r(a - s, b1 + s) + r(a - s, b1 - s)
+            ) / (4 * s * s)
+            det = haa * hbb - hab * hab
+            da, db = (hbb * ga - hab * gb) / det, (haa * gb - hab * ga) / det
+            a, b1 = a - da, b1 - db
+            if abs(da) + abs(db) < decimal.Decimal("1e-24"):
+                return a, b1, r(a, b1)
+    raise AssertionError(f"Newton did not converge at t = {t}, alpha = {alpha}")
 
 
 class TestDiagonalClosedForm:
@@ -954,6 +985,19 @@ class TestDiagonalClosedForm:
         fam = cert.argmin
         assert fam.a1 == fam.a2 and fam.b2 == 1.0
         assert abs(fam.a1 - float(a)) < 1e-6 and abs(fam.b1 - float(a)) < 1e-6
+
+    @pytest.mark.parametrize("t", [0.375, 0.38, REFERENCE_T])
+    def test_face_critical_point_lies_on_the_diagonal(self, t):
+        # Newton over the whole face, from the search's argmin at alpha*,
+        # lands on a = b1, at R_diag's 1-D minimum: there the two-variable
+        # face minimum is the one-variable closed form's.
+        cert = gamma_hat(t)
+        fam = cert.argmin
+        assert fam.a1 == fam.a2 and fam.b2 == 1.0
+        a, b1, value = decimal_face_newton(t, cert.alpha_star, fam.a1, fam.b1)
+        assert abs(a - b1) <= decimal.Decimal("1e-20")
+        least = decimal_diagonal_minimum(t, cert.alpha_star)[0]
+        assert abs(value - least) <= decimal.Decimal("1e-25")
 
 
 def refine_the_lowest_cells(face, alpha):

@@ -764,14 +764,14 @@ class TestSampling:
             assert is_or_closed(fam)
 
     def test_masks_are_the_pinned_draws(self):
-        # The masks, in draw order, that the sampler gave when it closed
-        # each draw through or_closure, for the seeds of this class.
+        # The masks, in draw order, of the stdlib word rule (stdlib_draws)
+        # for the seeds of this class.
         digest = hashlib.sha256()
         for n in range(1, 6):
             for seed in (0, 1, 3, 7, 11, 12, 12345, 2**31 - 5):
                 digest.update(repr([f.mask for f in sample_or_closed(n, 2000, seed)]).encode())
         assert digest.hexdigest() == (
-            "a5aa85033410b00a80ab4c3ece086b443e53c05782780d9d4829837b7ec16c73"
+            "dd88baa9d1fb8de94ac741d0f626b60f3a03c900943bfa7de5f517fbd0390d57"
         )
 
     def test_checks_each_argument_once(self, monkeypatch, constructions):
@@ -788,54 +788,37 @@ class TestSampling:
             sample_or_closed(5, 0, seed=1)
 
     def test_draws_are_pinned(self):
-        # Another generator would change every sampled family for a seed.
+        # The first masks of the stdlib word rule (stdlib_draws) for seed 7;
+        # another word source would change every sampled family for a seed.
         assert [f.mask for f in sample_or_closed(4, 6, 7)] == [
-            0xCE00, 0xA099, 0xE000, 0x80, 0xF08E, 0x8830
+            0x8004, 0x401, 0x2000, 0x2222, 0x4000, 0xB
         ]
 
     @staticmethod
-    def per_draw_masks(n, count, seed):
-        """The sampled masks by the per-draw rule of ``default_rng(seed)``:
-        k = ``integers(1, 5)``, then ``integers(0, 2**n, size=k)`` generators."""
-        rng = np.random.default_rng(seed)
+    def stdlib_draws(n, count, seed):
+        """The sampled masks by the word rule on the 32-bit words of
+        ``random.Random(seed)``: k = 1 + the top 2 bits of one word, then k
+        generators, each the top n bits of one word, closed by
+        :func:`reference_closure`."""
+        word = random.Random(seed).getrandbits
         seen = {}
         for _ in range(count):
-            k = int(rng.integers(1, 5))
-            seen.setdefault(or_closure(n, rng.integers(0, 1 << n, size=k).tolist()).mask)
+            k = 1 + (word(32) >> 30)
+            seen.setdefault(reference_closure(n, [word(32) >> (32 - n) for _ in range(k)]))
         return list(seen)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_raw_words_give_the_per_draw_rule(self, n):
-        # Each draw reads at least one 64-bit output, so 2000 draws span
-        # more than one block.
-        assert 2000 > ucslab._RAW_BLOCK
+    def test_draws_are_the_stdlib_word_rule(self, n):
         for seed in (0, 1, 7, 12345, 2**31 - 5):
             for count in (1, 2, 3, 6, 500, 2000):
                 got = [f.mask for f in sample_or_closed(n, count, seed)]
-                assert got == self.per_draw_masks(n, count, seed), (seed, count)
-
-    @pytest.mark.parametrize("block", [1, 3])
-    def test_block_size_does_not_change_the_draws(self, block, monkeypatch):
-        whole = {n: sample_or_closed(n, 300, 7) for n in (2, 5)}
-        monkeypatch.setattr(ucslab, "_RAW_BLOCK", block)
-        assert {n: sample_or_closed(n, 300, 7) for n in (2, 5)} == whole
-
-    def test_needs_no_generator(self, monkeypatch):
-        # numpy's Generator type is immutable, so its integers method cannot
-        # be patched; the sampler builds no Generator, so it never calls it.
-        want = self.per_draw_masks(5, 50, 3)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a numpy Generator was built")
-
-        monkeypatch.setattr(np.random, "default_rng", refuse)
-        monkeypatch.setattr(np.random, "Generator", refuse)
-        assert [f.mask for f in sample_or_closed(5, 50, 3)] == want
+                assert got == self.stdlib_draws(n, count, seed), (seed, count)
 
     @pytest.mark.slow
     def test_memory_does_not_grow_with_the_draws(self):
-        # The families kept take about 2.3 MB; drawing every word up front
-        # would take about 32 MB.
+        # The 17,614 families kept take about 1.8 MB and the call peaks near
+        # 2.4 MB; a list of its ~350,000 words, drawn up front, would add
+        # about 2.8 MB.
         tracemalloc.start()
         try:
             sample_or_closed(5, 10**5, 1)
