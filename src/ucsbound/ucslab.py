@@ -15,9 +15,12 @@ that; enumeration pairs closed halves from the tables one and two sizes
 down: it never meets the 2^(2^n) - 1 family masks one by one.
 Element frequencies are popcounts of the family mask against, per
 element, the mask of every set containing it, over the family's size
-(:func:`frequency_list`, :func:`element_frequencies`); over many masks,
-one popcount column per element (:func:`_columns`), which gives both
-the peaks (:func:`_peaks`) and the ``--csv`` sheet (:func:`_sheet`).  Only
+(:func:`frequency_list`, :func:`element_frequencies`).  Over a chunk of
+masks, :func:`_tally` packs them into one int, a field per mask, and
+takes every family's per-element counts, largest count and size as
+SWAR popcounts over all the fields at once: the peaks are the largest
+counts over the sizes, and the ``--csv`` sheet (:func:`_sheet`) reads
+the per-element counts too.  Only
 :func:`element_frequencies` uses numpy, and imports it in its own
 body; no command calls it (the lab pass in ``benchmarks/`` does), and
 ``import ucsbound`` has already checked that numpy is installed.  The
@@ -57,6 +60,7 @@ import functools
 import math
 import operator
 import random
+import struct
 from itertools import chain, compress, islice, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, TextIO
 
@@ -333,27 +337,59 @@ def peak_frequency(family: FamilySet) -> float:
     return max(frequency_list(family))
 
 
-def _columns(n: int, masks: list[int]) -> tuple[list[list[int]], list[int]]:
-    """Member counts of the family masks on n elements, one list per element,
-    and each family's largest count: the counts of :func:`peak_frequency`."""
-    columns = [list(map(int.bit_count, map(c.__and__, masks))) for c in _CONTAIN[n]]
-    return columns, columns[0] if n == 1 else list(map(max, *columns))
+def _tally(n: int, masks: list[int], columns: bool = False) -> tuple[bytes, bytes, list[bytes]]:
+    """Each family mask's largest member count and its size, one byte per
+    mask, and, if ``columns`` is set, one such byte string per element of
+    the member counts, else none: the counts of :func:`peak_frequency`.
 
+    The masks are packed into one int, a little-endian field per mask of
+    the bytes its 2^n bits fill (1, 1, 1, 2, 4 for n = 1..5), and each
+    popcount is one SWAR pass over every field at once: per byte, then
+    summed into the field's low byte.  No count exceeds 32, below the
+    low byte's 0x80 bit, so the largest is a borrow compare per field:
+    that bit of ``(top | 0x80) - count`` survives where ``top >= count``.
+    """
+    field = max(1, (1 << n) >> 3)
+    width = field * len(masks)
+    ones = int.from_bytes((b"\x01" + bytes(field - 1)) * len(masks), "little")
+    every = int.from_bytes(b"\x01" * width, "little")
+    m1, m2, m4, low, high = every * 0x55, every * 0x33, every * 0x0F, ones * 0xFF, ones * 0x80
 
-def _peaks(tops: list[int], masks: list[int]) -> list[float]:
-    """:func:`peak_frequency` of each nonzero family mask from its largest count
-    (:func:`_columns`): the largest count over the size is the largest of
-    the counts over the size, as rounding a quotient keeps its order."""
-    return list(map(operator.truediv, tops, map(int.bit_count, masks)))
+    def popcount(x: int) -> int:
+        x -= (x >> 1) & m1
+        x = (x & m2) + ((x >> 2) & m2)
+        x = (x + (x >> 4)) & m4
+        if field == 1:
+            return x
+        x += x >> 8
+        if field == 4:
+            x += x >> 16
+        return x & low
+
+    def read(x: int) -> bytes:
+        return x.to_bytes(width, "little")[::field]
+
+    packed = int.from_bytes(struct.pack(f"<{len(masks)}{'BBBHI'[n - 1]}", *masks), "little")
+    top, counts = None, []
+    for contain in _CONTAIN[n]:
+        count = popcount(packed & contain * ones)
+        if columns:
+            counts.append(read(count))
+        if top is None:
+            top = count
+        else:
+            keep = ((((top | high) - count) & high) >> 7) * 0xFF
+            top = count ^ ((top ^ count) & keep)
+    return read(top), read(popcount(packed)), counts
 
 
 _HEADER = "n,size,mask,p_A,freqs,H_X,H_star,ratio\r\n"
 
 
-def _sheet(n: int, masks: list[int], columns: list, tops: list[int], check: bool) -> str:
+def _sheet(n: int, masks: list[int], sizes: bytes, tops: bytes, columns: list[bytes], check: bool) -> str:
     """The ``enumerate --csv`` rows of the family masks on n elements from
-    their :func:`_columns`, each ended by CRLF; :func:`scan` writes the
-    :data:`_HEADER` above the first.
+    their sizes, largest counts and columns (:func:`_tally`), each ended
+    by CRLF; :func:`scan` writes the :data:`_HEADER` above the first.
 
     H_star and ratio are empty cells unless ``check`` is set and the
     family has at least two members.  A frequency is count / size, and
@@ -363,8 +399,7 @@ def _sheet(n: int, masks: list[int], columns: list, tops: list[int], check: bool
     """
     by_size: dict[int, tuple[list[str], str]] = {}
     rows = []
-    for mask, top, counts in zip(masks, tops, zip(*columns)):
-        size = mask.bit_count()
+    for mask, size, top, counts in zip(masks, sizes, tops, zip(*columns)):
         if size not in by_size:
             star = _uniform_bits(size) if check and size > 1 else None
             h_x = math.log2(size)
@@ -400,15 +435,17 @@ def lowest_peak(peaks: list[float], masks: list[int]) -> tuple[float, int] | Non
     all and its peak frequency of 0 says nothing about the frequency
     question being probed.  Ties go to the smallest family mask,
     whatever the order of the lists, so the witness is deterministic.
-    The least peak is one ``min`` over the floats and the witness one
+    Mask 1, where present, leaves both lists by one ``compress``; then
+    the least peak is one ``min`` over the floats and the witness one
     over the masks that reach it, so no pair is built per family.
     """
     if 1 in masks:
-        peaks = [math.inf if mask == 1 else peak for peak, mask in zip(peaks, masks)]
-    low = min(peaks, default=math.inf)
-    if low == math.inf:
+        keep = list(map(operator.ne, masks, repeat(1)))
+        peaks, masks = list(compress(peaks, keep)), list(compress(masks, keep))
+    if not peaks:
         return None
-    return low, min(compress(masks, map(low.__eq__, peaks)))
+    low = min(peaks)
+    return low, min(compress(masks, map(operator.eq, peaks, repeat(low))))
 
 
 def scan(n: int, check: bool = False, sheet: TextIO | None = None) -> tuple:
@@ -417,26 +454,28 @@ def scan(n: int, check: bool = False, sheet: TextIO | None = None) -> tuple:
     by :func:`lowest_peak`, or None if no family is eligible, and, if
     ``check`` is set, the :func:`check_entropy_inequality` report, else
     None.  Across chunks it keeps only those and the number of families
-    of each size.  Given a ``sheet`` file, it writes the ``enumerate
-    --csv`` sheet there from the :func:`_columns` that give the peaks.
-    It builds no FamilySet.
+    of each size.  Each chunk's peaks are its largest member counts over
+    its sizes (:func:`_tally`), the floats of :func:`peak_frequency`, as
+    rounding a quotient keeps its order; given a ``sheet`` file, it also
+    reads the per-element counts and writes the ``enumerate --csv`` sheet
+    there.  It builds no FamilySet.
     """
     n = _enum_size(n)
-    count, least, sizes = 0, None, [0] * ((1 << n) + 1)
+    count, least, histogram = 0, None, [0] * ((1 << n) + 1)
     if sheet is not None:
         sheet.write(_HEADER)
     for masks in _chunks(n):
         count += len(masks)
-        columns, tops = _columns(n, masks)
-        pair = lowest_peak(_peaks(tops, masks), masks)
+        tops, sizes, columns = _tally(n, masks, sheet is not None)
+        pair = lowest_peak(list(map(operator.truediv, tops, sizes)), masks)
         if pair is not None:
             least = pair if least is None else min(least, pair)
         if check:
-            for mask in masks:
-                sizes[mask.bit_count()] += 1
+            for size in range(1, len(histogram)):
+                histogram[size] += sizes.count(size)
         if sheet is not None:
-            sheet.write(_sheet(n, masks, columns, tops, check))
-    return count, least, _report(n, sizes) if check else None
+            sheet.write(_sheet(n, masks, sizes, tops, columns, check))
+    return count, least, _report(n, histogram) if check else None
 
 
 def min_peak_frequency(n: int) -> tuple[float, FamilySet]:

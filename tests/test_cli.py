@@ -287,7 +287,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("argv", [["--n", "4", "--check-entropy"]], ids=["n4"])
     def test_csv_does_not_change_report_or_stdout(self, argv, tmp_path, capsys):
-        # With or without --csv, p_A comes from the same ucslab._columns pass as the sheet.
+        # With or without --csv, p_A comes from the same ucslab._tally pass as the sheet.
         outputs = []
         for extra in ([], ["--csv", str(tmp_path / "families.csv")]):
             out = tmp_path / f"report{len(extra)}.json"

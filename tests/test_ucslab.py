@@ -35,10 +35,9 @@ from ucsbound.ucslab import (
     _HEADER,
     _chunks,
     _closed,
-    _columns,
-    _peaks,
     _report,
     _sheet,
+    _tally,
 )
 
 SEED = 31337
@@ -389,9 +388,9 @@ class TestFrequencies:
     def check_against_member_loop(families):
         """Arrays match the member loop; peaks and sheet rows match the arrays bit for bit."""
         n, masks = families[0].n, [fam.mask for fam in families]
-        columns, tops = _columns(n, masks)
-        peaks = _peaks(tops, masks)
-        rows = _sheet(n, masks, columns, tops, False).split("\r\n")[:-1]
+        tops, sizes, columns = _tally(n, masks, columns=True)
+        peaks = [top / size for top, size in zip(tops, sizes)]
+        rows = _sheet(n, masks, sizes, tops, columns, False).split("\r\n")[:-1]
         assert len(peaks) == len(rows) == len(families)
         for fam, p_a, line in zip(families, peaks, rows):
             freqs = element_frequencies(fam)
@@ -549,6 +548,9 @@ class TestMinPeakFrequency:
         peaks, masks = [0.0, 0.5, 0.5], [1, 0x5, 0x3]
         assert lowest_peak(peaks, masks) == (0.5, 0x3)
         assert (peaks, masks) == ([0.0, 0.5, 0.5], [1, 0x5, 0x3])  # left as they were
+        # {empty set} is passed over even when its peak ties the least.
+        assert lowest_peak([0.5, 0.5, 0.5], [0x5, 1, 0x3]) == (0.5, 0x3)
+        assert lowest_peak([0.25, 0.5], [1, 0x3]) == (0.5, 0x3)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_masks_give_the_rule_over_families(self, n):
@@ -579,7 +581,13 @@ class TestMinPeakFrequency:
 
     @staticmethod
     def check_columns_against_peak_frequency(n, masks):
-        got = [peak.hex() for peak in _peaks(_columns(n, masks)[1], masks)]
+        """The kernel's counts are each family's popcounts, and its peaks
+        are :func:`peak_frequency` bit for bit."""
+        tops, sizes, columns = _tally(n, masks, columns=True)
+        assert list(sizes) == list(map(int.bit_count, masks))
+        assert [list(column) for column in columns] == [[(m & c).bit_count() for m in masks] for c in ucslab._CONTAIN[n]]
+        assert _tally(n, masks) == (tops, sizes, [])
+        got = [(top / size).hex() for top, size in zip(tops, sizes)]
         assert got == [peak_frequency(FamilySet(n, mask)).hex() for mask in masks]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -591,6 +599,16 @@ class TestMinPeakFrequency:
         masks = [fam.mask for fam in sample_or_closed(5, 500, SEED)]
         assert masks != sorted(masks)
         self.check_columns_against_peak_frequency(5, masks)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_columns_fill_each_field_to_its_edge(self, n):
+        # The full family has 2^n members, the most a field holds, and sets
+        # every bit of its field; {ground set} is the top bit alone.
+        full, top = (1 << (1 << n)) - 1, 1 << ((1 << n) - 1)
+        assert _tally(n, [full]) == (bytes([1 << (n - 1)]), bytes([1 << n]), [])
+        assert _tally(n, [top]) == (b"\x01", b"\x01", [])
+        for masks in ([full], [top], [top, full, top], [1, full, 0x3, top]):
+            self.check_columns_against_peak_frequency(n, masks)
 
 
 class TestChunkedScan:
@@ -730,9 +748,9 @@ class TestSheet:
 
     def check_sheet(self, n, masks):
         families = [FamilySet(n, mask) for mask in masks]
-        columns, tops = _columns(n, masks)
+        tops, sizes, columns = _tally(n, masks, columns=True)
         for check in (False, True):
-            got = _HEADER + _sheet(n, masks, columns, tops, check)
+            got = _HEADER + _sheet(n, masks, sizes, tops, columns, check)
             assert got == self.reference_sheet(families, checked=check)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -896,10 +914,10 @@ class TestEntropyInequality:
 
     def test_counts_sizes_without_columns(self, monkeypatch):
         # The check needs each family's size, not its per-element counts.
-        def columns(*args):
-            raise AssertionError("columns were computed")
+        def tally(*args):
+            raise AssertionError("the counts kernel ran")
 
-        monkeypatch.setattr(ucslab, "_columns", columns)
+        monkeypatch.setattr(ucslab, "_tally", tally)
         assert check_entropy_inequality(4).checked == 4943
 
     def test_reads_the_masks_again_only_for_violations(self, monkeypatch):
