@@ -71,7 +71,6 @@ _EXPORTS = {
     "FamilySet": "ucslab",
     "EntropyCheckReport": "ucslab",
     "is_or_closed": "ucslab",
-    "or_closure": "ucslab",
     "element_frequencies": "ucslab",
     "peak_frequency": "ucslab",
     "enumerate_or_closed": "ucslab",

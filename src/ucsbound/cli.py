@@ -7,7 +7,8 @@ JSON alone.  When a report is written to a file, a run manifest
 goes next to it as ``<out>.manifest.json``.  Reports are written
 atomically: a temp file in the target directory is renamed into place,
 so readers never observe a half-written JSON.  A report, manifest or CSV
-path that is empty, a directory, or in a missing directory exits 2
+path that is empty, a directory, in a missing directory, or an
+existing file that is not a regular one (a FIFO, a device) exits 2
 before the run, and so do two of them that name one file, and
 ``--csv -``: the sheet goes to a file only.
 
@@ -52,11 +53,14 @@ def _utcnow() -> str:
 
 def _require_writable(path: str) -> None:
     """Raise the ``OSError`` of a write to ``path`` if it is empty, a
-    directory, or in a missing directory."""
+    directory, or in a missing directory, and a ``ValueError`` if it exists
+    and is not a regular file (a FIFO, a device) that renaming would replace."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not (path and os.path.isdir(os.path.dirname(path) or ".")):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"{path!r} is not a regular file, and would be replaced by one")
 
 
 @contextlib.contextmanager

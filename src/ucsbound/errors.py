@@ -55,4 +55,5 @@ class NotClosed(UcsBoundError, ValueError):
 
 
 class DimensionTooLarge(UcsBoundError, ValueError):
-    """Exhaustive enumeration was requested beyond the supported ground-set size."""
+    """A ground-set size above ``ucslab.MAX_ENUM_N`` (5), the lab's one cap: "ground-set
+    size must be in 1..5, got ...", the message a plain ``ValueError`` gives below 1."""

@@ -20,7 +20,7 @@ masks, :func:`_tally` packs them into one int, a field per mask, and
 takes every family's per-element counts, largest count and size as
 SWAR popcounts over all the fields at once: the peaks are the largest
 counts over the sizes, and the ``--csv`` sheet (:func:`_sheet`) reads
-the per-element counts too.  Only
+the per-element counts too and yields its rows one at a time.  Only
 :func:`element_frequencies` uses numpy, and imports it in its own
 body; no command calls it (the lab pass in ``benchmarks/`` does), and
 ``import ucsbound`` has already checked that numpy is installed.  The
@@ -30,9 +30,9 @@ library's ``random.Random``.
 Each input is checked once, where it enters: a :class:`FamilySet`, the
 named tuple (n, mask), checks both in ``__new__`` (``_replace`` and
 ``_make`` skip it), and every public function checks its other
-arguments first.  Closure is one fold over masks (:func:`_fold`), which
-:func:`or_closure` feeds with each generator, checked once, and
-:func:`sample_or_closed` with its drawn words, in range by construction.
+arguments first, each ground-set size by :func:`_ground_size`.  Closure
+is one fold over masks (:func:`_fold`), which :func:`sample_or_closed`
+feeds with its drawn words, in range by construction.
 A family the lab builds itself, closed and in range by construction, is
 made as ``_make`` makes one, without a second check.
 Exhaustive enumeration takes the closed masks in ascending chunks of at
@@ -75,7 +75,6 @@ __all__ = [
     "FamilySet",
     "EntropyCheckReport",
     "is_or_closed",
-    "or_closure",
     "frequency_list",
     "element_frequencies",
     "peak_frequency",
@@ -90,7 +89,7 @@ __all__ = [
 
 # Exhaustive enumeration yields every OR-closed family: 4959 at n = 4 and
 # 2,771,103 at n = 5, which the exhaustive scans take a chunk at a time.
-# A FamilySet holds no family on more than 5 elements.
+# It is the one cap on a ground-set size (:func:`_ground_size`).
 MAX_ENUM_N = 5
 
 # The most masks an exhaustive scan holds at once (:func:`_chunks`).  At
@@ -123,20 +122,12 @@ def _as_int(value, what: str, low: int | None = None) -> int:
 
 
 def _ground_size(n) -> int:
-    """n as an int; ``ValueError`` unless it is a ground-set size a FamilySet allows."""
+    """n as an int in 1..MAX_ENUM_N; :class:`DimensionTooLarge` above it,
+    ``ValueError`` below 1 or for a non-integer, each naming n."""
     size = _as_int(n, "ground-set size")
-    if not 1 <= size <= 5:
-        raise ValueError(f"ground-set size must be in 1..5, got {n!r}")
-    return size
-
-
-def _enum_size(n) -> int:
-    """n as an int; :class:`DimensionTooLarge` above MAX_ENUM_N, ``ValueError`` below 1."""
-    size = _as_int(n, "ground-set size")
-    if size > MAX_ENUM_N:
-        raise DimensionTooLarge(f"exhaustive enumeration supports n <= {MAX_ENUM_N}, got {n!r}")
-    if size < 1:
-        raise ValueError(f"ground-set size must be >= 1, got {n!r}")
+    if not 1 <= size <= MAX_ENUM_N:
+        error = ValueError if size < 1 else DimensionTooLarge
+        raise error(f"ground-set size must be in 1..{MAX_ENUM_N}, got {n!r}")
     return size
 
 
@@ -155,11 +146,12 @@ class FamilySet(_FamilySet):
     Building one converts n and the mask to ``int`` (a bool or a numpy
     integer too) and checks n in 1..5 and the mask in [1, 2^(2^n)); any
     other value raises ``ValueError`` naming the ground-set size or the
-    mask.  The family is a named tuple ``(n, mask)``; its ``_replace`` and
-    ``_make`` skip the check, so build a new FamilySet instead.  The
-    lab's own builders (enumeration, closure and the sampler) check their
-    inputs where they enter and skip it too, as their masks are in range
-    by construction: each value is checked once.
+    mask (:class:`DimensionTooLarge`, a subclass, for n above 5).  The
+    family is a named tuple ``(n, mask)``; its ``_replace`` and ``_make``
+    skip the check, so build a new FamilySet instead.  The lab's own
+    builders (enumeration and the sampler) check their inputs where they
+    enter and skip it too, as their masks are in range by construction:
+    each value is checked once.
     """
 
     __slots__ = ()
@@ -182,14 +174,6 @@ class FamilySet(_FamilySet):
     @property
     def hex_mask(self) -> str:
         return f"0x{self.mask:x}"
-
-
-def _member(n: int, m) -> int:
-    """m as a set on n elements; ``ValueError`` naming it unless an integer in [0, 2^n)."""
-    m = _as_int(m, "member")
-    if not 0 <= m < (1 << n):
-        raise ValueError(f"member {m!r} outside [0, 2^{n})")
-    return m
 
 
 def _unions(n: int, i: int, mask: int) -> int:
@@ -298,22 +282,6 @@ def _fold(n: int, generators: Iterable[int]) -> int:
     return mask
 
 
-def or_closure(n: int, generators: Iterable[int]) -> FamilySet:
-    """Smallest OR-closed family containing the given member sets.
-
-    n is checked first, then each generator once, as it is read, as a
-    member in [0, 2^n), and the checked generators are folded into the
-    mask (:func:`_fold`).  The result is closed and in range by
-    construction, so its FamilySet is built without a second check.
-    Raises ``ValueError`` on an empty list of generators.
-    """
-    n = _ground_size(n)
-    mask = _fold(n, (_member(n, g) for g in generators))
-    if not mask:
-        raise ValueError("a closure needs at least one generator")
-    return tuple.__new__(FamilySet, (n, mask))
-
-
 def frequency_list(family: FamilySet) -> list[float]:
     """Fraction of members containing each ground element, as n floats."""
     mask = family.mask
@@ -386,10 +354,13 @@ def _tally(n: int, masks: list[int], columns: bool = False) -> tuple[bytes, byte
 _HEADER = "n,size,mask,p_A,freqs,H_X,H_star,ratio\r\n"
 
 
-def _sheet(n: int, masks: list[int], sizes: bytes, tops: bytes, columns: list[bytes], check: bool) -> str:
+def _sheet(
+    n: int, masks: list[int], sizes: bytes, tops: bytes, columns: list[bytes], check: bool
+) -> Iterator[str]:
     """The ``enumerate --csv`` rows of the family masks on n elements from
     their sizes, largest counts and columns (:func:`_tally`), each ended
-    by CRLF; :func:`scan` writes the :data:`_HEADER` above the first.
+    by CRLF and yielded one at a time, so that no chunk's text is held
+    whole; :func:`scan` writes the :data:`_HEADER` above the first.
 
     H_star and ratio are empty cells unless ``check`` is set and the
     family has at least two members.  A frequency is count / size, and
@@ -398,7 +369,6 @@ def _sheet(n: int, masks: list[int], sizes: bytes, tops: bytes, columns: list[by
     holds a comma, quote or line break, so none is quoted.
     """
     by_size: dict[int, tuple[list[str], str]] = {}
-    rows = []
     for mask, size, top, counts in zip(masks, sizes, tops, zip(*columns)):
         if size not in by_size:
             star = _uniform_bits(size) if check and size > 1 else None
@@ -407,8 +377,7 @@ def _sheet(n: int, masks: list[int], sizes: bytes, tops: bytes, columns: list[by
             by_size[size] = [repr(k / size) for k in range(size + 1)], tail
         fractions, tail = by_size[size]
         freqs = ";".join([fractions[k] for k in counts])
-        rows.append(f"{n},{size},{mask:#x},{fractions[top]},{freqs},{tail}\r\n")
-    return "".join(rows)
+        yield f"{n},{size},{mask:#x},{fractions[top]},{freqs},{tail}\r\n"
 
 
 def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
@@ -422,7 +391,7 @@ def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
     ``FamilySet.__new__``.  It raises :class:`DimensionTooLarge` for n > 5
     when called, not when iterated.
     """
-    n = _enum_size(n)
+    n = _ground_size(n)
     masks = chain.from_iterable(_chunks(n))
     return map(tuple.__new__, repeat(FamilySet), zip(repeat(n), masks))
 
@@ -457,10 +426,11 @@ def scan(n: int, check: bool = False, sheet: TextIO | None = None) -> tuple:
     of each size.  Each chunk's peaks are its largest member counts over
     its sizes (:func:`_tally`), the floats of :func:`peak_frequency`, as
     rounding a quotient keeps its order; given a ``sheet`` file, it also
-    reads the per-element counts and writes the ``enumerate --csv`` sheet
-    there.  It builds no FamilySet.
+    reads the per-element counts and streams the ``enumerate --csv``
+    sheet there, row by row (:func:`_sheet`), so that beside the file's
+    own buffer it holds one row of the sheet's text at a time.  It builds no FamilySet.
     """
-    n = _enum_size(n)
+    n = _ground_size(n)
     count, least, histogram = 0, None, [0] * ((1 << n) + 1)
     if sheet is not None:
         sheet.write(_HEADER)
@@ -474,7 +444,7 @@ def scan(n: int, check: bool = False, sheet: TextIO | None = None) -> tuple:
             for size in range(1, len(histogram)):
                 histogram[size] += sizes.count(size)
         if sheet is not None:
-            sheet.write(_sheet(n, masks, sizes, tops, columns, check))
+            sheet.writelines(_sheet(n, masks, sizes, tops, columns, check))
     return count, least, _report(n, histogram) if check else None
 
 
@@ -593,7 +563,7 @@ def check_entropy_inequality(n: int) -> EntropyCheckReport:
     families of each size a chunk of masks at a time, as :func:`scan`
     does, without the peaks, and builds no FamilySet.
     """
-    n = _enum_size(n)
+    n = _ground_size(n)
     sizes = [0] * ((1 << n) + 1)
     for masks in _chunks(n):
         for mask in masks:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -329,7 +330,7 @@ class TestEnumerate:
     def test_n6_exits_2(self, capsys):
         rc = main(["enumerate", "--n", "6"])
         assert rc == 2
-        assert "supports n <= 5" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: ground-set size must be in 1..5, got 6\n"
 
     def test_n_below_one_exits_2(self, capsys):
         rc = main(["enumerate", "--n", "-1"])
@@ -440,6 +441,27 @@ class TestReportWrites:
             f"error: [Errno {errno.ENOTEMPTY}] {os.strerror(errno.ENOTEMPTY)}: 'sub'\n"
         )
         assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")] == ["sub"]
+
+    @pytest.mark.parametrize(
+        "fifo", ["r.json", "r.json.manifest.json", "s.csv"], ids=["out", "manifest", "csv"]
+    )
+    def test_a_path_that_is_not_a_regular_file_is_refused_before_the_run(
+        self, fifo, tmp_path, capsys, monkeypatch
+    ):
+        # Renaming the written file into place used to replace a FIFO (or a
+        # device node) with a regular file, and exit 0.
+        def run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(ucslab, "_chunks", run)
+        monkeypatch.chdir(tmp_path)
+        os.mkfifo(fifo)
+        assert main(["enumerate", "--n", "2", "--csv", "s.csv", "--out", "r.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {fifo!r} is not a regular file, and would be replaced by one\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == [fifo]
 
     def test_csv_dash_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
         # The sheet goes to a file only; "-" is not taken as a file name.
