@@ -8,11 +8,13 @@ split a family at its top element n - 1 into two families on n - 1
 elements: ``lo``, the members lacking n - 1, and ``hi``, the members
 holding it, with n - 1 removed.  The family is closed iff both halves
 are and ``lo`` lies inside the stabiliser of ``hi`` (see
-:func:`_split`).  A cached table per ground-set size k <= 4
-(:func:`_closed`) holds every closed family on k elements with its
-stabiliser.  :func:`is_or_closed` looks n <= 3 up and splits once above
-that; enumeration pairs closed halves from the tables one and two sizes
-down: it never meets the 2^(2^n) - 1 family masks one by one.
+:func:`_split`).  Two cached tables per ground-set size k <= 4, each
+built once per process, hold every closed family on k elements: its
+masks (:func:`_closed_masks`), from one :func:`_split` walk, and each
+mask with its stabiliser (:func:`_closed`), read from the first.
+:func:`is_or_closed` looks n <= 3 up and splits once above that;
+enumeration pairs closed halves from the tables one and two sizes down:
+it never meets the 2^(2^n) - 1 family masks one by one.
 Element frequencies are popcounts of the family mask against, per
 element, the mask of every set containing it, over the family's size
 (:func:`frequency_list`, :func:`element_frequencies`).  Over a chunk of
@@ -36,11 +38,13 @@ feeds with its drawn words, in range by construction.
 A family the lab builds itself, closed and in range by construction, is
 made as ``_make`` makes one, without a second check.
 Exhaustive enumeration takes the closed masks in ascending chunks of at
-most ``_CHUNK`` masks (:func:`_chunks`): n <= 4 is one chunk, and n = 5,
-2,771,103 families, runs in bounded memory.  One fold over the chunks,
-:func:`scan`, serves :func:`min_peak_frequency` and ``enumerate``: per
-chunk, :func:`lowest_peak` takes the least peak by one ``min`` over the
-chunk's floats and its witness by one over the masks that reach it.
+most ``_CHUNK`` masks (:func:`_chunks`): n <= 4 is one chunk, copied
+from :func:`_closed_masks`, and n = 5, 2,771,103 families, is walked
+anew by each scan, in bounded memory, and never cached.  One fold over
+the chunks, :func:`scan`, serves :func:`min_peak_frequency` and
+``enumerate``: per chunk, :func:`lowest_peak` takes the least peak by
+one ``min`` over the chunk's floats and its witness by one over the
+masks that reach it.
 :func:`check_entropy_inequality` counts family sizes alone.
 
 Besides enumeration and frequency bookkeeping, the module checks the
@@ -228,25 +232,35 @@ def _split(n: int) -> Iterator[list[int]]:
 
 
 @functools.cache
+def _closed_masks(n: int) -> tuple[int, ...]:
+    """Every closed family mask on 1 <= n <= 4 elements, 0 included, ascending,
+    from one :func:`_split` walk (:func:`_closed` at n = 1); built once per
+    process, never changed: 4,960 masks, about 180 KB, at n = 4."""
+    return tuple(chain.from_iterable(_split(n) if n > 1 else [_closed(1)]))
+
+
+@functools.cache
 def _closed(k: int) -> dict[int, int]:
     """Every closed family mask on k <= 4 elements, 0 included, mapped to
     its stabiliser, ascending; built once per process, never changed.
-    Families on k <= 1 are all closed; :func:`_split` builds the rest.
+    Families on k <= 1 are all closed; above that the masks are
+    :func:`_closed_masks`, so each size is walked once per process.
     Only the n = 5 scan (:func:`_chunks`) builds k = 4, 4,960 stabilisers;
     a closure proof computes the one stabiliser it needs.
     """
-    masks = range(1 << (1 << k)) if k <= 1 else chain.from_iterable(_split(k))
+    masks = range(1 << (1 << k)) if k <= 1 else _closed_masks(k)
     return {f: _stabiliser(k, f) for f in masks}
 
 
 def _chunks(n: int) -> Iterator[list[int]]:
     """Every nonempty closed family mask on 1 <= n <= 5 elements, ascending,
-    in lists of ``_CHUNK`` masks but the last, which holds the rest.
+    in fresh lists of ``_CHUNK`` masks but the last, which holds the rest.
 
-    They come from :func:`_split`'s per-``hi`` blocks, so that at n = 5
-    no list holds them all.
+    n <= 4 is copied from :func:`_closed_masks`; n = 5 comes from
+    :func:`_split`'s per-``hi`` blocks, so that no list holds them all,
+    and nothing of it is cached.
     """
-    masks = chain.from_iterable(_split(n) if n > 1 else [_closed(1)])
+    masks = iter(_closed_masks(n)) if n <= 4 else chain.from_iterable(_split(n))
     next(masks)  # 0, the empty family
     while chunk := list(islice(masks, _CHUNK)):
         yield chunk

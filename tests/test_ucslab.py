@@ -474,11 +474,47 @@ class TestClosedTable:
         closed = [m for m in range(1 << size) if pairwise_closed(m, size)]
         assert list(_closed(k).items()) == [(m, stabiliser(m)) for m in closed]
 
+    @staticmethod
+    def clear_tables():
+        ucslab._closed.cache_clear()
+        ucslab._closed_masks.cache_clear()
+
+    def test_each_size_up_to_four_is_walked_once_per_process(self, monkeypatch):
+        # Every n <= 4 job, and the stabiliser tables, read the masks built
+        # by the first walk of each size; only n = 5 is walked per scan.
+        self.clear_tables()
+        walks = []
+        real = ucslab._split
+        monkeypatch.setattr(ucslab, "_split", lambda n: walks.append(n) or real(n))
+        for _ in range(2):
+            for n in range(1, 5):
+                list(enumerate_or_closed(n))
+                scan(n, True, io.StringIO())
+                min_peak_frequency(n)
+                check_entropy_inequality(n)
+        assert sorted(walks) == [2, 3, 4]
+        next(_chunks(5))
+        assert sorted(walks) == [2, 3, 4, 5]
+
+    def test_a_chunk_is_the_callers_own_list(self):
+        before = scan(4), [f.mask for f in enumerate_or_closed(4)]
+        next(_chunks(4)).clear()
+        assert (scan(4), [f.mask for f in enumerate_or_closed(4)]) == before
+
+    def test_the_n5_scan_caches_no_masks_of_its_own(self):
+        self.clear_tables()
+        next(_chunks(5))
+        for n in range(1, 5):
+            ucslab._closed_masks(n)
+        # Sizes 1..4, each built once, and nothing else.
+        info = ucslab._closed_masks.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)
+
     def test_only_the_n5_scan_builds_the_four_element_table(self):
         # The table on 4 elements, 4,960 stabilisers, serves the exhaustive
         # n = 5 scan alone: the n <= 4 scans and closure proofs up to n = 5
         # read the tables on at most 3 elements.
-        ucslab._closed.cache_clear()
+        self.clear_tables()
         scan(4, True, io.StringIO())
         list(enumerate_or_closed(4))
         check_entropy_inequality(4)
