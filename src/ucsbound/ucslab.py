@@ -8,10 +8,11 @@ split a family at its top element n - 1 into two families on n - 1
 elements: ``lo``, the members lacking n - 1, and ``hi``, the members
 holding it, with n - 1 removed.  The family is closed iff both halves
 are and ``lo`` lies inside the stabiliser of ``hi`` (see
-:func:`_split`).  Two cached tables per ground-set size k <= 4, each
+:func:`_split`).  Three cached tables per ground-set size k <= 4, each
 built once per process, hold every closed family on k elements: its
-masks (:func:`_closed_masks`), from one :func:`_split` walk, and each
-mask with its stabiliser (:func:`_closed`), read from the first.
+masks (:func:`_closed_masks`), from one :func:`_split` walk, and, read
+from those, each mask with its stabiliser (:func:`_closed`) and each
+nonempty one as a FamilySet (:func:`_enumerated`).
 :func:`is_or_closed` looks n <= 3 up and splits once above that;
 enumeration pairs closed halves from the tables one and two sizes down:
 it never meets the 2^(2^n) - 1 family masks one by one.
@@ -23,11 +24,11 @@ takes every family's per-element counts, largest count and size as
 SWAR popcounts over all the fields at once: the peaks are the largest
 counts over the sizes, and the ``--csv`` sheet (:func:`_sheet`) reads
 the per-element counts too and yields its rows one at a time.  Only
-:func:`element_frequencies` uses numpy, and imports it in its own
-body; no command calls it (the lab pass in ``benchmarks/`` does), and
-``import ucsbound`` has already checked that numpy is installed.  The
-sampler (:func:`sample_or_closed`) draws its words from the standard
-library's ``random.Random``.
+:func:`element_frequencies` uses numpy, imported on its first call and
+kept (:func:`_numpy`); no command calls it (the lab pass in
+``benchmarks/`` does), and ``import ucsbound`` has already checked that
+numpy is installed.  The sampler (:func:`sample_or_closed`) draws its
+words from the standard library's ``random.Random``.
 
 Each input is checked once, where it enters: a :class:`FamilySet`, the
 named tuple (n, mask), checks both in ``__new__`` (``_replace`` and
@@ -36,15 +37,15 @@ arguments first, each ground-set size by :func:`_ground_size`.  Closure
 is one fold over masks (:func:`_fold`), which :func:`sample_or_closed`
 feeds with its drawn words, in range by construction.
 A family the lab builds itself, closed and in range by construction, is
-made as ``_make`` makes one, without a second check.
-Exhaustive enumeration takes the closed masks in ascending chunks of at
-most ``_CHUNK`` masks (:func:`_chunks`): n <= 4 is one chunk, copied
-from :func:`_closed_masks`, and n = 5, 2,771,103 families, is walked
-anew by each scan, in bounded memory, and never cached.  One fold over
-the chunks, :func:`scan`, serves :func:`min_peak_frequency` and
-``enumerate``: per chunk, :func:`lowest_peak` takes the least peak by
-one ``min`` over the chunk's floats and its witness by one over the
-masks that reach it.
+made as ``_make`` makes one, without a second check (:func:`_families`).
+Exhaustive scans take the closed masks in ascending chunks of at most
+``_CHUNK`` masks (:func:`_chunks`): n <= 4 is one chunk, copied from
+:func:`_closed_masks`, and n = 5, 2,771,103 families, is walked anew by
+each scan or enumeration, in bounded memory, and never cached.  One
+fold over the chunks, :func:`scan`, serves :func:`min_peak_frequency`
+and ``enumerate``: per chunk, :func:`lowest_peak` takes the least peak
+by one ``min`` over the floats and its witness by one over the masks
+that reach it, and copies the chunk only to drop mask 1.
 :func:`check_entropy_inequality` counts family sizes alone.
 
 Besides enumeration and frequency bookkeeping, the module checks the
@@ -61,6 +62,7 @@ enumerated masks are closed by construction and are not proved again.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 import operator
 import random
@@ -303,11 +305,15 @@ def frequency_list(family: FamilySet) -> list[float]:
     return [(mask & c).bit_count() / size for c in _CONTAIN[family.n]]
 
 
-def element_frequencies(family: FamilySet) -> np.ndarray:
-    """:func:`frequency_list` as an array of shape (n,), the same floats."""
-    import numpy as np
+@functools.cache
+def _numpy():
+    """numpy, imported on the first call alone."""
+    return importlib.import_module("numpy")
 
-    return np.array(frequency_list(family))
+
+def element_frequencies(family: FamilySet) -> np.ndarray:
+    """:func:`frequency_list` as a fresh array of shape (n,), the same floats."""
+    return _numpy().array(frequency_list(family))
 
 
 def peak_frequency(family: FamilySet) -> float:
@@ -394,20 +400,27 @@ def _sheet(
         yield f"{n},{size},{mask:#x},{fractions[top]},{freqs},{tail}\r\n"
 
 
-def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
-    """All OR-closed families on n elements, in increasing mask order.
+def _families(n: int, masks: Iterable[int]) -> Iterator[FamilySet]:
+    """The FamilySets of closed masks on n elements, built as ``_make`` builds one, unchecked."""
+    return map(tuple.__new__, repeat(FamilySet), zip(repeat(n), masks))
 
-    They are the masks :func:`_split` pairs from closed halves on n - 1
-    elements, read a chunk at a time (:func:`_chunks`), so that at n = 5,
-    2,771,103 families, the iterator holds one chunk of masks, not all of
-    them.  Each mask is closed and in range by construction, so each
-    FamilySet is built as ``_make`` builds one, without the check in
-    ``FamilySet.__new__``.  It raises :class:`DimensionTooLarge` for n > 5
-    when called, not when iterated.
+
+@functools.cache
+def _enumerated(n: int) -> tuple[FamilySet, ...]:
+    """:func:`enumerate_or_closed` on n <= 4, built once per process: 0.37 MB at n = 4."""
+    return tuple(_families(n, islice(_closed_masks(n), 1, None)))
+
+
+def enumerate_or_closed(n: int) -> Iterator[FamilySet]:
+    """All OR-closed families on n elements, in increasing mask order, each
+    built by :func:`_families`.  n <= 4 iterates the tuple built once per
+    process (:func:`_enumerated`), so every call yields the same objects;
+    n = 5, 2,771,103 families, streams a chunk of masks at a time
+    (:func:`_chunks`) and caches nothing.  It raises
+    :class:`DimensionTooLarge` for n > 5 when called, not when iterated.
     """
     n = _ground_size(n)
-    masks = chain.from_iterable(_chunks(n))
-    return map(tuple.__new__, repeat(FamilySet), zip(repeat(n), masks))
+    return iter(_enumerated(n)) if n <= 4 else _families(n, chain.from_iterable(_chunks(n)))
 
 
 def lowest_peak(peaks: list[float], masks: list[int]) -> tuple[float, int] | None:
@@ -418,13 +431,15 @@ def lowest_peak(peaks: list[float], masks: list[int]) -> tuple[float, int] | Non
     all and its peak frequency of 0 says nothing about the frequency
     question being probed.  Ties go to the smallest family mask,
     whatever the order of the lists, so the witness is deterministic.
-    Mask 1, where present, leaves both lists by one ``compress``; then
-    the least peak is one ``min`` over the floats and the witness one
-    over the masks that reach it, so no pair is built per family.
+    Mask 1, where present, is deleted by index from one copy of each
+    list, not from the caller's; then the least peak is one ``min`` over
+    the floats and the witness one over the masks that reach it.
     """
     if 1 in masks:
-        keep = list(map(operator.ne, masks, repeat(1)))
-        peaks, masks = list(compress(peaks, keep)), list(compress(masks, keep))
+        peaks, masks = list(peaks), list(masks)
+        while 1 in masks:
+            at = masks.index(1)
+            del peaks[at], masks[at]
     if not peaks:
         return None
     low = min(peaks)

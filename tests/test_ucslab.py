@@ -391,6 +391,14 @@ class TestFrequencies:
             assert freqs.dtype == np.float64
             assert freqs.tobytes() == np.array(frequency_list(fam)).tobytes()
 
+    def test_each_call_returns_a_fresh_array(self):
+        fam = FamilySet(2, 0b1010)  # {e0}, {e0,e1}
+        first = element_frequencies(fam)
+        first[:] = -1.0
+        second = element_frequencies(fam)
+        assert second is not first and second.flags.writeable
+        assert second.tolist() == frequency_list(fam) == [1.0, 0.5]
+
     def test_array_is_the_frequency_list_bit_for_bit(self):
         for n in (1, 2, 3, 4):
             self.check_against_frequency_list(list(enumerate_or_closed(n)))
@@ -478,6 +486,7 @@ class TestClosedTable:
     def clear_tables():
         ucslab._closed.cache_clear()
         ucslab._closed_masks.cache_clear()
+        ucslab._enumerated.cache_clear()
 
     def test_each_size_up_to_four_is_walked_once_per_process(self, monkeypatch):
         # Every n <= 4 job, and the stabiliser tables, read the masks built
@@ -495,6 +504,37 @@ class TestClosedTable:
         assert sorted(walks) == [2, 3, 4]
         next(_chunks(5))
         assert sorted(walks) == [2, 3, 4, 5]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_each_call_up_to_four_yields_the_same_families(self, n):
+        self.clear_tables()
+        first = list(enumerate_or_closed(n))
+        second = list(enumerate_or_closed(n))
+        assert len(first) == len(second) == [3, 13, 121, 4959][n - 1]
+        assert all(a is b for a, b in zip(first, second))
+        assert ucslab._enumerated.cache_info().misses == 1
+
+    @pytest.mark.parametrize("size", [None, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_shared_families_are_the_streamed_ones_in_order(self, n, size, monkeypatch):
+        # The same masks, in the same order, as streaming the chunks through
+        # the one construction gives, at the default chunk size and a small one.
+        if size is not None:
+            monkeypatch.setattr(ucslab, "_CHUNK", size)
+        self.clear_tables()
+        streamed = list(ucslab._families(n, itertools.chain.from_iterable(_chunks(n))))
+        shared = list(enumerate_or_closed(n))
+        assert shared == streamed and [f.mask for f in shared] == list(_closed(n))[1:]
+        assert all(type(f) is FamilySet and f.n == n for f in shared)
+
+    def test_enumerating_five_elements_caches_no_families(self):
+        self.clear_tables()
+        for n in range(1, 5):
+            list(enumerate_or_closed(n))
+        # Counted, not listed: the families on 5 elements are not held at once.
+        assert sum(1 for _ in enumerate_or_closed(5)) == 2_771_103
+        info = ucslab._enumerated.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)
 
     def test_a_chunk_is_the_callers_own_list(self):
         before = scan(4), [f.mask for f in enumerate_or_closed(4)]
@@ -567,6 +607,29 @@ class TestMinPeakFrequency:
         # {empty set} is passed over even when its peak ties the least.
         assert lowest_peak([0.5, 0.5, 0.5], [0x5, 1, 0x3]) == (0.5, 0x3)
         assert lowest_peak([0.25, 0.5], [1, 0x3]) == (0.5, 0x3)
+
+    @pytest.mark.parametrize(
+        "peaks, masks",
+        [
+            ([0.0, 0.5, 0.75, 0.5], [1, 0x5, 0xF, 0x3]),  # mask 1 first
+            ([0.5, 0.75, 0.0, 0.5], [0x5, 0xF, 1, 0x3]),  # in the middle
+            ([0.5, 0.75, 0.5, 0.0], [0x5, 0xF, 0x3, 1]),  # last
+            ([0.0, 0.5, 0.25, 0.75, 0.5, 0.0], [1, 0x5, 1, 0xF, 0x3, 1]),  # repeated
+            ([0.5, 0.75, 0.5], [0x5, 0xF, 0x3]),  # absent
+        ],
+    )
+    def test_mask_one_anywhere_is_passed_over_and_the_lists_are_kept(self, peaks, masks):
+        before = list(peaks), list(masks)
+        assert lowest_peak(peaks, masks) == (0.5, 0x3)
+        assert (peaks, masks) == before
+        reversed_peaks, reversed_masks = peaks[::-1], masks[::-1]
+        assert lowest_peak(reversed_peaks, reversed_masks) == (0.5, 0x3)
+        assert (reversed_peaks, reversed_masks) == (before[0][::-1], before[1][::-1])
+
+    def test_only_mask_one_gives_none_and_keeps_the_lists(self):
+        peaks, masks = [0.0, 0.0], [1, 1]
+        assert lowest_peak(peaks, masks) is None
+        assert (peaks, masks) == ([0.0, 0.0], [1, 1])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_masks_give_the_rule_over_families(self, n):
