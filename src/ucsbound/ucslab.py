@@ -407,7 +407,7 @@ def _families(n: int, masks: Iterable[int]) -> Iterator[FamilySet]:
 
 @functools.cache
 def _enumerated(n: int) -> tuple[FamilySet, ...]:
-    """:func:`enumerate_or_closed` on n <= 4, built once per process: 0.37 MB at n = 4."""
+    """:func:`enumerate_or_closed` on n <= 4, built once per process: about 0.36 MB at n = 4."""
     return tuple(_families(n, islice(_closed_masks(n), 1, None)))
 
 

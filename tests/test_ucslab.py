@@ -609,27 +609,20 @@ class TestMinPeakFrequency:
         assert lowest_peak([0.25, 0.5], [1, 0x3]) == (0.5, 0x3)
 
     @pytest.mark.parametrize(
-        "peaks, masks",
+        "peaks, masks, least",
         [
-            ([0.0, 0.5, 0.75, 0.5], [1, 0x5, 0xF, 0x3]),  # mask 1 first
-            ([0.5, 0.75, 0.0, 0.5], [0x5, 0xF, 1, 0x3]),  # in the middle
-            ([0.5, 0.75, 0.5, 0.0], [0x5, 0xF, 0x3, 1]),  # last
-            ([0.0, 0.5, 0.25, 0.75, 0.5, 0.0], [1, 0x5, 1, 0xF, 0x3, 1]),  # repeated
-            ([0.5, 0.75, 0.5], [0x5, 0xF, 0x3]),  # absent
+            ([0.0, 0.5, 0.75, 0.5], [1, 0x5, 0xF, 0x3], (0.5, 0x3)),  # mask 1 first
+            ([0.5, 0.75, 0.0, 0.5], [0x5, 0xF, 1, 0x3], (0.5, 0x3)),  # in the middle
+            ([0.5, 0.75, 0.5, 0.0], [0x5, 0xF, 0x3, 1], (0.5, 0x3)),  # last
+            ([0.0, 0.5, 0.25, 0.75, 0.5, 0.0], [1, 0x5, 1, 0xF, 0x3, 1], (0.5, 0x3)),  # repeated
+            ([0.5, 0.75, 0.5], [0x5, 0xF, 0x3], (0.5, 0x3)),  # absent
+            ([0.0, 0.0], [1, 1], None),  # nothing else
         ],
     )
-    def test_mask_one_anywhere_is_passed_over_and_the_lists_are_kept(self, peaks, masks):
+    def test_mask_one_anywhere_is_passed_over_and_the_lists_are_kept(self, peaks, masks, least):
         before = list(peaks), list(masks)
-        assert lowest_peak(peaks, masks) == (0.5, 0x3)
+        assert lowest_peak(peaks, masks) == least
         assert (peaks, masks) == before
-        reversed_peaks, reversed_masks = peaks[::-1], masks[::-1]
-        assert lowest_peak(reversed_peaks, reversed_masks) == (0.5, 0x3)
-        assert (reversed_peaks, reversed_masks) == (before[0][::-1], before[1][::-1])
-
-    def test_only_mask_one_gives_none_and_keeps_the_lists(self):
-        peaks, masks = [0.0, 0.0], [1, 1]
-        assert lowest_peak(peaks, masks) is None
-        assert (peaks, masks) == ([0.0, 0.0], [1, 1])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_masks_give_the_rule_over_families(self, n):
