@@ -21,9 +21,8 @@ import does look numpy up, without loading it, so a missing numpy
 still fails at ``import ucsbound``.
 
 ``maxcorr`` is a sidecar that no certificate calls: it gives the
-maximal correlation of a two-by-two Bernoulli coupling, in closed form
-from the normalised joint's Frobenius norm and determinant, and checked
-against the absolute Pearson correlation.
+maximal correlation of a two-by-two Bernoulli coupling in closed form,
+|r - pq| / sqrt(p (1 - p) q (1 - q)).
 """
 
 __version__ = "0.1.0"
@@ -50,9 +49,6 @@ _EXPORTS = {
     "VerificationFailed": "errors",
     "NotClosed": "errors",
     "DimensionTooLarge": "errors",
-    "JointDist": "maxcorr",
-    "pearson": "maxcorr",
-    "correlation_spectrum": "maxcorr",
     "maximal_correlation": "maxcorr",
     "binary_coupling": "maxcorr",
     "SearchConfig": "config",

@@ -40,7 +40,7 @@ from .errors import (
     VerificationFailed,
 )
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 __all__ = ["main", "build_parser", "SCHEMA_VERSION"]
 
@@ -210,25 +210,14 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
 
 
 def cmd_maxcorr(args: argparse.Namespace) -> dict:
-    from .maxcorr import binary_coupling, correlation_spectrum, maximal_correlation, pearson
+    from .maxcorr import binary_coupling, maximal_correlation
 
     p, q, r = args.pq
-    joint = binary_coupling(p, q, r)
-    spectrum = correlation_spectrum(joint)
-    rho = maximal_correlation(joint)
-    # Both marginals carry mass once the spectrum exists, so neither
-    # variance of a 2x2 coupling is zero and pearson() does not raise
-    # RankDeficient.
-    rho_pearson = pearson(joint)
-    print(
-        f"maximal correlation {rho:.9f}; pearson {rho_pearson:.9f}; "
-        f"top singular value {spectrum[0]:.9f}"
-    )
+    rho = maximal_correlation(binary_coupling(p, q, r))
+    print(f"maximal correlation {rho:.9f}")
     return {
         "source": {"kind": "pq", "p": p, "q": q, "joint_on": r},
         "maximal_correlation": rho,
-        "pearson": rho_pearson,
-        "singular_values": [float(s) for s in spectrum],
     }
 
 

@@ -18,7 +18,7 @@ class DegenerateDenominator(UcsBoundError, ZeroDivisionError):
 
 
 class RankDeficient(UcsBoundError, ValueError):
-    """A joint distribution has fewer than two rows or columns carrying mass."""
+    """A bit of a coupling is constant, so it has no correlation."""
 
 
 class InfeasibleCorrelation(UcsBoundError, ValueError):

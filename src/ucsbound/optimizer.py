@@ -591,7 +591,6 @@ class _FaceSearch:
         return min_ratio, family
 
     def inner_min(self, alpha: float) -> InnerSearchReport:
-        alpha = require_prob(alpha, "alpha")
         before = self.evaluations
         _, x = self._polish(alpha, *self._refined(alpha))
         return InnerSearchReport(alpha, self.t, *self._scored(alpha, x), self.evaluations - before)
@@ -615,7 +614,8 @@ def inner_inf(alpha: float, t: float, config: SearchConfig | None = None) -> Inn
     where no such family has a denominator above 1e-14, it raises
     :class:`DegenerateDenominator`.
     """
-    if require_prob(alpha, "alpha") == 1.0:
+    alpha = require_prob(alpha, "alpha")
+    if alpha == 1.0:
         family, terms = _alpha_one_family(_require_t(t))
         return InnerSearchReport(1.0, family.t, terms.ratio(1.0), family, evaluations=0)
     return _FaceSearch(t, config or SearchConfig()).inner_min(alpha)
@@ -679,20 +679,16 @@ def gamma_hat(
     bound.
     """
     cfg = config or SearchConfig()
+    started = time.perf_counter()
     if isinstance(alphas, str):
         if alphas != "auto":
             raise ValueError(f'alphas must be "auto" or a number, got {alphas!r}')
-    else:
-        alphas = require_prob(alphas, "alpha")
-
-    started = time.perf_counter()
-    if alphas == "auto":
         face = _FaceSearch(t, cfg)
         best_alpha, value, family, alpha_gap = _best_alpha(face)
         t, evaluations = face.t, face.evaluations
     else:
         report = inner_inf(alphas, t, cfg)
-        best_alpha, value, family, alpha_gap = alphas, report.min_ratio, report.argmin, None
+        best_alpha, value, family, alpha_gap = report.alpha, report.min_ratio, report.argmin, None
         t, evaluations = report.t, report.evaluations
     wall_ms = (time.perf_counter() - started) * 1000.0
     return BoundCertificate(

@@ -14,12 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from ucsbound.maxcorr import (
-    binary_coupling,
-    correlation_spectrum,
-    maximal_correlation,
-    pearson,
-)
+from ucsbound.maxcorr import binary_coupling, maximal_correlation
 from ucsbound.optimizer import (
     SearchConfig,
     find_tmax,
@@ -102,22 +97,26 @@ class TestBaselineCrossing:
 
 class TestMaximalCorrelationIdentities:
     def test_two_by_two_identities(self):
+        # numpy's SVD of B[x, y] = P(x, y) / sqrt(P_X(x) P_Y(y)): the top
+        # singular value is 1 and the second is the maximal correlation.
         rng = np.random.default_rng(SEED)
-        worst_pearson = 0.0
-        worst_top = 0.0
+        couplings, matrices = [], []
         for _ in range(1000):
             p, q = rng.uniform(0.05, 0.95, size=2)
             lo, hi = max(0.0, p + q - 1.0), min(p, q)
             r = lo + rng.uniform(0.02, 0.98) * (hi - lo)
-            joint = binary_coupling(p, q, r)
-            rho = maximal_correlation(joint)
-            worst_pearson = max(worst_pearson, abs(rho - abs(pearson(joint))))
-            worst_top = max(worst_top, abs(correlation_spectrum(joint)[0] - 1.0))
-        assert worst_pearson <= 1e-9
-        assert worst_top <= 1e-9
+            couplings.append(binary_coupling(p, q, r))
+            joint = np.array([[1.0 - p - q + r, q - r], [p - r, r]])
+            matrices.append(joint / np.sqrt(np.outer([1.0 - p, p], [1.0 - q, q])))
+        spectrum = np.linalg.svd(np.array(matrices), compute_uv=False)
+        rho = np.array([maximal_correlation(c) for c in couplings])
+        worst_second = float(np.abs(spectrum[:, 1] - rho).max())
+        worst_top = float(np.abs(spectrum[:, 0] - 1.0).max())
+        assert worst_second <= 1e-12
+        assert worst_top <= 1e-12
         report(
-            "two-by-two maximal correlation: |pearson| gap "
-            f"{worst_pearson:.2e}, top singular gap {worst_top:.2e} (both <= 1e-9)"
+            "two-by-two maximal correlation: second singular gap "
+            f"{worst_second:.2e}, top singular gap {worst_top:.2e} (both <= 1e-12)"
         )
 
 

@@ -550,28 +550,42 @@ class TestMaxcorr:
         out = tmp_path / "corr.json"
         rc = main(["maxcorr", "--pq", "0.3", "0.4", "0.2", "--out", str(out)])
         assert rc == 0
-        assert "maximal correlation" in capsys.readouterr().out
+        assert capsys.readouterr().out == "maximal correlation 0.356348323\n"
         payload = read_json(out)
         assert payload["maximal_correlation"] == pytest.approx(
             0.35634832254989923, abs=1e-12
         )
-        assert payload["pearson"] == pytest.approx(
-            payload["maximal_correlation"], abs=1e-9
-        )
-        assert payload["singular_values"][0] == pytest.approx(1.0, abs=1e-12)
+        assert payload["source"] == {"kind": "pq", "p": 0.3, "q": 0.4, "joint_on": 0.2}
+        assert {"pearson", "singular_values"}.isdisjoint(payload)
 
     def test_tiny_marginals_do_not_underflow(self, tmp_path, capsys):
         out = tmp_path / "corr.json"
         rc = main(["maxcorr", "--pq", "1e-200", "1e-200", "1e-300", "--out", str(out)])
         assert rc == 0
         payload = read_json(out)
-        assert payload["maximal_correlation"] == pytest.approx(1e-100, rel=1e-9, abs=0)
-        assert payload["pearson"] == pytest.approx(1e-100, rel=1e-9, abs=0)
+        assert payload["maximal_correlation"] == pytest.approx(1e-100, rel=1e-12, abs=0)
 
     def test_infeasible_pq_exits_2(self, capsys):
         rc = main(["maxcorr", "--pq", "0.9", "0.9", "0.0"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pq,message",
+        [
+            (["0.3", "0.4", "nan"], "joint on-mass nan outside Frechet window [0.0, 0.3]"),
+            (["nan", "0.4", "0.2"], "p must lie in [0, 1], got nan"),
+            (["1", "0.4", "0.4"], "a constant bit has no correlation"),
+            (["0.3", "0", "0"], "a constant bit has no correlation"),
+        ],
+        ids=["nan-r", "nan-p", "constant-x", "constant-y"],
+    )
+    def test_bad_pq_exits_2_with_a_message(self, pq, message, capsys):
+        rc = main(["maxcorr", "--pq", *pq])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv,message",

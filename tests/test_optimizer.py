@@ -1030,6 +1030,71 @@ class TestSeedFilter:
                 assert filtered == pytest.approx(every, abs=1e-12), (t, alpha)
 
 
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+GOLDEN_C = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def alpha_zero_floor(t):
+    """phi (1 - t), the least ratio at alpha = 0 over every law of mean t."""
+    return PHI * (1.0 - t)
+
+
+def alpha_zero_slope(t):
+    """s(t) = (2u - 1) / (u h(c)) - u with u = phi (1 - t): the alpha-slope of (c, c; c, 1)."""
+    u = alpha_zero_floor(t)
+    return (2.0 * u - 1.0) / (u * binary_entropy(GOLDEN_C)) - u
+
+
+# Where s(t) falls to 0: past it the best alpha is 0.
+ALPHA_ZERO_FROM = 1.0 - (1.0 - math.sqrt(1.0 - binary_entropy(GOLDEN_C))) / (
+    PHI * binary_entropy(GOLDEN_C)
+)
+
+
+class TestAlphaZero:
+    """Known answers at alpha = 0, where only the marginal law of p counts.
+
+    The floor phi (1 - t) rests on the inequality
+    h(xy) >= (phi / 2) (x h(y) + y h(x)) of Alweiss, Huang and Sellke,
+    cited in ROADMAP item B and not checked in this repository.  For
+    t >= c = (3 - sqrt 5) / 2 the face family (c, c; c, 1) meets it,
+    and its ratio rises in alpha with slope s(t), which is 0 at
+    t0 ~ 0.4855924.
+    """
+
+    def test_search_stays_on_or_above_the_floor(self):
+        ts = np.linspace(0.005, 0.49, 40).tolist()
+        for t in ts:
+            floor = alpha_zero_floor(t)
+            assert inner_inf(0.0, t).min_ratio >= floor - 4 * math.ulp(floor), t
+        assert sum(t >= GOLDEN_C for t in ts) >= 8
+
+    def test_search_meets_the_floor_from_c(self):
+        for t in np.linspace(GOLDEN_C, 0.49, 12).tolist():
+            assert inner_inf(0.0, t).min_ratio == pytest.approx(alpha_zero_floor(t), abs=1e-12), t
+
+    def test_golden_family_line(self):
+        for t in np.linspace(GOLDEN_C, 0.5, 202)[:-1].tolist():
+            family = ExtremeFamily(GOLDEN_C, GOLDEN_C, t, GOLDEN_C, 1.0)
+            r0 = entropy_ratio(family, 0.0)
+            floor = alpha_zero_floor(t)
+            assert abs(r0 - floor) <= 4 * math.ulp(floor), t
+            assert entropy_ratio(family, 1.0) - r0 == pytest.approx(alpha_zero_slope(t), abs=2e-15), t
+
+    def test_best_alpha_is_zero_past_t0(self):
+        assert ALPHA_ZERO_FROM == pytest.approx(0.4855924, abs=1e-7)
+        for t in (ALPHA_ZERO_FROM + 1e-3, 0.49):
+            cert = gamma_hat(t)
+            assert cert.alpha_star == 0.0, t
+            assert cert.gamma_hat_lower == pytest.approx(alpha_zero_floor(t), abs=1e-12), t
+        assert gamma_hat(ALPHA_ZERO_FROM - 1e-3).alpha_star > 0.0
+
+    @pytest.mark.parametrize("t", [GOLDEN_C, REFERENCE_T, 0.45])
+    def test_search_slope_at_zero(self, t):
+        slope = (inner_inf(1e-6, t).min_ratio - inner_inf(0.0, t).min_ratio) / 1e-6
+        assert slope == pytest.approx(alpha_zero_slope(t), abs=1e-5)
+
+
 class TestAlphaOne:
     """At alpha = 1 the minimum is 0, on the families (0, 0; b1, 1) (``_best_alpha``)."""
 
