@@ -134,13 +134,13 @@ class TestMaximalCorrelation:
         couplings = random_couplings(np.random.default_rng(SEED), 10_000)
         spectrum = numpy_spectrum(couplings)
         closed = np.array([maximal_correlation(c) for c in couplings])
-        assert np.abs(spectrum[:, 0] - 1.0).max() <= 1e-12
         assert np.abs(spectrum[:, 1] - closed).max() <= 1e-12
 
     def test_two_by_two_equals_absolute_pearson(self):
-        for coupling in random_couplings(np.random.default_rng(SEED + 1), 300):
-            expect = abs(float(exact_pearson(*coupling)))
-            assert maximal_correlation(coupling) == pytest.approx(expect, rel=1e-13, abs=1e-16)
+        couplings = random_couplings(np.random.default_rng(SEED + 1), 2000, 1e-6, 1.0 - 1e-6)
+        for coupling in couplings:
+            exact = abs(exact_pearson(*coupling))
+            assert abs(Decimal(maximal_correlation(coupling)) - exact) <= Decimal("1e-12"), coupling
 
     @pytest.mark.parametrize(
         "p,q,r,tol",
@@ -168,8 +168,9 @@ class TestMaximalCorrelation:
         assert rho == pytest.approx(0.35634832254989923, abs=1e-12)
 
     def test_top_singular_value_is_one(self):
-        spectrum = numpy_spectrum(random_couplings(np.random.default_rng(SEED + 2), 200))
-        assert spectrum[:, 0] == pytest.approx(1.0, abs=1e-12)
+        # The identity the closed form rests on: then s2 = |det B| / s1 = |det B|.
+        for coupling in random_couplings(np.random.default_rng(SEED + 2), 200, 1e-6, 1.0 - 1e-6):
+            assert abs(exact_spectrum(*coupling)[0] - 1) <= Decimal("1e-60"), coupling
 
     def test_independence_gives_zero(self):
         rng = np.random.default_rng(SEED + 3)
