@@ -7,10 +7,10 @@ family of sets (other than {empty set}) must contain an element in at
 least a t fraction of its members.  The ratio blends two couplings of
 the pair: the independent one and the fully correlated one.  The
 laboratory half exhaustively enumerates union-closed families on tiny
-ground sets and checks the coupling-entropy ceiling on each of them.
-That check evaluates the identity coupling directly; the identity
-attains the ceiling, so the check is exact by construction.  Element
-frequencies and peaks are popcounts of the family's member bitmask.
+ground sets and counts those the coupling-entropy ceiling
+H(X or Y) <= log2 |A| covers; the identity coupling meets it, so its
+maximum is log2 |A|.  Element frequencies and peaks are popcounts of
+the family's member bitmask.
 
 ``import ucsbound`` loads none of the submodules: each exported name
 is resolved on first access, which imports the submodule defining it.
@@ -61,7 +61,6 @@ _EXPORTS = {
     "verify_reference_point": "optimizer",
     "BASELINE_THRESHOLD": "optimizer",
     "binary_entropy": "scalars",
-    "entropy_bits": "scalars",
     "or_prob": "scalars",
     "max_entropy_or_prob_fullcorr": "scalars",
     "FamilySet": "ucslab",

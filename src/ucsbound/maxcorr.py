@@ -56,4 +56,11 @@ def maximal_correlation(coupling: tuple[float, float, float]) -> float:
     sy = math.sqrt(q * (1.0 - q))
     if sx == 0.0 or sy == 0.0:
         raise RankDeficient(f"a constant bit has no correlation, got marginals p={p!r}, q={q!r}")
-    return min(1.0, abs(r - p * q) / sx / sy)
+    # r >= 1/2 forces p, q >= 1/2, where 1 - r, 1 - p and 1 - q are exact:
+    # from them r - pq does not cancel when both marginals are near 1.
+    if r >= 0.5:
+        a, b = 1.0 - p, 1.0 - q
+        cov = (1.0 - r) - a - b + a * b
+    else:
+        cov = r - p * q
+    return min(1.0, abs(cov) / sx / sy)

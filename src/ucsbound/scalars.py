@@ -1,4 +1,4 @@
-"""Scalar kernels: binary entropy and the OR-output probability of two bits.
+"""Scalar kernels: a probability check, binary entropy, and two bits' OR-output probabilities.
 
 Everything here works on plain floats and is deliberately allocation-free;
 the face search in :mod:`ucsbound.optimizer` calls ``binary_entropy``
@@ -13,12 +13,10 @@ bit for bit.  All entropies are in bits.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 __all__ = [
     "require_prob",
     "binary_entropy",
-    "entropy_bits",
     "or_prob",
     "max_entropy_or_prob_fullcorr",
 ]
@@ -50,19 +48,6 @@ def binary_entropy(a: float) -> float:
     if a <= 0.0 or a >= 1.0:
         return 0.0
     return -(a * math.log2(a) + (1.0 - a) * math.log1p(-a) / _LN2)
-
-
-def entropy_bits(masses: Sequence[float]) -> float:
-    """Shannon entropy in bits of a finite mass vector.
-
-    Zero masses, and any negative entry, contribute nothing rather than
-    being fed to the logarithm.
-    """
-    total = 0.0
-    for m in masses:
-        if m > 0.0:
-            total -= m * math.log2(m)
-    return total
 
 
 def or_prob(p: float, q: float) -> float:

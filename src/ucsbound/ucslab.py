@@ -46,17 +46,15 @@ fold over the chunks, :func:`scan`, serves :func:`min_peak_frequency`
 and ``enumerate``: per chunk, :func:`lowest_peak` takes the least peak
 by one ``min`` over the floats and its witness by one over the masks
 that reach it, and copies the chunk only to drop mask 1.
-:func:`check_entropy_inequality` counts family sizes alone.
+:func:`check_entropy_inequality` counts families alone.
 
-Besides enumeration and frequency bookkeeping, the module checks the
+Besides enumeration and frequency bookkeeping, the module states the
 coupling-entropy ceiling H(X OR Y) <= log2 |A| over symmetric couplings
-of two uniform copies of a family.  Its maximum is known exactly: the
-identity coupling Y = X attains it.  The check evaluates that coupling
-directly, so it is exact by construction.  The value depends on the
-family's size alone, so the check runs once per family size that occurs
-and skips only the families of fewer than two members.  Closure is
-proved where a family enters (:func:`max_symmetric_coupling_entropy`);
-enumerated masks are closed by construction and are not proved again.
+of two uniform copies of a family, and the identity coupling Y = X
+meets it: :func:`max_symmetric_coupling_entropy` is log2 |A| once the
+family is proved closed.  So the ceiling check over every closed family
+counts them, skipping those of one member, and finds no violation.
+Enumerated masks are closed by construction and are not proved again.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ from itertools import chain, compress, islice, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import DimensionTooLarge, NotClosed
-from .scalars import entropy_bits
 
 if TYPE_CHECKING:
     import numpy as np
@@ -371,33 +368,28 @@ def _tally(n: int, masks: list[int], columns: bool = False) -> tuple[bytes, byte
     return read(top), read(popcount(packed)), counts
 
 
-_HEADER = "n,size,mask,p_A,freqs,H_X,H_star,ratio\r\n"
+_HEADER = "n,size,mask,p_A,freqs,H_X\r\n"
 
 
 def _sheet(
-    n: int, masks: list[int], sizes: bytes, tops: bytes, columns: list[bytes], check: bool
+    n: int, masks: list[int], sizes: bytes, tops: bytes, columns: list[bytes]
 ) -> Iterator[str]:
     """The ``enumerate --csv`` rows of the family masks on n elements from
     their sizes, largest counts and columns (:func:`_tally`), each ended
     by CRLF and yielded one at a time, so that no chunk's text is held
     whole; :func:`scan` writes the :data:`_HEADER` above the first.
 
-    H_star and ratio are empty cells unless ``check`` is set and the
-    family has at least two members.  A frequency is count / size, and
-    H_X, H_star and ratio depend on the size alone, so each distinct cell
-    is formatted once per size, by ``repr`` as ``csv`` would.  No cell
-    holds a comma, quote or line break, so none is quoted.
+    A frequency is count / size, and H_X = log2 size, so each distinct
+    cell is formatted once per size, by ``repr`` as ``csv`` would.  No
+    cell holds a comma, quote or line break, so none is quoted.
     """
     by_size: dict[int, tuple[list[str], str]] = {}
     for mask, size, top, counts in zip(masks, sizes, tops, zip(*columns)):
         if size not in by_size:
-            star = _uniform_bits(size) if check and size > 1 else None
-            h_x = math.log2(size)
-            tail = f"{h_x!r},," if star is None else f"{h_x!r},{star!r},{star / h_x!r}"
-            by_size[size] = [repr(k / size) for k in range(size + 1)], tail
-        fractions, tail = by_size[size]
+            by_size[size] = [repr(k / size) for k in range(size + 1)], repr(math.log2(size))
+        fractions, h_x = by_size[size]
         freqs = ";".join([fractions[k] for k in counts])
-        yield f"{n},{size},{mask:#x},{fractions[top]},{freqs},{tail}\r\n"
+        yield f"{n},{size},{mask:#x},{fractions[top]},{freqs},{h_x}\r\n"
 
 
 def _families(n: int, masks: Iterable[int]) -> Iterator[FamilySet]:
@@ -452,7 +444,7 @@ def scan(n: int, check: bool = False, sheet: TextIO | None = None) -> tuple:
     by :func:`lowest_peak`, or None if no family is eligible, and, if
     ``check`` is set, the :func:`check_entropy_inequality` report, else
     None.  Across chunks it keeps only those and the number of families
-    of each size.  Each chunk's peaks are its largest member counts over
+    of one member.  Each chunk's peaks are its largest member counts over
     its sizes (:func:`_tally`), the floats of :func:`peak_frequency`, as
     rounding a quotient keeps its order; given a ``sheet`` file, it also
     reads the per-element counts and streams the ``enumerate --csv``
@@ -460,21 +452,19 @@ def scan(n: int, check: bool = False, sheet: TextIO | None = None) -> tuple:
     own buffer it holds one row of the sheet's text at a time.  It builds no FamilySet.
     """
     n = _ground_size(n)
-    count, least, histogram = 0, None, [0] * ((1 << n) + 1)
+    count, ones, least = 0, 0, None
     if sheet is not None:
         sheet.write(_HEADER)
     for masks in _chunks(n):
         count += len(masks)
         tops, sizes, columns = _tally(n, masks, sheet is not None)
+        ones += sizes.count(1)
         pair = lowest_peak(list(map(operator.truediv, tops, sizes)), masks)
         if pair is not None:
             least = pair if least is None else min(least, pair)
-        if check:
-            for size in range(1, len(histogram)):
-                histogram[size] += sizes.count(size)
         if sheet is not None:
-            sheet.writelines(_sheet(n, masks, sizes, tops, columns, check))
-    return count, least, _report(n, histogram) if check else None
+            sheet.writelines(_sheet(n, masks, sizes, tops, columns))
+    return count, least, EntropyCheckReport(n, count - ones, ones, ()) if check else None
 
 
 def min_peak_frequency(n: int) -> tuple[float, FamilySet]:
@@ -517,84 +507,46 @@ def sample_or_closed(n: int, count: int, seed: int) -> list[FamilySet]:
 
 
 def max_symmetric_coupling_entropy(family: FamilySet) -> float:
-    """Maximum of H(OR(X, Y)) over symmetric uniform-marginal couplings.
+    """Maximum of H(OR(X, Y)) over symmetric uniform-marginal couplings: log2 |A|.
 
-    The maximum is log2 |A|, attained by the identity coupling Y = X:
-    OR(X, Y) takes values in the closed family A, so no coupling gives
-    it more than log2 |A| bits, and under Y = X it equals X, uniform on
-    A.  The entropy of that OR output is evaluated directly, so the
-    result is exact by construction.
+    OR(X, Y) takes values in the closed family A, so no coupling gives it
+    more than log2 |A| bits, and the identity coupling Y = X, under which
+    it is X, uniform on A, gives exactly that.
 
     Raises :class:`NotClosed` unless the family is closed under OR.
     """
     if not _is_closed(family.n, family.mask):
         raise NotClosed(f"family {family.mask:#x} is not closed under OR")
-    return _uniform_bits(family.mask.bit_count())
-
-
-def _uniform_bits(k: int) -> float:
-    """Entropy in bits of the uniform distribution on k outcomes."""
-    return entropy_bits([1.0 / k] * k)
+    return math.log2(family.mask.bit_count())
 
 
 class EntropyCheckReport(NamedTuple):
-    """Outcome of checking the coupling-entropy ceiling over families.
-
-    Ratios are None when no family was checked."""
+    """Outcome of the coupling-entropy ceiling check over the closed families
+    on n elements: ``checked`` of two or more members and ``skipped`` of one.
+    The identity coupling meets the ceiling exactly, so ``violations`` is empty."""
 
     n: int
     checked: int
     skipped: int
     violations: tuple[str, ...]
-    ratio_min: float | None
-    ratio_max: float | None
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-# Slack of the ceiling check; H_star is exact by construction.
-_CEILING_TOL = 1e-6
-
-
-def _report(n: int, sizes: list[int]) -> EntropyCheckReport:
-    """The ceiling check over the closed families on n elements, of which
-    ``sizes[k]`` have k members: H_star and the ceiling depend on the size
-    alone.  Only if some size is over the ceiling are the closed masks
-    read again (:func:`_chunks`), to list each family of that size; the
-    families of one member are skipped."""
-    h_star = {size: _uniform_bits(size) for size in range(2, len(sizes)) if sizes[size]}
-    ratios: list[float] = []
-    over: dict[int, str] = {}  # the message of each size over the ceiling
-    for size, value in h_star.items():
-        ceiling = math.log2(size)
-        if value > ceiling + _CEILING_TOL:
-            over[size] = f"H_star={value!r} exceeds log2|A|={ceiling!r}"
-        ratios.append(value / ceiling)
-    masks = [m for m in chain.from_iterable(_chunks(n)) if m.bit_count() in over] if over else []
-    return EntropyCheckReport(
-        n=n,
-        checked=sum(sizes[2:]),
-        skipped=sizes[1],
-        violations=tuple([f"{m:#x}: {over[m.bit_count()]}" for m in masks]),
-        ratio_min=min(ratios, default=None),
-        ratio_max=max(ratios, default=None),
-    )
-
-
 def check_entropy_inequality(n: int) -> EntropyCheckReport:
-    """Check H_star <= log2 |A| + 1e-6 over every family of :func:`enumerate_or_closed`.
+    """Check :func:`max_symmetric_coupling_entropy` <= log2 |A| over every
+    family of :func:`enumerate_or_closed`.
 
-    H_star is :func:`max_symmetric_coupling_entropy`, read from the
-    family's size; families of fewer than two members are skipped, and
-    the ratios H_star / log2 |A| sit at 1 up to rounding.  It counts the
-    families of each size a chunk of masks at a time, as :func:`scan`
-    does, without the peaks, and builds no FamilySet.
+    The maximum is log2 |A| itself, so the check counts the families, a
+    chunk of masks at a time, as :func:`scan` does, without the peaks:
+    those of one member are skipped, the rest checked.  It builds no
+    FamilySet.
     """
     n = _ground_size(n)
-    sizes = [0] * ((1 << n) + 1)
+    count = ones = 0
     for masks in _chunks(n):
-        for mask in masks:
-            sizes[mask.bit_count()] += 1
-    return _report(n, sizes)
+        count += len(masks)
+        ones += list(map(int.bit_count, masks)).count(1)
+    return EntropyCheckReport(n, count - ones, ones, ())

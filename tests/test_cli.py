@@ -264,9 +264,7 @@ class TestEnumerate:
         with open(sheet, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 13
-        assert rows[0].keys() == {
-            "n", "size", "mask", "p_A", "freqs", "H_X", "H_star", "ratio",
-        }
+        assert rows[0].keys() == {"n", "size", "mask", "p_A", "freqs", "H_X"}
         manifest = read_json(str(out) + ".manifest.json")
         assert str(sheet) in manifest["outputs"]
 
@@ -297,6 +295,15 @@ class TestEnumerate:
             outputs.append((out.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
 
+    def test_sheet_does_not_depend_on_check_entropy(self, tmp_path):
+        sheets = []
+        for extra in ([], ["--check-entropy"]):
+            sheet = tmp_path / f"families{len(extra)}.csv"
+            assert main(["enumerate", "--n", "3", *extra, "--csv", str(sheet)]) == 0
+            sheets.append(sheet.read_bytes())
+        assert sheets[0] == sheets[1]
+        assert sheets[0].startswith(b"n,size,mask,p_A,freqs,H_X\r\n")
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exhaustive_witness_is_min_peak_frequency(self, n, tmp_path):
         out = tmp_path / "families.json"
@@ -310,9 +317,7 @@ class TestEnumerate:
         rc = main(["enumerate", "--n", "2", "--check-entropy", "--out", str(out)])
         assert rc == 0
         block = read_json(out)["entropy_check"]
-        assert block["checked"] == 9
-        assert block["skipped"] == 4
-        assert block["ratio_min"] == pytest.approx(1.0, abs=1e-6)
+        assert block == {"checked": 9, "skipped": 4}
 
     def test_nothing_checked_reports_none(self, tmp_path, monkeypatch):
         # Only single-member families, which the check skips.
@@ -323,9 +328,7 @@ class TestEnumerate:
         argv = ["enumerate", "--n", "2", "--check-entropy"]
         rc = main([*argv, "--out", str(out)])
         assert rc == 0
-        block = read_json(out)["entropy_check"]
-        assert block["checked"] == 0
-        assert block["ratio_min"] is None and block["ratio_max"] is None
+        assert read_json(out)["entropy_check"] == {"checked": 0, "skipped": 4}
 
     def test_n6_exits_2(self, capsys):
         rc = main(["enumerate", "--n", "6"])
@@ -737,7 +740,7 @@ class TestImport:
         lab = {"ucsbound.ucslab"}
         corr = {"ucsbound.maxcorr"}
         cases = [
-            (["enumerate", "--n", "4", "--check-entropy"], search | corr),
+            (["enumerate", "--n", "4", "--check-entropy"], search | corr | {"ucsbound.scalars"}),
             (["maxcorr", "--pq", "0.3", "0.4", "0.2"], search | lab),
             (["gamma-hat", "--t", "0.38", *knobs], lab | corr),
             (["tmax", "--t-tol", "1e-3", *knobs], lab | corr),

@@ -153,8 +153,9 @@ class TestMaximalCorrelation:
             (1e-200, 0.5, 0.0, 1e-12),
             (0.3, 0.6, 0.25, 1e-12),
             # Both marginals near 1: r and pq round near 1, and their
-            # difference, about 1e-12, keeps that rounding.
-            (1.0 - 1e-6, 1.0 - 1e-6, 1.0 - 2e-6, 1e-10),
+            # difference, about 1e-12, is formed from the exact complements.
+            # 4 ulp of the value, 9.9989e-7, which shares 1e-6's binade.
+            (1.0 - 1e-6, 1.0 - 1e-6, 1.0 - 2e-6, 4 * math.ulp(1e-6)),
         ],
     )
     def test_matches_exact_arithmetic_at_edges(self, p, q, r, tol):
@@ -162,6 +163,16 @@ class TestMaximalCorrelation:
         exact = abs(exact_pearson(*coupling))
         assert float(exact_spectrum(*coupling)[1]) == pytest.approx(float(exact), rel=1e-15)
         assert abs(Decimal(maximal_correlation(coupling)) - exact) <= Decimal(tol)
+
+    def test_both_marginals_near_one(self):
+        # r - pq cancels when r, p and q are all near 1; the complements do not.
+        rng = np.random.default_rng(SEED + 6)
+        for a, b, u in zip(*10.0 ** rng.uniform(-9, -1, (2, 2000)), rng.uniform(0, 1, 2000)):
+            p, q = 1.0 - a, 1.0 - b
+            lo, hi = p + q - 1.0, min(p, q)
+            coupling = binary_coupling(p, q, lo + u * (hi - lo))
+            exact = abs(exact_pearson(*coupling))
+            assert abs(Decimal(maximal_correlation(coupling)) - exact) <= exact * Decimal("1e-12"), coupling
 
     def test_frozen_value(self):
         rho = maximal_correlation(binary_coupling(0.3, 0.4, 0.2))

@@ -1,4 +1,4 @@
-"""Scalar kernels: entropy and the OR-output probability."""
+"""Scalar kernels: the probability check, binary entropy and the OR-output probabilities."""
 
 import decimal
 import math
@@ -8,7 +8,6 @@ import pytest
 
 from ucsbound.scalars import (
     binary_entropy,
-    entropy_bits,
     max_entropy_or_prob_fullcorr,
     or_prob,
     require_prob,
@@ -76,17 +75,6 @@ class TestBinaryEntropy:
             x, y = rng.uniform(0, 1, 2)
             mid = binary_entropy(0.5 * (x + y))
             assert mid >= 0.5 * (binary_entropy(x) + binary_entropy(y)) - 1e-12
-
-
-class TestEntropyBits:
-    def test_uniform(self):
-        assert entropy_bits([0.25] * 4) == pytest.approx(2.0, abs=1e-12)
-
-    def test_zeros_ignored(self):
-        assert entropy_bits([0.5, 0.5, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_point_mass(self):
-        assert entropy_bits([1.0]) == 0.0
 
 
 class TestOrProb:

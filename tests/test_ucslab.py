@@ -1,4 +1,4 @@
-"""Enumeration lab: closures, frequencies, and the coupling-entropy ceiling."""
+"""Enumeration lab: closures, frequencies, and the coupling-entropy ceiling's family count."""
 
 import csv
 import hashlib
@@ -16,7 +16,6 @@ import pytest
 from ucsbound import ucslab
 from ucsbound.cli import main
 from ucsbound.errors import DimensionTooLarge, NotClosed
-from ucsbound.scalars import entropy_bits
 from ucsbound.ucslab import (
     EntropyCheckReport,
     FamilySet,
@@ -35,7 +34,6 @@ from ucsbound.ucslab import (
     _chunks,
     _closed,
     _fold,
-    _report,
     _sheet,
     _tally,
 )
@@ -107,14 +105,6 @@ def reference_closure(n, generators):
     for g in sorted({int(g) for g in generators}):
         members |= {g} | {g | m for m in members}
     return sum(1 << m for m in members)
-
-
-def size_counts(n, masks):
-    """How many of the family masks on n elements have each size, 0 to 2^n."""
-    sizes = [0] * ((1 << n) + 1)
-    for mask in masks:
-        sizes[mask.bit_count()] += 1
-    return sizes
 
 
 def family_to_masks(family):
@@ -370,7 +360,7 @@ class TestFrequencies:
         n, masks = families[0].n, [fam.mask for fam in families]
         tops, sizes, columns = _tally(n, masks, columns=True)
         peaks = [top / size for top, size in zip(tops, sizes)]
-        rows = list(_sheet(n, masks, sizes, tops, columns, False))
+        rows = list(_sheet(n, masks, sizes, tops, columns))
         assert len(peaks) == len(rows) == len(families)
         for fam, p_a, line in zip(families, peaks, rows):
             freqs = element_frequencies(fam)
@@ -714,6 +704,7 @@ class TestChunkedScan:
         value, witness = min_peak_frequency(n)
         report = check_entropy_inequality(n)
         assert whole[0][0] == whole[1][0] == len(masks) and whole[0][2] is None
+        assert whole[0][3] == whole[1][3]  # the sheet does not depend on the check
         monkeypatch.setattr(ucslab, "_CHUNK", size)
         assert len(list(_chunks(n))) > 1 or len(masks) <= size
         assert [self.scan_with_sheet(n, check) for check in (False, True)] == whole
@@ -743,15 +734,6 @@ class TestChunkedScan:
             assert main([*argv, "--csv", str(sheet), "--out", str(out)]) == 0
             outputs.append((sheet.read_bytes(), out.read_bytes()))
         assert outputs[0] == outputs[1]
-
-    def test_violations_across_chunks_keep_their_order(self, monkeypatch):
-        exact = ucslab._uniform_bits
-        monkeypatch.setattr(ucslab, "_uniform_bits", lambda k: exact(k) + (1e-3 if k in (2, 3) else 0.0))
-        report = check_entropy_inequality(3)
-        assert len(report.violations) > 10 and not report.ok
-        assert scan(3, check=True)[2] == report
-        monkeypatch.setattr(ucslab, "_CHUNK", 7)
-        assert check_entropy_inequality(3) == report == scan(3, check=True)[2]
 
     def test_a_tie_across_chunks_keeps_the_smallest_mask(self, monkeypatch):
         # {empty, {0}}, {empty, {1}} and the full cube on 2 elements all peak
@@ -803,27 +785,21 @@ class TestChunkedScan:
 
 class TestSheet:
     @staticmethod
-    def reference_sheet(families, checked):
-        """The sheet as ``csv`` writes it from the per-family frequencies, peak
-        and H_star, with H_star and ratio empty unless ``checked``."""
+    def reference_sheet(families):
+        """The sheet as ``csv`` writes it from the per-family frequencies and peak."""
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\r\n")
-        writer.writerow(["n", "size", "mask", "p_A", "freqs", "H_X", "H_star", "ratio"])
+        writer.writerow(["n", "size", "mask", "p_A", "freqs", "H_X"])
         for fam in families:
-            h_x = math.log2(fam.size)
-            star = max_symmetric_coupling_entropy(fam) if checked and fam.size > 1 else None
             freqs = ";".join(map(repr, frequency_list(fam)))
-            ratio = None if star is None else star / h_x
-            row = [fam.n, fam.size, hex(fam.mask), peak_frequency(fam), freqs, h_x, star, ratio]
-            writer.writerow(row)
+            writer.writerow([fam.n, fam.size, hex(fam.mask), peak_frequency(fam), freqs, math.log2(fam.size)])
         return out.getvalue()
 
     def check_sheet(self, n, masks):
         families = [FamilySet(n, mask) for mask in masks]
         tops, sizes, columns = _tally(n, masks, columns=True)
-        for check in (False, True):
-            got = _HEADER + "".join(_sheet(n, masks, sizes, tops, columns, check))
-            assert got == self.reference_sheet(families, checked=check)
+        got = _HEADER + "".join(_sheet(n, masks, sizes, tops, columns))
+        assert got == self.reference_sheet(families)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sheet_is_what_csv_writes_on_every_family(self, n):
@@ -964,6 +940,7 @@ class TestMaxSymmetricCouplingEntropy:
             assert h_star <= math.log2(fam.size) + 1e-9
 
     def test_not_closed_raises(self):
+        # {{0}, {1}}: the union {0, 1} is missing.
         with pytest.raises(NotClosed, match="^family 0x6 is not closed under OR$"):
             max_symmetric_coupling_entropy(FamilySet(2, 0b110))
 
@@ -971,61 +948,72 @@ class TestMaxSymmetricCouplingEntropy:
         h_star = max_symmetric_coupling_entropy(FamilySet(2, 0b1000))
         assert h_star == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_is_log2_size_on_every_closed_family(self, n):
+        # The identity coupling meets the ceiling: the maximum is log2 |A|, exactly.
+        for fam in enumerate_or_closed(n):
+            assert max_symmetric_coupling_entropy(fam) == math.log2(fam.size), fam
+
 
 class TestEntropyInequality:
+    @staticmethod
+    def check_masks(n, masks, monkeypatch):
+        """:func:`check_entropy_inequality` over the given masks in one chunk."""
+        monkeypatch.setattr(ucslab, "_chunks", lambda n: iter([masks]))
+        return check_entropy_inequality(n)
+
     def test_no_violations_on_n2(self):
         report = check_entropy_inequality(2)
         assert report.ok
         assert report.violations == ()
         assert report.checked == 9  # 13 families minus 4 singletons
         assert report.skipped == 4
-        assert report.ratio_min == pytest.approx(1.0, abs=1e-6)
-        assert report.ratio_max <= 1.0 + 1e-6
 
     def test_report_round_trip_keys(self):
         report = check_entropy_inequality(2)
         assert report.n == 2
         assert report.violations == ()
-        assert 0 < report.ratio_min <= report.ratio_max
+        assert report._fields == ("n", "checked", "skipped", "violations")
 
-    def test_nothing_checked_reports_none(self):
+    def test_nothing_checked_reports_none(self, monkeypatch):
         singletons = [fam.mask for fam in enumerate_or_closed(2) if fam.size == 1]
-        report = _report(2, size_counts(2, singletons))
+        report = self.check_masks(2, singletons, monkeypatch)
         assert report.checked == 0
         assert report.skipped == 4
         assert report.ok
-        assert report.ratio_min is None
-        assert report.ratio_max is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_masks_match_the_families_field_by_field(self, n):
         from_masks = check_entropy_inequality(n)
-        sizes = [0] * ((1 << n) + 1)
-        for fam in enumerate_or_closed(n):
-            sizes[fam.size] += 1
-        for other in (_report(n, sizes), scan(n, check=True)[2]):
+        sizes = [fam.size for fam in enumerate_or_closed(n)]
+        ones = sizes.count(1)
+        expected = EntropyCheckReport(n, len(sizes) - ones, ones, ())
+        for other in (expected, scan(n, check=True)[2]):
             assert as_plain(from_masks) == as_plain(other)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_one_member_family_is_skipped(self, n):
+        # Each of the 2^n sets alone is a closed family; every other one is checked.
+        report = check_entropy_inequality(n)
+        assert report.skipped == 2**n
+        assert report.checked + report.skipped == [3, 13, 121, 4959][n - 1]
 
     def test_builds_no_family(self, constructions):
         check_entropy_inequality(4)
         assert constructions == [0]
 
     def test_counts_sizes_without_columns(self, monkeypatch):
-        # The check needs each family's size, not its per-element counts.
+        # The check reads the masks once, and needs each family's size, not
+        # its per-element counts.
         def tally(*args):
             raise AssertionError("the counts kernel ran")
 
-        monkeypatch.setattr(ucslab, "_tally", tally)
-        assert check_entropy_inequality(4).checked == 4943
-
-    def test_reads_the_masks_again_only_for_violations(self, monkeypatch):
         calls = []
         real = ucslab._chunks
+        monkeypatch.setattr(ucslab, "_tally", tally)
         monkeypatch.setattr(ucslab, "_chunks", lambda n: calls.append(n) or real(n))
-        assert check_entropy_inequality(4).ok and calls == [4]
-        exact = ucslab._uniform_bits
-        monkeypatch.setattr(ucslab, "_uniform_bits", lambda k: exact(k) + (1e-3 if k == 3 else 0.0))
-        assert not check_entropy_inequality(4).ok and calls == [4, 4, 4]
+        assert check_entropy_inequality(4).checked == 4943
+        assert calls == [4]
 
     def test_enumerate_command_builds_no_family(self, constructions, tmp_path, capsys):
         argv = ["enumerate", "--n", "4", "--check-entropy", "--csv", str(tmp_path / "f.csv")]
@@ -1033,9 +1021,9 @@ class TestEntropyInequality:
         assert constructions == [0]
 
     def test_open_family_raises(self):
-        # The check covers closed families only: the H_star it reports for a
-        # size is refused, by mask, for an open family of that size, and the
-        # open masks on n = 2 (0x6 and 0x7) are neither checked nor skipped.
+        # The check covers closed families only: the maximum is refused, by
+        # mask, for an open family, and the open masks on n = 2 (0x6 and
+        # 0x7) are neither checked nor skipped.
         with pytest.raises(NotClosed, match="0x6"):
             max_symmetric_coupling_entropy(FamilySet(2, 0b110))
         open_masks = [m for m in range(1, 16) if not is_or_closed(FamilySet(2, m))]
@@ -1054,54 +1042,34 @@ class TestEntropyInequality:
             with pytest.raises(ValueError if n < 1 else DimensionTooLarge):
                 scan(n)
 
-    def test_h_star_covers_exactly_the_checked_families(self):
+    def test_h_star_covers_exactly_the_checked_families(self, monkeypatch):
         families = sample_or_closed(4, 20, seed=5)
-        report = _report(4, size_counts(4, [fam.mask for fam in families]))
+        report = self.check_masks(4, [fam.mask for fam in families], monkeypatch)
         checked = [f for f in families if f.size >= 2]
         assert report.checked == len(checked)
         assert report.skipped == len(families) - len(checked)
-        ratios = [max_symmetric_coupling_entropy(f) / math.log2(f.size) for f in checked]
-        assert (report.ratio_min, report.ratio_max) == (min(ratios), max(ratios))
+        assert all(max_symmetric_coupling_entropy(f) == math.log2(f.size) for f in checked)
 
-    def test_a_size_over_the_ceiling_lists_each_of_its_families(self, monkeypatch):
-        exact = ucslab._uniform_bits
-        monkeypatch.setattr(ucslab, "_uniform_bits", lambda k: exact(k) + (1e-3 if k == 3 else 0.0))
-        report = check_entropy_inequality(2)
-        value, ceiling = exact(3) + 1e-3, math.log2(3)
-        threes = sorted(fam.mask for fam in enumerate_or_closed(2) if fam.size == 3)
-        assert threes == [0xb, 0xd, 0xe]
-        assert report.violations == tuple(
-            f"{mask:#x}: H_star={value!r} exceeds log2|A|={ceiling!r}" for mask in threes
-        )
-        assert not report.ok
-        assert (report.checked, report.skipped) == (9, 4)
-
-    def test_matches_the_per_family_loop(self):
+    def test_matches_the_per_family_loop(self, monkeypatch):
         def per_family(masks):
             # The check as one loop over the families, each scored alone.
-            skipped, violations, ratios = 0, [], []
+            checked, skipped = 0, 0
             for mask in masks:
-                size = mask.bit_count()
-                if size < 2:
+                if mask.bit_count() < 2:
                     skipped += 1
-                    continue
-                value, ceiling = entropy_bits([1.0 / size] * size), math.log2(size)
-                if value > ceiling + 1e-6:
-                    violations.append(f"{mask:#x}: H_star={value!r} exceeds log2|A|={ceiling!r}")
-                ratios.append(value / ceiling)
-            low, high = min(ratios, default=None), max(ratios, default=None)
-            return len(ratios), skipped, tuple(violations), low, high
+                else:
+                    checked += 1
+            return checked, skipped, ()
 
         cases = [(n, list(_closed(n))[1:]) for n in range(1, 5)]
         cases.append((5, [fam.mask for fam in sample_or_closed(5, 2000, 7)]))
         for n, masks in cases:
-            report = _report(n, size_counts(n, masks))
-            counts = report.checked, report.skipped, report.violations
-            assert (*counts, report.ratio_min, report.ratio_max) == per_family(masks), n
+            report = self.check_masks(n, masks, monkeypatch)
+            assert (report.checked, report.skipped, report.violations) == per_family(masks), n
 
     def test_ceiling_is_reached_on_n4(self):
         report = check_entropy_inequality(4)
         assert report.ok
         assert (report.checked, report.skipped) == (4943, 16)
-        assert abs(report.ratio_min - 1.0) <= 1e-12
-        assert abs(report.ratio_max - 1.0) <= 1e-12
+        for fam in enumerate_or_closed(4):
+            assert max_symmetric_coupling_entropy(fam) == math.log2(fam.size)
