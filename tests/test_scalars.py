@@ -1,4 +1,4 @@
-"""Scalar kernels: the probability check, binary entropy and the OR-output probabilities."""
+"""Scalar kernels: entropy and the OR-output probability."""
 
 import decimal
 import math
