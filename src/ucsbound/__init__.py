@@ -14,11 +14,11 @@ the family's member bitmask.
 
 ``import ucsbound`` loads none of the submodules: each exported name
 is resolved on first access, which imports the submodule defining it.
-numpy is imported only inside the one function that uses it,
-``element_frequencies``; the certificate search, enumeration, peaks,
-the entropy check, the sampler and ``maxcorr`` run without it.  The
-import does look numpy up, without loading it, so a missing numpy
-still fails at ``import ucsbound``.
+The package needs nothing beyond the standard library.  numpy is
+imported only inside ``element_frequencies``, a library call no command
+makes, and it is not installed with the package; the certificate
+search, enumeration, peaks, the entropy check, the sampler and
+``maxcorr`` run without it.
 
 ``maxcorr`` is a sidecar that no certificate calls: it gives the
 maximal correlation of a two-by-two Bernoulli coupling in closed form,
@@ -28,11 +28,6 @@ maximal correlation of a two-by-two Bernoulli coupling in closed form,
 __version__ = "0.1.0"
 
 from importlib import import_module as _import_module
-from importlib.util import find_spec as _find_spec
-
-# Finds numpy without running it, so that a missing numpy fails here.
-if _find_spec("numpy") is None:
-    raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
 
 # Exported name -> the submodule that defines it.
 _EXPORTS = {

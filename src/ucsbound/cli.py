@@ -187,10 +187,10 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
     from .ucslab import scan
 
     with contextlib.nullcontext() if args.csv is None else _atomic_file(args.csv) as sheet:
-        count, (min_pa, mask), check = scan(args.n, args.check_entropy, sheet)
+        count, (min_pa, mask), check = scan(args.n, sheet)
     witness = hex(mask)
 
-    violations = [] if check is None else list(check.violations)
+    violations = list(check.violations)
     payload: dict = {
         "n": args.n,
         "family_count": count,
@@ -198,7 +198,7 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
         "witness_mask": witness,
         "violations": violations,
     }
-    if check is not None:
+    if args.check_entropy:
         payload["entropy_check"] = {"checked": check.checked, "skipped": check.skipped}
 
     print(

@@ -62,7 +62,8 @@ class ExtremeFamily(_ExtremeFamily):
     The low block puts mass 1/2 on each order of (a1, a2) and has block
     mean a = (a1+a2)/2 <= t.  The high block (b1, b2) with block mean
     b > t receives the unique weight beta that lifts the overall
-    marginal mean to exactly t; beta = 0 when a = t.
+    marginal mean to exactly t; beta = 0 when a = t.  a may exceed t by
+    up to 1e-12 of roundoff, but never reach b.
     """
 
     __slots__ = ()
@@ -79,6 +80,10 @@ class ExtremeFamily(_ExtremeFamily):
             raise ValueError(f"low-block mean {self.a_mean!r} exceeds target {self.t!r}")
         if self.b_mean <= self.t:
             raise ValueError(f"high-block mean {self.b_mean!r} must exceed target {self.t!r}")
+        if self.b_mean <= self.a_mean:
+            raise ValueError(
+                f"high-block mean {self.b_mean!r} must exceed low-block mean {self.a_mean!r}"
+            )
         return self
 
     @property
@@ -92,10 +97,11 @@ class ExtremeFamily(_ExtremeFamily):
     @property
     def beta(self) -> float:
         """Weight on the high block making the marginal mean equal t."""
-        gap = self.b_mean - self.a_mean
-        beta = (self.t - self.a_mean) / gap
+        beta = (self.t - self.a_mean) / (self.b_mean - self.a_mean)
         # a_mean can sit a hair above t from roundoff; keep beta a weight.
-        return min(1.0, max(0.0, beta))
+        # It is at most 1 already, as t < b_mean and rounded subtraction
+        # keeps that order.
+        return max(0.0, beta)
 
     def atoms(self) -> list[tuple[float, float, float]]:
         """The pair distribution as ``(x, y, mass)`` atoms, one per block.

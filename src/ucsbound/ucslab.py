@@ -26,9 +26,9 @@ counts over the sizes, and the ``--csv`` sheet (:func:`_sheet`) reads
 the per-element counts too and yields its rows one at a time.  Only
 :func:`element_frequencies` uses numpy, imported on its first call and
 kept (:func:`_numpy`); no command calls it (the lab pass in
-``benchmarks/`` does), and ``import ucsbound`` has already checked that
-numpy is installed.  The sampler (:func:`sample_or_closed`) draws its
-words from the standard library's ``random.Random``.
+``benchmarks/`` does), and the package does not install numpy.  The
+sampler (:func:`sample_or_closed`) draws its words from the standard
+library's ``random.Random``.
 
 Each input is checked once, where it enters: a :class:`FamilySet`, the
 named tuple (n, mask), checks both in ``__new__`` (``_replace`` and
@@ -46,14 +46,16 @@ fold over the chunks, :func:`scan`, serves :func:`min_peak_frequency`
 and ``enumerate``: per chunk, :func:`lowest_peak` takes the least peak
 by one ``min`` over the floats and its witness by one over the masks
 that reach it, and copies the chunk only to drop mask 1.
-:func:`check_entropy_inequality` counts families alone.
+:func:`check_entropy_inequality` counts families alone, and both it and
+:func:`scan` report the count as a census (:func:`_census`).
 
 Besides enumeration and frequency bookkeeping, the module states the
 coupling-entropy ceiling H(X OR Y) <= log2 |A| over symmetric couplings
 of two uniform copies of a family, and the identity coupling Y = X
 meets it: :func:`max_symmetric_coupling_entropy` is log2 |A| once the
 family is proved closed.  So the ceiling check over every closed family
-counts them, skipping those of one member, and finds no violation.
+counts them, skipping those of one member, which are the 2^n families
+{S}, and finds no violation.
 Enumerated masks are closed by construction and are not proved again.
 """
 
@@ -66,12 +68,9 @@ import operator
 import random
 import struct
 from itertools import chain, compress, islice, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import DimensionTooLarge, NotClosed
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MAX_ENUM_N",
@@ -308,8 +307,11 @@ def _numpy():
     return importlib.import_module("numpy")
 
 
-def element_frequencies(family: FamilySet) -> np.ndarray:
-    """:func:`frequency_list` as a fresh array of shape (n,), the same floats."""
+def element_frequencies(family: FamilySet) -> "numpy.ndarray":
+    """:func:`frequency_list` as a fresh numpy array of shape (n,), the same floats.
+
+    ucsbound does not install numpy; without it the call raises
+    ``ModuleNotFoundError`` naming numpy."""
     return _numpy().array(frequency_list(family))
 
 
@@ -438,13 +440,13 @@ def lowest_peak(peaks: list[float], masks: list[int]) -> tuple[float, int] | Non
     return low, min(compress(masks, map(operator.eq, peaks, repeat(low))))
 
 
-def scan(n: int, check: bool = False, sheet: TextIO | None = None) -> tuple:
+def scan(n: int, sheet: TextIO | None = None) -> tuple:
     """One pass over every OR-closed family on n elements, a chunk of masks
     at a time (:func:`_chunks`): the family count, the least (peak, mask)
-    by :func:`lowest_peak`, or None if no family is eligible, and, if
-    ``check`` is set, the :func:`check_entropy_inequality` report, else
-    None.  Across chunks it keeps only those and the number of families
-    of one member.  Each chunk's peaks are its largest member counts over
+    by :func:`lowest_peak`, or None if no family is eligible, and the
+    :func:`check_entropy_inequality` report, which the count gives
+    (:func:`_census`).  Across chunks it keeps only the count and the
+    least pair.  Each chunk's peaks are its largest member counts over
     its sizes (:func:`_tally`), the floats of :func:`peak_frequency`, as
     rounding a quotient keeps its order; given a ``sheet`` file, it also
     reads the per-element counts and streams the ``enumerate --csv``
@@ -452,19 +454,18 @@ def scan(n: int, check: bool = False, sheet: TextIO | None = None) -> tuple:
     own buffer it holds one row of the sheet's text at a time.  It builds no FamilySet.
     """
     n = _ground_size(n)
-    count, ones, least = 0, 0, None
+    count, least = 0, None
     if sheet is not None:
         sheet.write(_HEADER)
     for masks in _chunks(n):
         count += len(masks)
         tops, sizes, columns = _tally(n, masks, sheet is not None)
-        ones += sizes.count(1)
         pair = lowest_peak(list(map(operator.truediv, tops, sizes)), masks)
         if pair is not None:
             least = pair if least is None else min(least, pair)
         if sheet is not None:
             sheet.writelines(_sheet(n, masks, sizes, tops, columns))
-    return count, least, EntropyCheckReport(n, count - ones, ones, ()) if check else None
+    return count, least, _census(n, count)
 
 
 def min_peak_frequency(n: int) -> tuple[float, FamilySet]:
@@ -535,18 +536,20 @@ class EntropyCheckReport(NamedTuple):
         return not self.violations
 
 
+def _census(n: int, count: int) -> EntropyCheckReport:
+    """The ceiling check's report on the ``count`` closed families on n
+    elements: each of the 2^n one-member families {S} is closed, and
+    skipped; the rest are checked."""
+    return EntropyCheckReport(n, count - (1 << n), 1 << n, ())
+
+
 def check_entropy_inequality(n: int) -> EntropyCheckReport:
     """Check :func:`max_symmetric_coupling_entropy` <= log2 |A| over every
     family of :func:`enumerate_or_closed`.
 
     The maximum is log2 |A| itself, so the check counts the families, a
-    chunk of masks at a time, as :func:`scan` does, without the peaks:
-    those of one member are skipped, the rest checked.  It builds no
-    FamilySet.
+    chunk of masks at a time, as :func:`scan` does, without the peaks,
+    and reports their census (:func:`_census`).  It builds no FamilySet.
     """
     n = _ground_size(n)
-    count = ones = 0
-    for masks in _chunks(n):
-        count += len(masks)
-        ones += list(map(int.bit_count, masks)).count(1)
-    return EntropyCheckReport(n, count - ones, ones, ())
+    return _census(n, sum(map(len, _chunks(n))))

@@ -177,27 +177,24 @@ class TestFamilyCensus:
 
 class TestCouplingEntropyCeiling:
     def test_ceiling_holds_and_full_cube_attains_it(self):
+        # The identity coupling meets the ceiling: the maximum is log2 |A|,
+        # exactly, on every closed family of two or more members.
         started = time.monotonic()
         checked = 0
-        worst_excess = -math.inf
         for n in (1, 2, 3):
             for fam in enumerate_or_closed(n):
                 if not 2 <= fam.size <= 16:
                     continue
-                h_star = max_symmetric_coupling_entropy(fam)
-                excess = h_star - math.log2(fam.size)
-                worst_excess = max(worst_excess, excess)
-                assert excess <= 1e-6
+                assert max_symmetric_coupling_entropy(fam) == math.log2(fam.size), fam
                 checked += 1
         cube = next(f for f in enumerate_or_closed(3) if f.size == 8)
         h_cube = max_symmetric_coupling_entropy(cube)
         elapsed = time.monotonic() - started
-        assert h_cube >= (1.0 - 1e-6) * 3.0
+        assert h_cube == 3.0
         assert elapsed < 300.0
         report(
-            f"coupling entropy ceiling: {checked} families, worst excess "
-            f"{worst_excess:.2e} <= 1e-6, full cube reaches {h_cube:.9f} "
-            f"of 3 bits, {elapsed:.1f}s"
+            f"coupling entropy ceiling: {checked} families at exactly log2 |A|, "
+            f"full cube reaches {h_cube!r} of 3 bits, {elapsed:.1f}s"
         )
 
 

@@ -319,17 +319,6 @@ class TestEnumerate:
         block = read_json(out)["entropy_check"]
         assert block == {"checked": 9, "skipped": 4}
 
-    def test_nothing_checked_reports_none(self, tmp_path, monkeypatch):
-        # Only single-member families, which the check skips.
-        # enumerate reads the nonempty closed family masks a chunk at a time.
-        singletons = [fam.mask for fam in ucslab.enumerate_or_closed(2) if fam.size == 1]
-        monkeypatch.setattr(ucslab, "_chunks", lambda n: iter([singletons]))
-        out = tmp_path / "families.json"
-        argv = ["enumerate", "--n", "2", "--check-entropy"]
-        rc = main([*argv, "--out", str(out)])
-        assert rc == 0
-        assert read_json(out)["entropy_check"] == {"checked": 0, "skipped": 4}
-
     def test_n6_exits_2(self, capsys):
         rc = main(["enumerate", "--n", "6"])
         assert rc == 2
@@ -674,22 +663,27 @@ class TestParser:
 NUMPY_LOADED = "'numpy' in sys.modules"
 
 
-def run_python(code, cwd=None):
-    """Stdout of ``python -c code`` in a fresh interpreter that finds this package."""
+def run_python(code, cwd=None, flags=()):
+    """Stdout of ``python [flags] -c code`` in a fresh interpreter that finds this package."""
     src = str(Path(ucsbound.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, cwd=cwd
+        [sys.executable, *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+        cwd=cwd,
     )
     return done.stdout.splitlines()
 
 
 class TestImport:
     def test_package_and_cli_load_without_scipy(self):
-        # The package depends on numpy only, and imports it only in the
-        # library's frequency array, element_frequencies, which no command
-        # calls.
+        # The package depends on the standard library alone; numpy, which
+        # it does not install, is imported only by the library's frequency
+        # array, element_frequencies, which no command calls.
         code = (
             "import sys, ucsbound, ucsbound.cli; "
             "print(len([m for m in sys.modules if m.split('.')[0] == 'scipy'])); "
@@ -795,13 +789,53 @@ class TestImport:
         )
         assert private == []
 
-    def test_missing_numpy_fails_at_import(self):
+    def test_every_command_runs_where_numpy_cannot_load(self, tmp_path, monkeypatch, capsys):
+        # python -S leaves site-packages off the path, and None in
+        # sys.modules stops an import of numpy wherever the package is
+        # installed.  Each command writes the same bytes there as here:
+        # report, manifest, sheet and stdout, each command in a directory
+        # of its own.
+        knobs = ["--grid", "12", "--refine-rounds", "1", "--multistart", "2"]
+        quiet = ["--no-timestamps", "--out", "report.json"]
+        commands = [
+            ["verify-paper", "--strict", *quiet],
+            ["gamma-hat", "--t", "0.38234", "--alpha", "0.035", *quiet],
+            ["gamma-hat", "--t", "0.38", *knobs, *quiet],
+            ["tmax", "--t-tol", "1e-3", *knobs, *quiet],
+            ["enumerate", "--n", "4", "--check-entropy", "--csv", "f.csv", *quiet],
+            ["maxcorr", "--pq", "0.3", "0.4", "0.2", *quiet],
+        ]
         code = (
             "import sys; sys.modules['numpy'] = None\n"
-            "try:\n    import ucsbound\n"
-            "except ModuleNotFoundError as exc:\n    print(exc.name)"
+            "import contextlib, os, ucsbound\n"
+            "from ucsbound.cli import main\n"
+            f"for i, argv in enumerate({commands!r}):\n"
+            "    os.mkdir(str(i))\n"
+            "    with open(os.path.join(str(i), 'stdout'), 'w') as out:\n"
+            "        os.chdir(str(i))\n"
+            "        with contextlib.redirect_stdout(out):\n"
+            "            rc = main(argv)\n"
+            "        os.chdir('..')\n"
+            "    print('=>', rc)\n"
+            "try:\n"
+            "    ucsbound.element_frequencies(ucsbound.FamilySet(2, 0x3))\n"
+            "except ModuleNotFoundError as exc:\n"
+            "    print('=>', exc.name)\n"
         )
-        assert run_python(code) == ["numpy"]
+        there, here = tmp_path / "there", tmp_path / "here"
+        there.mkdir()
+        results = [line for line in run_python(code, cwd=there, flags=["-S"]) if line.startswith("=>")]
+        assert results == ["=> 0"] * len(commands) + ["=> numpy"]
+        for i, argv in enumerate(commands):
+            (here / str(i)).mkdir(parents=True)
+            monkeypatch.chdir(here / str(i))
+            assert main(argv) == 0, argv
+            (here / str(i) / "stdout").write_text(capsys.readouterr().out)
+            files = sorted(path.name for path in (there / str(i)).iterdir())
+            assert files == sorted(path.name for path in (here / str(i)).iterdir()), argv
+            assert "report.json.manifest.json" in files and "stdout" in files, argv
+            for name in files:
+                assert (there / str(i) / name).read_bytes() == (here / str(i) / name).read_bytes(), (argv, name)
 
     def test_every_exported_name_exists(self):
         modules = [ucsbound] + [

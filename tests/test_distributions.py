@@ -54,6 +54,23 @@ class TestExtremeFamily:
         with pytest.raises(ValueError):
             ExtremeFamily(**kwargs)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # Low mean a hair above t, inside the roundoff slack, and equal
+            # to the high mean: beta would divide by zero.
+            (0.3 + 5e-13,) * 2 + (0.3,) + (0.3 + 5e-13,) * 2,
+            # Low mean above the high mean, both above t: beta would exceed
+            # 1, with the blocks swapped.
+            (0.3 + 1e-12, 0.3 + 1e-12, 0.3, 0.3 + 1e-13, 0.3 + 2e-13),
+        ],
+    )
+    def test_rejects_a_low_block_not_below_the_high_one(self, args):
+        fam = ExtremeFamily._make(args)  # the same values, unchecked
+        message = f"high-block mean {fam.b_mean!r} must exceed low-block mean {fam.a_mean!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExtremeFamily(*args)
+
     def test_marginal_mean_hits_target(self):
         rng = np.random.default_rng(SEED + 1)
         for _ in range(100):
