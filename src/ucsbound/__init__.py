@@ -14,6 +14,8 @@ the family's member bitmask.
 
 ``import ucsbound`` loads none of the submodules: each exported name
 is resolved on first access, which imports the submodule defining it.
+``SearchConfig``, the search's knobs, is defined in ``optimizer`` with
+the search.
 The package needs nothing beyond the standard library.  numpy is
 imported only inside ``element_frequencies``, a library call no command
 makes, and it is not installed with the package; the certificate
@@ -46,7 +48,7 @@ _EXPORTS = {
     "DimensionTooLarge": "errors",
     "maximal_correlation": "maxcorr",
     "binary_coupling": "maxcorr",
-    "SearchConfig": "config",
+    "SearchConfig": "optimizer",
     "InnerSearchReport": "optimizer",
     "BoundCertificate": "optimizer",
     "ThresholdCertificate": "optimizer",

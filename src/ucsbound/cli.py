@@ -16,6 +16,11 @@ Exit codes: 0 on success, 1 when the requested check or search failed
 on the merits (a verification mismatch, a bisection bracket that does
 not straddle, an entropy violation), 2 on bad input.
 
+The parser registers every subcommand with its help, but gives
+arguments only to the subcommands named on the command line, so that
+``enumerate``, ``maxcorr``, ``--help`` and ``--version`` never load the
+search, whose defaults the search commands' help shows.
+
 ``--no-timestamps`` strips wall-clock fields from reports and manifests
 so that identical invocations produce byte-identical files; the test
 suite relies on this.
@@ -32,7 +37,6 @@ import sys
 import tempfile
 
 from . import __version__
-from .config import SearchConfig
 from .errors import (
     BracketFailure,
     GridTooLarge,
@@ -129,8 +133,10 @@ def _emit(args: argparse.Namespace, payload: dict, started_at: str | None, extra
         fh.write(_dump_json(manifest))
 
 
-def _search_config(args: argparse.Namespace) -> SearchConfig:
+def _search_config(args: argparse.Namespace):
     """The default search with the knobs given on the command line applied."""
+    from .optimizer import SearchConfig
+
     given = zip(SearchConfig._fields, (args.grid, args.refine_rounds, args.multistart))
     return SearchConfig(**{k: v for k, v in given if v is not None})
 
@@ -233,6 +239,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_search_knobs(sub: argparse.ArgumentParser) -> None:
+    from .optimizer import SearchConfig
+
     grid, rounds, starts = SearchConfig()
     sub.add_argument("--grid", type=int, help=f"seed points per face axis (default {grid})")
     sub.add_argument("--refine-rounds", type=int, help=f"refinement rounds (default {rounds})")
@@ -244,7 +252,9 @@ def _add_search_knobs(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for the command line ``argv``: every subcommand, with
+    arguments only for those that ``argv`` names."""
     parser = argparse.ArgumentParser(
         prog="ucsbound",
         description="Entropy-ratio certificates for union-closed frequency bounds.",
@@ -252,75 +262,74 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser(
-        "gamma-hat",
-        help="evaluate the certificate bound at one mean target t",
-    )
-    p.add_argument("--t", type=float, required=True, help="mean target in (0, 1/2)")
-    p.add_argument(
-        "--alpha",
-        default="auto",
-        help='blend weight: a number to pin, or "auto" to maximise over [0, 1] (default)',
-    )
-    _add_search_knobs(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_gamma_hat)
+    def add(name: str, func, help: str) -> argparse.ArgumentParser | None:
+        """Register the subcommand ``name``; its parser, to add arguments to,
+        if ``argv`` names it."""
+        sub = subs.add_parser(name, help=help)
+        sub.set_defaults(func=func)
+        return sub if name in argv else None
 
-    p = subs.add_parser("tmax", help="bisect for the largest certifiable t")
-    p.add_argument("--margin", type=float, default=1e-7, help="certify bound > 1 + margin")
-    p.add_argument(
-        "--bracket",
-        type=float,
-        nargs=2,
-        default=(0.37, 0.40),
-        metavar=("LO", "HI"),
-        help="initial bisection bracket (default 0.37 0.40)",
-    )
-    p.add_argument("--t-tol", type=float, default=1e-6, help="final bracket width")
-    _add_search_knobs(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_tmax)
+    if p := add("gamma-hat", cmd_gamma_hat, "evaluate the certificate bound at one mean target t"):
+        p.add_argument("--t", type=float, required=True, help="mean target in (0, 1/2)")
+        p.add_argument(
+            "--alpha",
+            default="auto",
+            help='blend weight: a number to pin, or "auto" to maximise over [0, 1] (default)',
+        )
+        _add_search_knobs(p)
+        _add_common(p)
 
-    p = subs.add_parser(
+    if p := add("tmax", cmd_tmax, "bisect for the largest certifiable t"):
+        p.add_argument("--margin", type=float, default=1e-7, help="certify bound > 1 + margin")
+        p.add_argument(
+            "--bracket",
+            type=float,
+            nargs=2,
+            default=(0.37, 0.40),
+            metavar=("LO", "HI"),
+            help="initial bisection bracket (default 0.37 0.40)",
+        )
+        p.add_argument("--t-tol", type=float, default=1e-6, help="final bracket width")
+        _add_search_knobs(p)
+        _add_common(p)
+
+    if p := add(
         "verify-paper",
-        help="re-run the published reference evaluation and compare against it",
-    )
-    p.add_argument("--strict", action="store_true", help="tighten the ratio tolerance to 1e-6")
-    _add_search_knobs(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_paper)
+        cmd_verify_paper,
+        "re-run the published reference evaluation and compare against it",
+    ):
+        p.add_argument("--strict", action="store_true", help="tighten the ratio tolerance to 1e-6")
+        _add_search_knobs(p)
+        _add_common(p)
 
-    p = subs.add_parser(
-        "enumerate",
-        help="enumerate OR-closed families and report frequencies",
-    )
-    p.add_argument("--n", type=int, required=True, help="ground-set size")
-    p.add_argument("--csv", help="write one row per family here")
-    p.add_argument(
-        "--check-entropy",
-        action="store_true",
-        help="also count the families the coupling-entropy ceiling H(X or Y) <= log2 |A| covers",
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_enumerate)
+    if p := add("enumerate", cmd_enumerate, "enumerate OR-closed families and report frequencies"):
+        p.add_argument("--n", type=int, required=True, help="ground-set size")
+        p.add_argument("--csv", help="write one row per family here")
+        p.add_argument(
+            "--check-entropy",
+            action="store_true",
+            help="also count the families the coupling-entropy ceiling "
+            "H(X or Y) <= log2 |A| covers",
+        )
+        _add_common(p)
 
-    p = subs.add_parser("maxcorr", help="maximal correlation of a 2x2 Bernoulli coupling")
-    p.add_argument(
-        "--pq",
-        type=float,
-        nargs=3,
-        required=True,
-        metavar=("P", "Q", "R"),
-        help="2x2 coupling of Bernoulli(P), Bernoulli(Q) with joint on-mass R",
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_maxcorr)
+    if p := add("maxcorr", cmd_maxcorr, "maximal correlation of a 2x2 Bernoulli coupling"):
+        p.add_argument(
+            "--pq",
+            type=float,
+            nargs=3,
+            required=True,
+            metavar=("P", "Q", "R"),
+            help="2x2 coupling of Bernoulli(P), Bernoulli(Q) with joint on-mass R",
+        )
+        _add_common(p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     started = None if args.no_timestamps else _utcnow()
     extra = () if getattr(args, "csv", None) is None else (args.csv,)  # enumerate --csv
     try:

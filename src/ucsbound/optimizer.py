@@ -6,6 +6,9 @@ over all :class:`~ucsbound.distributions.ExtremeFamily` candidates.  A
 value above 1 certifies t as a valid frequency lower bound; the best
 such certificate over alpha is what :func:`gamma_hat` reports, and
 :func:`find_tmax` bisects for the largest certifiable t.
+:class:`SearchConfig` holds the search's three knobs and their
+defaults; the command line reads it only for the three commands that
+search.
 
 Candidate class
 ---------------
@@ -135,15 +138,16 @@ import bisect
 import functools
 import heapq
 import math
+import operator
 import time
 from typing import NamedTuple
 
-from .config import SearchConfig
 from .distributions import DENOM_FLOOR, ExtremeFamily, RatioTerms, ratio_terms
 from .errors import (
     BracketFailure,
     DegenerateDenominator,
     EmptyFeasible,
+    GridTooLarge,
     VerificationFailed,
 )
 from .scalars import _LN2, binary_entropy, max_entropy_or_prob_fullcorr, require_prob
@@ -196,6 +200,53 @@ _ROUND_TOL_FRACTION = 1e-2
 # Seed cells per run of the scan's bound, and runs per group of runs
 # (see _FaceSearch._candidates).
 _RUN = 8
+# Largest seed scan, in cells.
+_MAX_SEED_CELLS = 1 << 20
+
+
+class _SearchConfig(NamedTuple):
+    grid_points_per_axis: int = 64
+    refine_rounds: int = 6
+    multistart_count: int = 16
+
+
+class SearchConfig(_SearchConfig):
+    """Knobs of the seed-scan-plus-refinement search.
+
+    The defaults are the search of every certificate, the published
+    check's included, which they reproduce to ~1e-9.
+    Each knob must be an integer, a numpy one included, and is stored as
+    an int.  A grid of more than 2^20 seed cells raises
+    :class:`GridTooLarge`, before any work.  Construction validates;
+    ``_replace`` and ``_make`` do not, so build a changed copy as
+    ``SearchConfig(**{**config._asdict(), ...})``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SearchConfig:
+        knobs = []
+        for name, value in zip(cls._fields, super().__new__(cls, *args, **kwargs)):
+            try:
+                knobs.append(operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        g, rounds, starts = knobs
+        if g < 2:
+            raise ValueError("grid_points_per_axis must be >= 2")
+        if g * g > _MAX_SEED_CELLS:
+            raise GridTooLarge(
+                f"a grid of {g} points per axis has {g * g} seed cells, "
+                f"more than the {_MAX_SEED_CELLS} a search allows"
+            )
+        if rounds < 0:
+            raise ValueError("refine_rounds must be >= 0")
+        if starts < 1:
+            raise ValueError("multistart_count must be >= 1")
+        return tuple.__new__(cls, knobs)
+
+    def to_json_dict(self) -> dict:
+        return self._asdict()
 
 
 def _json(value):
@@ -228,8 +279,9 @@ class BoundCertificate(NamedTuple):
 
     ``alpha_gap`` is the maximum over alpha of the envelope of the
     lines the search found, less ``gamma_hat_lower``: how much more a
-    better alpha could add unless a new family is found.  It is None
-    when alpha is pinned.
+    better alpha could add unless a new family is found.  It is never
+    negative: where rounding puts the peak below the bound, it is 0.
+    It is None when alpha is pinned.
     """
 
     t: float
@@ -819,7 +871,7 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
     # Alpha = 1 scores 0, never above alpha = 0, so best_alpha was searched.
     found(face._scored(best_alpha, face._polish(best_alpha, *refined[best_alpha])[1])[1])
     value, family = score(best_alpha)
-    return best_alpha, value, family, _envelope_argmax(lines.values())[1] - value
+    return best_alpha, value, family, max(0.0, _envelope_argmax(lines.values())[1] - value)
 
 
 def find_tmax(

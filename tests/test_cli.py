@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import stat
 import subprocess
 import sys
@@ -55,7 +56,7 @@ class TestGammaHat:
         assert payload["t"] == 0.38
         assert payload["gamma_hat_lower"] > 1.0
         assert 0.0 <= payload["alpha_star"] <= 1.0
-        assert -1e-15 <= payload["alpha_gap"] <= 1e-9
+        assert 0.0 <= payload["alpha_gap"] <= 1e-9
         assert set(payload["argmin"]) == {"a1", "a2", "b1", "b2", "beta"}
         assert payload["wall_time_ms"] > 0
         manifest = read_json(str(out) + ".manifest.json")
@@ -659,6 +660,54 @@ class TestParser:
         assert f"refinement rounds (default {config.refine_rounds})" in text
         assert f"is not refined (default {config.multistart_count})" in text
 
+    KNOBS = ["--grid", "--refine-rounds", "--multistart"]
+    COMMON = ["--out", "--no-timestamps"]
+    OPTIONS = {
+        "gamma-hat": ["--t", "--alpha", *KNOBS, *COMMON],
+        "tmax": ["--margin", "--bracket", "--t-tol", *KNOBS, *COMMON],
+        "verify-paper": ["--strict", *KNOBS, *COMMON],
+        "enumerate": ["--n", "--csv", "--check-entropy", *COMMON],
+        "maxcorr": ["--pq", *COMMON],
+    }
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_help_lists_exactly_the_subcommands_options(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+        assert listed == ["--help", *self.OPTIONS[command]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma-hat", "--t", "0.38", *FAST_KNOBS],
+            ["tmax", "--t-tol", "1e-3", "--grid", "12", "--refine-rounds", "1", "--multistart", "2"],
+            ["verify-paper", "--strict"],
+            ["enumerate", "--n", "3", "--check-entropy"],
+            ["maxcorr", "--pq", "0.3", "0.4", "0.2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_argv_reads_the_command_line(self, argv, monkeypatch, capsys):
+        # The console script calls main() with no argv.
+        argv = [*argv, "--no-timestamps", "--out", "-"]
+        assert main(argv) == 0
+        given = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["ucsbound", *argv])
+        assert main() == 0
+        assert capsys.readouterr() == given
+
+    @pytest.mark.parametrize("name", OPTIONS)
+    def test_a_subcommand_name_as_an_option_value_is_a_value(
+        self, name, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["enumerate", "--n", "2", "--csv", name]) == 0
+        assert capsys.readouterr().out.startswith("n=2: 13 enumerated OR-closed families")
+        assert (tmp_path / name).read_text().startswith("n,size,mask,p_A,freqs,H_X\n")
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
 
 NUMPY_LOADED = "'numpy' in sys.modules"
 
@@ -729,24 +778,38 @@ class TestImport:
         assert read_json(tmp_path / "vp.json")["gamma_hat_lower"] > 1.0
 
     def test_each_command_loads_only_what_it_runs(self, tmp_path):
+        # The help of every subcommand is registered, but only the one run
+        # gets its arguments, so only the search commands load the search.
         knobs = ["--grid", "12", "--refine-rounds", "1", "--multistart", "2"]
-        search = {"ucsbound.optimizer", "ucsbound.distributions"}
-        lab = {"ucsbound.ucslab"}
-        corr = {"ucsbound.maxcorr"}
+        base = {"ucsbound", "ucsbound.cli", "ucsbound.errors"}
+        search = base | {"ucsbound.optimizer", "ucsbound.distributions", "ucsbound.scalars"}
         cases = [
-            (["enumerate", "--n", "4", "--check-entropy"], search | corr | {"ucsbound.scalars"}),
-            (["maxcorr", "--pq", "0.3", "0.4", "0.2"], search | lab),
-            (["gamma-hat", "--t", "0.38", *knobs], lab | corr),
-            (["tmax", "--t-tol", "1e-3", *knobs], lab | corr),
-            (["verify-paper", "--strict"], lab | corr),
+            (["--version"], base),
+            (["--help"], base),
+            (["enumerate", "--n", "4", "--check-entropy"], base | {"ucsbound.ucslab"}),
+            (
+                ["maxcorr", "--pq", "0.3", "0.4", "0.2"],
+                base | {"ucsbound.maxcorr", "ucsbound.scalars"},
+            ),
+            (["gamma-hat", "--t", "0.38", *knobs], search),
+            (["tmax", "--t-tol", "1e-3", *knobs], search),
+            (["verify-paper", "--strict"], search),
         ]
         loaded = "' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'ucsbound'))"
         assert run_python(f"import sys, ucsbound; print({loaded})") == ["ucsbound"]
-        for argv, unloaded in cases:
-            code = f"import sys; from ucsbound.cli import main; print(main({argv!r})); print({loaded})"
-            rc, modules = run_python(code, cwd=tmp_path)[-2:]
+        for argv, modules in cases:
+            code = (
+                "import sys\n"
+                "from ucsbound.cli import main\n"
+                "try:\n"
+                f"    rc = main({argv!r})\n"
+                "except SystemExit as exc:\n"
+                "    rc = exc.code\n"
+                f"print(rc); print({loaded})"
+            )
+            rc, names = run_python(code, cwd=tmp_path)[-2:]
             assert rc == "0", argv
-            assert unloaded.isdisjoint(modules.split()), argv
+            assert set(names.split()) == modules, argv
 
     def test_no_command_loads_dataclasses_or_inspect(self, tmp_path):
         # The package's records are named tuples; dataclasses would load
