@@ -12,15 +12,32 @@ H(X or Y) <= log2 |A| covers; the identity coupling meets it, so its
 maximum is log2 |A|.  Element frequencies and peaks are popcounts of
 the family's member bitmask.
 
-``import ucsbound`` loads none of the submodules: each exported name
-is resolved on first access, which imports the submodule defining it.
-``SearchConfig``, the search's knobs, is defined in ``optimizer`` with
-the search.
+Each public name is imported from the submodule that defines it, as in
+``from ucsbound.optimizer import gamma_hat``; ``import ucsbound`` loads
+none of them and binds only ``__version__``.
+
+- ``optimizer``: the search and its knobs, ``SearchConfig``,
+  ``inner_inf``, ``gamma_hat``, ``find_tmax``,
+  ``verify_reference_point``, their reports ``InnerSearchReport``,
+  ``BoundCertificate`` and ``ThresholdCertificate``, and
+  ``BASELINE_THRESHOLD``.
+- ``distributions``: the two-block families ``ExtremeFamily``, their
+  oracle ``ratio_terms``, ``entropy_ratio`` and ``mixed_or_entropy``.
+- ``scalars``: ``binary_entropy``, ``or_prob`` and
+  ``max_entropy_or_prob_fullcorr``.
+- ``ucslab``: ``FamilySet``, ``is_or_closed``, ``enumerate_or_closed``,
+  ``scan``, ``min_peak_frequency``, ``sample_or_closed``, the
+  frequencies and peaks, ``max_symmetric_coupling_entropy`` and
+  ``check_entropy_inequality`` with its ``EntropyCheckReport``.
+- ``maxcorr``: ``maximal_correlation`` and ``binary_coupling``.
+- ``errors``: ``UcsBoundError`` and the errors derived from it.
+- ``cli``: the command line, ``main``.
+
 The package needs nothing beyond the standard library.  numpy is
-imported only inside ``element_frequencies``, a library call no command
-makes, and it is not installed with the package; the certificate
-search, enumeration, peaks, the entropy check, the sampler and
-``maxcorr`` run without it.
+imported only inside ``ucslab.element_frequencies``, a library call no
+command makes, and it is not installed with the package; the
+certificate search, enumeration, peaks, the entropy check, the sampler
+and ``maxcorr`` run without it.
 
 ``maxcorr`` is a sidecar that no certificate calls: it gives the
 maximal correlation of a two-by-two Bernoulli coupling in closed form,
@@ -28,63 +45,3 @@ maximal correlation of a two-by-two Bernoulli coupling in closed form,
 """
 
 __version__ = "0.1.0"
-
-from importlib import import_module as _import_module
-
-# Exported name -> the submodule that defines it.
-_EXPORTS = {
-    "ExtremeFamily": "distributions",
-    "mixed_or_entropy": "distributions",
-    "entropy_ratio": "distributions",
-    "UcsBoundError": "errors",
-    "DegenerateDenominator": "errors",
-    "RankDeficient": "errors",
-    "InfeasibleCorrelation": "errors",
-    "EmptyFeasible": "errors",
-    "GridTooLarge": "errors",
-    "BracketFailure": "errors",
-    "VerificationFailed": "errors",
-    "NotClosed": "errors",
-    "DimensionTooLarge": "errors",
-    "maximal_correlation": "maxcorr",
-    "binary_coupling": "maxcorr",
-    "SearchConfig": "optimizer",
-    "InnerSearchReport": "optimizer",
-    "BoundCertificate": "optimizer",
-    "ThresholdCertificate": "optimizer",
-    "inner_inf": "optimizer",
-    "gamma_hat": "optimizer",
-    "find_tmax": "optimizer",
-    "verify_reference_point": "optimizer",
-    "BASELINE_THRESHOLD": "optimizer",
-    "binary_entropy": "scalars",
-    "or_prob": "scalars",
-    "max_entropy_or_prob_fullcorr": "scalars",
-    "FamilySet": "ucslab",
-    "EntropyCheckReport": "ucslab",
-    "is_or_closed": "ucslab",
-    "element_frequencies": "ucslab",
-    "peak_frequency": "ucslab",
-    "enumerate_or_closed": "ucslab",
-    "min_peak_frequency": "ucslab",
-    "sample_or_closed": "ucslab",
-    "max_symmetric_coupling_entropy": "ucslab",
-    "check_entropy_inequality": "ucslab",
-}
-
-__all__ = ["__version__", *_EXPORTS]
-
-
-def __getattr__(name: str):
-    """An exported name, or a submodule that exports one, imported on first access."""
-    if name in _EXPORTS.values():
-        return _import_module(f".{name}", __name__)
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f".{_EXPORTS[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

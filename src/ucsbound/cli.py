@@ -34,7 +34,6 @@ import errno
 import json
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .errors import (
@@ -78,18 +77,20 @@ def _atomic_file(path: str):
     directory = os.path.dirname(path) or "."
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ucsbound-", suffix=".tmp")
+        # A fresh random name until one is free; the kernel applies the
+        # umask to 0o666, so the file gets the mode open() would give it.
+        while tmp is None:
+            name = os.path.join(directory, f".ucsbound-{os.urandom(6).hex()}.tmp")
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                tmp = name
         with os.fdopen(fd, "w") as fh:
             yield fh
-        # mkstemp makes the file 0600; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        # Until mkstemp returns, only it has run, and its error names the temp file.
+        # Until the temp file is made, only its open has run, and its error names it.
         if isinstance(exc, OSError) and (tmp is None or exc.filename in (None, tmp)):
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise

@@ -12,7 +12,6 @@ import re
 import stat
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -269,21 +268,40 @@ class TestEnumerate:
         manifest = read_json(str(out) + ".manifest.json")
         assert str(sheet) in manifest["outputs"]
 
-    def test_outputs_get_the_mode_open_gives(self, tmp_path):
+    def output_and_open_modes(self, tmp_path, monkeypatch, umask_refused):
+        """The modes of enumerate's report, manifest and sheet, and the mode
+        of a file open() makes, all under umask 0o022."""
         out = tmp_path / "families.json"
         sheet = tmp_path / "families.csv"
         # Fix the umask so that the comparison shows more than 0600 == 0600.
         umask = os.umask(0o022)
         try:
-            rc = main(["enumerate", "--n", "2", "--csv", str(sheet), "--out", str(out)])
+            with monkeypatch.context() as patch:
+                if umask_refused:
+
+                    def refuse(mask):
+                        raise AssertionError("os.umask was called")
+
+                    patch.setattr(os, "umask", refuse)
+                rc = main(["enumerate", "--n", "2", "--csv", str(sheet), "--out", str(out)])
             with open(tmp_path / "plain.txt", "w"):
                 pass
         finally:
             os.umask(umask)
         assert rc == 0
-        want = (tmp_path / "plain.txt").stat().st_mode
-        for path in (out, tmp_path / "families.json.manifest.json", sheet):
-            assert oct(path.stat().st_mode) == oct(want)
+        paths = (out, tmp_path / "families.json.manifest.json", sheet)
+        return [oct(path.stat().st_mode) for path in paths], oct((tmp_path / "plain.txt").stat().st_mode)
+
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, monkeypatch):
+        modes, want = self.output_and_open_modes(tmp_path, monkeypatch, umask_refused=False)
+        assert modes == [want] * 3
+
+    def test_outputs_get_that_mode_without_setting_the_umask(self, tmp_path, monkeypatch):
+        # Reading the umask means setting it, for the whole process, and a
+        # file another thread made meanwhile got mode 0666.  The writes
+        # leave the umask to the kernel, so they never call os.umask.
+        modes, want = self.output_and_open_modes(tmp_path, monkeypatch, umask_refused=True)
+        assert modes == [want] * 3
 
     @pytest.mark.parametrize("argv", [["--n", "4", "--check-entropy"]], ids=["n4"])
     def test_csv_does_not_change_report_or_stdout(self, argv, tmp_path, capsys):
@@ -347,13 +365,14 @@ class TestReportWrites:
         # target is refused before the report is written anywhere.
         made = []
 
-        def mkstemp(*args, **kwargs):
-            fd, name = real_mkstemp(*args, **kwargs)
-            made.append(name)
-            return fd, name
+        def open_(name, *args, **kwargs):
+            fd = real_open(name, *args, **kwargs)
+            if os.path.basename(name).startswith(".ucsbound-"):
+                made.append(name)
+            return fd
 
-        real_mkstemp = tempfile.mkstemp
-        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        real_open = os.open
+        monkeypatch.setattr(os, "open", open_)
         (tmp_path / "adir").mkdir()
         path = str(tmp_path / target)
         assert main([*argv, path]) == 2
@@ -742,7 +761,10 @@ class TestImport:
 
     def test_sampling_loads_no_numpy(self):
         # The sampler draws its words from the standard library's random.
-        code = f"import sys, ucsbound; ucsbound.sample_or_closed(5, 500, 3); print({NUMPY_LOADED})"
+        code = (
+            "import sys, ucsbound.ucslab; ucsbound.ucslab.sample_or_closed(5, 500, 3); "
+            f"print({NUMPY_LOADED})"
+        )
         assert run_python(code) == ["False"]
 
     def test_numpy_stays_unloaded_when_a_library_probes_for_it(self):
@@ -796,7 +818,14 @@ class TestImport:
             (["verify-paper", "--strict"], search),
         ]
         loaded = "' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'ucsbound'))"
-        assert run_python(f"import sys, ucsbound; print({loaded})") == ["ucsbound"]
+        # A bare import loads no submodule, and binds only __version__
+        # beside what the import system sets on every package.
+        system = "__builtins__ __cached__ __doc__ __file__ __loader__ __name__ __package__ __path__ __spec__"
+        bound = f"' '.join(sorted(set(vars(ucsbound)) - set({system.split()!r})))"
+        assert run_python(f"import sys, ucsbound; print({loaded}); print({bound})") == [
+            "ucsbound",
+            "__version__",
+        ]
         for argv, modules in cases:
             code = (
                 "import sys\n"
@@ -829,12 +858,15 @@ class TestImport:
         assert results == ["=> []"] + ["=> 0 []"] * len(commands)
         assert (tmp_path / "F").exists()
 
-    def test_star_import_binds_every_exported_name(self):
-        namespace = {}
-        exec("from ucsbound import *", namespace)
-        assert [name for name in ucsbound.__all__ if name not in namespace] == []
-        assert all(namespace[name] is getattr(ucsbound, name) for name in ucsbound.__all__)
-        assert set(ucsbound.__all__) <= set(dir(ucsbound))
+    def test_readme_library_example_runs(self):
+        # The README's one Python block shows which submodule each name is
+        # imported from; it runs as written, in a fresh interpreter.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        (block,) = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.S | re.M)
+        certificate, atoms, ratio = run_python(block)
+        assert certificate.endswith(" True")
+        assert atoms.startswith("[(0.33, 0.33, ")
+        assert float(ratio.split()[1]) > 1.0
 
     def test_cli_uses_no_private_lab_name(self):
         # The command line reaches the lab through its public names only:
@@ -870,7 +902,7 @@ class TestImport:
         ]
         code = (
             "import sys; sys.modules['numpy'] = None\n"
-            "import contextlib, os, ucsbound\n"
+            "import contextlib, os, ucsbound.ucslab\n"
             "from ucsbound.cli import main\n"
             f"for i, argv in enumerate({commands!r}):\n"
             "    os.mkdir(str(i))\n"
@@ -881,7 +913,7 @@ class TestImport:
             "        os.chdir('..')\n"
             "    print('=>', rc)\n"
             "try:\n"
-            "    ucsbound.element_frequencies(ucsbound.FamilySet(2, 0x3))\n"
+            "    ucsbound.ucslab.element_frequencies(ucsbound.ucslab.FamilySet(2, 0x3))\n"
             "except ModuleNotFoundError as exc:\n"
             "    print('=>', exc.name)\n"
         )
