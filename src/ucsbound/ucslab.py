@@ -8,11 +8,11 @@ split a family at its top element n - 1 into two families on n - 1
 elements: ``lo``, the members lacking n - 1, and ``hi``, the members
 holding it, with n - 1 removed.  The family is closed iff both halves
 are and ``lo`` lies inside the stabiliser of ``hi`` (see
-:func:`_split`).  Three cached tables per ground-set size k <= 4, each
+:func:`_split`).  Two cached tables per ground-set size k <= 4, each
 built once per process, hold every closed family on k elements: its
-masks (:func:`_closed_masks`), from one :func:`_split` walk, and, read
-from those, each mask with its stabiliser (:func:`_closed`) and each
-nonempty one as a FamilySet (:func:`_enumerated`).
+masks (:func:`_closed_masks`), from one :func:`_split` walk, which
+computes the stabilisers it pairs and keeps none, and, read from
+those, each nonempty one as a FamilySet (:func:`_enumerated`).
 :func:`is_or_closed` looks n <= 3 up and splits once above that;
 enumeration pairs closed halves from the tables one and two sizes down:
 it never meets the 2^(2^n) - 1 family masks one by one.
@@ -43,9 +43,9 @@ Exhaustive scans take the closed masks in ascending chunks of at most
 :func:`_closed_masks`, and n = 5, 2,771,103 families, is walked anew by
 each scan or enumeration, in bounded memory, and never cached.  One
 fold over the chunks, :func:`scan`, serves :func:`min_peak_frequency`
-and ``enumerate``: per chunk, :func:`lowest_peak` takes the least peak
-by one ``min`` over the floats and its witness by one over the masks
-that reach it, and copies the chunk only to drop mask 1.
+and ``enumerate``: per chunk, :func:`lowest_peak` takes the least nonzero
+peak by one ``min`` over the floats and its witness by one over the
+masks that reach it: only the family {empty set}, mask 1, peaks at 0.
 :func:`check_entropy_inequality` counts families alone, and both it and
 :func:`scan` report the count as a census (:func:`_census`).
 
@@ -200,7 +200,8 @@ def _stabiliser(n: int, mask: int) -> int:
 
 def _split(n: int) -> Iterator[list[int]]:
     """Ascending closed family masks on n >= 2 elements, 0 included, in one
-    list per ``hi``, from the closed masks on n - 1 elements (:func:`_closed`).
+    list per ``hi``, from the closed masks on n - 1 and n - 2 elements
+    (:func:`_closed_masks`).
 
     A family on n elements splits at element n - 1 into ``lo``, its
     members lacking n - 1, and ``hi``, its members holding n - 1 with
@@ -210,19 +211,21 @@ def _split(n: int) -> Iterator[list[int]]:
     one level down, over the closed masks on n - 2 elements: ``lo``
     splits into a top half ``h`` and a bottom half, and lies inside the
     stabiliser iff each half lies inside the stabiliser's.  So no ``lo``
-    outside it is ever built.
+    outside it is ever built.  Each stabiliser is computed here, once
+    per walk (:func:`_stabiliser`), and not kept after it.
     """
     shift, half = 1 << (n - 1), 1 << (n - 2)
-    table = _closed(n - 2)
+    table = [(h, _stabiliser(n - 2, h)) for h in _closed_masks(n - 2)]
     # inside[x]: the closed masks on n - 2 elements inside the mask x.
-    inside = [[m for m in table if not m & ~x] for x in range(1 << half)]
-    for hi, stab in _closed(n - 1).items():
+    inside = [[m for m, _ in table if not m & ~x] for x in range(1 << half)]
+    for hi in _closed_masks(n - 1):
+        stab = _stabiliser(n - 1, hi)
         bottom, top = stab & ((1 << half) - 1), stab >> half
         high = hi << shift
         # "for head in (...,)" binds the block's shared high bits once per h.
         yield [
             head | m
-            for h, s in table.items()
+            for h, s in table
             if not h & ~top
             for head in (high | h << half,)
             for m in inside[s & bottom]
@@ -231,23 +234,11 @@ def _split(n: int) -> Iterator[list[int]]:
 
 @functools.cache
 def _closed_masks(n: int) -> tuple[int, ...]:
-    """Every closed family mask on 1 <= n <= 4 elements, 0 included, ascending,
-    from one :func:`_split` walk (:func:`_closed` at n = 1); built once per
-    process, never changed: 4,960 masks, about 180 KB, at n = 4."""
-    return tuple(chain.from_iterable(_split(n) if n > 1 else [_closed(1)]))
-
-
-@functools.cache
-def _closed(k: int) -> dict[int, int]:
-    """Every closed family mask on k <= 4 elements, 0 included, mapped to
-    its stabiliser, ascending; built once per process, never changed.
-    Families on k <= 1 are all closed; above that the masks are
-    :func:`_closed_masks`, so each size is walked once per process.
-    Only the n = 5 scan (:func:`_chunks`) builds k = 4, 4,960 stabilisers;
-    a closure proof computes the one stabiliser it needs.
-    """
-    masks = range(1 << (1 << k)) if k <= 1 else _closed_masks(k)
-    return {f: _stabiliser(k, f) for f in masks}
+    """Every closed family mask on 0 <= n <= 4 elements, 0 included,
+    ascending: every mask for n <= 1, where all are closed, and one
+    :func:`_split` walk above that; built once per process, never
+    changed: 4,960 masks, about 180 KB, at n = 4."""
+    return tuple(chain.from_iterable(_split(n))) if n > 1 else tuple(range(1 << (1 << n)))
 
 
 def _chunks(n: int) -> Iterator[list[int]]:
@@ -267,7 +258,7 @@ def _chunks(n: int) -> Iterator[list[int]]:
 def _is_closed(n: int, mask: int) -> bool:
     """True iff the family mask on n >= 0 elements is OR-closed (see :func:`_split`)."""
     if n <= 3:
-        return mask in _closed(n)
+        return mask in _closed_masks(n)
     shift = 1 << (n - 1)
     lo, hi = mask & ((1 << shift) - 1), mask >> shift
     return _is_closed(n - 1, lo) and _is_closed(n - 1, hi) and not lo & ~_stabiliser(n - 1, hi)
@@ -423,20 +414,15 @@ def lowest_peak(peaks: list[float], masks: list[int]) -> tuple[float, int] | Non
 
     The family {empty set}, mask 1, is excluded: it has no elements at
     all and its peak frequency of 0 says nothing about the frequency
-    question being probed.  Ties go to the smallest family mask,
-    whatever the order of the lists, so the witness is deterministic.
-    Mask 1, where present, is deleted by index from one copy of each
-    list, not from the caller's; then the least peak is one ``min`` over
-    the floats and the witness one over the masks that reach it.
+    question being probed.  It is the only closed family whose peak is
+    0, so it is dropped by that peak: the least peak is one ``min`` over
+    the nonzero floats, and the witness one over the masks that reach
+    it.  Ties go to the smallest family mask, whatever the order of the
+    lists, so the witness is deterministic.  The lists are not changed.
     """
-    if 1 in masks:
-        peaks, masks = list(peaks), list(masks)
-        while 1 in masks:
-            at = masks.index(1)
-            del peaks[at], masks[at]
-    if not peaks:
+    low = min(filter(None, peaks), default=None)
+    if low is None:
         return None
-    low = min(peaks)
     return low, min(compress(masks, map(operator.eq, peaks, repeat(low))))
 
 
