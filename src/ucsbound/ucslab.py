@@ -419,7 +419,10 @@ def lowest_peak(peaks: list[float], masks: list[int]) -> tuple[float, int] | Non
     the nonzero floats, and the witness one over the masks that reach
     it.  Ties go to the smallest family mask, whatever the order of the
     lists, so the witness is deterministic.  The lists are not changed.
+    Raises ``ValueError`` naming both lengths unless they are equal.
     """
+    if len(peaks) != len(masks):
+        raise ValueError(f"need one peak per mask, got {len(peaks)} peaks and {len(masks)} masks")
     low = min(filter(None, peaks), default=None)
     if low is None:
         return None

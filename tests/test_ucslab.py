@@ -606,6 +606,14 @@ class TestMinPeakFrequency:
         assert lowest_peak(peaks, masks) == least
         assert (peaks, masks) == before
 
+    @pytest.mark.parametrize("peaks, masks", [([0.5], [0x3, 0x5]), ([0.5, 0.25], [0x3]), ([], [0x3])])
+    def test_lists_of_unequal_length_raise(self, peaks, masks):
+        # zip would cut both to the shorter: ([0.5], [0x3, 0x5]) gave
+        # (0.5, 0x3) without reading 0x5.
+        message = f"got {len(peaks)} peaks and {len(masks)} masks"
+        with pytest.raises(ValueError, match=message):
+            lowest_peak(peaks, masks)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_masks_give_the_rule_over_families(self, n):
         value, witness = min_peak_frequency(n)
