@@ -16,7 +16,10 @@ The objective is linear in alpha, so :func:`ratio_terms` gives a
 family's three alpha-free terms, and both are blends of those terms.
 None of this shares code with the search, so :mod:`ucsbound.optimizer`
 uses :func:`ratio_terms` as the oracle that re-evaluates every reported
-bound.
+bound.  Each of its sums is ``math.fsum``, the correctly rounded sum
+of its float terms, so the oracle's bits are the same on every Python:
+the built-in ``sum`` compensates its rounding from Python 3.12 on and
+not before.
 """
 
 from __future__ import annotations
@@ -162,16 +165,16 @@ def _or_terms(atoms: list[tuple[float, float, float]]) -> tuple[float, float]:
         require_prob(y, "atom value")
         if not (math.isfinite(m) and m >= 0.0):
             raise ValueError(f"atom masses must be finite and >= 0, got {m!r}")
-    total = sum(m for _, _, m in atoms)
+    total = math.fsum(m for _, _, m in atoms)
     if abs(total - 1.0) > MASS_TOL:
         raise ValueError(f"atom masses must sum to 1, got {total!r}")
     marginal = [(v, 0.5 * m) for x, y, m in atoms for v in (x, y)]
-    independent = sum(
+    independent = math.fsum(
         mi * mj * binary_entropy(or_prob(vi, vj))
         for vi, mi in marginal
         for vj, mj in marginal
     )
-    correlated = sum(m * binary_entropy(max_entropy_or_prob_fullcorr(x, y)) for x, y, m in atoms)
+    correlated = math.fsum(m * binary_entropy(max_entropy_or_prob_fullcorr(x, y)) for x, y, m in atoms)
     return independent, correlated
 
 
@@ -204,7 +207,7 @@ def ratio_terms(family: ExtremeFamily) -> RatioTerms:
     is then meaningless.
     """
     atoms = family.atoms()
-    denom = sum(0.5 * m * (binary_entropy(x) + binary_entropy(y)) for x, y, m in atoms)
+    denom = math.fsum(0.5 * m * (binary_entropy(x) + binary_entropy(y)) for x, y, m in atoms)
     if denom <= DENOM_FLOOR:
         raise DegenerateDenominator(
             f"marginal mean entropy {denom!r} is numerically zero"

@@ -722,8 +722,10 @@ def gamma_hat(
     Each evaluated alpha is scored by the least reference ratio, at that
     alpha, over every family the search found, so the bound is one that
     no family seen contradicts.  The families that steer are refined,
-    not polished; the best alpha by that score is reported, its point
-    polished, with its score over every family and the family attaining it.
+    not polished; the best alpha by that score has its point polished,
+    and is reported, with its score over every family and the family
+    attaining it, once no other evaluated alpha scores higher (a polish
+    that lowers the best score moves the polish to the new best).
 
     ``"auto"`` always needs the alpha = 1 family, so for t up to
     ~1.44e-14, where its denominator cannot clear 1e-14, it raises
@@ -798,7 +800,11 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
     """The search over alpha of :func:`gamma_hat`.
 
     Returns the best alpha, its bound, the family attaining it and the
-    envelope gap.  Only the refined point of the best alpha is polished.
+    envelope gap.  Only the refined point of the best alpha is polished;
+    if the family it finds lowers that alpha's score below another
+    evaluated alpha's, the new best is polished in turn, until the best
+    is one already polished.  So the bound is the best score over the
+    evaluated alphas, each scored over every family found.
 
     Alpha = 1 needs no inner search.  There the ratio is cor/denom >= 0,
     and the correlated term cor sums each block's h(fullcorr) with
@@ -867,9 +873,13 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
     def score(a: float) -> tuple[float, ExtremeFamily]:
         return min(((face._terms(f).ratio(a), f) for f in lines), key=lambda vf: vf[0])
 
-    best_alpha = max(evaluated, key=lambda a: score(a)[0])
-    # Alpha = 1 scores 0, never above alpha = 0, so best_alpha was searched.
-    found(face._scored(best_alpha, face._polish(best_alpha, *refined[best_alpha])[1])[1])
+    # A polished family can push the best alpha's score below another's:
+    # re-rank after each polish until the best alpha is one polished.
+    # Alpha = 1 scores 0, never above alpha = 0, so the best was searched.
+    polished = set()
+    while (best_alpha := max(evaluated, key=lambda a: score(a)[0])) not in polished:
+        polished.add(best_alpha)
+        found(face._scored(best_alpha, face._polish(best_alpha, *refined[best_alpha])[1])[1])
     value, family = score(best_alpha)
     return best_alpha, value, family, max(0.0, _envelope_argmax(lines.values())[1] - value)
 

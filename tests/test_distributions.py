@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ucsbound.distributions import (
     ratio_terms,
 )
 from ucsbound.errors import DegenerateDenominator
+from ucsbound.scalars import binary_entropy, max_entropy_or_prob_fullcorr, or_prob
 
 SEED = 47113
 
@@ -230,6 +232,32 @@ class TestRatioTerms:
                 mixed = mixed_or_entropy(family.atoms(), alpha)
                 assert mixed.hex() == ((1.0 - alpha) * ind + alpha * cor).hex(), (family, alpha)
         assert degenerate < 100
+
+    def test_each_term_is_its_float_terms_correctly_rounded(self):
+        # Each term is the exact sum of its float terms, rounded once, so
+        # its bits do not depend on the order or the interpreter: the
+        # built-in sum compensates from Python 3.12 on.  Under 3.11's sum
+        # the independent term missed this on 136 of these 299 families.
+        def exact(terms):
+            return float(sum(map(Fraction, terms)))
+
+        rng = random.Random(SEED + 2)
+        checked = 0
+        for family in (random_family(rng) for _ in range(300)):
+            try:
+                terms = ratio_terms(family)
+            except DegenerateDenominator:
+                continue
+            atoms = family.atoms()
+            marginal = [(v, 0.5 * m) for x, y, m in atoms for v in (x, y)]
+            want = RatioTerms(
+                exact(mi * mj * binary_entropy(or_prob(vi, vj)) for vi, mi in marginal for vj, mj in marginal),
+                exact(m * binary_entropy(max_entropy_or_prob_fullcorr(x, y)) for x, y, m in atoms),
+                exact(0.5 * m * (binary_entropy(x) + binary_entropy(y)) for x, y, m in atoms),
+            )
+            assert [v.hex() for v in terms] == [v.hex() for v in want], family
+            checked += 1
+        assert checked > 250
 
     def test_terms_are_the_parts_of_the_blend(self):
         fam = ExtremeFamily(0.3, 0.3, 0.3, 1.0, 1.0)

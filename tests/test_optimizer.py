@@ -1089,6 +1089,20 @@ class TestAlphaZero:
             assert cert.gamma_hat_lower == pytest.approx(alpha_zero_floor(t), abs=1e-12), t
         assert gamma_hat(ALPHA_ZERO_FROM - 1e-3).alpha_star > 0.0
 
+    @pytest.mark.parametrize(
+        "config",
+        [SearchConfig(), FAST, SearchConfig(16, 2, 4), SearchConfig(12, 1, 2), SearchConfig(8, 1, 2), SearchConfig(4, 1, 2), SearchConfig(2, 0, 1)],
+        ids=lambda c: "-".join(map(str, c)),
+    )
+    def test_bound_stays_on_or_above_the_floor_from_c(self, config):
+        # Alpha = 0 is always evaluated, and the floor bounds its score, so
+        # the reported best over the alphas evaluated is never below it.
+        # Reporting alpha*'s score after its polish had pushed it below
+        # another's read 3.2e-7 under the floor at (16, 2, 4), t = 0.49.
+        for t in [*np.linspace(GOLDEN_C, 0.499, 12).tolist(), 0.49]:
+            floor = alpha_zero_floor(t)
+            assert gamma_hat(t, "auto", config).gamma_hat_lower >= floor - 4 * math.ulp(floor), t
+
     @pytest.mark.parametrize("t", [GOLDEN_C, REFERENCE_T, 0.45])
     def test_search_slope_at_zero(self, t):
         slope = (inner_inf(1e-6, t).min_ratio - inner_inf(0.0, t).min_ratio) / 1e-6
@@ -1354,21 +1368,48 @@ class TestGammaHat:
 
     @pytest.mark.parametrize("config", [SearchConfig(), FAST, SearchConfig(12, 1, 2)], ids=["default", "fast", "tiny"])
     def test_only_the_chosen_alpha_is_polished(self, config, monkeypatch):
-        # Refined families steer alpha; the nested polish runs once, at the
-        # alpha reported.  Polishing every alpha tried ran it 5 times at
-        # t = 0.38234.
-        polished = []
-        polish = _FaceSearch._polish
+        # Refined families steer alpha; the nested polish runs at the alpha
+        # then best, scored over every family found so far, and again at
+        # the new best if a polished family lowers the old one below it,
+        # until the best is one polished: that alpha is reported.  The
+        # default and FAST searches polish once at these t.  Polishing
+        # every alpha tried ran it 5 times at t = 0.38234.
+        refined, scored, polished = [], [], []
+        face = _FaceSearch
+        real_refined, real_scored, real_polish = face._refined, face._scored, face._polish
 
-        def recorded(grid, alpha, *args):
-            polished.append(alpha)
-            return polish(grid, alpha, *args)
+        def record_refined(grid, alpha):
+            refined.append(alpha)
+            return real_refined(grid, alpha)
 
-        monkeypatch.setattr(_FaceSearch, "_polish", recorded)
+        def record_scored(grid, alpha, x):
+            out = real_scored(grid, alpha, x)
+            scored.append(out[1])
+            return out
+
+        def record_polish(grid, alpha, *args):
+            families = [_alpha_one_family(grid.t)[0], *scored]
+            best = max(refined, key=lambda a: min(entropy_ratio(f, a) for f in families))
+            polished.append((alpha, best))
+            return real_polish(grid, alpha, *args)
+
+        monkeypatch.setattr(face, "_refined", record_refined)
+        monkeypatch.setattr(face, "_scored", record_scored)
+        monkeypatch.setattr(face, "_polish", record_polish)
+        counts = []
         for t in (0.05, 0.3, 0.38234, 0.49):
-            polished.clear()
+            refined.clear(), scored.clear(), polished.clear()
             cert = gamma_hat(t, "auto", config)
-            assert polished == [cert.alpha_star], t
+            alphas = [alpha for alpha, _ in polished]
+            assert all(alpha == best for alpha, best in polished), t
+            assert len(set(alphas)) == len(alphas) and cert.alpha_star in alphas, t
+            # The bound is the best score over the alphas evaluated.
+            families = [_alpha_one_family(t)[0], *scored]
+            assert cert.gamma_hat_lower == max(min(entropy_ratio(f, a) for f in families) for a in refined), t
+            counts.append(len(alphas))
+        # On the tiny grid the first polish at t = 0.38234 and at 0.49
+        # lowers its alpha below another, which is polished in turn.
+        assert counts == ([1, 1, 2, 2] if config == SearchConfig(12, 1, 2) else [1, 1, 1, 1])
 
     @pytest.mark.parametrize(
         "config",
@@ -1421,11 +1462,11 @@ class TestGammaHat:
         # steers alpha, and of the nested polish at the alpha chosen.
         cert = gamma_hat(0.38234, config=SearchConfig(32, 1, 8))
         assert set(line_search_tols) == {_PARAM_TOL}
-        assert cert.gamma_hat_lower == pytest.approx(1.0000090177977283, abs=1e-12)
-        assert cert.alpha_star == pytest.approx(0.035567899480857125, abs=1e-12)
+        assert cert.gamma_hat_lower == pytest.approx(1.0000090177977285, abs=1e-12)
+        assert cert.alpha_star == pytest.approx(0.03556789948085713, abs=1e-12)
         fam = cert.argmin
         got = (fam.a1, fam.a2, fam.b1, fam.b2)
-        want = (0.3294952804318288, 0.3294952804318288, 0.32949528664675737, 1.0)
+        want = (0.3294952845825637, 0.3294952845825637, 0.32949525524403145, 1.0)
         assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize(
