@@ -800,7 +800,7 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
     """The search over alpha of :func:`gamma_hat`.
 
     Returns the best alpha, its bound, the family attaining it and the
-    envelope gap.  Only the refined point of the best alpha is polished;
+    envelope gap.  The refined point of the best alpha is polished, and
     if the family it finds lowers that alpha's score below another
     evaluated alpha's, the new best is polished in turn, until the best
     is one already polished.  So the bound is the best score over the

@@ -1398,7 +1398,8 @@ class TestGammaHat:
         monkeypatch.setattr(face, "_polish", record_polish)
         counts = []
         for t in (0.05, 0.3, 0.38234, 0.49):
-            refined.clear(), scored.clear(), polished.clear()
+            for log in (refined, scored, polished):
+                log.clear()
             cert = gamma_hat(t, "auto", config)
             alphas = [alpha for alpha, _ in polished]
             assert all(alpha == best for alpha, best in polished), t
