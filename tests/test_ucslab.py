@@ -540,16 +540,14 @@ class TestClosedTable:
         info = ucslab._closed_masks.cache_info()
         assert (info.misses, info.currsize) == (5, 5)
 
-    def test_closure_proofs_build_the_tables_up_to_three_elements(self):
-        # A closure proof up to n = 5 looks n <= 3 up and computes the
-        # stabilisers it needs: it builds no table on 4 elements, which
-        # the n = 4 and n = 5 scans build once, and no other table.
+    def test_closure_proofs_build_no_table(self):
+        # A closure proof tests the definition and reads no table; the
+        # n = 5 scans build sizes 0..4, each once, and no other table.
         self.clear_tables()
         families = sample_or_closed(5, 300, SEED)
         assert all(is_or_closed(f) for f in families) and len(families) > 100
-        # Sizes 0..3 built, each once, and nothing else.
         info = ucslab._closed_masks.cache_info()
-        assert (info.misses, info.currsize) == (4, 4)
+        assert (info.misses, info.currsize) == (0, 0)
         next(_chunks(5))
         next(_chunks(5))
         info = ucslab._closed_masks.cache_info()
@@ -941,6 +939,27 @@ class TestMaxSymmetricCouplingEntropy:
         # {{0}, {1}}: the union {0, 1} is missing.
         with pytest.raises(NotClosed, match="^family 0x6 is not closed under OR$"):
             max_symmetric_coupling_entropy(FamilySet(2, 0b110))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_open_families_are_refused_from_three_elements(self, n):
+        # Every mask on 3 elements, and one-bit flips of sampled closed
+        # families on 4 and 5, which sit next to the boundary from both sides.
+        size = 1 << n
+        if n == 3:
+            masks = range(1, 1 << size)
+        else:
+            families = sample_or_closed(n, 40, SEED + n)
+            masks = [f.mask ^ (1 << k) for f in families for k in range(size) if f.mask != 1 << k]
+        opened = 0
+        for mask in masks:
+            fam = FamilySet(n, mask)
+            if pairwise_closed(mask, size):
+                assert max_symmetric_coupling_entropy(fam) == math.log2(fam.size), hex(mask)
+            else:
+                opened += 1
+                with pytest.raises(NotClosed, match=f"^family {mask:#x} is not closed under OR$"):
+                    max_symmetric_coupling_entropy(fam)
+        assert 0 < opened < len(masks)
 
     def test_singleton_family_is_trivial(self):
         h_star = max_symmetric_coupling_entropy(FamilySet(2, 0b1000))
