@@ -138,7 +138,6 @@ import bisect
 import functools
 import heapq
 import math
-import operator
 import time
 from typing import NamedTuple
 
@@ -150,7 +149,7 @@ from .errors import (
     GridTooLarge,
     VerificationFailed,
 )
-from .scalars import _LN2, binary_entropy, max_entropy_or_prob_fullcorr, require_prob
+from .scalars import _LN2, binary_entropy, max_entropy_or_prob_fullcorr, require_int, require_prob
 
 __all__ = [
     "SearchConfig",
@@ -215,8 +214,11 @@ class SearchConfig(_SearchConfig):
 
     The defaults are the search of every certificate, the published
     check's included, which they reproduce to ~1e-9.
-    Each knob must be an integer, a numpy one included, and is stored as
-    an int.  A grid of more than 2^20 seed cells raises
+    Each knob is checked, in field order, by
+    :func:`ucsbound.scalars.require_int`, which checks the lab's integer
+    inputs too: it must be an integer, a numpy one or a bool included,
+    and at least 2 points per axis, 0 rounds and 1 start, and is stored
+    as an int.  Then a grid of more than 2^20 seed cells raises
     :class:`GridTooLarge`, before any work.  Construction validates;
     ``_replace`` and ``_make`` do not, so build a changed copy as
     ``SearchConfig(**{**config._asdict(), ...})``.
@@ -225,25 +227,14 @@ class SearchConfig(_SearchConfig):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> SearchConfig:
-        knobs = []
-        for name, value in zip(cls._fields, super().__new__(cls, *args, **kwargs)):
-            try:
-                knobs.append(operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        g, rounds, starts = knobs
-        if g < 2:
-            raise ValueError("grid_points_per_axis must be >= 2")
+        given = super().__new__(cls, *args, **kwargs)
+        g, rounds, starts = map(require_int, given, cls._fields, (2, 0, 1))
         if g * g > _MAX_SEED_CELLS:
             raise GridTooLarge(
                 f"a grid of {g} points per axis has {g * g} seed cells, "
                 f"more than the {_MAX_SEED_CELLS} a search allows"
             )
-        if rounds < 0:
-            raise ValueError("refine_rounds must be >= 0")
-        if starts < 1:
-            raise ValueError("multistart_count must be >= 1")
-        return tuple.__new__(cls, knobs)
+        return tuple.__new__(cls, (g, rounds, starts))
 
     def to_json_dict(self) -> dict:
         return self._asdict()
@@ -858,17 +849,16 @@ def _best_alpha(face: _FaceSearch) -> tuple[float, float, ExtremeFamily, float]:
                 a = lo - slope_lo * (hi - lo) / (slope_hi - slope_lo)
             last_gap = gap
             slope = slope_at(a)
-            # Illinois: an end kept twice running has its slope halved.
+            # Illinois: an end kept twice running has its slope halved.  A
+            # flat line at a becomes hi with slope 0, which ends the loop.
             if slope > 0.0:
                 if moved == "lo":
                     slope_hi *= 0.5
                 lo, slope_lo, moved = a, slope, "lo"
-            elif slope < 0.0:
+            else:
                 if moved == "hi":
                     slope_lo *= 0.5
                 hi, slope_hi, moved = a, slope, "hi"
-            else:
-                break
 
     def score(a: float) -> tuple[float, ExtremeFamily]:
         return min(((face._terms(f).ratio(a), f) for f in lines), key=lambda vf: vf[0])

@@ -1,21 +1,27 @@
-"""Scalar kernels: a probability check, binary entropy, and two bits' OR-output probabilities.
+"""Two input checks, binary entropy, and two bits' OR-output probabilities.
 
-Everything here works on plain floats and is deliberately allocation-free;
-the face search in :mod:`ucsbound.optimizer` calls ``binary_entropy``
-for the entropies of the seed grid's axes (3 per point of the a axis,
-2 per point of the b1 axis) and for those a line-objective call moves.
-The entropy of the search's cross term, one per seed cell and per
-line-objective call, is written out there in ``binary_entropy``'s float
-operations instead of called; the tests check that copy against this one
-bit for bit.  All entropies are in bits.
+The checks are each written once: ``require_prob`` takes a probability
+(an alpha, a marginal, an atom's value) as a float, and ``require_int``
+an integer (the search's three knobs, the lab's ground-set sizes,
+family masks, sample counts and seeds) as an int.  The kernels work on
+plain floats and are deliberately allocation-free; the face search in
+:mod:`ucsbound.optimizer` calls ``binary_entropy`` for the entropies of
+the seed grid's axes (3 per point of the a axis, 2 per point of the b1
+axis) and for those a line-objective call moves.  The entropy of the
+search's cross term, one per seed cell and per line-objective call, is
+written out there in ``binary_entropy``'s float operations instead of
+called; the tests check that copy against this one bit for bit.  All
+entropies are in bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 __all__ = [
     "require_prob",
+    "require_int",
     "binary_entropy",
     "or_prob",
     "max_entropy_or_prob_fullcorr",
@@ -34,6 +40,18 @@ def require_prob(x: float, name: str = "value") -> float:
     if math.isnan(x) or x < 0.0 or x > 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
     return x or 0.0
+
+
+def require_int(x, name: str, low: int | None = None) -> int:
+    """x as an int, a numpy integer or a bool too; ``ValueError`` naming
+    ``name`` if it is not an integer, or is below ``low``."""
+    try:
+        number = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    if low is not None and number < low:
+        raise ValueError(f"{name} must be >= {low}, got {x!r}")
+    return number
 
 
 def binary_entropy(a: float) -> float:

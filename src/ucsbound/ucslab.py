@@ -33,7 +33,10 @@ library's ``random.Random``.
 Each input is checked once, where it enters: a :class:`FamilySet`, the
 named tuple (n, mask), checks both in ``__new__`` (``_replace`` and
 ``_make`` skip it), and every public function checks its other
-arguments first, each ground-set size by :func:`_ground_size`.  Closure
+arguments first, each ground-set size by :func:`_ground_size`.  Every
+integer input (ground-set size, family mask, sample count and seed) is
+taken by :func:`ucsbound.scalars.require_int`, the rule the search's
+knobs share, so a numpy integer or a bool is stored as an int.  Closure
 is one fold over masks (:func:`_fold`), which :func:`sample_or_closed`
 feeds with its drawn words, in range by construction.
 A family the lab builds itself, closed and in range by construction, is
@@ -71,6 +74,7 @@ from itertools import chain, compress, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import DimensionTooLarge, NotClosed
+from .scalars import require_int
 
 __all__ = [
     "MAX_ENUM_N",
@@ -112,21 +116,10 @@ _MOVES = {
 }
 
 
-def _as_int(value, what: str, low: int | None = None) -> int:
-    """value as an int, a numpy one too; ``ValueError`` naming ``what`` if not one or below ``low``."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-    if low is not None and number < low:
-        raise ValueError(f"{what} must be >= {low}, got {value!r}")
-    return number
-
-
 def _ground_size(n) -> int:
     """n as an int in 1..MAX_ENUM_N; :class:`DimensionTooLarge` above it,
     ``ValueError`` below 1 or for a non-integer, each naming n."""
-    size = _as_int(n, "ground-set size")
+    size = require_int(n, "ground-set size")
     if not 1 <= size <= MAX_ENUM_N:
         error = ValueError if size < 1 else DimensionTooLarge
         raise error(f"ground-set size must be in 1..{MAX_ENUM_N}, got {n!r}")
@@ -160,7 +153,7 @@ class FamilySet(_FamilySet):
 
     def __new__(cls, n: int, mask: int) -> FamilySet:
         n = _ground_size(n)
-        mask = _as_int(mask, "family mask")
+        mask = require_int(mask, "family mask")
         if not 1 <= mask < (1 << (1 << n)):
             raise ValueError(f"family mask must be in [1, 2^(2^{n})), got {mask!r}")
         return tuple.__new__(cls, (n, mask))
@@ -476,8 +469,8 @@ def sample_or_closed(n: int, count: int, seed: int) -> list[FamilySet]:
     bits.
     """
     n = _ground_size(n)
-    count = _as_int(count, "count", 1)
-    seed = _as_int(seed, "seed", 0)
+    count = require_int(count, "count", 1)
+    seed = require_int(seed, "seed", 0)
     bits = random.Random(seed).getrandbits
     seen: set[int] = set()
     out: list[FamilySet] = []
@@ -512,10 +505,6 @@ class EntropyCheckReport(NamedTuple):
     checked: int
     skipped: int
     violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _census(n: int, count: int) -> EntropyCheckReport:

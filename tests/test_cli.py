@@ -116,10 +116,10 @@ class TestGammaHat:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["gamma-hat", "--t", "0.38", "--grid", "1"], "grid_points_per_axis must be >= 2"),
-            (["gamma-hat", "--t", "0.38", "--multistart", "0"], "multistart_count must be >= 1"),
-            (["gamma-hat", "--t", "0.38", "--refine-rounds", "-1"], "refine_rounds must be >= 0"),
-            (["verify-paper", "--grid", "1"], "grid_points_per_axis must be >= 2"),
+            (["gamma-hat", "--t", "0.38", "--grid", "1"], "grid_points_per_axis must be >= 2, got 1"),
+            (["gamma-hat", "--t", "0.38", "--multistart", "0"], "multistart_count must be >= 1, got 0"),
+            (["gamma-hat", "--t", "0.38", "--refine-rounds", "-1"], "refine_rounds must be >= 0, got -1"),
+            (["verify-paper", "--grid", "1"], "grid_points_per_axis must be >= 2, got 1"),
         ],
         ids=["grid", "multistart", "refine-rounds", "verify-grid"],
     )
@@ -808,7 +808,10 @@ class TestImport:
         cases = [
             (["--version"], base),
             (["--help"], base),
-            (["enumerate", "--n", "4", "--check-entropy"], base | {"ucsbound.ucslab"}),
+            (
+                ["enumerate", "--n", "4", "--check-entropy"],
+                base | {"ucsbound.ucslab", "ucsbound.scalars"},
+            ),
             (
                 ["maxcorr", "--pq", "0.3", "0.4", "0.2"],
                 base | {"ucsbound.maxcorr", "ucsbound.scalars"},

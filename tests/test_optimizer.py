@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from ucsbound import optimizer
-from ucsbound.distributions import ExtremeFamily, entropy_ratio, mixed_or_entropy
+from ucsbound.distributions import ExtremeFamily, RatioTerms, entropy_ratio, mixed_or_entropy
 from ucsbound.errors import (
     BracketFailure,
     DegenerateDenominator,
@@ -1411,6 +1411,45 @@ class TestGammaHat:
         # On the tiny grid the first polish at t = 0.38234 and at 0.49
         # lowers its alpha below another, which is polished in turn.
         assert counts == ([1, 1, 2, 2] if config == SearchConfig(12, 1, 2) else [1, 1, 1, 1])
+
+    def test_a_flat_line_ends_the_search(self, monkeypatch):
+        # A stub face with three lines c + s alpha, as RatioTerms(c, c + s, 1):
+        # alpha = 0 finds a rising line (1, 1/4) and alpha = 1 the closed-form
+        # family's (2, -2).  The secant step lands at 1/9, where a flat line
+        # (1 + 2^-7, 0) is the lowest: its slope 0 becomes hi's and ends the
+        # search, with no third inner search, at that alpha and family.
+        rising, flat, top = (ExtremeFamily(a, a, 0.3, 0.5, 1.0) for a in (0.1, 0.2, 0.0))
+        level = 1.0 + 2.0**-7
+        lines = {rising: RatioTerms(1.0, 1.25, 1.0), flat: RatioTerms(level, level, 1.0)}
+        alpha_one = top, RatioTerms(2.0, 0.0, 1.0)
+        monkeypatch.setattr(optimizer, "_alpha_one_family", lambda t: alpha_one)
+
+        class Face:
+            t = 0.3
+
+            def __init__(self):
+                self._oracle = dict(lines)
+                self.refined, self.polished = [], []
+
+            def _terms(self, family):
+                return self._oracle[family]
+
+            def _refined(self, alpha):
+                self.refined.append(alpha)
+                return 0.0, [alpha]
+
+            def _scored(self, alpha, x):
+                return 0.0, rising if alpha == 0.0 else flat
+
+            def _polish(self, alpha, best, x):
+                self.polished.append(alpha)
+                return best, x
+
+        face = Face()
+        alpha, value, family, _ = optimizer._best_alpha(face)
+        assert alpha == pytest.approx(1 / 9, abs=1e-15)
+        assert face.refined == [0.0, alpha] and face.polished == [alpha]
+        assert family == flat and value == lines[flat].ratio(alpha)
 
     @pytest.mark.parametrize(
         "config",

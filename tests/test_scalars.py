@@ -1,17 +1,20 @@
-"""Scalar kernels: entropy and the OR-output probability."""
+"""Scalar kernels: the two input checks, entropy and the OR-output probability."""
 
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
 
+from ucsbound.optimizer import SearchConfig
 from ucsbound.scalars import (
     binary_entropy,
     max_entropy_or_prob_fullcorr,
     or_prob,
     require_prob,
 )
+from ucsbound.ucslab import FamilySet, sample_or_closed
 
 SEED = 20260825
 
@@ -31,6 +34,54 @@ class TestRequireProb:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             require_prob(bad, "p")
+
+
+# Every integer input of the package, by the name its messages give: a
+# call taking it, its floor (None where a range check of its own follows),
+# and a value the call accepts.
+INTEGER_INPUTS = {
+    "grid_points_per_axis": (lambda v: SearchConfig(grid_points_per_axis=v), 2, 4),
+    "refine_rounds": (lambda v: SearchConfig(refine_rounds=v), 0, 1),
+    "multistart_count": (lambda v: SearchConfig(multistart_count=v), 1, 2),
+    "ground-set size": (lambda v: FamilySet(v, 1), None, 3),
+    "family mask": (lambda v: FamilySet(2, v), None, 3),
+    "count": (lambda v: sample_or_closed(3, v, 1), 1, 4),
+    "seed": (lambda v: sample_or_closed(3, 5, v), 0, 4),
+}
+
+
+def whole(message):
+    """A pattern matching exactly ``message``."""
+    return f"^{re.escape(message)}$"
+
+
+def typed_ints(value):
+    """Each int a call returned, with its type: a config's knobs, a family's
+    n and mask, or those of each family in a list."""
+    if isinstance(value, list):
+        return [typed_ints(v) for v in value]
+    return [(type(v), v) for v in value]
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("name", list(INTEGER_INPUTS))
+    def test_one_rule_for_every_integer_input(self, name):
+        # require_int checks the search's knobs and the lab's ground-set
+        # size, family mask, sample count and seed, each with one message.
+        call, low, valid = INTEGER_INPUTS[name]
+        for value in (4.0, "4"):
+            message = f"{name} must be an integer, got {value!r}"
+            with pytest.raises(ValueError, match=whole(message)):
+                call(value)
+        if low is not None:
+            with pytest.raises(ValueError, match=whole(f"{name} must be >= {low}, got {low - 1}")):
+                call(low - 1)
+        assert typed_ints(call(np.int64(valid))) == typed_ints(call(valid))
+        if low is None or low <= 1:
+            assert typed_ints(call(True)) == typed_ints(call(1))
+        else:
+            with pytest.raises(ValueError, match=whole(f"{name} must be >= {low}, got True")):
+                call(True)
 
 
 class TestBinaryEntropy:

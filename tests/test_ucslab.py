@@ -868,7 +868,7 @@ class TestSampling:
     def test_checks_each_argument_once(self, monkeypatch, constructions):
         # n, count and seed once per call; the drawn generators are in
         # range by construction and are not checked, nor are the families.
-        as_int = counted(monkeypatch, "_as_int")
+        as_int = counted(monkeypatch, "require_int")
         families = sample_or_closed(5, 500, SEED)
         assert as_int == [3]
         assert constructions == [0]
@@ -975,7 +975,6 @@ class TestMaxSymmetricCouplingEntropy:
 class TestEntropyInequality:
     def test_no_violations_on_n2(self):
         report = check_entropy_inequality(2)
-        assert report.ok
         assert report.violations == ()
         assert report.checked == 9  # 13 families minus 4 singletons
         assert report.skipped == 4
@@ -1050,7 +1049,7 @@ class TestEntropyInequality:
 
     def test_ceiling_is_reached_on_n4(self):
         report = check_entropy_inequality(4)
-        assert report.ok
+        assert report.violations == ()
         assert (report.checked, report.skipped) == (4943, 16)
         for fam in enumerate_or_closed(4):
             assert max_symmetric_coupling_entropy(fam) == math.log2(fam.size)
