@@ -427,32 +427,33 @@ class _FaceSearch:
         """The seed cells as columns in scan order: ind/denom, cor/denom
         and the grid place i * g + j of a = a_axis[i], b1 = b1_axis[j].
 
-        The face formula (module docstring), a row of a at a time: the
-        entropies of a are taken once a row, those of b1 once a column,
-        and only the cross term h(a + b1 - a b1) once a cell, written out
-        as :func:`~ucsbound.scalars.binary_entropy` computes it.  Only
-        a = 0 with b1 = 0 or 1 carries no entropy; it is left out.
+        The face formula (module docstring), term by term, a row of a at
+        a time: the entropies of a are taken once a row, those of b1 once
+        a column, with the 1/2 and 1/4 of (beta/2) and (beta/2)^2, and
+        only the cross term h(a + b1 - a b1) once a cell, written out as
+        :func:`~ucsbound.scalars.binary_entropy` computes it.  Only a = 0
+        with b1 = 0 or 1 carries no entropy; it is left out.
         """
         t, h, log2, log1p = self.t, binary_entropy, math.log2, math.log1p
         g = len(self._b1_axis)
-        columns = [(b1, b1 + 1.0, h(b1), h(b1 + b1 - b1 * b1)) for b1 in self._b1_axis]
+        columns = [
+            (b1, b1 + 1.0, 0.5 * h(b1), 0.25 * h(b1 + b1 - b1 * b1)) for b1 in self._b1_axis
+        ]
         ind_col, cor_col, places = [], [], []
         for i, a in enumerate(self._a_axis):
-            ha = h(a)
-            gap, ha2 = 2.0 * (t - a), ha + ha
-            sa4, pa = 4.0 * h(a + a - a * a), h(max_entropy_or_prob_fullcorr(a, a))
-            for place, (b1, b1_1, hb, sb) in enumerate(columns, i * g):
+            gap, ha, s = 2.0 * (t - a), h(a), h(a + a - a * a)
+            pa = h(max_entropy_or_prob_fullcorr(a, a))
+            for place, (b1, b1_1, hb2, sb4) in enumerate(columns, i * g):
                 beta = gap / (b1_1 - a - a)
                 nb = 1.0 - beta
-                w1, w2 = 0.5 * nb, 0.5 * beta
-                denom = w1 * ha2 + w2 * hb
+                denom = nb * ha + beta * hb2
                 if denom > DENOM_FLOOR:
                     x = a + b1 - a * b1
                     cross = (
                         0.0 if x <= 0.0 or x >= 1.0
                         else -(x * log2(x) + (1.0 - x) * log1p(-x) / _LN2)
                     )
-                    ind = w1 * w1 * sa4 + w2 * w2 * sb + 2.0 * w1 * w2 * (cross + cross)
+                    ind = nb * nb * s + beta * beta * sb4 + nb * beta * cross
                     ind_col.append(ind / denom)
                     cor_col.append(nb * pa / denom)
                     places.append(place)
@@ -538,28 +539,25 @@ class _FaceSearch:
         log2, log1p, corr = math.log2, math.log1p, max_entropy_or_prob_fullcorr
         a0, b0 = x
         if ci:
-            ha0 = h(a0)
-            held = a0, ha0 + ha0, 4.0 * h(a0 + a0 - a0 * a0), h(corr(a0, a0))
+            held = a0, h(a0), h(a0 + a0 - a0 * a0), h(corr(a0, a0))
         else:
-            held = b0, h(b0), h(b0 + b0 - b0 * b0)
+            held = b0, 0.5 * h(b0), 0.25 * h(b0 + b0 - b0 * b0)
 
         def objective(u: float) -> float:
             self.evaluations += 1
             if ci:
-                (a, ha2, sa4, pa), b1, hb, sb = held, u, h(u), h(u + u - u * u)
+                (a, ha, s, pa), b1, hb2, sb4 = held, u, 0.5 * h(u), 0.25 * h(u + u - u * u)
             else:
-                ha = h(u)
-                a, ha2, sa4, pa = u, ha + ha, 4.0 * h(u + u - u * u), h(corr(u, u))
-                b1, hb, sb = held
+                a, ha, s, pa = u, h(u), h(u + u - u * u), h(corr(u, u))
+                b1, hb2, sb4 = held
             beta = 2.0 * (t - a) / (b1 + 1.0 - a - a)
             nb = 1.0 - beta
-            w1, w2 = 0.5 * nb, 0.5 * beta
-            denom = w1 * ha2 + w2 * hb
+            denom = nb * ha + beta * hb2
             if denom <= DENOM_FLOOR:
                 return math.inf
             x = a + b1 - a * b1
             cross = 0.0 if x <= 0.0 or x >= 1.0 else -(x * log2(x) + (1.0 - x) * log1p(-x) / _LN2)
-            ind = w1 * w1 * sa4 + w2 * w2 * sb + 2.0 * w1 * w2 * (cross + cross)
+            ind = nb * nb * s + beta * beta * sb4 + nb * beta * cross
             return (w * ind + alpha * (nb * pa)) / denom
 
         return objective

@@ -43,6 +43,12 @@ def stdout_json(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+TOO_MANY_CELLS = (
+    "a grid of 3000000 points per axis has 9000000000000 seed cells, "
+    "more than the 1048576 a search allows; lower --grid"
+)
+
+
 class TestGammaHat:
     def test_report_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -88,31 +94,6 @@ class TestGammaHat:
         assert rc == 2
         assert "--alpha" in capsys.readouterr().err
 
-    def test_grid_too_large_for_memory_exits_2(self, capsys):
-        # 9e12 seed cells pass the fixed cap, which is checked before any
-        # work; a scan of them would run for hours.
-        rc = main(["gamma-hat", "--t", "0.38", "--grid", "3000000"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "3000000 points per axis" in err and "lower --grid" in err
-
-    def test_pinned_grid_too_large_for_memory_exits_2(self, capsys):
-        # A pinned alpha runs one inner search, which checks the same cap.
-        rc = main(["gamma-hat", "--t", "0.38", "--alpha", "0.035", "--grid", "3000000"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "3000000 points per axis" in err and "lower --grid" in err
-
-    def test_alpha_one_grid_too_large_for_memory_exits_2(self, capsys):
-        # alpha = 1 has a closed form and scans no seed, but the cap holds.
-        rc = main(["gamma-hat", "--t", "0.38", "--alpha", "1", "--grid", "3000000"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "3000000 points per axis" in err and "lower --grid" in err
-
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -120,11 +101,20 @@ class TestGammaHat:
             (["gamma-hat", "--t", "0.38", "--multistart", "0"], "multistart_count must be >= 1, got 0"),
             (["gamma-hat", "--t", "0.38", "--refine-rounds", "-1"], "refine_rounds must be >= 0, got -1"),
             (["verify-paper", "--grid", "1"], "grid_points_per_axis must be >= 2, got 1"),
+            (["gamma-hat", "--t", "0.38", "--grid", "3000000"], TOO_MANY_CELLS),
+            (["gamma-hat", "--t", "0.38", "--alpha", "0.035", "--grid", "3000000"], TOO_MANY_CELLS),
+            (["gamma-hat", "--t", "0.38", "--alpha", "1", "--grid", "3000000"], TOO_MANY_CELLS),
         ],
-        ids=["grid", "multistart", "refine-rounds", "verify-grid"],
+        ids=[
+            "grid", "multistart", "refine-rounds", "verify-grid",
+            "grid-cap", "pinned-grid-cap", "alpha-one-grid-cap",
+        ],
     )
     def test_knobs_out_of_range_exit_2(self, argv, message, capsys):
-        # The knobs are checked when the command line's SearchConfig is built.
+        # The knobs are checked when the command line's SearchConfig is built,
+        # before any search, and so is the cap on seed cells: for a pinned
+        # alpha too, and for alpha = 1, whose closed form scans no seed.  A
+        # scan of 9e12 cells would run for hours.
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -194,9 +184,10 @@ class TestTmax:
         assert "t_tol" in capsys.readouterr().err
 
     def test_malformed_bracket_exits_2(self, capsys):
-        rc = main(["tmax", "--bracket", "0.45", "0.40", *FAST_KNOBS])
-        assert rc == 2
-        assert "bracket" in capsys.readouterr().err
+        for bracket in (["0.45", "0.40"], ["0.38", "0.38"]):
+            rc = main(["tmax", "--bracket", *bracket, *FAST_KNOBS])
+            assert rc == 2
+            assert "bracket" in capsys.readouterr().err
 
 
 class TestVerifyPaper:
@@ -751,53 +742,15 @@ class TestImport:
     def test_package_and_cli_load_without_scipy(self):
         # The package depends on the standard library alone; numpy, which
         # it does not install, is imported only by the library's frequency
-        # array, element_frequencies, which no command calls.
+        # array, element_frequencies, which no command calls.  pytest.approx
+        # looks numpy up in sys.modules, where a placeholder would load it.
         code = (
-            "import sys, ucsbound, ucsbound.cli; "
+            "import sys, pytest, ucsbound, ucsbound.cli; "
+            "pytest.approx(1.0) == 1.0; "
             "print(len([m for m in sys.modules if m.split('.')[0] == 'scipy'])); "
             f"print({NUMPY_LOADED})"
         )
         assert run_python(code) == ["0", "False"]
-
-    def test_sampling_loads_no_numpy(self):
-        # The sampler draws its words from the standard library's random.
-        code = (
-            "import sys, ucsbound.ucslab; ucsbound.ucslab.sample_or_closed(5, 500, 3); "
-            f"print({NUMPY_LOADED})"
-        )
-        assert run_python(code) == ["False"]
-
-    def test_numpy_stays_unloaded_when_a_library_probes_for_it(self):
-        # pytest.approx looks numpy up in sys.modules; a placeholder
-        # registered there would load it.
-        code = (
-            f"import sys, pytest, ucsbound, ucsbound.cli; print('=>', {NUMPY_LOADED}); "
-            f"pytest.approx(1.0) == 1.0; print('=>', {NUMPY_LOADED}); "
-            "rc = ucsbound.cli.main(['enumerate', '--n', '4', '--check-entropy']); "
-            f"print('=>', rc, {NUMPY_LOADED})"
-        )
-        results = [line for line in run_python(code) if line.startswith("=>")]
-        assert results == ["=> False", "=> False", "=> 0 False"]
-
-    def test_commands_run_without_numpy(self, tmp_path):
-        knobs = "'--grid', '12', '--refine-rounds', '1', '--multistart', '2'"
-        commands = [
-            "'enumerate', '--n', '4', '--check-entropy', '--csv', 'e.csv', "
-            "'--no-timestamps', '--out', 'e.json'",
-            f"'gamma-hat', '--t', '0.38', {knobs}",
-            f"'gamma-hat', '--t', '0.38', '--alpha', '0.035', {knobs}",
-            f"'tmax', '--t-tol', '1e-3', {knobs}",
-            f"'verify-paper', '--strict', '--out', 'vp.json'",
-            "'maxcorr', '--pq', '0.3', '0.4', '0.2'",
-            "'maxcorr', '--pq', '1e-200', '1e-200', '1e-300'",
-        ]
-        code = "import sys; from ucsbound.cli import main"
-        for argv in commands:
-            code += f"; rc = main([{argv}]); print('=>', rc, {NUMPY_LOADED})"
-        results = [line for line in run_python(code, cwd=tmp_path) if line.startswith("=>")]
-        assert results == ["=> 0 False"] * len(commands)
-        assert read_json(tmp_path / "e.json")["family_count"] == 4959
-        assert read_json(tmp_path / "vp.json")["gamma_hat_lower"] > 1.0
 
     def test_each_command_loads_only_what_it_runs(self, tmp_path):
         # The help of every subcommand is registered, but only the one run
@@ -890,9 +843,10 @@ class TestImport:
     def test_every_command_runs_where_numpy_cannot_load(self, tmp_path, monkeypatch, capsys):
         # python -S leaves site-packages off the path, and None in
         # sys.modules stops an import of numpy wherever the package is
-        # installed.  Each command writes the same bytes there as here:
-        # report, manifest, sheet and stdout, each command in a directory
-        # of its own.
+        # installed; nothing in the package catches the ImportError.  Each
+        # command writes the same bytes there as here: report, manifest,
+        # sheet and stdout, each command in a directory of its own.  So
+        # does the sampler, which draws from the standard library's random.
         knobs = ["--grid", "12", "--refine-rounds", "1", "--multistart", "2"]
         quiet = ["--no-timestamps", "--out", "report.json"]
         commands = [
@@ -902,11 +856,14 @@ class TestImport:
             ["tmax", "--t-tol", "1e-3", *knobs, *quiet],
             ["enumerate", "--n", "4", "--check-entropy", "--csv", "f.csv", *quiet],
             ["maxcorr", "--pq", "0.3", "0.4", "0.2", *quiet],
+            ["maxcorr", "--pq", "1e-200", "1e-200", "1e-300", *quiet],
         ]
         code = (
             "import sys; sys.modules['numpy'] = None\n"
             "import contextlib, os, ucsbound.ucslab\n"
             "from ucsbound.cli import main\n"
+            "with open('sample', 'w') as out:\n"
+            "    print(*(f.mask for f in ucsbound.ucslab.sample_or_closed(5, 500, 3)), file=out)\n"
             f"for i, argv in enumerate({commands!r}):\n"
             "    os.mkdir(str(i))\n"
             "    with open(os.path.join(str(i), 'stdout'), 'w') as out:\n"
@@ -924,6 +881,8 @@ class TestImport:
         there.mkdir()
         results = [line for line in run_python(code, cwd=there, flags=["-S"]) if line.startswith("=>")]
         assert results == ["=> 0"] * len(commands) + ["=> numpy"]
+        sample = ucslab.sample_or_closed(5, 500, 3)
+        assert (there / "sample").read_text() == " ".join(str(f.mask) for f in sample) + "\n"
         for i, argv in enumerate(commands):
             (here / str(i)).mkdir(parents=True)
             monkeypatch.chdir(here / str(i))

@@ -69,14 +69,15 @@ class TestRequireInt:
         # require_int checks the search's knobs and the lab's ground-set
         # size, family mask, sample count and seed, each with one message.
         call, low, valid = INTEGER_INPUTS[name]
-        for value in (4.0, "4"):
+        for value in (4.0, 2.5, "4"):
             message = f"{name} must be an integer, got {value!r}"
             with pytest.raises(ValueError, match=whole(message)):
                 call(value)
         if low is not None:
             with pytest.raises(ValueError, match=whole(f"{name} must be >= {low}, got {low - 1}")):
                 call(low - 1)
-        assert typed_ints(call(np.int64(valid))) == typed_ints(call(valid))
+        for integer in (np.int64, np.int32, np.uint8):
+            assert typed_ints(call(integer(valid))) == typed_ints(call(valid))
         if low is None or low <= 1:
             assert typed_ints(call(True)) == typed_ints(call(1))
         else:
