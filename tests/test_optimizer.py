@@ -1322,11 +1322,41 @@ class TestSearchConfig:
         assert cfg.refine_rounds == 6
         assert cfg.multistart_count == 16
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(grid_points_per_axis=1),
+            dict(refine_rounds=-1),
+            dict(multistart_count=0),
+        ],
+    )
+    def test_rejects_bad_config(self, kwargs):
+        with pytest.raises(ValueError):
+            SearchConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid_points_per_axis", 64.0),
+            ("refine_rounds", 2.5),
+            ("multistart_count", 1.5),
+            ("grid_points_per_axis", "64"),
+        ],
+    )
+    def test_rejects_non_integer_knobs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+
     def test_grid_cap_is_checked_when_built(self):
         # 1024 points per axis is 2^20 seed cells, the most a search allows.
         assert SearchConfig(grid_points_per_axis=1024).grid_points_per_axis == 1024
         with pytest.raises(GridTooLarge, match="1025 points per axis has 1050625 seed cells"):
             SearchConfig(grid_points_per_axis=1025)
+
+    def test_accepts_numpy_integers_as_python_ints(self):
+        cfg = SearchConfig(np.int64(32), np.int32(3), np.uint8(8))
+        assert cfg == FAST
+        assert all(type(v) is int for v in cfg.to_json_dict().values())
 
 
 class TestGammaHat:

@@ -228,6 +228,42 @@ class TestGroundSetSize:
         assert type(fam.n) is int and fam == FamilySet(1, 1)
 
 
+# Argument name -> a call taking it, where 3 is a valid value.
+INTEGER_ARGUMENTS = {
+    "family mask": lambda v: FamilySet(2, v),
+    "count": lambda v: sample_or_closed(3, v, 1),
+    "seed": lambda v: sample_or_closed(3, 5, v),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("arg", list(INTEGER_ARGUMENTS))
+    @pytest.mark.parametrize("value", [3.0, "3"])
+    def test_non_integer_is_named(self, arg, value):
+        # Each is checked before use: a float mask would construct.
+        with pytest.raises(ValueError, match=rf"{arg} must be an integer, got {value!r}"):
+            INTEGER_ARGUMENTS[arg](value)
+
+    @pytest.mark.parametrize("arg", list(INTEGER_ARGUMENTS))
+    @pytest.mark.parametrize("value", [True, np.int64(3)], ids=["True", "np.int64(3)"])
+    def test_bool_and_numpy_integers_work_as_ints(self, arg, value):
+        got = INTEGER_ARGUMENTS[arg](value)
+        assert as_plain(got) == as_plain(INTEGER_ARGUMENTS[arg](int(value)))
+        families = got if isinstance(got, list) else [got]
+        assert all(type(fam.mask) is int for fam in families)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((3, 0, 1), "count must be >= 1, got 0"),
+            ((3, 5, -1), "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_sampling_bounds_are_named(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            sample_or_closed(*args)
+
+
 class TestIsOrClosed:
     def test_hand_cases(self):
         assert is_or_closed(FamilySet(2, 0b1))  # {empty}
